@@ -101,18 +101,12 @@ def cmd_verify(args) -> int:
             res.rows = [r for r in res.rows if args.filter in r.check]
         results.append(res)
 
-    lines = ["suite,check,observed,expected,tolerance,passed"]
     outputs = ["report.csv"]
     for res in results:
-        for r in res.rows:
-            lines.append(
-                f"{r.suite},{r.check},{r.observed!r},{r.expected!r},{r.tolerance!r},"
-                f"{'true' if r.passed else 'false'}"
-            )
         for fname, (header, rows) in res.tables.items():
             _write(out_dir / fname, _table_csv(header, rows))
             outputs.append(fname)
-    _write(out_dir / "report.csv", "\n".join(lines) + "\n")
+    _write(out_dir / "report.csv", verify.report_csv(*results))
 
     _manifest(
         out_dir,

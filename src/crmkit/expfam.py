@@ -52,10 +52,8 @@ __all__ = [
     "raw_moment_beta",
     "sample",
     "sample_each",
-    "normalization",
     "cdf_numeric",
     "quantile_numeric",
-    "stat_sign_report",
 ]
 
 _INF = float("inf")
@@ -355,37 +353,6 @@ def sample_each(spec: ExpFamilySpec, etas: np.ndarray, rng: np.random.Generator)
     return np.array([sample(spec, e, rng) for e in etas], dtype=float)
 
 
-def normalization(spec: ExpFamilySpec, eta) -> float:
-    """Integral (or lattice sum) of the density over the support."""
-    eta = _as_eta(spec, eta)
-    spec.check_natural(eta)
-    if spec.support.discrete:
-        total, x = 0.0, spec.support.lo
-        hi = spec.support.hi
-        mode_passed = False
-        prev = _INF
-        while x <= hi:
-            term = density(spec, eta, x)
-            total += term
-            mode_passed = mode_passed or term < prev
-            prev = term
-            if mode_passed and term < 1e-18:
-                break
-            if x - spec.support.lo > 1e6:
-                break
-            x += 1.0
-        return float(total)
-    val, _ = integrate.quad(
-        lambda x: density(spec, eta, x),
-        spec.support.lo,
-        spec.support.hi,
-        epsabs=1e-11,
-        epsrel=1e-10,
-        limit=400,
-    )
-    return float(val)
-
-
 def cdf_numeric(spec: ExpFamilySpec, eta, x: float) -> float:
     """CDF by numeric integration of the density (continuous families)."""
     if spec.support.discrete:
@@ -416,21 +383,6 @@ def quantile_numeric(spec: ExpFamilySpec, eta, q: float, tail: float = 1e-12) ->
             if hi - lo > 1e12:
                 break
     return float(optimize.brentq(lambda x: cdf_numeric(spec, eta, x) - q, lo + 1e-300, hi))
-
-
-def stat_sign_report(spec: ExpFamilySpec, n_grid: int = 512) -> dict[str, str]:
-    """Sign classification of each statistic on a dense support grid."""
-    grid = spec.support.grid(n_grid)
-    out = {}
-    for stat in spec.stats:
-        vals = np.asarray(stat.value(grid), dtype=float)
-        if np.all(vals >= -1e-12):
-            out[stat.name] = "nonnegative"
-        elif np.all(vals <= 1e-12):
-            out[stat.name] = "nonpositive"
-        else:
-            out[stat.name] = "sign-changing"
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +788,10 @@ def make_family(name: str, **params) -> ExpFamilySpec:
 
 
 class ParameterPath:
-    """A piecewise parameter path z -> eta(z), right-continuous per component.
+    """A piecewise parameter path z -> eta(z), left-continuous per component.
+
+    Each component's pieces cover (lo, hi], so at a shared breakpoint the
+    path takes the value of the piece that ends there.
 
     ``atom_overrides`` carries exact-location parameter replacements produced
     by atom-local posterior updates; evaluation at exactly such a z returns

@@ -9,24 +9,25 @@ in the family's own coordinate, and its pushforward under u = T_k(s) in the
 weight coordinate.  The Laplace exponent is
 int (1 - e^{-theta u}) dL_t(u) = int_{(0,t]} (1 - E_{eta(z)}[e^{-theta T_k}]) dA_0(z).
 
-Integrals split exactly at piece breakpoints, use adaptive quadrature to
-1e-9 absolute per axis or better, and add atom contributions of A_0 exactly;
-the window convention is (0, t] (a jump at t counts, one at 0 does not).
+The per-location transform is closed form, the log-partition tilt
+E_eta[e^{-theta T_k}] = exp(A(eta - sign_k theta e_k) - A(eta)).  Location
+integrals split exactly at piece breakpoints, use one adaptive quadrature
+(:func:`~crmkit.piecewise.checked_quad`) per smooth stretch, and add atom
+contributions of A_0 exactly; the window convention is (0, t] (a jump at t
+counts, one at 0 does not).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from . import expfam
-from .errors import ConditionError, CrmError, DivergenceError, SupportError
+from .errors import ConditionError, CrmError, DivergenceError, NaturalSpaceError, SupportError
 from .expfam import ExpFamilySpec, ParameterPath
-from .piecewise import PiecewiseFunction
+from .piecewise import PiecewiseFunction, checked_quad
 
 __all__ = [
     "BaseMeasure",
@@ -270,26 +271,6 @@ class LevyContext:
             )
 
 
-def _quad_smooth(f: Callable, a: float, b: float) -> float:
-    """Adaptive quadrature on one smooth interval; raises on non-convergence."""
-    if not a < b:
-        return 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, err = integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-10, limit=300)
-        except integrate.IntegrationWarning as exc:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                partial, _ = integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-10, limit=300)
-            raise DivergenceError(
-                f"integral over ({a}, {b}) did not stabilize: {exc}", partial=partial
-            )
-    if not np.isfinite(val):
-        raise DivergenceError(f"integral over ({a}, {b}) is not finite", partial=val)
-    return float(val)
-
-
 def _z_integral(ctx: LevyContext, g: Callable, z_lo: float, z_hi: float) -> float:
     """int_(z_lo, z_hi] g(z) dA_0(z), split at breakpoints, atoms exact."""
     if not z_lo < z_hi:
@@ -305,7 +286,7 @@ def _z_integral(ctx: LevyContext, g: Callable, z_lo: float, z_hi: float) -> floa
         for piece in dens.pieces:
             lo, hi = max(a, piece.lo), min(b, piece.hi)
             if lo < hi:
-                total += _quad_smooth(lambda z, p=piece: g(z) * p.value(z), lo, hi)
+                total += checked_quad(lambda z, p=piece: g(z) * p.value(z), lo, hi)
     for loc, mass in ctx.base.jumps_in(z_lo, z_hi):
         if mass > 0:
             total += mass * g(loc)
@@ -355,26 +336,26 @@ def levy_density_u(ctx: LevyContext, t: float, u: float, z_window=None) -> float
 
 
 def stat_laplace(family: ExpFamilySpec, eta: np.ndarray, k: int, theta: float) -> float:
-    """E[e^{-theta T_k(S)}] under the family density at eta."""
-    stat = family.stats[k - 1]
-    if family.support.discrete:
-        total, x, prev, falling = 0.0, family.support.lo, _INF, False
-        while x <= family.support.hi:
-            term = expfam.density(family, eta, x) * np.exp(-theta * float(stat.value(x)))
-            total += term
-            falling = falling or term < prev
-            prev = term
-            if falling and term < 1e-18:
-                break
-            if x - family.support.lo > 1e6:
-                break
-            x += 1.0
-        return float(total)
-    return _quad_smooth(
-        lambda s: expfam.density(family, eta, s) * np.exp(-theta * float(stat.value(s))),
-        family.support.lo,
-        family.support.hi,
-    )
+    """E[e^{-theta T_k(S)}] under the family density at eta, by the log-partition tilt.
+
+    The transform is exp(A(eta - sign_k theta e_k) - A(eta)).  It is infinite
+    exactly where the tilted parameter leaves the natural space; there it
+    raises :class:`DivergenceError` with ``partial=inf``.  An eta outside the
+    natural space raises :class:`NaturalSpaceError`.
+    """
+    eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    a0 = expfam.log_partition(family, eta)
+    tilted = eta.copy()
+    tilted[k - 1] -= family.stats[k - 1].sign * theta
+    try:
+        a1 = expfam.log_partition(family, tilted)
+    except NaturalSpaceError as exc:
+        raise DivergenceError(
+            f"{family.name}: E[exp(-{theta} T_{k})] is infinite, the tilted coordinate "
+            f"eta_{k} = {tilted[k - 1]} leaves the natural space ({exc})",
+            partial=_INF,
+        ) from exc
+    return float(np.exp(a1 - a0))
 
 
 def laplace_exponent(ctx: LevyContext, t: float, theta: float) -> float:
@@ -435,13 +416,13 @@ def _mass_with_shrinking_cutoffs(f: Callable, lo: float, hi: float) -> float:
     else:
         a0 = lo + 1.0 if lo > -1.0 else lo + abs(lo) * 0.25 + 1e-3
         b0 = a0 + 10.0
-    total = _quad_smooth(f, a0, b0)
+    total = checked_quad(f, a0, b0)
 
     # refine toward the lower endpoint
     width, a, streak = a0 - lo, a0, 0
     for _ in range(200):
         width *= 0.5
-        strip = _quad_smooth(f, lo + width, a)
+        strip = checked_quad(f, lo + width, a)
         total += strip
         a = lo + width
         if strip > 0.01 * max(abs(total), 1e-300):
@@ -457,7 +438,7 @@ def _mass_with_shrinking_cutoffs(f: Callable, lo: float, hi: float) -> float:
     b, streak, grown = b0, 0, 0.0
     if not np.isfinite(hi):
         for _ in range(200):
-            strip = _quad_smooth(f, b, 2.0 * b if b > 0 else b + 10.0)
+            strip = checked_quad(f, b, 2.0 * b if b > 0 else b + 10.0)
             b = 2.0 * b if b > 0 else b + 10.0
             total += strip
             if strip > 0.01 * max(abs(total), 1e-300):
@@ -474,7 +455,7 @@ def _mass_with_shrinking_cutoffs(f: Callable, lo: float, hi: float) -> float:
         width = hi - b0
         for _ in range(60):
             width *= 0.5
-            strip = _quad_smooth(f, b, hi - width)
+            strip = checked_quad(f, b, hi - width)
             total += strip
             b = hi - width
             if strip < 1e-12 * max(abs(total), 1e-12):

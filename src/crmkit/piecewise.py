@@ -5,13 +5,15 @@ location coordinate z >= 0.  Pieces are constant, affine (c0 + c1*z), or an
 arbitrary callable; constant and affine pieces integrate exactly and invert
 exactly, which the location sampler and the discretization rely on.
 
-Evaluation is right-continuous: a piece covers [lo, hi), so at a shared
-breakpoint the right piece wins.
+Evaluation is left-continuous: a piece covers (lo, hi], so at a shared
+breakpoint the left piece wins.
+
+Callable pieces integrate through :func:`checked_quad`, the package's one checked
+quadrature helper: it raises rather than return an unconverged value.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,9 +22,30 @@ from scipy import integrate
 
 from .errors import CrmError, DivergenceError
 
-__all__ = ["Piece", "PiecewiseFunction"]
+__all__ = ["Piece", "PiecewiseFunction", "checked_quad"]
 
 _INF = float("inf")
+
+
+def checked_quad(f: Callable[[float], float], a: float, b: float) -> float:
+    """Adaptive quadrature of f over (a, b) to 1e-12 absolute / 1e-10 relative.
+
+    Raises :class:`DivergenceError` carrying quad's value as the partial when
+    quad reports a problem (subdivision limit, roundoff, probable divergence)
+    or returns a non-finite value.
+    """
+    if not a < b:
+        return 0.0
+    val, _, _, *message = integrate.quad(
+        f, a, b, epsabs=1e-12, epsrel=1e-10, limit=300, full_output=1
+    )
+    if message:
+        raise DivergenceError(
+            f"integral over ({a}, {b}) did not stabilize: {message[0]}", partial=val
+        )
+    if not np.isfinite(val):
+        raise DivergenceError(f"integral over ({a}, {b}) is not finite", partial=val)
+    return float(val)
 
 
 @dataclass(frozen=True)
@@ -61,22 +84,7 @@ class Piece:
             return self.c0 * (b - a)
         if self.kind == "affine":
             return self.c0 * (b - a) + 0.5 * self.c1 * (b * b - a * a)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", integrate.IntegrationWarning)
-            try:
-                val, _ = integrate.quad(self.func, a, b, epsabs=1e-12, epsrel=1e-10, limit=200)
-            except integrate.IntegrationWarning as exc:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    partial, _ = integrate.quad(
-                        self.func, a, b, epsabs=1e-12, epsrel=1e-10, limit=200
-                    )
-                raise DivergenceError(
-                    f"piece integral over ({a}, {b}) did not stabilize: {exc}", partial=partial
-                )
-        if not np.isfinite(val):
-            raise DivergenceError(f"piece integral over ({a}, {b}) is not finite", partial=val)
-        return val
+        return checked_quad(self.func, a, b)
 
     def shifted(self, delta):
         """The piece plus a constant."""

@@ -63,26 +63,27 @@ def suite_names() -> tuple[str, ...]:
     return ("moments", "laplace", "conjugacy", "activity", "examples")
 
 
-def report_csv(result: SuiteResult) -> str:
+def report_csv(*results: SuiteResult) -> str:
+    """The rows of one or more suites as CSV text with a single header."""
     lines = ["suite,check,observed,expected,tolerance,passed"]
-    for r in result.rows:
-        lines.append(
-            f"{r.suite},{r.check},{r.observed!r},{r.expected!r},{r.tolerance!r},"
-            f"{'true' if r.passed else 'false'}"
-        )
+    for result in results:
+        for r in result.rows:
+            lines.append(
+                f"{r.suite},{r.check},{r.observed!r},{r.expected!r},{r.tolerance!r},"
+                f"{'true' if r.passed else 'false'}"
+            )
     return "\n".join(lines) + "\n"
 
 
-def stat_moment_quad(spec, eta, k: int, m: int) -> float:
-    """Independent oracle for E[T_k^m]: direct quadrature or lattice sum."""
+def stat_expectation_quad(spec, eta, k: int, fn) -> float:
+    """Independent oracle for E[fn(T_k)]: direct quadrature or lattice sum."""
     eta = np.asarray(eta, dtype=float)
     stat = spec.stats[k - 1]
     if spec.support.discrete:
         total, x, prev, falling = 0.0, spec.support.lo, math.inf, False
         while x <= spec.support.hi:
-            term = expfam.density(spec, eta, x) * float(stat.value(x)) ** m
-            total += term
             dens = expfam.density(spec, eta, x)
+            total += dens * fn(float(stat.value(x)))
             falling = falling or dens < prev
             prev = dens
             if falling and dens < 1e-18:
@@ -92,7 +93,7 @@ def stat_moment_quad(spec, eta, k: int, m: int) -> float:
             x += 1.0
         return float(total)
     val, _ = integrate.quad(
-        lambda x: float(stat.value(x)) ** m * expfam.density(spec, eta, x),
+        lambda x: fn(float(stat.value(x))) * expfam.density(spec, eta, x),
         spec.support.lo,
         spec.support.hi,
         epsabs=1e-11,
@@ -100,6 +101,11 @@ def stat_moment_quad(spec, eta, k: int, m: int) -> float:
         limit=400,
     )
     return float(val)
+
+
+def stat_moment_quad(spec, eta, k: int, m: int) -> float:
+    """Independent oracle for E[T_k^m]."""
+    return stat_expectation_quad(spec, eta, k, lambda t: t**m)
 
 
 def _admissible_grid(name: str, rng: np.random.Generator, count: int) -> list[np.ndarray]:
@@ -188,6 +194,12 @@ def _suite_laplace(seed, replicates, ctx) -> SuiteResult:
         0.0,
     )
     res.add("laplace-final-gap", gaps[-1], 0.0, 0.02)
+
+    # the closed-form tilt against the quadrature oracle at gamma (2, 3), k=2
+    gamma = expfam.make_family("gamma")
+    tilt = levy.stat_laplace(gamma, [2.0, 3.0], 2, theta)
+    quad = stat_expectation_quad(gamma, [2.0, 3.0], 2, lambda u: math.exp(-theta * u))
+    res.add("laplace-tilt-vs-quad", tilt, quad, 1e-8)
     res.tables["laplace_convergence.csv"] = (
         ("n", "estimate", "se", "oracle", "gap"),
         table,

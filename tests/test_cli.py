@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from crmkit import cli
+from crmkit import cli, verify
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -90,6 +90,13 @@ def test_verify_single_suite(tmp_path, capsys):
     assert report[0] == "suite,check,observed,expected,tolerance,passed"
     assert all(line.endswith(",true") for line in report[1:])
     assert "conjugacy: PASS" in capsys.readouterr().out
+
+
+def test_verify_report_is_report_csv_of_the_suites(tmp_path):
+    rc = run("verify", "--suite", "examples", "--out", tmp_path)
+    assert rc == 0
+    want = verify.report_csv(verify.run_suite("examples"))
+    assert (tmp_path / "report.csv").read_text() == want
 
 
 def test_verify_emits_convergence_table(tmp_path):

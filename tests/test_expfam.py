@@ -185,6 +185,24 @@ def test_parameter_path_eval_and_overrides():
         path.eval(5.0)
 
 
+def test_parameter_path_left_piece_wins_at_shared_breakpoint():
+    from crmkit.piecewise import Piece, PiecewiseFunction
+
+    # pieces cover (lo, hi]: at z = 1 the piece ending there applies
+    path = expfam.ParameterPath(
+        [
+            PiecewiseFunction(
+                [Piece(0.0, 1.0, "const", c0=2.0), Piece(1.0, 3.0, "affine", c0=4.0, c1=1.0)]
+            ),
+            PiecewiseFunction.constant(3.0),
+        ]
+    )
+    np.testing.assert_allclose(path.eval(1.0), [2.0, 3.0])
+    np.testing.assert_allclose(path.eval(1.0 + 1e-12), [5.0, 3.0], rtol=1e-11)
+    np.testing.assert_allclose(path.eval(3.0), [7.0, 3.0])
+    assert not path.defined_at(0.0)
+
+
 def test_constant_path_dimension_checks():
     path = expfam.ParameterPath.constant([1.0, 2.0, 3.0])
     assert path.dimension == 3

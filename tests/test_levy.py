@@ -1,13 +1,16 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special
 
 from crmkit import expfam, levy
 from crmkit.errors import (
     ConditionError,
     CrmError,
     DivergenceError,
+    NaturalSpaceError,
     SupportError,
 )
 from crmkit.expfam import ParameterPath, make_family
@@ -22,6 +25,7 @@ from crmkit.levy import (
     levy_density_s,
     levy_density_u,
     levy_integrand,
+    stat_laplace,
 )
 from crmkit.piecewise import Piece, PiecewiseFunction
 
@@ -146,6 +150,109 @@ def test_levy_density_u_overflow_tail_is_zero(pareto_linear_ctx):
 def test_levy_density_u_rejects_outside_image(gamma_const_ctx):
     with pytest.raises(SupportError):
         levy_density_u(gamma_const_ctx, 1.0, -1.0)
+
+
+def _beta_log_transform(a, b, theta):
+    """E[X^{-theta}] for X ~ Beta(a, b)."""
+    return math.exp(
+        special.gammaln(a - theta) + special.gammaln(a + b)
+        - special.gammaln(a) - special.gammaln(a + b - theta)
+    )
+
+
+def _loglog_transform(e1, e2, k, theta):
+    """E[e^{-theta T_k}] for pareto_loglog (scale 1) through w = ln x."""
+    with mp.workdps(30):
+        e1, e2, theta = mp.mpf(e1), mp.mpf(e2), mp.mpf(theta)
+        s = -(e1 + 1)
+        if s == 0:  # on the face w ~ Pareto(1, alpha)
+            alpha = -e2 - 1
+            if k == 1:
+                return float(alpha * theta**alpha * mp.gammainc(-alpha, theta, mp.inf))
+            return float(alpha / (alpha + theta))
+        if k == 1:
+            ratio = mp.gammainc(e2 + 1, s + theta, mp.inf) / mp.gammainc(e2 + 1, s, mp.inf)
+            return float((s / (s + theta)) ** (e2 + 1) * ratio)
+        ratio = mp.gammainc(e2 + 1 - theta, s, mp.inf) / mp.gammainc(e2 + 1, s, mp.inf)
+        return float(s**theta * ratio)
+
+
+# (family, eta, k) -> E[e^{-theta T_k}] in closed form
+_TRANSFORMS = {
+    "gamma": lambda eta, k, th: (
+        math.exp(special.gammaln(eta[0] - th) - special.gammaln(eta[0]) + th * math.log(eta[1]))
+        if k == 1
+        else (eta[1] / (eta[1] + th)) ** eta[0]
+    ),
+    "beta": lambda eta, k, th: _beta_log_transform(eta[k - 1], eta[2 - k], th),
+    "pareto": lambda eta, k, th: (-eta[0] - 1.0) / (-eta[0] - 1.0 + th),
+    "pareto_loglog": lambda eta, k, th: _loglog_transform(eta[0], eta[1], k, th),
+    "lognormal": lambda eta, k, th: math.sqrt(eta[0] / (eta[0] + th)),
+    "poisson": lambda eta, k, th: math.exp(math.exp(eta[0]) * math.expm1(-th)),
+    "bernoulli": lambda eta, k, th: 1.0 + special.expit(eta[0]) * math.expm1(-th),
+}
+
+_ETAS = {
+    "gamma": ([0.7, 1.5], [2.0, 3.0], [5.5, 0.4]),
+    "beta": ([2.0, 3.0], [0.8, 0.6], [4.5, 1.2]),
+    "pareto": ([-3.0], [-1.4]),
+    "pareto_loglog": ([-2.0, -2.5], [-1.5, 0.7], [-1.0, -2.5], [-1.0, -4.0]),
+    "lognormal": ([0.5], [4.0]),
+    "poisson": ([-1.0], [math.log(2.0)], [2.5]),
+    "bernoulli": ([-2.0], [0.0], [3.0]),
+}
+
+
+def test_stat_laplace_covers_every_family():
+    assert set(_TRANSFORMS) == set(expfam.family_names()) == set(_ETAS)
+
+
+@pytest.mark.parametrize("name", sorted(_ETAS))
+def test_stat_laplace_matches_closed_forms(name):
+    spec = make_family(name)
+    for eta in _ETAS[name]:
+        for k in range(1, spec.dimension + 1):
+            for theta in (0.1, 0.25, 0.5):
+                want = _TRANSFORMS[name](eta, k, theta)
+                got = stat_laplace(spec, eta, k, theta)
+                assert got == pytest.approx(want, rel=1e-10), (eta, k, theta)
+
+
+def test_stat_laplace_gamma_log_statistic_is_finite_below_the_shape():
+    # x^{-1/2} p(x | 0.7, 1.5) is singular at 0 and still integrable
+    gamma = make_family("gamma")
+    assert stat_laplace(gamma, [0.7, 1.5], 1, 0.5) == pytest.approx(4.331565958873871, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "name, eta", [("gamma", [0.7, 1.5]), ("gamma", [2.0, 3.0]), ("beta", [1.5, 2.0])]
+)
+def test_stat_laplace_diverges_exactly_at_the_abscissa(name, eta):
+    # E[X^{-theta}] is finite for theta < eta_1 and infinite from eta_1 on
+    spec = make_family(name)
+    shape = eta[0]
+    below = stat_laplace(spec, eta, 1, shape * (1.0 - 1e-9))
+    assert math.isfinite(below) and below > 1e6
+    for theta in (shape, shape + 1e-9, shape + 1.0):
+        with pytest.raises(DivergenceError, match="eta_1") as exc:
+            stat_laplace(spec, eta, 1, theta)
+        assert exc.value.partial == math.inf
+
+
+def test_stat_laplace_rejects_eta_outside_the_natural_space():
+    with pytest.raises(NaturalSpaceError):
+        stat_laplace(make_family("gamma"), [-0.5, 1.0], 2, 0.5)
+    with pytest.raises(NaturalSpaceError):
+        stat_laplace(make_family("beta"), [0.0, 1.0], 1, 0.5)
+
+
+def test_laplace_exponent_gamma_log_statistic():
+    ctx = LevyContext.build(
+        make_family("gamma"), ParameterPath.constant([0.7, 1.5]), BaseMeasure.lebesgue(1.0), k=1
+    )
+    assert laplace_exponent(ctx, 2.0, 0.5) == pytest.approx(
+        2.0 * (1.0 - 4.331565958873871), rel=1e-10
+    )
 
 
 def test_laplace_exponent_constant_oracle(gamma_const_ctx):

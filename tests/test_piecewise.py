@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import integrate
 
 from crmkit.errors import CrmError, DivergenceError
-from crmkit.piecewise import Piece, PiecewiseFunction
+from crmkit.piecewise import Piece, PiecewiseFunction, checked_quad
 
 
 def test_piece_kind_validation():
@@ -44,6 +45,22 @@ def test_piece_integral_divergent_raises_with_partial():
     with pytest.raises(DivergenceError) as exc:
         p.integral(0.0, 1.0)
     assert exc.value.partial is not None
+
+
+def test_checked_quad_runs_quad_once_and_keeps_its_partial():
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return 1.0 / z
+
+    with pytest.raises(DivergenceError) as exc:
+        checked_quad(f, 0.0, 1.0)
+    single = len(calls)
+    val, *_ = integrate.quad(f, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=300, full_output=1)
+    assert len(calls) == 2 * single  # the helper made exactly one quad call
+    assert exc.value.partial == val
+    assert checked_quad(f, 1.0, 1.0) == 0.0
 
 
 def test_overlapping_pieces_rejected():

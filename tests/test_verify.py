@@ -25,6 +25,15 @@ def test_report_csv_format():
     assert lines[1].startswith("activity,")
 
 
+def test_report_csv_joins_suites_under_one_header():
+    first, second = verify.run_suite("conjugacy"), verify.run_suite("examples")
+    lines = verify.report_csv(first, second).splitlines()
+    assert lines[0] == "suite,check,observed,expected,tolerance,passed"
+    assert lines[1:] == (
+        verify.report_csv(first).splitlines()[1:] + verify.report_csv(second).splitlines()[1:]
+    )
+
+
 def test_laplace_tables_have_convergence_rows():
     res = verify.run_suite("laplace")
     header, rows = res.tables["laplace_convergence.csv"]
@@ -33,6 +42,10 @@ def test_laplace_tables_have_convergence_rows():
     # the recorded gap is |estimate - oracle|
     for n, est, se, oracle, gap in rows:
         assert gap == pytest.approx(abs(est - oracle))
+    # the closed-form per-location transform is checked against quadrature
+    row = next(r for r in res.rows if r.check == "laplace-tilt-vs-quad")
+    assert row.passed and row.tolerance == 1e-8
+    assert row.observed == pytest.approx(0.5625, rel=1e-12)
 
 
 def test_examples_suite_flags_printed_variant_as_informational():
