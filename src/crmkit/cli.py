@@ -64,7 +64,8 @@ def cmd_sample(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write(out_dir / "atoms.csv", draw.csv_text())
+    atoms_csv = draw.csv_text()
+    _write(out_dir / "atoms.csv", atoms_csv)
 
     ts = np.linspace(0.0, z_max, _PATH_GRID_POINTS)
     values = sampler.evaluate_path(draw, ts)
@@ -82,7 +83,7 @@ def cmd_sample(args) -> int:
         z_max=float(z_max),
         tail_mass=draw.tail_mass,
         atoms=len(draw),
-        draw_id=draw.draw_id,
+        draw_id=sampler.text_id(atoms_csv),
         outputs=["atoms.csv", "path.csv"],
     )
     print(f"wrote {len(draw)} atoms over (0, {z_max:g}] to {out_dir / 'atoms.csv'}")

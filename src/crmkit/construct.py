@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expfam
-from .errors import CrmError
+from .errors import CrmError, NaturalSpaceError
 from .levy import LevyContext, laplace_exponent, stat_laplace
 
 __all__ = [
@@ -54,11 +54,14 @@ class DiscretizationPlan:
         idx = np.arange(1, m + 1, dtype=float)
         mids = (idx - 0.5) / n
         masses = np.array([ctx.base.increment((i - 1.0) / n, i / n) for i in idx])
-        etas = np.empty((m, ctx.family.dimension))
-        for row, z in enumerate(mids):
-            eta = ctx.path.eval(z)
-            ctx.family.check_natural(eta)
-            etas[row] = eta
+        etas = ctx.path.eval_many(mids)
+        try:
+            ctx.family.check_natural(etas.T)
+        except NaturalSpaceError as exc:
+            raise NaturalSpaceError(
+                f"cell {exc.index + 1}, midpoint z={float(mids[exc.index])!r}: {exc}",
+                coord=exc.coord, index=exc.index,
+            ) from exc
         return cls(int(n), m / n, mids, masses, etas)
 
     def cell_range(self, start: float, t: float) -> tuple[int, int]:

@@ -25,12 +25,14 @@ class NaturalSpaceError(CrmError):
     """A natural parameter vector lies outside the natural parameter space.
 
     Carries the index of the offending coordinate (1-based) when a single
-    coordinate can be blamed.
+    coordinate can be blamed, and, when a batch of parameters was checked,
+    the position ``index`` (0-based) of the first one that fails.
     """
 
-    def __init__(self, message, coord=None):
+    def __init__(self, message, coord=None, index=None):
         super().__init__(message)
         self.coord = coord
+        self.index = index
 
 
 class DerivativeDomainError(CrmError):

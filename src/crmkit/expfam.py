@@ -120,7 +120,7 @@ class ExpFamilySpec:
     stats: tuple[SufficientStat, ...]
     log_carrier: Callable
     log_partition_fn: Callable
-    check_natural: Callable  # raises NaturalSpaceError
+    check_natural: Callable  # eta of shape (l,) or (l, m); raises NaturalSpaceError
     sampler: Callable  # (eta, rng, size) -> ndarray
     log_partition_partials: Callable | None = None  # (eta, k) -> (d1, d2, d3)
     stat_moment: Callable | None = None  # (eta, k, m) -> float | None
@@ -390,9 +390,42 @@ def quantile_numeric(spec: ExpFamilySpec, eta, q: float, tail: float = 1e-12) ->
 # ---------------------------------------------------------------------------
 
 
-def _require(condition: bool, message: str, coord: int | None = None):
-    if not condition:
-        raise NaturalSpaceError(message, coord=coord)
+def _require(ok, message: str, value, coord: int):
+    """Raise unless the comparison ``ok`` holds, at every entry for an array.
+
+    ``message`` is formatted with ``value`` only on failure, so a passing
+    check costs the comparison alone.  A scalar comparison is tested by its
+    truth value: ``numpy.bool_.all()`` is many times slower, and the scalar
+    check runs at every quadrature node of a density integral.
+    """
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        raise NaturalSpaceError(message.format(value), coord=coord)
+
+
+def _batched(check: Callable) -> Callable:
+    """A family's ``check`` for eta of shape (l,) or, one column each, (l, m).
+
+    ``check`` is written with array comparisons, so a batch is validated in
+    one pass.  When the batch fails, its columns are re-checked in order and
+    the first failing column's own error is raised, with ``index`` set to
+    that column.
+    """
+
+    def check_natural(eta):
+        try:
+            check(eta)
+        except NaturalSpaceError:
+            if eta.ndim < 2:
+                raise
+            for i, column in enumerate(eta.T):
+                try:
+                    check(column)
+                except NaturalSpaceError as exc:
+                    exc.index = i
+                    raise
+            raise
+
+    return check_natural
 
 
 def _beta_family() -> ExpFamilySpec:
@@ -410,8 +443,8 @@ def _beta_family() -> ExpFamilySpec:
     )
 
     def check(eta):
-        _require(eta[0] > 0, f"beta: first coordinate must be positive, got {eta[0]}", coord=1)
-        _require(eta[1] > 0, f"beta: second coordinate must be positive, got {eta[1]}", coord=2)
+        _require(eta[0] > 0, "beta: first coordinate must be positive, got {}", eta[0], 1)
+        _require(eta[1] > 0, "beta: second coordinate must be positive, got {}", eta[1], 2)
 
     def a(eta):
         return special.gammaln(eta[0]) + special.gammaln(eta[1]) - special.gammaln(eta[0] + eta[1])
@@ -430,7 +463,7 @@ def _beta_family() -> ExpFamilySpec:
         stats=stats,
         log_carrier=lambda x: -np.log(x) - np.log1p(-np.asarray(x, dtype=float)),
         log_partition_fn=a,
-        check_natural=check,
+        check_natural=_batched(check),
         sampler=lambda eta, rng, size: rng.beta(eta[0], eta[1], size=size),
         log_partition_partials=partials,
         sampler_vec=lambda etas, rng: rng.beta(etas[:, 0], etas[:, 1]),
@@ -453,8 +486,8 @@ def _gamma_family() -> ExpFamilySpec:
     )
 
     def check(eta):
-        _require(eta[0] > 0, f"gamma: shape must be positive, got {eta[0]}", coord=1)
-        _require(eta[1] > 0, f"gamma: rate must be positive, got {eta[1]}", coord=2)
+        _require(eta[0] > 0, "gamma: shape must be positive, got {}", eta[0], 1)
+        _require(eta[1] > 0, "gamma: rate must be positive, got {}", eta[1], 2)
 
     def a(eta):
         return special.gammaln(eta[0]) - eta[0] * np.log(eta[1])
@@ -475,7 +508,7 @@ def _gamma_family() -> ExpFamilySpec:
         stats=stats,
         log_carrier=lambda x: -np.log(x),
         log_partition_fn=a,
-        check_natural=check,
+        check_natural=_batched(check),
         sampler=lambda eta, rng, size: rng.gamma(eta[0], 1.0 / eta[1], size=size),
         log_partition_partials=partials,
         sampler_vec=lambda etas, rng: rng.gamma(etas[:, 0], 1.0 / etas[:, 1]),
@@ -494,7 +527,7 @@ def _pareto_family(scale: float = 1.0) -> ExpFamilySpec:
     )
 
     def check(eta):
-        _require(eta[0] < -1, f"pareto: coordinate must be < -1, got {eta[0]}", coord=1)
+        _require(eta[0] < -1, "pareto: coordinate must be < -1, got {}", eta[0], 1)
 
     def a(eta):
         return (eta[0] + 1.0) * np.log(u_m) - np.log(-eta[0] - 1.0)
@@ -517,7 +550,7 @@ def _pareto_family(scale: float = 1.0) -> ExpFamilySpec:
         stats=stats,
         log_carrier=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         log_partition_fn=a,
-        check_natural=check,
+        check_natural=_batched(check),
         sampler=sampler,
         log_partition_partials=partials,
         sampler_vec=sampler_vec,
@@ -554,16 +587,18 @@ def _pareto_loglog_family(scale: float = 1.0) -> ExpFamilySpec:
         return abs(eta[0] + 1.0) <= _FACE_TOL
 
     def check(eta):
-        if eta[0] > -1.0 + _FACE_TOL:
-            raise NaturalSpaceError(
-                f"pareto(log-log): first coordinate must be <= -1, got {eta[0]}", coord=1
-            )
-        if on_face(eta):
-            _require(
-                eta[1] < -1.0,
-                f"pareto(log-log): on the face eta_1 = -1 the second coordinate must be < -1, got {eta[1]}",
-                coord=2,
-            )
+        _require(
+            eta[0] <= -1.0 + _FACE_TOL,
+            "pareto(log-log): first coordinate must be <= -1, got {}",
+            eta[0],
+            1,
+        )
+        _require(
+            (abs(eta[0] + 1.0) > _FACE_TOL) | (eta[1] < -1.0),
+            "pareto(log-log): on the face eta_1 = -1 the second coordinate must be < -1, got {}",
+            eta[1],
+            2,
+        )
 
     def a_mp(e1, e2):
         """log of int_{u_m}^inf exp((e1+1) w) w^{e2} dw at ambient precision."""
@@ -649,7 +684,7 @@ def _pareto_loglog_family(scale: float = 1.0) -> ExpFamilySpec:
         stats=stats,
         log_carrier=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         log_partition_fn=a,
-        check_natural=check,
+        check_natural=_batched(check),
         sampler=sampler,
         stat_moment=stat_moment,
         sampler_vec=sampler_vec,
@@ -672,7 +707,7 @@ def _lognormal_family(mu: float = 0.0) -> ExpFamilySpec:
     )
 
     def check(eta):
-        _require(eta[0] > 0, f"lognormal: precision must be positive, got {eta[0]}", coord=1)
+        _require(eta[0] > 0, "lognormal: precision must be positive, got {}", eta[0], 1)
 
     def partials(eta, k):
         lam = eta[0]
@@ -684,7 +719,7 @@ def _lognormal_family(mu: float = 0.0) -> ExpFamilySpec:
         stats=stats,
         log_carrier=lambda x: -np.log(x) - 0.5 * np.log(2.0 * np.pi),
         log_partition_fn=lambda eta: -0.5 * np.log(eta[0]),
-        check_natural=check,
+        check_natural=_batched(check),
         sampler=lambda eta, rng, size: np.exp(mu + rng.standard_normal(size) / np.sqrt(eta[0])),
         log_partition_partials=partials,
         sampler_vec=lambda etas, rng: np.exp(
@@ -698,7 +733,7 @@ def _poisson_family() -> ExpFamilySpec:
     stats = (SufficientStat("x", lambda x: np.asarray(x, dtype=float) + 0.0, image=(0.0, _INF)),)
 
     def check(eta):
-        _require(np.isfinite(eta[0]), "poisson: log-rate must be finite", coord=1)
+        _require(np.isfinite(eta[0]), "poisson: log-rate must be finite", eta[0], 1)
 
     return ExpFamilySpec(
         name="poisson",
@@ -706,7 +741,7 @@ def _poisson_family() -> ExpFamilySpec:
         stats=stats,
         log_carrier=lambda x: -special.gammaln(np.asarray(x, dtype=float) + 1.0),
         log_partition_fn=lambda eta: np.exp(eta[0]),
-        check_natural=check,
+        check_natural=_batched(check),
         sampler=lambda eta, rng, size: rng.poisson(np.exp(eta[0]), size=size).astype(float),
         log_partition_partials=lambda eta, k: (np.exp(eta[0]),) * 3,
         sampler_vec=lambda etas, rng: rng.poisson(np.exp(etas[:, 0])).astype(float),
@@ -717,7 +752,7 @@ def _bernoulli_family() -> ExpFamilySpec:
     stats = (SufficientStat("x", lambda x: np.asarray(x, dtype=float) + 0.0, image=(0.0, 1.0)),)
 
     def check(eta):
-        _require(np.isfinite(eta[0]), "bernoulli: log-odds must be finite", coord=1)
+        _require(np.isfinite(eta[0]), "bernoulli: log-odds must be finite", eta[0], 1)
 
     def partials(eta, k):
         p = special.expit(eta[0])
@@ -729,7 +764,7 @@ def _bernoulli_family() -> ExpFamilySpec:
         stats=stats,
         log_carrier=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         log_partition_fn=lambda eta: np.logaddexp(0.0, eta[0]),
-        check_natural=check,
+        check_natural=_batched(check),
         sampler=lambda eta, rng, size: (rng.random(size) < special.expit(eta[0])).astype(float),
         log_partition_partials=partials,
         sampler_vec=lambda etas, rng: (rng.random(len(etas)) < special.expit(etas[:, 0])).astype(
@@ -833,8 +868,33 @@ class ParameterPath:
         return out
 
     def eval_many(self, zs) -> np.ndarray:
+        """eta at every z, shape ``zs.shape + (l,)``; the array form of :meth:`eval`.
+
+        Each component is evaluated over the whole array with one mask per
+        piece (pieces cover (lo, hi], the left piece wins at a shared
+        breakpoint); a z that matches an atom override exactly takes the
+        override.  Raises :class:`CrmError` naming the first z that no piece
+        covers or where the path is not finite.
+        """
         zs = np.asarray(zs, dtype=float)
-        return np.vstack([self.eval(float(z)) for z in zs.ravel()]).reshape(zs.shape + (self.dimension,))
+        flat = zs.ravel()
+        out = np.empty((flat.size, self.dimension))
+        hit = np.zeros(flat.size, dtype=bool)
+        if self.atom_overrides:
+            locs = sorted(self.atom_overrides)
+            keys = np.array(locs, dtype=float)
+            pos = np.searchsorted(keys, flat).clip(max=keys.size - 1)
+            hit = keys[pos] == flat
+            etas = np.array([self.atom_overrides[loc] for loc in locs], dtype=float)
+            out[hit] = etas[pos[hit]]
+        free = ~hit
+        for j, comp in enumerate(self.components):
+            out[free, j] = comp(flat[free])
+        bad = free & ~np.isfinite(out).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise CrmError(f"parameter path not finite at z={float(flat[i])}: {out[i]}")
+        return out.reshape(zs.shape + (self.dimension,))
 
     def breakpoints(self) -> list[float]:
         pts: set[float] = set()

@@ -167,16 +167,20 @@ def check_conditions(
             )
         )
 
-    # (2) path in natural space
+    # (2) path in natural space: one batch check; the per-point loop only
+    # collects witnesses once the batch has failed
     witnesses = []
-    for z in grid:
-        if not path.defined_at(z):
-            witnesses.append((float(z), "path undefined"))
-            continue
-        try:
-            family.check_natural(path.eval(z))
-        except Exception as exc:  # record, don't raise
-            witnesses.append((float(z), str(exc)))
+    try:
+        family.check_natural(path.eval_many(grid).T)
+    except CrmError:
+        for z in grid:
+            if not path.defined_at(z):
+                witnesses.append((float(z), "path undefined"))
+                continue
+            try:
+                family.check_natural(path.eval(z))
+            except Exception as exc:  # record, don't raise
+                witnesses.append((float(z), str(exc)))
     checks.append(
         ConditionCheck(
             "path_in_natural_space",
@@ -343,6 +347,7 @@ def stat_laplace(family: ExpFamilySpec, eta: np.ndarray, k: int, theta: float) -
     raises :class:`DivergenceError` with ``partial=inf``.  An eta outside the
     natural space raises :class:`NaturalSpaceError`.
     """
+    k = expfam._check_k(family, k)
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     a0 = expfam.log_partition(family, eta)
     tilted = eta.copy()

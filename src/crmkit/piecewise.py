@@ -6,7 +6,8 @@ arbitrary callable; constant and affine pieces integrate exactly and invert
 exactly, which the location sampler and the discretization rely on.
 
 Evaluation is left-continuous: a piece covers (lo, hi], so at a shared
-breakpoint the left piece wins.
+breakpoint the left piece wins.  A function evaluates at a scalar or, with
+one mask per piece, over a whole array.
 
 Callable pieces integrate through :func:`checked_quad`, the package's one checked
 quadrature helper: it raises rather than return an unconverged value.
@@ -138,13 +139,28 @@ class PiecewiseFunction:
         return None
 
     def __call__(self, z):
+        """Value at a scalar z, or elementwise over an array with one mask per piece.
+
+        Pieces cover (lo, hi] and are tried left to right, so the left piece
+        wins at a shared breakpoint.  A z outside every piece raises
+        :class:`CrmError` naming the first such z.
+        """
         if np.isscalar(z):
             p = self.piece_at(z)
             if p is None:
                 raise CrmError(f"z={z} outside the covered domain")
             return float(p.value(z))
         z = np.asarray(z, dtype=float)
-        return np.array([self(float(zz)) for zz in z.ravel()]).reshape(z.shape)
+        out = np.empty(z.shape)
+        todo = np.ones(z.shape, dtype=bool)
+        for p in self.pieces:
+            mask = todo & (z > p.lo) & (z <= p.hi)
+            if mask.any():
+                out[mask] = p.value(z[mask])
+                todo &= ~mask
+        if todo.any():
+            raise CrmError(f"z={float(z[todo][0])} outside the covered domain")
+        return out
 
     def defined_at(self, z):
         return self.piece_at(z) is not None

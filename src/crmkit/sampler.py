@@ -2,10 +2,18 @@
 
 A draw superposes independent components.  Component n contributes
 m_n ~ Poisson(A_{0,n}(0, z_max]) atoms; locations are exact inverse-CDF
-draws from the normalized base measure (closed form on constant and affine
-pieces, point masses kept as discrete choices), and the weight at location z
-is T_k(S) with S ~ p(. | eta_n(z)).  Atoms merge sorted by location with
+draws from the normalized base measure, and the weight at location z is
+T_k(S) with S ~ p(. | eta_n(z)).  Atoms merge sorted by location with
 stable ties by component then draw order, so equal seeds give equal bytes.
+
+Each component is sampled over whole arrays of atoms.  One array of
+uniforms picks every atom's base segment; point masses are assigned
+directly, constant and affine pieces (which cover (lo, hi]) invert in
+closed form over the segment's atoms, and only callable pieces invert atom
+by atom with brentq.  The path is evaluated once per component
+(:meth:`~crmkit.expfam.ParameterPath.eval_many`), its parameters are
+validated in one natural-space check, and the weights come from one
+vectorized family draw.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import numpy as np
 from scipy import optimize, special
 
 from . import expfam
-from .errors import AtomLinkError, CrmError, DivergenceError, TruncationError
+from .errors import AtomLinkError, CrmError, DivergenceError, NaturalSpaceError, TruncationError
 from .expfam import ExpFamilySpec
 from .levy import LevyContext
 
@@ -63,15 +71,13 @@ class CRMDraw:
         return int(self.locations.size)
 
     def csv_text(self) -> str:
-        out = io.StringIO()
-        out.write("component,location,weight\n")
-        for c, z, w in zip(self.component_index, self.locations, self.weights):
-            out.write(f"{int(c)},{float(z)!r},{float(w)!r}\n")
-        return out.getvalue()
+        return _atoms_csv(
+            "component,location,weight", self.component_index, self.locations, self.weights
+        )
 
     @property
     def draw_id(self) -> str:
-        return hashlib.sha256(self.csv_text().encode()).hexdigest()
+        return text_id(self.csv_text())
 
     def component_counts(self) -> dict[int, int]:
         idx, counts = np.unique(self.component_index, return_counts=True)
@@ -91,26 +97,57 @@ class LikelihoodDraw:
         return int(self.locations.size)
 
     def csv_text(self) -> str:
-        out = io.StringIO()
-        out.write("component,location,observation\n")
-        for c, z, y in zip(self.component_index, self.locations, self.observations):
-            out.write(f"{int(c)},{float(z)!r},{float(y)!r}\n")
-        return out.getvalue()
+        return _atoms_csv(
+            "component,location,observation",
+            self.component_index,
+            self.locations,
+            self.observations,
+        )
 
 
-def _piece_location(piece, rem: float) -> float:
-    """z with mass rem accumulated from the piece's lower edge."""
+_CSV_BLOCK = 1 << 14
+
+
+def _atoms_csv(header: str, component, locations, values) -> str:
+    """Header plus one "component,location,value" row per atom, floats by repr.
+
+    Rows are formatted in blocks, so the Python objects made for one block
+    are freed before the next: memory stays near the size of the text.
+    """
+    component = np.asarray(component, dtype=int)
+    locations = np.asarray(locations, dtype=float)
+    values = np.asarray(values, dtype=float)
+    out = io.StringIO()
+    out.write(header + "\n")
+    for i in range(0, component.size, _CSV_BLOCK):
+        block = slice(i, i + _CSV_BLOCK)
+        rows = zip(component[block].tolist(), locations[block].tolist(), values[block].tolist())
+        out.write("".join([f"{c},{z!r},{v!r}\n" for c, z, v in rows]))
+    return out.getvalue()
+
+
+def text_id(text: str) -> str:
+    """SHA-256 hex digest of a draw's CSV text; ``CRMDraw.draw_id`` is this of ``csv_text()``."""
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _closed_location(piece, rem: np.ndarray) -> np.ndarray:
+    """z with mass rem accumulated from the lower edge of a const or affine piece."""
     lo, hi = piece.lo, piece.hi
     if piece.kind == "const":
         return lo + rem / piece.c0
-    if piece.kind == "affine":
-        # solve c0 (z - lo) + c1 (z^2 - lo^2) / 2 = rem, stable as c1 -> 0
-        r = rem + piece.c0 * lo + 0.5 * piece.c1 * lo * lo
-        disc = piece.c0 * piece.c0 + 2.0 * piece.c1 * r
-        denom = piece.c0 + np.sqrt(max(disc, 0.0))
-        if denom <= 0:
-            raise CrmError(f"affine base piece is not positive on ({lo}, {hi}]")
-        return 2.0 * r / denom
+    # solve c0 (z - lo) + c1 (z^2 - lo^2) / 2 = rem, stable as c1 -> 0
+    r = rem + piece.c0 * lo + 0.5 * piece.c1 * lo * lo
+    disc = piece.c0 * piece.c0 + 2.0 * piece.c1 * r
+    denom = piece.c0 + np.sqrt(np.maximum(disc, 0.0))
+    if (denom <= 0).any():
+        raise CrmError(f"affine base piece is not positive on ({lo}, {hi}]")
+    return 2.0 * r / denom
+
+
+def _piece_location(piece, rem: float) -> float:
+    """z with mass rem accumulated from the lower edge of a callable piece, by brentq."""
+    lo, hi = piece.lo, piece.hi
     target = rem
 
     def short(z):
@@ -134,7 +171,7 @@ def _clip_piece(piece, z_max: float):
 def _sample_locations(ctx: LevyContext, z_max: float, count: int, rng) -> np.ndarray:
     if count == 0:
         return np.empty(0)
-    segments = []
+    pieces, masses = [], []
     for piece in ctx.base.density.pieces:
         clipped = _clip_piece(piece, z_max)
         if clipped is None:
@@ -143,25 +180,31 @@ def _sample_locations(ctx: LevyContext, z_max: float, count: int, rng) -> np.nda
         if mass < 0:
             raise CrmError("base density piece has negative mass")
         if mass > 0:
-            segments.append((mass, clipped))
-    for loc, mass in ctx.base.jumps_in(0.0, z_max):
-        if mass > 0:
-            segments.append((mass, loc))
-    if not segments:
+            pieces.append(clipped)
+            masses.append(mass)
+    jumps = [(loc, mass) for loc, mass in ctx.base.jumps_in(0.0, z_max) if mass > 0]
+    masses += [mass for _, mass in jumps]
+    if not masses:
         raise CrmError("cannot place atoms: base measure has zero mass in the region")
-    cum = np.cumsum([m for m, _ in segments])
+    # segments are the pieces, then the point masses
+    cum = np.cumsum(masses)
     v = rng.random(count) * cum[-1]
     idx = np.searchsorted(cum, v, side="right")
     locs = np.empty(count)
-    for j in range(count):
-        mass_before = cum[idx[j] - 1] if idx[j] > 0 else 0.0
-        seg = segments[int(idx[j])][1]
-        if isinstance(seg, float):
-            locs[j] = seg
+    at_jump = idx >= len(pieces)
+    if at_jump.any():
+        locs[at_jump] = np.array([loc for loc, _ in jumps])[idx[at_jump] - len(pieces)]
+    for s, piece in enumerate(pieces):
+        sel = idx == s
+        if not sel.any():
+            continue
+        rem = v[sel] - (cum[s - 1] if s > 0 else 0.0)
+        if piece.kind == "func":
+            loc = np.array([_piece_location(piece, r) for r in rem.tolist()])
         else:
-            loc = _piece_location(seg, float(v[j] - mass_before))
-            # pieces cover (lo, hi]; a zero remainder would land exactly on lo
-            locs[j] = min(max(loc, np.nextafter(seg.lo, np.inf)), seg.hi)
+            loc = _closed_location(piece, rem)
+        # pieces cover (lo, hi]; a zero remainder would land exactly on lo
+        locs[sel] = np.minimum(np.maximum(loc, np.nextafter(piece.lo, np.inf)), piece.hi)
     return locs
 
 
@@ -199,11 +242,14 @@ def sample_crm(
         if count == 0:
             continue
         z = _sample_locations(ctx, z_max, count, rng)
-        etas = np.empty((count, ctx.family.dimension))
-        for j, zj in enumerate(z):
-            eta = ctx.path.eval(float(zj))
-            ctx.family.check_natural(eta)
-            etas[j] = eta
+        etas = ctx.path.eval_many(z)
+        try:
+            ctx.family.check_natural(etas.T)
+        except NaturalSpaceError as exc:
+            raise NaturalSpaceError(
+                f"component {n}, atom at location {float(z[exc.index])!r}: {exc}",
+                coord=exc.coord, index=exc.index,
+            ) from exc
         s = expfam.sample_each(ctx.family, etas, rng)
         u = np.asarray(ctx.stat().value(s), dtype=float)
         if np.any(u <= 0) or np.any(~np.isfinite(u)):

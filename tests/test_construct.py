@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from crmkit import construct
-from crmkit.errors import CrmError
+from crmkit.errors import CrmError, NaturalSpaceError
 from crmkit.expfam import ParameterPath, make_family
 from crmkit.levy import BaseMeasure, LevyContext
-from crmkit.piecewise import PiecewiseFunction
+from crmkit.piecewise import Piece, PiecewiseFunction
 
 
 def test_plan_cells_cover_window(gamma_unit_ctx):
@@ -92,3 +92,22 @@ def test_empirical_laplace_deterministic(gamma_unit_ctx):
         gamma_unit_ctx, plan, 1.0, 1.0, replicates=200, rng=np.random.default_rng(3)
     )
     assert a.mean == b.mean and a.se == b.se
+
+
+def test_plan_natural_space_error_names_the_cell():
+    # gamma shape 2 - 2z leaves the natural space at z = 1: the first bad
+    # midpoint is 1.125, in cell 5 of width 1/4
+    path = ParameterPath(
+        [
+            PiecewiseFunction([Piece(0.0, 2.0, "affine", c0=2.0, c1=-2.0)]),
+            PiecewiseFunction.constant(3.0),
+        ]
+    )
+    ctx = LevyContext.build(
+        make_family("gamma"), path, BaseMeasure.lebesgue(1.0, hi=2.0), k=2,
+        require_conditions=False,
+    )
+    with pytest.raises(NaturalSpaceError) as exc:
+        construct.DiscretizationPlan.build(ctx, t=2.0, n=4)
+    assert str(exc.value) == "cell 5, midpoint z=1.125: gamma: shape must be positive, got -0.25"
+    assert exc.value.coord == 1 and exc.value.index == 4

@@ -207,3 +207,86 @@ def test_constant_path_dimension_checks():
     path = expfam.ParameterPath.constant([1.0, 2.0, 3.0])
     assert path.dimension == 3
     np.testing.assert_allclose(path.eval(100.0), [1.0, 2.0, 3.0])
+
+
+def _piecewise_path():
+    from crmkit.piecewise import Piece, PiecewiseFunction
+
+    return expfam.ParameterPath(
+        [
+            PiecewiseFunction(
+                [Piece(0.0, 1.0, "const", c0=2.0), Piece(1.0, 3.0, "affine", c0=0.7, c1=1.3)]
+            ),
+            PiecewiseFunction([Piece(0.0, 3.0, "affine", c0=1.0, c1=0.25)]),
+        ],
+        atom_overrides={1.0: (9.0, 8.0), 0.25: (7.0, 6.0), 5.0: (4.0, 3.0)},
+    )
+
+
+def test_eval_many_equals_stacked_eval():
+    path = _piecewise_path()
+    rng = np.random.default_rng(11)
+    # overrides, a shared breakpoint that is also an override, an override
+    # outside the pieces, and points just beside them
+    zs = np.concatenate(
+        [[0.25, 1.0, 5.0, np.nextafter(1.0, 2.0), 3.0, 0.25], rng.uniform(0.0, 3.0, size=98)]
+    )
+    want = np.vstack([path.eval(float(z)) for z in zs])
+    got = path.eval_many(zs)
+    assert got.tobytes() == want.tobytes()
+    assert got[0].tolist() == [7.0, 6.0] and got[2].tolist() == [4.0, 3.0]
+    assert path.eval_many(zs.reshape(4, -1)).shape == (4, len(zs) // 4, 2)
+    no_overrides = expfam.ParameterPath(path.components)
+    want = np.vstack([no_overrides.eval(float(z)) for z in zs[3:]])
+    assert no_overrides.eval_many(zs[3:]).tobytes() == want.tobytes()
+
+
+def test_eval_many_raises_the_scalar_non_finite_error():
+    from crmkit.piecewise import Piece, PiecewiseFunction
+
+    path = expfam.ParameterPath(
+        [
+            PiecewiseFunction(
+                [Piece(0.0, 1.0, "const", c0=1.0), Piece(1.0, math.inf, "const", c0=math.inf)]
+            ),
+            PiecewiseFunction.constant(2.0),
+        ]
+    )
+    with pytest.raises(CrmError) as scalar:
+        path.eval(2.5)
+    with pytest.raises(CrmError) as batch:
+        path.eval_many([0.5, 2.5, 3.5])
+    assert str(batch.value) == str(scalar.value)
+    assert "z=2.5" in str(batch.value)
+    with pytest.raises(CrmError, match=r"^z=0\.0 outside the covered domain$"):
+        path.eval_many([0.5, 0.0, 2.5])
+
+
+# (family, valid etas, first failing eta, a later failing eta)
+_BATCH_CASES = [
+    ("beta", [[2.0, 3.0], [0.5, 0.5]], [1.0, -1.0], [0.0, 1.0]),
+    ("gamma", [[2.0, 3.0], [0.1, 9.0]], [1.0, 0.0], [-1.0, 1.0]),
+    ("pareto", [[-2.5], [-1.5]], [-1.0], [0.5]),
+    # on the face eta_1 = -1 the second coordinate must be < -1; off it, it is free
+    ("pareto_loglog", [[-2.0, -0.5], [-1.0, -2.0]], [-1.0, -0.5], [-0.5, -2.0]),
+    ("lognormal", [[1.5], [0.25]], [0.0], [-1.0]),
+    ("poisson", [[0.3], [-2.0]], [math.inf], [math.nan]),
+    ("bernoulli", [[0.3], [-2.0]], [math.nan], [-math.inf]),
+]
+
+
+@pytest.mark.parametrize("name, good, first, later", _BATCH_CASES, ids=[c[0] for c in _BATCH_CASES])
+def test_batch_check_raises_the_first_failing_rows_own_error(name, good, first, later):
+    spec = expfam.make_family(name)
+    spec.check_natural(np.array(good * 3).T)
+    for eta in good:
+        spec.check_natural(np.array(eta))
+    with pytest.raises(NaturalSpaceError) as scalar:
+        spec.check_natural(np.array(first))
+    assert scalar.value.index is None
+    rows = np.array(good + [first] + good + [later])
+    with pytest.raises(NaturalSpaceError) as batch:
+        spec.check_natural(rows.T)
+    assert str(batch.value) == str(scalar.value)
+    assert batch.value.coord == scalar.value.coord
+    assert batch.value.index == len(good)

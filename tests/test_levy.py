@@ -333,3 +333,28 @@ def test_density_table_rows(gamma_const_ctx):
     t, u, val = rows[0]
     assert (t, u) == (1.0, 0.5)
     assert val == pytest.approx(levy_density_u(gamma_const_ctx, 1.0, 0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_stat_laplace_rejects_a_statistic_index_out_of_range(k):
+    with pytest.raises(CrmError, match="statistic index k"):
+        stat_laplace(make_family("gamma"), [2.0, 3.0], k, 1.0)
+
+
+def test_path_check_witnesses_come_from_the_per_point_loop():
+    path = ParameterPath(
+        [
+            PiecewiseFunction([Piece(0.0, 2.0, "affine", c0=2.0, c1=-2.0)]),
+            PiecewiseFunction.constant(3.0),
+        ]
+    )
+    gamma = make_family("gamma")
+    check = check_conditions(gamma, path, 2, [0.5, 1.0, 1.5, 2.5]).check("path_in_natural_space")
+    assert not check.passed
+    assert check.detail == "3 of 4 grid points fail"
+    assert check.witnesses == (
+        (1.0, "gamma: shape must be positive, got 0.0"),
+        (1.5, "gamma: shape must be positive, got -1.0"),
+        (2.5, "path undefined"),
+    )
+    assert check_conditions(gamma, path, 2, [0.25, 0.5, 0.75]).check("path_in_natural_space").passed

@@ -122,3 +122,39 @@ def test_integral_additivity(a, b, c):
     whole = f.integral(lo, hi)
     split = f.integral(lo, mid) + f.integral(mid, hi)
     assert whole == pytest.approx(split, abs=1e-12)
+
+
+def _mixed():
+    return PiecewiseFunction(
+        [
+            Piece(0.0, 1.0, "const", c0=2.0),
+            Piece(1.0, 2.5, "affine", c0=0.3, c1=1.7),
+            Piece(2.5, 4.0, "func", func=lambda z: math.sqrt(z) + 1.0 / 3.0),
+        ]
+    )
+
+
+def test_array_call_equals_the_scalar_loop():
+    f = _mixed()
+    rng = np.random.default_rng(5)
+    z = np.concatenate(
+        [
+            [np.nextafter(0.0, 1.0), 1.0, np.nextafter(1.0, 2.0), 2.5, np.nextafter(2.5, 3.0), 4.0],
+            rng.uniform(0.0, 4.0, size=200),
+        ]
+    )
+    want = np.array([f(float(zz)) for zz in z])
+    got = f(z)
+    assert got.tobytes() == want.tobytes()
+    # a shared breakpoint takes the left piece's value
+    assert got[1] == 2.0 and got[3] == 0.3 + 1.7 * 2.5
+    assert f(z.reshape(2, -1)).tobytes() == want.tobytes()
+    assert f(np.empty(0)).shape == (0,)
+
+
+def test_array_call_names_the_first_uncovered_z():
+    f = PiecewiseFunction([Piece(0.0, 1.0, "const", c0=1.0), Piece(2.0, 3.0, "const", c0=2.0)])
+    with pytest.raises(CrmError, match=r"^z=1\.5 outside the covered domain$"):
+        f(np.array([0.5, 2.5, 1.5, 5.0]))
+    with pytest.raises(CrmError, match=r"^z=0\.0 outside"):
+        f(np.array([0.0, 0.5]))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crmkit import expfam, levy, sampler
-from crmkit.errors import AtomLinkError, CrmError, TruncationError
+from crmkit.errors import AtomLinkError, CrmError, NaturalSpaceError, TruncationError
 from crmkit.expfam import ParameterPath, make_family
 from crmkit.levy import BaseMeasure, LevyContext
 from crmkit.piecewise import Piece, PiecewiseFunction
@@ -197,3 +197,112 @@ def test_superposition_laplace_functional(gamma_const_ctx, gamma_unit_ctx):
         vals = np.exp(-theta * totals)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - math.exp(-psi)) < 3 * se
+
+
+def _scalar_closed_location(piece, rem):
+    """The per-atom const/affine inversion that the array path replaced."""
+    lo = piece.lo
+    if piece.kind == "const":
+        return lo + rem / piece.c0
+    r = rem + piece.c0 * lo + 0.5 * piece.c1 * lo * lo
+    disc = piece.c0 * piece.c0 + 2.0 * piece.c1 * r
+    denom = piece.c0 + np.sqrt(max(disc, 0.0))
+    return 2.0 * r / denom
+
+
+@pytest.mark.parametrize(
+    "piece",
+    [
+        Piece(0.5, 2.0, "const", c0=3.0),
+        Piece(0.25, 2.0, "affine", c0=1.5, c1=2.0),
+        Piece(0.25, 2.0, "affine", c0=1.5, c1=-0.5),
+        Piece(0.25, 2.0, "affine", c0=0.0, c1=0.5),
+        Piece(0.25, 2.0, "affine", c0=1.5, c1=1e-17),
+        Piece(0.25, 2.0, "affine", c0=1.5, c1=0.0),
+    ],
+    ids=["const", "affine", "decreasing", "zero-intercept", "c1-tiny", "c1-zero"],
+)
+def test_closed_location_equals_the_scalar_formulas(piece):
+    mass = piece.integral(piece.lo, piece.hi)
+    rem = np.concatenate([[0.0, 5e-324], np.random.default_rng(3).uniform(0.0, mass, 300), [mass]])
+    want = np.array([_scalar_closed_location(piece, float(r)) for r in rem])
+    assert sampler._closed_location(piece, rem).tobytes() == want.tobytes()
+
+
+class _FixedUniforms:
+    """Stands in for a generator whose next uniforms are known."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+def test_sample_locations_equals_the_scalar_loop():
+    base = BaseMeasure(
+        PiecewiseFunction(
+            [
+                Piece(0.0, 0.5, "const", c0=2.0),
+                Piece(0.5, 1.2, "affine", c0=1.0, c1=2.0),
+                Piece(1.2, 1.6, "func", func=lambda z: math.exp(-z)),
+                Piece(1.6, 2.5, "affine", c0=0.75, c1=1e-17),
+            ]
+        ),
+        jumps=((0.3, 0.4), (1.4, 0.2)),
+    )
+    ctx = LevyContext.build(make_family("gamma"), ParameterPath.constant([2.0, 3.0]), base, k=2)
+    z_max = 2.0
+    clipped = [sampler._clip_piece(p, z_max) for p in base.density.pieces]
+    segments = [(p.integral(p.lo, p.hi), p) for p in clipped]
+    segments += [(mass, loc) for loc, mass in base.jumps_in(0.0, z_max)]
+    cum = np.cumsum([m for m, _ in segments])
+    # u = 0 puts a zero remainder on the first piece's lower edge
+    u = np.concatenate([[0.0], cum[:-1] / cum[-1], np.random.default_rng(19).random(400)])
+
+    want = np.empty(u.size)
+    v = u * cum[-1]
+    idx = np.searchsorted(cum, v, side="right")
+    for j in range(u.size):
+        seg = segments[idx[j]][1]
+        if isinstance(seg, float):
+            want[j] = seg
+            continue
+        rem = float(v[j] - (cum[idx[j] - 1] if idx[j] > 0 else 0.0))
+        if seg.kind == "func":
+            loc = sampler._piece_location(seg, rem)
+        else:
+            loc = _scalar_closed_location(seg, rem)
+        want[j] = min(max(loc, np.nextafter(seg.lo, np.inf)), seg.hi)
+
+    got = sampler._sample_locations(ctx, z_max, u.size, _FixedUniforms(u))
+    assert got.tobytes() == want.tobytes()
+    assert got[0] == np.nextafter(0.0, 1.0)
+    assert set(idx.tolist()) == set(range(len(segments)))
+
+
+def _leaving_gamma_ctx():
+    """Gamma shape 2 - 2z on (0, 2]: outside the natural space from z = 1 on."""
+    path = ParameterPath(
+        [
+            PiecewiseFunction([Piece(0.0, 2.0, "affine", c0=2.0, c1=-2.0)]),
+            PiecewiseFunction.constant(3.0),
+        ]
+    )
+    return LevyContext.build(
+        make_family("gamma"), path, BaseMeasure.lebesgue(20.0, hi=2.0), k=2,
+        require_conditions=False,
+    )
+
+
+def test_sample_crm_natural_space_error_names_component_and_location(gamma_unit_ctx):
+    with pytest.raises(NaturalSpaceError) as exc:
+        sample_crm([gamma_unit_ctx, _leaving_gamma_ctx()], 2.0, np.random.default_rng(2))
+    msg = str(exc.value)
+    head, _, scalar = msg.partition(": ")
+    assert head.startswith("component 2, atom at location ")
+    z = float(head.rsplit(" ", 1)[1])
+    assert 1.0 <= z <= 2.0
+    assert scalar == f"gamma: shape must be positive, got {2.0 + -2.0 * z}"
+    assert exc.value.coord == 1
