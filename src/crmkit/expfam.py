@@ -415,6 +415,7 @@ def _batched(check: Callable) -> Callable:
         try:
             check(eta)
         except NaturalSpaceError:
+            eta = np.asarray(eta)
             if eta.ndim < 2:
                 raise
             for i, column in enumerate(eta.T):

@@ -167,20 +167,20 @@ def check_conditions(
             )
         )
 
-    # (2) path in natural space: one batch check; the per-point loop only
-    # collects witnesses once the batch has failed
+    # (2) path in natural space
     witnesses = []
-    try:
-        family.check_natural(path.eval_many(grid).T)
-    except CrmError:
-        for z in grid:
-            if not path.defined_at(z):
-                witnesses.append((float(z), "path undefined"))
-                continue
-            try:
-                family.check_natural(path.eval(z))
-            except Exception as exc:  # record, don't raise
-                witnesses.append((float(z), str(exc)))
+    inside = []  # (z, eta) at the grid points that pass, for check (3)
+    for z in grid:
+        if not path.defined_at(z):
+            witnesses.append((float(z), "path undefined"))
+            continue
+        try:
+            eta = path.eval(z)
+            family.check_natural(eta)
+        except Exception as exc:  # record, don't raise
+            witnesses.append((float(z), str(exc)))
+            continue
+        inside.append((z, eta))
     checks.append(
         ConditionCheck(
             "path_in_natural_space",
@@ -190,14 +190,9 @@ def check_conditions(
         )
     )
 
-    # (3) contraction closure in coordinate k
+    # (3) contraction closure in coordinate k, at the points that pass (2)
     witnesses = []
-    for z in grid:
-        if not path.defined_at(z):
-            continue
-        eta = path.eval(z)
-        if not family.in_natural_space(eta):
-            continue
+    for z, eta in inside:
         for eps in _CONTRACTIONS:
             contracted = eta.copy()
             contracted[k - 1] *= eps

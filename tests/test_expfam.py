@@ -28,6 +28,12 @@ def test_natural_space_checks():
         beta.check_natural(np.array([0.0, 1.0]))
     assert exc.value.coord == 1
 
+    gamma = expfam.make_family("gamma")
+    gamma.check_natural([2.0, 1.0])
+    for eta in ([0.0, 1.0], (2.0, -1.0)):
+        with pytest.raises(NaturalSpaceError):
+            gamma.check_natural(eta)
+
     pareto = expfam.make_family("pareto")
     with pytest.raises(NaturalSpaceError):
         pareto.check_natural(np.array([-1.0]))

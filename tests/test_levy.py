@@ -341,7 +341,7 @@ def test_stat_laplace_rejects_a_statistic_index_out_of_range(k):
         stat_laplace(make_family("gamma"), [2.0, 3.0], k, 1.0)
 
 
-def test_path_check_witnesses_come_from_the_per_point_loop():
+def test_path_check_records_witnesses():
     path = ParameterPath(
         [
             PiecewiseFunction([Piece(0.0, 2.0, "affine", c0=2.0, c1=-2.0)]),
@@ -358,3 +358,20 @@ def test_path_check_witnesses_come_from_the_per_point_loop():
         (2.5, "path undefined"),
     )
     assert check_conditions(gamma, path, 2, [0.25, 0.5, 0.75]).check("path_in_natural_space").passed
+
+
+def test_path_check_records_a_raising_path_piece_as_a_witness():
+    path = ParameterPath(
+        [
+            PiecewiseFunction([Piece(0.0, 2.0, "func", func=lambda z: math.log(1.0 - z))]),
+            PiecewiseFunction.constant(3.0),
+        ]
+    )
+    gamma = make_family("gamma")
+    result = check_conditions(gamma, path, 2, [0.5, 1.5])
+    check = result.check("path_in_natural_space")
+    assert not check.passed
+    assert check.witnesses == (
+        (0.5, "gamma: shape must be positive, got -0.6931471805599453"),
+        (1.5, "math domain error"),
+    )
