@@ -138,6 +138,10 @@ class ExpFamilySpec:
             return False
         return True
 
+    def at(self, eta) -> "BoundFamily":
+        """The family at one natural parameter; see :class:`BoundFamily`."""
+        return BoundFamily(self, eta)
+
 
 def _as_eta(spec: ExpFamilySpec, eta) -> np.ndarray:
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
@@ -156,31 +160,61 @@ def _check_k(spec: ExpFamilySpec, k: int) -> int:
     return int(k)
 
 
+class BoundFamily:
+    """A family at one fixed natural parameter eta.
+
+    Construction validates eta (length, finiteness, natural space) and
+    computes A(eta) once; :meth:`log_density` and :meth:`density` then do only
+    the support check, the carrier and the statistics.  Bind once wherever
+    many points share one eta, such as the x-quadrature of a density at
+    fixed eta.  Invalid eta raises :class:`CrmError` or
+    :class:`NaturalSpaceError` here, a point outside the support raises
+    :class:`SupportError` at evaluation.
+    """
+
+    __slots__ = ("spec", "eta", "log_partition")
+
+    def __init__(self, spec: ExpFamilySpec, eta):
+        eta = _as_eta(spec, eta)
+        spec.check_natural(eta)
+        self.spec = spec
+        self.eta = eta
+        self.log_partition = float(spec.log_partition_fn(eta))
+
+    def log_density(self, x) -> float | np.ndarray:
+        spec = self.spec
+        xs = np.asarray(x, dtype=float)
+        if not spec.support.contains(xs):
+            raise SupportError(
+                f"{spec.name}: point outside support ({spec.support.lo}, {spec.support.hi})"
+            )
+        exponent = spec.log_carrier(xs) - self.log_partition
+        for j, stat in enumerate(spec.stats):
+            exponent = exponent + stat.sign * self.eta[j] * stat.value(xs)
+        return exponent if np.ndim(x) else float(exponent)
+
+    def density(self, x) -> float | np.ndarray:
+        """p(x | eta) in canonical form."""
+        return np.exp(self.log_density(x))
+
+    def sample(self, rng: np.random.Generator, size: int | None = None):
+        """Draw from the family; deterministic given the generator state."""
+        out = self.spec.sampler(self.eta, rng, 1 if size is None else int(size))
+        return float(out[0]) if size is None else np.asarray(out, dtype=float)
+
+
 def log_partition(spec: ExpFamilySpec, eta) -> float:
     """A(eta); validates eta lies in the natural parameter space."""
-    eta = _as_eta(spec, eta)
-    spec.check_natural(eta)
-    return float(spec.log_partition_fn(eta))
+    return spec.at(eta).log_partition
 
 
 def log_density(spec: ExpFamilySpec, eta, x) -> float | np.ndarray:
-    eta = _as_eta(spec, eta)
-    spec.check_natural(eta)
-    xs = np.asarray(x, dtype=float)
-    if not spec.support.contains(xs):
-        raise SupportError(
-            f"{spec.name}: point outside support ({spec.support.lo}, {spec.support.hi})"
-        )
-    a = spec.log_partition_fn(eta)
-    exponent = spec.log_carrier(xs) - a
-    for j, stat in enumerate(spec.stats):
-        exponent = exponent + stat.sign * eta[j] * stat.value(xs)
-    return exponent if np.ndim(x) else float(exponent)
+    return spec.at(eta).log_density(x)
 
 
 def density(spec: ExpFamilySpec, eta, x) -> float | np.ndarray:
     """p(x | eta) in canonical form."""
-    return np.exp(log_density(spec, eta, x))
+    return spec.at(eta).density(x)
 
 
 def _cumulants_to_moments(kappas: Sequence[float], sign: int, m: int) -> float:
@@ -335,10 +369,7 @@ def raw_moment_beta(alpha: float, beta: float, m: int) -> float:
 
 def sample(spec: ExpFamilySpec, eta, rng: np.random.Generator, size: int | None = None):
     """Draw from the family; deterministic given the generator state."""
-    eta = _as_eta(spec, eta)
-    spec.check_natural(eta)
-    out = spec.sampler(eta, rng, 1 if size is None else int(size))
-    return float(out[0]) if size is None else np.asarray(out, dtype=float)
+    return spec.at(eta).sample(rng, size)
 
 
 def sample_each(spec: ExpFamilySpec, etas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -365,7 +396,7 @@ def cdf_numeric(spec: ExpFamilySpec, eta, x: float) -> float:
     if x <= spec.support.lo:
         return 0.0
     val, _ = integrate.quad(
-        lambda t: density(spec, eta, t), spec.support.lo, min(x, spec.support.hi),
+        spec.at(eta).density, spec.support.lo, min(x, spec.support.hi),
         epsabs=1e-11, epsrel=1e-10, limit=400,
     )
     return float(min(val, 1.0))

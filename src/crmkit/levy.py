@@ -15,6 +15,12 @@ integrals split exactly at piece breakpoints, use one adaptive quadrature
 (:func:`~crmkit.piecewise.checked_quad`) per smooth stretch, and add atom
 contributions of A_0 exactly; the window convention is (0, t] (a jump at t
 counts, one at 0 does not).
+
+The integrand of a location integral is a function h of eta.  On a
+constant stretch, where every path component is one ``const`` piece and no
+atom override lies, h runs once instead of at every quadrature node.  The
+quadrature itself is unchanged: it keeps its nodes and sees the same float
+at each of them, so every result keeps its bits.
 """
 
 from __future__ import annotations
@@ -270,8 +276,37 @@ class LevyContext:
             )
 
 
-def _z_integral(ctx: LevyContext, g: Callable, z_lo: float, z_hi: float) -> float:
-    """int_(z_lo, z_hi] g(z) dA_0(z), split at breakpoints, atoms exact."""
+def _on_stretch(path: ParameterPath, h: Callable, a: float, b: float) -> Callable:
+    """z -> h(eta(z)) on the stretch (a, b] between two cuts.
+
+    Where eta is one constant on the stretch (every path component is a
+    ``const`` piece there and no atom override lies in (a, b]), h runs once,
+    at the first z asked for, and later calls return that same float.
+    """
+    pieces = [comp.piece_at(b) for comp in path.components]
+    if any(p is None or p.kind != "const" or p.lo > a for p in pieces) or any(
+        a < loc <= b for loc in path.atom_overrides
+    ):
+        return lambda z: h(path.eval(z))
+    memo = []
+
+    def once(z):
+        if not memo:
+            memo.append(h(path.eval(z)))
+        return memo[0]
+
+    return once
+
+
+def _z_integral(ctx: LevyContext, h: Callable, z_lo: float, z_hi: float) -> float:
+    """int_(z_lo, z_hi] h(eta(z)) dA_0(z), split at breakpoints, atoms exact.
+
+    Each stretch between cuts gets one quadrature per overlapping base piece.
+    On a stretch where eta is constant, h runs once, at the first node a
+    quadrature asks for (:func:`_on_stretch`), so a stretch that no base
+    piece overlaps never evaluates h.  Every node still sees the float h
+    would have returned there, so each quadrature keeps its nodes and bits.
+    """
     if not z_lo < z_hi:
         return 0.0
     total = 0.0
@@ -280,15 +315,15 @@ def _z_integral(ctx: LevyContext, g: Callable, z_lo: float, z_hi: float) -> floa
         if z_lo < b < z_hi:
             cuts.append(b)
     cuts = sorted(set(cuts))
-    dens = ctx.base.density
     for a, b in zip(cuts, cuts[1:]):
-        for piece in dens.pieces:
+        g = _on_stretch(ctx.path, h, a, b)
+        for piece in ctx.base.density.pieces:
             lo, hi = max(a, piece.lo), min(b, piece.hi)
             if lo < hi:
-                total += checked_quad(lambda z, p=piece: g(z) * p.value(z), lo, hi)
+                total += checked_quad(lambda z, p=piece, g=g: g(z) * p.value(z), lo, hi)
     for loc, mass in ctx.base.jumps_in(z_lo, z_hi):
         if mass > 0:
-            total += mass * g(loc)
+            total += mass * h(ctx.path.eval(loc))
     return total
 
 
@@ -304,7 +339,7 @@ def levy_density_s(ctx: LevyContext, t: float, s: float, z_window=None) -> float
     if not ctx.family.support.contains(s):
         raise SupportError(f"s={s} outside the family support")
     z_lo, z_hi = z_window if z_window is not None else (0.0, t)
-    return _z_integral(ctx, lambda z: expfam.density(ctx.family, ctx.path.eval(z), s), z_lo, z_hi)
+    return _z_integral(ctx, lambda eta: expfam.density(ctx.family, eta, s), z_lo, z_hi)
 
 
 def levy_integrand(ctx: LevyContext, z: float, s: float) -> float:
@@ -372,11 +407,7 @@ def laplace_exponent(ctx: LevyContext, t: float, theta: float) -> float:
     if theta == 0.0 or t == 0.0:
         return 0.0
 
-    def g(z):
-        eta = ctx.path.eval(z)
-        return 1.0 - stat_laplace(ctx.family, eta, ctx.k, theta)
-
-    return _z_integral(ctx, g, 0.0, t)
+    return _z_integral(ctx, lambda eta: 1.0 - stat_laplace(ctx.family, eta, ctx.k, theta), 0.0, t)
 
 
 @dataclass(frozen=True)

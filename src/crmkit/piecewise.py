@@ -173,17 +173,3 @@ class PiecewiseFunction:
 
     def shifted(self, delta):
         return PiecewiseFunction([p.shifted(delta) for p in self.pieces])
-
-    def scaled(self, factor):
-        out = []
-        for p in self.pieces:
-            if p.kind == "func":
-                f = p.func
-                out.append(Piece(p.lo, p.hi, "func", func=lambda z, f=f, c=factor: c * f(z)))
-            else:
-                out.append(Piece(p.lo, p.hi, p.kind, c0=factor * p.c0, c1=factor * p.c1))
-        return PiecewiseFunction(out)
-
-    def is_exact(self):
-        """True when every piece integrates in closed form."""
-        return all(p.kind != "func" for p in self.pieces)

@@ -77,12 +77,12 @@ def report_csv(*results: SuiteResult) -> str:
 
 def stat_expectation_quad(spec, eta, k: int, fn) -> float:
     """Independent oracle for E[fn(T_k)]: direct quadrature or lattice sum."""
-    eta = np.asarray(eta, dtype=float)
+    bound = spec.at(eta)
     stat = spec.stats[k - 1]
     if spec.support.discrete:
         total, x, prev, falling = 0.0, spec.support.lo, math.inf, False
         while x <= spec.support.hi:
-            dens = expfam.density(spec, eta, x)
+            dens = bound.density(x)
             total += dens * fn(float(stat.value(x)))
             falling = falling or dens < prev
             prev = dens
@@ -93,7 +93,7 @@ def stat_expectation_quad(spec, eta, k: int, fn) -> float:
             x += 1.0
         return float(total)
     val, _ = integrate.quad(
-        lambda x: fn(float(stat.value(x))) * expfam.density(spec, eta, x),
+        lambda x: fn(float(stat.value(x))) * bound.density(x),
         spec.support.lo,
         spec.support.hi,
         epsabs=1e-11,

@@ -69,10 +69,11 @@ def test_beta_raw_moments_match_gamma_ratio_and_monte_carlo():
 
 
 def _lattice_moment(spec, eta, k, m):
+    bound = spec.at(eta)
     stat = spec.stats[k - 1]
     total, x, prev, falling = 0.0, spec.support.lo, math.inf, False
     while x <= spec.support.hi and x - spec.support.lo <= 1e6:
-        dens = expfam.density(spec, eta, x)
+        dens = bound.density(x)
         total += dens * float(stat.value(x)) ** m
         falling = falling or dens < prev
         prev = dens
@@ -83,9 +84,10 @@ def _lattice_moment(spec, eta, k, m):
 
 
 def _quad_moment(spec, eta, k, m):
+    bound = spec.at(eta)
     stat = spec.stats[k - 1]
     out = integrate.quad(
-        lambda x: float(stat.value(x)) ** m * expfam.density(spec, eta, x),
+        lambda x: float(stat.value(x)) ** m * bound.density(x),
         spec.support.lo,
         spec.support.hi,
         epsabs=1e-11,

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, special
 
 from crmkit import expfam
-from crmkit.errors import CrmError, DerivativeDomainError, NaturalSpaceError
+from crmkit.errors import CrmError, DerivativeDomainError, NaturalSpaceError, SupportError
 
 
 def test_registry_contents():
@@ -110,9 +110,10 @@ def test_loglog_interior_moments_match_quadrature():
     """E[(ln ln x)^m] off the face, where only the mp-derivative route exists."""
     spec = expfam.make_family("pareto_loglog")
     eta = np.array([-2.0, -2.5])
+    bound = spec.at(eta)
     for m in (1, 2, 3):
         want, _ = integrate.quad(
-            lambda x: math.log(math.log(x)) ** m * expfam.density(spec, eta, x),
+            lambda x: math.log(math.log(x)) ** m * bound.density(x),
             spec.support.lo,
             spec.support.hi,
             limit=400,
@@ -296,3 +297,40 @@ def test_batch_check_raises_the_first_failing_rows_own_error(name, good, first, 
     assert str(batch.value) == str(scalar.value)
     assert batch.value.coord == scalar.value.coord
     assert batch.value.index == len(good)
+
+
+@pytest.mark.parametrize(
+    "name, eta, error, message",
+    [
+        ("gamma", [-1.0, 2.0], NaturalSpaceError, "gamma: shape must be positive, got -1.0"),
+        ("gamma", [1.0, np.nan], NaturalSpaceError, "gamma: natural parameter must be finite, got [ 1. nan]"),
+        (
+            "pareto_loglog",
+            [-1.0, -0.5],
+            NaturalSpaceError,
+            "pareto(log-log): on the face eta_1 = -1 the second coordinate must be < -1, got -0.5",
+        ),
+        ("gamma", [1.0], CrmError, "gamma: natural parameter must have length 2, got shape (1,)"),
+    ],
+)
+def test_binding_an_invalid_eta_raises_what_density_raised(name, eta, error, message):
+    # the messages are those density raised before it went through the view
+    spec = expfam.make_family(name)
+    with pytest.raises(error) as exc:
+        spec.at(eta)
+    assert str(exc.value) == message
+    with pytest.raises(error) as exc:
+        expfam.density(spec, eta, 3.0)
+    assert str(exc.value) == message
+
+
+def test_bound_family_checks_the_support_at_each_point():
+    gamma = expfam.make_family("gamma")
+    bound = gamma.at([2.0, 3.0])
+    assert bound.log_partition == expfam.log_partition(gamma, [2.0, 3.0])
+    for x in (-1.0, 0.0, np.array([1.0, -1.0])):
+        with pytest.raises(SupportError, match=r"gamma: point outside support \(0.0, inf\)"):
+            bound.density(x)
+        with pytest.raises(SupportError):
+            bound.log_density(x)
+    np.testing.assert_array_equal(bound.density(np.array([0.5, 2.0])), [bound.density(0.5), bound.density(2.0)])

@@ -1,0 +1,140 @@
+"""Pinned bits of the Levy functionals.
+
+The values were recorded before the family view ``ExpFamilySpec.at`` and the
+constant-stretch rule of the location integral existed.  Both keep every
+quadrature's nodes and the floats it sees there, so every ``repr`` here,
+including whether a value is a numpy scalar, stays fixed.
+"""
+
+import math
+
+import pytest
+
+from crmkit import verify
+from crmkit.expfam import ParameterPath, make_family
+from crmkit.levy import (
+    BaseMeasure,
+    LevyContext,
+    classify_activity,
+    density_table,
+    laplace_exponent,
+    levy_density_u,
+)
+from crmkit.piecewise import Piece, PiecewiseFunction
+
+INF = math.inf
+
+
+def _contexts():
+    gamma = make_family("gamma")
+    loglog = make_family("pareto_loglog")
+    const = PiecewiseFunction.constant
+    return {
+        "gamma_k1": LevyContext.build(
+            gamma, ParameterPath.constant([1.5, 2.0]), BaseMeasure.lebesgue(1.0), k=1
+        ),
+        "gamma_k2": LevyContext.build(
+            gamma, ParameterPath.constant([2.0, 3.0]), BaseMeasure.lebesgue(1.5), k=2
+        ),
+        # off the face: every A(eta) is a 40-digit mpmath evaluation
+        "loglog_off": LevyContext.build(
+            loglog,
+            ParameterPath.constant([-2.0, -2.5]),
+            BaseMeasure.lebesgue(1.0),
+            k=1,
+            require_conditions=False,
+        ),
+        # piecewise-constant shape with an interior breakpoint at z=1
+        "piecewise": LevyContext.build(
+            gamma,
+            ParameterPath(
+                [
+                    PiecewiseFunction(
+                        [Piece(0.0, 1.0, "const", c0=2.0), Piece(1.0, INF, "const", c0=3.0)]
+                    ),
+                    const(3.0),
+                ]
+            ),
+            BaseMeasure.lebesgue(1.0),
+            k=2,
+        ),
+        # overrides inside a stretch (0.5) and on a point mass (1.25)
+        "override": LevyContext.build(
+            gamma,
+            ParameterPath.constant([2.0, 3.0])
+            .with_override(0.5, [4.0, 2.0])
+            .with_override(1.25, [3.0, 1.5]),
+            BaseMeasure(const(1.0), ((1.25, 2.0),)),
+            k=2,
+        ),
+        # base density with a gap on (1, 2] and a point mass inside the gap
+        "gap_jump": LevyContext.build(
+            gamma,
+            ParameterPath.constant([2.0, 3.0]),
+            BaseMeasure(
+                PiecewiseFunction(
+                    [Piece(0.0, 1.0, "const", c0=1.0), Piece(2.0, INF, "const", c0=2.0)]
+                ),
+                ((1.5, 0.7),),
+            ),
+            k=2,
+        ),
+    }
+
+
+# context: ((t, u), (t, theta), (t, us), classify horizon or None)
+CALLS = {
+    "gamma_k1": ((1.0, 0.3), (1.0, 0.5), (2.0, (-1.0, 0.25, 1.0)), None),
+    "gamma_k2": ((1.0, 0.7), (1.0, 2.0), (2.5, (0.1, 1.0, 3.0)), 1.0),
+    "loglog_off": ((1.0, 1.5), (0.5, 0.8), (1.0, (1.1, 2.0, 3.5)), None),
+    "piecewise": ((2.0, 0.7), (2.0, 1.0), (1.5, (0.2, 1.0, 2.5)), 1.0),
+    "override": ((2.0, 0.7), (2.0, 1.0), (1.0, (0.2, 1.0, 2.5)), 1.0),
+    "gap_jump": ((3.0, 0.7), (3.0, 1.0), (3.0, (0.2, 1.0, 2.5)), 3.0),
+}
+
+PINNED = {
+    ("gamma_k1", "levy_density_u"): "0.33648065961951873",
+    ("gamma_k1", "laplace_exponent"): "-0.5957691216057306",
+    ("gamma_k1", "density_table"): "[(2.0, -1.0, 0.6824208745919487), (2.0, 0.25, 0.7121970542030885), (2.0, 1.0, 0.12456676174542843)]",
+    ("gamma_k2", "levy_density_u"): "1.1572132469906797",
+    ("gamma_k2", "laplace_exponent"): "0.96",
+    ("gamma_k2", "density_table"): "[(2.5, 0.1, 2.5002614948007986), (2.5, 1.0, 1.6803135574154082), (2.5, 3.0, 0.012495242663776303)]",
+    ("gamma_k2", "classify_activity"): "('FiniteActivity', 1.4999999999996163)",
+    ("loglog_off", "levy_density_u"): "0.6401495186524655",
+    ("loglog_off", "laplace_exponent"): "0.32907052493225364",
+    ("loglog_off", "density_table"): "[(1.0, 1.1, 2.0736986778474997), (1.0, 2.0, 0.18914172293059753), (1.0, 3.5, 0.010417187861791688)]",
+    ("piecewise", "levy_density_u"): "1.581524770887262",
+    ("piecewise", "laplace_exponent"): "1.0156249999999996",
+    ("piecewise", "density_table"): "[(1.5, 0.2, 1.1360400867146347), (1.5, 1.0, 0.7841463267938572), (1.5, 2.5, 0.03577764519393798)]",
+    ("piecewise", "classify_activity"): "('NotTimeHomogeneous', 0.9999999999997445)",
+    ("override", "levy_density_u"): "np.float64(2.121660548580146)",
+    ("override", "laplace_exponent"): "2.4429999999999996",
+    ("override", "density_table"): "[(1.0, 0.2, 0.9878609449692475), (1.0, 1.0, 0.4480836153107757), (1.0, 2.5, 0.01244439832832625)]",
+    ("override", "classify_activity"): "('NotTimeHomogeneous', 0.9999999999997445)",
+    ("gap_jump", "levy_density_u"): "np.float64(2.8544593425770097)",
+    ("gap_jump", "laplace_exponent"): "1.6187499999999997",
+    ("gap_jump", "density_table"): "[(3.0, 0.2, np.float64(3.655085496386216)), (3.0, 1.0, np.float64(1.6579093766498698)), (3.0, 2.5, np.float64(0.04604427381480713))]",
+    ("gap_jump", "classify_activity"): "('NotTimeHomogeneous', 3.6999999999990547)",
+}
+
+
+@pytest.fixture(scope="module")
+def contexts():
+    return _contexts()
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_functionals_keep_their_bits(contexts, name):
+    ctx = contexts[name]
+    density_at, laplace_at, table_at, horizon = CALLS[name]
+    assert repr(levy_density_u(ctx, *density_at)) == PINNED[name, "levy_density_u"]
+    assert repr(laplace_exponent(ctx, *laplace_at)) == PINNED[name, "laplace_exponent"]
+    assert repr(density_table(ctx, *table_at)) == PINNED[name, "density_table"]
+    if horizon is not None:
+        res = classify_activity(ctx, horizon)
+        assert repr((type(res).__name__, res.total_mass)) == PINNED[name, "classify_activity"]
+
+
+def test_loglog_moment_oracle_keeps_its_bits():
+    spec = make_family("pareto_loglog")
+    assert repr(verify.stat_moment_quad(spec, [-2.0, -2.5], 2, 2)) == "0.1625847885330169"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -375,3 +376,56 @@ def test_path_check_records_a_raising_path_piece_as_a_witness():
         (0.5, "gamma: shape must be positive, got -0.6931471805599453"),
         (1.5, "math domain error"),
     )
+
+
+def _two_stretch_shape(middle):
+    """Gamma shape 2 on (0, 1], ``middle`` on (1, 2], 3 beyond; rate 3."""
+    shape = PiecewiseFunction(
+        [
+            Piece(0.0, 1.0, "const", c0=2.0),
+            Piece(1.0, 2.0, "const", c0=middle),
+            Piece(2.0, math.inf, "const", c0=3.0),
+        ]
+    )
+    return ParameterPath([shape, PiecewiseFunction.constant(3.0)])
+
+
+_GAPPED_BASE = BaseMeasure(
+    PiecewiseFunction([Piece(0.0, 0.5, "const", c0=1.0), Piece(2.0, math.inf, "const", c0=2.0)])
+)
+
+
+def test_a_constant_stretch_evaluates_the_log_partition_once():
+    gamma = make_family("gamma")
+    calls = []
+
+    def counted(eta):
+        calls.append(tuple(eta))
+        return gamma.log_partition_fn(eta)
+
+    family = dataclasses.replace(gamma, log_partition_fn=counted)
+    ctx = LevyContext.build(family, _two_stretch_shape(2.5), _GAPPED_BASE, k=2)
+    calls.clear()
+    # cuts 0, 0.5, 1, 2, 3; base pieces overlap (0, 0.5] and (2, 3] only
+    levy_density_u(ctx, 3.0, 0.7)
+    assert calls == [(2.0, 3.0), (3.0, 3.0)]
+    calls.clear()
+    # each evaluation of 1 - E[exp(-theta T_2)] needs A at eta and at the tilted eta
+    laplace_exponent(ctx, 3.0, 1.0)
+    assert calls == [(2.0, 3.0), (2.0, 4.0), (3.0, 3.0), (3.0, 4.0)]
+
+
+def test_an_invalid_eta_where_no_base_piece_lies_is_not_evaluated():
+    gamma = make_family("gamma")
+    path = _two_stretch_shape(-1.0)
+    ctx = LevyContext.build(gamma, path, _GAPPED_BASE, k=2, require_conditions=False)
+    assert not ctx.report.passed
+    with pytest.raises(NaturalSpaceError):
+        expfam.density(gamma, path.eval(1.5), 0.7)
+    got = levy_density_s(ctx, 3.0, 0.7)
+    parts = [levy_density_s(ctx, 3.0, 0.7, z_window=w) for w in ((0.0, 1.0), (2.0, 3.0))]
+    assert got == parts[0] + parts[1] > 0
+    # a base piece over (1, 2] makes the location integral evaluate the invalid eta
+    covered = LevyContext.build(gamma, path, BaseMeasure.lebesgue(1.0), k=2, require_conditions=False)
+    with pytest.raises(NaturalSpaceError):
+        levy_density_s(covered, 3.0, 0.7)

@@ -98,15 +98,9 @@ def test_piecewise_integral_spans_pieces_and_gaps():
     assert f.integral(0.0, 4.0) == 7.0
 
 
-def test_shifted_and_scaled():
+def test_shifted():
     f = PiecewiseFunction([Piece(0.0, 2.0, "affine", c0=1.0, c1=1.0)])
     assert f.shifted(2.0)(1.0) == 4.0
-    assert f.scaled(0.5)(1.0) == 1.0
-
-
-def test_is_exact_distinguishes_func_pieces():
-    assert PiecewiseFunction.constant(1.0).is_exact()
-    assert not PiecewiseFunction.from_callable(lambda z: z).is_exact()
 
 
 @given(

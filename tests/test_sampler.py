@@ -229,6 +229,30 @@ def test_closed_location_equals_the_scalar_formulas(piece):
     assert sampler._closed_location(piece, rem).tobytes() == want.tobytes()
 
 
+def test_closed_location_where_the_stable_form_cancels():
+    # c0 = 0 at lo = 0: a zero remainder gives r = 0 and c0 + sqrt(disc) = 0
+    piece = Piece(0.0, 2.0, "affine", c0=0.0, c1=0.5)
+    rem = np.array([0.0, 5e-324, 0.25, 1.0])
+    got = sampler._closed_location(piece, rem)
+    assert got[0] == 0.0
+    want = np.array([_scalar_closed_location(piece, float(r)) for r in rem[1:]])
+    assert got[1:].tobytes() == want.tobytes()
+    locs = sampler._sample_locations(_affine_base_ctx(), 2.0, 2, _FixedUniforms([0.0, 0.5]))
+    assert locs[0] == np.nextafter(0.0, 1.0)
+    assert locs[1] == pytest.approx(math.sqrt(2.0))
+
+    # negative intercept, positive on (0.5, 2]: the mass from lo reaches rem
+    piece = Piece(0.5, 2.0, "affine", c0=-0.4, c1=1.0)
+    rem = np.array([0.0, 0.01, 0.075, 0.5])
+    z = sampler._closed_location(piece, rem)
+    assert z[[0, 2]] == pytest.approx([0.5, 0.8], rel=1e-15)
+    assert np.all(z >= 0.5)
+    assert piece.c0 * (z - 0.5) + 0.5 * piece.c1 * (z * z - 0.25) == pytest.approx(rem, abs=1e-15)
+
+    with pytest.raises(CrmError, match="not positive"):
+        sampler._closed_location(Piece(0.0, 2.0, "affine", c0=-1.0, c1=0.0), np.array([0.5]))
+
+
 class _FixedUniforms:
     """Stands in for a generator whose next uniforms are known."""
 
