@@ -140,10 +140,12 @@ def _closed_location(piece, rem: np.ndarray) -> np.ndarray:
     r = rem + piece.c0 * lo + 0.5 * piece.c1 * lo * lo
     root = np.sqrt(np.maximum(piece.c0 * piece.c0 + 2.0 * piece.c1 * r, 0.0))
     denom = piece.c0 + root
+    flat = denom <= 0
+    if not flat.any():
+        return 2.0 * r / denom
     # c0 + root cancels where c0 <= 0 and r <= 0 (rem = 0 at lo = 0 with c0 = 0
     # gives 0 / 0); there the same root is (root - c0) / c1, with no cancellation
-    flat = denom <= 0
-    if flat.any() and piece.c1 <= 0:
+    if piece.c1 <= 0:
         raise CrmError(f"affine base piece is not positive on ({lo}, {hi}]")
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(flat, (root - piece.c0) / piece.c1, 2.0 * r / denom)
