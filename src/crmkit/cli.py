@@ -176,12 +176,11 @@ def cmd_posterior(args) -> int:
         grouped: dict[float, list[float]] = {}
         for loc, v in observations:
             grouped.setdefault(float(loc), []).append(v)
-        conj.posterior_path(pair, ctx.path, grouped, mode="per-atom")
+        post = conj.posterior_path(pair, ctx.path, grouped, mode="per-atom")
         overrides = {}
         for loc in sorted(grouped):
-            eta = ctx.path.eval(loc)
-            overrides[loc] = pair.tau(eta, grouped[loc])
-            before = ", ".join(f"{v:g}" for v in eta)
+            overrides[loc] = post.atom_overrides[loc]
+            before = ", ".join(f"{v:g}" for v in ctx.path.eval(loc))
             after = ", ".join(f"{v:g}" for v in overrides[loc])
             diff.append(f"atom {loc!r}: ({before}) -> ({after})")
         post_component = cfg.override_component_obj(component, overrides)

@@ -2,27 +2,28 @@
 
 Each registered pair couples a prior family on the weight variable with a
 likelihood family whose parameter is the weight itself (through a link
-rule).  The update tau is a translation of the natural parameters by a
-symmetric statistic of the observations, so posterior paths are the prior
-paths shifted (uniform mode) or overridden at observed atoms (per-atom
-mode), and the posterior process is the same construction rebuilt on the
-updated path.
+rule).  Every pair updates by the same rule: tau(eta, Y) = eta + S(Y), a
+translation of the natural parameters by a symmetric statistic S of the
+observations, which the pair stores.  Posterior paths are the prior paths
+shifted (uniform mode) or overridden at observed atoms (per-atom mode), and
+the posterior process is the same construction rebuilt on the updated path.
 
-Registered pairs: beta-bernoulli, gamma-poisson, gamma-lognormal (known
-drift mu), gamma-pareto (known scale x_m).
+Registered pairs (``_PAIRS``): beta-bernoulli, gamma-lognormal (known drift
+mu), gamma-pareto (known scale x_m), gamma-poisson.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import expfam
 from .errors import CrmError, NaturalSpaceError, SupportError
 from .expfam import ExpFamilySpec, ParameterPath
-from .levy import LevyContext, levy_density_u
+from .levy import LevyContext, _default_grid, levy_density_u
 
 __all__ = [
     "ConjugatePair",
@@ -38,12 +39,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConjugatePair:
-    """Prior family, likelihood family, link rule, and the translation tau."""
+    """Prior family, likelihood family, link rule, and the statistic S(Y) of tau.
+
+    ``statistic(ys, **fixed)`` returns S(Y) for the observation array ``ys``;
+    ``fixed`` holds the pair's known hyperparameters.
+    """
 
     name: str
     prior_family: ExpFamilySpec
     likelihood_family: ExpFamilySpec
     link: str
+    statistic: Callable
     fixed: dict = field(default_factory=dict)
 
     def check_observation(self, y: float) -> None:
@@ -53,22 +59,11 @@ class ConjugatePair:
             )
 
     def shift(self, observations: Sequence[float]) -> np.ndarray:
-        """tau(eta, Y) - eta; depends on Y only through symmetric statistics."""
+        """tau(eta, Y) - eta = S(Y); depends on Y only through symmetric statistics."""
         ys = np.asarray(list(observations), dtype=float)
         for y in ys:
             self.check_observation(y)
-        n = len(ys)
-        if self.name == "beta-bernoulli":
-            return np.array([ys.sum(), n - ys.sum()])
-        if self.name == "gamma-poisson":
-            return np.array([ys.sum(), float(n)])
-        if self.name == "gamma-lognormal":
-            mu = self.fixed["mu"]
-            return np.array([n / 2.0, float(np.sum((np.log(ys) - mu) ** 2) / 2.0)])
-        if self.name == "gamma-pareto":
-            x_m = self.fixed["x_m"]
-            return np.array([float(n), float(np.sum(np.log(ys / x_m)))])
-        raise CrmError(f"pair {self.name!r} has no registered update")
+        return np.array(self.statistic(ys, **self.fixed), dtype=float)
 
     def tau(self, eta, observations: Sequence[float]) -> np.ndarray:
         eta = np.asarray(eta, dtype=float)
@@ -77,54 +72,43 @@ class ConjugatePair:
         return out
 
 
+# name -> (prior family, likelihood factory, link rule, S).  The keyword
+# parameters of the likelihood factory, with their defaults, are the pair's
+# fixed hyperparameters, and S takes them after the observations.
+_PAIRS = {
+    "beta-bernoulli": (
+        "beta", lambda: expfam.make_family("bernoulli"), "bernoulli_prob",
+        lambda ys: (ys.sum(), len(ys) - ys.sum()),
+    ),
+    "gamma-lognormal": (
+        "gamma", lambda mu=0.0: expfam.make_family("lognormal", mu=mu), "lognormal_precision",
+        lambda ys, mu: (len(ys) / 2.0, float(np.sum((np.log(ys) - mu) ** 2) / 2.0)),
+    ),
+    "gamma-pareto": (
+        "gamma", lambda x_m=1.0: expfam.make_family("pareto", scale=x_m), "pareto_shape",
+        lambda ys, x_m: (float(len(ys)), float(np.sum(np.log(ys / x_m)))),
+    ),
+    "gamma-poisson": (
+        "gamma", lambda: expfam.make_family("poisson"), "poisson_rate",
+        lambda ys: (ys.sum(), float(len(ys))),
+    ),
+}
+
+
 def make_pair(name: str, **fixed) -> ConjugatePair:
-    if name == "beta-bernoulli":
-        if fixed:
-            raise CrmError("beta-bernoulli takes no fixed hyperparameters")
-        return ConjugatePair(
-            name, expfam.make_family("beta"), expfam.make_family("bernoulli"),
-            "bernoulli_prob",
-        )
-    if name == "gamma-poisson":
-        if fixed:
-            raise CrmError("gamma-poisson takes no fixed hyperparameters")
-        return ConjugatePair(
-            name, expfam.make_family("gamma"), expfam.make_family("poisson"),
-            "poisson_rate",
-        )
-    if name == "gamma-lognormal":
-        mu = float(fixed.pop("mu", 0.0))
-        if fixed:
-            raise CrmError(f"unknown gamma-lognormal hyperparameters {sorted(fixed)}")
-        return ConjugatePair(
-            name, expfam.make_family("gamma"), expfam.make_family("lognormal", mu=mu),
-            "lognormal_precision", {"mu": mu},
-        )
-    if name == "gamma-pareto":
-        x_m = float(fixed.pop("x_m", 1.0))
-        if fixed:
-            raise CrmError(f"unknown gamma-pareto hyperparameters {sorted(fixed)}")
-        return ConjugatePair(
-            name, expfam.make_family("gamma"), expfam.make_family("pareto", scale=x_m),
-            "pareto_shape", {"x_m": x_m},
-        )
-    raise CrmError(f"unknown pair {name!r}; registered: {', '.join(pair_names())}")
+    if name not in _PAIRS:
+        raise CrmError(f"unknown pair {name!r}; registered: {', '.join(pair_names())}")
+    prior, likelihood, link, statistic = _PAIRS[name]
+    params = inspect.signature(likelihood).parameters
+    extra = set(fixed) - set(params)
+    if extra:
+        raise CrmError(f"{name} does not accept hyperparameter(s) {sorted(extra)}")
+    fixed = {key: float(fixed.get(key, p.default)) for key, p in params.items()}
+    return ConjugatePair(name, expfam.make_family(prior), likelihood(**fixed), link, statistic, fixed)
 
 
 def pair_names() -> tuple[str, ...]:
-    return ("beta-bernoulli", "gamma-lognormal", "gamma-pareto", "gamma-poisson")
-
-
-def _validation_grid(path: ParameterPath) -> np.ndarray:
-    lo = max(c.lo for c in path.components)
-    hi = min(c.hi for c in path.components)
-    hi_eff = hi if np.isfinite(hi) else max(10.0, lo + 10.0)
-    lo_eff = max(lo, 1e-4 * max(1.0, hi_eff))
-    pts = set(np.linspace(lo_eff, hi_eff, 33))
-    for b in path.breakpoints():
-        if lo < b < hi:
-            pts.add(b)
-    return np.asarray(sorted(p for p in pts if lo < p <= hi), dtype=float)
+    return tuple(sorted(_PAIRS))
 
 
 def posterior_path(
@@ -159,7 +143,7 @@ def posterior_path(
     else:
         raise CrmError(f"mode must be 'uniform' or 'per-atom', got {mode!r}")
 
-    for z in _validation_grid(new):
+    for z in _default_grid(new):
         try:
             pair.prior_family.check_natural(new.eval(z))
         except NaturalSpaceError as exc:
@@ -207,16 +191,16 @@ def posterior_process_params(
 ) -> tuple[float, float]:
     """Update in (concentration, base-increment) coordinates.
 
-    The round trip runs through the natural coordinates: beta-bernoulli maps
-    (c, B0) to (c B0, c (1 - B0)) and back via (a + b, a / (a + b)); the
-    gamma-prior pairs map (c, G0) to shape a = c, rate b = c G0 and back via
-    (a, b / a).
+    The round trip runs through the natural coordinates of the prior family:
+    a beta prior maps (c, B0) to (c B0, c (1 - B0)) and back via
+    (a + b, a / (a + b)); a gamma prior maps (c, G0) to shape a = c, rate
+    b = c G0 and back via (a, b / a).
     """
     c = float(concentration)
     g0 = float(base_value)
     if c <= 0:
         raise CrmError(f"concentration must be positive, got {c}")
-    if pair.name == "beta-bernoulli":
+    if pair.prior_family.name == "beta":
         if not 0.0 < g0 < 1.0:
             raise CrmError(f"base increment must lie in (0, 1), got {g0}")
         eta = np.array([c * g0, c * (1.0 - g0)])

@@ -15,12 +15,15 @@ moment engine corrects cumulants accordingly, so the identity
 holds throughout.  "Positive" means at least one statistic keeps a constant
 sign on the support.
 
-Registered families: beta, gamma, pareto (direct and two-statistic log/log-log
-forms), log-normal with known drift, poisson, bernoulli.
+Registered families: beta, gamma, pareto (single-statistic, scale ``scale``),
+pareto_loglog (two-statistic log/log-log form, scale ``scale``), lognormal
+(known drift ``mu``), poisson, bernoulli.  Each family has one sampler,
+which takes one natural parameter per row.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -121,10 +124,9 @@ class ExpFamilySpec:
     log_carrier: Callable
     log_partition_fn: Callable
     check_natural: Callable  # eta of shape (l,) or (l, m); raises NaturalSpaceError
-    sampler: Callable  # (eta, rng, size) -> ndarray
+    sampler: Callable  # (etas of shape (m, l), rng) -> m draws, one per row, in row order
     log_partition_partials: Callable | None = None  # (eta, k) -> (d1, d2, d3)
     stat_moment: Callable | None = None  # (eta, k, m) -> float | None
-    sampler_vec: Callable | None = None  # (etas (m, l), rng) -> (m,)
     fixed: dict = field(default_factory=dict)
 
     @property
@@ -198,8 +200,13 @@ class BoundFamily:
         return np.exp(self.log_density(x))
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw from the family; deterministic given the generator state."""
-        out = self.spec.sampler(self.eta, rng, 1 if size is None else int(size))
+        """Draw from the family; deterministic given the generator state.
+
+        The row sampler runs on eta repeated once per draw, so ``size`` draws
+        equal :func:`sample_each` on that many copies of eta.
+        """
+        n = 1 if size is None else int(size)
+        out = self.spec.sampler(np.broadcast_to(self.eta, (n, self.spec.dimension)), rng)
         return float(out[0]) if size is None else np.asarray(out, dtype=float)
 
 
@@ -229,65 +236,13 @@ def _cumulants_to_moments(kappas: Sequence[float], sign: int, m: int) -> float:
     raise CrmError("cumulant conversion implemented for m <= 3")
 
 
-def _numeric_partials(spec: ExpFamilySpec, eta, k0: int, m: int) -> list[float]:
-    """Central-difference partials of A in coordinate k0, orders 1..min(m,3).
-
-    Base step 1e-5*max(1, |eta_k|), enlarged for higher orders (the pinned
-    base step amplifies roundoff beyond usefulness at order 3), halved until
-    all stencil points lie inside the natural space; Richardson extrapolation
-    for orders 2 and 3.
-    """
-    scale = max(1.0, abs(eta[k0]))
-    steps = {1: 1e-5 * scale, 2: 1.2e-4 * scale, 3: 2.3e-3 * scale}
-
-    def a_at(delta):
-        shifted = eta.copy()
-        shifted[k0] += delta
-        spec.check_natural(shifted)
-        return float(spec.log_partition_fn(shifted))
-
-    def admissible(h, reach):
-        probe = eta.copy()
-        for mult in (-reach, reach):
-            probe[k0] = eta[k0] + mult * h
-            try:
-                spec.check_natural(probe)
-            except NaturalSpaceError:
-                return False
-        return True
-
-    out = []
-    for order in range(1, min(m, 3) + 1):
-        h = steps[order]
-        reach = 2 if order >= 2 else 1
-        while not admissible(h, reach):
-            h *= 0.5
-            if h < 1e-13 * scale:
-                raise DerivativeDomainError(
-                    f"{spec.name}: no admissible finite-difference step in coordinate {k0 + 1}"
-                )
-
-        def d(order, h):
-            if order == 1:
-                return (a_at(h) - a_at(-h)) / (2.0 * h)
-            if order == 2:
-                return (a_at(h) - 2.0 * a_at(0.0) + a_at(-h)) / (h * h)
-            return (-a_at(-2 * h) + 2 * a_at(-h) - 2 * a_at(h) + a_at(2 * h)) / (2.0 * h ** 3)
-
-        if order == 1:
-            out.append(d(1, h))
-        else:
-            coarse, fine = d(order, h), d(order, h / 2.0)
-            out.append((4.0 * fine - coarse) / 3.0)
-    return out
-
-
 def moment_suff_stat(spec: ExpFamilySpec, eta, k: int, m: int) -> float:
     """E[T_k(X)^m] via the log-partition derivative identity.
 
     Uses, in order of preference: a closed-form statistic moment declared by
-    the family, closed-form log-partition partials (converted through the
-    cumulant-moment relations), then the finite-difference fallback.
+    the family, closed-form log-partition partials for m <= 3 (converted
+    through the cumulant-moment relations), then a central m-th difference
+    of the tilted partition.
     """
     eta = _as_eta(spec, eta)
     spec.check_natural(eta)
@@ -302,14 +257,11 @@ def moment_suff_stat(spec: ExpFamilySpec, eta, k: int, m: int) -> float:
             return float(val)
 
     sign = spec.stats[k - 1].sign
-    if m <= 3:
-        if spec.log_partition_partials is not None:
-            kappas = spec.log_partition_partials(eta, k)
-        else:
-            kappas = _numeric_partials(spec, eta.copy(), k - 1, m)
+    if m <= 3 and spec.log_partition_partials is not None:
+        kappas = spec.log_partition_partials(eta, k)
         return float(_cumulants_to_moments(kappas, sign, m))
 
-    # High orders: central m-th difference of the tilted partition
+    # central m-th difference of the tilted partition
     # g(delta) = exp(A(eta + delta e_k) - A(eta)), so the result is already
     # e^{-A} d^m e^A.
     a0 = float(spec.log_partition_fn(eta))
@@ -373,15 +325,13 @@ def sample(spec: ExpFamilySpec, eta, rng: np.random.Generator, size: int | None 
 
 
 def sample_each(spec: ExpFamilySpec, etas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One draw per row of ``etas`` (shape (m, l)); vectorized when possible."""
+    """One draw per row of ``etas`` (shape (m, l)), in row order."""
     etas = np.asarray(etas, dtype=float)
     if etas.ndim != 2 or etas.shape[1] != spec.dimension:
         raise CrmError(f"{spec.name}: expected eta array of shape (m, {spec.dimension})")
     if etas.shape[0] == 0:
         return np.empty(0)
-    if spec.sampler_vec is not None:
-        return np.asarray(spec.sampler_vec(etas, rng), dtype=float)
-    return np.array([sample(spec, e, rng) for e in etas], dtype=float)
+    return np.asarray(spec.sampler(etas, rng), dtype=float)
 
 
 def cdf_numeric(spec: ExpFamilySpec, eta, x: float) -> float:
@@ -496,9 +446,8 @@ def _beta_family() -> ExpFamilySpec:
         log_carrier=lambda x: -np.log(x) - np.log1p(-np.asarray(x, dtype=float)),
         log_partition_fn=a,
         check_natural=_batched(check),
-        sampler=lambda eta, rng, size: rng.beta(eta[0], eta[1], size=size),
+        sampler=lambda etas, rng: rng.beta(etas[:, 0], etas[:, 1]),
         log_partition_partials=partials,
-        sampler_vec=lambda etas, rng: rng.beta(etas[:, 0], etas[:, 1]),
     )
 
 
@@ -541,9 +490,8 @@ def _gamma_family() -> ExpFamilySpec:
         log_carrier=lambda x: -np.log(x),
         log_partition_fn=a,
         check_natural=_batched(check),
-        sampler=lambda eta, rng, size: rng.gamma(eta[0], 1.0 / eta[1], size=size),
+        sampler=lambda etas, rng: rng.gamma(etas[:, 0], 1.0 / etas[:, 1]),
         log_partition_partials=partials,
-        sampler_vec=lambda etas, rng: rng.gamma(etas[:, 0], 1.0 / etas[:, 1]),
     )
 
 
@@ -568,11 +516,7 @@ def _pareto_family(scale: float = 1.0) -> ExpFamilySpec:
         alpha = -eta[0] - 1.0
         return (np.log(u_m) + 1.0 / alpha, 1.0 / alpha ** 2, 2.0 / alpha ** 3)
 
-    def sampler(eta, rng, size):
-        alpha = -eta[0] - 1.0
-        return u_m * (1.0 - rng.random(size)) ** (-1.0 / alpha)
-
-    def sampler_vec(etas, rng):
+    def sampler(etas, rng):
         alphas = -etas[:, 0] - 1.0
         return u_m * (1.0 - rng.random(len(alphas))) ** (-1.0 / alphas)
 
@@ -585,7 +529,6 @@ def _pareto_family(scale: float = 1.0) -> ExpFamilySpec:
         check_natural=_batched(check),
         sampler=sampler,
         log_partition_partials=partials,
-        sampler_vec=sampler_vec,
         fixed={"scale": u_m},
     )
 
@@ -693,22 +636,15 @@ def _pareto_loglog_family(scale: float = 1.0) -> ExpFamilySpec:
 
     spec_cell: list = []
 
-    def sampler(eta, rng, size):
-        if on_face(eta):
-            alpha = -eta[1] - 1.0
-            w = u_m * (1.0 - rng.random(size)) ** (-1.0 / alpha)
-            return np.exp(w)
-        draws = np.empty(size)
-        for i in range(size):
-            draws[i] = quantile_numeric(spec_cell[0], eta, float(rng.random()))
+    def sampler(etas, rng):
+        """One uniform per row: closed form on the face, numeric inversion off it."""
+        us = rng.random(len(etas))
+        face = on_face(etas.T)
+        draws = np.empty(len(etas))
+        draws[face] = np.exp(u_m * (1.0 - us[face]) ** (-1.0 / (-etas[face, 1] - 1.0)))
+        for i in np.flatnonzero(~face):
+            draws[i] = quantile_numeric(spec_cell[0], etas[i], float(us[i]))
         return draws
-
-    def sampler_vec(etas, rng):
-        if np.all(np.abs(etas[:, 0] + 1.0) <= _FACE_TOL):
-            alphas = -etas[:, 1] - 1.0
-            w = u_m * (1.0 - rng.random(len(alphas))) ** (-1.0 / alphas)
-            return np.exp(w)
-        return np.array([sampler(e, rng, 1)[0] for e in etas])
 
     spec = ExpFamilySpec(
         name="pareto_loglog",
@@ -719,7 +655,6 @@ def _pareto_loglog_family(scale: float = 1.0) -> ExpFamilySpec:
         check_natural=_batched(check),
         sampler=sampler,
         stat_moment=stat_moment,
-        sampler_vec=sampler_vec,
         fixed={"scale": u_m},
     )
     spec_cell.append(spec)
@@ -752,11 +687,8 @@ def _lognormal_family(mu: float = 0.0) -> ExpFamilySpec:
         log_carrier=lambda x: -np.log(x) - 0.5 * np.log(2.0 * np.pi),
         log_partition_fn=lambda eta: -0.5 * np.log(eta[0]),
         check_natural=_batched(check),
-        sampler=lambda eta, rng, size: np.exp(mu + rng.standard_normal(size) / np.sqrt(eta[0])),
+        sampler=lambda etas, rng: np.exp(mu + rng.standard_normal(len(etas)) / np.sqrt(etas[:, 0])),
         log_partition_partials=partials,
-        sampler_vec=lambda etas, rng: np.exp(
-            mu + rng.standard_normal(len(etas)) / np.sqrt(etas[:, 0])
-        ),
         fixed={"mu": mu},
     )
 
@@ -774,9 +706,8 @@ def _poisson_family() -> ExpFamilySpec:
         log_carrier=lambda x: -special.gammaln(np.asarray(x, dtype=float) + 1.0),
         log_partition_fn=lambda eta: np.exp(eta[0]),
         check_natural=_batched(check),
-        sampler=lambda eta, rng, size: rng.poisson(np.exp(eta[0]), size=size).astype(float),
+        sampler=lambda etas, rng: rng.poisson(np.exp(etas[:, 0])).astype(float),
         log_partition_partials=lambda eta, k: (np.exp(eta[0]),) * 3,
-        sampler_vec=lambda etas, rng: rng.poisson(np.exp(etas[:, 0])).astype(float),
     )
 
 
@@ -797,32 +728,19 @@ def _bernoulli_family() -> ExpFamilySpec:
         log_carrier=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         log_partition_fn=lambda eta: np.logaddexp(0.0, eta[0]),
         check_natural=_batched(check),
-        sampler=lambda eta, rng, size: (rng.random(size) < special.expit(eta[0])).astype(float),
+        sampler=lambda etas, rng: (rng.random(len(etas)) < special.expit(etas[:, 0])).astype(float),
         log_partition_partials=partials,
-        sampler_vec=lambda etas, rng: (rng.random(len(etas)) < special.expit(etas[:, 0])).astype(
-            float
-        ),
     )
 
 
 _REGISTRY = {
-    "beta": lambda: _beta_family(),
-    "gamma": lambda: _gamma_family(),
-    "pareto": lambda **kw: _pareto_family(**kw),
-    "pareto_loglog": lambda **kw: _pareto_loglog_family(**kw),
-    "lognormal": lambda **kw: _lognormal_family(**kw),
-    "poisson": lambda: _poisson_family(),
-    "bernoulli": lambda: _bernoulli_family(),
-}
-
-_FAMILY_PARAMS = {
-    "beta": frozenset(),
-    "gamma": frozenset(),
-    "pareto": frozenset({"scale"}),
-    "pareto_loglog": frozenset({"scale"}),
-    "lognormal": frozenset({"mu"}),
-    "poisson": frozenset(),
-    "bernoulli": frozenset(),
+    "beta": _beta_family,
+    "gamma": _gamma_family,
+    "pareto": _pareto_family,
+    "pareto_loglog": _pareto_loglog_family,
+    "lognormal": _lognormal_family,
+    "poisson": _poisson_family,
+    "bernoulli": _bernoulli_family,
 }
 
 
@@ -833,17 +751,12 @@ def family_names() -> tuple[str, ...]:
 def make_family(name: str, **params) -> ExpFamilySpec:
     """Construct a registered family by name.
 
-    ``pareto`` accepts ``form="direct"`` (default) or ``form="loglog"`` plus a
-    ``scale``; ``lognormal`` accepts ``mu``.
+    ``pareto`` and ``pareto_loglog`` accept ``scale``, ``lognormal`` accepts
+    ``mu``; the other families take no parameters.
     """
-    if name == "pareto" and params.get("form") == "loglog":
-        params = {k: v for k, v in params.items() if k != "form"}
-        name = "pareto_loglog"
-    elif name == "pareto":
-        params = {k: v for k, v in params.items() if k != "form"}
     if name not in _REGISTRY:
         raise CrmError(f"unknown family {name!r}; registered: {', '.join(family_names())}")
-    extra = set(params) - _FAMILY_PARAMS[name]
+    extra = set(params) - set(inspect.signature(_REGISTRY[name]).parameters)
     if extra:
         raise CrmError(f"{name} does not accept parameter(s) {sorted(extra)}")
     return _REGISTRY[name](**params)

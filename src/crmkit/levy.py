@@ -18,9 +18,9 @@ counts, one at 0 does not).
 
 The integrand of a location integral is a function h of eta.  On a
 constant stretch, where every path component is one ``const`` piece and no
-atom override lies, h runs once instead of at every quadrature node.  The
-quadrature itself is unchanged: it keeps its nodes and sees the same float
-at each of them, so every result keeps its bits.
+atom override lies inside, h runs once instead of at every quadrature node.
+The quadrature itself is unchanged: it keeps its nodes and sees the same
+float at each of them, so every result keeps its bits.
 """
 
 from __future__ import annotations
@@ -217,14 +217,19 @@ def check_conditions(
     return ConditionReport(tuple(checks))
 
 
-def _default_grid(path: ParameterPath, base: BaseMeasure) -> np.ndarray:
+def _default_grid(path: ParameterPath, cuts: Sequence[float] = ()) -> np.ndarray:
+    """Check points on the path's domain (lo, hi].
+
+    24 geometric and 17 linear points, plus every path breakpoint and every
+    extra cut that lies strictly inside the domain.
+    """
     lo = max(c.lo for c in path.components)
     hi = min(c.hi for c in path.components)
     hi_eff = hi if np.isfinite(hi) else max(10.0, lo + 10.0)
     lo_eff = max(lo, 1e-4 * max(1.0, hi_eff))
     pts = set(np.geomspace(lo_eff if lo_eff > 0 else 1e-4, hi_eff, 24))
     pts.update(np.linspace(lo_eff, hi_eff, 17))
-    for b in path.breakpoints() + base.breakpoints():
+    for b in [*path.breakpoints(), *cuts]:
         if lo < b < hi:
             pts.add(b)
     return np.asarray(sorted(p for p in pts if lo < p and p <= hi), dtype=float)
@@ -257,7 +262,7 @@ class LevyContext:
         require_conditions: bool = True,
     ) -> "LevyContext":
         if grid is None:
-            grid = _default_grid(path, base)
+            grid = _default_grid(path, base.breakpoints())
         report = check_conditions(family, path, k, grid)
         if require_conditions and not report.passed:
             raise ConditionError(
@@ -280,12 +285,14 @@ def _on_stretch(path: ParameterPath, h: Callable, a: float, b: float) -> Callabl
     """z -> h(eta(z)) on the stretch (a, b] between two cuts.
 
     Where eta is one constant on the stretch (every path component is a
-    ``const`` piece there and no atom override lies in (a, b]), h runs once,
-    at the first z asked for, and later calls return that same float.
+    ``const`` piece there and no atom override lies strictly inside (a, b)),
+    h runs once, at the first z asked for, and later calls return that same
+    float.  An override at a cut is reached only through a point mass there,
+    never by a quadrature node.
     """
     pieces = [comp.piece_at(b) for comp in path.components]
     if any(p is None or p.kind != "const" or p.lo > a for p in pieces) or any(
-        a < loc <= b for loc in path.atom_overrides
+        a < loc < b for loc in path.atom_overrides
     ):
         return lambda z: h(path.eval(z))
     memo = []
@@ -523,7 +530,7 @@ def classify_activity(ctx: LevyContext, t: float, ratio_tol: float = 1e-6):
 
     # probe grid in the weight coordinate via family draws pushed through T_k
     probe_rng = np.random.default_rng(20210614)
-    z_ref = _default_grid(ctx.path, ctx.base)
+    z_ref = _default_grid(ctx.path, ctx.base.breakpoints())
     z_mid = float(z_ref[len(z_ref) // 2])
     z_probe = min(z_mid, t)
     if not ctx.path.defined_at(z_probe):

@@ -59,10 +59,6 @@ class SuiteResult:
         )
 
 
-def suite_names() -> tuple[str, ...]:
-    return ("moments", "laplace", "conjugacy", "activity", "examples")
-
-
 def report_csv(*results: SuiteResult) -> str:
     """The rows of one or more suites as CSV text with a single header."""
     lines = ["suite,check,observed,expected,tolerance,passed"]
@@ -108,27 +104,23 @@ def stat_moment_quad(spec, eta, k: int, m: int) -> float:
     return stat_expectation_quad(spec, eta, k, lambda t: t**m)
 
 
+# family name -> one random natural parameter well inside its admissible set
+_ADMISSIBLE = {
+    "beta": lambda rng: rng.uniform(0.4, 6.0, size=2),
+    "gamma": lambda rng: rng.uniform(0.4, 6.0, size=2),
+    "pareto": lambda rng: np.array([-(1.0 + rng.uniform(1.2, 5.0))]),
+    "pareto_loglog": lambda rng: np.array(
+        [-(1.0 + rng.uniform(0.6, 3.0)), -(1.0 + rng.uniform(0.6, 3.0))]
+    ),
+    "lognormal": lambda rng: np.array([rng.uniform(0.4, 5.0)]),
+    "poisson": lambda rng: np.array([rng.uniform(-1.0, 2.5)]),
+    "bernoulli": lambda rng: np.array([rng.uniform(-3.0, 3.0)]),
+}
+
+
 def _admissible_grid(name: str, rng: np.random.Generator, count: int) -> list[np.ndarray]:
-    """Random natural parameters well inside each family's admissible set."""
-    etas = []
-    for _ in range(count):
-        if name == "beta" or name == "gamma":
-            etas.append(rng.uniform(0.4, 6.0, size=2))
-        elif name == "pareto":
-            etas.append(np.array([-(1.0 + rng.uniform(1.2, 5.0))]))
-        elif name == "pareto_loglog":
-            etas.append(
-                np.array([-(1.0 + rng.uniform(0.6, 3.0)), -(1.0 + rng.uniform(0.6, 3.0))])
-            )
-        elif name == "lognormal":
-            etas.append(np.array([rng.uniform(0.4, 5.0)]))
-        elif name == "poisson":
-            etas.append(np.array([rng.uniform(-1.0, 2.5)]))
-        elif name == "bernoulli":
-            etas.append(np.array([rng.uniform(-3.0, 3.0)]))
-        else:
-            raise CrmError(f"no admissible sampler for family {name!r}")
-    return etas
+    """``count`` random natural parameters well inside the family's admissible set."""
+    return [_ADMISSIBLE[name](rng) for _ in range(count)]
 
 
 def _suite_moments(seed, replicates) -> SuiteResult:
@@ -168,12 +160,11 @@ def default_laplace_context() -> LevyContext:
     )
 
 
-def _suite_laplace(seed, replicates, ctx) -> SuiteResult:
+def _suite_laplace(seed, replicates) -> SuiteResult:
     res = SuiteResult("laplace")
     seed = DEFAULT_LAPLACE_SEED if seed is None else seed
     replicates = 10_000 if replicates is None else replicates
-    if ctx is None:
-        ctx = default_laplace_context()
+    ctx = default_laplace_context()
     t, theta = 1.0, 1.0
     oracle = math.exp(-levy.laplace_exponent(ctx, t, theta))
 
@@ -215,7 +206,7 @@ _PAIR_FIXTURES = {
 }
 
 
-def _suite_conjugacy(seed) -> SuiteResult:
+def _suite_conjugacy(seed, replicates) -> SuiteResult:
     res = SuiteResult("conjugacy")
     for name in conj.pair_names():
         pair = conj.make_pair(name)
@@ -298,7 +289,7 @@ def nonhomogeneous_pareto_context() -> LevyContext:
     )
 
 
-def _suite_activity(seed) -> SuiteResult:
+def _suite_activity(seed, replicates) -> SuiteResult:
     res = SuiteResult("activity")
     ctx = gamma_decomposition_context(0, 1, c_const=2.0)
     act = levy.classify_activity(ctx, 1.0, ratio_tol=1e-6)
@@ -337,7 +328,7 @@ def _suite_activity(seed) -> SuiteResult:
     return res
 
 
-def _suite_examples(seed) -> SuiteResult:
+def _suite_examples(seed, replicates) -> SuiteResult:
     res = SuiteResult("examples")
 
     # beta decomposition: integrand equals c(z) (1-s)^{c(z)+n-1}
@@ -404,15 +395,21 @@ def _suite_examples(seed) -> SuiteResult:
     return res
 
 
-def run_suite(name: str, seed=None, replicates=None, ctx=None) -> SuiteResult:
-    if name == "moments":
-        return _suite_moments(seed, replicates)
-    if name == "laplace":
-        return _suite_laplace(seed, replicates, ctx)
-    if name == "conjugacy":
-        return _suite_conjugacy(seed)
-    if name == "activity":
-        return _suite_activity(seed)
-    if name == "examples":
-        return _suite_examples(seed)
-    raise CrmError(f"unknown suite {name!r}; registered: {', '.join(suite_names())}")
+# name -> suite (seed, replicates) -> SuiteResult, in `crm verify --suite all` order
+_SUITES = {
+    "moments": _suite_moments,
+    "laplace": _suite_laplace,
+    "conjugacy": _suite_conjugacy,
+    "activity": _suite_activity,
+    "examples": _suite_examples,
+}
+
+
+def suite_names() -> tuple[str, ...]:
+    return tuple(_SUITES)
+
+
+def run_suite(name: str, seed=None, replicates=None) -> SuiteResult:
+    if name not in _SUITES:
+        raise CrmError(f"unknown suite {name!r}; registered: {', '.join(suite_names())}")
+    return _SUITES[name](seed, replicates)

@@ -39,7 +39,7 @@ from crmkit import (
     raw_moment_beta,
     sample_crm,
 )
-from crmkit import cli, config
+from crmkit import cli, config, verify
 from crmkit.piecewise import Piece, PiecewiseFunction
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -101,22 +101,6 @@ def _quad_moment(spec, eta, k, m):
     return val
 
 
-def _random_eta(name, rng):
-    if name in ("beta", "gamma"):
-        return rng.uniform(0.4, 6.0, size=2)
-    if name == "pareto":
-        return np.array([-(1.0 + rng.uniform(1.2, 5.0))])
-    if name == "pareto_loglog":
-        return np.array(
-            [-(1.0 + rng.uniform(0.6, 3.0)), -(1.0 + rng.uniform(0.6, 3.0))]
-        )
-    if name == "lognormal":
-        return np.array([rng.uniform(0.4, 5.0)])
-    if name == "poisson":
-        return np.array([rng.uniform(-1.0, 2.5)])
-    return np.array([rng.uniform(-3.0, 3.0)])  # bernoulli
-
-
 def test_stat_moments_match_direct_quadrature_for_every_family():
     """Criterion 2: moment_suff_stat vs quadrature (or lattice sum) of
     T_k(x)^m against the density, rel 1e-4, 20 random admissible points per
@@ -126,8 +110,7 @@ def test_stat_moments_match_direct_quadrature_for_every_family():
     for name in expfam.family_names():
         spec = make_family(name)
         oracle = _lattice_moment if spec.support.discrete else _quad_moment
-        for _ in range(20):
-            eta = _random_eta(name, rng)
+        for eta in verify._admissible_grid(name, rng, 20):
             assert spec.in_natural_space(eta)
             for k in range(1, spec.dimension + 1):
                 for m in (1, 2, 3):

@@ -5,18 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crmkit import conjugacy as conj
-from crmkit import expfam
+from crmkit import expfam, verify
 from crmkit.errors import CrmError, SupportError
 from crmkit.expfam import ParameterPath, make_family
 from crmkit.levy import BaseMeasure, LevyContext, check_conditions
 from crmkit.piecewise import Piece, PiecewiseFunction
-
-FIXTURES = {
-    "beta-bernoulli": ([2.0, 3.0], [1.0, 0.0, 1.0], [0.0, 1.0]),
-    "gamma-poisson": ([2.0, 3.0], [2.0, 0.0, 5.0], [1.0]),
-    "gamma-lognormal": ([2.0, 3.0], [0.5, 2.0], [1.5, 0.3]),
-    "gamma-pareto": ([2.0, 1.0], [math.e, math.e**2], [3.0]),
-}
 
 
 def test_pair_registry():
@@ -39,10 +32,10 @@ def test_fixed_hyperparameters():
         conj.make_pair("beta-bernoulli", mu=1.0)
 
 
-@pytest.mark.parametrize("name", list(FIXTURES))
+@pytest.mark.parametrize("name", list(verify._PAIR_FIXTURES))
 def test_update_identity_and_sequential(name):
     pair = conj.make_pair(name)
-    eta, y1, y2 = FIXTURES[name]
+    eta, y1, y2 = verify._PAIR_FIXTURES[name]
     eta = np.asarray(eta)
     np.testing.assert_array_equal(pair.tau(eta, []), eta)
     np.testing.assert_array_equal(
@@ -50,10 +43,10 @@ def test_update_identity_and_sequential(name):
     )
 
 
-@pytest.mark.parametrize("name", list(FIXTURES))
+@pytest.mark.parametrize("name", list(verify._PAIR_FIXTURES))
 def test_update_permutation_invariant(name):
     pair = conj.make_pair(name)
-    eta, y1, y2 = FIXTURES[name]
+    eta, y1, y2 = verify._PAIR_FIXTURES[name]
     ys = list(y1) + list(y2)
     np.testing.assert_allclose(
         pair.tau(eta, ys), pair.tau(eta, ys[::-1]), rtol=0, atol=1e-15
@@ -99,10 +92,10 @@ def test_shift_formulas_exact():
     np.testing.assert_allclose(pa.shift([math.e, math.e**2]), [2.0, 3.0], rtol=1e-15)
 
 
-@pytest.mark.parametrize("name", list(FIXTURES))
+@pytest.mark.parametrize("name", list(verify._PAIR_FIXTURES))
 def test_grid_bayes_total_variation(name):
     pair = conj.make_pair(name)
-    eta, y1, _ = FIXTURES[name]
+    eta, y1, _ = verify._PAIR_FIXTURES[name]
     assert conj.finite_dim_tv(pair, np.asarray(eta), y1) < 1e-3
 
 
@@ -134,10 +127,10 @@ def test_posterior_path_empty_observations_is_prior():
     np.testing.assert_array_equal(post.eval(1.0), path.eval(1.0))
 
 
-@pytest.mark.parametrize("name", list(FIXTURES))
+@pytest.mark.parametrize("name", list(verify._PAIR_FIXTURES))
 def test_posterior_keeps_theorem_conditions(name):
     pair = conj.make_pair(name)
-    eta, y1, _ = FIXTURES[name]
+    eta, y1, _ = verify._PAIR_FIXTURES[name]
     path = ParameterPath.constant(eta)
     post = conj.posterior_path(pair, path, y1)
     k = 1 if name == "beta-bernoulli" else 2

@@ -20,6 +20,8 @@ def test_registry_contents():
     )
     with pytest.raises(CrmError, match="unknown family"):
         expfam.make_family("weibull")
+    with pytest.raises(CrmError, match=r"pareto does not accept parameter\(s\) \['form'\]"):
+        expfam.make_family("pareto", form="loglog")
 
 
 def test_natural_space_checks():
@@ -334,3 +336,28 @@ def test_bound_family_checks_the_support_at_each_point():
         with pytest.raises(SupportError):
             bound.log_density(x)
     np.testing.assert_array_equal(bound.density(np.array([0.5, 2.0])), [bound.density(0.5), bound.density(2.0)])
+
+
+# one eta per family; pareto_loglog on its face, where its draws are closed form
+_SAMPLER_ETAS = {
+    "beta": [2.0, 3.0],
+    "gamma": [2.0, 3.0],
+    "pareto": [-3.5],
+    "pareto_loglog": [-1.0, -2.5],
+    "lognormal": [1.5],
+    "poisson": [0.3],
+    "bernoulli": [0.3],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLER_ETAS))
+def test_a_bound_family_draws_what_sample_each_draws_per_row(name):
+    assert set(_SAMPLER_ETAS) == set(expfam.family_names())
+    spec = expfam.make_family(name)
+    eta = _SAMPLER_ETAS[name]
+    draws = spec.at(eta).sample(np.random.default_rng(11), 257)
+    rows = expfam.sample_each(spec, np.tile(eta, (257, 1)), np.random.default_rng(11))
+    assert draws.dtype == rows.dtype == np.float64
+    assert draws.tobytes() == rows.tobytes()
+    first = spec.at(eta).sample(np.random.default_rng(11))
+    assert type(first) is float and first == rows[0]

@@ -415,6 +415,25 @@ def test_a_constant_stretch_evaluates_the_log_partition_once():
     assert calls == [(2.0, 3.0), (2.0, 4.0), (3.0, 3.0), (3.0, 4.0)]
 
 
+def test_an_override_on_a_point_mass_keeps_the_constant_stretch_rule():
+    gamma = make_family("gamma")
+    calls = []
+
+    def counted(eta):
+        calls.append(tuple(eta))
+        return gamma.log_partition_fn(eta)
+
+    family = dataclasses.replace(gamma, log_partition_fn=counted)
+    base = BaseMeasure(PiecewiseFunction.constant(1.0, 0.0, 2.0), ((1.25, 2.0),))
+    path = ParameterPath.constant([2.0, 3.0]).with_override(1.25, (3.0, 4.0))
+    ctx = LevyContext.build(family, path, base, k=2)
+    calls.clear()
+    # quadrature nodes lie strictly inside (0, 1.25] and (1.25, 2]; the override
+    # is reached only through the point mass
+    levy_density_u(ctx, 2.0, 0.7)
+    assert calls == [(2.0, 3.0), (2.0, 3.0), (3.0, 4.0)]
+
+
 def test_an_invalid_eta_where_no_base_piece_lies_is_not_evaluated():
     gamma = make_family("gamma")
     path = _two_stretch_shape(-1.0)

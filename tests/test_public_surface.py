@@ -1,0 +1,180 @@
+"""The public surface is pinned: a name joins an ``__all__`` only on purpose.
+
+Adding or removing a public name means editing the lists below in the same
+change, next to the caller that needs it.
+"""
+
+import importlib
+
+import pytest
+
+import crmkit
+
+PACKAGE_ALL = [
+    "AtomLinkError",
+    "BaseMeasure",
+    "CRMDraw",
+    "ConditionError",
+    "ConditionReport",
+    "ConfigError",
+    "ConjugatePair",
+    "CrmError",
+    "DerivativeDomainError",
+    "DiscretizationPlan",
+    "DivergenceError",
+    "ExpFamilySpec",
+    "FiniteActivity",
+    "InfiniteActivity",
+    "LaplaceEstimate",
+    "LevyContext",
+    "LikelihoodDraw",
+    "NaturalSpaceError",
+    "NotTimeHomogeneous",
+    "ParameterPath",
+    "Piece",
+    "PiecewiseFunction",
+    "SufficientStat",
+    "Support",
+    "SupportError",
+    "TruncationError",
+    "check_conditions",
+    "classify_activity",
+    "config_hash",
+    "density_table",
+    "discrete_laplace",
+    "discretization_gap",
+    "empirical_laplace",
+    "evaluate_path",
+    "family_names",
+    "finite_dim_tv",
+    "laplace_exponent",
+    "levy_density_s",
+    "levy_density_u",
+    "levy_integrand",
+    "link_names",
+    "load_json",
+    "make_family",
+    "make_pair",
+    "moment_suff_stat",
+    "pair_names",
+    "parse_component",
+    "parse_prior_config",
+    "parse_sample_config",
+    "posterior_context",
+    "posterior_levy_density",
+    "posterior_path",
+    "posterior_process_params",
+    "quantile_numeric",
+    "raw_moment",
+    "raw_moment_beta",
+    "run_suite",
+    "sample_crm",
+    "sample_discretized",
+    "sample_likelihood",
+    "stat_laplace",
+    "suite_names",
+    "__version__",
+]
+
+MODULE_ALL = {
+    "cli": ["main"],
+    "config": [
+        "config_hash",
+        "load_json",
+        "parse_component",
+        "parse_sample_config",
+        "parse_prior_config",
+        "component_to_obj",
+        "shift_component_obj",
+        "override_component_obj",
+    ],
+    "conjugacy": [
+        "ConjugatePair",
+        "make_pair",
+        "pair_names",
+        "posterior_path",
+        "posterior_context",
+        "posterior_levy_density",
+        "posterior_process_params",
+        "finite_dim_tv",
+    ],
+    "construct": [
+        "DiscretizationPlan",
+        "sample_discretized",
+        "discrete_laplace",
+        "empirical_laplace",
+        "discretization_gap",
+        "LaplaceEstimate",
+    ],
+    "errors": [
+        "CrmError",
+        "SupportError",
+        "NaturalSpaceError",
+        "DerivativeDomainError",
+        "ConditionError",
+        "DivergenceError",
+        "TruncationError",
+        "AtomLinkError",
+        "ConfigError",
+    ],
+    "expfam": [
+        "Support",
+        "SufficientStat",
+        "ExpFamilySpec",
+        "ParameterPath",
+        "make_family",
+        "family_names",
+        "density",
+        "log_density",
+        "log_partition",
+        "moment_suff_stat",
+        "raw_moment",
+        "raw_moment_beta",
+        "sample",
+        "sample_each",
+        "cdf_numeric",
+        "quantile_numeric",
+    ],
+    "levy": [
+        "BaseMeasure",
+        "ConditionCheck",
+        "ConditionReport",
+        "check_conditions",
+        "LevyContext",
+        "levy_density_s",
+        "levy_density_u",
+        "levy_integrand",
+        "laplace_exponent",
+        "stat_laplace",
+        "classify_activity",
+        "FiniteActivity",
+        "InfiniteActivity",
+        "NotTimeHomogeneous",
+        "density_table",
+    ],
+    "piecewise": ["Piece", "PiecewiseFunction", "checked_quad"],
+    "sampler": [
+        "CRMDraw",
+        "LikelihoodDraw",
+        "sample_crm",
+        "sample_likelihood",
+        "evaluate_path",
+        "link_rule",
+        "link_names",
+    ],
+    "verify": ["CheckRow", "SuiteResult", "run_suite", "suite_names", "report_csv"],
+}
+
+
+def test_package_all_is_pinned():
+    assert crmkit.__all__ == PACKAGE_ALL
+    for name in PACKAGE_ALL:
+        assert hasattr(crmkit, name), name
+
+
+@pytest.mark.parametrize("module", sorted(MODULE_ALL))
+def test_module_all_is_pinned(module):
+    mod = importlib.import_module(f"crmkit.{module}")
+    assert mod.__all__ == MODULE_ALL[module]
+    for name in mod.__all__:
+        assert hasattr(mod, name), name
