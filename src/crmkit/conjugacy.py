@@ -14,7 +14,6 @@ mu), gamma-pareto (known scale x_m), gamma-poisson.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -42,7 +41,8 @@ class ConjugatePair:
     """Prior family, likelihood family, link rule, and the statistic S(Y) of tau.
 
     ``statistic(ys, **fixed)`` returns S(Y) for the observation array ``ys``;
-    ``fixed`` holds the pair's known hyperparameters.
+    ``fixed`` holds the pair's known hyperparameters.  Construct through
+    :func:`make_pair`, which takes both from the pair registry.
     """
 
     name: str
@@ -72,24 +72,26 @@ class ConjugatePair:
         return out
 
 
-# name -> (prior family, likelihood factory, link rule, S).  The keyword
-# parameters of the likelihood factory, with their defaults, are the pair's
-# fixed hyperparameters, and S takes them after the observations.
+# name -> (prior family, likelihood factory, link rule, fixed hyperparameters
+# with their defaults, S).  The likelihood factory and S take the fixed
+# hyperparameters by name, S after the observations.
 _PAIRS = {
     "beta-bernoulli": (
-        "beta", lambda: expfam.make_family("bernoulli"), "bernoulli_prob",
+        "beta", lambda: expfam.make_family("bernoulli"), "bernoulli_prob", {},
         lambda ys: (ys.sum(), len(ys) - ys.sum()),
     ),
     "gamma-lognormal": (
-        "gamma", lambda mu=0.0: expfam.make_family("lognormal", mu=mu), "lognormal_precision",
+        "gamma", lambda mu: expfam.make_family("lognormal", mu=mu), "lognormal_precision",
+        {"mu": 0.0},
         lambda ys, mu: (len(ys) / 2.0, float(np.sum((np.log(ys) - mu) ** 2) / 2.0)),
     ),
     "gamma-pareto": (
-        "gamma", lambda x_m=1.0: expfam.make_family("pareto", scale=x_m), "pareto_shape",
+        "gamma", lambda x_m: expfam.make_family("pareto", scale=x_m), "pareto_shape",
+        {"x_m": 1.0},
         lambda ys, x_m: (float(len(ys)), float(np.sum(np.log(ys / x_m)))),
     ),
     "gamma-poisson": (
-        "gamma", lambda: expfam.make_family("poisson"), "poisson_rate",
+        "gamma", lambda: expfam.make_family("poisson"), "poisson_rate", {},
         lambda ys: (ys.sum(), float(len(ys))),
     ),
 }
@@ -98,12 +100,11 @@ _PAIRS = {
 def make_pair(name: str, **fixed) -> ConjugatePair:
     if name not in _PAIRS:
         raise CrmError(f"unknown pair {name!r}; registered: {', '.join(pair_names())}")
-    prior, likelihood, link, statistic = _PAIRS[name]
-    params = inspect.signature(likelihood).parameters
-    extra = set(fixed) - set(params)
+    prior, likelihood, link, defaults, statistic = _PAIRS[name]
+    extra = set(fixed) - set(defaults)
     if extra:
         raise CrmError(f"{name} does not accept hyperparameter(s) {sorted(extra)}")
-    fixed = {key: float(fixed.get(key, p.default)) for key, p in params.items()}
+    fixed = {key: float(fixed.get(key, default)) for key, default in defaults.items()}
     return ConjugatePair(name, expfam.make_family(prior), likelihood(**fixed), link, statistic, fixed)
 
 

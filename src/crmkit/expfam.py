@@ -18,12 +18,11 @@ sign on the support.
 Registered families: beta, gamma, pareto (single-statistic, scale ``scale``),
 pareto_loglog (two-statistic log/log-log form, scale ``scale``), lognormal
 (known drift ``mu``), poisson, bernoulli.  Each family has one sampler,
-which takes one natural parameter per row.
+which takes one natural parameter for all draws or one per draw.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -124,7 +123,9 @@ class ExpFamilySpec:
     log_carrier: Callable
     log_partition_fn: Callable
     check_natural: Callable  # eta of shape (l,) or (l, m); raises NaturalSpaceError
-    sampler: Callable  # (etas of shape (m, l), rng) -> m draws, one per row, in row order
+    # (eta, rng, size) -> size draws, in order; eta of shape (l,) is shared by
+    # every draw, eta of shape (size, l) gives one row per draw
+    sampler: Callable
     log_partition_partials: Callable | None = None  # (eta, k) -> (d1, d2, d3)
     stat_moment: Callable | None = None  # (eta, k, m) -> float | None
     fixed: dict = field(default_factory=dict)
@@ -202,11 +203,9 @@ class BoundFamily:
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw from the family; deterministic given the generator state.
 
-        The row sampler runs on eta repeated once per draw, so ``size`` draws
-        equal :func:`sample_each` on that many copies of eta.
+        ``size`` draws equal :func:`sample_each` on that many copies of eta.
         """
-        n = 1 if size is None else int(size)
-        out = self.spec.sampler(np.broadcast_to(self.eta, (n, self.spec.dimension)), rng)
+        out = self.spec.sampler(self.eta, rng, 1 if size is None else int(size))
         return float(out[0]) if size is None else np.asarray(out, dtype=float)
 
 
@@ -331,7 +330,7 @@ def sample_each(spec: ExpFamilySpec, etas: np.ndarray, rng: np.random.Generator)
         raise CrmError(f"{spec.name}: expected eta array of shape (m, {spec.dimension})")
     if etas.shape[0] == 0:
         return np.empty(0)
-    return np.asarray(spec.sampler(etas, rng), dtype=float)
+    return np.asarray(spec.sampler(etas, rng, len(etas)), dtype=float)
 
 
 def cdf_numeric(spec: ExpFamilySpec, eta, x: float) -> float:
@@ -446,7 +445,7 @@ def _beta_family() -> ExpFamilySpec:
         log_carrier=lambda x: -np.log(x) - np.log1p(-np.asarray(x, dtype=float)),
         log_partition_fn=a,
         check_natural=_batched(check),
-        sampler=lambda etas, rng: rng.beta(etas[:, 0], etas[:, 1]),
+        sampler=lambda eta, rng, size: rng.beta(eta.T[0], eta.T[1], size),
         log_partition_partials=partials,
     )
 
@@ -490,12 +489,12 @@ def _gamma_family() -> ExpFamilySpec:
         log_carrier=lambda x: -np.log(x),
         log_partition_fn=a,
         check_natural=_batched(check),
-        sampler=lambda etas, rng: rng.gamma(etas[:, 0], 1.0 / etas[:, 1]),
+        sampler=lambda eta, rng, size: rng.gamma(eta.T[0], 1.0 / eta.T[1], size),
         log_partition_partials=partials,
     )
 
 
-def _pareto_family(scale: float = 1.0) -> ExpFamilySpec:
+def _pareto_family(scale: float) -> ExpFamilySpec:
     """Single-statistic form: density a*u_m^a/x^(a+1) on (u_m, inf), eta = -(a+1)."""
     if scale <= 0:
         raise CrmError("pareto: scale must be positive")
@@ -516,9 +515,9 @@ def _pareto_family(scale: float = 1.0) -> ExpFamilySpec:
         alpha = -eta[0] - 1.0
         return (np.log(u_m) + 1.0 / alpha, 1.0 / alpha ** 2, 2.0 / alpha ** 3)
 
-    def sampler(etas, rng):
-        alphas = -etas[:, 0] - 1.0
-        return u_m * (1.0 - rng.random(len(alphas))) ** (-1.0 / alphas)
+    def sampler(eta, rng, size):
+        alpha = -eta.T[0] - 1.0
+        return u_m * (1.0 - rng.random(size)) ** (-1.0 / alpha)
 
     return ExpFamilySpec(
         name="pareto",
@@ -533,7 +532,7 @@ def _pareto_family(scale: float = 1.0) -> ExpFamilySpec:
     )
 
 
-def _pareto_loglog_family(scale: float = 1.0) -> ExpFamilySpec:
+def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
     """Two-statistic form with T = (ln x, ln ln x) on (e^{u_m}, inf).
 
     At eta = (-1, -(a+1)) the pushforward of the density under u = ln x is
@@ -636,11 +635,12 @@ def _pareto_loglog_family(scale: float = 1.0) -> ExpFamilySpec:
 
     spec_cell: list = []
 
-    def sampler(etas, rng):
-        """One uniform per row: closed form on the face, numeric inversion off it."""
-        us = rng.random(len(etas))
+    def sampler(eta, rng, size):
+        """One uniform per draw: closed form on the face, numeric inversion off it."""
+        us = rng.random(size)
+        etas = np.broadcast_to(eta, (size, 2))
         face = on_face(etas.T)
-        draws = np.empty(len(etas))
+        draws = np.empty(size)
         draws[face] = np.exp(u_m * (1.0 - us[face]) ** (-1.0 / (-etas[face, 1] - 1.0)))
         for i in np.flatnonzero(~face):
             draws[i] = quantile_numeric(spec_cell[0], etas[i], float(us[i]))
@@ -661,7 +661,7 @@ def _pareto_loglog_family(scale: float = 1.0) -> ExpFamilySpec:
     return spec
 
 
-def _lognormal_family(mu: float = 0.0) -> ExpFamilySpec:
+def _lognormal_family(mu: float) -> ExpFamilySpec:
     """Log-normal with known drift; natural parameter is the precision of ln X."""
     mu = float(mu)
     stats = (
@@ -687,7 +687,7 @@ def _lognormal_family(mu: float = 0.0) -> ExpFamilySpec:
         log_carrier=lambda x: -np.log(x) - 0.5 * np.log(2.0 * np.pi),
         log_partition_fn=lambda eta: -0.5 * np.log(eta[0]),
         check_natural=_batched(check),
-        sampler=lambda etas, rng: np.exp(mu + rng.standard_normal(len(etas)) / np.sqrt(etas[:, 0])),
+        sampler=lambda eta, rng, size: np.exp(mu + rng.standard_normal(size) / np.sqrt(eta.T[0])),
         log_partition_partials=partials,
         fixed={"mu": mu},
     )
@@ -706,7 +706,7 @@ def _poisson_family() -> ExpFamilySpec:
         log_carrier=lambda x: -special.gammaln(np.asarray(x, dtype=float) + 1.0),
         log_partition_fn=lambda eta: np.exp(eta[0]),
         check_natural=_batched(check),
-        sampler=lambda etas, rng: rng.poisson(np.exp(etas[:, 0])).astype(float),
+        sampler=lambda eta, rng, size: rng.poisson(np.exp(eta.T[0]), size).astype(float),
         log_partition_partials=lambda eta, k: (np.exp(eta[0]),) * 3,
     )
 
@@ -728,19 +728,20 @@ def _bernoulli_family() -> ExpFamilySpec:
         log_carrier=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         log_partition_fn=lambda eta: np.logaddexp(0.0, eta[0]),
         check_natural=_batched(check),
-        sampler=lambda etas, rng: (rng.random(len(etas)) < special.expit(etas[:, 0])).astype(float),
+        sampler=lambda eta, rng, size: (rng.random(size) < special.expit(eta.T[0])).astype(float),
         log_partition_partials=partials,
     )
 
 
+# name -> (factory, the factory's keyword parameters with their defaults)
 _REGISTRY = {
-    "beta": _beta_family,
-    "gamma": _gamma_family,
-    "pareto": _pareto_family,
-    "pareto_loglog": _pareto_loglog_family,
-    "lognormal": _lognormal_family,
-    "poisson": _poisson_family,
-    "bernoulli": _bernoulli_family,
+    "beta": (_beta_family, {}),
+    "gamma": (_gamma_family, {}),
+    "pareto": (_pareto_family, {"scale": 1.0}),
+    "pareto_loglog": (_pareto_loglog_family, {"scale": 1.0}),
+    "lognormal": (_lognormal_family, {"mu": 0.0}),
+    "poisson": (_poisson_family, {}),
+    "bernoulli": (_bernoulli_family, {}),
 }
 
 
@@ -756,10 +757,11 @@ def make_family(name: str, **params) -> ExpFamilySpec:
     """
     if name not in _REGISTRY:
         raise CrmError(f"unknown family {name!r}; registered: {', '.join(family_names())}")
-    extra = set(params) - set(inspect.signature(_REGISTRY[name]).parameters)
+    factory, defaults = _REGISTRY[name]
+    extra = set(params) - set(defaults)
     if extra:
         raise CrmError(f"{name} does not accept parameter(s) {sorted(extra)}")
-    return _REGISTRY[name](**params)
+    return factory(**{**defaults, **params})
 
 
 # ---------------------------------------------------------------------------

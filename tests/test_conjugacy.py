@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from crmkit import conjugacy as conj
 from crmkit import expfam, verify
-from crmkit.errors import CrmError, SupportError
+from crmkit.errors import CrmError, NaturalSpaceError, SupportError
 from crmkit.expfam import ParameterPath, make_family
 from crmkit.levy import BaseMeasure, LevyContext, check_conditions
 from crmkit.piecewise import Piece, PiecewiseFunction
@@ -125,6 +126,23 @@ def test_posterior_path_empty_observations_is_prior():
     path = ParameterPath.constant([2.0, 3.0])
     post = conj.posterior_path(pair, path, [])
     np.testing.assert_array_equal(post.eval(1.0), path.eval(1.0))
+
+
+def test_posterior_path_checks_near_the_lower_end_of_the_domain():
+    # the shape dips below 0 only on about (0.005, 0.015); the grid runs from
+    # 1e-3 to 10, and its geometric points put the first hit at z ~ 0.011
+    pair = conj.make_pair("gamma-poisson")
+
+    def dip(z):
+        return 2.0 - 3.0 * math.exp(-(((z - 0.01) / 0.004) ** 2))
+
+    path = ParameterPath([PiecewiseFunction.from_callable(dip), PiecewiseFunction.constant(3.0)])
+    want = (
+        "updated path exits the natural space at z=0.011052951411260215: "
+        "gamma: shape must be positive, got -0.7991564992083084"
+    )
+    with pytest.raises(NaturalSpaceError, match=f"^{re.escape(want)}$"):
+        conj.posterior_path(pair, path, [0.0])
 
 
 @pytest.mark.parametrize("name", list(verify._PAIR_FIXTURES))
