@@ -154,18 +154,14 @@ def cmd_posterior(args) -> int:
     pair, ctx = cfg.parse_prior_config(obj)
     observations = _read_observations(Path(args.observations))
     values = [v for _, v in observations]
-    for v in values:
-        pair.check_observation(v)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     component = obj["component"]
     diff = [f"pair: {pair.name}", f"mode: {args.mode}", f"observations: {len(values)}"]
 
     if args.mode == "uniform":
-        # validates the tau-updated path stays inside the natural space
-        conj.posterior_path(pair, ctx.path, values, mode="uniform")
+        # shift checks each observation's support; the shifted path must stay
+        # inside the natural space
         delta = pair.shift(values)
+        conj._checked_posterior(pair, ctx.path.shifted(delta))
         post_component = cfg.shift_component_obj(component, delta)
         diff.append(
             "shift: (" + ", ".join(f"{d:+g}" for d in delta) + ") applied to every coordinate"
@@ -173,6 +169,9 @@ def cmd_posterior(args) -> int:
         if not values:
             diff.append("no observations: posterior equals prior")
     else:
+        # in file order, before the update checks them atom by atom
+        for v in values:
+            pair.check_observation(v)
         grouped: dict[float, list[float]] = {}
         for loc, v in observations:
             grouped.setdefault(float(loc), []).append(v)
@@ -187,6 +186,8 @@ def cmd_posterior(args) -> int:
         if not grouped:
             diff.append("no observations: posterior equals prior")
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     post_obj = {"pair": obj["pair"], "component": post_component}
     _write(out_dir / "posterior_config.json", json.dumps(post_obj, indent=2, sort_keys=True) + "\n")
     _write(out_dir / "diff.txt", "\n".join(diff) + "\n")

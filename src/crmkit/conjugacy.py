@@ -143,15 +143,19 @@ def posterior_path(
         new = ParameterPath(prior_path.components, overrides)
     else:
         raise CrmError(f"mode must be 'uniform' or 'per-atom', got {mode!r}")
+    return _checked_posterior(pair, new)
 
-    for z in _default_grid(new):
+
+def _checked_posterior(pair: ConjugatePair, path: ParameterPath) -> ParameterPath:
+    """``path``, once it lies in the prior family's natural space on its check grid."""
+    for z in _default_grid(path):
         try:
-            pair.prior_family.check_natural(new.eval(z))
+            pair.prior_family.check_natural(path.eval(z))
         except NaturalSpaceError as exc:
             raise NaturalSpaceError(
                 f"updated path exits the natural space at z={z}: {exc}"
             )
-    return new
+    return path
 
 
 def posterior_context(

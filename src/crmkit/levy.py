@@ -305,6 +305,12 @@ def _on_stretch(path: ParameterPath, h: Callable, a: float, b: float) -> Callabl
     return once
 
 
+def _cuts(ctx: LevyContext, lo: float, hi: float) -> list[float]:
+    """lo, hi and every path or base breakpoint strictly between, ascending."""
+    inner = [b for b in ctx.path.breakpoints() + ctx.base.breakpoints() if lo < b < hi]
+    return sorted({lo, hi, *inner})
+
+
 def _z_integral(ctx: LevyContext, h: Callable, z_lo: float, z_hi: float) -> float:
     """int_(z_lo, z_hi] h(eta(z)) dA_0(z), split at breakpoints, atoms exact.
 
@@ -317,11 +323,7 @@ def _z_integral(ctx: LevyContext, h: Callable, z_lo: float, z_hi: float) -> floa
     if not z_lo < z_hi:
         return 0.0
     total = 0.0
-    cuts = [z_lo, z_hi]
-    for b in ctx.path.breakpoints() + ctx.base.breakpoints():
-        if z_lo < b < z_hi:
-            cuts.append(b)
-    cuts = sorted(set(cuts))
+    cuts = _cuts(ctx, z_lo, z_hi)
     for a, b in zip(cuts, cuts[1:]):
         g = _on_stretch(ctx.path, h, a, b)
         for piece in ctx.base.density.pieces:
@@ -359,9 +361,11 @@ def levy_integrand(ctx: LevyContext, z: float, s: float) -> float:
     return float(expfam.density(ctx.family, ctx.path.eval(z), s) * ctx.base.density(z))
 
 
-def levy_density_u(ctx: LevyContext, t: float, u: float, z_window=None) -> float:
-    """Levy density in the weight coordinate u = T_k(s) (pushforward form)."""
-    ctx.gate()
+def _inverse_statistic(ctx: LevyContext, u: float) -> tuple[float, float] | None:
+    """(s, |ds/du|) at u = T_k(s), or None where the inverse overflows.
+
+    Such a u is in the image but in the deep tail, where the density is 0.
+    """
     stat = ctx.stat()
     if stat.inverse is None or stat.inverse_deriv is None:
         raise CrmError(f"statistic {stat.name!r} has no declared inverse")
@@ -371,8 +375,17 @@ def levy_density_u(ctx: LevyContext, t: float, u: float, z_window=None) -> float
         s = float(stat.inverse(u))
         jac = abs(float(stat.inverse_deriv(u)))
     if not (np.isfinite(s) and np.isfinite(jac)):
-        # u is in the image but the inverse overflows: deep tail, density 0
+        return None
+    return s, jac
+
+
+def levy_density_u(ctx: LevyContext, t: float, u: float, z_window=None) -> float:
+    """Levy density in the weight coordinate u = T_k(s) (pushforward form)."""
+    ctx.gate()
+    inverse = _inverse_statistic(ctx, u)
+    if inverse is None:
         return 0.0
+    s, jac = inverse
     return levy_density_s(ctx, t, s, z_window=z_window) * jac
 
 
@@ -422,7 +435,7 @@ class FiniteActivity:
     """Finite total mass; when proportional to t, compound-Poisson data.
 
     ``rate`` is M(t)/t and ``weight_density`` the normalized weight density
-    sigma(u); both are None for the null measure.
+    sigma(u); for the null measure the rate is 0 and the density None.
     """
 
     total_mass: float
@@ -442,72 +455,55 @@ class NotTimeHomogeneous:
     witnesses: tuple = ()
 
 
-def _mass_with_shrinking_cutoffs(f: Callable, lo: float, hi: float) -> float:
-    """Integral of f over (lo, hi) with geometric endpoint refinement.
+def _homogeneity_witnesses(ctx: LevyContext, t: float, ratio_tol: float) -> list:
+    """Points z of (0, 2t] where p(. | eta(z)) a_0(z) is not the value at the first point.
 
-    Declares divergence when a refinement strip adds more than 1% of the
-    running total for 20 consecutive refinements of the same endpoint.
+    A base point mass in (0, 2t] is a witness.  Otherwise eta and a_0 are
+    compared at the path's check grid in (0, 2t], the midpoint of every
+    stretch between cuts, and 2t; a point where either is undefined is a
+    witness.  Atom overrides act on the measure only through base point
+    masses, so the comparison uses the path without them.
     """
-    if np.isfinite(hi):
-        a0 = lo + (hi - lo) * 0.25 if np.isfinite(lo) else hi - 1.0
-        b0 = hi - (hi - lo) * 1e-9
-    else:
-        a0 = lo + 1.0 if lo > -1.0 else lo + abs(lo) * 0.25 + 1e-3
-        b0 = a0 + 10.0
-    total = checked_quad(f, a0, b0)
-
-    # refine toward the lower endpoint
-    width, a, streak = a0 - lo, a0, 0
-    for _ in range(200):
-        width *= 0.5
-        strip = checked_quad(f, lo + width, a)
-        total += strip
-        a = lo + width
-        if strip > 0.01 * max(abs(total), 1e-300):
-            streak += 1
-            if streak >= 20:
-                raise DivergenceError("mass diverges at the lower endpoint", partial=total)
-        else:
-            streak = 0
-        if strip < 1e-12 * max(abs(total), 1e-12):
-            break
-
-    # expand toward the upper endpoint
-    b, streak, grown = b0, 0, 0.0
-    if not np.isfinite(hi):
-        for _ in range(200):
-            strip = checked_quad(f, b, 2.0 * b if b > 0 else b + 10.0)
-            b = 2.0 * b if b > 0 else b + 10.0
-            total += strip
-            if strip > 0.01 * max(abs(total), 1e-300):
-                streak += 1
-                if streak >= 20:
-                    raise DivergenceError("mass diverges at the upper endpoint", partial=total)
-            else:
-                streak = 0
-            if strip < 1e-12 * max(abs(total), 1e-12):
-                grown += 1
-                if grown >= 2:
-                    break
-    else:
-        width = hi - b0
-        for _ in range(60):
-            width *= 0.5
-            strip = checked_quad(f, b, hi - width)
-            total += strip
-            b = hi - width
-            if strip < 1e-12 * max(abs(total), 1e-12):
-                break
-    return total
+    horizon = 2.0 * t
+    jumps = ctx.base.jumps_in(0.0, horizon)
+    if jumps:
+        return [(loc, "base point mass", mass) for loc, mass in jumps]
+    cuts = _cuts(ctx, 0.0, horizon)
+    points = {z for z in _default_grid(ctx.path, cuts) if z <= horizon}
+    points.update(0.5 * (a + b) for a, b in zip(cuts, cuts[1:]))
+    points.add(horizon)
+    zs = np.array(sorted(points))
+    defined = np.array([ctx.path.defined_at(z) and ctx.base.density.defined_at(z) for z in zs])
+    witnesses = [(float(z), "path or base density undefined") for z in zs[~defined]]
+    zs = zs[defined]
+    if zs.size:
+        etas = ParameterPath(ctx.path.components).eval_many(zs)
+        values = np.column_stack([etas, ctx.base.density(zs)])
+        moved = np.any(np.abs(values - values[0]) > ratio_tol * np.abs(values[0]), axis=1)
+        witnesses += [(float(z), *map(float, v)) for z, v in zip(zs[moved], values[moved])]
+    return witnesses
 
 
 def classify_activity(ctx: LevyContext, t: float, ratio_tol: float = 1e-6):
     """Total-mass and time-proportionality classification at horizon t.
 
-    Returns FiniteActivity (with rate M(t)/t and normalized weight density)
-    when the mass is finite and dL is proportional to t (checked by
-    u-independent ratios at {t/2, t, 2t}); NotTimeHomogeneous when the mass
-    is finite but the ratios move; InfiniteActivity when the mass diverges.
+    Mass: every p(. | eta(z)) is a probability density and u = T_k(s) keeps
+    mass, so by Tonelli the Levy mass over (0, t] is exactly A_0((0, t]).  A
+    base whose mass there diverges gives InfiniteActivity; a null mass gives
+    FiniteActivity with rate 0 and no weight density.
+
+    Time proportionality: dL_s is proportional to s for every s <= 2t exactly
+    when p(. | eta(z)) a_0(z) does not depend on z on (0, 2t], because a
+    minimal family identifies eta by its density.  It is decided by no point
+    mass of A_0 in (0, 2t] and one value of eta and of a_0 at the check points
+    of :func:`_homogeneity_witnesses`; ``ratio_tol`` bounds the relative
+    difference of each coordinate of eta and of a_0 from their values at the
+    first check point.  The check is exact for ``const`` and ``affine``
+    pieces and a sampled one for ``func`` pieces.
+
+    Returns FiniteActivity (rate M(t)/t and the normalized weight density
+    p(T_k^{-1}(u) | eta) |dT_k^{-1}/du| at the one eta) when proportional,
+    NotTimeHomogeneous with up to five z witnesses otherwise.
     """
     ctx.gate()
     if t <= 0:
@@ -515,53 +511,29 @@ def classify_activity(ctx: LevyContext, t: float, ratio_tol: float = 1e-6):
     if ctx.family.support.discrete:
         raise CrmError("activity classification needs a continuous support")
 
-    stat = ctx.stat()
-    if stat.image is None:
-        raise CrmError(f"statistic {stat.name!r} has no image interval")
-    u_lo, u_hi = stat.image
-
     try:
-        mass = _mass_with_shrinking_cutoffs(lambda u: levy_density_u(ctx, t, u), u_lo, u_hi)
+        mass = ctx.base.increment(0.0, t)
     except DivergenceError as exc:
-        return InfiniteActivity(detail=str(exc))
-
-    if mass <= 1e-14:
+        return InfiniteActivity(detail=f"A_0((0, {t}]) diverges, partial {exc.partial!r}: {exc}")
+    if mass == 0.0:
         return FiniteActivity(total_mass=0.0, rate=0.0, weight_density=None)
 
-    # probe grid in the weight coordinate via family draws pushed through T_k
-    probe_rng = np.random.default_rng(20210614)
-    z_ref = _default_grid(ctx.path, ctx.base.breakpoints())
-    z_mid = float(z_ref[len(z_ref) // 2])
-    z_probe = min(z_mid, t)
-    if not ctx.path.defined_at(z_probe):
-        z_probe = z_mid
-    s_probe = expfam.sample(ctx.family, ctx.path.eval(z_probe), probe_rng, size=64)
-    u_grid = np.unique(np.asarray(stat.value(s_probe), dtype=float))[::8]
-
-    witnesses = []
-    for u in u_grid:
-        if not stat.in_image(float(u)):
-            continue
-        d_half = levy_density_u(ctx, t / 2.0, float(u))
-        d_one = levy_density_u(ctx, t, float(u))
-        d_two = levy_density_u(ctx, 2.0 * t, float(u))
-        if d_half <= 0 or d_one <= 0:
-            witnesses.append((float(u), "vanishing density"))
-            continue
-        r1, r2 = d_one / d_half, d_two / d_one
-        if abs(r1 - 2.0) > 2.0 * ratio_tol or abs(r2 - 2.0) > 2.0 * ratio_tol:
-            witnesses.append((float(u), r1, r2))
+    witnesses = _homogeneity_witnesses(ctx, t, ratio_tol)
     if witnesses:
         return NotTimeHomogeneous(
             total_mass=mass,
-            detail=f"{len(witnesses)} probe weights break dL_t proportional to t",
+            detail=f"dL_s is not proportional to s on (0, {2.0 * t}]; witnesses: {len(witnesses)}",
             witnesses=tuple(witnesses[:5]),
         )
 
-    norm = mass
+    bound = ctx.family.at([comp(t) for comp in ctx.path.components])
 
     def sigma(u):
-        return levy_density_u(ctx, t, float(u)) / norm
+        inverse = _inverse_statistic(ctx, float(u))
+        if inverse is None:
+            return 0.0
+        s, jac = inverse
+        return float(bound.density(s)) * jac
 
     return FiniteActivity(total_mass=mass, rate=mass / t, weight_density=sigma)
 

@@ -3,10 +3,11 @@
 Five suites: ``moments`` (closed-form and Monte Carlo moment identities),
 ``laplace`` (discretized-construction convergence to the Laplace exponent),
 ``conjugacy`` (update identities and grid-Bayes agreement), ``activity``
-(classification trichotomy), and ``examples`` (reproduction of the beta and
-gamma decompositions, the Pareto series composition, and the named update
-formulas).  Each check yields one row (observed, expected, tolerance,
-passed); extra convergence tables are emitted alongside.
+(classification trichotomy and exact base masses), and ``examples``
+(reproduction of the beta and gamma decompositions, the Pareto series
+composition, and the named update formulas).  Each check yields one row
+(observed, expected, tolerance, passed); extra convergence tables are
+emitted alongside.
 """
 
 from __future__ import annotations
@@ -302,6 +303,25 @@ def _suite_activity(seed, replicates) -> SuiteResult:
     if isinstance(act, levy.FiniteActivity):
         res.add("gamma-component-mass", act.total_mass, 1.0, 1e-6)
         res.add("gamma-component-rate", act.rate, 1.0, 1e-6)
+
+    # the log statistic's image (-inf, inf) has an infinite lower end
+    lctx = LevyContext.build(
+        expfam.make_family("gamma"),
+        ParameterPath.constant([2.0, 3.0]),
+        BaseMeasure.lebesgue(1.5),
+        k=1,
+    )
+    lact = levy.classify_activity(lctx, 1.0)
+    res.add("gamma-log-statistic-mass", getattr(lact, "total_mass", math.nan), 1.5, 1e-9)
+
+    # c(z) = 1 + z: A_0((0, 1]) = int_0^1 (1 + z)/(3 + z) dz
+    bact = levy.classify_activity(beta_decomposition_context(2), 1.0)
+    res.add(
+        "beta-component-mass",
+        getattr(bact, "total_mass", math.nan),
+        1.0 - 2.0 * math.log(4.0 / 3.0),
+        1e-9,
+    )
 
     pctx = nonhomogeneous_pareto_context()
     pact = levy.classify_activity(pctx, 1.0, ratio_tol=1e-6)

@@ -1,8 +1,9 @@
-"""Pinned bytes of sampling runs.
+"""Pinned bytes of sampling and posterior runs.
 
-The values were recorded before the sampling path was vectorized; the array
-path must consume the generator in the same order and produce the same bits,
-so every digest here stays fixed.
+The sampling values were recorded before the sampling path was vectorized;
+the array path must consume the generator in the same order and produce the
+same bits, so every digest here stays fixed.  The posterior digests pin the
+written config and diff of ``crm posterior`` in both update modes.
 """
 
 import hashlib
@@ -73,6 +74,25 @@ GOLDEN = {
     ),
 }
 MIX_ATOMS = 2332
+# (prior config, observations, mode) -> sha256 of (posterior_config.json, diff.txt)
+POSTERIOR_GOLDEN = {
+    ("gamma_lognormal_prior.json", "observations_lognormal.csv", "uniform"): (
+        "378b928fcae91f4d94bd46fb382ad3c512c1db41c53ddacb5c6300f7d374968a",
+        "11666bc73911f26254aa102b58d246fab46382295fc7c609b10d0f7d49bf5e25",
+    ),
+    ("gamma_lognormal_prior.json", "observations_lognormal.csv", "per-atom"): (
+        "07d11d06ddee1ebd620eaa4e7c0d6df627d8021b90f334d7af5c60576684d9da",
+        "d595b4e40e0101cff6024485b50d23f9af19dd2b44a6271a6dbc54daa60fdd47",
+    ),
+    ("beta_bernoulli_prior.json", "observations_bernoulli.csv", "uniform"): (
+        "eda86387e5361749bbb718d52eb8c60a5ede0a11d53f8958fa8ae11399465d17",
+        "10e8dbb0fb6b13f14820af52866f6824c2c0a248a3db88a374f52b5b995cd478",
+    ),
+    ("beta_bernoulli_prior.json", "observations_bernoulli.csv", "per-atom"): (
+        "9dd2acc2e02b230fbeea4304cea24a06953403fb1b86e20617b8745f6d44322e",
+        "334a29cd00e57058fae7ff60d9f7a5c013e03ed505b2f5b39b6dc0856b0cc57c",
+    ),
+}
 MIX_LIKELIHOOD = "ba90d06b11e42811aad1d8794347e67c5d2268384d3da3bf7ec270693d1b79f0"
 
 
@@ -110,3 +130,13 @@ def test_likelihood_bytes_are_pinned():
     lik = sampler.sample_likelihood(draw, make_family("poisson"), "poisson_rate", rng)
     assert lik.base_reference == GOLDEN["mix"][0]
     assert _sha(lik.csv_text().encode()) == MIX_LIKELIHOOD
+
+
+@pytest.mark.parametrize("prior, observations, mode", sorted(POSTERIOR_GOLDEN))
+def test_posterior_bytes_are_pinned(tmp_path, prior, observations, mode):
+    args = ["posterior", "--config", str(CONFIG_DIR / prior), "--mode", mode]
+    args += ["--observations", str(CONFIG_DIR / observations), "--out", str(tmp_path)]
+    assert cli.main(args) == 0
+    config_sha, diff_sha = POSTERIOR_GOLDEN[prior, observations, mode]
+    assert _sha((tmp_path / "posterior_config.json").read_bytes()) == config_sha
+    assert _sha((tmp_path / "diff.txt").read_bytes()) == diff_sha

@@ -3,7 +3,8 @@
 The values were recorded before the family view ``ExpFamilySpec.at`` and the
 constant-stretch rule of the location integral existed.  Both keep every
 quadrature's nodes and the floats it sees there, so every ``repr`` here,
-including whether a value is a numpy scalar, stays fixed.
+including whether a value is a numpy scalar, stays fixed.  The
+``classify_activity`` masses are the exact base masses A_0((0, t]).
 """
 
 import math
@@ -99,22 +100,22 @@ PINNED = {
     ("gamma_k2", "levy_density_u"): "1.1572132469906797",
     ("gamma_k2", "laplace_exponent"): "0.96",
     ("gamma_k2", "density_table"): "[(2.5, 0.1, 2.5002614948007986), (2.5, 1.0, 1.6803135574154082), (2.5, 3.0, 0.012495242663776303)]",
-    ("gamma_k2", "classify_activity"): "('FiniteActivity', 1.4999999999996163)",
+    ("gamma_k2", "classify_activity"): "('FiniteActivity', 1.5)",
     ("loglog_off", "levy_density_u"): "0.6401495186524655",
     ("loglog_off", "laplace_exponent"): "0.32907052493225364",
     ("loglog_off", "density_table"): "[(1.0, 1.1, 2.0736986778474997), (1.0, 2.0, 0.18914172293059753), (1.0, 3.5, 0.010417187861791688)]",
     ("piecewise", "levy_density_u"): "1.581524770887262",
     ("piecewise", "laplace_exponent"): "1.0156249999999996",
     ("piecewise", "density_table"): "[(1.5, 0.2, 1.1360400867146347), (1.5, 1.0, 0.7841463267938572), (1.5, 2.5, 0.03577764519393798)]",
-    ("piecewise", "classify_activity"): "('NotTimeHomogeneous', 0.9999999999997445)",
+    ("piecewise", "classify_activity"): "('NotTimeHomogeneous', 1.0)",
     ("override", "levy_density_u"): "np.float64(2.121660548580146)",
     ("override", "laplace_exponent"): "2.4429999999999996",
     ("override", "density_table"): "[(1.0, 0.2, 0.9878609449692475), (1.0, 1.0, 0.4480836153107757), (1.0, 2.5, 0.01244439832832625)]",
-    ("override", "classify_activity"): "('NotTimeHomogeneous', 0.9999999999997445)",
+    ("override", "classify_activity"): "('NotTimeHomogeneous', 1.0)",
     ("gap_jump", "levy_density_u"): "np.float64(2.8544593425770097)",
     ("gap_jump", "laplace_exponent"): "1.6187499999999997",
     ("gap_jump", "density_table"): "[(3.0, 0.2, np.float64(3.655085496386216)), (3.0, 1.0, np.float64(1.6579093766498698)), (3.0, 2.5, np.float64(0.04604427381480713))]",
-    ("gap_jump", "classify_activity"): "('NotTimeHomogeneous', 3.6999999999990547)",
+    ("gap_jump", "classify_activity"): "('NotTimeHomogeneous', 3.7)",
 }
 
 

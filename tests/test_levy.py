@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from crmkit import expfam, levy
+from crmkit import expfam, levy, piecewise, verify
 from crmkit.errors import (
     ConditionError,
     CrmError,
@@ -291,6 +291,28 @@ def test_laplace_exponent_divergent_base_reports_partial():
     assert exc.value.partial is not None
 
 
+_ETA_23 = ParameterPath.constant([2.0, 3.0])
+# two equal adjacent const base pieces, and a constant func path
+_SPLIT_BASE = BaseMeasure(
+    PiecewiseFunction([Piece(0.0, 1.0, "const", c0=1.5), Piece(1.0, math.inf, "const", c0=1.5)])
+)
+_FUNC_PATH = ParameterPath(
+    [PiecewiseFunction.from_callable(lambda z: 2.0), PiecewiseFunction.from_callable(lambda z: 3.0)]
+)
+
+# (family, path, base, k, t, exact mass A_0((0, t])): each is time homogeneous
+_HOMOGENEOUS = (
+    # the log statistics have images with an infinite lower end
+    ("gamma", _ETA_23, BaseMeasure.lebesgue(1.5), 1, 1.0, 1.5),
+    ("beta", _ETA_23, BaseMeasure.lebesgue(0.8), 1, 1.0, 0.8),
+    ("beta", _ETA_23, BaseMeasure.lebesgue(0.8), 2, 1.0, 0.8),
+    ("gamma", _ETA_23, _SPLIT_BASE, 2, 1.0, 1.5),
+    ("gamma", _FUNC_PATH, BaseMeasure.lebesgue(1.5), 2, 1.0, 1.5),
+    # an atom override where A_0 has no point mass leaves the measure alone
+    ("gamma", _ETA_23.with_override(1.0, (4.0, 2.0)), BaseMeasure.lebesgue(1.5), 2, 0.5, 0.75),
+)
+
+
 def test_classify_finite_activity(gamma_const_ctx):
     act = classify_activity(gamma_const_ctx, 2.0)
     assert isinstance(act, FiniteActivity)
@@ -301,11 +323,57 @@ def test_classify_finite_activity(gamma_const_ctx):
         expfam.density(gamma_const_ctx.family, [2.0, 3.0], 1.0), rel=1e-6
     )
 
+    for family, path, base, k, t, mass in _HOMOGENEOUS:
+        ctx = LevyContext.build(make_family(family), path, base, k=k)
+        act = classify_activity(ctx, t)
+        assert isinstance(act, FiniteActivity), (family, k, act)
+        assert (act.total_mass, act.rate) == (mass, mass / t)
+        # the closed-form pushforward is dL_t(u) normalized by the mass
+        for s in (0.3, 0.6):
+            u = float(ctx.stat().value(s))
+            assert act.weight_density(u) == pytest.approx(
+                levy_density_u(ctx, t, u) / mass, rel=1e-10
+            )
+
 
 def test_classify_not_time_homogeneous(pareto_linear_ctx):
     act = classify_activity(pareto_linear_ctx, 1.0)
     assert isinstance(act, NotTimeHomogeneous)
     assert act.witnesses
+
+    gamma = make_family("gamma")
+    jump = BaseMeasure(PiecewiseFunction.constant(1.0), ((1.5, 0.25),))
+    short = ParameterPath(
+        [PiecewiseFunction.constant(2.0, hi=1.5), PiecewiseFunction.constant(3.0, hi=1.5)]
+    )
+    # (path, base, mass A_0((0, 1]), the witness z all lie in)
+    cases = (
+        (_ETA_23, BaseMeasure.lebesgue(1.0, lo=0.5), 0.5, (0.0, 0.5)),
+        (_ETA_23, jump, 1.0, (1.0, 1.5)),
+        (short, BaseMeasure.lebesgue(1.0), 1.0, (1.5, 2.0)),
+    )
+    for path, base, mass, (z_lo, z_hi) in cases:
+        act = classify_activity(LevyContext.build(gamma, path, base, k=2), 1.0)
+        assert isinstance(act, NotTimeHomogeneous)
+        assert act.total_mass == mass
+        assert act.witnesses and all(z_lo < w[0] <= z_hi for w in act.witnesses), act.witnesses
+
+    act = classify_activity(verify.beta_decomposition_context(2), 1.0)
+    assert isinstance(act, NotTimeHomogeneous)
+    assert act.total_mass == pytest.approx(1.0 - 2.0 * math.log(4.0 / 3.0), rel=1e-12)
+
+
+def test_classify_activity_runs_no_quadrature_on_a_const_context(gamma_const_ctx, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return piecewise.checked_quad(*args)
+
+    monkeypatch.setattr(levy, "checked_quad", counted)
+    act = classify_activity(gamma_const_ctx, 2.0)
+    act.weight_density(1.0)
+    assert isinstance(act, FiniteActivity) and calls == []
 
 
 def test_classify_infinite_activity():
@@ -314,6 +382,8 @@ def test_classify_infinite_activity():
         make_family("gamma"), ParameterPath.constant([2.0, 3.0]), base, k=2
     )
     assert isinstance(classify_activity(ctx, 1.0), levy.InfiniteActivity)
+    # the detail carries the partial base mass
+    assert "partial 214.96" in classify_activity(ctx, 1.0).detail
 
 
 def test_classify_null_base():
