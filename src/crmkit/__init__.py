@@ -50,7 +50,6 @@ from .expfam import (
     family_names,
     make_family,
     moment_suff_stat,
-    quantile_numeric,
     raw_moment,
     raw_moment_beta,
 )
@@ -137,7 +136,6 @@ __all__ = [
     "posterior_levy_density",
     "posterior_path",
     "posterior_process_params",
-    "quantile_numeric",
     "raw_moment",
     "raw_moment_beta",
     "run_suite",

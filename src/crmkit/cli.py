@@ -10,11 +10,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import mpmath
 import numpy as np
+import scipy
 
 from . import config as cfg
 from . import conjugacy as conj
@@ -31,7 +34,16 @@ def _write(path: Path, text: str) -> None:
 
 
 def _manifest(out_dir: Path, **fields) -> None:
+    from . import __version__
+
     fields.setdefault("created_utc", datetime.now(timezone.utc).isoformat(timespec="seconds"))
+    fields["versions"] = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "mpmath": mpmath.__version__,
+        "crmkit": __version__,
+    }
     _write(out_dir / "manifest.json", json.dumps(fields, indent=2, sort_keys=True) + "\n")
 
 

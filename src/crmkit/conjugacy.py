@@ -244,8 +244,8 @@ def finite_dim_tv(
         lo, hi = prior.support.lo, prior.support.hi
     else:
         hi = max(
-            expfam.quantile_numeric(prior, eta, 1.0 - 1e-10),
-            expfam.quantile_numeric(prior, eta_post, 1.0 - 1e-10),
+            prior.at(eta).quantile(1.0 - 1e-10),
+            prior.at(eta_post).quantile(1.0 - 1e-10),
         )
         lo = prior.support.lo
     h = (hi - lo) / grid_points

@@ -100,10 +100,12 @@ def sample_discretized(
     if np.any(pick):
         draws = expfam.sample_each(ctx.family, etas[pick], rng)
         total += float(np.sum(stat.value(draws)))
+    # the plan checked every cell's eta when it was built, so a count-mode
+    # cell draws from its eta without binding the family again
     for j in np.nonzero(~small)[0]:
         count = rng.poisson(masses[j])
         if count:
-            draws = expfam.sample(ctx.family, etas[j], rng, size=int(count))
+            draws = ctx.family.sampler(etas[j], rng, int(count))
             total += float(np.sum(stat.value(draws)))
     return total
 

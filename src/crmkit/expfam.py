@@ -7,18 +7,22 @@ A family here is a density against Lebesgue (or counting) measure
 with natural parameter vector eta in an open convex set Xi, sufficient
 statistics T_j, and log-partition A.  The per-statistic ``sign`` lets the
 natural coordinates stay in their textbook form (e.g. gamma shape/rate both
-positive) while the canonical linear coefficient is ``sign_j * eta_j``; the
-moment engine corrects cumulants accordingly, so the identity
+positive) while the canonical linear coefficient is ``sign_j * eta_j``, so
+the cumulants of T_k are ``sign_k^j * d^j A / d eta_k^j``.
 
-    E[T_k(X)^m] = e^{-A} * d^m/dc_k^m e^{A},   c_k the canonical coefficient,
-
-holds throughout.  "Positive" means at least one statistic keeps a constant
-sign on the support.
+"Positive" means at least one statistic keeps a constant sign on the support.
 
 Registered families: beta, gamma, pareto (single-statistic, scale ``scale``),
 pareto_loglog (two-statistic log/log-log form, scale ``scale``), lognormal
-(known drift ``mu``), poisson, bernoulli.  Each family has one sampler,
-which takes one natural parameter for all draws or one per draw.
+(known drift ``mu``), poisson, bernoulli.  Each declares its distribution in
+closed form, with no numeric fallback: ``cumulants(eta, k, n)``, the
+derivatives of A of orders 1..n, from which :func:`moment_suff_stat` builds
+moments of every order (unless a ``stat_moment`` answers first); ``cdf`` and,
+for continuous families, ``quantile``, reached through
+:meth:`ExpFamilySpec.at`; and one exact sampler, for one natural parameter
+shared by all draws or one per draw.  Off its face ``eta_1 = -1``,
+``pareto_loglog`` draws by inversion for ``eta_2 > 0`` and by rejection from
+``u_m + Exp(-(eta_1 + 1))`` for ``eta_2 <= 0``.
 """
 
 from __future__ import annotations
@@ -29,14 +33,9 @@ from typing import Callable, Sequence
 
 import mpmath as mp
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import special
 
-from .errors import (
-    DerivativeDomainError,
-    NaturalSpaceError,
-    SupportError,
-)
-from .errors import CrmError
+from .errors import CrmError, DerivativeDomainError, NaturalSpaceError, SupportError
 from .piecewise import PiecewiseFunction
 
 __all__ = [
@@ -54,8 +53,6 @@ __all__ = [
     "raw_moment_beta",
     "sample",
     "sample_each",
-    "cdf_numeric",
-    "quantile_numeric",
 ]
 
 _INF = float("inf")
@@ -126,7 +123,9 @@ class ExpFamilySpec:
     # (eta, rng, size) -> size draws, in order; eta of shape (l,) is shared by
     # every draw, eta of shape (size, l) gives one row per draw
     sampler: Callable
-    log_partition_partials: Callable | None = None  # (eta, k) -> (d1, d2, d3)
+    cdf: Callable  # (eta, x) -> P(X <= x), x inside the support
+    quantile: Callable | None = None  # (eta, q) -> x; continuous families
+    cumulants: Callable | None = None  # (eta, k, n) -> d^j A / d eta_k^j, j = 1..n
     stat_moment: Callable | None = None  # (eta, k, m) -> float | None
     fixed: dict = field(default_factory=dict)
 
@@ -208,6 +207,26 @@ class BoundFamily:
         out = self.spec.sampler(self.eta, rng, 1 if size is None else int(size))
         return float(out[0]) if size is None else np.asarray(out, dtype=float)
 
+    def cdf(self, x) -> float | np.ndarray:
+        """P(X <= x): 0 below the support, 1 above it, the family's closed form inside."""
+        support = self.spec.support
+        xs = np.asarray(x, dtype=float)
+        above_lo = xs >= support.lo if support.discrete else xs > support.lo
+        inside = above_lo & (xs < support.hi)
+        out = np.where(xs >= support.hi, 1.0, 0.0)
+        out[inside] = self.spec.cdf(self.eta, xs[inside])
+        return out if np.ndim(x) else float(out)
+
+    def quantile(self, q) -> float | np.ndarray:
+        """The x with P(X <= x) = q, for levels q in (0, 1); continuous families."""
+        if self.spec.quantile is None:
+            raise CrmError(f"{self.spec.name}: a discrete family declares no quantile")
+        qs = np.asarray(q, dtype=float)
+        if not np.all((qs > 0.0) & (qs < 1.0)):
+            raise CrmError(f"quantile level must lie in (0, 1), got {q}")
+        out = np.asarray(self.spec.quantile(self.eta, qs), dtype=float)
+        return out if np.ndim(q) else float(out)
+
 
 def log_partition(spec: ExpFamilySpec, eta) -> float:
     """A(eta); validates eta lies in the natural parameter space."""
@@ -223,25 +242,12 @@ def density(spec: ExpFamilySpec, eta, x) -> float | np.ndarray:
     return spec.at(eta).density(x)
 
 
-def _cumulants_to_moments(kappas: Sequence[float], sign: int, m: int) -> float:
-    """Raw moments of the statistic from canonical-coordinate cumulants."""
-    k = [sign ** j * kappas[j - 1] for j in range(1, m + 1)]
-    if m == 1:
-        return k[0]
-    if m == 2:
-        return k[1] + k[0] ** 2
-    if m == 3:
-        return k[2] + 3.0 * k[0] * k[1] + k[0] ** 3
-    raise CrmError("cumulant conversion implemented for m <= 3")
-
-
 def moment_suff_stat(spec: ExpFamilySpec, eta, k: int, m: int) -> float:
-    """E[T_k(X)^m] via the log-partition derivative identity.
+    """E[T_k(X)^m] from the family's closed forms.
 
-    Uses, in order of preference: a closed-form statistic moment declared by
-    the family, closed-form log-partition partials for m <= 3 (converted
-    through the cumulant-moment relations), then a central m-th difference
-    of the tilted partition.
+    A closed-form statistic moment declared by the family comes first.
+    Otherwise the cumulants kappa_j = sign^j d^j A / d eta_k^j give the raw
+    moments through mu_n = sum_j C(n-1, j-1) kappa_j mu_{n-j}, mu_0 = 1.
     """
     eta = _as_eta(spec, eta)
     spec.check_natural(eta)
@@ -254,39 +260,15 @@ def moment_suff_stat(spec: ExpFamilySpec, eta, k: int, m: int) -> float:
         val = spec.stat_moment(eta, k, m)
         if val is not None:
             return float(val)
+    if spec.cumulants is None:
+        raise CrmError(f"{spec.name}: declares neither a moment of statistic {k} nor cumulants")
 
     sign = spec.stats[k - 1].sign
-    if m <= 3 and spec.log_partition_partials is not None:
-        kappas = spec.log_partition_partials(eta, k)
-        return float(_cumulants_to_moments(kappas, sign, m))
-
-    # central m-th difference of the tilted partition
-    # g(delta) = exp(A(eta + delta e_k) - A(eta)), so the result is already
-    # e^{-A} d^m e^A.
-    a0 = float(spec.log_partition_fn(eta))
-
-    def g(delta):
-        shifted = eta.copy()
-        shifted[k - 1] += delta
-        spec.check_natural(shifted)
-        return math.exp(float(spec.log_partition_fn(shifted)) - a0)
-
-    h = 10.0 ** (-8.0 / (m + 2)) * max(1.0, abs(eta[k - 1]))
-    while True:
-        try:
-            g(-(m / 2.0) * h)
-            g((m / 2.0) * h)
-            break
-        except NaturalSpaceError:
-            h *= 0.5
-            if h < 1e-13:
-                raise DerivativeDomainError(
-                    f"{spec.name}: no admissible finite-difference step in coordinate {k}"
-                )
-    deriv = sum(
-        (-1) ** i * special.comb(m, i, exact=True) * g((m / 2.0 - i) * h) for i in range(m + 1)
-    ) / h ** m
-    return float(sign ** m * deriv)
+    kappas = [sign ** j * d for j, d in enumerate(spec.cumulants(eta, k, m), start=1)]
+    mus = [1.0]
+    for n in range(1, m + 1):
+        mus.append(sum(math.comb(n - 1, j - 1) * kappas[j - 1] * mus[n - j] for j in range(1, n + 1)))
+    return float(mus[m])
 
 
 def raw_moment(spec: ExpFamilySpec, eta, k: int, m: int) -> float:
@@ -333,38 +315,6 @@ def sample_each(spec: ExpFamilySpec, etas: np.ndarray, rng: np.random.Generator)
     return np.asarray(spec.sampler(etas, rng, len(etas)), dtype=float)
 
 
-def cdf_numeric(spec: ExpFamilySpec, eta, x: float) -> float:
-    """CDF by numeric integration of the density (continuous families)."""
-    if spec.support.discrete:
-        total = 0.0
-        v = spec.support.lo
-        while v <= min(x, spec.support.hi):
-            total += density(spec, eta, v)
-            v += 1.0
-        return float(total)
-    if x <= spec.support.lo:
-        return 0.0
-    val, _ = integrate.quad(
-        spec.at(eta).density, spec.support.lo, min(x, spec.support.hi),
-        epsabs=1e-11, epsrel=1e-10, limit=400,
-    )
-    return float(min(val, 1.0))
-
-
-def quantile_numeric(spec: ExpFamilySpec, eta, q: float, tail: float = 1e-12) -> float:
-    """Quantile by bisection on the numeric CDF with a geometric bracket."""
-    if not 0.0 < q < 1.0:
-        raise CrmError("quantile level must lie in (0, 1)")
-    lo = spec.support.lo
-    hi = lo + 1.0 if not np.isfinite(spec.support.hi) else spec.support.hi
-    if not np.isfinite(spec.support.hi):
-        while cdf_numeric(spec, eta, hi) < max(q, 1.0 - tail):
-            hi = lo + (hi - lo) * 2.0
-            if hi - lo > 1e12:
-                break
-    return float(optimize.brentq(lambda x: cdf_numeric(spec, eta, x) - q, lo + 1e-300, hi))
-
-
 # ---------------------------------------------------------------------------
 # Registered families
 # ---------------------------------------------------------------------------
@@ -409,6 +359,11 @@ def _batched(check: Callable) -> Callable:
     return check_natural
 
 
+def _exp_cumulants(shift: float, rate: float, n: int) -> list:
+    """The first n cumulants of shift + Exp(rate)."""
+    return [shift + 1.0 / rate] + [math.factorial(j - 1) / rate ** j for j in range(2, n + 1)]
+
+
 def _beta_family() -> ExpFamilySpec:
     stats = (
         SufficientStat(
@@ -430,13 +385,9 @@ def _beta_family() -> ExpFamilySpec:
     def a(eta):
         return special.gammaln(eta[0]) + special.gammaln(eta[1]) - special.gammaln(eta[0] + eta[1])
 
-    def partials(eta, k):
-        i = k - 1
-        return (
-            special.digamma(eta[i]) - special.digamma(eta[0] + eta[1]),
-            special.polygamma(1, eta[i]) - special.polygamma(1, eta[0] + eta[1]),
-            special.polygamma(2, eta[i]) - special.polygamma(2, eta[0] + eta[1]),
-        )
+    def cumulants(eta, k, n):
+        orders = np.arange(n)
+        return special.polygamma(orders, eta[k - 1]) - special.polygamma(orders, eta[0] + eta[1])
 
     return ExpFamilySpec(
         name="beta",
@@ -446,7 +397,9 @@ def _beta_family() -> ExpFamilySpec:
         log_partition_fn=a,
         check_natural=_batched(check),
         sampler=lambda eta, rng, size: rng.beta(eta.T[0], eta.T[1], size),
-        log_partition_partials=partials,
+        cdf=lambda eta, x: special.betainc(eta[0], eta[1], x),
+        quantile=lambda eta, q: special.betaincinv(eta[0], eta[1], q),
+        cumulants=cumulants,
     )
 
 
@@ -472,15 +425,11 @@ def _gamma_family() -> ExpFamilySpec:
     def a(eta):
         return special.gammaln(eta[0]) - eta[0] * np.log(eta[1])
 
-    def partials(eta, k):
+    def cumulants(eta, k, n):
         shape, rate = eta
         if k == 1:
-            return (
-                special.digamma(shape) - np.log(rate),
-                special.polygamma(1, shape),
-                special.polygamma(2, shape),
-            )
-        return (-shape / rate, shape / rate ** 2, -2.0 * shape / rate ** 3)
+            return [special.digamma(shape) - np.log(rate), *special.polygamma(np.arange(1, n), shape)]
+        return [(-1) ** j * math.factorial(j - 1) * shape / rate ** j for j in range(1, n + 1)]
 
     return ExpFamilySpec(
         name="gamma",
@@ -490,7 +439,9 @@ def _gamma_family() -> ExpFamilySpec:
         log_partition_fn=a,
         check_natural=_batched(check),
         sampler=lambda eta, rng, size: rng.gamma(eta.T[0], 1.0 / eta.T[1], size),
-        log_partition_partials=partials,
+        cdf=lambda eta, x: special.gammainc(eta[0], eta[1] * x),
+        quantile=lambda eta, q: special.gammaincinv(eta[0], q) / eta[1],
+        cumulants=cumulants,
     )
 
 
@@ -511,13 +462,12 @@ def _pareto_family(scale: float) -> ExpFamilySpec:
     def a(eta):
         return (eta[0] + 1.0) * np.log(u_m) - np.log(-eta[0] - 1.0)
 
-    def partials(eta, k):
-        alpha = -eta[0] - 1.0
-        return (np.log(u_m) + 1.0 / alpha, 1.0 / alpha ** 2, 2.0 / alpha ** 3)
+    def cumulants(eta, k, n):
+        return _exp_cumulants(np.log(u_m), -eta[0] - 1.0, n)  # ln x = ln u_m + Exp(alpha)
 
-    def sampler(eta, rng, size):
-        alpha = -eta.T[0] - 1.0
-        return u_m * (1.0 - rng.random(size)) ** (-1.0 / alpha)
+    def quantile(eta, q):
+        alpha = -eta[0] - 1.0
+        return u_m * (1.0 - q) ** (-1.0 / alpha)
 
     return ExpFamilySpec(
         name="pareto",
@@ -526,8 +476,10 @@ def _pareto_family(scale: float) -> ExpFamilySpec:
         log_carrier=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         log_partition_fn=a,
         check_natural=_batched(check),
-        sampler=sampler,
-        log_partition_partials=partials,
+        sampler=lambda eta, rng, size: quantile(eta.T, rng.random(size)),
+        cdf=lambda eta, x: -np.expm1((-eta[0] - 1.0) * np.log(u_m / x)),
+        quantile=quantile,
+        cumulants=cumulants,
         fixed={"scale": u_m},
     )
 
@@ -535,10 +487,12 @@ def _pareto_family(scale: float) -> ExpFamilySpec:
 def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
     """Two-statistic form with T = (ln x, ln ln x) on (e^{u_m}, inf).
 
-    At eta = (-1, -(a+1)) the pushforward of the density under u = ln x is
+    At eta = (-1, -(a+1)) the pushforward of the density under w = ln x is
     the Pareto(u_m, a) density, which is what makes this family the seed of
-    the Pareto-weight random measures.  The natural space is
-    {eta_1 < -1} union {eta_1 = -1, eta_2 < -1}.
+    the Pareto-weight random measures.  Off that face w has the density of a
+    Gamma(eta_2 + 1, s) variable, s = -(eta_1 + 1), truncated to w > u_m
+    (for eta_2 + 1 <= 0 an improper gamma kernel, still integrable there).
+    The natural space is {eta_1 < -1} union {eta_1 = -1, eta_2 < -1}.
     """
     if scale <= 0:
         raise CrmError("pareto: scale must be positive")
@@ -586,67 +540,98 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
         with mp.workdps(40):
             return float(a_mp(eta[0], eta[1]))
 
-    def stat_moment(eta, k, m):
-        alpha = -eta[1] - 1.0
-        if k == 1:
-            # moments of w = ln x, Pareto(u_m, alpha) on the face
-            if on_face(eta):
-                if alpha <= m:
-                    raise DerivativeDomainError(
-                        f"pareto(log-log): E[(ln x)^{m}] diverges for shape {alpha} <= {m}"
-                    )
-                return alpha * u_m ** m / (alpha - m)
-            with mp.workdps(40):
-                s = -(mp.mpf(eta[0]) + 1.0)
-                num = mp.gammainc(mp.mpf(eta[1]) + 1.0 + m, s * u_m, mp.inf)
-                den = mp.gammainc(mp.mpf(eta[1]) + 1.0, s * u_m, mp.inf)
-                return float(num / den / s ** m)
-        # k == 2: moments of ln w
+    def cumulants(eta, k, n):
         if on_face(eta):
-            # ln w = ln u_m + Y/alpha with Y standard exponential
-            total = 0.0
-            for j in range(m + 1):
-                total += (
-                    special.comb(m, j, exact=True)
-                    * math.log(u_m) ** (m - j)
-                    * math.factorial(j)
-                    / alpha ** j
-                )
-            return total
-        if m > 3:
-            return None  # defer to the generic high-order fallback
-        # raw moment of ln w as e^{-A} d^m e^A / d eta_2^m; explicit stencils
-        # with steps sized for 60-digit arithmetic (truncation ~h^2, roundoff
-        # ~1e-60 / h^m, both far below double precision)
-        with mp.workdps(60):
-            a0 = a_mp(eta[0], eta[1])
-            g = lambda y: mp.e ** (a_mp(eta[0], y) - a0)
-            x0 = mp.mpf(eta[1])
-            h = mp.mpf("1e-10") if m <= 2 else mp.mpf("1e-8")
-            if m == 1:
-                val = (g(x0 + h) - g(x0 - h)) / (2 * h)
-            elif m == 2:
-                val = (g(x0 + h) - 2 * g(x0) + g(x0 - h)) / h ** 2
-            else:
-                val = (g(x0 + 2 * h) - 2 * g(x0 + h) + 2 * g(x0 - h) - g(x0 - 2 * h)) / (
-                    2 * h ** 3
-                )
-            return float(val)
+            if k == 1:
+                raise DerivativeDomainError("pareto(log-log): A is one-sided in eta_1 on the face")
+            return _exp_cumulants(math.log(u_m), -eta[1] - 1.0, n)  # ln w = ln u_m + Exp(alpha)
+        along = (lambda y: a_mp(y, eta[1])) if k == 1 else (lambda y: a_mp(eta[0], y))
+        # diffs evaluates at (precision + 20 bits) * (n + 1) with a step of
+        # 2^-(precision + 10), so double precision already gives every
+        # derivative to about 70 bits
+        with mp.workdps(15):
+            return [float(d) for d in list(mp.diffs(along, eta[k - 1], n))[1:]]
 
-    spec_cell: list = []
+    def stat_moment(eta, k, m):
+        """Moments of w = ln x: Pareto(u_m, alpha) on the face, a gamma ratio off it."""
+        if k == 2:
+            return None  # from the cumulants
+        alpha = -eta[1] - 1.0
+        if on_face(eta):
+            if alpha <= m:
+                raise DerivativeDomainError(
+                    f"pareto(log-log): E[(ln x)^{m}] diverges for shape {alpha} <= {m}"
+                )
+            return alpha * u_m ** m / (alpha - m)
+        with mp.workdps(40):
+            s = -(mp.mpf(eta[0]) + 1.0)
+            num = mp.gammainc(mp.mpf(eta[1]) + 1.0 + m, s * u_m, mp.inf)
+            den = mp.gammainc(mp.mpf(eta[1]) + 1.0, s * u_m, mp.inf)
+            return float(num / den / s ** m)
+
+    def tail(eta, w):
+        """P(W > w), W = ln X, for w >= u_m."""
+        if on_face(eta):
+            return (u_m / w) ** (-eta[1] - 1.0)
+        s, a = -(eta[0] + 1.0), eta[1] + 1.0
+        top = special.gammaincc(a, s * u_m)  # nan for a <= 0
+        if top > 0:
+            return special.gammaincc(a, s * w) / top
+        with mp.workdps(20):
+            top = mp.gammainc(a, s * u_m, mp.inf)
+            return np.vectorize(lambda v: float(mp.gammainc(a, s * v, mp.inf) / top), otypes=[float])(w)
+
+    def w_newton(s, a, q):
+        """W's q-quantile off the face by Newton on -ln P(W > w) from w = u_m;
+        W's hazard is monotone, so after at most one overshoot it converges
+        monotonically."""
+        with mp.workdps(20):
+            s, a, w = mp.mpf(s), mp.mpf(a), mp.mpf(u_m)
+            top = mp.gammainc(a, s * u_m, mp.inf)
+            for _ in range(200):
+                upper = mp.gammainc(a, s * w, mp.inf)
+                density = s ** a * w ** (a - 1) * mp.exp(-s * w)
+                step = (mp.log(upper / top) - mp.log1p(-q)) * upper / density
+                w += step
+                if abs(step) <= 1e-16 * w:
+                    return float(w)
+        raise CrmError(f"pareto(log-log): quantile {q} did not converge at s={s}, a={a}")
+
+    def quantile(eta, q):
+        """x at level q, elementwise over eta of shape (2,) or (2, m) and q."""
+        shape = np.broadcast(eta[0], eta[1], q).shape
+        e1, e2, q = (np.atleast_1d(v) for v in np.broadcast_arrays(eta[0], eta[1], q))
+        face = on_face((e1, e2))
+        w = np.empty(q.shape)
+        w[face] = u_m * (1.0 - q[face]) ** (-1.0 / (-e2[face] - 1.0))
+        off = np.flatnonzero(~face)
+        s, a, q = -(e1[off] + 1.0), e2[off] + 1.0, q[off]
+        top = special.gammaincc(a, s * u_m)
+        w[off] = special.gammainccinv(a, (1.0 - q) * top) / s
+        # shape a <= 0 (gammaincc is nan) or a tail mass below the double range
+        for i in np.flatnonzero(~(top > 0)):
+            w[off[i]] = w_newton(s[i], a[i], q[i])
+        return np.exp(w).reshape(shape)
 
     def sampler(eta, rng, size):
-        """One uniform per draw: closed form on the face, numeric inversion off it."""
+        """Inversion at one uniform per row; after all the uniforms, rows off
+        the face with eta_2 <= 0 accept w = u_m + Exp(s) with probability
+        (w / u_m)^{eta_2}, the target w^{eta_2} e^{-s w} over the proposal."""
         us = rng.random(size)
         etas = np.broadcast_to(eta, (size, 2))
-        face = on_face(etas.T)
+        reject = ~on_face(etas.T) & (etas[:, 1] <= 0)
         draws = np.empty(size)
-        draws[face] = np.exp(u_m * (1.0 - us[face]) ** (-1.0 / (-etas[face, 1] - 1.0)))
-        for i in np.flatnonzero(~face):
-            draws[i] = quantile_numeric(spec_cell[0], etas[i], float(us[i]))
+        draws[~reject] = quantile(etas[~reject].T, us[~reject])
+        pending = np.flatnonzero(reject)
+        s, e2 = -(etas[:, 0] + 1.0), etas[:, 1]
+        while pending.size:
+            w = u_m + rng.standard_exponential(pending.size) / s[pending]
+            accept = rng.random(pending.size) < (w / u_m) ** e2[pending]
+            draws[pending[accept]] = np.exp(w[accept])
+            pending = pending[~accept]
         return draws
 
-    spec = ExpFamilySpec(
+    return ExpFamilySpec(
         name="pareto_loglog",
         support=Support(x_lo, _INF),
         stats=stats,
@@ -654,11 +639,12 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
         log_partition_fn=a,
         check_natural=_batched(check),
         sampler=sampler,
+        cdf=lambda eta, x: np.clip(1.0 - tail(eta, np.log(x)), 0.0, 1.0),
+        quantile=quantile,
+        cumulants=cumulants,
         stat_moment=stat_moment,
         fixed={"scale": u_m},
     )
-    spec_cell.append(spec)
-    return spec
 
 
 def _lognormal_family(mu: float) -> ExpFamilySpec:
@@ -676,9 +662,8 @@ def _lognormal_family(mu: float) -> ExpFamilySpec:
     def check(eta):
         _require(eta[0] > 0, "lognormal: precision must be positive, got {}", eta[0], 1)
 
-    def partials(eta, k):
-        lam = eta[0]
-        return (-0.5 / lam, 0.5 / lam ** 2, -1.0 / lam ** 3)
+    def cumulants(eta, k, n):
+        return [(-1) ** j * math.factorial(j - 1) * 0.5 / eta[0] ** j for j in range(1, n + 1)]
 
     return ExpFamilySpec(
         name="lognormal",
@@ -688,7 +673,9 @@ def _lognormal_family(mu: float) -> ExpFamilySpec:
         log_partition_fn=lambda eta: -0.5 * np.log(eta[0]),
         check_natural=_batched(check),
         sampler=lambda eta, rng, size: np.exp(mu + rng.standard_normal(size) / np.sqrt(eta.T[0])),
-        log_partition_partials=partials,
+        cdf=lambda eta, x: special.ndtr((np.log(x) - mu) * np.sqrt(eta[0])),
+        quantile=lambda eta, q: np.exp(mu + special.ndtri(q) / np.sqrt(eta[0])),
+        cumulants=cumulants,
         fixed={"mu": mu},
     )
 
@@ -707,7 +694,8 @@ def _poisson_family() -> ExpFamilySpec:
         log_partition_fn=lambda eta: np.exp(eta[0]),
         check_natural=_batched(check),
         sampler=lambda eta, rng, size: rng.poisson(np.exp(eta.T[0]), size).astype(float),
-        log_partition_partials=lambda eta, k: (np.exp(eta[0]),) * 3,
+        cdf=lambda eta, x: special.pdtr(np.floor(x), np.exp(eta[0])),
+        cumulants=lambda eta, k, n: [np.exp(eta[0])] * n,
     )
 
 
@@ -717,9 +705,15 @@ def _bernoulli_family() -> ExpFamilySpec:
     def check(eta):
         _require(np.isfinite(eta[0]), "bernoulli: log-odds must be finite", eta[0], 1)
 
-    def partials(eta, k):
+    def cumulants(eta, k, n):
+        # the derivatives of the logistic p are p and p (1 - p) P_j(p), with
+        # P_0 = 1 and P_{j+1} = (1 - 2p) P_j + p (1 - p) P_j'
         p = special.expit(eta[0])
-        return (p, p * (1.0 - p), p * (1.0 - p) * (1.0 - 2.0 * p))
+        out, poly = [p], np.poly1d([1.0])
+        for _ in range(1, n):
+            out.append(p * (1.0 - p) * poly(p))
+            poly = np.poly1d([-2.0, 1.0]) * poly + np.poly1d([-1.0, 1.0, 0.0]) * poly.deriv()
+        return out
 
     return ExpFamilySpec(
         name="bernoulli",
@@ -729,7 +723,8 @@ def _bernoulli_family() -> ExpFamilySpec:
         log_partition_fn=lambda eta: np.logaddexp(0.0, eta[0]),
         check_natural=_batched(check),
         sampler=lambda eta, rng, size: (rng.random(size) < special.expit(eta.T[0])).astype(float),
-        log_partition_partials=partials,
+        cdf=lambda eta, x: np.full(np.shape(x), special.expit(-eta[0])),
+        cumulants=cumulants,
     )
 
 

@@ -1,6 +1,8 @@
 """Numerical verification suites behind `crm verify`.
 
-Five suites: ``moments`` (closed-form and Monte Carlo moment identities),
+Five suites: ``moments`` (closed-form and Monte Carlo moment identities,
+moments of orders 4 and 6, and one goodness-of-fit check of each family's
+sampler against its CDF),
 ``laplace`` (discretized-construction convergence to the Laplace exponent),
 ``conjugacy`` (update identities and grid-Bayes agreement), ``activity``
 (classification trichotomy and exact base masses), and ``examples``
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from . import conjugacy as conj
 from . import construct, expfam, levy
@@ -124,6 +126,98 @@ def _admissible_grid(name: str, rng: np.random.Generator, count: int) -> list[np
     return [_ADMISSIBLE[name](rng) for _ in range(count)]
 
 
+def _stirling2(m: int, j: int) -> int:
+    return sum((-1) ** i * math.comb(j, i) * (j - i) ** m for i in range(j + 1)) // math.factorial(j)
+
+
+# (family, k) -> (spec, eta, m) -> E[T_k^m] in closed form
+_CLOSED_MOMENTS = {
+    # rising factorial shape^(m) / rate^m
+    ("gamma", 2): lambda spec, eta, m: math.prod(eta[0] + i for i in range(m)) / eta[1] ** m,
+    # Touchard polynomial of the rate
+    ("poisson", 1): lambda spec, eta, m: sum(
+        _stirling2(m, j) * math.exp(eta[0]) ** j for j in range(m + 1)
+    ),
+    # ln x = ln u_m + Exp(alpha)
+    ("pareto", 1): lambda spec, eta, m: sum(
+        math.comb(m, j) * math.log(spec.fixed["scale"]) ** (m - j) * math.factorial(j)
+        / (-eta[0] - 1.0) ** j
+        for j in range(m + 1)
+    ),
+    # T = Z^2 / (2 lambda), Z standard normal
+    ("lognormal", 1): lambda spec, eta, m: math.prod(range(1, 2 * m, 2)) / (2.0 * eta[0]) ** m,
+    ("bernoulli", 1): lambda spec, eta, m: float(special.expit(eta[0])),
+}
+
+
+def _stat_moment_quad_u(spec, eta, k: int, m: int) -> float:
+    """E[T_k^m] by quadrature over the statistic's image, through its inverse.
+
+    For a log statistic this trades the (ln x)^m x^(a-1) endpoint
+    singularity of the x-space integrand for a smooth one.
+    """
+    bound, stat = spec.at(eta), spec.stats[k - 1]
+
+    def integrand(u):
+        with np.errstate(over="ignore"):
+            x = float(stat.inverse(u))
+            jac = abs(float(stat.inverse_deriv(u)))
+        if not (spec.support.contains(x) and np.isfinite(jac)):
+            return 0.0  # the inverse left the double range, deep in a tail
+        return u**m * bound.density(x) * jac
+
+    val, _ = integrate.quad(integrand, *stat.image, epsabs=1e-11, epsrel=1e-9, limit=400)
+    return float(val)
+
+
+def _high_moment_oracle(spec, eta, k: int, m: int) -> tuple[float, float]:
+    """E[T_k^m] and its relative tolerance: closed form, else quadrature.
+
+    Beta's second statistic ln(1 - x) goes through the reflection
+    1 - X ~ Beta(eta_2, eta_1): its inverse 1 - e^u rounds to 1 in the tail.
+    """
+    closed = _CLOSED_MOMENTS.get((spec.name, k))
+    if closed is not None:
+        return closed(spec, eta, m), 1e-10
+    if spec.name == "beta" and k == 2:
+        eta, k = eta[::-1], 1
+    return _stat_moment_quad_u(spec, eta, k, m), 1e-6
+
+
+def _ks(bound, draws) -> tuple[float, float, float]:
+    """Kolmogorov-Smirnov D of the draws against the family's CDF, its
+    asymptotic p-value, and the D at p = 1e-3."""
+    n = len(draws)
+    cdf = bound.cdf(np.sort(draws))
+    d = max(float(np.max(np.arange(1, n + 1) / n - cdf)), float(np.max(cdf - np.arange(n) / n)))
+    root = math.sqrt(n)
+    return d, float(special.kolmogorov(root * d)), float(special.kolmogi(1e-3)) / root
+
+
+def _chi_square(bound, draws) -> tuple[float, float, float]:
+    """Pearson chi-square of integer draws against the family's CDF, its
+    p-value, and the statistic at p = 1e-3.
+
+    Values are pooled from the left until each cell expects 5 draws; the
+    last cell takes the upper tail.
+    """
+    top = int(draws.max())
+    cum = bound.cdf(np.arange(top, dtype=float))
+    expected = len(draws) * np.diff(np.concatenate([[0.0], cum, [1.0]]))
+    counts = np.bincount(draws.astype(int), minlength=top + 1)
+    cells, obs, exp = [], 0.0, 0.0
+    for c, e in zip(counts, expected):
+        obs, exp = obs + c, exp + e
+        if exp >= 5.0:
+            cells.append([obs, exp])
+            obs, exp = 0.0, 0.0
+    cells[-1][0] += obs
+    cells[-1][1] += exp
+    stat = sum((o - e) ** 2 / e for o, e in cells)
+    df = len(cells) - 1
+    return stat, float(special.chdtrc(df, stat)), float(special.chdtri(df, 1e-3))
+
+
 def _suite_moments(seed, replicates) -> SuiteResult:
     res = SuiteResult("moments")
     seed = DEFAULT_MOMENTS_SEED if seed is None else seed
@@ -142,15 +236,33 @@ def _suite_moments(seed, replicates) -> SuiteResult:
     se = draws.std(ddof=1) / math.sqrt(replicates)
     res.add("beta-mean-monte-carlo a=2 b=3", float(draws.mean()), 0.4, 3.0 * se)
 
+    gof_etas = {}
     for name in expfam.family_names():
         spec = expfam.make_family(name)
         for i, eta in enumerate(_admissible_grid(name, rng, 3)):
+            gof_etas.setdefault(name, eta)
             for k in range(1, spec.dimension + 1):
                 for m in (1, 2):
                     got = expfam.moment_suff_stat(spec, eta, k, m)
                     want = stat_moment_quad(spec, eta, k, m)
                     tol = 1e-4 * max(abs(want), 1e-9)
                     res.add(f"{name}-stat-moment pt={i} k={k} m={m}", got, want, tol)
+                for m in (4, 6) if i == 0 else ():
+                    got = expfam.moment_suff_stat(spec, eta, k, m)
+                    want, rel = _high_moment_oracle(spec, eta, k, m)
+                    res.add(f"{name}-stat-moment pt={i} k={k} m={m}", got, want, rel * abs(want))
+
+    # one sampler check per family, at its first point; pareto_loglog off its
+    # face with eta_2 > 0, where it draws by inversion
+    gof_etas["pareto_loglog"] = np.array([-2.0, 0.7])
+    gof_rng = np.random.default_rng([seed, 1])
+    for name, eta in gof_etas.items():
+        bound = expfam.make_family(name).at(eta)
+        draws = bound.sample(gof_rng, 2000)
+        test = _chi_square if bound.spec.support.discrete else _ks
+        stat, p_value, critical = test(bound, draws)
+        label = " ".join(f"{v:g}" for v in eta)
+        res.add(f"{name}-sampler-gof eta=[{label}]", stat, 0.0, critical, p_value > 1e-3)
     return res
 
 

@@ -1,8 +1,13 @@
 import json
+import platform
 from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
+import scipy
 
+import crmkit
 from crmkit import cli, verify
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -27,6 +32,10 @@ def test_sample_writes_artifacts(tmp_path):
     assert manifest["outputs"] == ["atoms.csv", "path.csv"]
     assert manifest["tail_mass"] == 0.0
     assert len(manifest["config_hash"]) == 64
+    assert sorted(manifest["versions"]) == ["crmkit", "mpmath", "numpy", "python", "scipy"]
+    assert manifest["versions"]["crmkit"] == crmkit.__version__
+    assert manifest["versions"]["numpy"] == np.__version__
+    assert manifest["versions"]["python"] == platform.python_version()
 
 
 def test_sample_replay_is_byte_identical(tmp_path):
@@ -90,6 +99,8 @@ def test_verify_single_suite(tmp_path, capsys):
     assert report[0] == "suite,check,observed,expected,tolerance,passed"
     assert all(line.endswith(",true") for line in report[1:])
     assert "conjugacy: PASS" in capsys.readouterr().out
+    versions = json.loads((tmp_path / "manifest.json").read_text())["versions"]
+    assert versions["scipy"] == scipy.__version__ and versions["mpmath"] == mpmath.__version__
 
 
 def test_verify_report_is_report_csv_of_the_suites(tmp_path):
@@ -134,6 +145,8 @@ def test_posterior_uniform(tmp_path, capsys):
     assert post["component"]["path"][0][0]["const"] == 4.0
     assert post["component"]["path"][1][0]["const"] == 3.0
     assert "shift" in (tmp_path / "diff.txt").read_text()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["versions"]["crmkit"] == crmkit.__version__
 
 
 def test_posterior_per_atom(tmp_path):

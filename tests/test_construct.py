@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crmkit import construct
+from crmkit import construct, expfam
 from crmkit.errors import CrmError, NaturalSpaceError
 from crmkit.expfam import ParameterPath, make_family
 from crmkit.levy import BaseMeasure, LevyContext
@@ -111,3 +111,37 @@ def test_plan_natural_space_error_names_the_cell():
         construct.DiscretizationPlan.build(ctx, t=2.0, n=4)
     assert str(exc.value) == "cell 5, midpoint z=1.125: gamma: shape must be positive, got -0.25"
     assert exc.value.coord == 1 and exc.value.index == 4
+
+
+def test_count_mode_cells_draw_what_binding_each_cell_drew():
+    """Count-mode draws and the generator stream equal the route that bound the
+    family at every count-mode cell's eta and drew through the bound family."""
+    base = BaseMeasure(
+        PiecewiseFunction([Piece(0.0, 0.5, "const", c0=2.0), Piece(0.5, math.inf, "const", c0=20.0)])
+    )
+    path = ParameterPath(
+        [PiecewiseFunction.constant(2.0), PiecewiseFunction([Piece(0.0, math.inf, "affine", c0=1.0, c1=2.0)])]
+    )
+    ctx = LevyContext.build(make_family("gamma"), path, base, k=2)
+    plan = construct.DiscretizationPlan.build(ctx, t=1.0, n=4)
+    assert plan.masses.tolist() == [0.5, 0.5, 5.0, 5.0]
+
+    def bound_route(rng):
+        stat = ctx.stat()
+        small = plan.masses <= 1.0
+        pick = small & (rng.random(len(plan.masses)) < plan.masses)
+        total = 0.0
+        if np.any(pick):
+            total += float(np.sum(stat.value(expfam.sample_each(ctx.family, plan.etas[pick], rng))))
+        for j in np.nonzero(~small)[0]:
+            count = rng.poisson(plan.masses[j])
+            if count:
+                draws = expfam.sample(ctx.family, plan.etas[j], rng, size=int(count))
+                total += float(np.sum(stat.value(draws)))
+        return total
+
+    rng, ref = np.random.default_rng(4242), np.random.default_rng(4242)
+    got = np.array([construct.sample_discretized(ctx, plan, 1.0, rng) for _ in range(50)])
+    want = np.array([bound_route(ref) for _ in range(50)])
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state

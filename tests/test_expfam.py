@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -162,12 +163,14 @@ def test_sample_each_uses_per_row_parameters(rng):
     assert draws[:3000].mean() > draws[3000:].mean()
 
 
-def test_quantile_numeric_median():
+def test_quantile_median():
     gamma = expfam.make_family("gamma")
     # eta = (1, 2) is Exp(rate 2); median ln(2)/2
-    assert expfam.quantile_numeric(gamma, [1.0, 2.0], 0.5) == pytest.approx(
-        math.log(2.0) / 2.0, rel=1e-6
-    )
+    assert gamma.at([1.0, 2.0]).quantile(0.5) == pytest.approx(math.log(2.0) / 2.0, rel=1e-12)
+    with pytest.raises(CrmError, match="quantile level must lie in"):
+        gamma.at([1.0, 2.0]).quantile(1.0)
+    with pytest.raises(CrmError, match="discrete family"):
+        expfam.make_family("poisson").at([0.3]).quantile(0.5)
 
 
 def test_parameter_path_eval_and_overrides():
@@ -338,26 +341,149 @@ def test_bound_family_checks_the_support_at_each_point():
     np.testing.assert_array_equal(bound.density(np.array([0.5, 2.0])), [bound.density(0.5), bound.density(2.0)])
 
 
-# one eta per family; pareto_loglog on its face, where its draws are closed form
+# case -> (family, eta): one eta per family, pareto_loglog on its face, plus
+# pareto_loglog off the face with eta_2 <= 0 (rejection) and eta_2 > 0 (inversion)
 _SAMPLER_ETAS = {
-    "beta": [2.0, 3.0],
-    "gamma": [2.0, 3.0],
-    "pareto": [-3.5],
-    "pareto_loglog": [-1.0, -2.5],
-    "lognormal": [1.5],
-    "poisson": [0.3],
-    "bernoulli": [0.3],
+    "beta": ("beta", [2.0, 3.0]),
+    "gamma": ("gamma", [2.0, 3.0]),
+    "pareto": ("pareto", [-3.5]),
+    "pareto_loglog": ("pareto_loglog", [-1.0, -2.5]),
+    "pareto_loglog-off-face-rejection": ("pareto_loglog", [-2.0, -2.5]),
+    "pareto_loglog-off-face-inversion": ("pareto_loglog", [-2.0, 0.7]),
+    "lognormal": ("lognormal", [1.5]),
+    "poisson": ("poisson", [0.3]),
+    "bernoulli": ("bernoulli", [0.3]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_SAMPLER_ETAS))
 def test_a_bound_family_draws_what_sample_each_draws_per_row(name):
-    assert set(_SAMPLER_ETAS) == set(expfam.family_names())
-    spec = expfam.make_family(name)
-    eta = _SAMPLER_ETAS[name]
+    assert {family for family, _ in _SAMPLER_ETAS.values()} == set(expfam.family_names())
+    family, eta = _SAMPLER_ETAS[name]
+    spec = expfam.make_family(family)
     draws = spec.at(eta).sample(np.random.default_rng(11), 257)
     rows = expfam.sample_each(spec, np.tile(eta, (257, 1)), np.random.default_rng(11))
     assert draws.dtype == rows.dtype == np.float64
     assert draws.tobytes() == rows.tobytes()
     first = spec.at(eta).sample(np.random.default_rng(11))
-    assert type(first) is float and first == rows[0]
+    one_row = expfam.sample_each(spec, np.array([eta]), np.random.default_rng(11))
+    assert type(first) is float and first == one_row[0]
+    if name != "pareto_loglog-off-face-rejection":
+        # one uniform (or one numpy draw) per row: a single draw starts any batch;
+        # rejection draws come after the batch's uniforms
+        assert first == rows[0]
+
+
+def test_a_mixed_loglog_batch_keeps_the_closed_form_face_draws():
+    spec = expfam.make_family("pareto_loglog")
+    etas = np.array([[-1.0, -2.5], [-2.0, -2.5], [-1.0, -4.0], [-2.0, 0.7], [-3.0, -1.5]] * 40)
+    draws = expfam.sample_each(spec, etas, np.random.default_rng(5))
+    # the face draws invert the closed-form CDF at the row's own uniform, one
+    # uniform per row of the batch, exactly as before the off-face sampler
+    us = np.random.default_rng(5).random(len(etas))
+    face = etas[:, 0] == -1.0
+    want = np.exp(1.0 * (1.0 - us[face]) ** (-1.0 / (-etas[face, 1] - 1.0)))
+    assert draws[face].tobytes() == want.tobytes()
+    assert np.all(np.isfinite(draws) & (draws > math.e))
+
+
+def _loglog_cdf_mp(eta, xs):
+    """P(X <= x) off the face at scale 1: ln X is Gamma(eta_2 + 1, s) cut to (1, inf)."""
+    s, a = -(eta[0] + 1.0), eta[1] + 1.0
+    top = mp.gammainc(a, s, mp.inf)
+    return np.array([1.0 - float(mp.gammainc(a, s * mp.log(x), mp.inf) / top) for x in xs])
+
+
+@pytest.mark.parametrize("case", sorted(_SAMPLER_ETAS))
+def test_sampler_passes_goodness_of_fit(case):
+    from scipy import stats
+
+    family, eta = _SAMPLER_ETAS[case]
+    bound = expfam.make_family(family).at(eta)
+    off_face = case.startswith("pareto_loglog-off-face")
+    draws = bound.sample(np.random.default_rng(20261018), 1000 if off_face else 4000)
+    n = len(draws)
+    if bound.spec.support.discrete:
+        pmf = bound.density(np.arange(min(bound.spec.support.hi, 40.0) + 1.0))
+        # the leading values that expect 5 draws each, then the pooled rest
+        cells = int(np.sum(np.cumprod(n * pmf >= 5.0)))
+        observed = [np.sum(draws == v) for v in range(cells)]
+        expected = list(n * pmf[:cells])
+        if cells < len(pmf):
+            observed.append(np.sum(draws >= cells))
+            expected.append(n - sum(expected))
+        p_value = stats.chisquare(observed, expected).pvalue
+    else:
+        cdf = (lambda x: _loglog_cdf_mp(eta, x)) if off_face else bound.cdf
+        p_value = stats.kstest(draws, cdf).pvalue
+    assert p_value > 1e-3
+
+
+@pytest.mark.parametrize("case", sorted(_SAMPLER_ETAS))
+def test_cdf_matches_the_density_and_inverts_the_quantile(case):
+    family, eta = _SAMPLER_ETAS[case]
+    spec = expfam.make_family(family)
+    bound = spec.at(eta)
+    lo, hi = spec.support.lo, spec.support.hi
+    assert bound.cdf(lo - 1.0) == 0.0 and bound.cdf(math.inf) == 1.0
+    if spec.support.discrete:
+        values = np.arange(min(hi, 30.0) + 1.0)
+        np.testing.assert_allclose(bound.cdf(values), np.cumsum(bound.density(values)), rtol=1e-12)
+        assert bound.cdf(0.5) == bound.cdf(0.0)
+        return
+    assert bound.cdf(lo) == 0.0
+    qs = np.array([1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-3])
+    xs = bound.quantile(qs)
+    np.testing.assert_allclose(bound.cdf(xs), qs, rtol=1e-9)
+    assert bound.quantile(0.5) == xs[2]
+    for x in xs[1:4]:
+        want, _ = integrate.quad(bound.density, lo, x, epsabs=0.0, epsrel=1e-11, limit=200)
+        assert bound.cdf(x) == pytest.approx(want, rel=1e-8)
+
+
+def test_loglog_off_face_cdf_and_quantile_where_the_tail_mass_underflows():
+    # s * u_m = 799: Gamma(1.7, 799) is below the double range, so the CDF and
+    # the quantile go through mpmath
+    spec = expfam.make_family("pareto_loglog")
+    bound = spec.at([-800.0, 0.7])
+    x = bound.quantile(0.5)
+    assert bound.cdf(x) == pytest.approx(0.5, rel=1e-9)
+    assert bound.cdf(x) == pytest.approx(_loglog_cdf_mp([-800.0, 0.7], [x])[0], rel=1e-9)
+    draws = bound.sample(np.random.default_rng(3), 5)
+    assert np.all(np.isfinite(draws) & (draws > math.e))
+
+
+def test_a_family_declaring_no_moments_and_no_cumulants_is_an_error():
+    import dataclasses
+
+    gamma = dataclasses.replace(expfam.make_family("gamma"), cumulants=None)
+    with pytest.raises(CrmError, match="declares neither a moment of statistic 2 nor cumulants"):
+        expfam.moment_suff_stat(gamma, [2.0, 3.0], 2, 1)
+
+
+def test_moments_of_every_order_match_closed_forms_and_quadrature():
+    """m = 1..8 on admissible points: closed forms to 1e-10, quadrature to 1e-6."""
+    from crmkit import verify
+
+    rng = np.random.default_rng(7023541)
+    for name in expfam.family_names():
+        spec = expfam.make_family(name)
+        for eta in verify._admissible_grid(name, rng, 3):
+            for k in range(1, spec.dimension + 1):
+                for m in range(1, 9):
+                    want, rel = verify._high_moment_oracle(spec, eta, k, m)
+                    got = expfam.moment_suff_stat(spec, eta, k, m)
+                    assert got == pytest.approx(want, rel=rel), f"{name} eta={eta} k={k} m={m}"
+
+
+
+def test_closed_form_moment_oracles_match_quadrature():
+    from crmkit import verify
+
+    rng = np.random.default_rng(11)
+    for (name, k), closed in verify._CLOSED_MOMENTS.items():
+        spec = expfam.make_family(name)
+        eta = verify._admissible_grid(name, rng, 1)[0]
+        for m in range(1, 9):
+            want = verify.stat_moment_quad(spec, eta, k, m)
+            assert closed(spec, eta, m) == pytest.approx(want, rel=1e-6), f"{name} eta={eta} m={m}"

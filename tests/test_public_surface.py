@@ -5,6 +5,10 @@ change, next to the caller that needs it.
 """
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,7 +68,6 @@ PACKAGE_ALL = [
     "posterior_levy_density",
     "posterior_path",
     "posterior_process_params",
-    "quantile_numeric",
     "raw_moment",
     "raw_moment_beta",
     "run_suite",
@@ -132,8 +135,6 @@ MODULE_ALL = {
         "raw_moment_beta",
         "sample",
         "sample_each",
-        "cdf_numeric",
-        "quantile_numeric",
     ],
     "levy": [
         "BaseMeasure",
@@ -178,3 +179,13 @@ def test_module_all_is_pinned(module):
     assert mod.__all__ == MODULE_ALL[module]
     for name in mod.__all__:
         assert hasattr(mod, name), name
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second of import time; the package's
+    # goodness-of-fit checks use scipy.special alone
+    code = "import sys, crmkit; print('scipy.stats' in sys.modules)"
+    src = Path(crmkit.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

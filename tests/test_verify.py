@@ -68,3 +68,15 @@ def test_stat_moment_quad_gamma_mean():
     assert verify.stat_moment_quad(poisson, [math.log(2.0)], 1, 1) == pytest.approx(
         2.0, rel=1e-9
     )
+
+
+def test_moments_suite_checks_high_orders_and_every_sampler():
+    res = verify.run_suite("moments")
+    checks = [r.check for r in res.rows]
+    assert all("," not in c for c in checks)  # report.csv does not quote
+    for name in ("bernoulli", "beta", "gamma", "lognormal", "pareto", "pareto_loglog", "poisson"):
+        assert f"{name}-stat-moment pt=0 k=1 m=6" in checks
+        assert sum(c.startswith(f"{name}-sampler-gof ") for c in checks) == 1
+    assert "pareto_loglog-sampler-gof eta=[-2 0.7]" in checks
+    closed = next(r for r in res.rows if r.check == "gamma-stat-moment pt=0 k=2 m=6")
+    assert closed.tolerance == pytest.approx(1e-10 * closed.expected)
