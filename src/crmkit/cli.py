@@ -21,7 +21,7 @@ import scipy
 
 from . import config as cfg
 from . import conjugacy as conj
-from . import sampler, verify
+from . import __version__, sampler, verify
 from .errors import ConfigError, CrmError
 
 __all__ = ["main"]
@@ -34,8 +34,6 @@ def _write(path: Path, text: str) -> None:
 
 
 def _manifest(out_dir: Path, **fields) -> None:
-    from . import __version__
-
     fields.setdefault("created_utc", datetime.now(timezone.utc).isoformat(timespec="seconds"))
     fields["versions"] = {
         "python": platform.python_version(),
