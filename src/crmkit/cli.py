@@ -179,9 +179,8 @@ def cmd_posterior(args) -> int:
         if not values:
             diff.append("no observations: posterior equals prior")
     else:
-        # in file order, before the update checks them atom by atom
-        for v in values:
-            pair.check_observation(v)
+        # the update checks each observation's support once, atom by atom in
+        # location order
         grouped: dict[float, list[float]] = {}
         for loc, v in observations:
             grouped.setdefault(float(loc), []).append(v)

@@ -287,7 +287,7 @@ def sample_crm(
     return CRMDraw(z, u, c, float(z_max), level, tail_mass)
 
 
-_LINKS: dict[str, Callable[[float], tuple]] = {}
+_LINKS: dict[str, Callable] = {}
 
 
 def _register_link(name):
@@ -298,42 +298,46 @@ def _register_link(name):
     return wrap
 
 
+def _require(w, ok, what: str) -> None:
+    """Raise ValueError naming the first weight (scalar or array) where ok fails."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        raise ValueError(f"{what}, got {float(np.asarray(w)[~ok].flat[0])}")
+
+
+# A registered link maps a weight, or an array of weights, to the tuple of
+# natural-parameter coordinates.
 @_register_link("bernoulli_prob")
-def _bernoulli_prob(w: float) -> tuple:
-    if not 0.0 < w < 1.0:
-        raise ValueError(f"success probability must lie in (0, 1), got {w}")
-    return (float(special.logit(w)),)
+def _bernoulli_prob(w) -> tuple:
+    _require(w, (0.0 < w) & (w < 1.0), "success probability must lie in (0, 1)")
+    return (special.logit(w),)
 
 
 @_register_link("poisson_rate")
-def _poisson_rate(w: float) -> tuple:
-    if w <= 0:
-        raise ValueError(f"rate must be positive, got {w}")
-    return (float(np.log(w)),)
+def _poisson_rate(w) -> tuple:
+    _require(w, w > 0, "rate must be positive")
+    return (np.log(w),)
 
 
 @_register_link("lognormal_precision")
-def _lognormal_precision(w: float) -> tuple:
-    if w <= 0:
-        raise ValueError(f"precision must be positive, got {w}")
-    return (float(w),)
+def _lognormal_precision(w) -> tuple:
+    _require(w, w > 0, "precision must be positive")
+    return (np.asarray(w, dtype=float),)
 
 
 @_register_link("lognormal_variance")
-def _lognormal_variance(w: float) -> tuple:
-    if w <= 0:
-        raise ValueError(f"variance must be positive, got {w}")
-    return (1.0 / float(w),)
+def _lognormal_variance(w) -> tuple:
+    _require(w, w > 0, "variance must be positive")
+    return (1.0 / w,)
 
 
 @_register_link("pareto_shape")
-def _pareto_shape(w: float) -> tuple:
-    if w <= 0:
-        raise ValueError(f"shape must be positive, got {w}")
-    return (-float(w) - 1.0,)
+def _pareto_shape(w) -> tuple:
+    _require(w, w > 0, "shape must be positive")
+    return (-w - 1.0,)
 
 
-def link_rule(link) -> Callable[[float], tuple]:
+def link_rule(link) -> Callable:
     if callable(link):
         return link
     if link not in _LINKS:
@@ -353,16 +357,41 @@ def sample_likelihood(
 ) -> LikelihoodDraw:
     """One observation per atom, gamma_j ~ likelihood(link(weight_j)).
 
-    Locations are copied verbatim; a link output outside the likelihood's
-    natural space raises an atom-level error naming the location.
+    Locations are copied verbatim.  A registered link maps all weights in one
+    array pass (a callable link is called once per weight) and the natural
+    parameters are validated in one batch check; a link output outside the
+    likelihood's natural space raises an atom-level error naming the first
+    bad atom's location.
     """
     rule = link_rule(link)
-    m = len(base)
-    etas = np.empty((m, likelihood.dimension))
-    for j in range(m):
-        loc = float(base.locations[j])
+    dim = likelihood.dimension
+    etas = np.empty((0, dim))
+    if len(base):
+        weights = base.weights
         try:
-            eta = np.asarray(rule(float(base.weights[j])), dtype=float)
+            if callable(link):
+                cols = np.array([np.asarray(rule(w), dtype=float) for w in weights.tolist()]).T
+            else:
+                cols = np.asarray(rule(weights), dtype=float)
+            if cols.shape != (dim, len(base)):
+                raise ValueError("link output has the wrong shape")
+            likelihood.check_natural(cols)
+            etas = cols.T
+        except (ValueError, CrmError):
+            _raise_first_bad_link(base, likelihood, rule)
+            raise
+    obs = expfam.sample_each(likelihood, etas, rng) if len(base) else np.empty(0)
+    return LikelihoodDraw(
+        base.locations.copy(), np.asarray(obs, dtype=float),
+        base.component_index.copy(), base.draw_id,
+    )
+
+
+def _raise_first_bad_link(base: CRMDraw, likelihood: ExpFamilySpec, rule) -> None:
+    """Link the atoms one by one, in order, and raise for the first bad one."""
+    for loc, w in zip(base.locations.tolist(), base.weights.tolist()):
+        try:
+            eta = np.asarray(rule(w), dtype=float)
             if eta.shape != (likelihood.dimension,):
                 raise ValueError(
                     f"link returned {eta.shape}, wanted ({likelihood.dimension},)"
@@ -374,12 +403,6 @@ def sample_likelihood(
                 f"{likelihood.name}: {exc}",
                 location=loc,
             )
-        etas[j] = eta
-    obs = expfam.sample_each(likelihood, etas, rng) if m else np.empty(0)
-    return LikelihoodDraw(
-        base.locations.copy(), np.asarray(obs, dtype=float),
-        base.component_index.copy(), base.draw_id,
-    )
 
 
 def evaluate_path(draw: CRMDraw, t):

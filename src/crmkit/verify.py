@@ -55,6 +55,11 @@ class SuiteResult:
         return all(r.passed for r in self.rows)
 
     def add(self, check, observed, expected, tolerance, passed=None):
+        # report_csv writes names unquoted, one row per line
+        if "," in check or "\n" in check:
+            raise CrmError(
+                f"suite {self.name!r}: check name {check!r} holds a comma or newline"
+            )
         if passed is None:
             passed = abs(observed - expected) <= tolerance
         self.rows.append(

@@ -162,6 +162,25 @@ def test_posterior_per_atom(tmp_path):
     assert "(0.6, 1.4) -> (2.6, 2.4)" in diff
 
 
+@pytest.mark.parametrize("mode", ["uniform", "per-atom"])
+def test_posterior_checks_each_observation_once(tmp_path, monkeypatch, mode):
+    checked = []
+    original = crmkit.ConjugatePair.check_observation
+
+    def counted(self, y):
+        checked.append(y)
+        return original(self, y)
+
+    monkeypatch.setattr(crmkit.ConjugatePair, "check_observation", counted)
+    rc = run(
+        "posterior", "--config", CONFIG_DIR / "beta_bernoulli_prior.json",
+        "--observations", CONFIG_DIR / "observations_bernoulli.csv",
+        "--mode", mode, "--out", tmp_path,
+    )
+    assert rc == 0
+    assert sorted(checked) == [0.0, 1.0, 1.0]
+
+
 def test_posterior_empty_observations(tmp_path):
     obs = tmp_path / "none.csv"
     obs.write_text("location,value\n")

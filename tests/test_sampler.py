@@ -167,6 +167,56 @@ def test_sample_likelihood_bad_link_reports_location():
     assert exc.value.location == 0.4
 
 
+def test_sample_likelihood_names_the_first_bad_atom():
+    base = CRMDraw(
+        np.array([0.1, 0.4, 0.6, 0.9]), np.array([0.5, 2.0, 0.3, 4.0]), np.ones(4, int), 1.0, 1, 0.0
+    )
+    bern = make_family("bernoulli")
+    with pytest.raises(AtomLinkError, match="location 0.4: .* got 2.0") as exc:
+        sample_likelihood(base, bern, "bernoulli_prob", np.random.default_rng(0))
+    assert exc.value.location == 0.4
+    # a callable link is called per weight; its natural-space failure and a
+    # wrong output shape both name the first bad atom
+    lognormal = make_family("lognormal")
+    with pytest.raises(AtomLinkError, match="location 0.6") as exc:
+        sample_likelihood(base, lognormal, lambda w: (w - 0.4,), np.random.default_rng(0))
+    assert exc.value.location == 0.6
+    with pytest.raises(AtomLinkError, match=r"location 0.1: .*wanted \(1,\)"):
+        sample_likelihood(base, lognormal, lambda w: (w, w), np.random.default_rng(0))
+
+
+def test_sample_likelihood_links_in_one_array_pass(monkeypatch):
+    base = CRMDraw(
+        np.array([0.2, 0.5, 0.7]), np.array([0.5, 2.0, 3.0]), np.array([1, 1, 2]), 1.0, 2, 0.0
+    )
+    registered, per_weight = [], []
+    poisson_rate = sampler.link_rule("poisson_rate")
+
+    def counted(w):
+        registered.append(np.shape(w))
+        return poisson_rate(w)
+
+    def rule(w):
+        per_weight.append(w)
+        return (math.log(w),)
+
+    monkeypatch.setitem(sampler._LINKS, "poisson_rate", counted)
+    poisson = make_family("poisson")
+    one_pass = sample_likelihood(base, poisson, "poisson_rate", np.random.default_rng(3))
+    per_atom = sample_likelihood(base, poisson, rule, np.random.default_rng(3))
+    assert registered == [(3,)] and len(per_weight) == 3
+    np.testing.assert_array_equal(one_pass.observations, per_atom.observations)
+
+
+def test_registered_links_agree_on_arrays_and_scalars():
+    w = np.array([0.25, 0.5, 0.75])
+    for name in sampler.link_names():
+        rule = sampler.link_rule(name)
+        np.testing.assert_array_equal(
+            np.asarray(rule(w), dtype=float)[0], [rule(float(x))[0] for x in w]
+        )
+
+
 def test_evaluate_path_inclusive_of_atoms():
     draw = CRMDraw(
         np.array([0.5, 1.0]), np.array([2.0, 3.0]), np.array([1, 1]), 2.0, 1, 0.0

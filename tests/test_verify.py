@@ -80,3 +80,13 @@ def test_moments_suite_checks_high_orders_and_every_sampler():
     assert "pareto_loglog-sampler-gof eta=[-2 0.7]" in checks
     closed = next(r for r in res.rows if r.check == "gamma-stat-moment pt=0 k=2 m=6")
     assert closed.tolerance == pytest.approx(1e-10 * closed.expected)
+
+
+@pytest.mark.parametrize("check", ["mass a=1,b=2", "mass\na=1"])
+def test_check_names_cannot_break_report_rows(check):
+    res = verify.SuiteResult("activity")
+    with pytest.raises(CrmError, match="suite 'activity': check name .* comma or newline"):
+        res.add(check, 1.0, 1.0, 0.0)
+    assert res.rows == []
+    res.add("mass a=1 b=2", 1.0, 1.0, 0.0)
+    assert verify.report_csv(res).splitlines()[1].split(",")[:2] == ["activity", "mass a=1 b=2"]
