@@ -7,7 +7,9 @@ exactly one of:
 
     "const": v            value v
     "affine": [c0, c1]    value c0 + c1 z
-    "ratio": [p0, p1, q0, q1]   value (p0 + p1 z) / (q0 + q1 z), base only
+    "ratio": [p0, p1, q0, q1]   value (p0 + p1 z) / (q0 + q1 z), base only;
+                                exact integral and inversion, q1 = 0 reads
+                                as the affine piece (p0 + p1 z) / q0
 
 Sampling configs hold {"components": [...]} plus optional "z_max" and an
 optional "pareto_series" generator; prior configs hold {"pair": {...},
@@ -108,10 +110,11 @@ def _parse_piece(obj, ptr, allow_ratio):
         if not allow_ratio:
             raise ConfigError('"ratio" pieces are only allowed in base densities', ptr)
         p0, p1, q0, q1 = _floats(obj["ratio"], 4, f"{ptr}/ratio")
-        return Piece(
-            lo, hi, "func",
-            func=lambda z, a=p0, b=p1, c=q0, d=q1: (a + b * z) / (c + d * z),
-        )
+        if q1 == 0:
+            if q0 == 0:
+                raise ConfigError("ratio denominator q0 + q1 z is identically 0", f"{ptr}/ratio")
+            return Piece(lo, hi, "affine", c0=p0 / q0, c1=p1 / q0)
+        return Piece(lo, hi, "ratio", c0=p0, c1=p1, d0=q0, d1=q1)
     except CrmError as exc:
         raise ConfigError(str(exc), ptr)
 

@@ -1,20 +1,24 @@
 """Piecewise scalar functions on the half line.
 
 Both parameter paths and base-measure densities are piecewise functions of a
-location coordinate z >= 0.  Pieces are constant, affine (c0 + c1*z), or an
-arbitrary callable; constant and affine pieces integrate exactly and invert
-exactly, which the location sampler and the discretization rely on.
+location coordinate z >= 0.  Pieces are constant, affine (c0 + c1*z), ratio
+((c0 + c1*z) / (d0 + d1*z), d1 != 0), or an arbitrary callable; constant,
+affine and ratio pieces integrate exactly and the location sampler inverts
+them exactly over arrays.
 
 Evaluation is left-continuous: a piece covers (lo, hi], so at a shared
 breakpoint the left piece wins.  A function evaluates at a scalar or, with
 one mask per piece, over a whole array.
 
 Callable pieces integrate through :func:`checked_quad`, the package's one checked
-quadrature helper: it raises rather than return an unconverged value.
+quadrature helper: it raises rather than return an unconverged value.  A
+ratio piece whose denominator vanishes on the interval, or whose interval
+is unbounded, raises :class:`DivergenceError` from its closed form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -53,27 +57,39 @@ def checked_quad(f: Callable[[float], float], a: float, b: float) -> float:
 class Piece:
     lo: float
     hi: float
-    kind: str  # "const" | "affine" | "func"
+    kind: str  # "const" | "affine" | "ratio" | "func"
     c0: float = 0.0
     c1: float = 0.0
     func: Callable[[float], float] | None = None
+    d0: float = 1.0  # ratio denominator d0 + d1 z
+    d1: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("const", "affine", "func"):
+        if self.kind not in ("const", "affine", "ratio", "func"):
             raise CrmError(f"unknown piece kind {self.kind!r}")
         if not self.lo < self.hi:
             raise CrmError(f"piece has empty interval ({self.lo}, {self.hi}]")
         if self.kind == "func" and self.func is None:
             raise CrmError("func piece requires a callable")
+        if self.kind == "ratio" and self.d1 == 0:
+            raise CrmError("ratio piece needs d1 != 0; a constant denominator is affine")
 
     def value(self, z):
         if self.kind == "const":
             return self.c0 if np.isscalar(z) else np.full(np.shape(z), self.c0)
-        if self.kind == "affine":
-            return self.c0 + self.c1 * np.asarray(z) if not np.isscalar(z) else self.c0 + self.c1 * z
+        if self.kind != "func":
+            z = z if np.isscalar(z) else np.asarray(z)
+            if self.kind == "affine":
+                return self.c0 + self.c1 * z
+            return (self.c0 + self.c1 * z) / (self.d0 + self.d1 * z)
         if np.isscalar(z):
             return float(self.func(z))
         return np.array([float(self.func(zz)) for zz in np.asarray(z).ravel()]).reshape(np.shape(z))
+
+    def _ratio_terms(self) -> tuple[float, float]:
+        """(L, K) with (c0 + c1 z)/(d0 + d1 z) = L + K d1/(d0 + d1 z), so the
+        integral from a to b is L (b - a) + K ln(y_b / y_a), y = d0 + d1 z."""
+        return self.c1 / self.d1, (self.c0 * self.d1 - self.c1 * self.d0) / (self.d1 * self.d1)
 
     def integral(self, a, b):
         """Integral over [a, b] intersected with the piece, exact when closed-form."""
@@ -85,7 +101,28 @@ class Piece:
             return self.c0 * (b - a)
         if self.kind == "affine":
             return self.c0 * (b - a) + 0.5 * self.c1 * (b * b - a * a)
+        if self.kind == "ratio":
+            return self._ratio_integral(a, b)
         return checked_quad(self.func, a, b)
+
+    def _ratio_integral(self, a, b):
+        lin, log_coef = self._ratio_terms()
+        y_a, y_b = self.d0 + self.d1 * a, self.d0 + self.d1 * b
+        if lin == 0 and log_coef == 0:
+            return 0.0
+        if not np.isfinite(b - a):
+            raise DivergenceError(
+                f"ratio piece integral over ({a}, {b}) is infinite", partial=_INF
+            )
+        if log_coef != 0 and not y_a * y_b > 0:
+            raise DivergenceError(
+                f"ratio piece integral over ({a}, {b}) diverges: its denominator "
+                f"{self.d0} + {self.d1} z vanishes at z={-self.d0 / self.d1}",
+                partial=_INF,
+            )
+        if log_coef == 0:
+            return lin * (b - a)  # the denominator cancels
+        return lin * (b - a) + log_coef * math.log1p(self.d1 * (b - a) / y_a)
 
     def shifted(self, delta):
         """The piece plus a constant."""
@@ -93,6 +130,11 @@ class Piece:
             return Piece(self.lo, self.hi, "const", c0=self.c0 + delta)
         if self.kind == "affine":
             return Piece(self.lo, self.hi, "affine", c0=self.c0 + delta, c1=self.c1)
+        if self.kind == "ratio":
+            return Piece(
+                self.lo, self.hi, "ratio", c0=self.c0 + delta * self.d0,
+                c1=self.c1 + delta * self.d1, d0=self.d0, d1=self.d1,
+            )
         f = self.func
         return Piece(self.lo, self.hi, "func", func=lambda z, f=f, d=delta: f(z) + d)
 

@@ -368,9 +368,7 @@ def beta_decomposition_context(n: int) -> LevyContext:
         ]
     )
     base = BaseMeasure(
-        PiecewiseFunction(
-            [Piece(0.0, math.inf, "func", func=lambda z, n=n: (1.0 + z) / (1.0 + z + n))]
-        )
+        PiecewiseFunction([Piece(0.0, math.inf, "ratio", c0=1.0, c1=1.0, d0=1.0 + n, d1=1.0)])
     )
     return LevyContext.build(beta, path, base, k=1)
 
@@ -386,9 +384,7 @@ def pareto_series_context(n_values=None) -> list[LevyContext]:
             [PiecewiseFunction([Piece(0.25, 1.0, "affine", c0=-1.0, c1=-float(n))])]
         )
         base = BaseMeasure(
-            PiecewiseFunction(
-                [Piece(0.25, 1.0, "func", func=lambda z, n=n: 1.0 / (n * z))]
-            )
+            PiecewiseFunction([Piece(0.25, 1.0, "ratio", c0=1.0, d0=0.0, d1=float(n))])
         )
         out.append(
             LevyContext.build(pareto, path, base, k=1, require_conditions=False)

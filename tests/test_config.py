@@ -70,6 +70,20 @@ def test_ratio_pieces_only_in_bases():
     assert ctx.base.density(1.0) == pytest.approx(2.0 / 3.0)
 
 
+def test_ratio_pieces_parse_to_the_ratio_kind():
+    obj = json.loads(json.dumps(GAMMA_COMPONENT))
+    obj["base"] = {"pieces": [{"from": 0.0, "to": 2.0, "ratio": [1.0, 1.0, 2.0, 1.0]}]}
+    (piece,) = cfg.parse_component(obj).base.density.pieces
+    assert (piece.kind, piece.c0, piece.c1, piece.d0, piece.d1) == ("ratio", 1.0, 1.0, 2.0, 1.0)
+    # a constant denominator is the affine piece (p0 + p1 z) / q0
+    obj["base"] = {"pieces": [{"from": 0.0, "to": 2.0, "ratio": [1.0, 3.0, 2.0, 0.0]}]}
+    (piece,) = cfg.parse_component(obj).base.density.pieces
+    assert (piece.kind, piece.c0, piece.c1) == ("affine", 0.5, 1.5)
+    obj["base"] = {"pieces": [{"from": 0.0, "to": 2.0, "ratio": [1.0, 3.0, 0.0, 0.0]}]}
+    with pytest.raises(ConfigError, match="/component/base/pieces/0/ratio"):
+        cfg.parse_component(obj)
+
+
 def test_atom_overrides_parse():
     obj = json.loads(json.dumps(GAMMA_COMPONENT))
     obj["atom_overrides"] = [[0.5, [4.0, 5.0]]]

@@ -35,6 +35,69 @@ def test_piece_integral_closed_forms():
     assert Piece(2.0, 3.0, "const", c0=1.0).integral(4.0, 5.0) == 0.0
 
 
+# (c0, c1, d0, d1, lo, hi): one piece per branch of the ratio inversion,
+# labelled by x0 = L h / K (see sampler._ratio_location)
+RATIO_BRANCHES = {
+    "K=0": (2.0, 2.0, 1.0, 1.0, 0.0, 2.0),
+    "L=0": (1.0, 0.0, 0.0, 3.0, 0.25, 1.0),
+    "x0>0": (3.0, 1.0, 1.0, 1.0, 0.0, 1.0),
+    "-1<x0<0": (1.0, 1.0, 4.0, -1.0, 0.0, 2.0),
+    "x0<-1": (1.0, 1.0, 3.0, 1.0, 0.0, 1.0),
+    "x0=-1, density 0 at lo": (-1.0, 1.0, 1.0, 1.0, 1.0, 2.0),
+    "x0=-1e4": (1.0, 1.0, 1.0001, 1.0, 0.0, 3.0),
+    "x0=-1e4, mass 3e3": (1e3, 1e3, 1.0001, 1.0, 0.0, 3.0),
+    "negative denominator": (-1.0, -2.0, -1.0, -0.5, 0.0, 1.5),
+}
+
+
+def _ratio(c0, c1, d0, d1, lo, hi):
+    return Piece(lo, hi, "ratio", c0=c0, c1=c1, d0=d0, d1=d1)
+
+
+def test_ratio_piece_value_and_validation():
+    p = _ratio(1.0, 2.0, 3.0, 1.0, 0.0, 2.0)
+    assert p.value(1.0) == 0.75
+    np.testing.assert_array_equal(p.value(np.array([0.0, 1.0])), [1.0 / 3.0, 0.75])
+    with pytest.raises(CrmError, match="d1"):
+        Piece(0.0, 1.0, "ratio", c0=1.0, d0=2.0, d1=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(RATIO_BRANCHES))
+def test_ratio_integral_matches_quadrature(name):
+    p = _ratio(*RATIO_BRANCHES[name])
+    for a, b in ((p.lo, p.hi), (p.lo, 0.5 * (p.lo + p.hi)), (p.lo + 0.1, p.hi - 0.2)):
+        want = checked_quad(lambda z: p.value(z), a, b)
+        assert p.integral(a, b) == pytest.approx(want, rel=1e-12)
+    assert p.integral(p.hi, p.hi + 1.0) == 0.0
+
+
+def test_ratio_integral_divergence_is_exact():
+    # 1/(2z) from 0: the denominator vanishes at the lower end
+    with pytest.raises(DivergenceError, match="vanishes at z=") as exc:
+        _ratio(1.0, 0.0, 0.0, 2.0, 0.0, 1.0).integral(0.0, 1.0)
+    assert exc.value.partial == math.inf
+    # (1 + z)/(1 - z) on (0, 2]: the pole at z = 1 lies inside
+    with pytest.raises(DivergenceError, match="vanishes at z=1.0"):
+        _ratio(1.0, 1.0, 1.0, -1.0, 0.0, 2.0).integral(0.5, 1.5)
+    assert _ratio(1.0, 1.0, 1.0, -1.0, 0.0, 2.0).integral(0.0, 0.5) == pytest.approx(
+        2.0 * math.log(2.0) - 0.5, rel=1e-14
+    )
+    with pytest.raises(DivergenceError, match="infinite"):
+        _ratio(1.0, 0.0, 1.0, 1.0, 0.0, math.inf).integral(0.0, math.inf)
+    # a denominator that cancels leaves a constant, whatever its zero
+    assert _ratio(2.0, 2.0, 1.0, 1.0, -3.0, 2.0).integral(-3.0, 2.0) == 10.0
+
+
+@pytest.mark.parametrize("delta", [0.5, -0.25])
+def test_ratio_shifted_keeps_the_kind(delta):
+    p = _ratio(1.0, 2.0, 3.0, 1.0, 0.0, 2.0)
+    q = p.shifted(delta)
+    assert q.kind == "ratio"
+    z = np.linspace(0.1, 2.0, 7)
+    np.testing.assert_allclose(q.value(z), p.value(z) + delta, rtol=1e-15)
+    assert q.integral(0.0, 2.0) == pytest.approx(p.integral(0.0, 2.0) + 2.0 * delta, rel=1e-14)
+
+
 def test_piece_integral_func_quad():
     p = Piece(0.0, math.inf, "func", func=lambda z: math.exp(-z))
     assert p.integral(0.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-10)

@@ -1,8 +1,11 @@
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 from crmkit import expfam, levy, sampler
 from crmkit.errors import AtomLinkError, CrmError, NaturalSpaceError, TruncationError
@@ -10,6 +13,8 @@ from crmkit.expfam import ParameterPath, make_family
 from crmkit.levy import BaseMeasure, LevyContext
 from crmkit.piecewise import Piece, PiecewiseFunction
 from crmkit.sampler import CRMDraw, evaluate_path, sample_crm, sample_likelihood
+
+PARETO_SERIES = Path(__file__).resolve().parents[1] / "configs" / "pareto_series.json"
 
 
 def _affine_base_ctx():
@@ -380,3 +385,115 @@ def test_sample_crm_natural_space_error_names_component_and_location(gamma_unit_
     assert 1.0 <= z <= 2.0
     assert scalar == f"gamma: shape must be positive, got {2.0 + -2.0 * z}"
     assert exc.value.coord == 1
+
+
+# (c0, c1, d0, d1, lo, hi): one piece per branch of the ratio inversion,
+# labelled by x0 = L h / K (see sampler._ratio_location)
+RATIO_BRANCHES = {
+    "K=0": (2.0, 2.0, 1.0, 1.0, 0.0, 2.0),
+    "L=0": (1.0, 0.0, 0.0, 3.0, 0.25, 1.0),
+    "x0>0": (3.0, 1.0, 1.0, 1.0, 0.0, 1.0),
+    "-1<x0<0": (1.0, 1.0, 4.0, -1.0, 0.0, 2.0),
+    "x0<-1": (1.0, 1.0, 3.0, 1.0, 0.0, 1.0),
+    "x0=-1, density 0 at lo": (-1.0, 1.0, 1.0, 1.0, 1.0, 2.0),
+    "x0=-8.9e3": (1.0, 1.0, 1.0 + 1.0 / 8.9e3, 1.0, 0.0, 1.2),
+    "x0=-8.9e3, mass 3e3": (2e3, 2e3, 1.0 + 1.0 / 8.9e3, 1.0, 0.0, 1.2),
+    "negative denominator": (-1.0, -2.0, -1.0, -0.5, 0.0, 1.5),
+}
+
+
+def _bench_like_ratio_pieces(count, seed=5):
+    """Heads of the benchmark's ratio configs: coefficients in (0.5, 2), the
+    numerator scaled to a mass of 1e2 to 3e3 over (0, zb], zb in (0.3, 1.2)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        p0, p1, q0, q1 = rng.uniform(0.5, 2.0, size=4)
+        zb = rng.uniform(0.3, 1.2)
+        f = rng.uniform(1e2, 3e3) / Piece(0.0, zb, "ratio", c0=p0, c1=p1, d0=q0, d1=q1).integral(0.0, zb)
+        out.append(Piece(0.0, zb, "ratio", c0=f * p0, c1=f * p1, d0=q0, d1=q1))
+    return out
+
+
+def _mp_ratio_location(piece, rem):
+    """The root z of the exact mass from lo, at 40 digits."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        c0, c1, d0, d1, lo = (mp.mpf(v) for v in (piece.c0, piece.c1, piece.d0, piece.d1, piece.lo))
+        lin, log_coef = c1 / d1, (c0 * d1 - c1 * d0) / (d1 * d1)
+        y0 = d0 + d1 * lo
+
+        def excess(z):
+            return lin * (z - lo) + log_coef * mp.log((d0 + d1 * z) / y0) - rem
+
+        return mp.findroot(excess, (lo, mp.mpf(piece.hi)), solver="anderson")
+
+
+def _ratio_cases():
+    named = [(name, Piece(lo, hi, "ratio", c0=c0, c1=c1, d0=d0, d1=d1))
+             for name, (c0, c1, d0, d1, lo, hi) in RATIO_BRANCHES.items()]
+    return named + [(f"bench-like {i}", p) for i, p in enumerate(_bench_like_ratio_pieces(12))]
+
+
+@pytest.mark.parametrize("name, piece", _ratio_cases(), ids=lambda v: v if isinstance(v, str) else "")
+def test_ratio_location_matches_the_exact_root(name, piece):
+    mass = piece.integral(piece.lo, piece.hi)
+    uniforms = np.random.default_rng(11).random(12)
+    rem = np.concatenate([[1e-9, 1e-4, 1.0 - 1e-12, 1.0], uniforms]) * mass
+    z = sampler._closed_location(piece, rem)
+    for got, r in zip(z.tolist(), rem.tolist()):
+        want = _mp_ratio_location(piece, r)
+        assert abs(got - want) <= 1e-12 * abs(want), (name, r, got, float(want))
+    assert sampler._closed_location(piece, np.array([0.0]))[0] == piece.lo
+
+
+def test_ratio_location_branch_labels_hold():
+    for name, (c0, c1, d0, d1, lo, hi) in RATIO_BRANCHES.items():
+        lin, log_coef = Piece(lo, hi, "ratio", c0=c0, c1=c1, d0=d0, d1=d1)._ratio_terms()
+        x0 = lin * (d0 + d1 * lo) / d1 / log_coef if log_coef else None
+        if name.startswith("x0=-8.9e3"):
+            assert x0 == pytest.approx(-8.9e3, rel=1e-3)
+        elif name.startswith("x0=-1,"):
+            assert x0 == -1.0
+        elif name == "-1<x0<0":
+            assert -1 < x0 < 0
+
+
+def _ratio_base_ctx(pieces):
+    return LevyContext.build(
+        make_family("gamma"), ParameterPath.constant([2.0, 3.0]),
+        BaseMeasure(PiecewiseFunction(pieces)), k=2,
+    )
+
+
+def test_ratio_base_sampling_makes_no_brentq_call(monkeypatch):
+    from scipy import optimize
+
+    from crmkit import config
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("brentq called")
+
+    monkeypatch.setattr(optimize, "brentq", refuse)
+    contexts, z_max = config.parse_sample_config(json.loads(PARETO_SERIES.read_text()))
+    assert len(sample_crm(contexts, z_max, np.random.default_rng(7))) > 0
+    ctx = _ratio_base_ctx([Piece(0.0, 2.0, "ratio", c0=3e3, c1=1.5e3, d0=1.0, d1=1.0)])
+    assert len(sample_crm([ctx], 2.0, np.random.default_rng(7))) > 3000
+    func_ctx = _ratio_base_ctx([Piece(0.0, 2.0, "func", func=lambda z: 1e3 * (2.0 + z) / (1.0 + z))])
+    with pytest.raises(AssertionError, match="brentq called"):
+        sample_crm([func_ctx], 2.0, np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("name", ["x0>0", "x0<-1", "x0=-1, density 0 at lo", "negative denominator"])
+def test_ratio_base_locations_follow_the_base_density(name):
+    c0, c1, d0, d1, lo, hi = RATIO_BRANCHES[name]
+    piece = Piece(lo, hi, "ratio", c0=c0, c1=c1, d0=d0, d1=d1)
+    mass = piece.integral(lo, hi)
+    scale = 20_000.0 / mass
+    ctx = _ratio_base_ctx([Piece(lo, hi, "ratio", c0=scale * c0, c1=scale * c1, d0=d0, d1=d1)])
+    z = np.sort(sample_crm([ctx], hi, np.random.default_rng(13)).locations)
+    cdf = np.array([piece.integral(lo, x) for x in z]) / mass
+    n = z.size
+    d = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+    assert special.kolmogorov(math.sqrt(n) * d) > 1e-3
