@@ -35,8 +35,8 @@ def test_piece_integral_closed_forms():
     assert Piece(2.0, 3.0, "const", c0=1.0).integral(4.0, 5.0) == 0.0
 
 
-# (c0, c1, d0, d1, lo, hi): one piece per branch of the ratio inversion,
-# labelled by x0 = L h / K (see sampler._ratio_location)
+# (c0, c1, d0, d1, lo, hi): one ratio piece per branch of the sampler's
+# inversion, labelled by x0 = L h / K (see sampler._ratio_location)
 RATIO_BRANCHES = {
     "K=0": (2.0, 2.0, 1.0, 1.0, 0.0, 2.0),
     "L=0": (1.0, 0.0, 0.0, 3.0, 0.25, 1.0),
@@ -44,8 +44,8 @@ RATIO_BRANCHES = {
     "-1<x0<0": (1.0, 1.0, 4.0, -1.0, 0.0, 2.0),
     "x0<-1": (1.0, 1.0, 3.0, 1.0, 0.0, 1.0),
     "x0=-1, density 0 at lo": (-1.0, 1.0, 1.0, 1.0, 1.0, 2.0),
-    "x0=-1e4": (1.0, 1.0, 1.0001, 1.0, 0.0, 3.0),
-    "x0=-1e4, mass 3e3": (1e3, 1e3, 1.0001, 1.0, 0.0, 3.0),
+    "x0=-8.9e3": (1.0, 1.0, 1.0 + 1.0 / 8.9e3, 1.0, 0.0, 1.2),
+    "x0=-8.9e3, mass 3e3": (2e3, 2e3, 1.0 + 1.0 / 8.9e3, 1.0, 0.0, 1.2),
     "negative denominator": (-1.0, -2.0, -1.0, -0.5, 0.0, 1.5),
 }
 

@@ -13,6 +13,7 @@ from crmkit.expfam import ParameterPath, make_family
 from crmkit.levy import BaseMeasure, LevyContext
 from crmkit.piecewise import Piece, PiecewiseFunction
 from crmkit.sampler import CRMDraw, evaluate_path, sample_crm, sample_likelihood
+from test_piecewise import RATIO_BRANCHES
 
 PARETO_SERIES = Path(__file__).resolve().parents[1] / "configs" / "pareto_series.json"
 
@@ -387,21 +388,6 @@ def test_sample_crm_natural_space_error_names_component_and_location(gamma_unit_
     assert exc.value.coord == 1
 
 
-# (c0, c1, d0, d1, lo, hi): one piece per branch of the ratio inversion,
-# labelled by x0 = L h / K (see sampler._ratio_location)
-RATIO_BRANCHES = {
-    "K=0": (2.0, 2.0, 1.0, 1.0, 0.0, 2.0),
-    "L=0": (1.0, 0.0, 0.0, 3.0, 0.25, 1.0),
-    "x0>0": (3.0, 1.0, 1.0, 1.0, 0.0, 1.0),
-    "-1<x0<0": (1.0, 1.0, 4.0, -1.0, 0.0, 2.0),
-    "x0<-1": (1.0, 1.0, 3.0, 1.0, 0.0, 1.0),
-    "x0=-1, density 0 at lo": (-1.0, 1.0, 1.0, 1.0, 1.0, 2.0),
-    "x0=-8.9e3": (1.0, 1.0, 1.0 + 1.0 / 8.9e3, 1.0, 0.0, 1.2),
-    "x0=-8.9e3, mass 3e3": (2e3, 2e3, 1.0 + 1.0 / 8.9e3, 1.0, 0.0, 1.2),
-    "negative denominator": (-1.0, -2.0, -1.0, -0.5, 0.0, 1.5),
-}
-
-
 def _bench_like_ratio_pieces(count, seed=5):
     """Heads of the benchmark's ratio configs: coefficients in (0.5, 2), the
     numerator scaled to a mass of 1e2 to 3e3 over (0, zb], zb in (0.3, 1.2)."""
@@ -436,7 +422,7 @@ def _ratio_cases():
     return named + [(f"bench-like {i}", p) for i, p in enumerate(_bench_like_ratio_pieces(12))]
 
 
-@pytest.mark.parametrize("name, piece", _ratio_cases(), ids=lambda v: v if isinstance(v, str) else "")
+@pytest.mark.parametrize("name, piece", _ratio_cases(), ids=[name for name, _ in _ratio_cases()])
 def test_ratio_location_matches_the_exact_root(name, piece):
     mass = piece.integral(piece.lo, piece.hi)
     uniforms = np.random.default_rng(11).random(12)
