@@ -388,10 +388,15 @@ def _register_link(name):
 
 
 def _require(w, ok, what: str) -> None:
-    """Raise ValueError naming the first weight (scalar or array) where ok fails."""
-    ok = np.asarray(ok)
-    if not ok.all():
-        raise ValueError(f"{what}, got {float(np.asarray(w)[~ok].flat[0])}")
+    """Raise ValueError naming the first weight (scalar or array) where ok fails.
+
+    The error carries that weight's position as ``index`` (0 for a scalar).
+    """
+    if not np.all(ok):
+        j = int(np.flatnonzero(~np.ravel(ok))[0])
+        exc = ValueError(f"{what}, got {float(np.ravel(w)[j])}")
+        exc.index = j
+        raise exc
 
 
 # A registered link maps a weight, or an array of weights, to the tuple of
@@ -448,50 +453,49 @@ def sample_likelihood(
 
     Locations are copied verbatim.  A registered link maps all weights in one
     array pass (a callable link is called once per weight) and the natural
-    parameters are validated in one batch check; a link output outside the
-    likelihood's natural space raises an atom-level error naming the first
-    bad atom's location.
+    parameters are validated in one batch check.  A weight the link rejects,
+    or a link output outside the likelihood's natural space, raises an
+    atom-level error naming the first such atom's location.
     """
     rule = link_rule(link)
-    dim = likelihood.dimension
-    etas = np.empty((0, dim))
-    if len(base):
-        weights = base.weights
+    dim, m = likelihood.dimension, len(base)
+    bad, reason = m, None
+    if callable(link):
+        cols = np.empty((dim, m))
+        for j, w in enumerate(base.weights.tolist()):
+            try:
+                eta = np.asarray(rule(w), dtype=float)
+                if eta.shape != (dim,):
+                    raise ValueError(f"link returned {eta.shape}, wanted ({dim},)")
+            except (ValueError, CrmError) as exc:
+                bad, reason = j, exc
+                break
+            cols[:, j] = eta
+    else:
         try:
-            if callable(link):
-                cols = np.array([np.asarray(rule(w), dtype=float) for w in weights.tolist()]).T
-            else:
-                cols = np.asarray(rule(weights), dtype=float)
-            if cols.shape != (dim, len(base)):
-                raise ValueError("link output has the wrong shape")
-            likelihood.check_natural(cols)
-            etas = cols.T
-        except (ValueError, CrmError):
-            _raise_first_bad_link(base, likelihood, rule)
-            raise
-    obs = expfam.sample_each(likelihood, etas, rng) if len(base) else np.empty(0)
+            cols = np.asarray(rule(base.weights), dtype=float)
+        except ValueError as exc:
+            bad, reason = exc.index, exc
+            cols = np.asarray(rule(base.weights[:bad]), dtype=float)
+        if len(cols) != dim:
+            bad, reason = 0, ValueError(f"link returned ({len(cols)},), wanted ({dim},)")
+    if bad:
+        # every atom before the first one the link rejects (all, if none)
+        try:
+            likelihood.check_natural(cols[:, :bad])
+        except NaturalSpaceError as exc:
+            bad, reason = exc.index, exc
+    if reason is not None:
+        loc = float(base.locations[bad])
+        raise AtomLinkError(
+            f"atom at location {loc}: link output invalid for {likelihood.name}: {reason}",
+            location=loc,
+        ) from reason
+    obs = expfam.sample_each(likelihood, cols.T, rng) if m else np.empty(0)
     return LikelihoodDraw(
         base.locations.copy(), np.asarray(obs, dtype=float),
         base.component_index.copy(), base.draw_id,
     )
-
-
-def _raise_first_bad_link(base: CRMDraw, likelihood: ExpFamilySpec, rule) -> None:
-    """Link the atoms one by one, in order, and raise for the first bad one."""
-    for loc, w in zip(base.locations.tolist(), base.weights.tolist()):
-        try:
-            eta = np.asarray(rule(w), dtype=float)
-            if eta.shape != (likelihood.dimension,):
-                raise ValueError(
-                    f"link returned {eta.shape}, wanted ({likelihood.dimension},)"
-                )
-            likelihood.check_natural(eta)
-        except (ValueError, CrmError) as exc:
-            raise AtomLinkError(
-                f"atom at location {loc}: link output invalid for "
-                f"{likelihood.name}: {exc}",
-                location=loc,
-            )
 
 
 def evaluate_path(draw: CRMDraw, t):

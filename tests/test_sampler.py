@@ -189,6 +189,13 @@ def test_sample_likelihood_names_the_first_bad_atom():
     assert exc.value.location == 0.6
     with pytest.raises(AtomLinkError, match=r"location 0.1: .*wanted \(1,\)"):
         sample_likelihood(base, lognormal, lambda w: (w, w), np.random.default_rng(0))
+    # the first bad atom, whichever check it fails: logit(0.5) = 0 is no
+    # lognormal precision, though the link first rejects the weight 2.0
+    with pytest.raises(AtomLinkError, match="location 0.1: .*precision") as exc:
+        sample_likelihood(base, lognormal, "bernoulli_prob", np.random.default_rng(0))
+    assert exc.value.location == 0.1
+    with pytest.raises(AtomLinkError, match=r"location 0.1: .*wanted \(2,\)"):
+        sample_likelihood(base, make_family("gamma"), "poisson_rate", np.random.default_rng(0))
 
 
 def test_sample_likelihood_links_in_one_array_pass(monkeypatch):
