@@ -8,11 +8,11 @@ stable ties by component then draw order, so equal seeds give equal bytes.
 
 Each component is sampled over whole arrays of atoms.  One array of
 uniforms picks every atom's base segment; point masses are assigned
-directly, constant, affine and ratio pieces (which cover (lo, hi]) invert
-in closed form over the segment's atoms (a ratio piece through Wright's
-omega or Lambert's W, polished by a bracketed Newton step), and only
-callable pieces (:meth:`~crmkit.piecewise.PiecewiseFunction.from_callable`)
-invert atom by atom with brentq.  The path is evaluated once per component
+directly, constant and affine pieces (which cover (lo, hi]) invert in
+closed form over the segment's atoms, ratio pieces by Newton's method on
+their exact mass over the same arrays, and only callable pieces
+(:meth:`~crmkit.piecewise.PiecewiseFunction.from_callable`) invert atom by
+atom with brentq.  The path is evaluated once per component
 (:meth:`~crmkit.expfam.ParameterPath.eval_many`), its parameters are
 validated in one natural-space check, and the weights come from one
 vectorized family draw.
@@ -161,85 +161,41 @@ _EPS = float(np.finfo(float).eps)
 def _ratio_location(piece, rem: np.ndarray) -> np.ndarray:
     """z with mass rem accumulated from the lower edge of a ratio piece.
 
-    With y = d0 + d1 z, h = y(lo)/d1 and t = z - lo, the mass from lo is
-    G(t) = L t + K log1p(t/h) (see ``Piece._ratio_terms``).  Writing
-    delta = t/h, x0 = L h/K and rho = rem/K, G(t) = rem reads
-    x0 delta + log1p(delta) = rho, which inverts in closed form:
-
-    - K = 0: t = rem/L;
-    - L = 0: delta = expm1(rho);
-    - x0 > 0: x0 (1 + delta) = omega(ln x0 + x0 + rho), Wright's omega;
-    - x0 < 0: v = -x0 (1 + delta) solves v - ln v = s = -x0 - ln(-x0) - rho
-      on v's side of 1: v = -W_0(-e^-s) below 1; above 1, v = -W_-1(-e^-s)
-      by Newton's method on v - ln v = s itself, since e^-s underflows for
-      s > 745 (near x0 = -1e4, as in bench-like pieces).  The start
-      1 + sqrt(2u) + u, u = s - 1, lies above the root (Chatzigeorgiou 2013,
-      IEEE Commun. Lett. 17(8)), where the convex v - ln v - s converges
-      monotonically.
-
-    A bracketed Newton iteration on G(t) = rem then restores the relative
-    precision that 1 + delta loses near lo, and the precision W loses next
-    to its branch point, where the density vanishes at an end of the piece.
+    With h = (d0 + d1 lo)/d1 and t = z - lo, the mass from lo is
+    G(t) = L t + K log1p(t/h) (see ``Piece._ratio_terms``), whose slope is
+    the density.  K = 0 inverts linearly.  Otherwise G'' = -K/(h + t)^2
+    keeps one sign, so G is concave (K > 0) or convex (K < 0), and Newton's
+    method on G(t) = rem started from the end where the density is larger
+    (lo for K > 0, hi for K < 0) moves monotonically to the root: every
+    tangent meets rem between the iterate and the root.  An atom is done
+    when its step turns back (the rounding of G), or when the error the step
+    leaves, |G''/(2 G')| step^2, is below an ulp of the new t.
     """
     lin, log_coef = piece._ratio_terms()
     if log_coef == 0:
         return piece.lo + rem / lin
     h = (piece.d0 + piece.d1 * piece.lo) / piece.d1
-    rho = rem / log_coef
-    x0 = lin * h / log_coef
-    if x0 == 0:
-        delta = np.expm1(rho)
-    elif x0 > 0:
-        delta = special.wrightomega(np.log(x0) + x0 + rho) / x0 - 1.0
-    else:
-        s = -x0 - np.log(-x0) - rho
-        if x0 > -1 or (x0 == -1 and h < 0):
-            v = -special.lambertw(-np.exp(-s), 0).real
-        else:
-            u = np.maximum(s - 1.0, 0.0)
-            v = 1.0 + np.sqrt(2.0 * u) + u
-            for _ in range(4):
-                v = np.divide(v * (np.log(v) + u), v - 1.0, out=np.ones_like(v), where=v > 1.0)
-        delta = v / -x0 - 1.0
-    t = _newton_mass(lin, log_coef, h, piece.hi - piece.lo, rem, h * delta)
-    return piece.lo + t
-
-
-def _newton_mass(lin, log_coef, h, width, rem, t):
-    """Roots t in [0, width] of G(t) = L t + K log1p(t/h) = rem, from starts t.
-
-    One Newton step finishes every root whose step is small enough that the
-    quadratic error term |G''/(2 G')| step^2 is below an ulp.  The rest keep
-    a bracket, since G increases on [0, width] (its slope is the density),
-    and iterate: a Newton step that leaves the bracket, or meets a zero
-    slope, bisects.
-    """
-    t = np.clip(t, 0.0, width)
-    y = h + t
-    g = lin * t + log_coef * np.log1p(t / h) - rem
-    slope = lin + log_coef / y
-    step = np.divide(g, slope, out=np.zeros_like(g), where=slope > 0)
-    new = t - step
-    ok = (slope > 0) & (new >= 0) & (new <= width)
-    ok &= np.abs(log_coef / (y * y)) * step * step <= 2 * _EPS * slope * new
-    out = np.where(ok, new, t)
-    todo = np.flatnonzero(~ok)
-    low, high = np.zeros(todo.size), np.full(todo.size, width)
+    width = piece.hi - piece.lo
+    toward = 1.0 if log_coef > 0 else -1.0
+    end = 0.0 if log_coef > 0 else width
+    # the first tangent, from the end, is the one with no logarithm per atom
+    t = end + (rem - (lin * end + log_coef * np.log1p(end / h))) / (lin + log_coef / (h + end))
+    todo = np.arange(rem.size)
     for _ in range(200):
         if not todo.size:
             break
-        tt, r = out[todo], rem[todo]
-        g = lin * tt + log_coef * np.log1p(tt / h) - r
-        low = np.where(g <= 0, tt, low)
-        high = np.where(g >= 0, tt, high)
-        slope = lin + log_coef / (h + tt)
-        new = tt - np.divide(g, slope, out=np.zeros_like(g), where=slope > 0)
-        bisect = (slope <= 0) | (new < low) | (new > high)
-        new = np.where(bisect, 0.5 * (low + high), new)
-        out[todo] = new
-        left = (np.abs(new - tt) > 4 * _EPS * new) & (high - low > 4 * _EPS * high)
-        todo, low, high = todo[left], low[left], high[left]
-    return out
+        tt = t[todo]
+        y = h + tt
+        g = lin * tt + log_coef * np.log1p(tt / h) - rem[todo]
+        slope = lin + log_coef / y
+        # a zero density is met only at the far end, when the root is there
+        step = np.divide(-g, slope, out=np.zeros_like(g), where=slope > 0)
+        more = toward * step > 0
+        new = np.where(more, tt + step, tt)
+        t[todo] = new
+        more &= np.abs(log_coef / (y * y)) * step * step > 2 * _EPS * slope * np.abs(new)
+        todo = todo[more]
+    return piece.lo + np.clip(t, 0.0, width)
 
 
 def _piece_location(piece, rem: float) -> float:

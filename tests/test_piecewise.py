@@ -35,21 +35,6 @@ def test_piece_integral_closed_forms():
     assert Piece(2.0, 3.0, "const", c0=1.0).integral(4.0, 5.0) == 0.0
 
 
-# (c0, c1, d0, d1, lo, hi): one ratio piece per branch of the sampler's
-# inversion, labelled by x0 = L h / K (see sampler._ratio_location)
-RATIO_BRANCHES = {
-    "K=0": (2.0, 2.0, 1.0, 1.0, 0.0, 2.0),
-    "L=0": (1.0, 0.0, 0.0, 3.0, 0.25, 1.0),
-    "x0>0": (3.0, 1.0, 1.0, 1.0, 0.0, 1.0),
-    "-1<x0<0": (1.0, 1.0, 4.0, -1.0, 0.0, 2.0),
-    "x0<-1": (1.0, 1.0, 3.0, 1.0, 0.0, 1.0),
-    "x0=-1, density 0 at lo": (-1.0, 1.0, 1.0, 1.0, 1.0, 2.0),
-    "x0=-8.9e3": (1.0, 1.0, 1.0 + 1.0 / 8.9e3, 1.0, 0.0, 1.2),
-    "x0=-8.9e3, mass 3e3": (2e3, 2e3, 1.0 + 1.0 / 8.9e3, 1.0, 0.0, 1.2),
-    "negative denominator": (-1.0, -2.0, -1.0, -0.5, 0.0, 1.5),
-}
-
-
 def _ratio(c0, c1, d0, d1, lo, hi):
     return Piece(lo, hi, "ratio", c0=c0, c1=c1, d0=d0, d1=d1)
 
@@ -62,9 +47,8 @@ def test_ratio_piece_value_and_validation():
         Piece(0.0, 1.0, "ratio", c0=1.0, d0=2.0, d1=0.0)
 
 
-@pytest.mark.parametrize("name", sorted(RATIO_BRANCHES))
-def test_ratio_integral_matches_quadrature(name):
-    p = _ratio(*RATIO_BRANCHES[name])
+def test_ratio_integral_matches_quadrature(ratio_branch):
+    _, p = ratio_branch
     for a, b in ((p.lo, p.hi), (p.lo, 0.5 * (p.lo + p.hi)), (p.lo + 0.1, p.hi - 0.2)):
         want = checked_quad(lambda z: p.value(z), a, b)
         assert p.integral(a, b) == pytest.approx(want, rel=1e-12)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from crmkit.expfam import ParameterPath, make_family
 from crmkit.levy import BaseMeasure, LevyContext
 from crmkit.piecewise import Piece, PiecewiseFunction
 from crmkit.sampler import CRMDraw, evaluate_path, sample_crm, sample_likelihood
-from test_piecewise import RATIO_BRANCHES
 
 PARETO_SERIES = Path(__file__).resolve().parents[1] / "configs" / "pareto_series.json"
 
@@ -423,34 +423,49 @@ def _mp_ratio_location(piece, rem):
         return mp.findroot(excess, (lo, mp.mpf(piece.hi)), solver="anderson")
 
 
-def _ratio_cases():
-    named = [(name, Piece(lo, hi, "ratio", c0=c0, c1=c1, d0=d0, d1=d1))
-             for name, (c0, c1, d0, d1, lo, hi) in RATIO_BRANCHES.items()]
-    return named + [(f"bench-like {i}", p) for i, p in enumerate(_bench_like_ratio_pieces(12))]
-
-
-@pytest.mark.parametrize("name, piece", _ratio_cases(), ids=[name for name, _ in _ratio_cases()])
-def test_ratio_location_matches_the_exact_root(name, piece):
+def _check_location_against_the_exact_root(piece):
     mass = piece.integral(piece.lo, piece.hi)
     uniforms = np.random.default_rng(11).random(12)
     rem = np.concatenate([[1e-9, 1e-4, 1.0 - 1e-12, 1.0], uniforms]) * mass
     z = sampler._closed_location(piece, rem)
     for got, r in zip(z.tolist(), rem.tolist()):
         want = _mp_ratio_location(piece, r)
-        assert abs(got - want) <= 1e-12 * abs(want), (name, r, got, float(want))
-    assert sampler._closed_location(piece, np.array([0.0]))[0] == piece.lo
+        assert abs(got - want) <= 1e-12 * abs(want), (r, got, float(want))
+    # a zero remainder is the end itself, which Newton's method from the far
+    # end approaches to within the rounding of the mass
+    z0 = sampler._closed_location(piece, np.array([0.0]))[0]
+    assert piece.lo <= z0 <= piece.lo + 1e-12 * (piece.hi - piece.lo)
 
 
-def test_ratio_location_branch_labels_hold():
-    for name, (c0, c1, d0, d1, lo, hi) in RATIO_BRANCHES.items():
-        lin, log_coef = Piece(lo, hi, "ratio", c0=c0, c1=c1, d0=d0, d1=d1)._ratio_terms()
-        x0 = lin * (d0 + d1 * lo) / d1 / log_coef if log_coef else None
-        if name.startswith("x0=-8.9e3"):
-            assert x0 == pytest.approx(-8.9e3, rel=1e-3)
-        elif name.startswith("x0=-1,"):
-            assert x0 == -1.0
-        elif name == "-1<x0<0":
-            assert -1 < x0 < 0
+def test_ratio_location_matches_the_exact_root(ratio_branch):
+    _check_location_against_the_exact_root(ratio_branch[1])
+
+
+@pytest.mark.parametrize(
+    "piece", _bench_like_ratio_pieces(12), ids=[f"bench-like {i}" for i in range(12)]
+)
+def test_ratio_location_matches_the_exact_root_on_bench_like_pieces(piece):
+    _check_location_against_the_exact_root(piece)
+
+
+def test_ratio_piece_labels_hold(ratio_branch):
+    name, piece = ratio_branch
+    lin, log_coef = piece._ratio_terms()
+    x0 = lin * (piece.d0 + piece.d1 * piece.lo) / piece.d1 / log_coef if log_coef else math.nan
+    holds = {
+        "K=0": log_coef == 0,
+        "L=0": lin == 0,
+        "x0>0": x0 > 0,
+        "-1<x0<0": -1 < x0 < 0,
+        "x0<-1": x0 < -1,
+        "x0=-1, density 0 at lo": x0 == -1 and piece.value(piece.lo) == 0,
+        "x0=-8.9e3": x0 == pytest.approx(-8.9e3, rel=1e-3),
+        "x0=-8.9e3, mass 2.4e3": x0 == pytest.approx(-8.9e3, rel=1e-3)
+        and piece.integral(piece.lo, piece.hi) == pytest.approx(2.4e3, rel=1e-3),
+        "negative denominator": piece.d0 + piece.d1 * piece.hi
+        < piece.d0 + piece.d1 * piece.lo < 0,
+    }
+    assert holds[name]
 
 
 def _ratio_base_ctx(pieces):
@@ -478,13 +493,12 @@ def test_ratio_base_sampling_makes_no_brentq_call(monkeypatch):
         sample_crm([func_ctx], 2.0, np.random.default_rng(7))
 
 
-@pytest.mark.parametrize("name", ["x0>0", "x0<-1", "x0=-1, density 0 at lo", "negative denominator"])
-def test_ratio_base_locations_follow_the_base_density(name):
-    c0, c1, d0, d1, lo, hi = RATIO_BRANCHES[name]
-    piece = Piece(lo, hi, "ratio", c0=c0, c1=c1, d0=d0, d1=d1)
+def test_ratio_base_locations_follow_the_base_density(ratio_branch):
+    _, piece = ratio_branch
+    lo, hi = piece.lo, piece.hi
     mass = piece.integral(lo, hi)
     scale = 20_000.0 / mass
-    ctx = _ratio_base_ctx([Piece(lo, hi, "ratio", c0=scale * c0, c1=scale * c1, d0=d0, d1=d1)])
+    ctx = _ratio_base_ctx([replace(piece, c0=scale * piece.c0, c1=scale * piece.c1)])
     z = np.sort(sample_crm([ctx], hi, np.random.default_rng(13)).locations)
     cdf = np.array([piece.integral(lo, x) for x in z]) / mass
     n = z.size
