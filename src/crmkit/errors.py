@@ -36,7 +36,11 @@ class NaturalSpaceError(CrmError):
 
 
 class DerivativeDomainError(CrmError):
-    """No admissible finite-difference step exists inside the natural space."""
+    """A derivative of the log-partition does not exist where it is asked for.
+
+    Raised for a one-sided A on the ``pareto_loglog`` face and for a moment
+    that diverges.
+    """
 
 
 class ConditionError(CrmError):

@@ -46,12 +46,10 @@ __all__ = [
     "make_family",
     "family_names",
     "density",
-    "log_density",
     "log_partition",
     "moment_suff_stat",
     "raw_moment",
     "raw_moment_beta",
-    "sample",
     "sample_each",
 ]
 
@@ -233,10 +231,6 @@ def log_partition(spec: ExpFamilySpec, eta) -> float:
     return spec.at(eta).log_partition
 
 
-def log_density(spec: ExpFamilySpec, eta, x) -> float | np.ndarray:
-    return spec.at(eta).log_density(x)
-
-
 def density(spec: ExpFamilySpec, eta, x) -> float | np.ndarray:
     """p(x | eta) in canonical form."""
     return spec.at(eta).density(x)
@@ -298,11 +292,6 @@ def raw_moment_beta(alpha: float, beta: float, m: int) -> float:
             - special.gammaln(alpha)
         )
     )
-
-
-def sample(spec: ExpFamilySpec, eta, rng: np.random.Generator, size: int | None = None):
-    """Draw from the family; deterministic given the generator state."""
-    return spec.at(eta).sample(rng, size)
 
 
 def sample_each(spec: ExpFamilySpec, etas: np.ndarray, rng: np.random.Generator) -> np.ndarray:

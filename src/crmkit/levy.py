@@ -11,16 +11,11 @@ int (1 - e^{-theta u}) dL_t(u) = int_{(0,t]} (1 - E_{eta(z)}[e^{-theta T_k}]) dA
 
 The per-location transform is closed form, the log-partition tilt
 E_eta[e^{-theta T_k}] = exp(A(eta - sign_k theta e_k) - A(eta)).  Location
-integrals split exactly at piece breakpoints, use one adaptive quadrature
-(:func:`~crmkit.piecewise.checked_quad`) per smooth stretch, and add atom
-contributions of A_0 exactly; the window convention is (0, t] (a jump at t
-counts, one at 0 does not).
-
-The integrand of a location integral is a function h of eta.  On a
-constant stretch, where every path component is one ``const`` piece and no
-atom override lies inside, h runs once instead of at every quadrature node.
-The quadrature itself is unchanged: it keeps its nodes and sees the same
-float at each of them, so every result keeps its bits.
+integrals split exactly at piece breakpoints and add atom contributions of
+A_0 exactly; the window convention is (0, t] (a jump at t counts, one at 0
+does not).  Where eta is one constant on a stretch the integral is
+h(eta) A_0(stretch) by linearity; elsewhere it takes one adaptive
+quadrature (:func:`~crmkit.piecewise.checked_quad`) per smooth stretch.
 """
 
 from __future__ import annotations
@@ -281,30 +276,6 @@ class LevyContext:
             )
 
 
-def _on_stretch(path: ParameterPath, h: Callable, a: float, b: float) -> Callable:
-    """z -> h(eta(z)) on the stretch (a, b] between two cuts.
-
-    Where eta is one constant on the stretch (every path component is a
-    ``const`` piece there and no atom override lies strictly inside (a, b)),
-    h runs once, at the first z asked for, and later calls return that same
-    float.  An override at a cut is reached only through a point mass there,
-    never by a quadrature node.
-    """
-    pieces = [comp.piece_at(b) for comp in path.components]
-    if any(p is None or p.kind != "const" or p.lo > a for p in pieces) or any(
-        a < loc < b for loc in path.atom_overrides
-    ):
-        return lambda z: h(path.eval(z))
-    memo = []
-
-    def once(z):
-        if not memo:
-            memo.append(h(path.eval(z)))
-        return memo[0]
-
-    return once
-
-
 def _cuts(ctx: LevyContext, lo: float, hi: float) -> list[float]:
     """lo, hi and every path or base breakpoint strictly between, ascending."""
     inner = [b for b in ctx.path.breakpoints() + ctx.base.breakpoints() if lo < b < hi]
@@ -314,26 +285,31 @@ def _cuts(ctx: LevyContext, lo: float, hi: float) -> list[float]:
 def _z_integral(ctx: LevyContext, h: Callable, z_lo: float, z_hi: float) -> float:
     """int_(z_lo, z_hi] h(eta(z)) dA_0(z), split at breakpoints, atoms exact.
 
-    Each stretch between cuts gets one quadrature per overlapping base piece.
-    On a stretch where eta is constant, h runs once, at the first node a
-    quadrature asks for (:func:`_on_stretch`), so a stretch that no base
-    piece overlaps never evaluates h.  Every node still sees the float h
-    would have returned there, so each quadrature keeps its nodes and bits.
+    On a stretch between cuts where every path component is one ``const``
+    piece, eta is one constant and the integral is h(eta) A_0(stretch); h
+    does not run where that mass is 0.  Any other stretch gets one
+    quadrature per overlapping base piece.  Atom overrides act only through
+    the base point masses at their locations.
     """
     if not z_lo < z_hi:
         return 0.0
     total = 0.0
     cuts = _cuts(ctx, z_lo, z_hi)
     for a, b in zip(cuts, cuts[1:]):
-        g = _on_stretch(ctx.path, h, a, b)
+        pieces = [comp.piece_at(b) for comp in ctx.path.components]
+        if all(p is not None and p.kind == "const" for p in pieces):
+            mass = ctx.base.density.integral(a, b)
+            if mass != 0.0:
+                total += h(np.array([p.c0 for p in pieces])) * mass
+            continue
         for piece in ctx.base.density.pieces:
             lo, hi = max(a, piece.lo), min(b, piece.hi)
             if lo < hi:
-                total += checked_quad(lambda z, p=piece, g=g: g(z) * p.value(z), lo, hi)
+                total += checked_quad(lambda z, p=piece: h(ctx.path.eval(z)) * p.value(z), lo, hi)
     for loc, mass in ctx.base.jumps_in(z_lo, z_hi):
         if mass > 0:
             total += mass * h(ctx.path.eval(loc))
-    return total
+    return float(total)
 
 
 def levy_density_s(ctx: LevyContext, t: float, s: float, z_window=None) -> float:

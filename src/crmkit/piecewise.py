@@ -12,8 +12,9 @@ one mask per piece, over a whole array.
 
 Callable pieces integrate through :func:`checked_quad`, the package's one checked
 quadrature helper: it raises rather than return an unconverged value.  A
-ratio piece whose denominator vanishes on the interval, or whose interval
-is unbounded, raises :class:`DivergenceError` from its closed form.
+closed-form integral that is not finite (a nonzero piece over an unbounded
+interval, or a ratio piece whose denominator vanishes on it) raises
+:class:`DivergenceError`.
 """
 
 from __future__ import annotations
@@ -92,18 +93,30 @@ class Piece:
         return self.c1 / self.d1, (self.c0 * self.d1 - self.c1 * self.d0) / (self.d1 * self.d1)
 
     def integral(self, a, b):
-        """Integral over [a, b] intersected with the piece, exact when closed-form."""
+        """Integral over [a, b] intersected with the piece, exact when closed-form.
+
+        A zero piece integrates to 0.0; a closed form that is not finite
+        raises :class:`DivergenceError` with ``partial=inf``.
+        """
         a = max(a, self.lo)
         b = min(b, self.hi)
         if not a < b:
             return 0.0
-        if self.kind == "const":
-            return self.c0 * (b - a)
-        if self.kind == "affine":
-            return self.c0 * (b - a) + 0.5 * self.c1 * (b * b - a * a)
+        if self.kind == "func":
+            return checked_quad(self.func, a, b)
         if self.kind == "ratio":
             return self._ratio_integral(a, b)
-        return checked_quad(self.func, a, b)
+        if self.c0 == 0 and (self.kind == "const" or self.c1 == 0):
+            return 0.0
+        if self.kind == "const":
+            val = self.c0 * (b - a)
+        else:
+            val = self.c0 * (b - a) + 0.5 * self.c1 * (b * b - a * a)
+        if not math.isfinite(val):
+            raise DivergenceError(
+                f"{self.kind} piece integral over ({a}, {b}) is not finite", partial=_INF
+            )
+        return val
 
     def _ratio_integral(self, a, b):
         lin, log_coef = self._ratio_terms()

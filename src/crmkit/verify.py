@@ -237,7 +237,7 @@ def _suite_moments(seed, replicates) -> SuiteResult:
             res.add(f"beta-raw-moment a={a:g} b={b:g} m={m}", engine, closed, 1e-8 * abs(closed), rel < 1e-8)
 
     rng = np.random.default_rng(seed)
-    draws = expfam.sample(beta, [2.0, 3.0], rng, size=replicates)
+    draws = beta.at([2.0, 3.0]).sample(rng, replicates)
     se = draws.std(ddof=1) / math.sqrt(replicates)
     res.add("beta-mean-monte-carlo a=2 b=3", float(draws.mean()), 0.4, 3.0 * se)
 

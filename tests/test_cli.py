@@ -69,6 +69,15 @@ def test_sample_requires_some_zmax(tmp_path):
     assert run("sample", "--config", p, "--seed", 1, "--out", tmp_path) == 2
 
 
+def test_sample_unbounded_zmax_exits_1(tmp_path, capsys):
+    rc = run(
+        "sample", "--config", CONFIG_DIR / "gamma.json",
+        "--seed", 1, "--zmax", "inf", "--out", tmp_path,
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: component 1 has non-finite base mass")
+
+
 def test_sample_truncation_records_tail(tmp_path):
     rc = run(
         "sample", "--config", CONFIG_DIR / "pareto_series.json",

@@ -136,7 +136,7 @@ def test_count_mode_cells_draw_what_binding_each_cell_drew():
         for j in np.nonzero(~small)[0]:
             count = rng.poisson(plan.masses[j])
             if count:
-                draws = expfam.sample(ctx.family, plan.etas[j], rng, size=int(count))
+                draws = ctx.family.at(plan.etas[j]).sample(rng, int(count))
                 total += float(np.sum(stat.value(draws)))
         return total
 

@@ -145,13 +145,13 @@ def test_raw_moment_matches_beta_closed_form():
 
 def test_sampling_matches_moments(rng):
     beta = expfam.make_family("beta")
-    draws = expfam.sample(beta, [2.0, 3.0], rng, size=40_000)
+    draws = beta.at([2.0, 3.0]).sample(rng, 40_000)
     assert np.all((draws > 0) & (draws < 1))
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - 0.4) < 4 * se
 
     pareto = expfam.make_family("pareto", scale=1.5)
-    draws = expfam.sample(pareto, [-3.5], rng, size=10_000)
+    draws = pareto.at([-3.5]).sample(rng, 10_000)
     assert draws.min() > 1.5
 
 

@@ -1,10 +1,10 @@
 """Pinned bits of the Levy functionals.
 
-The values were recorded before the family view ``ExpFamilySpec.at`` and the
-constant-stretch rule of the location integral existed.  Both keep every
-quadrature's nodes and the floats it sees there, so every ``repr`` here,
-including whether a value is a numpy scalar, stays fixed.  The
-``classify_activity`` masses are the exact base masses A_0((0, t]).
+On a stretch where the parameter path is one constant, a location integral
+is the closed form h(eta) A_0(stretch); elsewhere it is one quadrature per
+base piece.  Every result is a Python float, and every ``repr`` here is
+fixed.  The ``classify_activity`` masses are the exact base masses
+A_0((0, t]).
 """
 
 import math
@@ -96,25 +96,25 @@ CALLS = {
 PINNED = {
     ("gamma_k1", "levy_density_u"): "0.33648065961951873",
     ("gamma_k1", "laplace_exponent"): "-0.5957691216057306",
-    ("gamma_k1", "density_table"): "[(2.0, -1.0, 0.6824208745919487), (2.0, 0.25, 0.7121970542030885), (2.0, 1.0, 0.12456676174542843)]",
-    ("gamma_k2", "levy_density_u"): "1.1572132469906797",
-    ("gamma_k2", "laplace_exponent"): "0.96",
-    ("gamma_k2", "density_table"): "[(2.5, 0.1, 2.5002614948007986), (2.5, 1.0, 1.6803135574154082), (2.5, 3.0, 0.012495242663776303)]",
+    ("gamma_k1", "density_table"): "[(2.0, -1.0, 0.6824208745919488), (2.0, 0.25, 0.7121970542030885), (2.0, 1.0, 0.12456676174542843)]",
+    ("gamma_k2", "levy_density_u"): "1.1572132469906795",
+    ("gamma_k2", "laplace_exponent"): "0.9599999999999999",
+    ("gamma_k2", "density_table"): "[(2.5, 0.1, 2.5002614948007986), (2.5, 1.0, 1.6803135574154084), (2.5, 3.0, 0.012495242663776305)]",
     ("gamma_k2", "classify_activity"): "('FiniteActivity', 1.5)",
-    ("loglog_off", "levy_density_u"): "0.6401495186524655",
+    ("loglog_off", "levy_density_u"): "0.6401495186524657",
     ("loglog_off", "laplace_exponent"): "0.32907052493225364",
-    ("loglog_off", "density_table"): "[(1.0, 1.1, 2.0736986778474997), (1.0, 2.0, 0.18914172293059753), (1.0, 3.5, 0.010417187861791688)]",
+    ("loglog_off", "density_table"): "[(1.0, 1.1, 2.0736986778474997), (1.0, 2.0, 0.1891417229305975), (1.0, 3.5, 0.010417187861791688)]",
     ("piecewise", "levy_density_u"): "1.581524770887262",
     ("piecewise", "laplace_exponent"): "1.0156249999999996",
-    ("piecewise", "density_table"): "[(1.5, 0.2, 1.1360400867146347), (1.5, 1.0, 0.7841463267938572), (1.5, 2.5, 0.03577764519393798)]",
+    ("piecewise", "density_table"): "[(1.5, 0.2, 1.1360400867146347), (1.5, 1.0, 0.7841463267938571), (1.5, 2.5, 0.03577764519393798)]",
     ("piecewise", "classify_activity"): "('NotTimeHomogeneous', 1.0)",
-    ("override", "levy_density_u"): "np.float64(2.121660548580146)",
+    ("override", "levy_density_u"): "2.121660548580146",
     ("override", "laplace_exponent"): "2.4429999999999996",
-    ("override", "density_table"): "[(1.0, 0.2, 0.9878609449692475), (1.0, 1.0, 0.4480836153107757), (1.0, 2.5, 0.01244439832832625)]",
+    ("override", "density_table"): "[(1.0, 0.2, 0.9878609449692475), (1.0, 1.0, 0.44808361531077556), (1.0, 2.5, 0.012444398328326252)]",
     ("override", "classify_activity"): "('NotTimeHomogeneous', 1.0)",
-    ("gap_jump", "levy_density_u"): "np.float64(2.8544593425770097)",
-    ("gap_jump", "laplace_exponent"): "1.6187499999999997",
-    ("gap_jump", "density_table"): "[(3.0, 0.2, np.float64(3.655085496386216)), (3.0, 1.0, np.float64(1.6579093766498698)), (3.0, 2.5, np.float64(0.04604427381480713))]",
+    ("gap_jump", "levy_density_u"): "2.8544593425770093",
+    ("gap_jump", "laplace_exponent"): "1.6187499999999995",
+    ("gap_jump", "density_table"): "[(3.0, 0.2, 3.655085496386216), (3.0, 1.0, 1.6579093766498694), (3.0, 2.5, 0.046044273814807135)]",
     ("gap_jump", "classify_activity"): "('NotTimeHomogeneous', 3.7)",
 }
 

@@ -4,6 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy import special
 
 from crmkit import expfam, levy, piecewise, verify
@@ -22,6 +23,7 @@ from crmkit.levy import (
     NotTimeHomogeneous,
     check_conditions,
     classify_activity,
+    density_table,
     laplace_exponent,
     levy_density_s,
     levy_density_u,
@@ -518,3 +520,93 @@ def test_an_invalid_eta_where_no_base_piece_lies_is_not_evaluated():
     covered = LevyContext.build(gamma, path, BaseMeasure.lebesgue(1.0), k=2, require_conditions=False)
     with pytest.raises(NaturalSpaceError):
         levy_density_s(covered, 3.0, 0.7)
+
+
+def test_unbounded_windows_diverge_or_carry_no_mass(gamma_const_ctx):
+    assert BaseMeasure.null().increment(0.0, math.inf) == 0.0
+    assert isinstance(classify_activity(gamma_const_ctx, math.inf), levy.InfiniteActivity)
+    with pytest.raises(DivergenceError) as exc:
+        laplace_exponent(gamma_const_ctx, math.inf, 1.0)
+    assert exc.value.partial == math.inf
+    null = LevyContext.build(make_family("gamma"), _ETA_23, BaseMeasure.null(), k=2)
+    assert laplace_exponent(null, math.inf, 1.0) == 0.0
+
+
+def _gamma_tilt(eta, k, theta):
+    """E[exp(-theta T_k)] under gamma(shape, rate): T_2 = x, T_1 = ln x."""
+    shape, rate = eta
+    if k == 2:
+        return (rate / (rate + theta)) ** shape
+    return math.exp(math.lgamma(shape - theta) - math.lgamma(shape) + theta * math.log(rate))
+
+
+def _gamma_density_u(eta, k, u):
+    """Density of u = T_k(x) under gamma(shape, rate)."""
+    shape, rate = eta
+    x = u if k == 2 else math.exp(u)
+    log_px = shape * math.log(rate) + (shape - 1.0) * math.log(x) - rate * x - math.lgamma(shape)
+    px = math.exp(log_px)
+    return px if k == 2 else px * x
+
+
+_OVERRIDDEN = _ETA_23.with_override(0.5, (4.0, 2.0)).with_override(1.25, (3.0, 1.5))
+
+# name: (path, base, k, t, theta, [(eta, A_0 mass at that eta over (0, t])])
+_CONSTANT_PATHS = {
+    "gamma_k1": (
+        ParameterPath.constant([1.5, 2.0]), BaseMeasure.lebesgue(1.0), 1, 1.0, 0.5,
+        [((1.5, 2.0), 1.0)],
+    ),
+    "gamma_k2": (_ETA_23, BaseMeasure.lebesgue(1.5), 2, 2.0, 2.0, [((2.0, 3.0), 3.0)]),
+    "piecewise": (
+        _two_stretch_shape(3.0), BaseMeasure.lebesgue(1.0), 2, 3.0, 1.0,
+        [((2.0, 3.0), 1.0), ((3.0, 3.0), 2.0)],
+    ),
+    # the override at 0.5 lies inside a stretch, the one at 1.25 on a point mass
+    "override": (
+        _OVERRIDDEN, BaseMeasure(PiecewiseFunction.constant(1.0), ((1.25, 2.0),)), 2, 2.0, 1.0,
+        [((2.0, 3.0), 2.0), ((3.0, 1.5), 2.0)],
+    ),
+    "gap_jump": (
+        _ETA_23, BaseMeasure(_GAPPED_BASE.density, ((1.0, 0.7),)), 2, 3.0, 1.0,
+        [((2.0, 3.0), 0.5 + 2.0 + 0.7)],
+    ),
+}
+
+
+class _NoQuadrature(Exception):
+    pass
+
+
+def _refuse_quad(*args, **kwargs):
+    raise _NoQuadrature
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTANT_PATHS))
+def test_a_constant_path_needs_no_location_quadrature(name, monkeypatch):
+    path, base, k, t, theta, masses = _CONSTANT_PATHS[name]
+    ctx = LevyContext.build(make_family("gamma"), path, base, k=k)
+    monkeypatch.setattr(scipy.integrate, "quad", _refuse_quad)
+    want = sum(mass * (1.0 - _gamma_tilt(eta, k, theta)) for eta, mass in masses)
+    assert laplace_exponent(ctx, t, theta) == pytest.approx(want, rel=1e-13)
+    us = (0.2, 0.7, 2.5)
+    table = density_table(ctx, t, us)
+    for u, (t_row, u_row, got) in zip(us, table):
+        want = sum(mass * _gamma_density_u(eta, k, u) for eta, mass in masses)
+        assert (t_row, u_row) == (t, u)
+        assert levy_density_u(ctx, t, u) == got == pytest.approx(want, rel=1e-13)
+
+
+def test_an_affine_path_still_integrates_by_quadrature(monkeypatch):
+    path = ParameterPath(
+        [
+            PiecewiseFunction.constant(1.0),
+            PiecewiseFunction([Piece(0.0, math.inf, "affine", c0=1.0, c1=1.0)]),
+        ]
+    )
+    ctx = LevyContext.build(make_family("gamma"), path, BaseMeasure.lebesgue(1.0), k=2)
+    monkeypatch.setattr(scipy.integrate, "quad", _refuse_quad)
+    with pytest.raises(_NoQuadrature):
+        laplace_exponent(ctx, 1.0, 1.0)
+    with pytest.raises(_NoQuadrature):
+        levy_density_u(ctx, 1.0, 0.7)

@@ -35,6 +35,21 @@ def test_piece_integral_closed_forms():
     assert Piece(2.0, 3.0, "const", c0=1.0).integral(4.0, 5.0) == 0.0
 
 
+def test_a_closed_form_integral_that_is_not_finite_raises():
+    for piece in (
+        Piece(0.0, math.inf, "const", c0=2.0),
+        Piece(0.0, math.inf, "affine", c0=1.0, c1=0.5),
+        Piece(0.0, math.inf, "affine", c0=-1.0, c1=1.0),  # -inf + inf at the parent
+    ):
+        with pytest.raises(DivergenceError, match="not finite") as exc:
+            piece.integral(0.0, math.inf)
+        assert exc.value.partial == math.inf
+    # a zero piece has zero mass however long it runs
+    assert Piece(0.0, math.inf, "const", c0=0.0).integral(0.0, math.inf) == 0.0
+    assert Piece(0.0, math.inf, "affine").integral(1.0, math.inf) == 0.0
+    assert PiecewiseFunction.constant(0.0).integral(0.0, math.inf) == 0.0
+
+
 def _ratio(c0, c1, d0, d1, lo, hi):
     return Piece(lo, hi, "ratio", c0=c0, c1=c1, d0=d0, d1=d1)
 

@@ -128,12 +128,10 @@ MODULE_ALL = {
         "make_family",
         "family_names",
         "density",
-        "log_density",
         "log_partition",
         "moment_suff_stat",
         "raw_moment",
         "raw_moment_beta",
-        "sample",
         "sample_each",
     ],
     "levy": [

@@ -122,6 +122,11 @@ def test_infinite_base_mass_advice():
         sample_crm([ctx], 1.0, np.random.default_rng(0))
 
 
+def test_an_unbounded_region_is_a_truncation_error(gamma_const_ctx):
+    with pytest.raises(TruncationError, match="restrict the region"):
+        sample_crm([gamma_const_ctx], math.inf, np.random.default_rng(0))
+
+
 def test_truncation_tail_mass(gamma_const_ctx, gamma_unit_ctx):
     comps = [gamma_unit_ctx, gamma_unit_ctx, gamma_const_ctx]
     draw = sample_crm(comps, 1.0, np.random.default_rng(1), truncation=2)
