@@ -64,7 +64,7 @@ def cmd_sample(args) -> int:
     z_max = args.zmax if args.zmax is not None else z_max_cfg
     if z_max is None:
         raise ConfigError("no region end: set z_max in the config or pass --zmax")
-    if z_max <= 0:
+    if not (z_max > 0):
         raise ConfigError(f"--zmax must be positive, got {z_max}")
     if args.truncation is not None and args.truncation < 1:
         raise ConfigError(f"--truncation must be >= 1, got {args.truncation}")

@@ -276,8 +276,8 @@ def parse_sample_config(obj) -> tuple[list[LevyContext], float | None]:
     z_max = None
     if "z_max" in obj:
         z_max = _need(obj, "z_max", float, "")
-        if z_max <= 0:
-            raise ConfigError("z_max must be positive", "/z_max")
+        if not (z_max > 0):
+            raise ConfigError(f"z_max must be positive, got {z_max}", "/z_max")
     return contexts, z_max
 
 

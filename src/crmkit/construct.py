@@ -8,6 +8,12 @@ mass exceeds one contribute a Poisson(A_i)-distributed number of independent
 statistics instead.  The per-cell transform is then exactly
 1 - A_i (1 - E[e^{-theta T_k}]) (resp. exp(-A_i (1 - E[...]))), so the
 product converges to exp(-psi(t, theta)) as n grows.
+
+Everything fixed for one window (start, t] of a plan -- the condition gate,
+the cell slice, the masses and etas, the split into small and count-mode
+cells, the statistic -- is set up once per :func:`sample_discretized` or
+:func:`empirical_laplace` call; a replicate then draws only its uniforms, one
+family batch over the kept cells and the count-mode Poisson draws.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expfam
 from .errors import CrmError, NaturalSpaceError
 from .levy import LevyContext, laplace_exponent, stat_laplace
 
@@ -44,7 +49,7 @@ class DiscretizationPlan:
     @classmethod
     def build(cls, ctx: LevyContext, t: float, n: int) -> "DiscretizationPlan":
         ctx.gate()
-        if t <= 0:
+        if not (t > 0):
             raise CrmError(f"horizon must be positive, got t={t}")
         if not (isinstance(n, (int, np.integer)) and n >= 1):
             raise CrmError(f"cells per unit must be a positive integer, got {n}")
@@ -66,8 +71,10 @@ class DiscretizationPlan:
 
     def cell_range(self, start: float, t: float) -> tuple[int, int]:
         """Index slice [lo, hi) of cells inside (start, t]."""
-        if t > self.z_hi + 1e-9:
-            raise CrmError(f"window end {t} exceeds the planned horizon {self.z_hi}")
+        if not (start >= 0):
+            raise CrmError(f"window start must be nonnegative, got start={start}")
+        if not (t <= self.z_hi + 1e-9):
+            raise CrmError(f"window end {t} is not within the planned horizon {self.z_hi}")
         hi = min(int(math.floor(t * self.n + 1e-9)), len(self.midpoints))
         lo = int(math.floor(start * self.n + 1e-9))
         if abs(lo / self.n - start) > 1e-9 or abs(hi / self.n - t) > 1e-9:
@@ -75,6 +82,47 @@ class DiscretizationPlan:
                 f"window ({start}, {t}] must align with the cell grid of width 1/{self.n}"
             )
         return lo, hi
+
+
+def _window_draw(ctx: LevyContext, plan: DiscretizationPlan, t: float, start: float):
+    """A function rng -> one draw of the discretized total statistic over (start, t].
+
+    The window is set up here once.  Each call then draws, from ``rng`` and in
+    this order: one uniform per cell of the window, kept where it falls below
+    a small cell's mass; one family batch over the kept cells, in cell order;
+    and per count-mode cell (mass > 1) a Poisson count and that many draws.
+    When every cell of the window has one eta, the batch passes that eta
+    once, which draws what the per-row batch draws (``BoundFamily.sample``).
+    The plan checked every cell's eta when it was built, so no draw binds the
+    family again.
+    """
+    ctx.gate()
+    lo, hi = plan.cell_range(start, t)
+    masses, etas = plan.masses[lo:hi], plan.etas[lo:hi]
+    m = len(masses)
+    small = masses <= 1.0
+    # a count-mode cell is never kept: no uniform falls below 0
+    keep_below = np.where(small, masses, 0.0)
+    counted = [(masses[j], etas[j]) for j in np.flatnonzero(~small)]
+    shared = etas[0] if m and np.all(etas == etas[0]) else None
+    sampler, value = ctx.family.sampler, ctx.stat().value
+
+    def draw(rng: np.random.Generator) -> float:
+        if m == 0:
+            return 0.0
+        pick = rng.random(m) < keep_below
+        total = 0.0
+        n_picked = int(np.count_nonzero(pick))
+        if n_picked:
+            draws = sampler(etas[pick] if shared is None else shared, rng, n_picked)
+            total += float(np.sum(value(draws)))
+        for mass, eta in counted:
+            count = rng.poisson(mass)
+            if count:
+                total += float(np.sum(value(sampler(eta, rng, int(count)))))
+        return total
+
+    return draw
 
 
 def sample_discretized(
@@ -85,29 +133,7 @@ def sample_discretized(
     start: float = 0.0,
 ) -> float:
     """One draw of the discretized total statistic over the window (start, t]."""
-    ctx.gate()
-    lo, hi = plan.cell_range(start, t)
-    if hi <= lo:
-        return 0.0
-    masses = plan.masses[lo:hi]
-    etas = plan.etas[lo:hi]
-    stat = ctx.stat()
-
-    small = masses <= 1.0
-    keep = rng.random(len(masses)) < masses
-    pick = small & keep
-    total = 0.0
-    if np.any(pick):
-        draws = expfam.sample_each(ctx.family, etas[pick], rng)
-        total += float(np.sum(stat.value(draws)))
-    # the plan checked every cell's eta when it was built, so a count-mode
-    # cell draws from its eta without binding the family again
-    for j in np.nonzero(~small)[0]:
-        count = rng.poisson(masses[j])
-        if count:
-            draws = ctx.family.sampler(etas[j], rng, int(count))
-            total += float(np.sum(stat.value(draws)))
-    return total
+    return _window_draw(ctx, plan, t, start)(rng)
 
 
 def discrete_laplace(
@@ -115,7 +141,7 @@ def discrete_laplace(
 ) -> float:
     """Exact E[e^{-theta X_n}] of the discretized draw (product over cells)."""
     ctx.gate()
-    if theta < 0:
+    if not (theta >= 0):
         raise CrmError(f"theta must be nonnegative, got {theta}")
     lo, hi = plan.cell_range(start, t)
     log_total = 0.0
@@ -150,14 +176,20 @@ def empirical_laplace(
     rng: np.random.Generator,
     start: float = 0.0,
 ) -> LaplaceEstimate:
-    """Monte Carlo mean of e^{-theta X_n} with independent child streams."""
+    """Monte Carlo mean of e^{-theta X_n} with independent child streams.
+
+    The window is set up once per call; replicate r draws from child r of
+    ``rng.spawn(replicates)`` exactly what :func:`sample_discretized` draws
+    from that child, so the child streams fix the estimate to the bit.  The
+    spawn, one fresh generator per replicate, is the per-replicate cost left
+    besides the draws themselves.
+    """
     if replicates < 2:
         raise CrmError(f"need at least 2 replicates, got {replicates}")
-    children = rng.spawn(replicates)
+    draw = _window_draw(ctx, plan, t, start)
     vals = np.empty(replicates)
-    for r, child in enumerate(children):
-        x = sample_discretized(ctx, plan, t, child, start=start)
-        vals[r] = math.exp(-theta * x)
+    for r, child in enumerate(rng.spawn(replicates)):
+        vals[r] = math.exp(-theta * draw(child))
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(replicates))
     return LaplaceEstimate(mean, se, replicates)

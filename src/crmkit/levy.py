@@ -319,7 +319,7 @@ def levy_density_s(ctx: LevyContext, t: float, s: float, z_window=None) -> float
     (0, t], and dL over (0, t1+t2] = dL over (0, t1] + dL over (t1, t1+t2].
     """
     ctx.gate()
-    if t <= 0 and z_window is None:
+    if z_window is None and not (t > 0):
         raise CrmError(f"time must be positive, got t={t}")
     if not ctx.family.support.contains(s):
         raise SupportError(f"s={s} outside the family support")
@@ -396,9 +396,9 @@ def laplace_exponent(ctx: LevyContext, t: float, theta: float) -> float:
     axis fails to stabilize (improper tails or infinite location mass).
     """
     ctx.gate()
-    if theta < 0:
+    if not (theta >= 0):
         raise CrmError(f"theta must be nonnegative, got {theta}")
-    if t < 0:
+    if not (t >= 0):
         raise CrmError(f"time must be nonnegative, got {t}")
     if theta == 0.0 or t == 0.0:
         return 0.0
@@ -482,7 +482,7 @@ def classify_activity(ctx: LevyContext, t: float, ratio_tol: float = 1e-6):
     NotTimeHomogeneous with up to five z witnesses otherwise.
     """
     ctx.gate()
-    if t <= 0:
+    if not (t > 0):
         raise CrmError(f"time must be positive, got t={t}")
     if ctx.family.support.discrete:
         raise CrmError("activity classification needs a continuous support")

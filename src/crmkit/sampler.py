@@ -272,7 +272,7 @@ def sample_crm(
     is the explicit ``tail_mass`` when supplied, else the summed base mass of
     the rest, else None when that mass diverges.
     """
-    if z_max <= 0:
+    if not (z_max > 0):
         raise CrmError(f"region end must be positive, got z_max={z_max}")
     n_total = len(components)
     level = n_total if truncation is None else int(truncation)

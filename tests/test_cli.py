@@ -222,3 +222,13 @@ def test_posterior_out_of_support_observation_exits_1(tmp_path):
         "--observations", obs, "--out", tmp_path,
     )
     assert rc == 1
+
+
+def test_sample_nan_zmax_exits_2_naming_it(tmp_path, capsys):
+    rc = run(
+        "sample", "--config", CONFIG_DIR / "gamma.json",
+        "--seed", 1, "--zmax", "nan", "--out", tmp_path,
+    )
+    assert rc == 2
+    assert "--zmax must be positive, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "atoms.csv").exists()

@@ -158,3 +158,12 @@ def test_override_component_obj():
     ctx = cfg.parse_component(out)
     np.testing.assert_allclose(ctx.path.eval(0.5), [9.0, 9.0])
     np.testing.assert_allclose(ctx.path.eval(1.5), [2.0, 3.0])
+
+
+@pytest.mark.parametrize("text", ["NaN", "-1.0", "0"])
+def test_a_nan_or_nonpositive_z_max_is_refused_with_its_value(text):
+    obj = cfg.load_json('{"z_max": %s, "components": []}' % text)
+    obj["components"] = [GAMMA_COMPONENT]
+    with pytest.raises(ConfigError) as exc:
+        cfg.parse_sample_config(obj)
+    assert str(exc.value) == f"/z_max: z_max must be positive, got {float(text)}"

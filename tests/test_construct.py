@@ -145,3 +145,104 @@ def test_count_mode_cells_draw_what_binding_each_cell_drew():
     want = np.array([bound_route(ref) for _ in range(50)])
     assert got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_a_nan_horizon_or_window_is_refused(gamma_unit_ctx):
+    with pytest.raises(CrmError, match="horizon must be positive, got t=nan"):
+        construct.DiscretizationPlan.build(gamma_unit_ctx, math.nan, 4)
+    plan = construct.DiscretizationPlan.build(gamma_unit_ctx, t=1.0, n=4)
+    with pytest.raises(CrmError, match="window end nan is not within the planned horizon 1.0"):
+        plan.cell_range(0.0, math.nan)
+    # a negative start used to index the plan's cells from the end
+    for start in (math.nan, -0.25):
+        with pytest.raises(CrmError, match=f"window start must be nonnegative, got start={start}"):
+            plan.cell_range(start, 1.0)
+    with pytest.raises(CrmError, match="theta must be nonnegative, got nan"):
+        construct.discrete_laplace(gamma_unit_ctx, plan, 1.0, math.nan)
+
+
+def _draw_per_call(ctx, plan, t, rng, start=0.0):
+    """A discretized draw with the window set up inside every call: each cell
+    batch passes its rows to ``sample_each``, each count-mode cell its eta."""
+    ctx.gate()
+    lo, hi = plan.cell_range(start, t)
+    if hi <= lo:
+        return 0.0
+    masses, etas, stat = plan.masses[lo:hi], plan.etas[lo:hi], ctx.stat()
+    small = masses <= 1.0
+    pick = small & (rng.random(len(masses)) < masses)
+    total = 0.0
+    if np.any(pick):
+        total += float(np.sum(stat.value(expfam.sample_each(ctx.family, etas[pick], rng))))
+    for j in np.nonzero(~small)[0]:
+        count = rng.poisson(masses[j])
+        if count:
+            total += float(np.sum(stat.value(ctx.family.sampler(etas[j], rng, int(count)))))
+    return total
+
+
+def _two_level_base(low, high):
+    return BaseMeasure(
+        PiecewiseFunction([Piece(0.0, 0.5, "const", c0=low), Piece(0.5, math.inf, "const", c0=high)])
+    )
+
+
+_CONSTANT = ParameterPath.constant([2.0, 3.0])
+_AFFINE_RATE = ParameterPath(
+    [PiecewiseFunction.constant(2.0), PiecewiseFunction([Piece(0.0, math.inf, "affine", c0=1.0, c1=2.0)])]
+)
+
+# case -> (family, path, base, k, n, plan horizon, window start, window end)
+_WINDOW_CASES = {
+    "constant-small-and-count": ("gamma", _CONSTANT, _two_level_base(2.0, 20.0), 2, 4, 1.0, 0.0, 1.0),
+    "affine-small-only": ("gamma", _AFFINE_RATE, BaseMeasure.lebesgue(1.5), 1, 8, 2.0, 0.0, 2.0),
+    "constant-start-inside": ("gamma", _CONSTANT, _two_level_base(1.0, 12.0), 2, 8, 1.5, 0.25, 1.0),
+    "affine-start-inside": ("gamma", _AFFINE_RATE, _two_level_base(1.0, 12.0), 2, 8, 1.5, 0.25, 1.5),
+    "beta-k1": ("beta", _CONSTANT, _two_level_base(2.0, 8.0), 1, 2, 1.0, 0.0, 1.0),
+    "empty-window": ("gamma", _CONSTANT, BaseMeasure.lebesgue(1.0), 2, 4, 1.0, 0.5, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
+def test_a_window_set_up_once_draws_what_a_per_call_window_drew(case):
+    """Draws, estimates and the generator stream equal, bit for bit, the route
+    that sets the window up in every call and gives each replicate a spawned
+    child: one eta shared by every cell, per-cell etas, count-mode cells,
+    windows that start inside the plan, beta's log statistic, an empty window."""
+    family, path, base, k, n, z_hi, start, t = _WINDOW_CASES[case]
+    ctx = LevyContext.build(make_family(family), path, base, k=k)
+    plan = construct.DiscretizationPlan.build(ctx, t=z_hi, n=n)
+
+    rng, ref = np.random.default_rng(2024), np.random.default_rng(2024)
+    got = np.array([construct.sample_discretized(ctx, plan, t, rng, start=start) for _ in range(60)])
+    want = np.array([_draw_per_call(ctx, plan, t, ref, start=start) for _ in range(60)])
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+    theta, replicates = 0.7, 300
+    est = construct.empirical_laplace(
+        ctx, plan, t, theta, replicates, np.random.default_rng(99), start=start
+    )
+    vals = np.array([
+        math.exp(-theta * _draw_per_call(ctx, plan, t, child, start=start))
+        for child in np.random.default_rng(99).spawn(replicates)
+    ])
+    assert est.mean == float(vals.mean())
+    assert est.se == float(vals.std(ddof=1) / math.sqrt(replicates))
+
+
+def test_empirical_laplace_sets_the_window_up_once(gamma_unit_ctx, monkeypatch):
+    plan = construct.DiscretizationPlan.build(gamma_unit_ctx, t=1.0, n=8)
+    calls = {"gate": 0, "cell_range": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(LevyContext, "gate", counted("gate", LevyContext.gate))
+    plan_cls = construct.DiscretizationPlan
+    monkeypatch.setattr(plan_cls, "cell_range", counted("cell_range", plan_cls.cell_range))
+    construct.empirical_laplace(gamma_unit_ctx, plan, 1.0, 1.0, 500, np.random.default_rng(8))
+    assert calls == {"gate": 1, "cell_range": 1}

@@ -361,10 +361,14 @@ def test_a_bound_family_draws_what_sample_each_draws_per_row(name):
     assert {family for family, _ in _SAMPLER_ETAS.values()} == set(expfam.family_names())
     family, eta = _SAMPLER_ETAS[name]
     spec = expfam.make_family(family)
-    draws = spec.at(eta).sample(np.random.default_rng(11), 257)
-    rows = expfam.sample_each(spec, np.tile(eta, (257, 1)), np.random.default_rng(11))
+    bound_rng, rows_rng = np.random.default_rng(11), np.random.default_rng(11)
+    draws = spec.at(eta).sample(bound_rng, 257)
+    rows = expfam.sample_each(spec, np.tile(eta, (257, 1)), rows_rng)
     assert draws.dtype == rows.dtype == np.float64
     assert draws.tobytes() == rows.tobytes()
+    # both routes leave the stream at the same point, so draws made after
+    # them (the count-mode cells of a discretized draw) match too
+    assert bound_rng.bit_generator.state == rows_rng.bit_generator.state
     first = spec.at(eta).sample(np.random.default_rng(11))
     one_row = expfam.sample_each(spec, np.array([eta]), np.random.default_rng(11))
     assert type(first) is float and first == one_row[0]

@@ -610,3 +610,19 @@ def test_an_affine_path_still_integrates_by_quadrature(monkeypatch):
         laplace_exponent(ctx, 1.0, 1.0)
     with pytest.raises(_NoQuadrature):
         levy_density_u(ctx, 1.0, 0.7)
+
+
+def test_a_nan_horizon_or_theta_is_refused(gamma_unit_ctx):
+    nan = math.nan
+    with pytest.raises(CrmError, match="time must be nonnegative, got nan"):
+        laplace_exponent(gamma_unit_ctx, nan, 1.0)
+    with pytest.raises(CrmError, match="theta must be nonnegative, got nan"):
+        laplace_exponent(gamma_unit_ctx, 1.0, nan)
+    with pytest.raises(CrmError, match="time must be positive, got t=nan"):
+        classify_activity(gamma_unit_ctx, nan)
+    with pytest.raises(CrmError, match="time must be positive, got t=nan"):
+        levy_density_u(gamma_unit_ctx, nan, 0.5)
+    # an explicit window does not read t
+    assert levy_density_s(gamma_unit_ctx, nan, 0.5, z_window=(0.0, 1.0)) == levy_density_s(
+        gamma_unit_ctx, 1.0, 0.5
+    )

@@ -509,3 +509,8 @@ def test_ratio_base_locations_follow_the_base_density(ratio_branch):
     n = z.size
     d = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
     assert special.kolmogorov(math.sqrt(n) * d) > 1e-3
+
+
+def test_a_nan_region_end_is_refused(gamma_unit_ctx):
+    with pytest.raises(CrmError, match="region end must be positive, got z_max=nan"):
+        sample_crm([gamma_unit_ctx], math.nan, np.random.default_rng(1))
