@@ -226,14 +226,17 @@ def _likelihood_at(pair: ConjugatePair, x: float, ys: np.ndarray) -> float:
     return float(np.prod(np.asarray(dens, dtype=float)))
 
 
-def finite_dim_tv(
-    pair: ConjugatePair, eta, observations, grid_points: int = 2000
-) -> float:
+# midpoint cells of the grid-Bayes posterior in finite_dim_tv
+_TV_GRID_POINTS = 2000
+
+
+def finite_dim_tv(pair: ConjugatePair, eta, observations) -> float:
     """Total variation between grid-Bayes and the tau-updated prior density.
 
     The fixed-z conjugacy identity: renormalizing prior(x | eta) times the
-    observation likelihood on a parameter grid must reproduce the prior
-    family's density at tau(eta, Y).
+    observation likelihood on a midpoint grid of ``_TV_GRID_POINTS`` cells
+    over the prior's parameter support must reproduce the prior family's
+    density at tau(eta, Y).
     """
     eta = np.asarray(eta, dtype=float)
     ys = np.asarray(list(observations), dtype=float)
@@ -248,8 +251,8 @@ def finite_dim_tv(
             prior.at(eta_post).quantile(1.0 - 1e-10),
         )
         lo = prior.support.lo
-    h = (hi - lo) / grid_points
-    xs = lo + (np.arange(grid_points) + 0.5) * h
+    h = (hi - lo) / _TV_GRID_POINTS
+    xs = lo + (np.arange(_TV_GRID_POINTS) + 0.5) * h
 
     prior_vals = np.asarray(expfam.density(prior, eta, xs), dtype=float)
     lik_vals = np.array([_likelihood_at(pair, x, ys) for x in xs])

@@ -265,19 +265,26 @@ def moment_suff_stat(spec: ExpFamilySpec, eta, k: int, m: int) -> float:
     return float(mus[m])
 
 
+def _tilt(bound: BoundFamily, k: int, step: float) -> float:
+    """E[exp(step * T_k(X))] at the bound eta: exp(A(eta + sign_k step e_k) - A(eta)).
+
+    Raises :class:`NaturalSpaceError` when the tilted parameter leaves the
+    natural space, where the expectation is infinite.
+    """
+    spec = bound.spec
+    k = _check_k(spec, k)
+    tilted = bound.eta.copy()
+    tilted[k - 1] += spec.stats[k - 1].sign * step
+    return float(np.exp(spec.at(tilted).log_partition - bound.log_partition))
+
+
 def raw_moment(spec: ExpFamilySpec, eta, k: int, m: int) -> float:
     """E[exp(m * T_k(X))] by tilting the k-th canonical coefficient by m.
 
     For the beta family with k=1 this is the raw moment E[X^m]; in general
     it exists exactly when the tilted parameter stays in the natural space.
     """
-    eta = _as_eta(spec, eta)
-    spec.check_natural(eta)
-    k = _check_k(spec, k)
-    tilted = eta.copy()
-    tilted[k - 1] += spec.stats[k - 1].sign * m
-    spec.check_natural(tilted)
-    return float(np.exp(spec.log_partition_fn(tilted) - spec.log_partition_fn(eta)))
+    return _tilt(spec.at(eta), k, m)
 
 
 def raw_moment_beta(alpha: float, beta: float, m: int) -> float:

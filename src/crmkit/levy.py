@@ -20,6 +20,7 @@ quadrature (:func:`~crmkit.piecewise.checked_quad`) per smooth stretch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -82,8 +83,10 @@ class BaseMeasure:
         return [(loc, mass) for loc, mass in self.jumps if a < loc <= b]
 
     def increment(self, a: float, b: float) -> float:
-        """A_0(a, b]."""
+        """A_0(a, b]; 0 for an empty window, an error for a NaN end."""
         if not a < b:
+            if math.isnan(a) or math.isnan(b):
+                raise CrmError(f"base measure window ({a}, {b}] has a NaN end")
             return 0.0
         mass = self.density.integral(a, b)
         mass += sum(m for _, m in self.jumps_in(a, b))
@@ -253,12 +256,9 @@ class LevyContext:
         path: ParameterPath,
         base: BaseMeasure,
         k: int,
-        grid: Sequence[float] | None = None,
         require_conditions: bool = True,
     ) -> "LevyContext":
-        if grid is None:
-            grid = _default_grid(path, base.breakpoints())
-        report = check_conditions(family, path, k, grid)
+        report = check_conditions(family, path, k, _default_grid(path, base.breakpoints()))
         if require_conditions and not report.passed:
             raise ConditionError(
                 f"construction conditions fail: {report.summary()}", report=report
@@ -292,6 +292,8 @@ def _z_integral(ctx: LevyContext, h: Callable, z_lo: float, z_hi: float) -> floa
     the base point masses at their locations.
     """
     if not z_lo < z_hi:
+        if math.isnan(z_lo) or math.isnan(z_hi):
+            raise CrmError(f"location window ({z_lo}, {z_hi}] has a NaN end")
         return 0.0
     total = 0.0
     cuts = _cuts(ctx, z_lo, z_hi)
@@ -373,20 +375,16 @@ def stat_laplace(family: ExpFamilySpec, eta: np.ndarray, k: int, theta: float) -
     raises :class:`DivergenceError` with ``partial=inf``.  An eta outside the
     natural space raises :class:`NaturalSpaceError`.
     """
-    k = expfam._check_k(family, k)
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    a0 = expfam.log_partition(family, eta)
-    tilted = eta.copy()
-    tilted[k - 1] -= family.stats[k - 1].sign * theta
+    bound = family.at(eta)
     try:
-        a1 = expfam.log_partition(family, tilted)
+        return expfam._tilt(bound, k, -theta)
     except NaturalSpaceError as exc:
         raise DivergenceError(
             f"{family.name}: E[exp(-{theta} T_{k})] is infinite, the tilted coordinate "
-            f"eta_{k} = {tilted[k - 1]} leaves the natural space ({exc})",
+            f"eta_{k} = {bound.eta[k - 1] - family.stats[k - 1].sign * theta} leaves the "
+            f"natural space ({exc})",
             partial=_INF,
         ) from exc
-    return float(np.exp(a1 - a0))
 
 
 def laplace_exponent(ctx: LevyContext, t: float, theta: float) -> float:
@@ -431,7 +429,11 @@ class NotTimeHomogeneous:
     witnesses: tuple = ()
 
 
-def _homogeneity_witnesses(ctx: LevyContext, t: float, ratio_tol: float) -> list:
+# relative difference of a coordinate of eta or of a_0 that breaks time proportionality
+_RATIO_TOL = 1e-6
+
+
+def _homogeneity_witnesses(ctx: LevyContext, t: float) -> list:
     """Points z of (0, 2t] where p(. | eta(z)) a_0(z) is not the value at the first point.
 
     A base point mass in (0, 2t] is a witness.  Otherwise eta and a_0 are
@@ -455,12 +457,12 @@ def _homogeneity_witnesses(ctx: LevyContext, t: float, ratio_tol: float) -> list
     if zs.size:
         etas = ParameterPath(ctx.path.components).eval_many(zs)
         values = np.column_stack([etas, ctx.base.density(zs)])
-        moved = np.any(np.abs(values - values[0]) > ratio_tol * np.abs(values[0]), axis=1)
+        moved = np.any(np.abs(values - values[0]) > _RATIO_TOL * np.abs(values[0]), axis=1)
         witnesses += [(float(z), *map(float, v)) for z, v in zip(zs[moved], values[moved])]
     return witnesses
 
 
-def classify_activity(ctx: LevyContext, t: float, ratio_tol: float = 1e-6):
+def classify_activity(ctx: LevyContext, t: float):
     """Total-mass and time-proportionality classification at horizon t.
 
     Mass: every p(. | eta(z)) is a probability density and u = T_k(s) keeps
@@ -472,9 +474,9 @@ def classify_activity(ctx: LevyContext, t: float, ratio_tol: float = 1e-6):
     when p(. | eta(z)) a_0(z) does not depend on z on (0, 2t], because a
     minimal family identifies eta by its density.  It is decided by no point
     mass of A_0 in (0, 2t] and one value of eta and of a_0 at the check points
-    of :func:`_homogeneity_witnesses`; ``ratio_tol`` bounds the relative
-    difference of each coordinate of eta and of a_0 from their values at the
-    first check point.  The check is exact for ``const`` and ``affine``
+    of :func:`_homogeneity_witnesses`, up to a relative difference of 1e-6
+    in each coordinate of eta and of a_0 from their values at the first
+    check point.  The check is exact for ``const`` and ``affine``
     pieces and a sampled one for ``func`` pieces.
 
     Returns FiniteActivity (rate M(t)/t and the normalized weight density
@@ -494,7 +496,7 @@ def classify_activity(ctx: LevyContext, t: float, ratio_tol: float = 1e-6):
     if mass == 0.0:
         return FiniteActivity(total_mass=0.0, rate=0.0, weight_density=None)
 
-    witnesses = _homogeneity_witnesses(ctx, t, ratio_tol)
+    witnesses = _homogeneity_witnesses(ctx, t)
     if witnesses:
         return NotTimeHomogeneous(
             total_mass=mass,

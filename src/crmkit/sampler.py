@@ -264,13 +264,12 @@ def sample_crm(
     z_max: float,
     rng: np.random.Generator,
     truncation: int | None = None,
-    tail_mass: float | None = None,
 ) -> CRMDraw:
     """Superpose Poisson draws of the given components over (0, z_max].
 
     ``truncation`` keeps only the first N components; the dropped-mass proxy
-    is the explicit ``tail_mass`` when supplied, else the summed base mass of
-    the rest, else None when that mass diverges.
+    ``tail_mass`` is the summed base mass of the rest, or None when that mass
+    diverges.
     """
     if not (z_max > 0):
         raise CrmError(f"region end must be positive, got z_max={z_max}")
@@ -312,9 +311,9 @@ def sample_crm(
         weights.append(u)
         comp_idx.append(np.full(count, n, dtype=int))
 
-    if tail_mass is None and level == n_total:
+    if level == n_total:
         tail_mass = 0.0
-    elif tail_mass is None:
+    else:
         try:
             tail_mass = float(sum(c.base.increment(0.0, z_max) for c in components[level:]))
         except DivergenceError:

@@ -281,7 +281,7 @@ def test_activity_classification_trichotomy():
     component is flagged as not time homogeneous, and a null base yields
     finite activity with zero mass.
     """
-    act = classify_activity(_gamma_mixture_context(0, 1, c_const=2.0), 1.0, ratio_tol=1e-6)
+    act = classify_activity(_gamma_mixture_context(0, 1, c_const=2.0), 1.0)
     assert isinstance(act, FiniteActivity)
     assert act.total_mass == pytest.approx(1.0, abs=1e-6)
     assert act.rate == pytest.approx(1.0, abs=1e-6)
@@ -293,7 +293,7 @@ def test_activity_classification_trichotomy():
         k=1,
         require_conditions=False,
     )
-    assert isinstance(classify_activity(pareto_ctx, 1.0, ratio_tol=1e-6), NotTimeHomogeneous)
+    assert isinstance(classify_activity(pareto_ctx, 1.0), NotTimeHomogeneous)
 
     null_ctx = LevyContext.build(
         make_family("gamma"),

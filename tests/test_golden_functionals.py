@@ -138,4 +138,5 @@ def test_functionals_keep_their_bits(contexts, name):
 
 def test_loglog_moment_oracle_keeps_its_bits():
     spec = make_family("pareto_loglog")
-    assert repr(verify.stat_moment_quad(spec, [-2.0, -2.5], 2, 2)) == "0.1625847885330169"
+    want, rel = verify._moment_oracle(spec, [-2.0, -2.5], 2, 2)
+    assert (repr(want), rel) == ("0.16258478853278777", 1e-6)

@@ -626,3 +626,14 @@ def test_a_nan_horizon_or_theta_is_refused(gamma_unit_ctx):
     assert levy_density_s(gamma_unit_ctx, nan, 0.5, z_window=(0.0, 1.0)) == levy_density_s(
         gamma_unit_ctx, 1.0, 0.5
     )
+
+
+@pytest.mark.parametrize("window", [(0.0, math.nan), (math.nan, 1.0)], ids=["nan-end", "nan-start"])
+def test_a_nan_window_end_is_refused_naming_the_window(gamma_unit_ctx, window):
+    a, b = window
+    with pytest.raises(CrmError, match=rf"base measure window \({a}, {b}\] has a NaN end"):
+        gamma_unit_ctx.base.increment(a, b)
+    with pytest.raises(CrmError, match=rf"location window \({a}, {b}\] has a NaN end"):
+        levy_density_s(gamma_unit_ctx, 1.0, 0.5, z_window=window)
+    with pytest.raises(CrmError, match=rf"location window \({a}, {b}\] has a NaN end"):
+        levy_density_u(gamma_unit_ctx, 1.0, 0.5, z_window=window)

@@ -5,6 +5,7 @@ change, next to the caller that needs it.
 """
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -187,3 +188,19 @@ def test_importing_the_package_leaves_scipy_stats_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "func, params",
+    [
+        (crmkit.classify_activity, ["ctx", "t"]),
+        (crmkit.LevyContext.build, ["family", "path", "base", "k", "require_conditions"]),
+        (crmkit.sample_crm, ["components", "z_max", "rng", "truncation"]),
+        (crmkit.finite_dim_tv, ["pair", "eta", "observations"]),
+    ],
+    ids=["classify_activity", "LevyContext.build", "sample_crm", "finite_dim_tv"],
+)
+def test_signatures_take_no_option_that_no_caller_sets(func, params):
+    # the relative tolerance, the condition grid, the tail mass and the TV
+    # grid size are fixed in their modules
+    assert list(inspect.signature(func).parameters) == params

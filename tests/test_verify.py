@@ -55,19 +55,22 @@ def test_examples_suite_flags_printed_variant_as_informational():
     assert row.observed != pytest.approx(row.expected)
 
 
-def test_stat_moment_quad_gamma_mean():
+def test_moment_oracle_gamma_and_poisson_means():
+    import math
+
+    from scipy import special
+
     from crmkit import expfam
 
     gamma = expfam.make_family("gamma")
-    assert verify.stat_moment_quad(gamma, [2.0, 3.0], 2, 1) == pytest.approx(
+    assert verify._stat_expectation(gamma, [2.0, 3.0], 2, lambda u: u) == pytest.approx(
         2.0 / 3.0, rel=1e-9
     )
+    want, rel = verify._moment_oracle(gamma, [2.0, 3.0], 1, 1)
+    assert rel == 1e-6  # the log statistic has no closed moment: quadrature
+    assert want == pytest.approx(special.digamma(2.0) - math.log(3.0), rel=1e-9)  # E[ln X]
     poisson = expfam.make_family("poisson")
-    import math
-
-    assert verify.stat_moment_quad(poisson, [math.log(2.0)], 1, 1) == pytest.approx(
-        2.0, rel=1e-9
-    )
+    assert verify._moment_oracle(poisson, [math.log(2.0)], 1, 1) == (pytest.approx(2.0, rel=1e-9), 1e-10)
 
 
 def test_moments_suite_checks_high_orders_and_every_sampler():
