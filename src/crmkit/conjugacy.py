@@ -148,13 +148,13 @@ def posterior_path(
 
 def _checked_posterior(pair: ConjugatePair, path: ParameterPath) -> ParameterPath:
     """``path``, once it lies in the prior family's natural space on its check grid."""
-    for z in _default_grid(path):
-        try:
-            pair.prior_family.check_natural(path.eval(z))
-        except NaturalSpaceError as exc:
-            raise NaturalSpaceError(
-                f"updated path exits the natural space at z={z}: {exc}"
-            )
+    zs = _default_grid(path)
+    try:
+        pair.prior_family.check_natural(path.eval_many(zs).T)
+    except NaturalSpaceError as exc:
+        raise NaturalSpaceError(
+            f"updated path exits the natural space at z={zs[exc.index]}: {exc}"
+        )
     return path
 
 

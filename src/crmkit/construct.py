@@ -9,7 +9,7 @@ statistics instead.  The per-cell transform is then exactly
 1 - A_i (1 - E[e^{-theta T_k}]) (resp. exp(-A_i (1 - E[...]))), so the
 product converges to exp(-psi(t, theta)) as n grows.
 
-Everything fixed for one window (start, t] of a plan -- the condition gate,
+Everything fixed for one window (0, t] of a plan -- the condition gate,
 the cell slice, the masses and etas, the split into small and count-mode
 cells, the statistic -- is set up once per :func:`sample_discretized` or
 :func:`empirical_laplace` call; a replicate then draws only its uniforms, one
@@ -69,23 +69,18 @@ class DiscretizationPlan:
             ) from exc
         return cls(int(n), m / n, mids, masses, etas)
 
-    def cell_range(self, start: float, t: float) -> tuple[int, int]:
-        """Index slice [lo, hi) of cells inside (start, t]."""
-        if not (start >= 0):
-            raise CrmError(f"window start must be nonnegative, got start={start}")
-        if not (t <= self.z_hi + 1e-9):
+    def cell_range(self, t: float) -> int:
+        """The end hi of the index slice [0, hi) of cells inside (0, t]."""
+        if not (0 <= t <= self.z_hi + 1e-9):
             raise CrmError(f"window end {t} is not within the planned horizon {self.z_hi}")
         hi = min(int(math.floor(t * self.n + 1e-9)), len(self.midpoints))
-        lo = int(math.floor(start * self.n + 1e-9))
-        if abs(lo / self.n - start) > 1e-9 or abs(hi / self.n - t) > 1e-9:
-            raise CrmError(
-                f"window ({start}, {t}] must align with the cell grid of width 1/{self.n}"
-            )
-        return lo, hi
+        if abs(hi / self.n - t) > 1e-9:
+            raise CrmError(f"window (0, {t}] must align with the cell grid of width 1/{self.n}")
+        return hi
 
 
-def _window_draw(ctx: LevyContext, plan: DiscretizationPlan, t: float, start: float):
-    """A function rng -> one draw of the discretized total statistic over (start, t].
+def _window_draw(ctx: LevyContext, plan: DiscretizationPlan, t: float):
+    """A function rng -> one draw of the discretized total statistic over (0, t].
 
     The window is set up here once.  Each call then draws, from ``rng`` and in
     this order: one uniform per cell of the window, kept where it falls below
@@ -97,8 +92,8 @@ def _window_draw(ctx: LevyContext, plan: DiscretizationPlan, t: float, start: fl
     family again.
     """
     ctx.gate()
-    lo, hi = plan.cell_range(start, t)
-    masses, etas = plan.masses[lo:hi], plan.etas[lo:hi]
+    hi = plan.cell_range(t)
+    masses, etas = plan.masses[:hi], plan.etas[:hi]
     m = len(masses)
     small = masses <= 1.0
     # a count-mode cell is never kept: no uniform falls below 0
@@ -130,22 +125,18 @@ def sample_discretized(
     plan: DiscretizationPlan,
     t: float,
     rng: np.random.Generator,
-    start: float = 0.0,
 ) -> float:
-    """One draw of the discretized total statistic over the window (start, t]."""
-    return _window_draw(ctx, plan, t, start)(rng)
+    """One draw of the discretized total statistic over the window (0, t]."""
+    return _window_draw(ctx, plan, t)(rng)
 
 
-def discrete_laplace(
-    ctx: LevyContext, plan: DiscretizationPlan, t: float, theta: float, start: float = 0.0
-) -> float:
+def discrete_laplace(ctx: LevyContext, plan: DiscretizationPlan, t: float, theta: float) -> float:
     """Exact E[e^{-theta X_n}] of the discretized draw (product over cells)."""
     ctx.gate()
     if not (theta >= 0):
         raise CrmError(f"theta must be nonnegative, got {theta}")
-    lo, hi = plan.cell_range(start, t)
     log_total = 0.0
-    for j in range(lo, hi):
+    for j in range(plan.cell_range(t)):
         mass = plan.masses[j]
         if mass == 0.0:
             continue
@@ -174,7 +165,6 @@ def empirical_laplace(
     theta: float,
     replicates: int,
     rng: np.random.Generator,
-    start: float = 0.0,
 ) -> LaplaceEstimate:
     """Monte Carlo mean of e^{-theta X_n} with independent child streams.
 
@@ -186,7 +176,7 @@ def empirical_laplace(
     """
     if replicates < 2:
         raise CrmError(f"need at least 2 replicates, got {replicates}")
-    draw = _window_draw(ctx, plan, t, start)
+    draw = _window_draw(ctx, plan, t)
     vals = np.empty(replicates)
     for r, child in enumerate(rng.spawn(replicates)):
         vals[r] = math.exp(-theta * draw(child))

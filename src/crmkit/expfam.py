@@ -14,15 +14,17 @@ the cumulants of T_k are ``sign_k^j * d^j A / d eta_k^j``.
 
 Registered families: beta, gamma, pareto (single-statistic, scale ``scale``),
 pareto_loglog (two-statistic log/log-log form, scale ``scale``), lognormal
-(known drift ``mu``), poisson, bernoulli.  Each declares its distribution in
-closed form, with no numeric fallback: ``cumulants(eta, k, n)``, the
-derivatives of A of orders 1..n, from which :func:`moment_suff_stat` builds
-moments of every order (unless a ``stat_moment`` answers first); ``cdf`` and,
-for continuous families, ``quantile``, reached through
-:meth:`ExpFamilySpec.at`; and one exact sampler, for one natural parameter
-shared by all draws or one per draw.  Off its face ``eta_1 = -1``,
-``pareto_loglog`` draws by inversion for ``eta_2 > 0`` and by rejection from
-``u_m + Exp(-(eta_1 + 1))`` for ``eta_2 <= 0``.
+(known drift ``mu``), poisson, bernoulli.  Each declares its natural space
+once, as ``natural`` rules of array comparisons that test one eta or a batch,
+one eta per column.  Each declares its distribution in closed form, with no
+numeric fallback: ``cumulants(eta, k, n)``, the derivatives of A of orders
+1..n, from which :func:`moment_suff_stat` builds moments of every order
+(unless a ``stat_moment`` answers first); ``cdf`` and, for continuous
+families, ``quantile``, reached through :meth:`ExpFamilySpec.at`; and one
+exact sampler, for one natural parameter shared by all draws or one per
+draw.  Off its face ``eta_1 = -1``, ``pareto_loglog`` draws by inversion
+for ``eta_2 > 0`` and by rejection from ``u_m + Exp(-(eta_1 + 1))`` for
+``eta_2 <= 0``.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "make_family",
     "family_names",
     "density",
-    "log_partition",
     "moment_suff_stat",
     "raw_moment",
     "raw_moment_beta",
@@ -110,14 +111,21 @@ class SufficientStat:
 
 @dataclass(frozen=True)
 class ExpFamilySpec:
-    """Everything needed to evaluate, differentiate, and sample a family."""
+    """Everything needed to evaluate, differentiate, and sample a family.
+
+    ``natural`` declares the natural space once, as rules ``(coord, test,
+    message)``: eta lies in it when every ``test(eta)``, an array comparison
+    that reads one eta of shape (l,) and a batch of shape (l, m) alike,
+    holds.  A failing rule raises with its ``coord`` and its ``message``
+    formatted with eta's value at that coordinate.
+    """
 
     name: str
     support: Support
     stats: tuple[SufficientStat, ...]
     log_carrier: Callable
     log_partition_fn: Callable
-    check_natural: Callable  # eta of shape (l,) or (l, m); raises NaturalSpaceError
+    natural: tuple  # ((coord, test, message), ...), coord counted from 1
     # (eta, rng, size) -> size draws, in order; eta of shape (l,) is shared by
     # every draw, eta of shape (size, l) gives one row per draw
     sampler: Callable
@@ -131,12 +139,33 @@ class ExpFamilySpec:
     def dimension(self) -> int:
         return len(self.stats)
 
-    def in_natural_space(self, eta) -> bool:
-        try:
-            self.check_natural(np.asarray(eta, dtype=float))
-        except NaturalSpaceError:
-            return False
-        return True
+    def check_natural(self, eta) -> None:
+        """Raise :class:`NaturalSpaceError` unless eta lies in the natural space.
+
+        One eta (shape (l,)), as at every quadrature node, is tested rule by
+        rule by truth value.  A batch (shape (l, m), one eta per column)
+        raises its first failing column's first failing rule, with ``index``.
+        """
+        eta = np.asarray(eta, dtype=float)
+        if eta.ndim < 2:
+            for coord, test, message in self.natural:
+                if not test(eta):
+                    raise NaturalSpaceError(message.format(eta[coord - 1]), coord=coord)
+            return
+        masks = [test(eta) for _, test, _ in self.natural]
+        bad = ~np.logical_and.reduce(masks)
+        if bad.any():
+            i = int(np.argmax(bad))
+            coord, _, message = next(rule for rule, ok in zip(self.natural, masks) if not ok[i])
+            raise NaturalSpaceError(message.format(eta[coord - 1, i]), coord=coord, index=i)
+
+    def in_natural_space(self, eta) -> bool | np.ndarray:
+        """Whether eta lies in the natural space: a bool for one eta, a
+        boolean array of shape ``eta.shape[1:]`` for a batch."""
+        eta = np.asarray(eta, dtype=float)
+        if eta.ndim < 2:
+            return all(test(eta) for _, test, _ in self.natural)
+        return np.logical_and.reduce([test(eta) for _, test, _ in self.natural])
 
     def at(self, eta) -> "BoundFamily":
         """The family at one natural parameter; see :class:`BoundFamily`."""
@@ -226,11 +255,6 @@ class BoundFamily:
         return out if np.ndim(q) else float(out)
 
 
-def log_partition(spec: ExpFamilySpec, eta) -> float:
-    """A(eta); validates eta lies in the natural parameter space."""
-    return spec.at(eta).log_partition
-
-
 def density(spec: ExpFamilySpec, eta, x) -> float | np.ndarray:
     """p(x | eta) in canonical form."""
     return spec.at(eta).density(x)
@@ -316,45 +340,6 @@ def sample_each(spec: ExpFamilySpec, etas: np.ndarray, rng: np.random.Generator)
 # ---------------------------------------------------------------------------
 
 
-def _require(ok, message: str, value, coord: int):
-    """Raise unless the comparison ``ok`` holds, at every entry for an array.
-
-    ``message`` is formatted with ``value`` only on failure, so a passing
-    check costs the comparison alone.  A scalar comparison is tested by its
-    truth value: ``numpy.bool_.all()`` is many times slower, and the scalar
-    check runs at every quadrature node of a density integral.
-    """
-    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-        raise NaturalSpaceError(message.format(value), coord=coord)
-
-
-def _batched(check: Callable) -> Callable:
-    """A family's ``check`` for eta of shape (l,) or, one column each, (l, m).
-
-    ``check`` is written with array comparisons, so a batch is validated in
-    one pass.  When the batch fails, its columns are re-checked in order and
-    the first failing column's own error is raised, with ``index`` set to
-    that column.
-    """
-
-    def check_natural(eta):
-        try:
-            check(eta)
-        except NaturalSpaceError:
-            eta = np.asarray(eta)
-            if eta.ndim < 2:
-                raise
-            for i, column in enumerate(eta.T):
-                try:
-                    check(column)
-                except NaturalSpaceError as exc:
-                    exc.index = i
-                    raise
-            raise
-
-    return check_natural
-
-
 def _exp_cumulants(shift: float, rate: float, n: int) -> list:
     """The first n cumulants of shift + Exp(rate)."""
     return [shift + 1.0 / rate] + [math.factorial(j - 1) / rate ** j for j in range(2, n + 1)]
@@ -374,10 +359,6 @@ def _beta_family() -> ExpFamilySpec:
         ),
     )
 
-    def check(eta):
-        _require(eta[0] > 0, "beta: first coordinate must be positive, got {}", eta[0], 1)
-        _require(eta[1] > 0, "beta: second coordinate must be positive, got {}", eta[1], 2)
-
     def a(eta):
         return special.gammaln(eta[0]) + special.gammaln(eta[1]) - special.gammaln(eta[0] + eta[1])
 
@@ -391,7 +372,10 @@ def _beta_family() -> ExpFamilySpec:
         stats=stats,
         log_carrier=lambda x: -np.log(x) - np.log1p(-np.asarray(x, dtype=float)),
         log_partition_fn=a,
-        check_natural=_batched(check),
+        natural=(
+            (1, lambda eta: eta[0] > 0, "beta: first coordinate must be positive, got {}"),
+            (2, lambda eta: eta[1] > 0, "beta: second coordinate must be positive, got {}"),
+        ),
         sampler=lambda eta, rng, size: rng.beta(eta.T[0], eta.T[1], size),
         cdf=lambda eta, x: special.betainc(eta[0], eta[1], x),
         quantile=lambda eta, q: special.betaincinv(eta[0], eta[1], q),
@@ -414,10 +398,6 @@ def _gamma_family() -> ExpFamilySpec:
         ),
     )
 
-    def check(eta):
-        _require(eta[0] > 0, "gamma: shape must be positive, got {}", eta[0], 1)
-        _require(eta[1] > 0, "gamma: rate must be positive, got {}", eta[1], 2)
-
     def a(eta):
         return special.gammaln(eta[0]) - eta[0] * np.log(eta[1])
 
@@ -433,7 +413,10 @@ def _gamma_family() -> ExpFamilySpec:
         stats=stats,
         log_carrier=lambda x: -np.log(x),
         log_partition_fn=a,
-        check_natural=_batched(check),
+        natural=(
+            (1, lambda eta: eta[0] > 0, "gamma: shape must be positive, got {}"),
+            (2, lambda eta: eta[1] > 0, "gamma: rate must be positive, got {}"),
+        ),
         sampler=lambda eta, rng, size: rng.gamma(eta.T[0], 1.0 / eta.T[1], size),
         cdf=lambda eta, x: special.gammainc(eta[0], eta[1] * x),
         quantile=lambda eta, q: special.gammaincinv(eta[0], q) / eta[1],
@@ -452,9 +435,6 @@ def _pareto_family(scale: float) -> ExpFamilySpec:
         ),
     )
 
-    def check(eta):
-        _require(eta[0] < -1, "pareto: coordinate must be < -1, got {}", eta[0], 1)
-
     def a(eta):
         return (eta[0] + 1.0) * np.log(u_m) - np.log(-eta[0] - 1.0)
 
@@ -471,7 +451,7 @@ def _pareto_family(scale: float) -> ExpFamilySpec:
         stats=stats,
         log_carrier=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         log_partition_fn=a,
-        check_natural=_batched(check),
+        natural=((1, lambda eta: eta[0] < -1, "pareto: coordinate must be < -1, got {}"),),
         sampler=lambda eta, rng, size: quantile(eta.T, rng.random(size)),
         cdf=lambda eta, x: -np.expm1((-eta[0] - 1.0) * np.log(u_m / x)),
         quantile=quantile,
@@ -509,20 +489,6 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
 
     def on_face(eta):
         return abs(eta[0] + 1.0) <= _FACE_TOL
-
-    def check(eta):
-        _require(
-            eta[0] <= -1.0 + _FACE_TOL,
-            "pareto(log-log): first coordinate must be <= -1, got {}",
-            eta[0],
-            1,
-        )
-        _require(
-            (abs(eta[0] + 1.0) > _FACE_TOL) | (eta[1] < -1.0),
-            "pareto(log-log): on the face eta_1 = -1 the second coordinate must be < -1, got {}",
-            eta[1],
-            2,
-        )
 
     def a_mp(e1, e2):
         """log of int_{u_m}^inf exp((e1+1) w) w^{e2} dw at ambient precision."""
@@ -633,7 +599,12 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
         stats=stats,
         log_carrier=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         log_partition_fn=a,
-        check_natural=_batched(check),
+        natural=(
+            (1, lambda eta: eta[0] <= -1.0 + _FACE_TOL,
+             "pareto(log-log): first coordinate must be <= -1, got {}"),
+            (2, lambda eta: ~on_face(eta) | (eta[1] < -1.0),
+             "pareto(log-log): on the face eta_1 = -1 the second coordinate must be < -1, got {}"),
+        ),
         sampler=sampler,
         cdf=lambda eta, x: np.clip(1.0 - tail(eta, np.log(x)), 0.0, 1.0),
         quantile=quantile,
@@ -655,9 +626,6 @@ def _lognormal_family(mu: float) -> ExpFamilySpec:
         ),
     )
 
-    def check(eta):
-        _require(eta[0] > 0, "lognormal: precision must be positive, got {}", eta[0], 1)
-
     def cumulants(eta, k, n):
         return [(-1) ** j * math.factorial(j - 1) * 0.5 / eta[0] ** j for j in range(1, n + 1)]
 
@@ -667,7 +635,7 @@ def _lognormal_family(mu: float) -> ExpFamilySpec:
         stats=stats,
         log_carrier=lambda x: -np.log(x) - 0.5 * np.log(2.0 * np.pi),
         log_partition_fn=lambda eta: -0.5 * np.log(eta[0]),
-        check_natural=_batched(check),
+        natural=((1, lambda eta: eta[0] > 0, "lognormal: precision must be positive, got {}"),),
         sampler=lambda eta, rng, size: np.exp(mu + rng.standard_normal(size) / np.sqrt(eta.T[0])),
         cdf=lambda eta, x: special.ndtr((np.log(x) - mu) * np.sqrt(eta[0])),
         quantile=lambda eta, q: np.exp(mu + special.ndtri(q) / np.sqrt(eta[0])),
@@ -679,16 +647,13 @@ def _lognormal_family(mu: float) -> ExpFamilySpec:
 def _poisson_family() -> ExpFamilySpec:
     stats = (SufficientStat("x", lambda x: np.asarray(x, dtype=float) + 0.0, image=(0.0, _INF)),)
 
-    def check(eta):
-        _require(np.isfinite(eta[0]), "poisson: log-rate must be finite", eta[0], 1)
-
     return ExpFamilySpec(
         name="poisson",
         support=Support(0.0, _INF, discrete=True),
         stats=stats,
         log_carrier=lambda x: -special.gammaln(np.asarray(x, dtype=float) + 1.0),
         log_partition_fn=lambda eta: np.exp(eta[0]),
-        check_natural=_batched(check),
+        natural=((1, lambda eta: np.isfinite(eta[0]), "poisson: log-rate must be finite"),),
         sampler=lambda eta, rng, size: rng.poisson(np.exp(eta.T[0]), size).astype(float),
         cdf=lambda eta, x: special.pdtr(np.floor(x), np.exp(eta[0])),
         cumulants=lambda eta, k, n: [np.exp(eta[0])] * n,
@@ -697,9 +662,6 @@ def _poisson_family() -> ExpFamilySpec:
 
 def _bernoulli_family() -> ExpFamilySpec:
     stats = (SufficientStat("x", lambda x: np.asarray(x, dtype=float) + 0.0, image=(0.0, 1.0)),)
-
-    def check(eta):
-        _require(np.isfinite(eta[0]), "bernoulli: log-odds must be finite", eta[0], 1)
 
     def cumulants(eta, k, n):
         # the derivatives of the logistic p are p and p (1 - p) P_j(p), with
@@ -717,7 +679,7 @@ def _bernoulli_family() -> ExpFamilySpec:
         stats=stats,
         log_carrier=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         log_partition_fn=lambda eta: np.logaddexp(0.0, eta[0]),
-        check_natural=_batched(check),
+        natural=((1, lambda eta: np.isfinite(eta[0]), "bernoulli: log-odds must be finite"),),
         sampler=lambda eta, rng, size: (rng.random(size) < special.expit(eta.T[0])).astype(float),
         cdf=lambda eta, x: np.full(np.shape(x), special.expit(-eta[0])),
         cumulants=cumulants,

@@ -134,6 +134,10 @@ def check_conditions(
     and round-trips numerically; (2) eta(z) lies in the natural space at
     every grid point; (3) the natural space is closed under contracting
     coordinate k toward zero (epsilon in {0.1, 0.5, 0.9}) along the grid.
+    Checks (2) and (3) are sampled at the grid points alone, so a pass says
+    nothing between them or beyond the last one; the grid of
+    :meth:`LevyContext.build` stops at z = max(10, lo + 10) on a domain with
+    no upper end.
     """
     if path.dimension != family.dimension:
         raise CrmError(
@@ -171,20 +175,28 @@ def check_conditions(
             )
         )
 
-    # (2) path in natural space
+    # (2) path in natural space: evaluated point by point, so an undefined
+    # point or a raising piece is a witness, then tested in one batch
     witnesses = []
-    inside = []  # (z, eta) at the grid points that pass, for check (3)
+    zs, etas = [], []
     for z in grid:
         if not path.defined_at(z):
             witnesses.append((float(z), "path undefined"))
             continue
         try:
-            eta = path.eval(z)
-            family.check_natural(eta)
+            etas.append(path.eval(z))
         except Exception as exc:  # record, don't raise
             witnesses.append((float(z), str(exc)))
             continue
-        inside.append((z, eta))
+        zs.append(float(z))
+    zs, etas = np.array(zs), np.array(etas).reshape(-1, family.dimension)
+    ok = family.in_natural_space(etas.T)
+    for z, eta in zip(zs[~ok], etas[~ok]):
+        try:
+            family.check_natural(eta)
+        except NaturalSpaceError as exc:
+            witnesses.append((float(z), str(exc)))
+    witnesses.sort(key=lambda w: w[0])
     checks.append(
         ConditionCheck(
             "path_in_natural_space",
@@ -194,15 +206,16 @@ def check_conditions(
         )
     )
 
-    # (3) contraction closure in coordinate k, at the points that pass (2)
-    witnesses = []
-    for z, eta in inside:
-        for eps in _CONTRACTIONS:
-            contracted = eta.copy()
-            contracted[k - 1] *= eps
-            if not family.in_natural_space(contracted):
-                witnesses.append((float(z), eps))
-                break
+    # (3) contraction closure in coordinate k, at the points that pass (2),
+    # every contraction of every point in one batch of shape (l, points, eps)
+    contracted = np.repeat(etas[ok].T[:, :, None], len(_CONTRACTIONS), axis=2)
+    contracted[k - 1] *= _CONTRACTIONS
+    closed = family.in_natural_space(contracted)
+    witnesses = [
+        (float(z), _CONTRACTIONS[int(np.argmin(row))])
+        for z, row in zip(zs[ok], closed)
+        if not row.all()
+    ]
     checks.append(
         ConditionCheck(
             "contraction_closure",
@@ -258,6 +271,13 @@ class LevyContext:
         k: int,
         require_conditions: bool = True,
     ) -> "LevyContext":
+        """The context with its condition report on the path's check grid.
+
+        Checks (2) and (3) of :func:`check_conditions` are sampled on that
+        grid.  On a domain with no upper end it stops at z = max(10, lo + 10),
+        plus any breakpoint beyond, so a passing report says nothing about
+        eta(z) past that point.
+        """
         report = check_conditions(family, path, k, _default_grid(path, base.breakpoints()))
         if require_conditions and not report.passed:
             raise ConditionError(
@@ -282,21 +302,17 @@ def _cuts(ctx: LevyContext, lo: float, hi: float) -> list[float]:
     return sorted({lo, hi, *inner})
 
 
-def _z_integral(ctx: LevyContext, h: Callable, z_lo: float, z_hi: float) -> float:
-    """int_(z_lo, z_hi] h(eta(z)) dA_0(z), split at breakpoints, atoms exact.
+def _z_integral(ctx: LevyContext, h: Callable, t: float) -> float:
+    """int_(0, t] h(eta(z)) dA_0(z), split at breakpoints, atoms exact.
 
     On a stretch between cuts where every path component is one ``const``
     piece, eta is one constant and the integral is h(eta) A_0(stretch); h
     does not run where that mass is 0.  Any other stretch gets one
     quadrature per overlapping base piece.  Atom overrides act only through
-    the base point masses at their locations.
+    the base point masses at their locations.  The callers check t > 0.
     """
-    if not z_lo < z_hi:
-        if math.isnan(z_lo) or math.isnan(z_hi):
-            raise CrmError(f"location window ({z_lo}, {z_hi}] has a NaN end")
-        return 0.0
     total = 0.0
-    cuts = _cuts(ctx, z_lo, z_hi)
+    cuts = _cuts(ctx, 0.0, t)
     for a, b in zip(cuts, cuts[1:]):
         pieces = [comp.piece_at(b) for comp in ctx.path.components]
         if all(p is not None and p.kind == "const" for p in pieces):
@@ -308,25 +324,20 @@ def _z_integral(ctx: LevyContext, h: Callable, z_lo: float, z_hi: float) -> floa
             lo, hi = max(a, piece.lo), min(b, piece.hi)
             if lo < hi:
                 total += checked_quad(lambda z, p=piece: h(ctx.path.eval(z)) * p.value(z), lo, hi)
-    for loc, mass in ctx.base.jumps_in(z_lo, z_hi):
+    for loc, mass in ctx.base.jumps_in(0.0, t):
         if mass > 0:
             total += mass * h(ctx.path.eval(loc))
     return float(total)
 
 
-def levy_density_s(ctx: LevyContext, t: float, s: float, z_window=None) -> float:
-    """Levy density at s in the family coordinate, over the window (0, t].
-
-    ``z_window=(a, b]`` restricts the location integral; the default is
-    (0, t], and dL over (0, t1+t2] = dL over (0, t1] + dL over (t1, t1+t2].
-    """
+def levy_density_s(ctx: LevyContext, t: float, s: float) -> float:
+    """Levy density at s in the family coordinate, over the window (0, t]."""
     ctx.gate()
-    if z_window is None and not (t > 0):
+    if not (t > 0):
         raise CrmError(f"time must be positive, got t={t}")
     if not ctx.family.support.contains(s):
         raise SupportError(f"s={s} outside the family support")
-    z_lo, z_hi = z_window if z_window is not None else (0.0, t)
-    return _z_integral(ctx, lambda eta: expfam.density(ctx.family, eta, s), z_lo, z_hi)
+    return _z_integral(ctx, lambda eta: expfam.density(ctx.family, eta, s), t)
 
 
 def levy_integrand(ctx: LevyContext, z: float, s: float) -> float:
@@ -357,14 +368,14 @@ def _inverse_statistic(ctx: LevyContext, u: float) -> tuple[float, float] | None
     return s, jac
 
 
-def levy_density_u(ctx: LevyContext, t: float, u: float, z_window=None) -> float:
+def levy_density_u(ctx: LevyContext, t: float, u: float) -> float:
     """Levy density in the weight coordinate u = T_k(s) (pushforward form)."""
     ctx.gate()
     inverse = _inverse_statistic(ctx, u)
     if inverse is None:
         return 0.0
     s, jac = inverse
-    return levy_density_s(ctx, t, s, z_window=z_window) * jac
+    return levy_density_s(ctx, t, s) * jac
 
 
 def stat_laplace(family: ExpFamilySpec, eta: np.ndarray, k: int, theta: float) -> float:
@@ -401,7 +412,7 @@ def laplace_exponent(ctx: LevyContext, t: float, theta: float) -> float:
     if theta == 0.0 or t == 0.0:
         return 0.0
 
-    return _z_integral(ctx, lambda eta: 1.0 - stat_laplace(ctx.family, eta, ctx.k, theta), 0.0, t)
+    return _z_integral(ctx, lambda eta: 1.0 - stat_laplace(ctx.family, eta, ctx.k, theta), t)
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import conjugacy as conj
 from . import construct, expfam, levy
 from .errors import CrmError
 from .expfam import ParameterPath
 from .levy import BaseMeasure, LevyContext
-from .piecewise import Piece, PiecewiseFunction
+from .piecewise import Piece, PiecewiseFunction, checked_quad
 
 __all__ = ["CheckRow", "SuiteResult", "run_suite", "suite_names", "report_csv"]
 
@@ -125,7 +125,8 @@ _CLOSED_MOMENTS = {
 
 
 def _stat_expectation(spec, eta, k: int, fn) -> float:
-    """E[fn(T_k)] by quadrature over the statistic's image, through its inverse.
+    """E[fn(T_k)] by :func:`~crmkit.piecewise.checked_quad` over the statistic's
+    image, through its inverse.
 
     For a log statistic this trades the (ln x)^m x^(a-1) endpoint
     singularity of the x-space integrand for a smooth one.
@@ -140,8 +141,7 @@ def _stat_expectation(spec, eta, k: int, fn) -> float:
             return 0.0  # the inverse left the double range, deep in a tail
         return fn(u) * bound.density(x) * jac
 
-    val, _ = integrate.quad(integrand, *stat.image, epsabs=1e-11, epsrel=1e-9, limit=400)
-    return float(val)
+    return checked_quad(integrand, *stat.image)
 
 
 def _moment_oracle(spec, eta, k: int, m: int) -> tuple[float, float]:

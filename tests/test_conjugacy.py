@@ -215,9 +215,7 @@ def test_density_ratio_identity():
     lhs = expfam.density(pair.prior_family, eta_post, x) / expfam.density(
         pair.prior_family, eta, x
     )
-    da = expfam.log_partition(pair.prior_family, eta_post) - expfam.log_partition(
-        pair.prior_family, eta
-    )
+    da = pair.prior_family.at(eta_post).log_partition - pair.prior_family.at(eta).log_partition
     rhs = math.exp(float(np.dot(signs * delta, stats)) - da)
     assert lhs == pytest.approx(rhs, rel=1e-10)
 

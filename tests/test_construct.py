@@ -22,9 +22,9 @@ def test_plan_cells_cover_window(gamma_unit_ctx):
 def test_plan_window_errors(gamma_unit_ctx):
     plan = construct.DiscretizationPlan.build(gamma_unit_ctx, t=1.0, n=4)
     with pytest.raises(CrmError, match="horizon"):
-        plan.cell_range(0.0, 2.0)
+        plan.cell_range(2.0)
     with pytest.raises(CrmError, match="grid"):
-        plan.cell_range(0.1, 1.0)
+        plan.cell_range(0.9)
 
 
 def test_discrete_laplace_exact_product(gamma_unit_ctx):
@@ -62,8 +62,6 @@ def test_sample_discretized_total_statistic(gamma_unit_ctx, rng):
     totals = [construct.sample_discretized(gamma_unit_ctx, plan, 1.0, rng) for _ in range(200)]
     assert all(x >= 0.0 for x in totals)
     assert any(x > 0.0 for x in totals)
-    # window splitting: either sub-window total is a valid partial draw
-    assert construct.sample_discretized(gamma_unit_ctx, plan, 0.5, rng, start=0.25) >= 0.0
 
 
 def test_sample_discretized_deterministic(gamma_unit_ctx):
@@ -152,23 +150,22 @@ def test_a_nan_horizon_or_window_is_refused(gamma_unit_ctx):
         construct.DiscretizationPlan.build(gamma_unit_ctx, math.nan, 4)
     plan = construct.DiscretizationPlan.build(gamma_unit_ctx, t=1.0, n=4)
     with pytest.raises(CrmError, match="window end nan is not within the planned horizon 1.0"):
-        plan.cell_range(0.0, math.nan)
-    # a negative start used to index the plan's cells from the end
-    for start in (math.nan, -0.25):
-        with pytest.raises(CrmError, match=f"window start must be nonnegative, got start={start}"):
-            plan.cell_range(start, 1.0)
+        plan.cell_range(math.nan)
+    # a negative end used to index the plan's cells from the end
+    with pytest.raises(CrmError, match="window end -0.25 is not within the planned horizon 1.0"):
+        plan.cell_range(-0.25)
     with pytest.raises(CrmError, match="theta must be nonnegative, got nan"):
         construct.discrete_laplace(gamma_unit_ctx, plan, 1.0, math.nan)
 
 
-def _draw_per_call(ctx, plan, t, rng, start=0.0):
+def _draw_per_call(ctx, plan, t, rng):
     """A discretized draw with the window set up inside every call: each cell
     batch passes its rows to ``sample_each``, each count-mode cell its eta."""
     ctx.gate()
-    lo, hi = plan.cell_range(start, t)
-    if hi <= lo:
+    hi = plan.cell_range(t)
+    if hi == 0:
         return 0.0
-    masses, etas, stat = plan.masses[lo:hi], plan.etas[lo:hi], ctx.stat()
+    masses, etas, stat = plan.masses[:hi], plan.etas[:hi], ctx.stat()
     small = masses <= 1.0
     pick = small & (rng.random(len(masses)) < masses)
     total = 0.0
@@ -192,14 +189,14 @@ _AFFINE_RATE = ParameterPath(
     [PiecewiseFunction.constant(2.0), PiecewiseFunction([Piece(0.0, math.inf, "affine", c0=1.0, c1=2.0)])]
 )
 
-# case -> (family, path, base, k, n, plan horizon, window start, window end)
+# case -> (family, path, base, k, n, plan horizon, window end)
 _WINDOW_CASES = {
-    "constant-small-and-count": ("gamma", _CONSTANT, _two_level_base(2.0, 20.0), 2, 4, 1.0, 0.0, 1.0),
-    "affine-small-only": ("gamma", _AFFINE_RATE, BaseMeasure.lebesgue(1.5), 1, 8, 2.0, 0.0, 2.0),
-    "constant-start-inside": ("gamma", _CONSTANT, _two_level_base(1.0, 12.0), 2, 8, 1.5, 0.25, 1.0),
-    "affine-start-inside": ("gamma", _AFFINE_RATE, _two_level_base(1.0, 12.0), 2, 8, 1.5, 0.25, 1.5),
-    "beta-k1": ("beta", _CONSTANT, _two_level_base(2.0, 8.0), 1, 2, 1.0, 0.0, 1.0),
-    "empty-window": ("gamma", _CONSTANT, BaseMeasure.lebesgue(1.0), 2, 4, 1.0, 0.5, 0.5),
+    "constant-small-and-count": ("gamma", _CONSTANT, _two_level_base(2.0, 20.0), 2, 4, 1.0, 1.0),
+    "affine-small-only": ("gamma", _AFFINE_RATE, BaseMeasure.lebesgue(1.5), 1, 8, 2.0, 2.0),
+    "constant-partial": ("gamma", _CONSTANT, _two_level_base(1.0, 12.0), 2, 8, 1.5, 1.0),
+    "affine-partial": ("gamma", _AFFINE_RATE, _two_level_base(1.0, 12.0), 2, 8, 1.5, 1.25),
+    "beta-k1": ("beta", _CONSTANT, _two_level_base(2.0, 8.0), 1, 2, 1.0, 1.0),
+    "empty-window": ("gamma", _CONSTANT, BaseMeasure.lebesgue(1.0), 2, 4, 1.0, 0.0),
 }
 
 
@@ -208,23 +205,21 @@ def test_a_window_set_up_once_draws_what_a_per_call_window_drew(case):
     """Draws, estimates and the generator stream equal, bit for bit, the route
     that sets the window up in every call and gives each replicate a spawned
     child: one eta shared by every cell, per-cell etas, count-mode cells,
-    windows that start inside the plan, beta's log statistic, an empty window."""
-    family, path, base, k, n, z_hi, start, t = _WINDOW_CASES[case]
+    windows that end inside the plan, beta's log statistic, an empty window."""
+    family, path, base, k, n, z_hi, t = _WINDOW_CASES[case]
     ctx = LevyContext.build(make_family(family), path, base, k=k)
     plan = construct.DiscretizationPlan.build(ctx, t=z_hi, n=n)
 
     rng, ref = np.random.default_rng(2024), np.random.default_rng(2024)
-    got = np.array([construct.sample_discretized(ctx, plan, t, rng, start=start) for _ in range(60)])
-    want = np.array([_draw_per_call(ctx, plan, t, ref, start=start) for _ in range(60)])
+    got = np.array([construct.sample_discretized(ctx, plan, t, rng) for _ in range(60)])
+    want = np.array([_draw_per_call(ctx, plan, t, ref) for _ in range(60)])
     assert got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == ref.bit_generator.state
 
     theta, replicates = 0.7, 300
-    est = construct.empirical_laplace(
-        ctx, plan, t, theta, replicates, np.random.default_rng(99), start=start
-    )
+    est = construct.empirical_laplace(ctx, plan, t, theta, replicates, np.random.default_rng(99))
     vals = np.array([
-        math.exp(-theta * _draw_per_call(ctx, plan, t, child, start=start))
+        math.exp(-theta * _draw_per_call(ctx, plan, t, child))
         for child in np.random.default_rng(99).spawn(replicates)
     ])
     assert est.mean == float(vals.mean())

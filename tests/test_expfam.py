@@ -53,10 +53,10 @@ def test_log_partition_closed_forms():
     beta = expfam.make_family("beta")
     a, b = 2.0, 3.0
     want = special.betaln(a, b)
-    assert expfam.log_partition(beta, [a, b]) == pytest.approx(want, rel=1e-12)
+    assert beta.at([a, b]).log_partition == pytest.approx(want, rel=1e-12)
 
     gamma = expfam.make_family("gamma")
-    assert expfam.log_partition(gamma, [a, b]) == pytest.approx(
+    assert gamma.at([a, b]).log_partition == pytest.approx(
         special.gammaln(a) - a * math.log(b), rel=1e-12
     )
 
@@ -304,6 +304,20 @@ def test_batch_check_raises_the_first_failing_rows_own_error(name, good, first, 
     assert batch.value.index == len(good)
 
 
+@pytest.mark.parametrize("name, good, first, later", _BATCH_CASES, ids=[c[0] for c in _BATCH_CASES])
+def test_batch_membership_equals_the_per_column_answers(name, good, first, later):
+    spec = expfam.make_family(name)
+    rows = good + [first] + good + [later]
+    want = [spec.in_natural_space(np.array(eta)) for eta in rows]
+    assert want == [True] * len(good) + [False] + [True] * len(good) + [False]
+    assert all(type(answer) is bool for answer in want)
+    batch = spec.in_natural_space(np.array(rows).T)
+    assert batch.dtype == bool and batch.tolist() == want
+    # any batch shape: the answers take the shape of eta.shape[1:]
+    grid = spec.in_natural_space(np.array(rows).T.reshape(spec.dimension, 2, -1))
+    assert grid.tolist() == np.reshape(want, (2, -1)).tolist()
+
+
 @pytest.mark.parametrize(
     "name, eta, error, message",
     [
@@ -332,7 +346,7 @@ def test_binding_an_invalid_eta_raises_what_density_raised(name, eta, error, mes
 def test_bound_family_checks_the_support_at_each_point():
     gamma = expfam.make_family("gamma")
     bound = gamma.at([2.0, 3.0])
-    assert bound.log_partition == expfam.log_partition(gamma, [2.0, 3.0])
+    assert bound.log_partition == gamma.at([2.0, 3.0]).log_partition
     for x in (-1.0, 0.0, np.array([1.0, -1.0])):
         with pytest.raises(SupportError, match=r"gamma: point outside support \(0.0, inf\)"):
             bound.density(x)

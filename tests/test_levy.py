@@ -104,14 +104,6 @@ def test_levy_density_s_constant_context(gamma_const_ctx):
             assert levy_density_s(gamma_const_ctx, t, s) == pytest.approx(want, rel=1e-9)
 
 
-def test_levy_density_s_window_additivity(gamma_const_ctx):
-    s = 0.7
-    whole = levy_density_s(gamma_const_ctx, 2.0, s)
-    left = levy_density_s(gamma_const_ctx, 2.0, s, z_window=(0.0, 0.8))
-    right = levy_density_s(gamma_const_ctx, 2.0, s, z_window=(0.8, 2.0))
-    assert whole == pytest.approx(left + right, rel=1e-9)
-
-
 def test_levy_density_s_rejects_outside_support(gamma_const_ctx):
     with pytest.raises(SupportError):
         levy_density_s(gamma_const_ctx, 1.0, -0.5)
@@ -433,6 +425,25 @@ def test_path_check_records_witnesses():
     assert check_conditions(gamma, path, 2, [0.25, 0.5, 0.75]).check("path_in_natural_space").passed
 
 
+def test_contraction_check_names_each_point_that_only_it_fails():
+    # pareto's eta < -1 is closed under the contraction eps * eta only for
+    # eta < -10, so eta = -12 + 2z passes both checks for z < 1, fails only
+    # the contraction at eps = 0.1 for 1 <= z < 5.5, and fails (2) from z = 5.5
+    path = ParameterPath([PiecewiseFunction([Piece(0.0, math.inf, "affine", c0=-12.0, c1=2.0)])])
+    report = check_conditions(make_family("pareto"), path, 1, [0.5, 1.5, 3.0, 5.0, 5.5, 6.0])
+    assert report.check("invertible_statistic").passed
+    natural = report.check("path_in_natural_space")
+    assert natural.detail == "2 of 6 grid points fail"
+    assert natural.witnesses == (
+        (5.5, "pareto: coordinate must be < -1, got -1.0"),
+        (6.0, "pareto: coordinate must be < -1, got 0.0"),
+    )
+    closure = report.check("contraction_closure")
+    assert not closure.passed
+    assert closure.detail == "3 grid points leave the natural space under contraction"
+    assert closure.witnesses == ((1.5, 0.1), (3.0, 0.1), (5.0, 0.1))
+
+
 def test_path_check_records_a_raising_path_piece_as_a_witness():
     path = ParameterPath(
         [
@@ -513,9 +524,11 @@ def test_an_invalid_eta_where_no_base_piece_lies_is_not_evaluated():
     assert not ctx.report.passed
     with pytest.raises(NaturalSpaceError):
         expfam.density(gamma, path.eval(1.5), 0.7)
-    got = levy_density_s(ctx, 3.0, 0.7)
-    parts = [levy_density_s(ctx, 3.0, 0.7, z_window=w) for w in ((0.0, 1.0), (2.0, 3.0))]
-    assert got == parts[0] + parts[1] > 0
+    # the base covers (0, 0.5] with mass 0.5 at eta (2, 3) and (2, 3] with
+    # mass 2 at eta (3, 3): the closed form h(eta) A_0 on each stretch
+    want = 0.5 * expfam.density(gamma, [2.0, 3.0], 0.7)
+    want += 2.0 * expfam.density(gamma, [3.0, 3.0], 0.7)
+    assert levy_density_s(ctx, 3.0, 0.7) == want > 0
     # a base piece over (1, 2] makes the location integral evaluate the invalid eta
     covered = LevyContext.build(gamma, path, BaseMeasure.lebesgue(1.0), k=2, require_conditions=False)
     with pytest.raises(NaturalSpaceError):
@@ -622,10 +635,6 @@ def test_a_nan_horizon_or_theta_is_refused(gamma_unit_ctx):
         classify_activity(gamma_unit_ctx, nan)
     with pytest.raises(CrmError, match="time must be positive, got t=nan"):
         levy_density_u(gamma_unit_ctx, nan, 0.5)
-    # an explicit window does not read t
-    assert levy_density_s(gamma_unit_ctx, nan, 0.5, z_window=(0.0, 1.0)) == levy_density_s(
-        gamma_unit_ctx, 1.0, 0.5
-    )
 
 
 @pytest.mark.parametrize("window", [(0.0, math.nan), (math.nan, 1.0)], ids=["nan-end", "nan-start"])
@@ -633,7 +642,3 @@ def test_a_nan_window_end_is_refused_naming_the_window(gamma_unit_ctx, window):
     a, b = window
     with pytest.raises(CrmError, match=rf"base measure window \({a}, {b}\] has a NaN end"):
         gamma_unit_ctx.base.increment(a, b)
-    with pytest.raises(CrmError, match=rf"location window \({a}, {b}\] has a NaN end"):
-        levy_density_s(gamma_unit_ctx, 1.0, 0.5, z_window=window)
-    with pytest.raises(CrmError, match=rf"location window \({a}, {b}\] has a NaN end"):
-        levy_density_u(gamma_unit_ctx, 1.0, 0.5, z_window=window)

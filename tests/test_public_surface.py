@@ -4,6 +4,7 @@ Adding or removing a public name means editing the lists below in the same
 change, next to the caller that needs it.
 """
 
+import dataclasses
 import importlib
 import inspect
 import os
@@ -129,7 +130,6 @@ MODULE_ALL = {
         "make_family",
         "family_names",
         "density",
-        "log_partition",
         "moment_suff_stat",
         "raw_moment",
         "raw_moment_beta",
@@ -197,10 +197,43 @@ def test_importing_the_package_leaves_scipy_stats_unloaded():
         (crmkit.LevyContext.build, ["family", "path", "base", "k", "require_conditions"]),
         (crmkit.sample_crm, ["components", "z_max", "rng", "truncation"]),
         (crmkit.finite_dim_tv, ["pair", "eta", "observations"]),
+        (crmkit.sample_discretized, ["ctx", "plan", "t", "rng"]),
+        (crmkit.discrete_laplace, ["ctx", "plan", "t", "theta"]),
+        (crmkit.empirical_laplace, ["ctx", "plan", "t", "theta", "replicates", "rng"]),
+        (crmkit.levy_density_s, ["ctx", "t", "s"]),
+        (crmkit.levy_density_u, ["ctx", "t", "u"]),
     ],
-    ids=["classify_activity", "LevyContext.build", "sample_crm", "finite_dim_tv"],
+    ids=[
+        "classify_activity",
+        "LevyContext.build",
+        "sample_crm",
+        "finite_dim_tv",
+        "sample_discretized",
+        "discrete_laplace",
+        "empirical_laplace",
+        "levy_density_s",
+        "levy_density_u",
+    ],
 )
 def test_signatures_take_no_option_that_no_caller_sets(func, params):
     # the relative tolerance, the condition grid, the tail mass and the TV
-    # grid size are fixed in their modules
+    # grid size are fixed in their modules; every window is (0, t]
     assert list(inspect.signature(func).parameters) == params
+
+
+def test_family_spec_fields_are_pinned():
+    # a family declares its natural space once, in ``natural``
+    assert [f.name for f in dataclasses.fields(crmkit.ExpFamilySpec)] == [
+        "name",
+        "support",
+        "stats",
+        "log_carrier",
+        "log_partition_fn",
+        "natural",
+        "sampler",
+        "cdf",
+        "quantile",
+        "cumulants",
+        "stat_moment",
+        "fixed",
+    ]
