@@ -23,6 +23,7 @@ from . import expfam
 from .errors import CrmError, NaturalSpaceError, SupportError
 from .expfam import ExpFamilySpec, ParameterPath
 from .levy import LevyContext, _default_grid, levy_density_u
+from .sampler import link_rule
 
 __all__ = [
     "ConjugatePair",
@@ -218,14 +219,6 @@ def posterior_process_params(
     return float(a), float(b / a)
 
 
-def _likelihood_at(pair: ConjugatePair, x: float, ys: np.ndarray) -> float:
-    from .sampler import link_rule
-
-    eta = np.asarray(link_rule(pair.link)(float(x)), dtype=float)
-    dens = expfam.density(pair.likelihood_family, eta, ys)
-    return float(np.prod(np.asarray(dens, dtype=float)))
-
-
 # midpoint cells of the grid-Bayes posterior in finite_dim_tv
 _TV_GRID_POINTS = 2000
 
@@ -236,7 +229,9 @@ def finite_dim_tv(pair: ConjugatePair, eta, observations) -> float:
     The fixed-z conjugacy identity: renormalizing prior(x | eta) times the
     observation likelihood on a midpoint grid of ``_TV_GRID_POINTS`` cells
     over the prior's parameter support must reproduce the prior family's
-    density at tau(eta, Y).
+    density at tau(eta, Y).  The link maps the whole grid to one batch of
+    likelihood parameters, and the likelihood is the product of the
+    observations' densities, taken in observation order.
     """
     eta = np.asarray(eta, dtype=float)
     ys = np.asarray(list(observations), dtype=float)
@@ -255,7 +250,10 @@ def finite_dim_tv(pair: ConjugatePair, eta, observations) -> float:
     xs = lo + (np.arange(_TV_GRID_POINTS) + 0.5) * h
 
     prior_vals = np.asarray(expfam.density(prior, eta, xs), dtype=float)
-    lik_vals = np.array([_likelihood_at(pair, x, ys) for x in xs])
+    etas = np.array(link_rule(pair.link)(xs), dtype=float)
+    lik_vals = np.ones(xs.size)
+    for row in np.exp(expfam._log_density_many(pair.likelihood_family, etas, ys)):
+        lik_vals = lik_vals * row
     post = prior_vals * lik_vals
     norm = post.sum() * h
     if norm <= 0:

@@ -124,7 +124,7 @@ class ExpFamilySpec:
     support: Support
     stats: tuple[SufficientStat, ...]
     log_carrier: Callable
-    log_partition_fn: Callable
+    log_partition_fn: Callable  # A at one eta (a float) or at each column of a batch
     natural: tuple  # ((coord, test, message), ...), coord counted from 1
     # (eta, rng, size) -> size draws, in order; eta of shape (l,) is shared by
     # every draw, eta of shape (size, l) gives one row per draw
@@ -211,15 +211,7 @@ class BoundFamily:
         self.log_partition = float(spec.log_partition_fn(eta))
 
     def log_density(self, x) -> float | np.ndarray:
-        spec = self.spec
-        xs = np.asarray(x, dtype=float)
-        if not spec.support.contains(xs):
-            raise SupportError(
-                f"{spec.name}: point outside support ({spec.support.lo}, {spec.support.hi})"
-            )
-        exponent = spec.log_carrier(xs) - self.log_partition
-        for j, stat in enumerate(spec.stats):
-            exponent = exponent + stat.sign * self.eta[j] * stat.value(xs)
+        exponent = _exponent(self.spec, self.eta, self.log_partition, np.asarray(x, dtype=float))
         return exponent if np.ndim(x) else float(exponent)
 
     def density(self, x) -> float | np.ndarray:
@@ -253,6 +245,51 @@ class BoundFamily:
             raise CrmError(f"quantile level must lie in (0, 1), got {q}")
         out = np.asarray(self.spec.quantile(self.eta, qs), dtype=float)
         return out if np.ndim(q) else float(out)
+
+
+def _exponent(spec: ExpFamilySpec, eta, log_partition, xs: np.ndarray) -> np.ndarray:
+    """log p(xs | eta) = log h(xs) - A(eta) + sum_j sign_j eta_j T_j(xs), in that order.
+
+    One eta (shape (l,), A a float) gives the shape of ``xs``; a batch (shape
+    (l, m), A of shape (m,)) broadcasts against ``xs`` of shape (..., 1).
+    """
+    if not spec.support.contains(xs):
+        raise SupportError(
+            f"{spec.name}: point outside support ({spec.support.lo}, {spec.support.hi})"
+        )
+    exponent = spec.log_carrier(xs) - log_partition
+    for j, stat in enumerate(spec.stats):
+        exponent = exponent + stat.sign * eta[j] * stat.value(xs)
+    return exponent
+
+
+def _bind_many(spec: ExpFamilySpec, etas) -> tuple[np.ndarray, np.ndarray]:
+    """(etas, A(etas)) for a batch of natural parameters, one per column.
+
+    The batch form of binding: ``etas`` of shape (l, m) is checked in one
+    :meth:`ExpFamilySpec.check_natural` (the first bad column is ``index``)
+    and A is one call of ``log_partition_fn``.  Rows are made contiguous, so
+    every ufunc sees what it sees for one eta and returns the same doubles.
+    """
+    etas = np.ascontiguousarray(etas, dtype=float)
+    if not np.all(np.isfinite(etas)):
+        bad = int(np.argmin(np.isfinite(etas).all(axis=0)))
+        raise NaturalSpaceError(
+            f"{spec.name}: natural parameter must be finite, got {etas[:, bad]}", index=bad
+        )
+    spec.check_natural(etas)
+    return etas, np.asarray(spec.log_partition_fn(etas), dtype=float)
+
+
+def _log_density_many(spec: ExpFamilySpec, etas, x) -> np.ndarray:
+    """log p(x | eta) for every column of ``etas`` (shape (l, m)): shape
+    ``np.shape(x) + (m,)``, each double the one :meth:`BoundFamily.log_density`
+    gives.  Overflow and invalid values are not warned about; the caller
+    reads a non-finite value itself.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        etas, log_partition = _bind_many(spec, etas)
+        return _exponent(spec, etas, log_partition, np.asarray(x, dtype=float)[..., None])
 
 
 def density(spec: ExpFamilySpec, eta, x) -> float | np.ndarray:
@@ -300,6 +337,20 @@ def _tilt(bound: BoundFamily, k: int, step: float) -> float:
     tilted = bound.eta.copy()
     tilted[k - 1] += spec.stats[k - 1].sign * step
     return float(np.exp(spec.at(tilted).log_partition - bound.log_partition))
+
+
+def _tilt_many(spec: ExpFamilySpec, etas, k: int, step: float) -> np.ndarray:
+    """:func:`_tilt` at every column of ``etas`` (shape (l, m)), the same doubles.
+
+    Raises :class:`NaturalSpaceError` when a column or its tilt leaves the
+    natural space.  Overflow is not warned about; the caller reads a
+    non-finite value itself.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        etas, log_partition = _bind_many(spec, etas)
+        tilted = etas.copy()
+        tilted[k - 1] += spec.stats[k - 1].sign * step
+        return np.exp(_bind_many(spec, tilted)[1] - log_partition)
 
 
 def raw_moment(spec: ExpFamilySpec, eta, k: int, m: int) -> float:
@@ -499,8 +550,11 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
         return -(mp.mpf(e2) + 1.0) * mp.log(s) + mp.log(upper)
 
     def a(eta):
+        """A at one eta, or at each column of a batch, one mpmath call each."""
         with mp.workdps(40):
-            return float(a_mp(eta[0], eta[1]))
+            if np.ndim(eta[0]) == 0:
+                return float(a_mp(eta[0], eta[1]))
+            return np.array([float(a_mp(e1, e2)) for e1, e2 in zip(eta[0], eta[1])])
 
     def cumulants(eta, k, n):
         if on_face(eta):

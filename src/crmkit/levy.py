@@ -14,8 +14,11 @@ E_eta[e^{-theta T_k}] = exp(A(eta - sign_k theta e_k) - A(eta)).  Location
 integrals split exactly at piece breakpoints and add atom contributions of
 A_0 exactly; the window convention is (0, t] (a jump at t counts, one at 0
 does not).  Where eta is one constant on a stretch the integral is
-h(eta) A_0(stretch) by linearity; elsewhere it takes one adaptive
-quadrature (:func:`~crmkit.piecewise.checked_quad`) per smooth stretch.
+h(eta) A_0(stretch) by linearity.  Any other stretch takes, per base piece,
+one 21-point Gauss-Kronrod pass (QUADPACK's ``qk21``) over a batch of eta
+at its nodes, and falls back to adaptive quadrature
+(:func:`~crmkit.piecewise.checked_quad`) only where QUADPACK would not stop
+after that pass, so the value is the double ``quad`` gives either way.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from . import expfam
 from .errors import ConditionError, CrmError, DivergenceError, NaturalSpaceError, SupportError
 from .expfam import ExpFamilySpec, ParameterPath
-from .piecewise import PiecewiseFunction, checked_quad
+from .piecewise import _EPSABS, _EPSREL, PiecewiseFunction, checked_quad
 
 __all__ = [
     "BaseMeasure",
@@ -302,14 +305,122 @@ def _cuts(ctx: LevyContext, lo: float, hi: float) -> list[float]:
     return sorted({lo, hi, *inner})
 
 
-def _z_integral(ctx: LevyContext, h: Callable, t: float) -> float:
+# QUADPACK dqk21 (Piessens et al. 1983): the 10-point Gauss rule's abscissae
+# are _XGK[1::2], their weights _WG; the 21-point Kronrod rule adds _XGK[0::2]
+# and the centre, with weights _WGK (the centre's last)
+_XGK = np.array((
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+))
+_WGK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+_EPMACH = 2.220446049250313e-16  # d1mach(4)
+_UFLOW = 2.2250738585072014e-308  # d1mach(1)
+
+
+def _gk21(f_many: Callable, a: float, b: float) -> float | None:
+    """QUADPACK's first pass over finite (a, b), or None where it would go on.
+
+    ``f_many`` maps the 21 nodes (an array) to the integrand's values in one
+    call.  The sums and the error estimate are ``dqk21``'s, in its order;
+    the result is returned under ``dqagse``'s first-pass rule at
+    :func:`~crmkit.piecewise.checked_quad`'s tolerances, so it is the double
+    ``quad`` returns after 21 evaluations.  A non-finite value, a roundoff
+    flag or a larger error estimate gives None.
+    """
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    absc = hlgth * _XGK
+    fc, *fv = f_many(np.concatenate(([centr], centr - absc, centr + absc))).tolist()
+    fv1, fv2 = fv[:10], fv[10:]
+    resg = 0.0
+    resk = _WGK[10] * fc
+    resabs = abs(resk)
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss pairs, then the Kronrod-only ones
+        fsum = fv1[j] + fv2[j]
+        if j % 2:
+            resg += _WG[j // 2] * fsum
+        resk += _WGK[j] * fsum
+        resabs += _WGK[j] * (abs(fv1[j]) + abs(fv2[j]))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc += _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    result = resk * hlgth
+    resabs *= abs(hlgth)
+    resasc *= abs(hlgth)
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        ratio = 200.0 * abserr / resasc  # min(1, ratio^1.5) without overflow
+        abserr = resasc if ratio >= 1.0 else resasc * ratio ** 1.5
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    errbnd = max(_EPSABS, _EPSREL * abs(result))
+    if not math.isfinite(result) or (abserr <= 100.0 * _EPMACH * resabs and abserr > errbnd):
+        return None
+    if (abserr <= errbnd and abserr != resasc) or abserr == 0.0:
+        return result
+    return None
+
+
+def _stretch_integral(ctx: LevyContext, h: Callable, h_many: Callable, piece, lo, hi) -> float:
+    """int_(lo, hi] h(eta(z)) a_0(z) dz on one base piece: one :func:`_gk21`
+    pass over the batch of eta at its nodes, else :func:`checked_quad`.
+
+    The fallback takes every case the pass does not: an infinite end, an
+    invalid or non-finite value at a node (errors and warnings then come
+    from the scalar integrand as before), and an error estimate that would
+    make QUADPACK subdivide.
+    """
+    if math.isfinite(hi):
+        try:
+            with np.errstate(all="ignore"):
+                val = _gk21(lambda zs: h_many(ctx.path.eval_many(zs).T) * piece.value(zs), lo, hi)
+        except CrmError:
+            val = None
+        if val is not None:
+            return val
+    return checked_quad(lambda z: h(ctx.path.eval(z)) * piece.value(z), lo, hi)
+
+
+def _z_integral(ctx: LevyContext, h: Callable, h_many: Callable, t: float) -> float:
     """int_(0, t] h(eta(z)) dA_0(z), split at breakpoints, atoms exact.
 
-    On a stretch between cuts where every path component is one ``const``
-    piece, eta is one constant and the integral is h(eta) A_0(stretch); h
-    does not run where that mass is 0.  Any other stretch gets one
-    quadrature per overlapping base piece.  Atom overrides act only through
-    the base point masses at their locations.  The callers check t > 0.
+    ``h`` maps one eta to a float; ``h_many`` maps a batch, one eta per
+    column, to the same doubles.  On a stretch between cuts where every path
+    component is one ``const`` piece, eta is one constant and the integral
+    is h(eta) A_0(stretch); h does not run where that mass is 0.  Any other
+    stretch takes, per overlapping base piece, one 21-point Gauss-Kronrod
+    pass over a batch of eta (:func:`_gk21`), and falls back to
+    :func:`checked_quad` only where QUADPACK would not stop after that pass.
+    Atom overrides act only through the base point masses at their
+    locations.  The callers check t > 0.
     """
     total = 0.0
     cuts = _cuts(ctx, 0.0, t)
@@ -323,7 +434,7 @@ def _z_integral(ctx: LevyContext, h: Callable, t: float) -> float:
         for piece in ctx.base.density.pieces:
             lo, hi = max(a, piece.lo), min(b, piece.hi)
             if lo < hi:
-                total += checked_quad(lambda z, p=piece: h(ctx.path.eval(z)) * p.value(z), lo, hi)
+                total += _stretch_integral(ctx, h, h_many, piece, lo, hi)
     for loc, mass in ctx.base.jumps_in(0.0, t):
         if mass > 0:
             total += mass * h(ctx.path.eval(loc))
@@ -337,7 +448,12 @@ def levy_density_s(ctx: LevyContext, t: float, s: float) -> float:
         raise CrmError(f"time must be positive, got t={t}")
     if not ctx.family.support.contains(s):
         raise SupportError(f"s={s} outside the family support")
-    return _z_integral(ctx, lambda eta: expfam.density(ctx.family, eta, s), t)
+    return _z_integral(
+        ctx,
+        lambda eta: expfam.density(ctx.family, eta, s),
+        lambda etas: np.exp(expfam._log_density_many(ctx.family, etas, s)),
+        t,
+    )
 
 
 def levy_integrand(ctx: LevyContext, z: float, s: float) -> float:
@@ -371,6 +487,8 @@ def _inverse_statistic(ctx: LevyContext, u: float) -> tuple[float, float] | None
 def levy_density_u(ctx: LevyContext, t: float, u: float) -> float:
     """Levy density in the weight coordinate u = T_k(s) (pushforward form)."""
     ctx.gate()
+    if not (t > 0):
+        raise CrmError(f"time must be positive, got t={t}")
     inverse = _inverse_statistic(ctx, u)
     if inverse is None:
         return 0.0
@@ -412,7 +530,12 @@ def laplace_exponent(ctx: LevyContext, t: float, theta: float) -> float:
     if theta == 0.0 or t == 0.0:
         return 0.0
 
-    return _z_integral(ctx, lambda eta: 1.0 - stat_laplace(ctx.family, eta, ctx.k, theta), t)
+    return _z_integral(
+        ctx,
+        lambda eta: 1.0 - stat_laplace(ctx.family, eta, ctx.k, theta),
+        lambda etas: 1.0 - expfam._tilt_many(ctx.family, etas, ctx.k, -theta),
+        t,
+    )
 
 
 @dataclass(frozen=True)

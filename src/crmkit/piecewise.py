@@ -11,7 +11,9 @@ breakpoint the left piece wins.  A function evaluates at a scalar or, with
 one mask per piece, over a whole array.
 
 Callable pieces integrate through :func:`checked_quad`, the package's one checked
-quadrature helper: it raises rather than return an unconverged value.  A
+quadrature helper: it raises rather than return an unconverged value.  (The
+location integrals of :mod:`crmkit.levy` first try QUADPACK's 21-point
+pass over a batch of nodes and call it where that pass is not enough.)  A
 closed-form integral that is not finite (a nonzero piece over an unbounded
 interval, or a ratio piece whose denominator vanishes on it) raises
 :class:`DivergenceError`.
@@ -31,6 +33,8 @@ from .errors import CrmError, DivergenceError
 __all__ = ["Piece", "PiecewiseFunction", "checked_quad"]
 
 _INF = float("inf")
+# checked_quad's absolute and relative tolerances
+_EPSABS, _EPSREL = 1e-12, 1e-10
 
 
 def checked_quad(f: Callable[[float], float], a: float, b: float) -> float:
@@ -43,7 +47,7 @@ def checked_quad(f: Callable[[float], float], a: float, b: float) -> float:
     if not a < b:
         return 0.0
     val, _, _, *message = integrate.quad(
-        f, a, b, epsabs=1e-12, epsrel=1e-10, limit=300, full_output=1
+        f, a, b, epsabs=_EPSABS, epsrel=_EPSREL, limit=300, full_output=1
     )
     if message:
         raise DivergenceError(

@@ -100,6 +100,25 @@ def test_grid_bayes_total_variation(name):
     assert conj.finite_dim_tv(pair, np.asarray(eta), y1) < 1e-3
 
 
+# pair -> repr of the TV after the first observations, after both lists, and
+# after none, as the per-grid-point likelihood loop computed them
+_TV_PINS = {
+    "beta-bernoulli": ("6.357304959539976e-14", "4.065499543509564e-16", "6.249999995267144e-08"),
+    "gamma-lognormal": ("8.582644788366221e-11", "7.63997746543264e-11", "3.611762827480274e-06"),
+    "gamma-pareto": ("4.67212073631331e-09", "7.325765194187105e-12", "3.611762827371766e-06"),
+    "gamma-poisson": ("1.232652178727997e-14", "9.058275876114162e-16", "3.611762827480274e-06"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TV_PINS))
+def test_grid_bayes_keeps_its_bits_with_one_batch_of_likelihoods(name):
+    pair = conj.make_pair(name)
+    eta, y1, y2 = verify._PAIR_FIXTURES[name]
+    got = [conj.finite_dim_tv(pair, np.asarray(eta), ys) for ys in (y1, list(y1) + list(y2), [])]
+    assert tuple(map(repr, got)) == _TV_PINS[name]
+    assert not hasattr(conj, "_likelihood_at")
+
+
 def test_posterior_path_uniform_shift():
     pair = conj.make_pair("gamma-poisson")
     path = ParameterPath(

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from crmkit import expfam
+from crmkit import expfam, levy
 from crmkit.errors import CrmError, DerivativeDomainError, NaturalSpaceError, SupportError
 
 
@@ -316,6 +317,69 @@ def test_batch_membership_equals_the_per_column_answers(name, good, first, later
     # any batch shape: the answers take the shape of eta.shape[1:]
     grid = spec.in_natural_space(np.array(rows).T.reshape(spec.dimension, 2, -1))
     assert grid.tolist() == np.reshape(want, (2, -1)).tolist()
+
+
+def _batch_grid(spec, good):
+    """The case's good rows scaled by 1, 1.37, 1.74 and 2.11: still in the
+    natural space, and for pareto_loglog both on its face and off it."""
+    rows = np.array([np.multiply(eta, 1.0 + 0.37 * i) for i in range(4) for eta in good])
+    assert spec.in_natural_space(rows.T).all()
+    return rows
+
+
+@pytest.mark.parametrize("name, good, first, later", _BATCH_CASES, ids=[c[0] for c in _BATCH_CASES])
+def test_the_batch_density_and_tilt_are_the_scalar_doubles(name, good, first, later):
+    spec = expfam.make_family(name)
+    rows = _batch_grid(spec, good)
+    for x in spec.support.grid(5):
+        batch = np.exp(expfam._log_density_many(spec, rows.T, x))
+        assert batch.tolist() == [spec.at(eta).density(x) for eta in rows]
+    for k in range(1, spec.dimension + 1):
+        for theta in (0.25, 1.0):
+            tilted = rows.copy()
+            tilted[:, k - 1] -= spec.stats[k - 1].sign * theta
+            kept = rows[spec.in_natural_space(tilted.T)]
+            assert kept.size
+            batch = expfam._tilt_many(spec, kept.T, k, -theta)
+            assert batch.tolist() == [levy.stat_laplace(spec, eta, k, theta) for eta in kept]
+
+
+def test_the_batch_density_at_many_points_has_one_row_per_point():
+    spec = expfam.make_family("gamma")
+    rows = np.array([[2.0, 3.0], [0.5, 1.5], [4.0, 0.25]])
+    xs = np.array([0.2, 1.0, 3.5])
+    got = np.exp(expfam._log_density_many(spec, rows.T, xs))
+    assert got.shape == (3, 3)
+    assert got.tolist() == [[spec.at(eta).density(x) for eta in rows] for x in xs]
+    with pytest.raises(SupportError):
+        expfam._log_density_many(spec, rows.T, [1.0, -1.0])
+
+
+def test_the_batch_names_the_first_bad_column():
+    spec = expfam.make_family("gamma")
+    with pytest.raises(NaturalSpaceError, match="rate must be positive, got -1.0") as exc:
+        expfam._log_density_many(spec, np.array([[2.0, 3.0], [2.0, -1.0], [1.0, -2.0]]).T, 0.5)
+    assert exc.value.index == 1
+    with pytest.raises(NaturalSpaceError, match="must be finite") as exc:
+        expfam._tilt_many(spec, np.array([[2.0, 3.0], [math.nan, 1.0]]).T, 2, -1.0)
+    assert exc.value.index == 1
+    # the tilt of the second column leaves the natural space
+    with pytest.raises(NaturalSpaceError) as exc:
+        expfam._tilt_many(spec, np.array([[2.0, 3.0], [0.5, 1.0]]).T, 1, -1.0)
+    assert exc.value.index == 1
+
+
+def test_the_batch_returns_overflow_silently_with_the_scalar_values():
+    spec = expfam.make_family("poisson")
+    rows = np.array([[0.3], [710.0]])  # A = e^eta overflows at the second
+    with np.errstate(all="ignore"):
+        density = [spec.at(eta).density(2.0) for eta in rows]
+        tilt = [expfam._tilt(spec.at(eta), 1, -1.0) for eta in rows]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.exp(expfam._log_density_many(spec, rows.T, 2.0)).tolist() == density
+        assert expfam._tilt_many(spec, rows.T, 1, -1.0).tolist() == tilt
+    assert density[1] == tilt[1] == 0.0
 
 
 @pytest.mark.parametrize(

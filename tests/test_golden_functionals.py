@@ -1,17 +1,19 @@
 """Pinned bits of the Levy functionals.
 
 On a stretch where the parameter path is one constant, a location integral
-is the closed form h(eta) A_0(stretch); elsewhere it is one quadrature per
-base piece.  Every result is a Python float, and every ``repr`` here is
-fixed.  The ``classify_activity`` masses are the exact base masses
-A_0((0, t]).
+is the closed form h(eta) A_0(stretch); elsewhere it is, per base piece, one
+21-point Gauss-Kronrod pass over a batch of eta, the double QUADPACK's
+``quad`` returns when it stops after that pass.  Every result is a Python
+float, and every ``repr`` here is fixed.  The ``classify_activity`` masses
+are the exact base masses A_0((0, t]).
 """
 
 import math
 
 import pytest
+import scipy.integrate
 
-from crmkit import verify
+from crmkit import levy, verify
 from crmkit.expfam import ParameterPath, make_family
 from crmkit.levy import (
     BaseMeasure,
@@ -21,7 +23,7 @@ from crmkit.levy import (
     laplace_exponent,
     levy_density_u,
 )
-from crmkit.piecewise import Piece, PiecewiseFunction
+from crmkit.piecewise import Piece, PiecewiseFunction, checked_quad
 
 INF = math.inf
 
@@ -80,8 +82,35 @@ def _contexts():
             ),
             k=2,
         ),
+        # paths that are not constant: an affine rate, an affine second
+        # coordinate over a ratio base, an affine pareto shape, and a func
+        # shape with an affine-then-const rate over an affine-then-const base
+        # with a point mass
+        "gamma_affine": verify.gamma_decomposition_context(1, 2),
+        "beta_ratio": verify.beta_decomposition_context(2),
+        "pareto_affine": verify.nonhomogeneous_pareto_context(),
+        "func_path": LevyContext.build(
+            gamma,
+            ParameterPath(
+                [
+                    PiecewiseFunction.from_callable(lambda z: 2.0 + 0.5 * math.sin(z)),
+                    PiecewiseFunction(
+                        [Piece(0.0, 1.0, "affine", c0=3.0, c1=-1.0), Piece(1.0, INF, "const", c0=2.0)]
+                    ),
+                ]
+            ),
+            BaseMeasure(
+                PiecewiseFunction(
+                    [Piece(0.0, 1.0, "affine", c0=1.0, c1=0.5), Piece(1.0, INF, "const", c0=2.0)]
+                ),
+                ((0.75, 0.3),),
+            ),
+            k=2,
+        ),
     }
 
+
+NON_CONSTANT = ("gamma_affine", "beta_ratio", "pareto_affine", "func_path")
 
 # context: ((t, u), (t, theta), (t, us), classify horizon or None)
 CALLS = {
@@ -91,6 +120,10 @@ CALLS = {
     "piecewise": ((2.0, 0.7), (2.0, 1.0), (1.5, (0.2, 1.0, 2.5)), 1.0),
     "override": ((2.0, 0.7), (2.0, 1.0), (1.0, (0.2, 1.0, 2.5)), 1.0),
     "gap_jump": ((3.0, 0.7), (3.0, 1.0), (3.0, (0.2, 1.0, 2.5)), 3.0),
+    "gamma_affine": ((1.0, 0.7), (1.0, 2.0), (2.5, (0.1, 1.0, 3.0)), 1.0),
+    "beta_ratio": ((1.0, -0.3), (2.0, 0.6), (1.5, (-2.0, -0.5, -0.05)), 1.0),
+    "pareto_affine": ((1.0, 0.4), (2.0, 0.8), (1.5, (0.1, 1.0, 4.0)), 1.0),
+    "func_path": ((2.0, 0.7), (2.0, 1.0), (1.5, (0.2, 1.0, 2.5)), 1.0),
 }
 
 PINNED = {
@@ -116,6 +149,23 @@ PINNED = {
     ("gap_jump", "laplace_exponent"): "1.6187499999999995",
     ("gap_jump", "density_table"): "[(3.0, 0.2, 3.655085496386216), (3.0, 1.0, 1.6579093766498694), (3.0, 2.5, 0.046044273814807135)]",
     ("gap_jump", "classify_activity"): "('NotTimeHomogeneous', 3.7)",
+    # pinned when every non-constant stretch still ran scipy's quad
+    ("gamma_affine", "levy_density_u"): "0.0292169905522886",
+    ("gamma_affine", "laplace_exponent"): "0.11565489012728797",
+    ("gamma_affine", "density_table"): "[(2.5, 0.1, 0.038187373601423415), (2.5, 1.0, 0.12082131331790555), (2.5, 3.0, 0.039096248755803115)]",
+    ("gamma_affine", "classify_activity"): "('NotTimeHomogeneous', 0.125)",
+    ("beta_ratio", "levy_density_u"): "0.037973228266667214",
+    ("beta_ratio", "laplace_exponent"): "-4.213633139653034",
+    ("beta_ratio", "density_table"): "[(1.5, -2.0, 0.23491896130992387), (1.5, -0.5, 0.11984586374172355), (1.5, -0.05, 0.0009741724467552071)]",
+    ("beta_ratio", "classify_activity"): "('NotTimeHomogeneous', 0.4246358550964382)",
+    ("pareto_affine", "levy_density_u"): "0.38469959718815616",
+    ("pareto_affine", "laplace_exponent"): "1.0022103747962943",
+    ("pareto_affine", "density_table"): "[(1.5, 0.1, 1.018582711118352), (1.5, 1.0, 0.4421745996289255), (1.5, 4.0, 0.061415545922708474)]",
+    ("pareto_affine", "classify_activity"): "('NotTimeHomogeneous', 1.0)",
+    ("func_path", "levy_density_u"): "2.3822918216691837",
+    ("func_path", "laplace_exponent"): "2.1112655379935474",
+    ("func_path", "density_table"): "[(1.5, 0.2, 1.1042411881767602), (1.5, 1.0, 1.4433457314380616), (1.5, 2.5, 0.19402504344718774)]",
+    ("func_path", "classify_activity"): "('NotTimeHomogeneous', 1.55)",
 }
 
 
@@ -134,6 +184,41 @@ def test_functionals_keep_their_bits(contexts, name):
     if horizon is not None:
         res = classify_activity(ctx, horizon)
         assert repr((type(res).__name__, res.total_mass)) == PINNED[name, "classify_activity"]
+
+
+class _NoQuadrature(Exception):
+    pass
+
+
+def _refuse_quad(*args, **kwargs):
+    raise _NoQuadrature
+
+
+@pytest.mark.parametrize("name", NON_CONSTANT)
+def test_each_non_constant_stretch_takes_the_pass_and_equals_checked_quad(
+    contexts, name, monkeypatch
+):
+    quad = scipy.integrate.quad
+    stretch_integral = levy._stretch_integral
+    compared = []
+
+    def against_checked_quad(ctx, h, h_many, piece, lo, hi):
+        got = stretch_integral(ctx, h, h_many, piece, lo, hi)  # quad is refused here
+        with monkeypatch.context() as m:
+            m.setattr(scipy.integrate, "quad", quad)
+            want = checked_quad(lambda z: h(ctx.path.eval(z)) * piece.value(z), lo, hi)
+        compared.append((lo, hi))
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        return got
+
+    monkeypatch.setattr(scipy.integrate, "quad", _refuse_quad)
+    monkeypatch.setattr(levy, "_stretch_integral", against_checked_quad)
+    ctx = contexts[name]
+    density_at, laplace_at, table_at, _ = CALLS[name]
+    levy_density_u(ctx, *density_at)
+    laplace_exponent(ctx, *laplace_at)
+    density_table(ctx, *table_at)
+    assert compared
 
 
 def test_loglog_moment_oracle_keeps_its_bits():

@@ -610,19 +610,101 @@ def test_a_constant_path_needs_no_location_quadrature(name, monkeypatch):
         assert levy_density_u(ctx, t, u) == got == pytest.approx(want, rel=1e-13)
 
 
-def test_an_affine_path_still_integrates_by_quadrature(monkeypatch):
-    path = ParameterPath(
-        [
-            PiecewiseFunction.constant(1.0),
-            PiecewiseFunction([Piece(0.0, math.inf, "affine", c0=1.0, c1=1.0)]),
-        ]
-    )
-    ctx = LevyContext.build(make_family("gamma"), path, BaseMeasure.lebesgue(1.0), k=2)
+_AFFINE_RATE = ParameterPath(
+    [
+        PiecewiseFunction.constant(1.0),
+        PiecewiseFunction([Piece(0.0, math.inf, "affine", c0=1.0, c1=1.0)]),
+    ]
+)
+
+
+def test_an_affine_path_takes_one_gauss_kronrod_pass_and_no_quad(monkeypatch):
+    ctx = LevyContext.build(make_family("gamma"), _AFFINE_RATE, BaseMeasure.lebesgue(1.0), k=2)
     monkeypatch.setattr(scipy.integrate, "quad", _refuse_quad)
-    with pytest.raises(_NoQuadrature):
-        laplace_exponent(ctx, 1.0, 1.0)
-    with pytest.raises(_NoQuadrature):
-        levy_density_u(ctx, 1.0, 0.7)
+    # the doubles quad returned after its first 21-point pass
+    assert repr(laplace_exponent(ctx, 1.0, 1.0)) == "0.4054651081081644"
+    assert repr(levy_density_u(ctx, 1.0, 0.7)) == "0.5150251081337565"
+
+
+def _func_base(f):
+    return BaseMeasure(PiecewiseFunction.from_callable(f, lo=0.0, hi=1.0))
+
+
+def test_a_singular_base_is_rejected_by_the_pass_and_integrated_by_quad(monkeypatch):
+    ctx = LevyContext.build(
+        make_family("gamma"), _AFFINE_RATE, _func_base(lambda z: 1.0 / math.sqrt(z)), k=2
+    )
+    calls = []
+    quad = scipy.integrate.quad
+
+    def counted(f, a, b, **kwargs):
+        calls.append((a, b))
+        return quad(f, a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    # the doubles quad gives on each whole stretch
+    assert repr(laplace_exponent(ctx, 1.0, 1.0)) == "0.8704197513671034"
+    assert repr(levy_density_u(ctx, 1.0, 0.7)) == "1.0242459459911837"
+    assert calls == [(0.0, 1.0), (0.0, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "call, partial",
+    [((laplace_exponent, 1.0), 107.27908535363332), ((levy_density_u, 0.7), 106.80978319978722)],
+    ids=["laplace_exponent", "levy_density_u"],
+)
+def test_a_divergent_base_under_an_affine_path_keeps_its_partial(call, partial):
+    ctx = LevyContext.build(make_family("gamma"), _AFFINE_RATE, _func_base(lambda z: 1.0 / z), k=2)
+    fn, arg = call
+    with pytest.raises(DivergenceError, match=r"integral over \(0.0, 1.0\) did not stabilize") as exc:
+        fn(ctx, 1.0, arg)
+    assert exc.value.partial == partial
+
+
+def test_a_tilt_leaving_the_natural_space_inside_an_affine_stretch_diverges():
+    # T_1 = ln x: the tilted shape 1 - z leaves the natural space at z = 1
+    shape = PiecewiseFunction([Piece(0.0, 1.5, "affine", c0=2.0, c1=-1.0)])
+    path = ParameterPath([shape, PiecewiseFunction.constant(3.0, 0.0, 1.5)])
+    ctx = LevyContext.build(make_family("gamma"), path, BaseMeasure.lebesgue(1.0), k=1)
+    assert repr(laplace_exponent(ctx, 0.9, 1.0)) == "-6.007755278982138"
+    with pytest.raises(DivergenceError) as exc:
+        laplace_exponent(ctx, 1.5, 1.0)
+    assert exc.value.partial == math.inf
+    assert str(exc.value) == (
+        "gamma: E[exp(-1.0 T_1)] is infinite, the tilted coordinate eta_1 = "
+        "-0.4804298963878788 leaves the natural space (gamma: shape must be "
+        "positive, got -0.4804298963878788)"
+    )
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda z: 1.0 - 2.0 * z + 0.5 * z ** 3, np.exp, lambda z: 1.0 / (1.0 + z)],
+    ids=["cubic", "exp", "reciprocal"],
+)
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 2.7), (1.0, 1.5), (2.0, 9.0)])
+def test_the_qk21_port_returns_quads_double_where_quad_stops_after_21_nodes(f, a, b):
+    val, _, info = scipy.integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-10, limit=300, full_output=1)
+    assert info["neval"] == 21
+    assert levy._gk21(lambda zs: f(zs), a, b) == val
+
+
+def test_the_qk21_port_declines_where_quad_subdivides():
+    f = lambda z: 1.0 / math.sqrt(z)
+    _, _, info = scipy.integrate.quad(f, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=300, full_output=1)
+    assert info["neval"] > 21
+    assert levy._gk21(lambda zs: 1.0 / np.sqrt(zs), 0.0, 1.0) is None
+    assert levy._gk21(lambda zs: np.full(zs.shape, math.nan), 0.0, 1.0) is None
+
+
+@pytest.mark.parametrize("t", [math.nan, -1.0])
+def test_a_nan_or_negative_horizon_is_refused_where_the_inverse_overflows(t):
+    ctx = LevyContext.build(
+        make_family("gamma"), ParameterPath.constant([2.0, 3.0]), BaseMeasure.lebesgue(1.0), k=1
+    )
+    assert levy_density_u(ctx, 1.0, 800.0) == 0.0  # exp(800) overflows
+    with pytest.raises(CrmError, match=f"time must be positive, got t={t}"):
+        levy_density_u(ctx, t, 800.0)
 
 
 def test_a_nan_horizon_or_theta_is_refused(gamma_unit_ctx):
