@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import importlib.metadata
 import json
 import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import mpmath
 import numpy as np
-import scipy
 
 from . import config as cfg
 from . import conjugacy as conj
@@ -33,13 +33,25 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
 
+@functools.cache
+def _dist_version(name: str) -> str:
+    """An installed distribution's version, read from its metadata once per
+    process, so a manifest does not import scipy's submodules or mpmath."""
+    return importlib.metadata.version(name)
+
+
+def _check_seed(seed) -> None:
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+
+
 def _manifest(out_dir: Path, **fields) -> None:
     fields.setdefault("created_utc", datetime.now(timezone.utc).isoformat(timespec="seconds"))
     fields["versions"] = {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "mpmath": mpmath.__version__,
+        "scipy": _dist_version("scipy"),
+        "mpmath": _dist_version("mpmath"),
         "crmkit": __version__,
     }
     _write(out_dir / "manifest.json", json.dumps(fields, indent=2, sort_keys=True) + "\n")
@@ -68,6 +80,7 @@ def cmd_sample(args) -> int:
         raise ConfigError(f"--zmax must be positive, got {z_max}")
     if args.truncation is not None and args.truncation < 1:
         raise ConfigError(f"--truncation must be >= 1, got {args.truncation}")
+    _check_seed(args.seed)
 
     rng = np.random.default_rng(args.seed)
     draw = sampler.sample_crm(contexts, z_max, rng, truncation=args.truncation)
@@ -101,16 +114,19 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_seed(args.seed)
     names = verify.suite_names() if args.suite == "all" else (args.suite,)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     results = []
     for name in names:
         res = verify.run_suite(name, seed=args.seed, replicates=args.replicates)
         if args.filter:
             res.rows = [r for r in res.rows if args.filter in r.check]
         results.append(res)
+    if args.filter and not any(res.rows for res in results):
+        raise ConfigError(f"filter {args.filter!r} matches no check of suite(s) {', '.join(names)}")
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     outputs = ["report.csv"]
     for res in results:

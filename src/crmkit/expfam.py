@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import mpmath as mp
 import numpy as np
 from scipy import special
 
@@ -521,6 +520,8 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
     (for eta_2 + 1 <= 0 an improper gamma kernel, still integrable there).
     The natural space is {eta_1 < -1} union {eta_1 = -1, eta_2 < -1}.
     """
+    import mpmath as mp
+
     if scale <= 0:
         raise CrmError("pareto: scale must be positive")
     u_m = float(scale)
@@ -833,7 +834,7 @@ class ParameterPath:
         zs = np.asarray(zs, dtype=float)
         flat = zs.ravel()
         out = np.empty((flat.size, self.dimension))
-        hit = np.zeros(flat.size, dtype=bool)
+        free = slice(None)  # with no overrides every z is free, with no gather
         if self.atom_overrides:
             locs = sorted(self.atom_overrides)
             keys = np.array(locs, dtype=float)
@@ -841,10 +842,12 @@ class ParameterPath:
             hit = keys[pos] == flat
             etas = np.array([self.atom_overrides[loc] for loc in locs], dtype=float)
             out[hit] = etas[pos[hit]]
-        free = ~hit
+            free = ~hit
         for j, comp in enumerate(self.components):
             out[free, j] = comp(flat[free])
-        bad = free & ~np.isfinite(out).all(axis=1)
+        bad = ~np.isfinite(out).all(axis=1)
+        if self.atom_overrides:
+            bad &= free
         if bad.any():
             i = int(np.argmax(bad))
             raise CrmError(f"parameter path not finite at z={float(flat[i])}: {out[i]}")

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import CrmError, DivergenceError
 
@@ -42,10 +41,14 @@ def checked_quad(f: Callable[[float], float], a: float, b: float) -> float:
 
     Raises :class:`DivergenceError` carrying quad's value as the partial when
     quad reports a problem (subdivision limit, roundoff, probable divergence)
-    or returns a non-finite value.
+    or returns a non-finite value.  ``scipy.integrate`` is imported on the
+    first call, so a run that integrates only closed-form pieces never loads
+    it; ``quad`` is looked up on that module at each call.
     """
     if not a < b:
         return 0.0
+    from scipy import integrate
+
     val, _, _, *message = integrate.quad(
         f, a, b, epsabs=_EPSABS, epsrel=_EPSREL, limit=300, full_output=1
     )
@@ -201,7 +204,8 @@ class PiecewiseFunction:
         """Value at a scalar z, or elementwise over an array with one mask per piece.
 
         Pieces cover (lo, hi] and are tried left to right, so the left piece
-        wins at a shared breakpoint.  A z outside every piece raises
+        wins at a shared breakpoint; a piece that covers every z evaluates
+        the whole array with no masked write.  A z outside every piece raises
         :class:`CrmError` naming the first such z.
         """
         if np.isscalar(z):
@@ -214,6 +218,8 @@ class PiecewiseFunction:
         todo = np.ones(z.shape, dtype=bool)
         for p in self.pieces:
             mask = todo & (z > p.lo) & (z <= p.hi)
+            if mask.all():  # only while no earlier piece took a z
+                return np.asarray(p.value(z), dtype=float)
             if mask.any():
                 out[mask] = p.value(z[mask])
                 todo &= ~mask

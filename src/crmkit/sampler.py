@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from . import expfam
 from .errors import AtomLinkError, CrmError, DivergenceError, NaturalSpaceError, TruncationError
@@ -199,7 +199,13 @@ def _ratio_location(piece, rem: np.ndarray) -> np.ndarray:
 
 
 def _piece_location(piece, rem: float) -> float:
-    """z with mass rem accumulated from the lower edge of a callable piece, by brentq."""
+    """z with mass rem accumulated from the lower edge of a callable piece, by brentq.
+
+    Only callable pieces get here, so ``scipy.optimize`` is imported here on
+    the first such location.
+    """
+    from scipy import optimize
+
     lo, hi = piece.lo, piece.hi
     target = rem
 

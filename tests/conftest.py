@@ -1,10 +1,41 @@
+import ast
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crmkit
 from crmkit import BaseMeasure, LevyContext, ParameterPath, make_family
 from crmkit.piecewise import Piece, PiecewiseFunction
+
+# modules that cost import time and that crmkit loads only on first use
+# (scipy.stats never)
+HEAVY_MODULES = ("mpmath", "scipy.integrate", "scipy.optimize", "scipy.stats")
+
+
+@pytest.fixture
+def heavy_modules_after():
+    """Run code in a new interpreter on this checkout's crmkit and return the
+    sorted names of ``HEAVY_MODULES`` loaded after it.
+
+    A new interpreter, because pytest's ``filterwarnings`` setting imports
+    ``scipy.integrate`` into this one.
+    """
+    src = Path(crmkit.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+
+    def run(code: str) -> list[str]:
+        probe = f"{code}\nimport sys\nprint(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        return ast.literal_eval(out.stdout.splitlines()[-1])
+
+    return run
 
 
 @pytest.fixture

@@ -142,6 +142,24 @@ def test_verify_filter_restricts_rows(tmp_path):
     assert rows and all("pareto-series" in r for r in rows)
 
 
+def test_verify_filter_that_matches_nothing_is_a_config_error(tmp_path, capsys):
+    rc = run("verify", "--suite", "activity", "--out", tmp_path, "nosuchcheck")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'nosuchcheck'" in err and "activity" in err
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    rc = run("sample", "--config", CONFIG_DIR / "gamma.json", "--seed", -1, "--out", tmp_path)
+    assert rc == 2
+    assert "config error: --seed must be >= 0, got -1" in capsys.readouterr().err
+    rc = run("verify", "--suite", "laplace", "--seed", -3, "--out", tmp_path)
+    assert rc == 2
+    assert "config error: --seed must be >= 0, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "atoms.csv").exists() and not (tmp_path / "report.csv").exists()
+
+
 def test_posterior_uniform(tmp_path, capsys):
     rc = run(
         "posterior", "--config", CONFIG_DIR / "gamma_lognormal_prior.json",

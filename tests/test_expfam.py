@@ -8,6 +8,7 @@ from scipy import integrate, special
 
 from crmkit import expfam, levy
 from crmkit.errors import CrmError, DerivativeDomainError, NaturalSpaceError, SupportError
+from crmkit.piecewise import Piece, PiecewiseFunction
 
 
 def test_registry_contents():
@@ -175,8 +176,6 @@ def test_quantile_median():
 
 
 def test_parameter_path_eval_and_overrides():
-    from crmkit.piecewise import Piece, PiecewiseFunction
-
     path = expfam.ParameterPath(
         [
             PiecewiseFunction.constant(2.0),
@@ -199,8 +198,6 @@ def test_parameter_path_eval_and_overrides():
 
 
 def test_parameter_path_left_piece_wins_at_shared_breakpoint():
-    from crmkit.piecewise import Piece, PiecewiseFunction
-
     # pieces cover (lo, hi]: at z = 1 the piece ending there applies
     path = expfam.ParameterPath(
         [
@@ -223,8 +220,6 @@ def test_constant_path_dimension_checks():
 
 
 def _piecewise_path():
-    from crmkit.piecewise import Piece, PiecewiseFunction
-
     return expfam.ParameterPath(
         [
             PiecewiseFunction(
@@ -254,9 +249,40 @@ def test_eval_many_equals_stacked_eval():
     assert no_overrides.eval_many(zs[3:]).tobytes() == want.tobytes()
 
 
-def test_eval_many_raises_the_scalar_non_finite_error():
-    from crmkit.piecewise import Piece, PiecewiseFunction
+def _kind_piece(kind, lo, hi):
+    return {
+        "const": Piece(lo, hi, "const", c0=1.7),
+        "affine": Piece(lo, hi, "affine", c0=0.3, c1=1.1),
+        "ratio": Piece(lo, hi, "ratio", c0=1.0, c1=2.0, d0=1.0, d1=0.5),
+        "func": Piece(lo, hi, "func", func=lambda z: math.exp(-z) + 0.5),
+    }[kind]
 
+
+@pytest.mark.parametrize("overrides", [False, True], ids=["plain", "overrides"])
+@pytest.mark.parametrize("split", [False, True], ids=["one-piece", "two-pieces"])
+@pytest.mark.parametrize("kind", ["const", "affine", "ratio", "func"])
+def test_eval_many_is_stacked_eval_for_every_piece_kind(kind, split, overrides):
+    if split:
+        pieces = [_kind_piece(kind, 0.0, 1.5), _kind_piece(kind, 1.5, 4.0).shifted(0.25)]
+    else:
+        pieces = [_kind_piece(kind, 0.0, 4.0)]
+    path = expfam.ParameterPath(
+        [PiecewiseFunction(pieces), PiecewiseFunction([_kind_piece("affine", 0.0, 4.0)])],
+        atom_overrides={0.75: (5.0, 6.0), 1.5: (7.0, 8.0)} if overrides else None,
+    )
+    rng = np.random.default_rng(5)
+    # the breakpoint, the points beside it and the end, then batches across
+    # both pieces and inside the first
+    edges = [0.75, 1.5, np.nextafter(1.5, 4.0), 4.0, np.nextafter(0.0, 1.0)]
+    for zs in (np.array(edges), rng.uniform(0.0, 4.0, 60), rng.uniform(0.1, 1.4, 21)):
+        want = np.vstack([path.eval(float(z)) for z in zs])
+        got = path.eval_many(zs)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    with pytest.raises(CrmError, match=r"^z=5\.0 outside the covered domain$"):
+        path.eval_many([0.5, 5.0, 6.0, 0.0])
+
+
+def test_eval_many_raises_the_scalar_non_finite_error():
     path = expfam.ParameterPath(
         [
             PiecewiseFunction(

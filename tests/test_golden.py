@@ -127,6 +127,16 @@ def test_sample_bytes_are_pinned(tmp_path, name):
         assert manifest["atoms"] == MIX_ATOMS
 
 
+@pytest.mark.parametrize("name", ["gamma.json", "pareto_series.json"])
+def test_sample_loads_no_heavy_module(tmp_path, heavy_modules_after, name):
+    # closed-form paths and base pieces need no quadrature, root finding or
+    # multiprecision, so a whole run imports none of them
+    argv = ["sample", "--config", str(CONFIG_DIR / name), "--seed", "7", "--out", str(tmp_path)]
+    assert heavy_modules_after(f"from crmkit import cli; assert cli.main({argv!r}) == 0") == []
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["draw_id"] == GOLDEN[name][0]
+
+
 def test_likelihood_bytes_are_pinned():
     contexts, z_max = config.parse_sample_config(MIX_CONFIG)
     rng = np.random.default_rng(7)

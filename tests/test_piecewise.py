@@ -214,3 +214,15 @@ def test_array_call_names_the_first_uncovered_z():
         f(np.array([0.5, 2.5, 1.5, 5.0]))
     with pytest.raises(CrmError, match=r"^z=0\.0 outside"):
         f(np.array([0.0, 0.5]))
+
+
+def test_array_call_inside_one_piece_is_a_float_array_of_the_input_shape():
+    f = _mixed()
+    z = np.linspace(1.05, 2.45, 12).reshape(3, 4)  # all inside the affine piece
+    got = f(z)
+    assert got.shape == (3, 4) and got.tobytes() == np.array([f(float(zz)) for zz in z.ravel()]).tobytes()
+    one = PiecewiseFunction([Piece(0.0, 2.0, "const", c0=2)])  # an int coefficient
+    assert one(z[:1]).dtype == np.float64 and one(z[:1]).shape == (1, 4)
+    assert one(np.array(0.5)).shape == () and one(np.array(0.5)) == 2.0
+    with pytest.raises(CrmError, match=r"^z=2\.05 outside the covered domain$"):
+        one(np.array([0.5, 2.05, 3.0]))

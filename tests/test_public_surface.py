@@ -7,10 +7,6 @@ change, next to the caller that needs it.
 import dataclasses
 import importlib
 import inspect
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -180,14 +176,16 @@ def test_module_all_is_pinned(module):
         assert hasattr(mod, name), name
 
 
-def test_importing_the_package_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half a second of import time; the package's
-    # goodness-of-fit checks use scipy.special alone
-    code = "import sys, crmkit; print('scipy.stats' in sys.modules)"
-    src = Path(crmkit.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+def test_importing_the_package_leaves_scipy_stats_unloaded(heavy_modules_after):
+    # scipy.stats costs about half a second of import time and the package's
+    # goodness-of-fit checks use scipy.special alone; scipy.integrate,
+    # scipy.optimize and mpmath load on first use (a quadrature fallback, a
+    # func-piece location, a pareto_loglog family), so none loads here
+    assert heavy_modules_after("import crmkit") == []
+
+
+def test_a_pareto_loglog_family_loads_mpmath(heavy_modules_after):
+    assert heavy_modules_after("import crmkit; crmkit.make_family('pareto_loglog')") == ["mpmath"]
 
 
 @pytest.mark.parametrize(
