@@ -115,6 +115,8 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_seed(args.seed)
+    if args.replicates is not None and args.replicates < 2:
+        raise ConfigError(f"--replicates must be >= 2, got {args.replicates}")
     names = verify.suite_names() if args.suite == "all" else (args.suite,)
     results = []
     for name in names:

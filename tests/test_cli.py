@@ -160,6 +160,15 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "atoms.csv").exists() and not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("suite", ["moments", "laplace"])
+@pytest.mark.parametrize("replicates", [0, 1, -2])
+def test_fewer_than_two_replicates_is_a_config_error(tmp_path, capsys, suite, replicates):
+    rc = run("verify", "--suite", suite, "--replicates", replicates, "--out", tmp_path)
+    assert rc == 2
+    assert f"config error: --replicates must be >= 2, got {replicates}" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_posterior_uniform(tmp_path, capsys):
     rc = run(
         "posterior", "--config", CONFIG_DIR / "gamma_lognormal_prior.json",

@@ -127,6 +127,43 @@ def test_loglog_interior_moments_match_quadrature():
         assert got == pytest.approx(want, rel=1e-6)
 
 
+# a in (-4, 4) with every integer a <= 0 and points 1e-6 either side of it,
+# where the hypergeometric U(1 - a, 1 - a, x) of DLMF 8.5.3 loses digits
+_LOG_UPPER_GAMMA_A = sorted(
+    {
+        *np.round(np.linspace(-3.9, 3.9, 40), 6),
+        *(k + d for k in (-3.0, -2.0, -1.0, 0.0) for d in (-1e-6, 0.0, 1e-6)),
+    }
+)
+# both sides of the series/continued-fraction split at x = 2
+_LOG_UPPER_GAMMA_X = [*np.geomspace(1e-3, 100.0, 26), 1.999, 2.0, 2.001]
+
+
+@pytest.mark.parametrize("a", _LOG_UPPER_GAMMA_A)
+def test_log_upper_gamma_matches_40_digit_mpmath(a):
+    # for a > 0 also where gammaincc underflows (x above about 700)
+    xs = _LOG_UPPER_GAMMA_X + ([300.0, 700.0, 750.0, 1000.0] if a > 0 else [])
+    got = expfam._log_upper_gamma(a, np.array(xs))
+    with mp.workdps(40):
+        want = np.array([float(mp.log(mp.gammainc(a, x, mp.inf))) for x in xs])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    assert got[3] == expfam._log_upper_gamma(a, xs[3])  # one value, the same bits
+
+
+def test_a_mixed_loglog_batch_of_a_keeps_the_scalar_bits():
+    spec = expfam.make_family("pareto_loglog")
+    # the face, then off it: the series, the continued fraction at x >= 2 and
+    # at a <= -20, gammaincc, and gammaincc underflowing
+    etas = np.array(
+        [[-1.0, -2.5], [-2.0, -2.5], [-1.5, -1.0], [-4.0, -2.5], [-1.5, -30.0],
+         [-1.0, -5.0], [-2.0, 0.7], [-800.0, 0.7]]
+    ).T
+    _, batch = expfam._bind_many(spec, etas)
+    scalar = np.array([spec.at(col).log_partition for col in etas.T])
+    assert batch.tobytes() == scalar.tobytes()
+    assert spec.at([-1.0, -2.5]).log_partition == -math.log(1.5)
+
+
 def test_loglog_face_moments():
     spec = expfam.make_family("pareto_loglog")
     eta = np.array([-1.0, -3.0])  # Pareto(1, 2) in w = ln x
@@ -559,6 +596,16 @@ def test_loglog_off_face_cdf_and_quantile_where_the_tail_mass_underflows():
     assert bound.cdf(x) == pytest.approx(_loglog_cdf_mp([-800.0, 0.7], [x])[0], rel=1e-9)
     draws = bound.sample(np.random.default_rng(3), 5)
     assert np.all(np.isfinite(draws) & (draws > math.e))
+
+
+@pytest.mark.parametrize("eta", [[-2.0, -2.5], [-2.0, -1.0], [-1.5, -4.0], [-4.0, -2.0]])
+def test_loglog_off_face_cdf_with_a_non_positive_gamma_shape_matches_mpmath(eta):
+    # eta_2 + 1 <= 0, where gammaincc is nan: the tail is a ratio of ln Gamma(a, x)
+    bound = expfam.make_family("pareto_loglog").at(eta)
+    xs = np.exp([1.05, 1.3, 2.0, 3.0, 5.0])
+    with mp.workdps(40):
+        want = _loglog_cdf_mp(eta, xs)
+    np.testing.assert_allclose(bound.cdf(xs), want, rtol=1e-12, atol=0.0)
 
 
 def test_a_family_declaring_no_moments_and_no_cumulants_is_an_error():

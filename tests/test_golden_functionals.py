@@ -39,7 +39,7 @@ def _contexts():
         "gamma_k2": LevyContext.build(
             gamma, ParameterPath.constant([2.0, 3.0]), BaseMeasure.lebesgue(1.5), k=2
         ),
-        # off the face: every A(eta) is a 40-digit mpmath evaluation
+        # off the face: every A(eta) takes ln Gamma(a, x) in doubles
         "loglog_off": LevyContext.build(
             loglog,
             ParameterPath.constant([-2.0, -2.5]),
@@ -134,9 +134,9 @@ PINNED = {
     ("gamma_k2", "laplace_exponent"): "0.9599999999999999",
     ("gamma_k2", "density_table"): "[(2.5, 0.1, 2.5002614948007986), (2.5, 1.0, 1.6803135574154084), (2.5, 3.0, 0.012495242663776305)]",
     ("gamma_k2", "classify_activity"): "('FiniteActivity', 1.5)",
-    ("loglog_off", "levy_density_u"): "0.6401495186524657",
-    ("loglog_off", "laplace_exponent"): "0.32907052493225364",
-    ("loglog_off", "density_table"): "[(1.0, 1.1, 2.0736986778474997), (1.0, 2.0, 0.1891417229305975), (1.0, 3.5, 0.010417187861791688)]",
+    ("loglog_off", "levy_density_u"): "0.6401495186524663",
+    ("loglog_off", "laplace_exponent"): "0.3290705249322527",
+    ("loglog_off", "density_table"): "[(1.0, 1.1, 2.0736986778475015), (1.0, 2.0, 0.18914172293059767), (1.0, 3.5, 0.010417187861791688)]",
     ("piecewise", "levy_density_u"): "1.581524770887262",
     ("piecewise", "laplace_exponent"): "1.0156249999999996",
     ("piecewise", "density_table"): "[(1.5, 0.2, 1.1360400867146347), (1.5, 1.0, 0.7841463267938571), (1.5, 2.5, 0.03577764519393798)]",
@@ -224,4 +224,4 @@ def test_each_non_constant_stretch_takes_the_pass_and_equals_checked_quad(
 def test_loglog_moment_oracle_keeps_its_bits():
     spec = make_family("pareto_loglog")
     want, rel = verify._moment_oracle(spec, [-2.0, -2.5], 2, 2)
-    assert (repr(want), rel) == ("0.1625847885327977", 1e-6)
+    assert (repr(want), rel) == ("0.16258478853279784", 1e-6)

@@ -180,12 +180,18 @@ def test_importing_the_package_leaves_scipy_stats_unloaded(heavy_modules_after):
     # scipy.stats costs about half a second of import time and the package's
     # goodness-of-fit checks use scipy.special alone; scipy.integrate,
     # scipy.optimize and mpmath load on first use (a quadrature fallback, a
-    # func-piece location, a pareto_loglog family), so none loads here
+    # func-piece location, an off-face pareto_loglog moment), so none loads here
     assert heavy_modules_after("import crmkit") == []
 
 
-def test_a_pareto_loglog_family_loads_mpmath(heavy_modules_after):
-    assert heavy_modules_after("import crmkit; crmkit.make_family('pareto_loglog')") == ["mpmath"]
+def test_pareto_loglog_loads_mpmath_only_for_off_face_moments(heavy_modules_after):
+    # an off-face density evaluates A(eta) in doubles; the off-face statistic
+    # moments and cumulants still take mpmath
+    spec = "spec = crmkit.make_family('pareto_loglog')"
+    density = f"import crmkit; {spec}; spec.at([-2.0, -2.5]).density([3.0, 20.0])"
+    assert heavy_modules_after(density) == []
+    moment = f"import crmkit; {spec}; crmkit.moment_suff_stat(spec, [-2.0, -2.5], k=1, m=1)"
+    assert heavy_modules_after(moment) == ["mpmath"]
 
 
 @pytest.mark.parametrize(
