@@ -29,12 +29,12 @@ for ``eta_2 > 0`` and by rejection from ``u_m + Exp(-(eta_1 + 1))`` for
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import CrmError, DerivativeDomainError, NaturalSpaceError, SupportError
 from .piecewise import PiecewiseFunction
@@ -54,6 +54,14 @@ __all__ = [
 ]
 
 _INF = float("inf")
+
+
+@functools.cache
+def _special():
+    """``scipy.special``, imported on first use so that ``import crmkit`` loads no scipy module."""
+    from scipy import special
+
+    return special
 
 
 @dataclass(frozen=True)
@@ -365,13 +373,9 @@ def raw_moment_beta(alpha: float, beta: float, m: int) -> float:
     """E[X^m] for X ~ Beta(alpha, beta) via the gamma-function ratio."""
     if alpha <= 0 or beta <= 0:
         raise NaturalSpaceError("beta parameters must be positive")
+    gammaln = _special().gammaln
     return float(
-        np.exp(
-            special.gammaln(alpha + m)
-            + special.gammaln(alpha + beta)
-            - special.gammaln(alpha + beta + m)
-            - special.gammaln(alpha)
-        )
+        np.exp(gammaln(alpha + m) + gammaln(alpha + beta) - gammaln(alpha + beta + m) - gammaln(alpha))
     )
 
 
@@ -401,14 +405,17 @@ def _exp_cumulants(shift: float, rate: float, n: int) -> list:
 # 5e-15 at x = 2), the fraction needs more terms as x falls (at most 55 at
 # x = 2, and at most 38 for a <= -20 at any x)
 _X_SERIES, _A_SERIES = 2.0, -20.0
-# ln Gamma(1 + e) / e = sum_k _LNGAMMA1P[k] e^k, |e| <= 1/2 (DLMF 5.7.3)
-_LNGAMMA1P = np.concatenate(
-    [[-np.euler_gamma], (-1.0) ** np.arange(2, 58) * special.zeta(np.arange(2, 58)) / np.arange(2, 58)]
-)
-_LNGAMMA1P_POW = np.arange(_LNGAMMA1P.size)
 _SERIES_N = np.arange(1.0, 26.0)  # x^25 / 25! < 3e-18 for x < 2
-_SERIES_FACT = special.factorial(_SERIES_N)
 _CF_MAX_ITER = 1000
+
+
+@functools.cache
+def _series_tables() -> tuple:
+    """c_k and k in ln Gamma(1 + e) / e = sum_k c_k e^k, |e| <= 1/2 (DLMF 5.7.3),
+    and n! for n in ``_SERIES_N``."""
+    k = np.arange(2, 58)
+    c = np.concatenate([[-np.euler_gamma], (-1.0) ** k * _special().zeta(k) / k])
+    return c, np.arange(c.size), _special().factorial(_SERIES_N)
 
 
 def _upper_gamma_ratio_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -421,15 +428,16 @@ def _upper_gamma_ratio_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     by x R(b) / (1 - x R(b)), at most about 5.4 (b = 1/2, x -> 2) and
     smaller from there.
     """
+    coeffs, powers, fact = _series_tables()
     n = np.rint(-a)
     e = a + n  # exact
-    lngamma1p = (_LNGAMMA1P * e[:, None] ** _LNGAMMA1P_POW).sum(axis=-1)
+    lngamma1p = (coeffs * e[:, None] ** powers).sum(axis=-1)
     log_x = np.log(x)
     x_e = np.exp(e * log_x)
-    terms = (-x[:, None]) ** _SERIES_N / (_SERIES_FACT * (e[:, None] + _SERIES_N))
+    terms = (-x[:, None]) ** _SERIES_N / (fact * (e[:, None] + _SERIES_N))
     gamma_e = (
-        lngamma1p * special.exprel(e * lngamma1p)
-        - log_x * special.exprel(e * log_x)
+        lngamma1p * _special().exprel(e * lngamma1p)
+        - log_x * _special().exprel(e * log_x)
         - x_e * terms.sum(axis=-1)
     )
     ratio = gamma_e / x_e * np.exp(x)
@@ -483,10 +491,10 @@ def _log_upper_gamma(a, x) -> np.ndarray:
     a, x = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
     out = np.empty(a.shape)
     series = (a > _A_SERIES) & (a <= 0.5) & (x < _X_SERIES)
-    q = special.gammaincc(a, x)  # nan for a < 0, 0 for a = 0
+    q = _special().gammaincc(a, x)  # nan for a < 0, 0 for a = 0
     by_q = ~series & (q >= np.finfo(float).tiny)
     if by_q.any():
-        out[by_q] = special.gammaln(a[by_q]) + np.log(q[by_q])
+        out[by_q] = _special().gammaln(a[by_q]) + np.log(q[by_q])
     for mask, ratio in ((series, _upper_gamma_ratio_series), (~(by_q | series), _upper_gamma_ratio_cf)):
         if mask.any():
             am, xm = a[mask], x[mask]
@@ -509,11 +517,12 @@ def _beta_family() -> ExpFamilySpec:
     )
 
     def a(eta):
-        return special.gammaln(eta[0]) + special.gammaln(eta[1]) - special.gammaln(eta[0] + eta[1])
+        gammaln = _special().gammaln
+        return gammaln(eta[0]) + gammaln(eta[1]) - gammaln(eta[0] + eta[1])
 
     def cumulants(eta, k, n):
         orders = np.arange(n)
-        return special.polygamma(orders, eta[k - 1]) - special.polygamma(orders, eta[0] + eta[1])
+        return _special().polygamma(orders, eta[k - 1]) - _special().polygamma(orders, eta[0] + eta[1])
 
     return ExpFamilySpec(
         name="beta",
@@ -526,8 +535,8 @@ def _beta_family() -> ExpFamilySpec:
             (2, lambda eta: eta[1] > 0, "beta: second coordinate must be positive, got {}"),
         ),
         sampler=lambda eta, rng, size: rng.beta(eta.T[0], eta.T[1], size),
-        cdf=lambda eta, x: special.betainc(eta[0], eta[1], x),
-        quantile=lambda eta, q: special.betaincinv(eta[0], eta[1], q),
+        cdf=lambda eta, x: _special().betainc(eta[0], eta[1], x),
+        quantile=lambda eta, q: _special().betaincinv(eta[0], eta[1], q),
         cumulants=cumulants,
     )
 
@@ -548,11 +557,12 @@ def _gamma_family() -> ExpFamilySpec:
     )
 
     def a(eta):
-        return special.gammaln(eta[0]) - eta[0] * np.log(eta[1])
+        return _special().gammaln(eta[0]) - eta[0] * np.log(eta[1])
 
     def cumulants(eta, k, n):
         shape, rate = eta
         if k == 1:
+            special = _special()
             return [special.digamma(shape) - np.log(rate), *special.polygamma(np.arange(1, n), shape)]
         return [(-1) ** j * math.factorial(j - 1) * shape / rate ** j for j in range(1, n + 1)]
 
@@ -567,8 +577,8 @@ def _gamma_family() -> ExpFamilySpec:
             (2, lambda eta: eta[1] > 0, "gamma: rate must be positive, got {}"),
         ),
         sampler=lambda eta, rng, size: rng.gamma(eta.T[0], 1.0 / eta.T[1], size),
-        cdf=lambda eta, x: special.gammainc(eta[0], eta[1] * x),
-        quantile=lambda eta, q: special.gammaincinv(eta[0], q) / eta[1],
+        cdf=lambda eta, x: _special().gammainc(eta[0], eta[1] * x),
+        quantile=lambda eta, q: _special().gammaincinv(eta[0], q) / eta[1],
         cumulants=cumulants,
     )
 
@@ -700,9 +710,9 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
         if on_face(eta):
             return (u_m / w) ** (-eta[1] - 1.0)
         s, a = -(eta[0] + 1.0), eta[1] + 1.0
-        top = special.gammaincc(a, s * u_m)  # nan for a <= 0
+        top = _special().gammaincc(a, s * u_m)  # nan for a <= 0
         if top > 0:
-            return special.gammaincc(a, s * w) / top
+            return _special().gammaincc(a, s * w) / top
         return np.exp(_log_upper_gamma(a, s * w) - _log_upper_gamma(a, s * u_m))
 
     def w_newton(s, a, q):
@@ -732,8 +742,8 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
         w[face] = u_m * (1.0 - q[face]) ** (-1.0 / (-e2[face] - 1.0))
         off = np.flatnonzero(~face)
         s, a, q = -(e1[off] + 1.0), e2[off] + 1.0, q[off]
-        top = special.gammaincc(a, s * u_m)
-        w[off] = special.gammainccinv(a, (1.0 - q) * top) / s
+        top = _special().gammaincc(a, s * u_m)
+        w[off] = _special().gammainccinv(a, (1.0 - q) * top) / s
         # shape a <= 0 (gammaincc is nan) or a tail mass below the double range
         for i in np.flatnonzero(~(top > 0)):
             w[off[i]] = w_newton(s[i], a[i], q[i])
@@ -801,8 +811,8 @@ def _lognormal_family(mu: float) -> ExpFamilySpec:
         log_partition_fn=lambda eta: -0.5 * np.log(eta[0]),
         natural=((1, lambda eta: eta[0] > 0, "lognormal: precision must be positive, got {}"),),
         sampler=lambda eta, rng, size: np.exp(mu + rng.standard_normal(size) / np.sqrt(eta.T[0])),
-        cdf=lambda eta, x: special.ndtr((np.log(x) - mu) * np.sqrt(eta[0])),
-        quantile=lambda eta, q: np.exp(mu + special.ndtri(q) / np.sqrt(eta[0])),
+        cdf=lambda eta, x: _special().ndtr((np.log(x) - mu) * np.sqrt(eta[0])),
+        quantile=lambda eta, q: np.exp(mu + _special().ndtri(q) / np.sqrt(eta[0])),
         cumulants=cumulants,
         fixed={"mu": mu},
     )
@@ -815,11 +825,11 @@ def _poisson_family() -> ExpFamilySpec:
         name="poisson",
         support=Support(0.0, _INF, discrete=True),
         stats=stats,
-        log_carrier=lambda x: -special.gammaln(np.asarray(x, dtype=float) + 1.0),
+        log_carrier=lambda x: -_special().gammaln(np.asarray(x, dtype=float) + 1.0),
         log_partition_fn=lambda eta: np.exp(eta[0]),
         natural=((1, lambda eta: np.isfinite(eta[0]), "poisson: log-rate must be finite"),),
         sampler=lambda eta, rng, size: rng.poisson(np.exp(eta.T[0]), size).astype(float),
-        cdf=lambda eta, x: special.pdtr(np.floor(x), np.exp(eta[0])),
+        cdf=lambda eta, x: _special().pdtr(np.floor(x), np.exp(eta[0])),
         cumulants=lambda eta, k, n: [np.exp(eta[0])] * n,
     )
 
@@ -830,7 +840,7 @@ def _bernoulli_family() -> ExpFamilySpec:
     def cumulants(eta, k, n):
         # the derivatives of the logistic p are p and p (1 - p) P_j(p), with
         # P_0 = 1 and P_{j+1} = (1 - 2p) P_j + p (1 - p) P_j'
-        p = special.expit(eta[0])
+        p = _special().expit(eta[0])
         out, poly = [p], np.poly1d([1.0])
         for _ in range(1, n):
             out.append(p * (1.0 - p) * poly(p))
@@ -844,8 +854,8 @@ def _bernoulli_family() -> ExpFamilySpec:
         log_carrier=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         log_partition_fn=lambda eta: np.logaddexp(0.0, eta[0]),
         natural=((1, lambda eta: np.isfinite(eta[0]), "bernoulli: log-odds must be finite"),),
-        sampler=lambda eta, rng, size: (rng.random(size) < special.expit(eta.T[0])).astype(float),
-        cdf=lambda eta, x: np.full(np.shape(x), special.expit(-eta[0])),
+        sampler=lambda eta, rng, size: (rng.random(size) < _special().expit(eta.T[0])).astype(float),
+        cdf=lambda eta, x: np.full(np.shape(x), _special().expit(-eta[0])),
         cumulants=cumulants,
     )
 

@@ -26,11 +26,10 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from . import expfam
 from .errors import AtomLinkError, CrmError, DivergenceError, NaturalSpaceError, TruncationError
-from .expfam import ExpFamilySpec
+from .expfam import ExpFamilySpec, _special
 from .levy import LevyContext
 
 __all__ = [
@@ -365,7 +364,7 @@ def _require(w, ok, what: str) -> None:
 @_register_link("bernoulli_prob")
 def _bernoulli_prob(w) -> tuple:
     _require(w, (0.0 < w) & (w < 1.0), "success probability must lie in (0, 1)")
-    return (special.logit(w),)
+    return (_special().logit(w),)
 
 
 @_register_link("poisson_rate")

@@ -20,18 +20,21 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import conjugacy as conj
 from . import construct, expfam, levy
 from .errors import CrmError
-from .expfam import ParameterPath
+from .expfam import ParameterPath, _special
 from .levy import BaseMeasure, LevyContext
 from .piecewise import Piece, PiecewiseFunction, checked_quad
 
 __all__ = ["CheckRow", "SuiteResult", "run_suite", "suite_names", "report_csv"]
 
-# chosen so the finite-replicate laplace gap sequence decreases monotonically
+# chosen so the finite-replicate laplace gap sequence decreases monotonically.
+# Beyond n = 8 that row compares Monte Carlo noise: the standard error at 10^4
+# replicates is about 0.0033, against exact gaps of 1.9e-3, 4.8e-4 and
+# 1.2e-4 at n = 32, 128 and 512.  So it fails at most seeds: of 0-19 it
+# passes only at 8, 9 and 13 (ROADMAP item 2 has the mend).
 DEFAULT_LAPLACE_SEED = 8
 DEFAULT_MOMENTS_SEED = 7023541
 
@@ -120,7 +123,7 @@ _CLOSED_MOMENTS = {
     ),
     # T = Z^2 / (2 lambda), Z standard normal
     ("lognormal", 1): lambda spec, eta, m: math.prod(range(1, 2 * m, 2)) / (2.0 * eta[0]) ** m,
-    ("bernoulli", 1): lambda spec, eta, m: float(special.expit(eta[0])),
+    ("bernoulli", 1): lambda spec, eta, m: float(_special().expit(eta[0])),
 }
 
 
@@ -167,7 +170,7 @@ def _ks(bound, draws) -> tuple[float, float, float]:
     cdf = bound.cdf(np.sort(draws))
     d = max(float(np.max(np.arange(1, n + 1) / n - cdf)), float(np.max(cdf - np.arange(n) / n)))
     root = math.sqrt(n)
-    return d, float(special.kolmogorov(root * d)), float(special.kolmogi(1e-3)) / root
+    return d, float(_special().kolmogorov(root * d)), float(_special().kolmogi(1e-3)) / root
 
 
 def _chi_square(bound, draws) -> tuple[float, float, float]:
@@ -191,7 +194,7 @@ def _chi_square(bound, draws) -> tuple[float, float, float]:
     cells[-1][1] += exp
     stat = sum((o - e) ** 2 / e for o, e in cells)
     df = len(cells) - 1
-    return stat, float(special.chdtrc(df, stat)), float(special.chdtri(df, 1e-3))
+    return stat, float(_special().chdtrc(df, stat)), float(_special().chdtri(df, 1e-3))
 
 
 def _suite_moments(seed, replicates) -> SuiteResult:
@@ -246,6 +249,15 @@ def default_laplace_context() -> LevyContext:
 
 
 def _suite_laplace(seed, replicates) -> SuiteResult:
+    """Empirical Laplace transforms of the discretized construction at n = 8,
+    32, 128 and 512 cells against exp(-psi), and the closed-form tilt against
+    quadrature.
+
+    ``laplace-gap-monotone`` holds at the pinned seed only: beyond n = 8 the
+    gaps it orders are below the standard error (about 0.0033 at 10^4
+    replicates; exact gaps 1.9e-3, 4.8e-4 and 1.2e-4 at n = 32, 128 and
+    512), so of the seeds 0-19 it passes at 8, 9 and 13 alone.
+    """
     res = SuiteResult("laplace")
     seed = DEFAULT_LAPLACE_SEED if seed is None else seed
     replicates = 10_000 if replicates is None else replicates

@@ -13,27 +13,40 @@ from crmkit import BaseMeasure, LevyContext, ParameterPath, make_family
 from crmkit.piecewise import Piece, PiecewiseFunction
 
 # modules that cost import time and that crmkit loads only on first use
-# (scipy.stats never)
-HEAVY_MODULES = ("mpmath", "scipy.integrate", "scipy.optimize", "scipy.stats")
+# (scipy.stats never); "scipy" itself loads with any of its submodules, so
+# its absence means that no scipy module loaded at all
+HEAVY_MODULES = ("mpmath", "scipy", "scipy.integrate", "scipy.optimize", "scipy.special", "scipy.stats")
 
 
 @pytest.fixture
-def heavy_modules_after():
-    """Run code in a new interpreter on this checkout's crmkit and return the
-    sorted names of ``HEAVY_MODULES`` loaded after it.
+def fresh_interpreter():
+    """Run code in a new interpreter on this checkout's crmkit and return its
+    last line of output, read as a Python literal.
 
     A new interpreter, because pytest's ``filterwarnings`` setting imports
-    ``scipy.integrate`` into this one.
+    ``scipy.integrate`` into this one, and the tests import ``scipy.special``.
     """
     src = Path(crmkit.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
 
-    def run(code: str) -> list[str]:
-        probe = f"{code}\nimport sys\nprint(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
+    def run(code: str):
         out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         return ast.literal_eval(out.stdout.splitlines()[-1])
+
+    return run
+
+
+@pytest.fixture
+def heavy_modules_after(fresh_interpreter):
+    """Run code in a new interpreter and return the sorted names of
+    ``HEAVY_MODULES`` loaded after it."""
+
+    def run(code: str) -> list[str]:
+        return fresh_interpreter(
+            f"{code}\nimport sys\nprint(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
+        )
 
     return run
 

@@ -129,8 +129,9 @@ def test_sample_bytes_are_pinned(tmp_path, name):
 
 @pytest.mark.parametrize("name", ["gamma.json", "pareto_series.json"])
 def test_sample_loads_no_heavy_module(tmp_path, heavy_modules_after, name):
-    # closed-form paths and base pieces need no quadrature, root finding or
-    # multiprecision, so a whole run imports none of them
+    # closed-form paths and base pieces need no special function, quadrature,
+    # root finding or multiprecision, so a whole run imports none of them,
+    # and with "scipy" among the heavy modules no scipy module at all
     argv = ["sample", "--config", str(CONFIG_DIR / name), "--seed", "7", "--out", str(tmp_path)]
     assert heavy_modules_after(f"from crmkit import cli; assert cli.main({argv!r}) == 0") == []
     manifest = json.loads((tmp_path / "manifest.json").read_text())

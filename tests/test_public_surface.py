@@ -177,21 +177,64 @@ def test_module_all_is_pinned(module):
 
 
 def test_importing_the_package_leaves_scipy_stats_unloaded(heavy_modules_after):
-    # scipy.stats costs about half a second of import time and the package's
-    # goodness-of-fit checks use scipy.special alone; scipy.integrate,
-    # scipy.optimize and mpmath load on first use (a quadrature fallback, a
-    # func-piece location, an off-face pareto_loglog moment), so none loads here
+    # scipy.stats costs about half a second of import time and the package
+    # never needs it; scipy.special, scipy.integrate, scipy.optimize and
+    # mpmath load on first use (a special function, a quadrature fallback, a
+    # func-piece location, an off-face pareto_loglog moment), so none loads
+    # here, and with "scipy" among the heavy modules no scipy module does
     assert heavy_modules_after("import crmkit") == []
 
 
 def test_pareto_loglog_loads_mpmath_only_for_off_face_moments(heavy_modules_after):
-    # an off-face density evaluates A(eta) in doubles; the off-face statistic
-    # moments and cumulants still take mpmath
+    # on the face A(eta) is closed form; an off-face density evaluates A(eta)
+    # in doubles through _log_upper_gamma, which takes scipy.special; the
+    # off-face statistic moments and cumulants still take mpmath
     spec = "spec = crmkit.make_family('pareto_loglog')"
+    on_face = f"import crmkit; {spec}; spec.at([-1.0, -2.5]).density([3.0, 20.0])"
+    assert heavy_modules_after(on_face) == []
     density = f"import crmkit; {spec}; spec.at([-2.0, -2.5]).density([3.0, 20.0])"
-    assert heavy_modules_after(density) == []
+    assert heavy_modules_after(density) == ["scipy", "scipy.special"]
     moment = f"import crmkit; {spec}; crmkit.moment_suff_stat(spec, [-2.0, -2.5], k=1, m=1)"
     assert heavy_modules_after(moment) == ["mpmath"]
+
+
+# The first use of each kind of special function, in this order, so that a
+# fresh interpreter loads scipy.special and builds the ln Gamma(a, x) series
+# tables inside these calls
+_FIRST_SPECIAL_CALLS = """
+import sys
+import numpy as np
+from crmkit import expfam, make_family, sampler
+special_loaded_before = "scipy.special" in sys.modules
+beta, gamma, poisson = (make_family(name) for name in ("beta", "gamma", "poisson"))
+values = [
+    beta.at([2.5, 1.5]).log_partition,
+    beta.at([2.5, 1.5]).cdf(0.3),
+    beta.at([2.5, 1.5]).quantile(0.7),
+    gamma.at([2.5, 1.5]).log_partition,
+    gamma.at([2.5, 1.5]).cdf(0.8),
+    gamma.at([2.5, 1.5]).quantile(0.7),
+    poisson.at([0.4]).cdf(2.0),
+    sampler._bernoulli_prob(np.array([0.3]))[0][0],
+    expfam._log_upper_gamma(-1.5, 1.0)[()],
+    expfam._log_upper_gamma(-1.5, 3.0)[()],
+    expfam._log_upper_gamma(0.3, 0.5)[()],
+    expfam._log_upper_gamma(2.5, 3.0)[()],
+]
+"""
+
+
+def test_first_special_function_use_gives_the_same_doubles(fresh_interpreter):
+    # a fresh interpreter loads scipy.special and builds the series tables
+    # on first use; this process has long done both, so a missed call site or
+    # a table built differently on first use shows as different bits
+    namespace = {}
+    exec(_FIRST_SPECIAL_CALLS, namespace)
+    here = [repr(float(v)) for v in namespace["values"]]
+    fresh = fresh_interpreter(
+        _FIRST_SPECIAL_CALLS + "print((special_loaded_before, [repr(float(v)) for v in values]))"
+    )
+    assert fresh == (False, here)
 
 
 @pytest.mark.parametrize(
