@@ -36,7 +36,7 @@ def _write(path: Path, text: str) -> None:
 @functools.cache
 def _dist_version(name: str) -> str:
     """An installed distribution's version, read from its metadata once per
-    process, so a manifest does not import scipy's submodules or mpmath."""
+    process, so a manifest does not import scipy's submodules."""
     return importlib.metadata.version(name)
 
 
@@ -51,7 +51,6 @@ def _manifest(out_dir: Path, **fields) -> None:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": _dist_version("scipy"),
-        "mpmath": _dist_version("mpmath"),
         "crmkit": __version__,
     }
     _write(out_dir / "manifest.json", json.dumps(fields, indent=2, sort_keys=True) + "\n")

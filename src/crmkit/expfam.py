@@ -16,13 +16,14 @@ Registered families: beta, gamma, pareto (single-statistic, scale ``scale``),
 pareto_loglog (two-statistic log/log-log form, scale ``scale``), lognormal
 (known drift ``mu``), poisson, bernoulli.  Each declares its natural space
 once, as ``natural`` rules of array comparisons that test one eta or a batch,
-one eta per column.  Each declares its distribution in closed form, with no
-numeric fallback: ``cumulants(eta, k, n)``, the derivatives of A of orders
-1..n, from which :func:`moment_suff_stat` builds moments of every order
-(unless a ``stat_moment`` answers first); ``cdf`` and, for continuous
-families, ``quantile``, reached through :meth:`ExpFamilySpec.at`; and one
-exact sampler, for one natural parameter shared by all draws or one per
-draw.  Off its face ``eta_1 = -1``, ``pareto_loglog`` draws by inversion
+one eta per column.  Each declares its distribution from A and the special
+functions, with no generic numeric fallback: ``cumulants(eta, k, n)``, the
+derivatives of A of orders 1..n, from which :func:`moment_suff_stat` builds
+moments of every order (unless a ``stat_moment`` answers first; off its
+face, ``pareto_loglog`` takes one quadrature for E[(ln ln x)^m]); ``cdf``
+and, for continuous families, ``quantile``, reached through
+:meth:`ExpFamilySpec.at`; and one exact sampler, for one natural parameter
+shared by all draws or one per draw.  Off its face ``eta_1 = -1``, ``pareto_loglog`` draws by inversion
 for ``eta_2 > 0`` and by rejection from ``u_m + Exp(-(eta_1 + 1))`` for
 ``eta_2 <= 0``.
 """
@@ -37,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CrmError, DerivativeDomainError, NaturalSpaceError, SupportError
-from .piecewise import PiecewiseFunction
+from .piecewise import PiecewiseFunction, checked_quad
 
 __all__ = [
     "Support",
@@ -628,9 +629,9 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
     Gamma(eta_2 + 1, s) variable, s = -(eta_1 + 1), truncated to w > u_m
     (for eta_2 + 1 <= 0 an improper gamma kernel, still integrable there),
     so A(eta) = -(eta_2 + 1) ln s + ln Gamma(eta_2 + 1, s u_m) in doubles
-    (:func:`_log_upper_gamma`).  mpmath serves only the off-face cumulants
-    and statistic moments, and the quantile where gammaincc cannot invert
-    (eta_2 <= -1, or a tail mass below the double range).
+    (:func:`_log_upper_gamma`).  The off-face statistic moments, the CDF and
+    the quantile where gammaincc cannot invert (eta_2 <= -1, or a tail mass
+    below the double range) are read off that same ln Gamma.
     The natural space is {eta_1 < -1} union {eta_1 = -1, eta_2 < -1}.
     """
     if scale <= 0:
@@ -667,43 +668,37 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
         return float(out) if out.ndim == 0 else out
 
     def cumulants(eta, k, n):
-        if on_face(eta):
-            if k == 1:
-                raise DerivativeDomainError("pareto(log-log): A is one-sided in eta_1 on the face")
-            return _exp_cumulants(math.log(u_m), -eta[1] - 1.0, n)  # ln w = ln u_m + Exp(alpha)
-        import mpmath as mp
-
-        def a_mp(e1, e2):
-            """A off the face as an mp-callable, for mp.diffs."""
-            s = -(mp.mpf(e1) + 1.0)
-            upper = mp.gammainc(mp.mpf(e2) + 1.0, s * u_m, mp.inf)
-            return -(mp.mpf(e2) + 1.0) * mp.log(s) + mp.log(upper)
-
-        along = (lambda y: a_mp(y, eta[1])) if k == 1 else (lambda y: a_mp(eta[0], y))
-        # diffs evaluates at (precision + 20 bits) * (n + 1) with a step of
-        # 2^-(precision + 10), so double precision already gives every
-        # derivative to about 70 bits
-        with mp.workdps(15):
-            return [float(d) for d in list(mp.diffs(along, eta[k - 1], n))[1:]]
+        """Of ln w on the face, ln u_m + Exp(alpha); stat_moment answers every other (eta, k)."""
+        if k == 1 or not on_face(eta):
+            raise DerivativeDomainError("pareto(log-log): cumulants of ln ln x on the face only")
+        return _exp_cumulants(math.log(u_m), -eta[1] - 1.0, n)
 
     def stat_moment(eta, k, m):
-        """Moments of w = ln x: Pareto(u_m, alpha) on the face, a gamma ratio off it."""
-        if k == 2:
-            return None  # from the cumulants
-        alpha = -eta[1] - 1.0
+        """Pareto(u_m, alpha) moments of w = ln x on the face.  Off it, with
+        x = s u_m, E[w^m] = s^-m Gamma(a + m, x) / Gamma(a, x), and E[(ln w)^m]
+        is d^m times one quadrature in t = s w - x of (ln w / d)^m, where
+        d = |ln u_m| + 1/x keeps small moments above its absolute floor."""
         if on_face(eta):
+            if k == 2:
+                return None  # from the cumulants
+            alpha = -eta[1] - 1.0
             if alpha <= m:
                 raise DerivativeDomainError(
                     f"pareto(log-log): E[(ln x)^{m}] diverges for shape {alpha} <= {m}"
                 )
             return alpha * u_m ** m / (alpha - m)
-        import mpmath as mp
+        s, a = -(eta[0] + 1.0), eta[1] + 1.0
+        x = s * u_m
+        log_top = float(_log_upper_gamma(a, x))
+        if k == 1:
+            return s ** -m * math.exp(float(_log_upper_gamma(a + m, x)) - log_top)
+        log_u, d = math.log(u_m), abs(math.log(u_m)) + 1.0 / x
 
-        with mp.workdps(40):
-            s = -(mp.mpf(eta[0]) + 1.0)
-            num = mp.gammainc(mp.mpf(eta[1]) + 1.0 + m, s * u_m, mp.inf)
-            den = mp.gammainc(mp.mpf(eta[1]) + 1.0, s * u_m, mp.inf)
-            return float(num / den / s ** m)
+        def integrand(t):
+            density = math.exp((a - 1.0) * math.log(x + t) - x - t - log_top)
+            return ((log_u + math.log1p(t / x)) / d) ** m * density
+
+        return d ** m * checked_quad(integrand, 0.0, _INF)
 
     def tail(eta, w):
         """P(W > w), W = ln X, for w >= u_m."""
@@ -716,22 +711,21 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
         return np.exp(_log_upper_gamma(a, s * w) - _log_upper_gamma(a, s * u_m))
 
     def w_newton(s, a, q):
-        """W's q-quantile off the face by Newton on -ln P(W > w) from w = u_m;
-        W's hazard is monotone, so after at most one overshoot it converges
-        monotonically."""
-        import mpmath as mp
-
-        with mp.workdps(20):
-            s, a, w = mp.mpf(s), mp.mpf(a), mp.mpf(u_m)
-            top = mp.gammainc(a, s * u_m, mp.inf)
-            for _ in range(200):
-                upper = mp.gammainc(a, s * w, mp.inf)
-                density = s ** a * w ** (a - 1) * mp.exp(-s * w)
-                step = (mp.log(upper / top) - mp.log1p(-q)) * upper / density
-                w += step
-                if abs(step) <= 1e-16 * w:
-                    return float(w)
-        raise CrmError(f"pareto(log-log): quantile {q} did not converge at s={s}, a={a}")
+        """W's q-quantile off the face, one Newton over the batch on the CDF's
+        own expression from w = u_m.  Here a <= 0 or s u_m >> a, so W's density
+        falls past u_m, the CDF is concave and no step overshoots.  A row stops
+        at a step that is non-positive or within 4 ulp, alone or in any batch."""
+        w, out, idx = np.full(q.shape, u_m), np.empty(q.shape), np.arange(q.size)
+        log_top = _log_upper_gamma(a, s * u_m)
+        for _ in range(200):
+            cdf = 1.0 - np.exp(_log_upper_gamma(a, s * w) - log_top)
+            step = (q - cdf) * np.exp(log_top + s * w - a * np.log(s) - (a - 1.0) * np.log(w))
+            done = step <= 4.0 * np.spacing(w)  # false for a nan step
+            out[idx[done]] = w[done]
+            idx, s, a, q, log_top, w = (v[~done] for v in (idx, s, a, q, log_top, w + step))
+            if not idx.size:
+                return out
+        raise CrmError(f"pareto(log-log): quantile {q[0]} did not converge at s={s[0]}, a={a[0]}")
 
     def quantile(eta, q):
         """x at level q, elementwise over eta of shape (2,) or (2, m) and q."""
@@ -745,8 +739,9 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
         top = _special().gammaincc(a, s * u_m)
         w[off] = _special().gammainccinv(a, (1.0 - q) * top) / s
         # shape a <= 0 (gammaincc is nan) or a tail mass below the double range
-        for i in np.flatnonzero(~(top > 0)):
-            w[off[i]] = w_newton(s[i], a[i], q[i])
+        newton = ~(top > 0)
+        if newton.any():
+            w[off[newton]] = w_newton(s[newton], a[newton], q[newton])
         return np.exp(w).reshape(shape)
 
     def sampler(eta, rng, size):

@@ -2,7 +2,6 @@ import json
 import platform
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 import scipy
@@ -32,7 +31,7 @@ def test_sample_writes_artifacts(tmp_path):
     assert manifest["outputs"] == ["atoms.csv", "path.csv"]
     assert manifest["tail_mass"] == 0.0
     assert len(manifest["config_hash"]) == 64
-    assert sorted(manifest["versions"]) == ["crmkit", "mpmath", "numpy", "python", "scipy"]
+    assert sorted(manifest["versions"]) == ["crmkit", "numpy", "python", "scipy"]
     assert manifest["versions"]["crmkit"] == crmkit.__version__
     assert manifest["versions"]["numpy"] == np.__version__
     assert manifest["versions"]["python"] == platform.python_version()
@@ -109,7 +108,7 @@ def test_verify_single_suite(tmp_path, capsys):
     assert all(line.endswith(",true") for line in report[1:])
     assert "conjugacy: PASS" in capsys.readouterr().out
     versions = json.loads((tmp_path / "manifest.json").read_text())["versions"]
-    assert versions["scipy"] == scipy.__version__ and versions["mpmath"] == mpmath.__version__
+    assert versions["scipy"] == scipy.__version__ and "mpmath" not in versions
 
 
 def test_verify_report_is_report_csv_of_the_suites(tmp_path):

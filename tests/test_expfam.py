@@ -587,8 +587,8 @@ def test_cdf_matches_the_density_and_inverts_the_quantile(case):
 
 
 def test_loglog_off_face_cdf_and_quantile_where_the_tail_mass_underflows():
-    # s * u_m = 799: Gamma(1.7, 799) is below the double range, so the CDF and
-    # the quantile go through mpmath
+    # s * u_m = 799: Gamma(1.7, 799) is below the double range, so the CDF is
+    # a ratio of ln Gamma(a, x) and the quantile a Newton on it
     spec = expfam.make_family("pareto_loglog")
     bound = spec.at([-800.0, 0.7])
     x = bound.quantile(0.5)
@@ -596,6 +596,36 @@ def test_loglog_off_face_cdf_and_quantile_where_the_tail_mass_underflows():
     assert bound.cdf(x) == pytest.approx(_loglog_cdf_mp([-800.0, 0.7], [x])[0], rel=1e-9)
     draws = bound.sample(np.random.default_rng(3), 5)
     assert np.all(np.isfinite(draws) & (draws > math.e))
+
+
+def _loglog_w_newton_mp(s, a, q):
+    """W's q-quantile off the face at scale 1 by a 20-digit Newton on -ln P(W > w) from w = 1."""
+    with mp.workdps(20):
+        s, a, w = mp.mpf(s), mp.mpf(a), mp.mpf(1.0)
+        top = mp.gammainc(a, s, mp.inf)
+        for _ in range(200):
+            upper = mp.gammainc(a, s * w, mp.inf)
+            step = (mp.log(upper / top) - mp.log1p(-q)) * upper / (s**a * w ** (a - 1) * mp.exp(-s * w))
+            w += step
+            if abs(step) <= 1e-16 * w:
+                return float(w)
+    raise AssertionError(f"no convergence at s={s}, a={a}, q={q}")
+
+
+def test_loglog_batch_newton_quantile_keeps_the_row_bits_and_matches_mpmath():
+    # gamma shapes a <= 0 and a tail mass below the double range (eta = (-800, 0.7))
+    # in one batch, each at several levels, mixed with a face row and a gammaincc row
+    spec = expfam.make_family("pareto_loglog")
+    newton = [[-2.0, -2.5], [-2.0, -1.0], [-1.5, -4.0], [-4.0, -2.0], [-1.05, -1.2], [-800.0, 0.7]]
+    qs = [1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-3]
+    etas = np.array([eta for eta in newton for _ in qs] + [[-1.0, -2.5], [-2.0, 0.7]]).T
+    levels = np.array(qs * len(newton) + [0.3, 0.3])
+    batch = spec.quantile(etas, levels)
+    rows = np.array([spec.quantile(etas[:, i], levels[i]) for i in range(levels.size)])
+    assert batch.tobytes() == rows.tobytes()
+    n = len(newton) * len(qs)
+    want = [_loglog_w_newton_mp(-(e1 + 1.0), e2 + 1.0, q) for e1, e2, q in zip(*etas[:, :n], levels[:n])]
+    np.testing.assert_allclose(np.log(batch[:n]), want, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("eta", [[-2.0, -2.5], [-2.0, -1.0], [-1.5, -4.0], [-4.0, -2.0]])
@@ -636,6 +666,43 @@ def test_moments_of_every_order_match_closed_forms_and_quadrature():
                 want, rel = verify._moment_oracle(spec, eta, k, m)
                 got = expfam.moment_suff_stat(spec, eta, k, m)
                 assert got == pytest.approx(want, rel=rel), f"{name} eta={eta} k={k} m={m}"
+
+
+def _loglog_moments_mp(eta, k, m_max):
+    """E[T_k^m], m = 1..m_max, off the face at scale 1: for k = 1 a 40-digit
+    ratio Gamma(a + m, s) / (Gamma(a, s) s^m); for k = 2 the cumulants
+    d^j A / d eta_2^j by mpmath's numerical differentiation, then the moment
+    recursion of ``moment_suff_stat``."""
+    e1, e2 = (mp.mpf(float(v)) for v in eta)
+    s = -(e1 + 1)
+    if k == 1:
+        with mp.workdps(40):
+            top = mp.gammainc(e2 + 1, s, mp.inf)
+            return [float(mp.gammainc(e2 + 1 + m, s, mp.inf) / top / s**m) for m in range(1, m_max + 1)]
+    with mp.workdps(15):
+        log_partition = lambda y: -(y + 1) * mp.log(s) + mp.log(mp.gammainc(y + 1, s, mp.inf))
+        kappas = [float(d) for d in list(mp.diffs(log_partition, e2, m_max))[1:]]
+    mus = [1.0]
+    for n in range(1, m_max + 1):
+        mus.append(sum(math.comb(n - 1, j - 1) * kappas[j - 1] * mus[n - j] for j in range(1, n + 1)))
+    return mus[1:]
+
+
+def test_loglog_off_face_moments_match_mpmath():
+    """E[(ln x)^m] and E[(ln ln x)^m], m = 1..6, to 1e-10 of mpmath; at
+    eta = (-800, 0.7) ln ln x is about 1/800, so E[(ln ln x)^6] is near 1e-18."""
+    from crmkit import verify
+
+    spec = expfam.make_family("pareto_loglog")
+    etas = [
+        *verify._admissible_grid("pareto_loglog", np.random.default_rng(5), 4),
+        *np.array([[-2.0, -2.5], [-2.0, -1.0], [-1.5, -4.0], [-4.0, -2.0], [-30.0, 3.0], [-1.05, -1.2]]),
+        np.array([-800.0, 0.7]),
+    ]
+    for eta in etas:
+        for k in (1, 2):
+            got = [expfam.moment_suff_stat(spec, eta, k, m) for m in range(1, 7)]
+            np.testing.assert_allclose(got, _loglog_moments_mp(eta, k, 6), rtol=1e-10, err_msg=f"{eta} k={k}")
 
 
 def test_closed_form_moment_oracles_match_quadrature():

@@ -7,6 +7,8 @@ change, next to the caller that needs it.
 import dataclasses
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -178,24 +180,39 @@ def test_module_all_is_pinned(module):
 
 def test_importing_the_package_leaves_scipy_stats_unloaded(heavy_modules_after):
     # scipy.stats costs about half a second of import time and the package
-    # never needs it; scipy.special, scipy.integrate, scipy.optimize and
-    # mpmath load on first use (a special function, a quadrature fallback, a
-    # func-piece location, an off-face pareto_loglog moment), so none loads
-    # here, and with "scipy" among the heavy modules no scipy module does
+    # never needs it; scipy.special, scipy.integrate and scipy.optimize load
+    # on first use (a special function, a quadrature fallback, a func-piece
+    # location), so none loads here, and with "scipy" among the heavy modules
+    # no scipy module does
     assert heavy_modules_after("import crmkit") == []
 
 
-def test_pareto_loglog_loads_mpmath_only_for_off_face_moments(heavy_modules_after):
-    # on the face A(eta) is closed form; an off-face density evaluates A(eta)
-    # in doubles through _log_upper_gamma, which takes scipy.special; the
-    # off-face statistic moments and cumulants still take mpmath
+def test_pareto_loglog_loads_no_mpmath(heavy_modules_after, tmp_path):
+    # on the face A(eta) is closed form; off it the density, the moments and
+    # the quantile all read ln Gamma(a, x) in doubles from _log_upper_gamma,
+    # which takes scipy.special, and E[(ln ln x)^m] takes one quadrature
     spec = "spec = crmkit.make_family('pareto_loglog')"
     on_face = f"import crmkit; {spec}; spec.at([-1.0, -2.5]).density([3.0, 20.0])"
     assert heavy_modules_after(on_face) == []
     density = f"import crmkit; {spec}; spec.at([-2.0, -2.5]).density([3.0, 20.0])"
     assert heavy_modules_after(density) == ["scipy", "scipy.special"]
     moment = f"import crmkit; {spec}; crmkit.moment_suff_stat(spec, [-2.0, -2.5], k=1, m=1)"
-    assert heavy_modules_after(moment) == ["mpmath"]
+    assert heavy_modules_after(moment) == ["scipy", "scipy.special"]
+    moment = f"import crmkit; {spec}; crmkit.moment_suff_stat(spec, [-2.0, -2.5], k=2, m=1)"
+    # scipy.integrate imports scipy.optimize itself
+    want = ["scipy", "scipy.integrate", "scipy.optimize", "scipy.special"]
+    assert heavy_modules_after(moment) == want
+    newton = f"import crmkit; {spec}; spec.at([-2.0, -2.5]).quantile(0.5)"  # gamma shape -1.5
+    assert heavy_modules_after(newton) == ["scipy", "scipy.special"]
+    suite = f"from crmkit import cli; cli.main(['verify', '--suite', 'moments', '--out', {str(tmp_path)!r}])"
+    assert "mpmath" not in heavy_modules_after(suite)
+
+
+def test_runtime_dependencies_are_numpy_and_scipy():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(crmkit.__file__).resolve().parents[2] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert [re.match(r"[\w-]+", dep).group() for dep in project["dependencies"]] == ["numpy", "scipy"]
 
 
 # The first use of each kind of special function, in this order, so that a
