@@ -12,8 +12,10 @@ product converges to exp(-psi(t, theta)) as n grows.
 Everything fixed for one window (0, t] of a plan -- the condition gate,
 the cell slice, the masses and etas, the split into small and count-mode
 cells, the statistic -- is set up once per :func:`sample_discretized` or
-:func:`empirical_laplace` call; a replicate then draws only its uniforms, one
-family batch over the kept cells and the count-mode Poisson draws.
+:func:`empirical_laplace` call.  The replicates of a call are then drawn in
+array passes over chunks of replicates, each pass one uniform block, one
+family batch over every kept cell and one Poisson vector per count-mode
+cell; :func:`sample_discretized` is the one-replicate call of that draw.
 """
 
 from __future__ import annotations
@@ -79,45 +81,56 @@ class DiscretizationPlan:
         return hi
 
 
-def _window_draw(ctx: LevyContext, plan: DiscretizationPlan, t: float):
-    """A function rng -> one draw of the discretized total statistic over (0, t].
+# Cells per array pass: the (replicates, cells) uniform block of one pass
+# holds at most 2 MB, or one replicate's cells where they are more
+_CHUNK_CELLS = 2**18
 
-    The window is set up here once.  Each call then draws, from ``rng`` and in
-    this order: one uniform per cell of the window, kept where it falls below
-    a small cell's mass; one family batch over the kept cells, in cell order;
-    and per count-mode cell (mass > 1) a Poisson count and that many draws.
-    When every cell of the window has one eta, the batch passes that eta
-    once, which draws what the per-row batch draws (``BoundFamily.sample``).
-    The plan checked every cell's eta when it was built, so no draw binds the
-    family again.
+
+def _draw_totals(
+    ctx: LevyContext, plan: DiscretizationPlan, t: float, replicates: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``replicates`` draws of the discretized total statistic over (0, t].
+
+    The window is set up once.  The replicates are drawn in chunks of r, with
+    r * cells at most ``_CHUNK_CELLS``; each chunk draws from ``rng``, in this
+    order: one (r, cells) uniform block, a small cell being kept where its
+    uniform falls below its mass; one family batch over the kept cells, in
+    replicate then cell order; and per count-mode cell (mass > 1) a vector of
+    r Poisson counts and one batch of their total.  A replicate's total is the
+    sequential sum (``np.bincount``) of its kept cells' statistics, in cell
+    order, plus that of each count-mode cell's statistics in turn.  When every
+    cell of the window has one eta, the batch passes that eta once, which
+    draws what the per-row batch draws (``BoundFamily.sample``).  The plan
+    checked every cell's eta when it was built, so no draw binds the family
+    again.
     """
     ctx.gate()
     hi = plan.cell_range(t)
     masses, etas = plan.masses[:hi], plan.etas[:hi]
-    m = len(masses)
+    totals = np.zeros(replicates)
+    if hi == 0:
+        return totals
     small = masses <= 1.0
     # a count-mode cell is never kept: no uniform falls below 0
     keep_below = np.where(small, masses, 0.0)
     counted = [(masses[j], etas[j]) for j in np.flatnonzero(~small)]
-    shared = etas[0] if m and np.all(etas == etas[0]) else None
+    shared = etas[0] if np.all(etas == etas[0]) else None
     sampler, value = ctx.family.sampler, ctx.stat().value
-
-    def draw(rng: np.random.Generator) -> float:
-        if m == 0:
-            return 0.0
-        pick = rng.random(m) < keep_below
-        total = 0.0
-        n_picked = int(np.count_nonzero(pick))
-        if n_picked:
-            draws = sampler(etas[pick] if shared is None else shared, rng, n_picked)
-            total += float(np.sum(value(draws)))
+    chunk = max(1, _CHUNK_CELLS // hi)
+    for start in range(0, replicates, chunk):
+        r = min(chunk, replicates - start)
+        out = totals[start:start + r]  # a view: adding to it fills totals
+        rows, cells = np.nonzero(rng.random((r, hi)) < keep_below)
+        if len(rows):
+            draws = sampler(etas[cells] if shared is None else shared, rng, len(rows))
+            out += np.bincount(rows, weights=value(draws), minlength=r)
         for mass, eta in counted:
-            count = rng.poisson(mass)
-            if count:
-                total += float(np.sum(value(sampler(eta, rng, int(count)))))
-        return total
-
-    return draw
+            counts = rng.poisson(mass, r)
+            n_draws = int(counts.sum())
+            if n_draws:
+                draws = sampler(eta, rng, n_draws)
+                out += np.bincount(np.repeat(np.arange(r), counts), weights=value(draws), minlength=r)
+    return totals
 
 
 def sample_discretized(
@@ -127,7 +140,7 @@ def sample_discretized(
     rng: np.random.Generator,
 ) -> float:
     """One draw of the discretized total statistic over the window (0, t]."""
-    return _window_draw(ctx, plan, t)(rng)
+    return float(_draw_totals(ctx, plan, t, 1, rng)[0])
 
 
 def discrete_laplace(ctx: LevyContext, plan: DiscretizationPlan, t: float, theta: float) -> float:
@@ -135,12 +148,13 @@ def discrete_laplace(ctx: LevyContext, plan: DiscretizationPlan, t: float, theta
     ctx.gate()
     if not (theta >= 0):
         raise CrmError(f"theta must be nonnegative, got {theta}")
+    live = np.flatnonzero(plan.masses[:plan.cell_range(t)] != 0.0)
+    # cells often share an eta: bind each distinct one once
+    distinct, which = np.unique(plan.etas[live], axis=0, return_inverse=True)
+    inners = [stat_laplace(ctx.family, eta, ctx.k, theta) for eta in distinct]
     log_total = 0.0
-    for j in range(plan.cell_range(t)):
-        mass = plan.masses[j]
-        if mass == 0.0:
-            continue
-        inner = stat_laplace(ctx.family, plan.etas[j], ctx.k, theta)
+    for j, u in zip(live, which.reshape(-1)):
+        mass, inner = plan.masses[j], inners[u]
         if mass <= 1.0:
             factor = 1.0 - mass * (1.0 - inner)
             if factor <= 0.0:
@@ -166,20 +180,15 @@ def empirical_laplace(
     replicates: int,
     rng: np.random.Generator,
 ) -> LaplaceEstimate:
-    """Monte Carlo mean of e^{-theta X_n} with independent child streams.
+    """Monte Carlo mean of e^{-theta X_n} over ``replicates`` draws.
 
-    The window is set up once per call; replicate r draws from child r of
-    ``rng.spawn(replicates)`` exactly what :func:`sample_discretized` draws
-    from that child, so the child streams fix the estimate to the bit.  The
-    spawn, one fresh generator per replicate, is the per-replicate cost left
-    besides the draws themselves.
+    One generator, ``rng``, feeds every replicate, in array passes over
+    chunks of replicates, so one seed fixes the estimate to the bit.  Its
+    target is :func:`discrete_laplace`, the exact transform of the same draw.
     """
     if replicates < 2:
         raise CrmError(f"need at least 2 replicates, got {replicates}")
-    draw = _window_draw(ctx, plan, t)
-    vals = np.empty(replicates)
-    for r, child in enumerate(rng.spawn(replicates)):
-        vals[r] = math.exp(-theta * draw(child))
+    vals = np.exp(-theta * _draw_totals(ctx, plan, t, replicates, rng))
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(replicates))
     return LaplaceEstimate(mean, se, replicates)

@@ -126,9 +126,14 @@ def test_verify_emits_convergence_table(tmp_path):
     assert [row.split(",")[0] for row in table[1:]] == ["8", "32", "128", "512"]
 
 
-def test_verify_failure_exits_1(tmp_path):
-    # seed 0 breaks the monotone-gap property at the default replicate count
-    rc = run("verify", "--suite", "laplace", "--seed", 0, "--out", tmp_path)
+def test_verify_failure_exits_1(tmp_path, monkeypatch):
+    def failing(seed, replicates):
+        res = verify.SuiteResult("laplace")
+        res.add("laplace-forced-failure", 1.0, 0.0, 0.5)
+        return res
+
+    monkeypatch.setitem(verify._SUITES, "laplace", failing)
+    rc = run("verify", "--suite", "laplace", "--out", tmp_path)
     assert rc == 1
     report = (tmp_path / "report.csv").read_text()
     assert ",false" in report

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,40 @@ def test_discrete_laplace_poisson_branch():
     assert construct.discrete_laplace(ctx, plan, 1.0, 1.0) == pytest.approx(want, rel=1e-12)
 
 
+# name -> (family, path, base, k, n, theta, distinct etas, discrete_laplace
+# as a loop that binds every cell's eta computes it)
+_PINNED_TRANSFORMS = {
+    "gamma-k2": ("gamma", ParameterPath.constant([2.0, 3.0]), 1.0, 2, 512, 0.8, 1, "0.6860052693366462"),
+    "poisson": ("poisson", ParameterPath.constant([0.5]), 1.0, 1, 512, 1.3, 1, "0.49703254745498104"),
+    "gamma-decomposition": (
+        "gamma",
+        ParameterPath([
+            PiecewiseFunction.constant(2.0),
+            PiecewiseFunction([Piece(0.0, math.inf, "affine", c0=0.5, c1=0.5)]),
+        ]),
+        1.0 / 8.0, 2, 64, 1.1, 64, "0.9006538303211196",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_TRANSFORMS))
+def test_discrete_laplace_binds_each_distinct_eta_once(name, monkeypatch):
+    family, path, base, k, n, theta, distinct, want = _PINNED_TRANSFORMS[name]
+    ctx = LevyContext.build(
+        make_family(family), path, BaseMeasure.lebesgue(base), k=k, require_conditions=False
+    )
+    plan = construct.DiscretizationPlan.build(ctx, t=1.0, n=n)
+    calls, original = [], construct.stat_laplace
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(construct, "stat_laplace", counted)
+    assert repr(construct.discrete_laplace(ctx, plan, 1.0, theta)) == want
+    assert len(calls) == distinct
+
+
 def test_discretization_gap_decreases(gamma_unit_ctx):
     gaps = []
     for n in (8, 32, 128):
@@ -92,6 +127,18 @@ def test_empirical_laplace_deterministic(gamma_unit_ctx):
     assert a.mean == b.mean and a.se == b.se
 
 
+def test_empirical_laplace_memory_is_bounded_by_the_chunk(gamma_unit_ctx):
+    # an unchunked (replicates, cells) uniform block would take 41 MB here
+    plan = construct.DiscretizationPlan.build(gamma_unit_ctx, t=1.0, n=512)
+    tracemalloc.start()
+    try:
+        construct.empirical_laplace(gamma_unit_ctx, plan, 1.0, 1.0, 10_000, np.random.default_rng(8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_plan_natural_space_error_names_the_cell():
     # gamma shape 2 - 2z leaves the natural space at z = 1: the first bad
     # midpoint is 1.125, in cell 5 of width 1/4
@@ -109,6 +156,14 @@ def test_plan_natural_space_error_names_the_cell():
         construct.DiscretizationPlan.build(ctx, t=2.0, n=4)
     assert str(exc.value) == "cell 5, midpoint z=1.125: gamma: shape must be positive, got -0.25"
     assert exc.value.coord == 1 and exc.value.index == 4
+
+
+def _sequential_sum(values):
+    """The left-to-right sum, the order in which a draw adds up statistics."""
+    total = 0.0
+    for v in values:
+        total += float(v)
+    return total
 
 
 def test_count_mode_cells_draw_what_binding_each_cell_drew():
@@ -130,12 +185,12 @@ def test_count_mode_cells_draw_what_binding_each_cell_drew():
         pick = small & (rng.random(len(plan.masses)) < plan.masses)
         total = 0.0
         if np.any(pick):
-            total += float(np.sum(stat.value(expfam.sample_each(ctx.family, plan.etas[pick], rng))))
+            total += _sequential_sum(stat.value(expfam.sample_each(ctx.family, plan.etas[pick], rng)))
         for j in np.nonzero(~small)[0]:
             count = rng.poisson(plan.masses[j])
             if count:
                 draws = ctx.family.at(plan.etas[j]).sample(rng, int(count))
-                total += float(np.sum(stat.value(draws)))
+                total += _sequential_sum(stat.value(draws))
         return total
 
     rng, ref = np.random.default_rng(4242), np.random.default_rng(4242)
@@ -170,11 +225,11 @@ def _draw_per_call(ctx, plan, t, rng):
     pick = small & (rng.random(len(masses)) < masses)
     total = 0.0
     if np.any(pick):
-        total += float(np.sum(stat.value(expfam.sample_each(ctx.family, etas[pick], rng))))
+        total += _sequential_sum(stat.value(expfam.sample_each(ctx.family, etas[pick], rng)))
     for j in np.nonzero(~small)[0]:
         count = rng.poisson(masses[j])
         if count:
-            total += float(np.sum(stat.value(ctx.family.sampler(etas[j], rng, int(count)))))
+            total += _sequential_sum(stat.value(ctx.family.sampler(etas[j], rng, int(count))))
     return total
 
 
@@ -200,30 +255,52 @@ _WINDOW_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
-def test_a_window_set_up_once_draws_what_a_per_call_window_drew(case):
-    """Draws, estimates and the generator stream equal, bit for bit, the route
-    that sets the window up in every call and gives each replicate a spawned
-    child: one eta shared by every cell, per-cell etas, count-mode cells,
-    windows that end inside the plan, beta's log statistic, an empty window."""
+def _window_case(case):
     family, path, base, k, n, z_hi, t = _WINDOW_CASES[case]
     ctx = LevyContext.build(make_family(family), path, base, k=k)
-    plan = construct.DiscretizationPlan.build(ctx, t=z_hi, n=n)
+    return ctx, construct.DiscretizationPlan.build(ctx, t=z_hi, n=n), t
 
+
+@pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
+def test_a_window_set_up_once_draws_what_a_per_call_window_drew(case):
+    """Draws and the generator stream equal, bit for bit, the route that sets
+    the window up in every call: one eta shared by every cell, per-cell etas,
+    count-mode cells, windows that end inside the plan, beta's log statistic,
+    an empty window."""
+    ctx, plan, t = _window_case(case)
     rng, ref = np.random.default_rng(2024), np.random.default_rng(2024)
     got = np.array([construct.sample_discretized(ctx, plan, t, rng) for _ in range(60)])
     want = np.array([_draw_per_call(ctx, plan, t, ref) for _ in range(60)])
     assert got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == ref.bit_generator.state
 
+
+@pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
+def test_the_batched_estimate_holds_its_exact_transform(case, monkeypatch):
+    """The chunked estimate lies within 4 standard errors of the exact
+    discretized transform, whether the replicates fill one chunk, chunks of
+    seven with a short last one, or chunks of one; one seed gives the same
+    bits; and chunks of one average exactly the one-replicate draws."""
+    ctx, plan, t = _window_case(case)
     theta, replicates = 0.7, 300
-    est = construct.empirical_laplace(ctx, plan, t, theta, replicates, np.random.default_rng(99))
-    vals = np.array([
-        math.exp(-theta * _draw_per_call(ctx, plan, t, child))
-        for child in np.random.default_rng(99).spawn(replicates)
-    ])
-    assert est.mean == float(vals.mean())
-    assert est.se == float(vals.std(ddof=1) / math.sqrt(replicates))
+    exact = construct.discrete_laplace(ctx, plan, t, theta)
+    cells = plan.cell_range(t)
+
+    def estimate():
+        return construct.empirical_laplace(ctx, plan, t, theta, replicates, np.random.default_rng(99))
+
+    for chunk_cells in (construct._CHUNK_CELLS, 7 * cells, 1):
+        monkeypatch.setattr(construct, "_CHUNK_CELLS", chunk_cells)
+        est = estimate()
+        assert est.replicates == replicates
+        assert abs(est.mean - exact) <= 4.0 * est.se, (chunk_cells, est, exact)
+        assert estimate() == est
+        if cells == 0:
+            assert (est.mean, est.se, exact) == (1.0, 0.0, 1.0)
+
+    rng = np.random.default_rng(99)
+    draws = np.array([construct.sample_discretized(ctx, plan, t, rng) for _ in range(replicates)])
+    assert est.mean == float(np.exp(-theta * draws).mean())
 
 
 def test_empirical_laplace_sets_the_window_up_once(gamma_unit_ctx, monkeypatch):
