@@ -185,10 +185,10 @@ def cmd_posterior(args) -> int:
     diff = [f"pair: {pair.name}", f"mode: {args.mode}", f"observations: {len(values)}"]
 
     if args.mode == "uniform":
-        # shift checks each observation's support; the shifted path must stay
-        # inside the natural space
+        # shift checks each observation's support; updating the shifted path
+        # by no further observations checks that it stays in the natural space
         delta = pair.shift(values)
-        conj._checked_posterior(pair, ctx.path.shifted(delta))
+        conj.posterior_path(pair, ctx.path.shifted(delta), [])
         post_component = cfg.shift_component_obj(component, delta)
         diff.append(
             "shift: (" + ", ".join(f"{d:+g}" for d in delta) + ") applied to every coordinate"

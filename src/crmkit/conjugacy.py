@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import expfam
-from .errors import CrmError, NaturalSpaceError, SupportError
+from .errors import CrmError, SupportError
 from .expfam import ExpFamilySpec, ParameterPath
 from .levy import LevyContext, _default_grid, levy_density_u
 from .sampler import link_rule
@@ -123,7 +123,8 @@ def posterior_path(
 
     ``uniform`` treats ``observations`` as one flat collection and shifts the
     whole path; ``per-atom`` takes a mapping location -> observation list and
-    overrides the path value only at those locations.
+    overrides the path value only at those locations.  The updated path must
+    lie in the natural space on its check grid, else :class:`NaturalSpaceError`.
     """
     if prior_path.dimension != pair.prior_family.dimension:
         raise CrmError(
@@ -144,19 +145,12 @@ def posterior_path(
         new = ParameterPath(prior_path.components, overrides)
     else:
         raise CrmError(f"mode must be 'uniform' or 'per-atom', got {mode!r}")
-    return _checked_posterior(pair, new)
-
-
-def _checked_posterior(pair: ConjugatePair, path: ParameterPath) -> ParameterPath:
-    """``path``, once it lies in the prior family's natural space on its check grid."""
-    zs = _default_grid(path)
-    try:
-        pair.prior_family.check_natural(path.eval_many(zs).T)
-    except NaturalSpaceError as exc:
-        raise NaturalSpaceError(
-            f"updated path exits the natural space at z={zs[exc.index]}: {exc}"
-        )
-    return path
+    new.natural_etas(
+        pair.prior_family,
+        _default_grid(new),
+        lambda i, z: f"updated path exits the natural space at z={z}",
+    )
+    return new
 
 
 def posterior_context(

@@ -9,9 +9,9 @@ statistics instead.  The per-cell transform is then exactly
 1 - A_i (1 - E[e^{-theta T_k}]) (resp. exp(-A_i (1 - E[...]))), so the
 product converges to exp(-psi(t, theta)) as n grows.
 
-Everything fixed for one window (0, t] of a plan -- the condition gate,
-the cell slice, the masses and etas, the split into small and count-mode
-cells, the statistic -- is set up once per :func:`sample_discretized` or
+Everything fixed for one window (0, t] of a plan -- the cell slice, the
+masses and etas, the split into small and count-mode cells, the
+statistic -- is set up once per :func:`sample_discretized` or
 :func:`empirical_laplace` call.  The replicates of a call are then drawn in
 array passes over chunks of replicates, each pass one uniform block, one
 family batch over every kept cell and one Poisson vector per count-mode
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrmError, NaturalSpaceError
+from .errors import CrmError
 from .levy import LevyContext, laplace_exponent, stat_laplace
 
 __all__ = [
@@ -50,7 +50,6 @@ class DiscretizationPlan:
 
     @classmethod
     def build(cls, ctx: LevyContext, t: float, n: int) -> "DiscretizationPlan":
-        ctx.gate()
         if not (t > 0):
             raise CrmError(f"horizon must be positive, got t={t}")
         if not (isinstance(n, (int, np.integer)) and n >= 1):
@@ -61,14 +60,9 @@ class DiscretizationPlan:
         idx = np.arange(1, m + 1, dtype=float)
         mids = (idx - 0.5) / n
         masses = np.array([ctx.base.increment((i - 1.0) / n, i / n) for i in idx])
-        etas = ctx.path.eval_many(mids)
-        try:
-            ctx.family.check_natural(etas.T)
-        except NaturalSpaceError as exc:
-            raise NaturalSpaceError(
-                f"cell {exc.index + 1}, midpoint z={float(mids[exc.index])!r}: {exc}",
-                coord=exc.coord, index=exc.index,
-            ) from exc
+        etas = ctx.path.natural_etas(
+            ctx.family, mids, lambda i, z: f"cell {i + 1}, midpoint z={z!r}"
+        )
         return cls(int(n), m / n, mids, masses, etas)
 
     def cell_range(self, t: float) -> int:
@@ -104,7 +98,6 @@ def _draw_totals(
     checked every cell's eta when it was built, so no draw binds the family
     again.
     """
-    ctx.gate()
     hi = plan.cell_range(t)
     masses, etas = plan.masses[:hi], plan.etas[:hi]
     totals = np.zeros(replicates)
@@ -145,7 +138,6 @@ def sample_discretized(
 
 def discrete_laplace(ctx: LevyContext, plan: DiscretizationPlan, t: float, theta: float) -> float:
     """Exact E[e^{-theta X_n}] of the discretized draw (product over cells)."""
-    ctx.gate()
     if not (theta >= 0):
         raise CrmError(f"theta must be nonnegative, got {theta}")
     live = np.flatnonzero(plan.masses[:plan.cell_range(t)] != 0.0)

@@ -967,6 +967,21 @@ class ParameterPath:
             raise CrmError(f"parameter path not finite at z={float(flat[i])}: {out[i]}")
         return out.reshape(zs.shape + (self.dimension,))
 
+    def natural_etas(self, family: ExpFamilySpec, zs, where: Callable) -> np.ndarray:
+        """:meth:`eval_many` over an array ``zs``, checked in ``family``'s natural
+        space: the first bad ``zs[i]`` raises :class:`NaturalSpaceError` with
+        message ``f"{where(i, z)}: {reason}"``, ``index = i``, the family
+        error's ``coord``, and that error as its cause."""
+        etas = self.eval_many(zs)
+        try:
+            family.check_natural(etas.T)
+        except NaturalSpaceError as exc:
+            i = exc.index
+            raise NaturalSpaceError(
+                f"{where(i, float(zs[i]))}: {exc}", coord=exc.coord, index=i
+            ) from exc
+        return etas
+
     def breakpoints(self) -> list[float]:
         pts: set[float] = set()
         for comp in self.components:

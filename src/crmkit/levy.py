@@ -24,7 +24,7 @@ after that pass, so the value is the double ``quad`` gives either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,7 +65,7 @@ class BaseMeasure:
     def __post_init__(self):
         jumps = tuple(sorted((float(loc), float(mass)) for loc, mass in self.jumps))
         for loc, mass in jumps:
-            if loc < 0 or mass < 0:
+            if not (loc >= 0 and mass >= 0):
                 raise CrmError(f"base measure jump ({loc}, {mass}) must be nonnegative")
         object.__setattr__(self, "jumps", jumps)
 
@@ -253,9 +253,10 @@ def _default_grid(path: ParameterPath, cuts: Sequence[float] = ()) -> np.ndarray
 class LevyContext:
     """A family, parameter path, base measure, and weight statistic index.
 
-    Construct through :meth:`build`, which attaches the condition report and,
-    unless ``require_conditions=False`` is passed explicitly, refuses to
-    build when the report fails.
+    Construct through :meth:`build`, which attaches the condition report.
+    A strict context (``require_conditions``, the default) cannot hold a
+    failed report: making one, also by ``dataclasses.replace``, raises
+    :class:`ConditionError`, so no functional checks it again.
     """
 
     family: ExpFamilySpec
@@ -264,6 +265,12 @@ class LevyContext:
     k: int
     report: ConditionReport
     require_conditions: bool = True
+
+    def __post_init__(self):
+        if self.require_conditions and not self.report.passed:
+            raise ConditionError(
+                f"construction conditions fail: {self.report.summary()}", report=self.report
+            )
 
     @classmethod
     def build(
@@ -282,21 +289,10 @@ class LevyContext:
         eta(z) past that point.
         """
         report = check_conditions(family, path, k, _default_grid(path, base.breakpoints()))
-        if require_conditions and not report.passed:
-            raise ConditionError(
-                f"construction conditions fail: {report.summary()}", report=report
-            )
         return cls(family, path, base, k, report, require_conditions)
 
     def stat(self):
         return self.family.stats[self.k - 1]
-
-    def gate(self):
-        if self.require_conditions and not self.report.passed:
-            raise ConditionError(
-                f"evaluation refused, condition report failed: {self.report.summary()}",
-                report=self.report,
-            )
 
 
 def _cuts(ctx: LevyContext, lo: float, hi: float) -> list[float]:
@@ -389,6 +385,14 @@ def _gk21(f_many: Callable, a: float, b: float) -> float | None:
     return None
 
 
+def _without_overrides(ctx: LevyContext) -> LevyContext:
+    """``ctx`` without its path's atom overrides, which act on the measure only
+    through base point masses: densities in z read the path without them."""
+    if not ctx.path.atom_overrides:
+        return ctx
+    return replace(ctx, path=ParameterPath(ctx.path.components))
+
+
 def _stretch_integral(ctx: LevyContext, h: Callable, h_many: Callable, piece, lo, hi) -> float:
     """int_(lo, hi] h(eta(z)) a_0(z) dz on one base piece: one :func:`_gk21`
     pass over the batch of eta at its nodes, else :func:`checked_quad`.
@@ -423,6 +427,7 @@ def _z_integral(ctx: LevyContext, h: Callable, h_many: Callable, t: float) -> fl
     locations.  The callers check t > 0.
     """
     total = 0.0
+    plain = _without_overrides(ctx)
     cuts = _cuts(ctx, 0.0, t)
     for a, b in zip(cuts, cuts[1:]):
         pieces = [comp.piece_at(b) for comp in ctx.path.components]
@@ -434,7 +439,7 @@ def _z_integral(ctx: LevyContext, h: Callable, h_many: Callable, t: float) -> fl
         for piece in ctx.base.density.pieces:
             lo, hi = max(a, piece.lo), min(b, piece.hi)
             if lo < hi:
-                total += _stretch_integral(ctx, h, h_many, piece, lo, hi)
+                total += _stretch_integral(plain, h, h_many, piece, lo, hi)
     for loc, mass in ctx.base.jumps_in(0.0, t):
         if mass > 0:
             total += mass * h(ctx.path.eval(loc))
@@ -443,7 +448,6 @@ def _z_integral(ctx: LevyContext, h: Callable, h_many: Callable, t: float) -> fl
 
 def levy_density_s(ctx: LevyContext, t: float, s: float) -> float:
     """Levy density at s in the family coordinate, over the window (0, t]."""
-    ctx.gate()
     if not (t > 0):
         raise CrmError(f"time must be positive, got t={t}")
     if not ctx.family.support.contains(s):
@@ -457,13 +461,13 @@ def levy_density_s(ctx: LevyContext, t: float, s: float) -> float:
 
 
 def levy_integrand(ctx: LevyContext, z: float, s: float) -> float:
-    """Density-in-z of the Levy measure: p(s | eta(z)) a_0(z), atoms excluded."""
-    ctx.gate()
+    """Density-in-z of the Levy measure: p(s | eta(z)) a_0(z), atoms and overrides excluded."""
     if not ctx.family.support.contains(s):
         raise SupportError(f"s={s} outside the family support")
     if not ctx.base.density.defined_at(z):
         return 0.0
-    return float(expfam.density(ctx.family, ctx.path.eval(z), s) * ctx.base.density(z))
+    eta = _without_overrides(ctx).path.eval(z)
+    return float(expfam.density(ctx.family, eta, s) * ctx.base.density(z))
 
 
 def _inverse_statistic(ctx: LevyContext, u: float) -> tuple[float, float] | None:
@@ -486,7 +490,6 @@ def _inverse_statistic(ctx: LevyContext, u: float) -> tuple[float, float] | None
 
 def levy_density_u(ctx: LevyContext, t: float, u: float) -> float:
     """Levy density in the weight coordinate u = T_k(s) (pushforward form)."""
-    ctx.gate()
     if not (t > 0):
         raise CrmError(f"time must be positive, got t={t}")
     inverse = _inverse_statistic(ctx, u)
@@ -522,7 +525,6 @@ def laplace_exponent(ctx: LevyContext, t: float, theta: float) -> float:
     Raises :class:`DivergenceError` carrying the partial value when either
     axis fails to stabilize (improper tails or infinite location mass).
     """
-    ctx.gate()
     if not (theta >= 0):
         raise CrmError(f"theta must be nonnegative, got {theta}")
     if not (t >= 0):
@@ -573,8 +575,7 @@ def _homogeneity_witnesses(ctx: LevyContext, t: float) -> list:
     A base point mass in (0, 2t] is a witness.  Otherwise eta and a_0 are
     compared at the path's check grid in (0, 2t], the midpoint of every
     stretch between cuts, and 2t; a point where either is undefined is a
-    witness.  Atom overrides act on the measure only through base point
-    masses, so the comparison uses the path without them.
+    witness.  The comparison reads the path without its atom overrides.
     """
     horizon = 2.0 * t
     jumps = ctx.base.jumps_in(0.0, horizon)
@@ -589,7 +590,7 @@ def _homogeneity_witnesses(ctx: LevyContext, t: float) -> list:
     witnesses = [(float(z), "path or base density undefined") for z in zs[~defined]]
     zs = zs[defined]
     if zs.size:
-        etas = ParameterPath(ctx.path.components).eval_many(zs)
+        etas = _without_overrides(ctx).path.eval_many(zs)
         values = np.column_stack([etas, ctx.base.density(zs)])
         moved = np.any(np.abs(values - values[0]) > _RATIO_TOL * np.abs(values[0]), axis=1)
         witnesses += [(float(z), *map(float, v)) for z, v in zip(zs[moved], values[moved])]
@@ -617,7 +618,6 @@ def classify_activity(ctx: LevyContext, t: float):
     p(T_k^{-1}(u) | eta) |dT_k^{-1}/du| at the one eta) when proportional,
     NotTimeHomogeneous with up to five z witnesses otherwise.
     """
-    ctx.gate()
     if not (t > 0):
         raise CrmError(f"time must be positive, got t={t}")
     if ctx.family.support.discrete:

@@ -77,6 +77,9 @@ class Piece:
             raise CrmError(f"unknown piece kind {self.kind!r}")
         if not self.lo < self.hi:
             raise CrmError(f"piece has empty interval ({self.lo}, {self.hi}]")
+        for name in ("c0", "c1", "d0", "d1"):
+            if math.isnan(getattr(self, name)):
+                raise CrmError(f"piece on ({self.lo}, {self.hi}] has {name} = NaN")
         if self.kind == "func" and self.func is None:
             raise CrmError("func piece requires a callable")
         if self.kind == "ratio" and self.d1 == 0:

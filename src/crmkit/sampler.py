@@ -12,10 +12,10 @@ directly, constant and affine pieces (which cover (lo, hi]) invert in
 closed form over the segment's atoms, ratio pieces by Newton's method on
 their exact mass over the same arrays, and only callable pieces
 (:meth:`~crmkit.piecewise.PiecewiseFunction.from_callable`) invert atom by
-atom with brentq.  The path is evaluated once per component
-(:meth:`~crmkit.expfam.ParameterPath.eval_many`), its parameters are
-validated in one natural-space check, and the weights come from one
-vectorized family draw.
+atom with brentq.  The path is evaluated once per component and its
+parameters validated in one natural-space check
+(:meth:`~crmkit.expfam.ParameterPath.natural_etas`), and the weights come
+from one vectorized family draw.
 """
 
 from __future__ import annotations
@@ -285,7 +285,6 @@ def sample_crm(
 
     locs, weights, comp_idx = [], [], []
     for n, ctx in enumerate(components[:level], start=1):
-        ctx.gate()
         try:
             mass = ctx.base.increment(0.0, z_max)
         except DivergenceError as exc:
@@ -297,14 +296,9 @@ def sample_crm(
         if count == 0:
             continue
         z = _sample_locations(ctx, z_max, count, rng)
-        etas = ctx.path.eval_many(z)
-        try:
-            ctx.family.check_natural(etas.T)
-        except NaturalSpaceError as exc:
-            raise NaturalSpaceError(
-                f"component {n}, atom at location {float(z[exc.index])!r}: {exc}",
-                coord=exc.coord, index=exc.index,
-            ) from exc
+        etas = ctx.path.natural_etas(
+            ctx.family, z, lambda i, loc: f"component {n}, atom at location {loc!r}"
+        )
         s = expfam.sample_each(ctx.family, etas, rng)
         u = np.asarray(ctx.stat().value(s), dtype=float)
         if np.any(u <= 0) or np.any(~np.isfinite(u)):

@@ -255,6 +255,35 @@ def test_posterior_out_of_support_observation_exits_1(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "base, want",
+    [
+        (
+            {"pieces": [{"from": 0.0, "const": 1.0}], "jumps": [[0.5, float("nan")]]},
+            "/components/0/base: base measure jump (0.5, nan) must be nonnegative",
+        ),
+        (
+            {"pieces": [{"from": 0.0, "const": 1.0}], "jumps": [[float("nan"), 1.0]]},
+            "/components/0/base: base measure jump (nan, 1.0) must be nonnegative",
+        ),
+        (
+            {"pieces": [{"from": 0.0, "const": float("nan")}]},
+            "/components/0/base/pieces/0: piece on (0.0, inf] has c0 = NaN",
+        ),
+    ],
+    ids=["jump-mass", "jump-location", "piece-const"],
+)
+def test_sample_refuses_a_nan_base_value_at_its_pointer(tmp_path, capsys, base, want):
+    obj = json.loads((CONFIG_DIR / "gamma.json").read_text())
+    obj["components"][0]["base"] = base
+    config = tmp_path / "nan.json"
+    config.write_text(json.dumps(obj))  # a NaN literal, which JSON parsing accepts
+    out = tmp_path / "run"
+    assert run("sample", "--config", config, "--seed", 1, "--out", out) == 2
+    assert capsys.readouterr().err == f"config error: {want}\n"
+    assert not out.exists()
+
+
 def test_sample_nan_zmax_exits_2_naming_it(tmp_path, capsys):
     rc = run(
         "sample", "--config", CONFIG_DIR / "gamma.json",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crmkit import conjugacy as conj
-from crmkit import expfam, verify
+from crmkit import expfam, levy, verify
 from crmkit.errors import CrmError, NaturalSpaceError, SupportError
 from crmkit.expfam import ParameterPath, make_family
 from crmkit.levy import BaseMeasure, LevyContext, check_conditions
@@ -160,8 +160,13 @@ def test_posterior_path_checks_near_the_lower_end_of_the_domain():
         "updated path exits the natural space at z=0.011052951411260215: "
         "gamma: shape must be positive, got -0.7991564992083084"
     )
-    with pytest.raises(NaturalSpaceError, match=f"^{re.escape(want)}$"):
+    with pytest.raises(NaturalSpaceError, match=f"^{re.escape(want)}$") as exc:
         conj.posterior_path(pair, path, [0.0])
+    # the error names the coordinate and the grid position, and keeps its cause
+    assert exc.value.coord == 1
+    assert levy._default_grid(path)[exc.value.index] == 0.011052951411260215
+    assert isinstance(exc.value.__cause__, NaturalSpaceError)
+    assert exc.value.__cause__.index == exc.value.index
 
 
 @pytest.mark.parametrize("name", list(verify._PAIR_FIXTURES))

@@ -216,7 +216,6 @@ def test_a_nan_horizon_or_window_is_refused(gamma_unit_ctx):
 def _draw_per_call(ctx, plan, t, rng):
     """A discretized draw with the window set up inside every call: each cell
     batch passes its rows to ``sample_each``, each count-mode cell its eta."""
-    ctx.gate()
     hi = plan.cell_range(t)
     if hi == 0:
         return 0.0
@@ -305,16 +304,13 @@ def test_the_batched_estimate_holds_its_exact_transform(case, monkeypatch):
 
 def test_empirical_laplace_sets_the_window_up_once(gamma_unit_ctx, monkeypatch):
     plan = construct.DiscretizationPlan.build(gamma_unit_ctx, t=1.0, n=8)
-    calls = {"gate": 0, "cell_range": 0}
+    calls = []
+    cell_range = construct.DiscretizationPlan.cell_range
 
-    def counted(name, original):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return cell_range(*args, **kwargs)
 
-    monkeypatch.setattr(LevyContext, "gate", counted("gate", LevyContext.gate))
-    plan_cls = construct.DiscretizationPlan
-    monkeypatch.setattr(plan_cls, "cell_range", counted("cell_range", plan_cls.cell_range))
+    monkeypatch.setattr(construct.DiscretizationPlan, "cell_range", counted)
     construct.empirical_laplace(gamma_unit_ctx, plan, 1.0, 1.0, 500, np.random.default_rng(8))
-    assert calls == {"gate": 1, "cell_range": 1}
+    assert len(calls) == 1

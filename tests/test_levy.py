@@ -38,6 +38,9 @@ def test_base_measure_validation():
         BaseMeasure(PiecewiseFunction.constant(1.0), jumps=((1.0, -2.0),))
     with pytest.raises(CrmError):
         BaseMeasure(PiecewiseFunction.constant(1.0), jumps=((-1.0, 2.0),))
+    for jump in ((0.5, math.nan), (math.nan, 1.0)):
+        with pytest.raises(CrmError, match="must be nonnegative"):
+            BaseMeasure(PiecewiseFunction.constant(1.0), jumps=(jump,))
 
 
 def test_base_measure_window_convention():
@@ -82,7 +85,9 @@ def test_conditions_fail_for_pareto_contraction():
     assert not ctx.report.passed
 
 
-def test_gate_refuses_strict_failed_context():
+def test_a_strict_context_cannot_hold_a_failed_report():
+    """Made directly or by ``dataclasses.replace``, a strict context with a
+    failed report raises, carrying that report."""
     pareto = make_family("pareto", scale=1.0)
     ctx = LevyContext.build(
         pareto,
@@ -91,9 +96,13 @@ def test_gate_refuses_strict_failed_context():
         k=1,
         require_conditions=False,
     )
-    object.__setattr__(ctx, "require_conditions", True)
-    with pytest.raises(ConditionError):
-        ctx.gate()
+    assert not ctx.report.passed
+    with pytest.raises(ConditionError, match="^construction conditions fail: ") as exc:
+        LevyContext(ctx.family, ctx.path, ctx.base, ctx.k, ctx.report)
+    assert exc.value.report is ctx.report
+    with pytest.raises(ConditionError) as exc:
+        dataclasses.replace(ctx, require_conditions=True)
+    assert exc.value.report is ctx.report
 
 
 def test_levy_density_s_constant_context(gamma_const_ctx):
@@ -624,6 +633,26 @@ def test_an_affine_path_takes_one_gauss_kronrod_pass_and_no_quad(monkeypatch):
     # the doubles quad returned after its first 21-point pass
     assert repr(laplace_exponent(ctx, 1.0, 1.0)) == "0.4054651081081644"
     assert repr(levy_density_u(ctx, 1.0, 0.7)) == "0.5150251081337565"
+
+
+def test_an_override_off_the_point_masses_leaves_the_densities_alone(monkeypatch):
+    """An override at the centre of an affine stretch, where the base has no
+    point mass, changes no density: the stretch still takes one 21-point
+    pass, and the integrand in z reads the path without the override."""
+    gamma = make_family("gamma")
+    path = ParameterPath(
+        [
+            PiecewiseFunction([Piece(0.0, 2.0, "affine", c0=2.0, c1=0.5)]),
+            PiecewiseFunction([Piece(0.0, 2.0, "const", c0=3.0)]),
+        ]
+    )
+    base = BaseMeasure.lebesgue(1.0, hi=2.0)
+    plain = LevyContext.build(gamma, path, base, k=2)
+    ctx = LevyContext.build(gamma, path.with_override(1.0, (7.0, 0.5)), base, k=2)
+    monkeypatch.setattr(scipy.integrate, "quad", _refuse_quad)
+    assert levy_density_u(ctx, 2.0, 0.3) == levy_density_u(plain, 2.0, 0.3)
+    assert laplace_exponent(ctx, 2.0, 1.0) == laplace_exponent(plain, 2.0, 1.0)
+    assert levy_integrand(ctx, 1.0, 0.3) == levy_integrand(plain, 1.0, 0.3) > 0.5
 
 
 def _func_base(f):

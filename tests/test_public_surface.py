@@ -6,6 +6,7 @@ change, next to the caller that needs it.
 
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import re
 from pathlib import Path
@@ -301,3 +302,15 @@ def test_family_spec_fields_are_pinned():
         "stat_moment",
         "fixed",
     ]
+
+
+def test_every_boundary_the_benchmark_traces_exists():
+    # crmbench/spans.py wraps these names from outside the package (``import
+    # crmkit`` has loaded every module it reads); one that is renamed or
+    # deleted would break a traced benchmark run, not a test
+    path = Path(__file__).resolve().parents[1] / "crmbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_crmbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [name for name, owner, attr, _ in spans._targets() if attr not in vars(owner)]
+    assert missing == []
