@@ -16,6 +16,9 @@ statistic -- is set up once per :func:`sample_discretized` or
 array passes over chunks of replicates, each pass one uniform block, one
 family batch over every kept cell and one Poisson vector per count-mode
 cell; :func:`sample_discretized` is the one-replicate call of that draw.
+Its exact transform, :func:`discrete_laplace`, takes every cell's
+per-location factor from one :func:`~crmkit.levy.stat_laplace` call over
+the batch of the window's distinct etas, one per column.
 """
 
 from __future__ import annotations
@@ -141,9 +144,9 @@ def discrete_laplace(ctx: LevyContext, plan: DiscretizationPlan, t: float, theta
     if not (theta >= 0):
         raise CrmError(f"theta must be nonnegative, got {theta}")
     live = np.flatnonzero(plan.masses[:plan.cell_range(t)] != 0.0)
-    # cells often share an eta: bind each distinct one once
+    # cells often share an eta: one batch over the distinct ones
     distinct, which = np.unique(plan.etas[live], axis=0, return_inverse=True)
-    inners = [stat_laplace(ctx.family, eta, ctx.k, theta) for eta in distinct]
+    inners = stat_laplace(ctx.family, distinct.T, ctx.k, theta)
     log_total = 0.0
     for j, u in zip(live, which.reshape(-1)):
         mass, inner = plan.masses[j], inners[u]

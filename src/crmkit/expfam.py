@@ -26,6 +26,10 @@ and, for continuous families, ``quantile``, reached through
 shared by all draws or one per draw.  Off its face ``eta_1 = -1``, ``pareto_loglog`` draws by inversion
 for ``eta_2 > 0`` and by rejection from ``u_m + Exp(-(eta_1 + 1))`` for
 ``eta_2 <= 0``.
+
+Binding (:func:`_bind_many`), the log-density and the log-partition tilt
+each take one eta of shape (l,) or a batch of shape (l, m), one eta per
+column, and give a column the doubles of that eta alone.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CrmError, DerivativeDomainError, NaturalSpaceError, SupportError
+from .errors import CrmError, DerivativeDomainError, DivergenceError, NaturalSpaceError, SupportError
 from .piecewise import PiecewiseFunction, checked_quad
 
 __all__ = [
@@ -180,14 +184,19 @@ class ExpFamilySpec:
         return BoundFamily(self, eta)
 
 
-def _as_eta(spec: ExpFamilySpec, eta) -> np.ndarray:
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if eta.shape != (spec.dimension,):
+def _as_eta(spec: ExpFamilySpec, eta, batch: bool = True) -> np.ndarray:
+    """eta of shape (l,), or with ``batch`` (l, m), checked for length, finiteness and
+    natural space (a batch's first bad column raises, with ``index``); rows contiguous."""
+    eta = np.ascontiguousarray(eta, dtype=float)
+    if eta.shape[:1] != (spec.dimension,) or eta.ndim > (2 if batch else 1):
         raise CrmError(
             f"{spec.name}: natural parameter must have length {spec.dimension}, got shape {eta.shape}"
         )
-    if not np.all(np.isfinite(eta)):
-        raise NaturalSpaceError(f"{spec.name}: natural parameter must be finite, got {eta}")
+    if not np.isfinite(eta).all():
+        i = int(np.argmin(np.isfinite(eta).all(axis=0))) if eta.ndim > 1 else None
+        got = eta if i is None else eta[:, i]
+        raise NaturalSpaceError(f"{spec.name}: natural parameter must be finite, got {got}", index=i)
+    spec.check_natural(eta)
     return eta
 
 
@@ -212,11 +221,8 @@ class BoundFamily:
     __slots__ = ("spec", "eta", "log_partition")
 
     def __init__(self, spec: ExpFamilySpec, eta):
-        eta = _as_eta(spec, eta)
-        spec.check_natural(eta)
         self.spec = spec
-        self.eta = eta
-        self.log_partition = float(spec.log_partition_fn(eta))
+        self.eta, self.log_partition = _bind_many(spec, eta, batch=False)
 
     def log_density(self, x) -> float | np.ndarray:
         exponent = _exponent(self.spec, self.eta, self.log_partition, np.asarray(x, dtype=float))
@@ -271,33 +277,25 @@ def _exponent(spec: ExpFamilySpec, eta, log_partition, xs: np.ndarray) -> np.nda
     return exponent
 
 
-def _bind_many(spec: ExpFamilySpec, etas) -> tuple[np.ndarray, np.ndarray]:
-    """(etas, A(etas)) for a batch of natural parameters, one per column.
-
-    The batch form of binding: ``etas`` of shape (l, m) is checked in one
-    :meth:`ExpFamilySpec.check_natural` (the first bad column is ``index``)
-    and A is one call of ``log_partition_fn``.  Rows are made contiguous, so
-    every ufunc sees what it sees for one eta and returns the same doubles.
-    """
-    etas = np.ascontiguousarray(etas, dtype=float)
-    if not np.all(np.isfinite(etas)):
-        bad = int(np.argmin(np.isfinite(etas).all(axis=0)))
-        raise NaturalSpaceError(
-            f"{spec.name}: natural parameter must be finite, got {etas[:, bad]}", index=bad
-        )
-    spec.check_natural(etas)
-    return etas, np.asarray(spec.log_partition_fn(etas), dtype=float)
+def _bind_many(spec: ExpFamilySpec, eta, batch: bool = True) -> tuple[np.ndarray, float | np.ndarray]:
+    """(eta, A(eta)), eta checked once by :func:`_as_eta`: A is a float for one
+    eta of shape (l,), one array of shape (m,) for a batch of shape (l, m)."""
+    eta = _as_eta(spec, eta, batch)
+    log_partition = spec.log_partition_fn(eta)
+    return eta, float(log_partition) if eta.ndim == 1 else np.asarray(log_partition, dtype=float)
 
 
-def _log_density_many(spec: ExpFamilySpec, etas, x) -> np.ndarray:
-    """log p(x | eta) for every column of ``etas`` (shape (l, m)): shape
-    ``np.shape(x) + (m,)``, each double the one :meth:`BoundFamily.log_density`
-    gives.  Overflow and invalid values are not warned about; the caller
-    reads a non-finite value itself.
+def _log_density_many(spec: ExpFamilySpec, eta, x) -> np.ndarray:
+    """log p(x | eta) at one eta (shape (l,)), with the shape of ``x``, or at
+    every column of a batch (shape (l, m)), with shape ``np.shape(x) + (m,)``;
+    each double the one :meth:`BoundFamily.log_density` gives.  Overflow and
+    invalid values are not warned about; the caller reads a non-finite value
+    itself.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        etas, log_partition = _bind_many(spec, etas)
-        return _exponent(spec, etas, log_partition, np.asarray(x, dtype=float)[..., None])
+        eta, log_partition = _bind_many(spec, eta)
+        xs = np.asarray(x, dtype=float)
+        return _exponent(spec, eta, log_partition, xs if eta.ndim == 1 else xs[..., None])
 
 
 def density(spec: ExpFamilySpec, eta, x) -> float | np.ndarray:
@@ -312,8 +310,7 @@ def moment_suff_stat(spec: ExpFamilySpec, eta, k: int, m: int) -> float:
     Otherwise the cumulants kappa_j = sign^j d^j A / d eta_k^j give the raw
     moments through mu_n = sum_j C(n-1, j-1) kappa_j mu_{n-j}, mu_0 = 1.
     """
-    eta = _as_eta(spec, eta)
-    spec.check_natural(eta)
+    eta = _as_eta(spec, eta, batch=False)
     k = _check_k(spec, k)
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise CrmError(f"moment order m must be a positive integer, got {m}")
@@ -334,40 +331,40 @@ def moment_suff_stat(spec: ExpFamilySpec, eta, k: int, m: int) -> float:
     return float(mus[m])
 
 
-def _tilt(bound: BoundFamily, k: int, step: float) -> float:
-    """E[exp(step * T_k(X))] at the bound eta: exp(A(eta + sign_k step e_k) - A(eta)).
-
-    Raises :class:`NaturalSpaceError` when the tilted parameter leaves the
-    natural space, where the expectation is infinite.
-    """
-    spec = bound.spec
-    k = _check_k(spec, k)
-    tilted = bound.eta.copy()
-    tilted[k - 1] += spec.stats[k - 1].sign * step
-    return float(np.exp(spec.at(tilted).log_partition - bound.log_partition))
-
-
-def _tilt_many(spec: ExpFamilySpec, etas, k: int, step: float) -> np.ndarray:
-    """:func:`_tilt` at every column of ``etas`` (shape (l, m)), the same doubles.
-
-    Raises :class:`NaturalSpaceError` when a column or its tilt leaves the
-    natural space.  Overflow is not warned about; the caller reads a
-    non-finite value itself.
+def _tilt(spec: ExpFamilySpec, eta, k: int, step: float) -> float | np.ndarray:
+    """E[exp(step * T_k(X))] = exp(A(eta + sign_k step e_k) - A(eta)), eta and its
+    tilt each bound once: a float at one eta (shape (l,)), an array at a batch
+    (shape (l, m), one eta per column).  It is infinite exactly where the tilt
+    leaves the natural space: there :class:`DivergenceError` (``partial=inf``)
+    names the tilted coordinate of the first such column.  Overflow is not
+    warned about; the caller reads a non-finite value itself.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        etas, log_partition = _bind_many(spec, etas)
-        tilted = etas.copy()
+        eta, log_partition = _bind_many(spec, eta)
+        k = _check_k(spec, k)
+        tilted = eta.copy()
         tilted[k - 1] += spec.stats[k - 1].sign * step
-        return np.exp(_bind_many(spec, tilted)[1] - log_partition)
+        try:
+            tilted_log_partition = _bind_many(spec, tilted)[1]
+        except NaturalSpaceError as exc:
+            coord = tilted[k - 1] if exc.index is None else tilted[k - 1, exc.index]
+            raise DivergenceError(
+                f"{spec.name}: E[exp({step} T_{k})] is infinite, the tilted coordinate "
+                f"eta_{k} = {coord} leaves the natural space ({exc})",
+                partial=_INF,
+            ) from exc
+        out = np.exp(tilted_log_partition - log_partition)
+    return float(out) if eta.ndim == 1 else out
 
 
 def raw_moment(spec: ExpFamilySpec, eta, k: int, m: int) -> float:
     """E[exp(m * T_k(X))] by tilting the k-th canonical coefficient by m.
 
     For the beta family with k=1 this is the raw moment E[X^m]; in general
-    it exists exactly when the tilted parameter stays in the natural space.
+    it exists exactly when the tilted parameter stays in the natural space,
+    and :func:`_tilt` raises :class:`DivergenceError` where it does not.
     """
-    return _tilt(spec.at(eta), k, m)
+    return _tilt(spec, eta, k, m)
 
 
 def raw_moment_beta(alpha: float, beta: float, m: int) -> float:
@@ -586,8 +583,8 @@ def _gamma_family() -> ExpFamilySpec:
 
 def _pareto_family(scale: float) -> ExpFamilySpec:
     """Single-statistic form: density a*u_m^a/x^(a+1) on (u_m, inf), eta = -(a+1)."""
-    if scale <= 0:
-        raise CrmError("pareto: scale must be positive")
+    if not (0 < scale < _INF):
+        raise CrmError(f"pareto: scale must be positive and finite, got {scale}")
     u_m = float(scale)
     stats = (
         SufficientStat(
@@ -634,8 +631,8 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
     below the double range) are read off that same ln Gamma.
     The natural space is {eta_1 < -1} union {eta_1 = -1, eta_2 < -1}.
     """
-    if scale <= 0:
-        raise CrmError("pareto: scale must be positive")
+    if not (0 < scale < _INF):
+        raise CrmError(f"pareto(log-log): scale must be positive and finite, got {scale}")
     u_m = float(scale)
     x_lo = float(np.exp(u_m))
     stats = (
@@ -786,6 +783,8 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
 def _lognormal_family(mu: float) -> ExpFamilySpec:
     """Log-normal with known drift; natural parameter is the precision of ln X."""
     mu = float(mu)
+    if not math.isfinite(mu):
+        raise CrmError(f"lognormal: mu must be finite, got {mu}")
     stats = (
         SufficientStat(
             "half_sq_centered_log",
@@ -899,7 +898,7 @@ class ParameterPath:
 
     ``atom_overrides`` carries exact-location parameter replacements produced
     by atom-local posterior updates; evaluation at exactly such a z returns
-    the override.
+    the override.  An override's location and values must be finite.
     """
 
     def __init__(
@@ -914,6 +913,8 @@ class ParameterPath:
         for loc, eta in self.atom_overrides.items():
             if len(eta) != self.dimension:
                 raise CrmError(f"atom override at z={loc} has wrong dimension")
+            if not (math.isfinite(loc) and np.all(np.isfinite(eta))):
+                raise CrmError(f"atom override at z={loc} is not finite: {tuple(map(float, eta))}")
 
     @classmethod
     def constant(cls, eta: Sequence[float]) -> "ParameterPath":
@@ -960,8 +961,6 @@ class ParameterPath:
         for j, comp in enumerate(self.components):
             out[free, j] = comp(flat[free])
         bad = ~np.isfinite(out).all(axis=1)
-        if self.atom_overrides:
-            bad &= free
         if bad.any():
             i = int(np.argmax(bad))
             raise CrmError(f"parameter path not finite at z={float(flat[i])}: {out[i]}")

@@ -10,15 +10,19 @@ weight coordinate.  The Laplace exponent is
 int (1 - e^{-theta u}) dL_t(u) = int_{(0,t]} (1 - E_{eta(z)}[e^{-theta T_k}]) dA_0(z).
 
 The per-location transform is closed form, the log-partition tilt
-E_eta[e^{-theta T_k}] = exp(A(eta - sign_k theta e_k) - A(eta)).  Location
-integrals split exactly at piece breakpoints and add atom contributions of
-A_0 exactly; the window convention is (0, t] (a jump at t counts, one at 0
-does not).  Where eta is one constant on a stretch the integral is
-h(eta) A_0(stretch) by linearity.  Any other stretch takes, per base piece,
-one 21-point Gauss-Kronrod pass (QUADPACK's ``qk21``) over a batch of eta
-at its nodes, and falls back to adaptive quadrature
-(:func:`~crmkit.piecewise.checked_quad`) only where QUADPACK would not stop
-after that pass, so the value is the double ``quad`` gives either way.
+E_eta[e^{-theta T_k}] = exp(A(eta - sign_k theta e_k) - A(eta)), which
+:func:`stat_laplace` evaluates at one eta or at a batch, one eta per column.
+Each functional hands its location integral one integrand h, which maps
+one eta to a float and a batch to the same doubles, column by column.
+Location integrals split exactly at piece breakpoints and add atom
+contributions of A_0 exactly; the window convention is (0, t] (a jump at t
+counts, one at 0 does not).  Where eta is one constant on a stretch the
+integral is h(eta) A_0(stretch) by linearity.  Any other stretch takes, per
+base piece, one 21-point Gauss-Kronrod pass (QUADPACK's ``qk21``) with h on
+a batch of eta at its nodes, and falls back to adaptive quadrature
+(:func:`~crmkit.piecewise.checked_quad`) with h on one eta per node only
+where QUADPACK would not stop after that pass, so the value is the double
+``quad`` gives either way.
 """
 
 from __future__ import annotations
@@ -393,19 +397,19 @@ def _without_overrides(ctx: LevyContext) -> LevyContext:
     return replace(ctx, path=ParameterPath(ctx.path.components))
 
 
-def _stretch_integral(ctx: LevyContext, h: Callable, h_many: Callable, piece, lo, hi) -> float:
+def _stretch_integral(ctx: LevyContext, h: Callable, piece, lo, hi) -> float:
     """int_(lo, hi] h(eta(z)) a_0(z) dz on one base piece: one :func:`_gk21`
-    pass over the batch of eta at its nodes, else :func:`checked_quad`.
+    pass with ``h`` on the batch of eta at its nodes, else :func:`checked_quad`
+    with ``h`` on one eta per node.
 
     The fallback takes every case the pass does not: an infinite end, an
-    invalid or non-finite value at a node (errors and warnings then come
-    from the scalar integrand as before), and an error estimate that would
+    invalid or non-finite value at a node, and an error estimate that would
     make QUADPACK subdivide.
     """
     if math.isfinite(hi):
         try:
             with np.errstate(all="ignore"):
-                val = _gk21(lambda zs: h_many(ctx.path.eval_many(zs).T) * piece.value(zs), lo, hi)
+                val = _gk21(lambda zs: h(ctx.path.eval_many(zs).T) * piece.value(zs), lo, hi)
         except CrmError:
             val = None
         if val is not None:
@@ -413,18 +417,18 @@ def _stretch_integral(ctx: LevyContext, h: Callable, h_many: Callable, piece, lo
     return checked_quad(lambda z: h(ctx.path.eval(z)) * piece.value(z), lo, hi)
 
 
-def _z_integral(ctx: LevyContext, h: Callable, h_many: Callable, t: float) -> float:
+def _z_integral(ctx: LevyContext, h: Callable, t: float) -> float:
     """int_(0, t] h(eta(z)) dA_0(z), split at breakpoints, atoms exact.
 
-    ``h`` maps one eta to a float; ``h_many`` maps a batch, one eta per
-    column, to the same doubles.  On a stretch between cuts where every path
-    component is one ``const`` piece, eta is one constant and the integral
-    is h(eta) A_0(stretch); h does not run where that mass is 0.  Any other
-    stretch takes, per overlapping base piece, one 21-point Gauss-Kronrod
-    pass over a batch of eta (:func:`_gk21`), and falls back to
-    :func:`checked_quad` only where QUADPACK would not stop after that pass.
-    Atom overrides act only through the base point masses at their
-    locations.  The callers check t > 0.
+    ``h`` maps one eta (shape (l,)) to a float and a batch (shape (l, m), one
+    eta per column) to the same doubles, column by column.  On a stretch
+    between cuts where every path component is one ``const`` piece, eta is
+    one constant and the integral is h(eta) A_0(stretch); h does not run
+    where that mass is 0.  Any other stretch takes, per overlapping base
+    piece, one 21-point Gauss-Kronrod pass over a batch of eta
+    (:func:`_gk21`), and falls back to :func:`checked_quad` only where
+    QUADPACK would not stop after that pass.  Atom overrides act only through
+    the base point masses at their locations.  The callers check t > 0.
     """
     total = 0.0
     plain = _without_overrides(ctx)
@@ -439,7 +443,7 @@ def _z_integral(ctx: LevyContext, h: Callable, h_many: Callable, t: float) -> fl
         for piece in ctx.base.density.pieces:
             lo, hi = max(a, piece.lo), min(b, piece.hi)
             if lo < hi:
-                total += _stretch_integral(plain, h, h_many, piece, lo, hi)
+                total += _stretch_integral(plain, h, piece, lo, hi)
     for loc, mass in ctx.base.jumps_in(0.0, t):
         if mass > 0:
             total += mass * h(ctx.path.eval(loc))
@@ -452,12 +456,7 @@ def levy_density_s(ctx: LevyContext, t: float, s: float) -> float:
         raise CrmError(f"time must be positive, got t={t}")
     if not ctx.family.support.contains(s):
         raise SupportError(f"s={s} outside the family support")
-    return _z_integral(
-        ctx,
-        lambda eta: expfam.density(ctx.family, eta, s),
-        lambda etas: np.exp(expfam._log_density_many(ctx.family, etas, s)),
-        t,
-    )
+    return _z_integral(ctx, lambda eta: np.exp(expfam._log_density_many(ctx.family, eta, s)), t)
 
 
 def levy_integrand(ctx: LevyContext, z: float, s: float) -> float:
@@ -499,24 +498,19 @@ def levy_density_u(ctx: LevyContext, t: float, u: float) -> float:
     return levy_density_s(ctx, t, s) * jac
 
 
-def stat_laplace(family: ExpFamilySpec, eta: np.ndarray, k: int, theta: float) -> float:
+def stat_laplace(family: ExpFamilySpec, eta, k: int, theta: float) -> float | np.ndarray:
     """E[e^{-theta T_k(S)}] under the family density at eta, by the log-partition tilt.
 
-    The transform is exp(A(eta - sign_k theta e_k) - A(eta)).  It is infinite
+    The transform is exp(A(eta - sign_k theta e_k) - A(eta)), at one eta of
+    shape (l,) (a float) or at a batch of shape (l, m), one eta per column
+    (an array, each column the double of that eta alone); eta and its tilt
+    are each bound once (:func:`~crmkit.expfam._tilt`).  It is infinite
     exactly where the tilted parameter leaves the natural space; there it
-    raises :class:`DivergenceError` with ``partial=inf``.  An eta outside the
-    natural space raises :class:`NaturalSpaceError`.
+    raises :class:`DivergenceError` with ``partial=inf``, naming the tilted
+    coordinate of the first such column.  An eta outside the natural space
+    raises :class:`NaturalSpaceError`.
     """
-    bound = family.at(eta)
-    try:
-        return expfam._tilt(bound, k, -theta)
-    except NaturalSpaceError as exc:
-        raise DivergenceError(
-            f"{family.name}: E[exp(-{theta} T_{k})] is infinite, the tilted coordinate "
-            f"eta_{k} = {bound.eta[k - 1] - family.stats[k - 1].sign * theta} leaves the "
-            f"natural space ({exc})",
-            partial=_INF,
-        ) from exc
+    return expfam._tilt(family, eta, k, -theta)
 
 
 def laplace_exponent(ctx: LevyContext, t: float, theta: float) -> float:
@@ -532,12 +526,7 @@ def laplace_exponent(ctx: LevyContext, t: float, theta: float) -> float:
     if theta == 0.0 or t == 0.0:
         return 0.0
 
-    return _z_integral(
-        ctx,
-        lambda eta: 1.0 - stat_laplace(ctx.family, eta, ctx.k, theta),
-        lambda etas: 1.0 - expfam._tilt_many(ctx.family, etas, ctx.k, -theta),
-        t,
-    )
+    return _z_integral(ctx, lambda eta: 1.0 - stat_laplace(ctx.family, eta, ctx.k, theta), t)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,11 @@ one mask per piece, over a whole array.
 Callable pieces integrate through :func:`checked_quad`, the package's one checked
 quadrature helper: it raises rather than return an unconverged value.  (The
 location integrals of :mod:`crmkit.levy` first try QUADPACK's 21-point
-pass over a batch of nodes and call it where that pass is not enough.)  A
-closed-form integral that is not finite (a nonzero piece over an unbounded
-interval, or a ratio piece whose denominator vanishes on it) raises
-:class:`DivergenceError`.
+pass, their one integrand taking a batch of eta at its nodes, and call it,
+the same integrand taking one eta per node, where that pass is not
+enough.)  A closed-form integral that is not finite (a nonzero piece over
+an unbounded interval, or a ratio piece whose denominator vanishes on it)
+raises :class:`DivergenceError`.
 """
 
 from __future__ import annotations

@@ -330,17 +330,6 @@ def sample_crm(
     return CRMDraw(z, u, c, float(z_max), level, tail_mass)
 
 
-_LINKS: dict[str, Callable] = {}
-
-
-def _register_link(name):
-    def wrap(fn):
-        _LINKS[name] = fn
-        return fn
-
-    return wrap
-
-
 def _require(w, ok, what: str) -> None:
     """Raise ValueError naming the first weight (scalar or array) where ok fails.
 
@@ -353,36 +342,40 @@ def _require(w, ok, what: str) -> None:
         raise exc
 
 
-# A registered link maps a weight, or an array of weights, to the tuple of
-# natural-parameter coordinates.
-@_register_link("bernoulli_prob")
 def _bernoulli_prob(w) -> tuple:
     _require(w, (0.0 < w) & (w < 1.0), "success probability must lie in (0, 1)")
     return (_special().logit(w),)
 
 
-@_register_link("poisson_rate")
 def _poisson_rate(w) -> tuple:
     _require(w, w > 0, "rate must be positive")
     return (np.log(w),)
 
 
-@_register_link("lognormal_precision")
 def _lognormal_precision(w) -> tuple:
     _require(w, w > 0, "precision must be positive")
     return (np.asarray(w, dtype=float),)
 
 
-@_register_link("lognormal_variance")
 def _lognormal_variance(w) -> tuple:
     _require(w, w > 0, "variance must be positive")
     return (1.0 / w,)
 
 
-@_register_link("pareto_shape")
 def _pareto_shape(w) -> tuple:
     _require(w, w > 0, "shape must be positive")
     return (-w - 1.0,)
+
+
+# A registered link maps a weight, or an array of weights, to the tuple of
+# natural-parameter coordinates.
+_LINKS = {
+    "bernoulli_prob": _bernoulli_prob,
+    "poisson_rate": _poisson_rate,
+    "lognormal_precision": _lognormal_precision,
+    "lognormal_variance": _lognormal_variance,
+    "pareto_shape": _pareto_shape,
+}
 
 
 def link_rule(link) -> Callable:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import conjugacy as conj
 from . import construct, expfam, levy
-from .errors import CrmError
+from .errors import CrmError, SupportError
 from .expfam import ParameterPath, _special
 from .levy import BaseMeasure, LevyContext
 from .piecewise import Piece, PiecewiseFunction, checked_quad
@@ -136,9 +136,12 @@ def _stat_expectation(spec, eta, k: int, fn) -> float:
         with np.errstate(over="ignore"):
             x = float(stat.inverse(u))
             jac = abs(float(stat.inverse_deriv(u)))
-        if not (spec.support.contains(x) and np.isfinite(jac)):
+        if not np.isfinite(jac):
             return 0.0  # the inverse left the double range, deep in a tail
-        return fn(u) * bound.density(x) * jac
+        try:
+            return fn(u) * bound.density(x) * jac
+        except SupportError:  # so did x
+            return 0.0
 
     return checked_quad(integrand, *stat.image)
 

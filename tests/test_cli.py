@@ -284,6 +284,40 @@ def test_sample_refuses_a_nan_base_value_at_its_pointer(tmp_path, capsys, base, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "override, want",
+    [
+        ([0.5, [float("nan"), 3.0]], "atom override at z=0.5 is not finite: (nan, 3.0)"),
+        ([float("nan"), [2, 3]], "atom override at z=nan is not finite: (2.0, 3.0)"),
+        ([0.5, [2.0, float("inf")]], "atom override at z=0.5 is not finite: (2.0, inf)"),
+    ],
+    ids=["value-nan", "location-nan", "value-inf"],
+)
+def test_sample_refuses_a_non_finite_atom_override(tmp_path, capsys, override, want):
+    obj = json.loads((CONFIG_DIR / "gamma.json").read_text())
+    obj["components"][0]["atom_overrides"] = [override]
+    config = tmp_path / "override.json"
+    config.write_text(json.dumps(obj))  # NaN and Infinity literals, which JSON parsing accepts
+    out = tmp_path / "run"
+    assert run("sample", "--config", config, "--seed", 1, "--out", out) == 2
+    assert capsys.readouterr().err == f"config error: /components/0/path: {want}\n"
+    assert not out.exists()
+
+
+def test_sample_refuses_a_nan_family_scale_at_its_pointer(tmp_path, capsys):
+    obj = json.loads((CONFIG_DIR / "gamma.json").read_text())
+    component = obj["components"][0]
+    component.update(family={"name": "pareto", "params": {"scale": float("nan")}}, k=1)
+    component["path"] = [[{"from": 0.0, "const": -3.0}]]
+    config = tmp_path / "nan_scale.json"
+    config.write_text(json.dumps(obj))
+    out = tmp_path / "run"
+    assert run("sample", "--config", config, "--seed", 1, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: /components/0/family: pareto: scale must be positive and finite, got nan\n"
+    assert not out.exists()
+
+
 def test_sample_nan_zmax_exits_2_naming_it(tmp_path, capsys):
     rc = run(
         "sample", "--config", CONFIG_DIR / "gamma.json",

@@ -81,7 +81,8 @@ def test_discrete_laplace_binds_each_distinct_eta_once(name, monkeypatch):
 
     monkeypatch.setattr(construct, "stat_laplace", counted)
     assert repr(construct.discrete_laplace(ctx, plan, 1.0, theta)) == want
-    assert len(calls) == distinct
+    # one call, on the batch of the distinct etas
+    assert [args[1].shape for args in calls] == [(ctx.family.dimension, distinct)]
 
 
 def test_discretization_gap_decreases(gamma_unit_ctx):

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate, special
 
 from crmkit import expfam, levy
-from crmkit.errors import CrmError, DerivativeDomainError, NaturalSpaceError, SupportError
+from crmkit.errors import CrmError, DerivativeDomainError, DivergenceError, NaturalSpaceError, SupportError
 from crmkit.piecewise import Piece, PiecewiseFunction
 
 
@@ -25,6 +25,24 @@ def test_registry_contents():
         expfam.make_family("weibull")
     with pytest.raises(CrmError, match=r"pareto does not accept parameter\(s\) \['form'\]"):
         expfam.make_family("pareto", form="loglog")
+
+
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("pareto", {"scale": math.nan}, "pareto: scale must be positive and finite, got nan"),
+        ("pareto", {"scale": math.inf}, "pareto: scale must be positive and finite, got inf"),
+        ("pareto_loglog", {"scale": math.nan}, "pareto(log-log): scale must be positive and finite, got nan"),
+        ("pareto_loglog", {"scale": -1.0}, "pareto(log-log): scale must be positive and finite, got -1.0"),
+        ("lognormal", {"mu": math.nan}, "lognormal: mu must be finite, got nan"),
+        ("lognormal", {"mu": -math.inf}, "lognormal: mu must be finite, got -inf"),
+    ],
+    ids=["pareto-nan", "pareto-inf", "loglog-nan", "loglog-negative", "lognormal-nan", "lognormal-inf"],
+)
+def test_make_family_refuses_a_non_finite_parameter(name, params, message):
+    with pytest.raises(CrmError) as exc:
+        expfam.make_family(name, **params)
+    assert str(exc.value) == message
 
 
 def test_natural_space_checks():
@@ -234,6 +252,26 @@ def test_parameter_path_eval_and_overrides():
         path.eval(5.0)
 
 
+@pytest.mark.parametrize(
+    "loc, eta, message",
+    [
+        (0.5, (math.nan, 3.0), "atom override at z=0.5 is not finite: (nan, 3.0)"),
+        (math.nan, (2.0, 3.0), "atom override at z=nan is not finite: (2.0, 3.0)"),
+        (0.5, (2.0, math.inf), "atom override at z=0.5 is not finite: (2.0, inf)"),
+        (math.inf, (2.0, 3.0), "atom override at z=inf is not finite: (2.0, 3.0)"),
+    ],
+    ids=["value-nan", "location-nan", "value-inf", "location-inf"],
+)
+def test_parameter_path_refuses_a_non_finite_override(loc, eta, message):
+    comps = [PiecewiseFunction.constant(2.0), PiecewiseFunction.constant(3.0)]
+    with pytest.raises(CrmError) as exc:
+        expfam.ParameterPath(comps, {loc: eta})
+    assert str(exc.value) == message
+    with pytest.raises(CrmError) as exc:
+        expfam.ParameterPath(comps).with_override(loc, eta)
+    assert str(exc.value) == message
+
+
 def test_parameter_path_left_piece_wins_at_shared_breakpoint():
     # pieces cover (lo, hi]: at z = 1 the piece ending there applies
     path = expfam.ParameterPath(
@@ -397,14 +435,20 @@ def test_the_batch_density_and_tilt_are_the_scalar_doubles(name, good, first, la
     for x in spec.support.grid(5):
         batch = np.exp(expfam._log_density_many(spec, rows.T, x))
         assert batch.tolist() == [spec.at(eta).density(x) for eta in rows]
+        assert batch.tolist() == [np.exp(expfam._log_density_many(spec, eta, x)) for eta in rows]
     for k in range(1, spec.dimension + 1):
         for theta in (0.25, 1.0):
             tilted = rows.copy()
             tilted[:, k - 1] -= spec.stats[k - 1].sign * theta
-            kept = rows[spec.in_natural_space(tilted.T)]
+            ok = spec.in_natural_space(tilted.T)
+            kept = rows[ok]
             assert kept.size
-            batch = expfam._tilt_many(spec, kept.T, k, -theta)
-            assert batch.tolist() == [levy.stat_laplace(spec, eta, k, theta) for eta in kept]
+            batch = levy.stat_laplace(spec, kept.T, k, theta)
+            one = [levy.stat_laplace(spec, eta, k, theta) for eta in kept]
+            assert batch.tolist() == one and all(type(v) is float for v in one)
+            # the identity through two bound families
+            pairs = zip(tilted[ok], kept)
+            assert one == [np.exp(spec.at(a).log_partition - spec.at(b).log_partition) for a, b in pairs]
 
 
 def test_the_batch_density_at_many_points_has_one_row_per_point():
@@ -424,12 +468,20 @@ def test_the_batch_names_the_first_bad_column():
         expfam._log_density_many(spec, np.array([[2.0, 3.0], [2.0, -1.0], [1.0, -2.0]]).T, 0.5)
     assert exc.value.index == 1
     with pytest.raises(NaturalSpaceError, match="must be finite") as exc:
-        expfam._tilt_many(spec, np.array([[2.0, 3.0], [math.nan, 1.0]]).T, 2, -1.0)
+        expfam._tilt(spec, np.array([[2.0, 3.0], [math.nan, 1.0]]).T, 2, -1.0)
     assert exc.value.index == 1
-    # the tilt of the second column leaves the natural space
-    with pytest.raises(NaturalSpaceError) as exc:
-        expfam._tilt_many(spec, np.array([[2.0, 3.0], [0.5, 1.0]]).T, 1, -1.0)
-    assert exc.value.index == 1
+    # the tilt of the second column leaves the natural space: the one-eta text
+    with pytest.raises(DivergenceError) as one:
+        levy.stat_laplace(spec, [0.5, 1.0], 1, 1.0)
+    with pytest.raises(DivergenceError) as exc:
+        levy.stat_laplace(spec, np.array([[2.0, 3.0], [0.5, 1.0], [0.25, 1.0]]).T, 1, 1.0)
+    assert str(exc.value) == str(one.value) == (
+        "gamma: E[exp(-1.0 T_1)] is infinite, the tilted coordinate eta_1 = -0.5 leaves "
+        "the natural space (gamma: shape must be positive, got -0.5)"
+    )
+    assert exc.value.partial == math.inf and exc.value.__cause__.index == 1
+    with pytest.raises(CrmError, match=r"must have length 2, got shape \(3, 2\)"):
+        levy.stat_laplace(spec, np.ones((3, 2)), 1, 1.0)
 
 
 def test_the_batch_returns_overflow_silently_with_the_scalar_values():
@@ -437,11 +489,11 @@ def test_the_batch_returns_overflow_silently_with_the_scalar_values():
     rows = np.array([[0.3], [710.0]])  # A = e^eta overflows at the second
     with np.errstate(all="ignore"):
         density = [spec.at(eta).density(2.0) for eta in rows]
-        tilt = [expfam._tilt(spec.at(eta), 1, -1.0) for eta in rows]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        tilt = [expfam._tilt(spec, eta, 1, -1.0) for eta in rows]
         assert np.exp(expfam._log_density_many(spec, rows.T, 2.0)).tolist() == density
-        assert expfam._tilt_many(spec, rows.T, 1, -1.0).tolist() == tilt
+        assert expfam._tilt(spec, rows.T, 1, -1.0).tolist() == tilt
     assert density[1] == tilt[1] == 0.0
 
 
@@ -539,7 +591,15 @@ def _loglog_cdf_mp(eta, xs):
     return np.array([1.0 - float(mp.gammainc(a, s * mp.log(x), mp.inf) / top) for x in xs])
 
 
-@pytest.mark.parametrize("case", sorted(_SAMPLER_ETAS))
+# the on-face pareto_loglog sampler returns x = inf where w = ln x > 709.78:
+# a known overflow (ROADMAP item 5), the one expfam warning tier-1 lets through
+_KNOWN_OVERFLOW = pytest.mark.filterwarnings("default:overflow encountered in exp:RuntimeWarning:crmkit.expfam")
+
+
+@pytest.mark.parametrize(
+    "case",
+    [pytest.param(c, marks=_KNOWN_OVERFLOW) if c == "pareto_loglog" else c for c in sorted(_SAMPLER_ETAS)],
+)
 def test_sampler_passes_goodness_of_fit(case):
     from scipy import stats
 

@@ -202,8 +202,8 @@ def test_each_non_constant_stretch_takes_the_pass_and_equals_checked_quad(
     stretch_integral = levy._stretch_integral
     compared = []
 
-    def against_checked_quad(ctx, h, h_many, piece, lo, hi):
-        got = stretch_integral(ctx, h, h_many, piece, lo, hi)  # quad is refused here
+    def against_checked_quad(ctx, h, piece, lo, hi):
+        got = stretch_integral(ctx, h, piece, lo, hi)  # quad is refused here
         with monkeypatch.context() as m:
             m.setattr(scipy.integrate, "quad", quad)
             want = checked_quad(lambda z: h(ctx.path.eval(z)) * piece.value(z), lo, hi)
