@@ -221,7 +221,7 @@ def _expand_pareto_series(obj, ptr) -> list[dict]:
     count = _need(obj, "components", int, ptr)
     if count < 1:
         raise ConfigError("components must be >= 1", f"{ptr}/components")
-    scale = obj.get("scale", 1.0)
+    scale = _need(obj, "scale", float, ptr) if "scale" in obj else 1.0
     lo, hi = _floats(_need(obj, "support", list, ptr), 2, f"{ptr}/support")
     if not 0 <= lo < hi:
         raise ConfigError("support must satisfy 0 <= from < to", f"{ptr}/support")
@@ -230,11 +230,13 @@ def _expand_pareto_series(obj, ptr) -> list[dict]:
     if extra:
         raise ConfigError(f"unknown series keys {sorted(extra)}", ptr)
     if "const" in alpha:
-        c0, c1 = float(alpha["const"]), 0.0
+        c0, c1 = _need(alpha, "const", float, f"{ptr}/alpha"), 0.0
     elif "affine" in alpha:
         c0, c1 = _floats(alpha["affine"], 2, f"{ptr}/alpha/affine")
     else:
         raise ConfigError('alpha needs "const" or "affine"', f"{ptr}/alpha")
+    if not (c0 + c1 * lo >= 0 and (c0 + c1 * hi if c1 else c0) > 0):
+        raise ConfigError(f"alpha(z) = {c0} + {c1} z must be positive on ({lo}, {hi}]", f"{ptr}/alpha")
 
     out = []
     for n in range(1, count + 1):

@@ -180,9 +180,11 @@ def posterior_levy_density(
     prior_ctx: LevyContext,
     observations,
     t: float,
-    u: float,
+    u,
     mode: str = "uniform",
-) -> float:
+) -> float | np.ndarray:
+    """:func:`~crmkit.levy.levy_density_u` of the posterior context at one u or
+    an array of u, so a table builds that context once."""
     return levy_density_u(posterior_context(pair, prior_ctx, observations, mode=mode), t, u)
 
 

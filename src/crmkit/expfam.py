@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 _INF = float("inf")
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @functools.cache
@@ -82,7 +83,7 @@ class Support:
         inside = (x > self.lo) & (x < self.hi)
         if self.discrete:
             inside = (x >= self.lo) & (x <= self.hi) & (x == np.floor(x))
-        return bool(np.all(inside))
+        return bool(inside.all())
 
     def grid(self, n: int = 201) -> np.ndarray:
         """Interior points for dense sign/round-trip checks."""
@@ -114,11 +115,11 @@ class SufficientStat:
     inverse_deriv: Callable | None = None
     image: tuple[float, float] | None = None
 
-    def in_image(self, u: float) -> bool:
+    def in_image(self, u) -> bool | np.ndarray:
         if self.image is None:
             return False
         lo, hi = self.image
-        return lo < u < hi
+        return (lo < u) & (u < hi)
 
 
 @dataclass(frozen=True)
@@ -633,6 +634,8 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
     """
     if not (0 < scale < _INF):
         raise CrmError(f"pareto(log-log): scale must be positive and finite, got {scale}")
+    if scale >= _LOG_MAX:  # x_lo = e^scale would overflow
+        raise CrmError(f"pareto(log-log): scale must be below ln(max double) = {_LOG_MAX}, got {scale}")
     u_m = float(scale)
     x_lo = float(np.exp(u_m))
     stats = (

@@ -12,17 +12,17 @@ int (1 - e^{-theta u}) dL_t(u) = int_{(0,t]} (1 - E_{eta(z)}[e^{-theta T_k}]) dA
 The per-location transform is closed form, the log-partition tilt
 E_eta[e^{-theta T_k}] = exp(A(eta - sign_k theta e_k) - A(eta)), which
 :func:`stat_laplace` evaluates at one eta or at a batch, one eta per column.
-Each functional hands its location integral one integrand h, which maps
-one eta to a float and a batch to the same doubles, column by column.
-Location integrals split exactly at piece breakpoints and add atom
-contributions of A_0 exactly; the window convention is (0, t] (a jump at t
-counts, one at 0 does not).  Where eta is one constant on a stretch the
-integral is h(eta) A_0(stretch) by linearity.  Any other stretch takes, per
-base piece, one 21-point Gauss-Kronrod pass (QUADPACK's ``qk21``) with h on
-a batch of eta at its nodes, and falls back to adaptive quadrature
-(:func:`~crmkit.piecewise.checked_quad`) with h on one eta per node only
-where QUADPACK would not stop after that pass, so the value is the double
-``quad`` gives either way.
+Each functional hands its location integral one integrand h(eta, x), at one
+eta or a batch and at its points x (theta, or one s or an array of s), so a
+density table is one walk over the locations.  Location integrals split
+exactly at piece breakpoints and add atoms of A_0 exactly over (0, t] (a
+jump at t counts, one at 0 does not).  Where eta is one constant on a
+stretch the integral is h(eta, x) A_0(stretch).  Any other stretch takes,
+per base piece, one 21-point Gauss-Kronrod pass (QUADPACK's ``qk21``) with h
+on a batch of eta at its nodes and every point, and falls back to
+:func:`~crmkit.piecewise.checked_quad` with h on one eta per node only for a
+point where QUADPACK would not stop after that pass: each value is the
+double ``quad`` gives, at one point or in any array.
 """
 
 from __future__ import annotations
@@ -61,12 +61,16 @@ _INF = float("inf")
 
 @dataclass(frozen=True)
 class BaseMeasure:
-    """Nonnegative measure on [0, inf): a piecewise density plus point masses."""
+    """Nonnegative measure on [0, inf): a piecewise density plus point masses.
+    Const, affine and ratio pieces are checked nonnegative exactly, ``func`` pieces not."""
 
     density: PiecewiseFunction
     jumps: tuple = ()
 
     def __post_init__(self):
+        for p in self.density.pieces:
+            if p.kind != "func" and not p.nonnegative():
+                raise CrmError(f"base density {p.kind} piece on ({p.lo}, {p.hi}] must be nonnegative")
         jumps = tuple(sorted((float(loc), float(mass)) for loc, mass in self.jumps))
         for loc, mass in jumps:
             if not (loc >= 0 and mass >= 0):
@@ -344,49 +348,48 @@ _EPMACH = 2.220446049250313e-16  # d1mach(4)
 _UFLOW = 2.2250738585072014e-308  # d1mach(1)
 
 
-def _gk21(f_many: Callable, a: float, b: float) -> float | None:
-    """QUADPACK's first pass over finite (a, b), or None where it would go on.
+def _gk21(f_many: Callable, a: float, b: float) -> list:
+    """QUADPACK's first pass over finite (a, b) per point, or None where it would go on.
 
-    ``f_many`` maps the 21 nodes (an array) to the integrand's values in one
-    call.  The sums and the error estimate are ``dqk21``'s, in its order;
-    the result is returned under ``dqagse``'s first-pass rule at
-    :func:`~crmkit.piecewise.checked_quad`'s tolerances, so it is the double
-    ``quad`` returns after 21 evaluations.  A non-finite value, a roundoff
-    flag or a larger error estimate gives None.
-    """
+    ``f_many`` maps the 21 nodes to one row of 21 values per point (shape
+    (..., 21)).  Each row's sums and error estimate are ``dqk21``'s, in its
+    order, in Python floats; under ``dqagse``'s first-pass rule at
+    ``checked_quad``'s tolerances the result is the double ``quad`` returns
+    after 21 evaluations, else None."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     absc = hlgth * _XGK
-    fc, *fv = f_many(np.concatenate(([centr], centr - absc, centr + absc))).tolist()
-    fv1, fv2 = fv[:10], fv[10:]
-    resg = 0.0
-    resk = _WGK[10] * fc
-    resabs = abs(resk)
-    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss pairs, then the Kronrod-only ones
-        fsum = fv1[j] + fv2[j]
-        if j % 2:
-            resg += _WG[j // 2] * fsum
-        resk += _WGK[j] * fsum
-        resabs += _WGK[j] * (abs(fv1[j]) + abs(fv2[j]))
-    reskh = resk * 0.5
-    resasc = _WGK[10] * abs(fc - reskh)
-    for j in range(10):
-        resasc += _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
-    result = resk * hlgth
-    resabs *= abs(hlgth)
-    resasc *= abs(hlgth)
-    abserr = abs((resk - resg) * hlgth)
-    if resasc != 0.0 and abserr != 0.0:
-        ratio = 200.0 * abserr / resasc  # min(1, ratio^1.5) without overflow
-        abserr = resasc if ratio >= 1.0 else resasc * ratio ** 1.5
-    if resabs > _UFLOW / (50.0 * _EPMACH):
-        abserr = max((_EPMACH * 50.0) * resabs, abserr)
-    errbnd = max(_EPSABS, _EPSREL * abs(result))
-    if not math.isfinite(result) or (abserr <= 100.0 * _EPMACH * resabs and abserr > errbnd):
-        return None
-    if (abserr <= errbnd and abserr != resasc) or abserr == 0.0:
-        return result
-    return None
+    rows = f_many(np.concatenate(([centr], centr - absc, centr + absc))).reshape(-1, 21)
+    out = []
+    for fc, *fv in rows.tolist():
+        fv1, fv2 = fv[:10], fv[10:]
+        resg = 0.0
+        resk = _WGK[10] * fc
+        resabs = abs(resk)
+        for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss pairs, then the Kronrod-only ones
+            fsum = fv1[j] + fv2[j]
+            if j % 2:
+                resg += _WG[j // 2] * fsum
+            resk += _WGK[j] * fsum
+            resabs += _WGK[j] * (abs(fv1[j]) + abs(fv2[j]))
+        reskh = resk * 0.5
+        resasc = _WGK[10] * abs(fc - reskh)
+        for j in range(10):
+            resasc += _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+        result = resk * hlgth
+        resabs *= abs(hlgth)
+        resasc *= abs(hlgth)
+        abserr = abs((resk - resg) * hlgth)
+        if resasc != 0.0 and abserr != 0.0:
+            ratio = 200.0 * abserr / resasc  # min(1, ratio^1.5) without overflow
+            abserr = resasc if ratio >= 1.0 else resasc * ratio ** 1.5
+        if resabs > _UFLOW / (50.0 * _EPMACH):
+            abserr = max((_EPMACH * 50.0) * resabs, abserr)
+        errbnd = max(_EPSABS, _EPSREL * abs(result))
+        roundoff = abserr <= 100.0 * _EPMACH * resabs and abserr > errbnd
+        done = (abserr <= errbnd and abserr != resasc) or abserr == 0.0
+        out.append(result if math.isfinite(result) and not roundoff and done else None)
+    return out
 
 
 def _without_overrides(ctx: LevyContext) -> LevyContext:
@@ -397,40 +400,36 @@ def _without_overrides(ctx: LevyContext) -> LevyContext:
     return replace(ctx, path=ParameterPath(ctx.path.components))
 
 
-def _stretch_integral(ctx: LevyContext, h: Callable, piece, lo, hi) -> float:
-    """int_(lo, hi] h(eta(z)) a_0(z) dz on one base piece: one :func:`_gk21`
-    pass with ``h`` on the batch of eta at its nodes, else :func:`checked_quad`
-    with ``h`` on one eta per node.
-
-    The fallback takes every case the pass does not: an infinite end, an
-    invalid or non-finite value at a node, and an error estimate that would
-    make QUADPACK subdivide.
-    """
+def _stretch_integral(ctx: LevyContext, h: Callable, x, piece, lo, hi) -> np.ndarray:
+    """int_(lo, hi] h(eta(z), x) a_0(z) dz on one base piece at each point of x: one
+    :func:`_gk21` pass over every point, then :func:`checked_quad` with h on one eta
+    per node for each point it declines, such as every point on an infinite stretch."""
+    points = x.ravel().tolist()
+    passes = [None] * len(points)
     if math.isfinite(hi):
         try:
             with np.errstate(all="ignore"):
-                val = _gk21(lambda zs: h(ctx.path.eval_many(zs).T) * piece.value(zs), lo, hi)
+                passes = _gk21(lambda zs: h(ctx.path.eval_many(zs).T, x) * piece.value(zs), lo, hi)
         except CrmError:
-            val = None
-        if val is not None:
-            return val
-    return checked_quad(lambda z: h(ctx.path.eval(z)) * piece.value(z), lo, hi)
+            pass
+    return np.array([
+        checked_quad(lambda z: h(ctx.path.eval(z), p) * piece.value(z), lo, hi) if v is None else v
+        for v, p in zip(passes, points)
+    ]).reshape(x.shape)
 
 
-def _z_integral(ctx: LevyContext, h: Callable, t: float) -> float:
-    """int_(0, t] h(eta(z)) dA_0(z), split at breakpoints, atoms exact.
+def _z_integral(ctx: LevyContext, h: Callable, t: float, x) -> float | np.ndarray:
+    """int_(0, t] h(eta(z), x) dA_0(z) at each point of x, split at breakpoints, atoms
+    exact: of shape ``np.shape(x)``, or the float 0.0 where nothing adds to it.
 
-    ``h`` maps one eta (shape (l,)) to a float and a batch (shape (l, m), one
-    eta per column) to the same doubles, column by column.  On a stretch
-    between cuts where every path component is one ``const`` piece, eta is
-    one constant and the integral is h(eta) A_0(stretch); h does not run
-    where that mass is 0.  Any other stretch takes, per overlapping base
-    piece, one 21-point Gauss-Kronrod pass over a batch of eta
-    (:func:`_gk21`), and falls back to :func:`checked_quad` only where
-    QUADPACK would not stop after that pass.  Atom overrides act only through
-    the base point masses at their locations.  The callers check t > 0.
+    ``h`` maps one eta (shape (l,)) to shape ``np.shape(x)`` and a batch (shape
+    (l, m)) to ``np.shape(x) + (m,)``, each entry that eta's and point's double.
+    A stretch where every path component is one ``const`` piece gives h(eta, x)
+    A_0(stretch), h not run where that mass is 0; any other takes
+    :func:`_stretch_integral` per base piece.  Atom overrides act only through
+    the base point masses.  The callers check t > 0.
     """
-    total = 0.0
+    total, x = 0.0, np.asarray(x, dtype=float)
     plain = _without_overrides(ctx)
     cuts = _cuts(ctx, 0.0, t)
     for a, b in zip(cuts, cuts[1:]):
@@ -438,25 +437,29 @@ def _z_integral(ctx: LevyContext, h: Callable, t: float) -> float:
         if all(p is not None and p.kind == "const" for p in pieces):
             mass = ctx.base.density.integral(a, b)
             if mass != 0.0:
-                total += h(np.array([p.c0 for p in pieces])) * mass
+                total += h(np.array([p.c0 for p in pieces]), x) * mass
             continue
         for piece in ctx.base.density.pieces:
             lo, hi = max(a, piece.lo), min(b, piece.hi)
             if lo < hi:
-                total += _stretch_integral(plain, h, piece, lo, hi)
+                total += _stretch_integral(plain, h, x, piece, lo, hi)
     for loc, mass in ctx.base.jumps_in(0.0, t):
         if mass > 0:
-            total += mass * h(ctx.path.eval(loc))
-    return float(total)
+            total += mass * h(ctx.path.eval(loc), x)
+    return total
 
 
-def levy_density_s(ctx: LevyContext, t: float, s: float) -> float:
-    """Levy density at s in the family coordinate, over the window (0, t]."""
+def levy_density_s(ctx: LevyContext, t: float, s):
+    """Levy density dL_t(s) in the family coordinate over (0, t]: a float at one s, at an
+    array of s an array of the doubles each s alone gives, from one walk over the
+    locations.  The first s outside the family support raises :class:`SupportError`."""
     if not (t > 0):
         raise CrmError(f"time must be positive, got t={t}")
     if not ctx.family.support.contains(s):
-        raise SupportError(f"s={s} outside the family support")
-    return _z_integral(ctx, lambda eta: np.exp(expfam._log_density_many(ctx.family, eta, s)), t)
+        bad = next(v for v in np.ravel(s) if not ctx.family.support.contains(v))
+        raise SupportError(f"s={bad} outside the family support")
+    density = _z_integral(ctx, lambda eta, x: np.exp(expfam._log_density_many(ctx.family, eta, x)), t, s)
+    return density + np.zeros(np.shape(s)) if np.ndim(s) else float(density)
 
 
 def levy_integrand(ctx: LevyContext, z: float, s: float) -> float:
@@ -469,33 +472,35 @@ def levy_integrand(ctx: LevyContext, z: float, s: float) -> float:
     return float(expfam.density(ctx.family, eta, s) * ctx.base.density(z))
 
 
-def _inverse_statistic(ctx: LevyContext, u: float) -> tuple[float, float] | None:
-    """(s, |ds/du|) at u = T_k(s), or None where the inverse overflows.
-
-    Such a u is in the image but in the deep tail, where the density is 0.
-    """
+def _pushforward(ctx: LevyContext, u, density_s: Callable):
+    """density_s(s) |ds/du| at s = T_k^{-1}(u), at one u (a float) or an array, from one
+    ``density_s`` call: at s of u's shape, or, where the inverse or its derivative overflows
+    (the deep tail, 0.0), at the others.  The first u outside the image raises SupportError."""
     stat = ctx.stat()
     if stat.inverse is None or stat.inverse_deriv is None:
         raise CrmError(f"statistic {stat.name!r} has no declared inverse")
-    if not stat.in_image(u):
-        raise SupportError(f"u={u} outside the image {stat.image} of statistic {stat.name!r}")
+    us = np.asarray(u, dtype=float)
+    if not stat.in_image(us).all():
+        bad = next(v for v in us.flat if not stat.in_image(v))
+        raise SupportError(f"u={bad} outside the image {stat.image} of statistic {stat.name!r}")
     with np.errstate(over="ignore"):
-        s = float(stat.inverse(u))
-        jac = abs(float(stat.inverse_deriv(u)))
-    if not (np.isfinite(s) and np.isfinite(jac)):
-        return None
-    return s, jac
+        s, jac = stat.inverse(us), np.abs(stat.inverse_deriv(us))
+    keep = np.isfinite(s) & np.isfinite(jac)
+    if keep.all():  # at u's own shape, so one u takes the one-point path
+        return density_s(s) * jac if us.ndim else float(density_s(s) * jac)
+    out = np.zeros(us.shape)
+    if keep.any():
+        out[keep] = density_s(s[keep]) * jac[keep]
+    return out if us.ndim else float(out)
 
 
-def levy_density_u(ctx: LevyContext, t: float, u: float) -> float:
-    """Levy density in the weight coordinate u = T_k(s) (pushforward form)."""
+def levy_density_u(ctx: LevyContext, t: float, u):
+    """The pushforward of :func:`levy_density_s` to the weight coordinate
+    u = T_k(s), at one u or an array alike: 0.0 where the inverse overflows,
+    and the first u outside the image raises :class:`SupportError`."""
     if not (t > 0):
         raise CrmError(f"time must be positive, got t={t}")
-    inverse = _inverse_statistic(ctx, u)
-    if inverse is None:
-        return 0.0
-    s, jac = inverse
-    return levy_density_s(ctx, t, s) * jac
+    return _pushforward(ctx, u, lambda s: levy_density_s(ctx, t, s))
 
 
 def stat_laplace(family: ExpFamilySpec, eta, k: int, theta: float) -> float | np.ndarray:
@@ -526,7 +531,7 @@ def laplace_exponent(ctx: LevyContext, t: float, theta: float) -> float:
     if theta == 0.0 or t == 0.0:
         return 0.0
 
-    return _z_integral(ctx, lambda eta: 1.0 - stat_laplace(ctx.family, eta, ctx.k, theta), t)
+    return float(_z_integral(ctx, lambda eta, th: 1.0 - stat_laplace(ctx.family, eta, ctx.k, th), t, theta))
 
 
 @dataclass(frozen=True)
@@ -534,7 +539,7 @@ class FiniteActivity:
     """Finite total mass; when proportional to t, compound-Poisson data.
 
     ``rate`` is M(t)/t and ``weight_density`` the normalized weight density
-    sigma(u); for the null measure the rate is 0 and the density None.
+    sigma(u) at one u or an array; for the null measure rate 0 and density None.
     """
 
     total_mass: float
@@ -604,8 +609,9 @@ def classify_activity(ctx: LevyContext, t: float):
     pieces and a sampled one for ``func`` pieces.
 
     Returns FiniteActivity (rate M(t)/t and the normalized weight density
-    p(T_k^{-1}(u) | eta) |dT_k^{-1}/du| at the one eta) when proportional,
-    NotTimeHomogeneous with up to five z witnesses otherwise.
+    p(T_k^{-1}(u) | eta) |dT_k^{-1}/du| at the one eta, the pushforward of
+    :func:`levy_density_u`) when proportional, NotTimeHomogeneous with up to
+    five z witnesses otherwise.
     """
     if not (t > 0):
         raise CrmError(f"time must be positive, got t={t}")
@@ -629,16 +635,10 @@ def classify_activity(ctx: LevyContext, t: float):
 
     bound = ctx.family.at([comp(t) for comp in ctx.path.components])
 
-    def sigma(u):
-        inverse = _inverse_statistic(ctx, float(u))
-        if inverse is None:
-            return 0.0
-        s, jac = inverse
-        return float(bound.density(s)) * jac
-
-    return FiniteActivity(total_mass=mass, rate=mass / t, weight_density=sigma)
+    return FiniteActivity(mass, mass / t, weight_density=lambda u: _pushforward(ctx, u, bound.density))
 
 
 def density_table(ctx: LevyContext, t: float, us: Sequence[float]):
-    """Rows (t, u, dL_t(u)) for CSV dumps."""
-    return [(float(t), float(u), levy_density_u(ctx, t, float(u))) for u in us]
+    """Rows (t, u, dL_t(u)) for CSV dumps, from one :func:`levy_density_u` call."""
+    values = levy_density_u(ctx, t, np.asarray(us, dtype=float))
+    return [(float(t), float(u), v) for u, v in zip(us, values.tolist())]

@@ -103,6 +103,19 @@ class Piece:
         integral from a to b is L (b - a) + K ln(y_b / y_a), y = d0 + d1 z."""
         return self.c1 / self.d1, (self.c0 * self.d1 - self.c1 * self.d0) / (self.d1 * self.d1)
 
+    def nonnegative(self) -> bool:
+        """Whether a const, affine or ratio piece is >= 0 on (lo, hi), exactly: a ratio's
+        denominator must not vanish inside, and with its sign s there, s (c0 + c1 z)
+        is affine like the other kinds, so its limits at the two ends decide."""
+        sign = 1.0
+        if self.kind == "ratio":
+            pole = -self.d0 / self.d1
+            if self.lo < pole < self.hi:
+                return False
+            sign = math.copysign(1.0, self.d1 if pole <= self.lo else -self.d1)
+        a, b = sign * self.c0, sign * self.c1
+        return all((a + b * z if b else a) >= 0 for z in (self.lo, self.hi))
+
     def integral(self, a, b):
         """Integral over [a, b] intersected with the piece, exact when closed-form.
 
@@ -195,8 +208,7 @@ class PiecewiseFunction:
 
     def breakpoints(self):
         """All finite piece boundaries, ascending."""
-        pts = {p.lo for p in self.pieces} | {p.hi for p in self.pieces}
-        return sorted(x for x in pts if np.isfinite(x))
+        return sorted({x for p in self.pieces for x in (p.lo, p.hi) if math.isfinite(x)})
 
     def piece_at(self, z):
         for p in self.pieces:

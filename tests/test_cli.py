@@ -318,6 +318,70 @@ def test_sample_refuses_a_nan_family_scale_at_its_pointer(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "piece, want",
+    [
+        ({"from": 0.0, "to": 2.0, "affine": [1, -1]}, "affine piece on (0.0, 2.0]"),
+        ({"from": 0.0, "const": -1}, "const piece on (0.0, inf]"),
+        ({"from": 0.0, "to": 2.0, "ratio": [1, 0, -1, 1]}, "ratio piece on (0.0, 2.0]"),
+    ],
+    ids=["affine", "const", "ratio-pole"],
+)
+def test_sample_refuses_a_negative_base_density_at_its_pointer(tmp_path, capsys, piece, want):
+    obj = json.loads((CONFIG_DIR / "gamma.json").read_text())
+    obj["components"][0]["base"] = {"pieces": [piece]}
+    config = tmp_path / "negative.json"
+    config.write_text(json.dumps(obj))
+    out = tmp_path / "run"
+    assert run("sample", "--config", config, "--seed", 1, "--out", out) == 2
+    assert capsys.readouterr().err == f"config error: /components/0/base: base density {want} must be nonnegative\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "series, want",
+    [
+        ({"alpha": {"const": "x"}}, "/pareto_series/alpha/const: expected a number"),
+        ({"alpha": {"const": None}}, "/pareto_series/alpha/const: expected a number"),
+        ({"alpha": {"const": True}}, "/pareto_series/alpha/const: expected a number"),
+        ({"alpha": {"const": 0}}, "/pareto_series/alpha: alpha(z) = 0.0 + 0.0 z must be positive on (0.25, 1.0]"),
+        ({"alpha": {"const": -1}}, "/pareto_series/alpha: alpha(z) = -1.0 + 0.0 z must be positive on (0.25, 1.0]"),
+        (
+            {"alpha": {"affine": [2.0, -4.0]}},
+            "/pareto_series/alpha: alpha(z) = 2.0 + -4.0 z must be positive on (0.25, 1.0]",
+        ),
+        ({"scale": "1"}, "/pareto_series/scale: expected a number"),
+    ],
+    ids=["const-string", "const-null", "const-bool", "const-zero", "const-negative", "affine-crosses-0", "scale"],
+)
+def test_sample_refuses_a_bad_pareto_series_number_at_its_pointer(tmp_path, capsys, series, want):
+    obj = json.loads((CONFIG_DIR / "pareto_series.json").read_text())
+    obj["pareto_series"].update(series)
+    config = tmp_path / "series.json"
+    config.write_text(json.dumps(obj))
+    out = tmp_path / "run"
+    assert run("sample", "--config", config, "--seed", 1, "--out", out) == 2
+    assert capsys.readouterr().err == f"config error: {want}\n"
+    assert not out.exists()
+
+
+def test_sample_refuses_a_loglog_scale_whose_exponential_overflows(tmp_path, capsys):
+    obj = json.loads((CONFIG_DIR / "gamma.json").read_text())
+    component = obj["components"][0]
+    component.update(family={"name": "pareto_loglog", "params": {"scale": 710.0}}, k=1)
+    component.update(path=[[{"from": 0.0, "const": -2.0}], [{"from": 0.0, "const": -2.5}]])
+    component["enforce_conditions"] = False
+    config = tmp_path / "loglog.json"
+    config.write_text(json.dumps(obj))
+    out = tmp_path / "run"
+    assert run("sample", "--config", config, "--seed", 1, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "config error: /components/0/family: pareto(log-log): scale must be below "
+        "ln(max double) = 709.782712893384, got 710.0\n"
+    )
+    assert not out.exists()
+
+
 def test_sample_nan_zmax_exits_2_naming_it(tmp_path, capsys):
     rc = run(
         "sample", "--config", CONFIG_DIR / "gamma.json",

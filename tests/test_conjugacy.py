@@ -226,6 +226,25 @@ def test_posterior_levy_density_matches_updated_family():
     assert post_ctx.path.eval(0.5) == pytest.approx(eta_post)
 
 
+def test_posterior_levy_density_over_an_array_of_u_builds_one_context(monkeypatch):
+    pair = conj.make_pair("gamma-poisson")
+    ctx = LevyContext.build(
+        pair.prior_family, ParameterPath.constant([2.0, 3.0]), BaseMeasure.lebesgue(1.0), k=2
+    )
+    ys, us = [2.0, 0.0, 5.0], (0.2, 0.8, 2.0)
+    singles = [conj.posterior_levy_density(pair, ctx, ys, t=1.0, u=u) for u in us]
+    build, calls = LevyContext.build, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(LevyContext, "build", counted)
+    got = conj.posterior_levy_density(pair, ctx, ys, t=1.0, u=np.array(us))
+    assert len(calls) == 1
+    assert got.tolist() == singles
+
+
 def test_density_ratio_identity():
     # p(x | tau(eta)) / p(x | eta) = exp(<delta, T(x)> - (A(tau) - A(eta)))
     pair = conj.make_pair("gamma-lognormal")

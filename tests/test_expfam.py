@@ -34,10 +34,23 @@ def test_registry_contents():
         ("pareto", {"scale": math.inf}, "pareto: scale must be positive and finite, got inf"),
         ("pareto_loglog", {"scale": math.nan}, "pareto(log-log): scale must be positive and finite, got nan"),
         ("pareto_loglog", {"scale": -1.0}, "pareto(log-log): scale must be positive and finite, got -1.0"),
+        (
+            "pareto_loglog",
+            {"scale": 710.0},
+            "pareto(log-log): scale must be below ln(max double) = 709.782712893384, got 710.0",
+        ),
+        (
+            "pareto_loglog",
+            {"scale": 709.782712893384},
+            "pareto(log-log): scale must be below ln(max double) = 709.782712893384, got 709.782712893384",
+        ),
         ("lognormal", {"mu": math.nan}, "lognormal: mu must be finite, got nan"),
         ("lognormal", {"mu": -math.inf}, "lognormal: mu must be finite, got -inf"),
     ],
-    ids=["pareto-nan", "pareto-inf", "loglog-nan", "loglog-negative", "lognormal-nan", "lognormal-inf"],
+    ids=[
+        "pareto-nan", "pareto-inf", "loglog-nan", "loglog-negative", "loglog-overflow",
+        "loglog-ln-max", "lognormal-nan", "lognormal-inf",
+    ],
 )
 def test_make_family_refuses_a_non_finite_parameter(name, params, message):
     with pytest.raises(CrmError) as exc:

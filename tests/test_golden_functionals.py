@@ -10,6 +10,7 @@ are the exact base masses A_0((0, t]).
 
 import math
 
+import numpy as np
 import pytest
 import scipy.integrate
 
@@ -202,13 +203,14 @@ def test_each_non_constant_stretch_takes_the_pass_and_equals_checked_quad(
     stretch_integral = levy._stretch_integral
     compared = []
 
-    def against_checked_quad(ctx, h, piece, lo, hi):
-        got = stretch_integral(ctx, h, piece, lo, hi)  # quad is refused here
+    def against_checked_quad(ctx, h, x, piece, lo, hi):
+        got = stretch_integral(ctx, h, x, piece, lo, hi)  # quad is refused here
         with monkeypatch.context() as m:
             m.setattr(scipy.integrate, "quad", quad)
-            want = checked_quad(lambda z: h(ctx.path.eval(z)) * piece.value(z), lo, hi)
+            for point, value in zip(np.ravel(x).tolist(), np.ravel(got).tolist()):
+                want = checked_quad(lambda z: h(ctx.path.eval(z), point) * piece.value(z), lo, hi)
+                assert value == pytest.approx(want, rel=1e-13, abs=0.0)
         compared.append((lo, hi))
-        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
         return got
 
     monkeypatch.setattr(scipy.integrate, "quad", _refuse_quad)
@@ -219,6 +221,38 @@ def test_each_non_constant_stretch_takes_the_pass_and_equals_checked_quad(
     laplace_exponent(ctx, *laplace_at)
     density_table(ctx, *table_at)
     assert compared
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_a_batch_of_u_gives_each_one_point_double(contexts, name):
+    ctx = contexts[name]
+    (t, u), _, (t_table, us), _ = CALLS[name]
+    for t in (t, t_table):
+        singles = [levy_density_u(ctx, t, point) for point in (u, *us)]
+        assert levy_density_u(ctx, t, np.array((u, *us))).tolist() == singles
+
+
+def test_a_batch_whose_pass_declines_some_points_runs_quad_for_those_alone(contexts, monkeypatch):
+    ctx = contexts["pareto_affine"]
+    us = (0.1, 1.0, 6.0)
+    passes, quads = [], []
+    gk21, quad = levy._gk21, scipy.integrate.quad
+
+    def spied_gk21(*args):
+        passes.append(gk21(*args))
+        return passes[-1]
+
+    def spied_quad(f, a, b, **kwargs):
+        quads.append((a, b))
+        return quad(f, a, b, **kwargs)
+
+    monkeypatch.setattr(levy, "_gk21", spied_gk21)
+    monkeypatch.setattr(scipy.integrate, "quad", spied_quad)
+    batch = levy_density_u(ctx, 2.5, np.array(us))
+    # one stretch (0, 2.5]: the pass takes the first two u, quad the last alone
+    assert [[v is None for v in p] for p in passes] == [[False, False, True]]
+    assert quads == [(0.0, 2.5)]
+    assert batch.tolist() == [levy_density_u(ctx, 2.5, u) for u in us]
 
 
 def test_loglog_moment_oracle_keeps_its_bits():

@@ -43,6 +43,46 @@ def test_base_measure_validation():
             BaseMeasure(PiecewiseFunction.constant(1.0), jumps=(jump,))
 
 
+@pytest.mark.parametrize(
+    "piece",
+    [
+        Piece(0.0, math.inf, "const", c0=-1.0),
+        Piece(0.0, 2.0, "affine", c0=1.0, c1=-1.0),
+        Piece(0.0, math.inf, "affine", c0=5.0, c1=-1e-9),
+        Piece(0.0, 2.0, "ratio", c0=1.0, d0=-1.0, d1=1.0),  # 1/(z - 1): a pole inside
+        Piece(0.0, 1.0, "ratio", c0=-1.0, d0=0.0, d1=2.0),  # -1/(2z): a pole on its left end
+        Piece(0.0, 1.0, "ratio", c0=-1.0, d0=1.0, d1=-1.0),  # -1/(1 - z): a pole on its right end
+        Piece(0.0, math.inf, "ratio", c0=2.0, c1=-1.0, d0=1.0, d1=1.0),  # (2 - z)/(1 + z)
+    ],
+    ids=["const", "affine", "affine-tail", "ratio-inner-pole", "ratio-left-pole", "ratio-right-pole", "ratio-tail"],
+)
+def test_a_negative_base_density_is_refused_where_the_base_is_made(piece):
+    with pytest.raises(CrmError) as exc:
+        BaseMeasure(PiecewiseFunction([piece]))
+    assert str(exc.value) == f"base density {piece.kind} piece on ({piece.lo}, {piece.hi}] must be nonnegative"
+
+
+def test_a_base_density_that_is_nonnegative_or_a_func_builds():
+    with pytest.raises(CrmError, match="const piece on"):
+        BaseMeasure.lebesgue(-1.0)
+    # 1/(2z) from 0 and 1/(1 - z) up to 1: a pole on an end builds, and its mass diverges
+    for piece in (
+        Piece(0.0, 1.0, "ratio", c0=1.0, d0=0.0, d1=2.0),
+        Piece(0.0, 1.0, "ratio", c0=1.0, d0=1.0, d1=-1.0),
+    ):
+        with pytest.raises(DivergenceError):
+            BaseMeasure(PiecewiseFunction([piece])).increment(0.0, 1.0)
+    for piece in (
+        Piece(0.0, 1.0, "affine", c0=1.0, c1=-1.0),  # 0 at its right end
+        Piece(0.0, math.inf, "affine", c0=0.0, c1=2.0),
+        Piece(1.0, 2.0, "ratio", c0=-1.0, c1=1.0, d0=1.0, d1=1.0),  # (z - 1)/(z + 1), 0 at 1
+        Piece(0.0, 1.5, "ratio", c0=-1.0, c1=-2.0, d0=-1.0, d1=-0.5),  # a negative denominator
+        Piece(0.0, math.inf, "ratio", c0=2.0, c1=2.0, d0=1.0, d1=1.0),  # the constant 2
+        Piece(0.0, 1.0, "func", func=lambda z: -1.0),  # not checked
+    ):
+        BaseMeasure(PiecewiseFunction([piece]))
+
+
 def test_base_measure_window_convention():
     base = BaseMeasure(PiecewiseFunction.constant(0.0), jumps=((1.0, 2.0),))
     # jumps land in half-open windows (a, b]: the jump at 1 belongs to (0, 1]
@@ -331,12 +371,15 @@ def test_classify_finite_activity(gamma_const_ctx):
         act = classify_activity(ctx, t)
         assert isinstance(act, FiniteActivity), (family, k, act)
         assert (act.total_mass, act.rate) == (mass, mass / t)
-        # the closed-form pushforward is dL_t(u) normalized by the mass
-        for s in (0.3, 0.6):
-            u = float(ctx.stat().value(s))
+        # the closed-form pushforward is dL_t(u) normalized by the mass, at
+        # one u or over an array of u
+        us = np.array([float(ctx.stat().value(s)) for s in (0.3, 0.6)])
+        for u in us:
             assert act.weight_density(u) == pytest.approx(
                 levy_density_u(ctx, t, u) / mass, rel=1e-10
             )
+        np.testing.assert_allclose(act.weight_density(us), levy_density_u(ctx, t, us) / mass, rtol=1e-10)
+        assert act.weight_density(us).tolist() == [act.weight_density(u) for u in us]
 
 
 def test_classify_not_time_homogeneous(pareto_linear_ctx):
@@ -715,15 +758,19 @@ def test_a_tilt_leaving_the_natural_space_inside_an_affine_stretch_diverges():
 def test_the_qk21_port_returns_quads_double_where_quad_stops_after_21_nodes(f, a, b):
     val, _, info = scipy.integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-10, limit=300, full_output=1)
     assert info["neval"] == 21
-    assert levy._gk21(lambda zs: f(zs), a, b) == val
+    assert levy._gk21(lambda zs: f(zs), a, b) == [val]
 
 
 def test_the_qk21_port_declines_where_quad_subdivides():
     f = lambda z: 1.0 / math.sqrt(z)
     _, _, info = scipy.integrate.quad(f, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=300, full_output=1)
     assert info["neval"] > 21
-    assert levy._gk21(lambda zs: 1.0 / np.sqrt(zs), 0.0, 1.0) is None
-    assert levy._gk21(lambda zs: np.full(zs.shape, math.nan), 0.0, 1.0) is None
+    assert levy._gk21(lambda zs: 1.0 / np.sqrt(zs), 0.0, 1.0) == [None]
+    assert levy._gk21(lambda zs: np.full(zs.shape, math.nan), 0.0, 1.0) == [None]
+    # one row per point: each row is declined or accepted on its own values
+    want = scipy.integrate.quad(np.exp, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=300)[0]
+    rows = lambda zs: np.stack([1.0 / np.sqrt(zs), np.exp(zs), np.full(zs.shape, math.nan)])
+    assert levy._gk21(rows, 0.0, 1.0) == [None, want, None]
 
 
 @pytest.mark.parametrize("t", [math.nan, -1.0])
@@ -753,3 +800,64 @@ def test_a_nan_window_end_is_refused_naming_the_window(gamma_unit_ctx, window):
     a, b = window
     with pytest.raises(CrmError, match=rf"base measure window \({a}, {b}\] has a NaN end"):
         gamma_unit_ctx.base.increment(a, b)
+
+
+def _affine(c0, c1):
+    return PiecewiseFunction([Piece(0.0, math.inf, "affine", c0=c0, c1=c1)])
+
+
+_SHAPE_PATH = [_affine(2.0, 0.5), PiecewiseFunction.constant(3.0)]
+_LOGLOG_FACE = [PiecewiseFunction.constant(-1.0), _affine(-2.5, -0.5)]
+
+# name: (family, path, k, t, us, whether the inverse overflows at the last u);
+# each path is affine in z, so each stretch takes the 21-point pass
+_INVERTIBLE = {
+    "beta_k1": ("beta", _SHAPE_PATH, 1, 1.5, (-3.0, -0.7, -0.05), False),
+    "beta_k2": ("beta", _SHAPE_PATH, 2, 1.5, (-3.0, -0.7, -0.05), False),
+    "gamma_k1": ("gamma", _SHAPE_PATH, 1, 1.5, (-2.0, 0.0, 1.0, 800.0), True),
+    "gamma_k2": ("gamma", _SHAPE_PATH, 2, 1.5, (0.1, 1.0, 3.0), False),
+    "pareto": ("pareto", [_affine(-3.0, -1.0)], 1, 1.5, (0.1, 1.0, 4.0, 800.0), True),
+    "loglog_k1": ("pareto_loglog", _LOGLOG_FACE, 1, 1.5, (1.1, 2.0, 3.5, 800.0), True),
+    "loglog_k2": ("pareto_loglog", _LOGLOG_FACE, 2, 1.5, (0.1, 0.7, 1.2, 7.0), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INVERTIBLE))
+def test_a_batch_of_u_gives_each_one_point_double(name):
+    family, path, k, t, us, overflows = _INVERTIBLE[name]
+    ctx = LevyContext.build(
+        make_family(family), ParameterPath(path), BaseMeasure.lebesgue(1.0), k=k, require_conditions=False
+    )
+    singles = [levy_density_u(ctx, t, u) for u in us]
+    assert all(type(v) is float for v in singles)
+    assert all(v > 0 for v in singles[:-1]) and (singles[-1] == 0.0) == overflows
+    batch = levy_density_u(ctx, t, np.array(us))
+    assert batch.shape == (len(us),) and batch.tolist() == singles
+    s = np.array([float(ctx.stat().inverse(u)) for u in us[:-1]])
+    assert levy_density_s(ctx, t, s).tolist() == [levy_density_s(ctx, t, x) for x in s]
+    assert [row[2] for row in density_table(ctx, t, us)] == singles
+
+
+def test_a_batch_raises_the_one_point_error_of_its_first_bad_point(gamma_const_ctx):
+    for fn, bad, good in ((levy_density_u, -1.0, 0.5), (levy_density_s, -0.5, 0.5)):
+        with pytest.raises(SupportError) as one:
+            fn(gamma_const_ctx, 1.0, bad)
+        with pytest.raises(SupportError) as batch:
+            fn(gamma_const_ctx, 1.0, np.array([good, bad, bad - 1.0]))
+        assert str(batch.value) == str(one.value)
+
+
+def test_density_table_walks_the_locations_once(monkeypatch):
+    ctx = LevyContext.build(make_family("gamma"), _AFFINE_RATE, BaseMeasure.lebesgue(1.0), k=2)
+    us = (0.2, 0.7, 1.5, 2.5)
+    calls = []
+    z_integral = levy._z_integral
+
+    def counted(*args):
+        calls.append(args)
+        return z_integral(*args)
+
+    monkeypatch.setattr(levy, "_z_integral", counted)
+    rows = density_table(ctx, 1.0, us)
+    assert len(calls) == 1
+    assert rows == [(1.0, u, levy_density_u(ctx, 1.0, u)) for u in us]
