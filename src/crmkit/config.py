@@ -71,7 +71,7 @@ def _need(obj, key, kind, ptr):
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise ConfigError("expected a number", f"{ptr}/{key}")
         return float(val)
-    if not isinstance(val, kind):
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):  # JSON true is no int
         raise ConfigError(f"expected {kind.__name__}", f"{ptr}/{key}")
     return val
 

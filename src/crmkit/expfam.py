@@ -698,7 +698,8 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
             density = math.exp((a - 1.0) * math.log(x + t) - x - t - log_top)
             return ((log_u + math.log1p(t / x)) / d) ** m * density
 
-        return d ** m * checked_quad(integrand, 0.0, _INF)
+        # one node at a time: math's functions and ** keep their own doubles
+        return d ** m * checked_quad(lambda ts: np.array([integrand(t) for t in ts.tolist()]), 0.0, _INF)
 
     def tail(eta, w):
         """P(W > w), W = ln X, for w >= u_m."""

@@ -18,11 +18,12 @@ density table is one walk over the locations.  Location integrals split
 exactly at piece breakpoints and add atoms of A_0 exactly over (0, t] (a
 jump at t counts, one at 0 does not).  Where eta is one constant on a
 stretch the integral is h(eta, x) A_0(stretch).  Any other stretch takes,
-per base piece, one 21-point Gauss-Kronrod pass (QUADPACK's ``qk21``) with h
-on a batch of eta at its nodes and every point, and falls back to
-:func:`~crmkit.piecewise.checked_quad` with h on one eta per node only for a
-point where QUADPACK would not stop after that pass: each value is the
-double ``quad`` gives, at one point or in any array.
+per base piece, one 21-point Gauss-Kronrod pass (QUADPACK's ``qk21``,
+:func:`~crmkit.quadpack.first_pass`) with h on a batch of eta at its nodes
+and every point, and runs :func:`~crmkit.piecewise.checked_quad`, QUADPACK's
+adaptive routine, on the same integrand at one point only where QUADPACK
+would not stop after that pass: each value is the double QUADPACK gives, at
+one point or in any array.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ import numpy as np
 from . import expfam
 from .errors import ConditionError, CrmError, DivergenceError, NaturalSpaceError, SupportError
 from .expfam import ExpFamilySpec, ParameterPath
-from .piecewise import _EPSABS, _EPSREL, PiecewiseFunction, checked_quad
+from .piecewise import PiecewiseFunction, checked_quad
+from .quadpack import first_pass
 
 __all__ = [
     "BaseMeasure",
@@ -309,89 +311,6 @@ def _cuts(ctx: LevyContext, lo: float, hi: float) -> list[float]:
     return sorted({lo, hi, *inner})
 
 
-# QUADPACK dqk21 (Piessens et al. 1983): the 10-point Gauss rule's abscissae
-# are _XGK[1::2], their weights _WG; the 21-point Kronrod rule adds _XGK[0::2]
-# and the centre, with weights _WGK (the centre's last)
-_XGK = np.array((
-    0.995657163025808080735527280689003,
-    0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508,
-    0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042,
-    0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694,
-    0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866,
-    0.148874338981631210884826001129720,
-))
-_WGK = (
-    0.011694638867371874278064396062192,
-    0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580,
-    0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366,
-    0.109387158802297641899210590325805,
-    0.123491976262065851077958109831074,
-    0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717,
-    0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-)
-_WG = (
-    0.066671344308688137593568809893332,
-    0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163,
-    0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-)
-_EPMACH = 2.220446049250313e-16  # d1mach(4)
-_UFLOW = 2.2250738585072014e-308  # d1mach(1)
-
-
-def _gk21(f_many: Callable, a: float, b: float) -> list:
-    """QUADPACK's first pass over finite (a, b) per point, or None where it would go on.
-
-    ``f_many`` maps the 21 nodes to one row of 21 values per point (shape
-    (..., 21)).  Each row's sums and error estimate are ``dqk21``'s, in its
-    order, in Python floats; under ``dqagse``'s first-pass rule at
-    ``checked_quad``'s tolerances the result is the double ``quad`` returns
-    after 21 evaluations, else None."""
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    absc = hlgth * _XGK
-    rows = f_many(np.concatenate(([centr], centr - absc, centr + absc))).reshape(-1, 21)
-    out = []
-    for fc, *fv in rows.tolist():
-        fv1, fv2 = fv[:10], fv[10:]
-        resg = 0.0
-        resk = _WGK[10] * fc
-        resabs = abs(resk)
-        for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss pairs, then the Kronrod-only ones
-            fsum = fv1[j] + fv2[j]
-            if j % 2:
-                resg += _WG[j // 2] * fsum
-            resk += _WGK[j] * fsum
-            resabs += _WGK[j] * (abs(fv1[j]) + abs(fv2[j]))
-        reskh = resk * 0.5
-        resasc = _WGK[10] * abs(fc - reskh)
-        for j in range(10):
-            resasc += _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
-        result = resk * hlgth
-        resabs *= abs(hlgth)
-        resasc *= abs(hlgth)
-        abserr = abs((resk - resg) * hlgth)
-        if resasc != 0.0 and abserr != 0.0:
-            ratio = 200.0 * abserr / resasc  # min(1, ratio^1.5) without overflow
-            abserr = resasc if ratio >= 1.0 else resasc * ratio ** 1.5
-        if resabs > _UFLOW / (50.0 * _EPMACH):
-            abserr = max((_EPMACH * 50.0) * resabs, abserr)
-        errbnd = max(_EPSABS, _EPSREL * abs(result))
-        roundoff = abserr <= 100.0 * _EPMACH * resabs and abserr > errbnd
-        done = (abserr <= errbnd and abserr != resasc) or abserr == 0.0
-        out.append(result if math.isfinite(result) and not roundoff and done else None)
-    return out
-
-
 def _without_overrides(ctx: LevyContext) -> LevyContext:
     """``ctx`` without its path's atom overrides, which act on the measure only
     through base point masses: densities in z read the path without them."""
@@ -402,19 +321,22 @@ def _without_overrides(ctx: LevyContext) -> LevyContext:
 
 def _stretch_integral(ctx: LevyContext, h: Callable, x, piece, lo, hi) -> np.ndarray:
     """int_(lo, hi] h(eta(z), x) a_0(z) dz on one base piece at each point of x: one
-    :func:`_gk21` pass over every point, then :func:`checked_quad` with h on one eta
-    per node for each point it declines, such as every point on an infinite stretch."""
+    :func:`~crmkit.quadpack.first_pass` over every point, then :func:`checked_quad` on
+    the same integrand at each point it declines, such as every point on an infinite
+    stretch."""
+    def at(points):
+        return lambda zs: h(ctx.path.eval_many(zs).T, points) * piece.value(zs)
+
     points = x.ravel().tolist()
     passes = [None] * len(points)
     if math.isfinite(hi):
         try:
             with np.errstate(all="ignore"):
-                passes = _gk21(lambda zs: h(ctx.path.eval_many(zs).T, x) * piece.value(zs), lo, hi)
+                passes = first_pass(at(x), lo, hi)
         except CrmError:
             pass
     return np.array([
-        checked_quad(lambda z: h(ctx.path.eval(z), p) * piece.value(z), lo, hi) if v is None else v
-        for v, p in zip(passes, points)
+        checked_quad(at(p), lo, hi) if v is None else v for v, p in zip(passes, points)
     ]).reshape(x.shape)
 
 

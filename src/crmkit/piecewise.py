@@ -11,13 +11,13 @@ breakpoint the left piece wins.  A function evaluates at a scalar or, with
 one mask per piece, over a whole array.
 
 Callable pieces integrate through :func:`checked_quad`, the package's one checked
-quadrature helper: it raises rather than return an unconverged value.  (The
-location integrals of :mod:`crmkit.levy` first try QUADPACK's 21-point
-pass, their one integrand taking a batch of eta at its nodes, and call it,
-the same integrand taking one eta per node, where that pass is not
-enough.)  A closed-form integral that is not finite (a nonzero piece over
-an unbounded interval, or a ratio piece whose denominator vanishes on it)
-raises :class:`DivergenceError`.
+quadrature helper: QUADPACK's adaptive quadrature (:mod:`crmkit.quadpack`)
+on an integrand that takes an array of nodes, raising rather than returning
+an unconverged value.  (The location integrals of :mod:`crmkit.levy` first
+take QUADPACK's first 21-point pass over a batch of points, and call it for
+a point where that pass is not enough.)  A closed-form integral that is not
+finite (a nonzero piece over an unbounded interval, or a ratio piece whose
+denominator vanishes on it) raises :class:`DivergenceError`.
 """
 
 from __future__ import annotations
@@ -28,38 +28,37 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import quadpack
 from .errors import CrmError, DivergenceError
 
 __all__ = ["Piece", "PiecewiseFunction", "checked_quad"]
 
 _INF = float("inf")
-# checked_quad's absolute and relative tolerances
-_EPSABS, _EPSREL = 1e-12, 1e-10
 
 
-def checked_quad(f: Callable[[float], float], a: float, b: float) -> float:
+def checked_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
     """Adaptive quadrature of f over (a, b) to 1e-12 absolute / 1e-10 relative.
 
-    Raises :class:`DivergenceError` carrying quad's value as the partial when
-    quad reports a problem (subdivision limit, roundoff, probable divergence)
-    or returns a non-finite value.  ``scipy.integrate`` is imported on the
-    first call, so a run that integrates only closed-form pieces never loads
-    it; ``quad`` is looked up on that module at each call.
+    ``f`` maps a 1-D array of nodes to their values; each subinterval's 21
+    nodes (15, or 30 on (-inf, inf), where an end is infinite) go to it in
+    one call.  The routine is QUADPACK's ``dqagse``/``dqagie`` (Piessens et al.
+    1983; :func:`crmkit.quadpack.qag`) with at most 300 subintervals: on the
+    doubles of a scalar integrand it returns what ``scipy.integrate.quad``
+    does.  Raises :class:`DivergenceError` carrying the estimate as the
+    partial when QUADPACK reports a problem (subdivision limit, roundoff,
+    bad integrand behaviour, probable divergence), naming it, or when the
+    value is not finite.
     """
     if not a < b:
         return 0.0
-    from scipy import integrate
-
-    val, _, _, *message = integrate.quad(
-        f, a, b, epsabs=_EPSABS, epsrel=_EPSREL, limit=300, full_output=1
-    )
-    if message:
+    val, _, _, ier = quadpack.qag(f, a, b)
+    if ier:
         raise DivergenceError(
-            f"integral over ({a}, {b}) did not stabilize: {message[0]}", partial=val
+            f"integral over ({a}, {b}) did not stabilize: {quadpack.REASONS[ier]}", partial=val
         )
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise DivergenceError(f"integral over ({a}, {b}) is not finite", partial=val)
-    return float(val)
+    return val
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,8 @@ class Piece:
             return (self.c0 + self.c1 * z) / (self.d0 + self.d1 * z)
         if np.isscalar(z):
             return float(self.func(z))
-        return np.array([float(self.func(zz)) for zz in np.asarray(z).ravel()]).reshape(np.shape(z))
+        # the callable takes Python floats, one node at a time
+        return np.array([float(self.func(zz)) for zz in np.ravel(z).tolist()]).reshape(np.shape(z))
 
     def _ratio_terms(self) -> tuple[float, float]:
         """(L, K) with (c0 + c1 z)/(d0 + d1 z) = L + K d1/(d0 + d1 z), so the
@@ -127,7 +127,7 @@ class Piece:
         if not a < b:
             return 0.0
         if self.kind == "func":
-            return checked_quad(self.func, a, b)
+            return checked_quad(self.value, a, b)
         if self.kind == "ratio":
             return self._ratio_integral(a, b)
         if self.c0 == 0 and (self.kind == "const" or self.c1 == 0):

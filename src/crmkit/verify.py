@@ -23,7 +23,7 @@ import numpy as np
 
 from . import conjugacy as conj
 from . import construct, expfam, levy
-from .errors import CrmError, SupportError
+from .errors import CrmError
 from .expfam import ParameterPath, _special
 from .levy import BaseMeasure, LevyContext
 from .piecewise import Piece, PiecewiseFunction, checked_quad
@@ -125,23 +125,24 @@ _CLOSED_MOMENTS = {
 
 def _stat_expectation(spec, eta, k: int, fn) -> float:
     """E[fn(T_k)] by :func:`~crmkit.piecewise.checked_quad` over the statistic's
-    image, through its inverse.
+    image, through its inverse, on an array of nodes u: zero where the inverse
+    or its derivative leaves the double range, deep in a tail.
 
     For a log statistic this trades the (ln x)^m x^(a-1) endpoint
-    singularity of the x-space integrand for a smooth one.
+    singularity of the x-space integrand for a smooth one.  ``fn`` takes one
+    Python float at a time, so ``u**m`` and ``math.exp`` keep their own doubles.
     """
-    bound, stat = spec.at(eta), spec.stats[k - 1]
+    bound, stat, support = spec.at(eta), spec.stats[k - 1], spec.support
 
     def integrand(u):
         with np.errstate(over="ignore"):
-            x = float(stat.inverse(u))
-            jac = abs(float(stat.inverse_deriv(u)))
-        if not np.isfinite(jac):
-            return 0.0  # the inverse left the double range, deep in a tail
-        try:
-            return fn(u) * bound.density(x) * jac
-        except SupportError:  # so did x
-            return 0.0
+            x = stat.inverse(u)
+            jac = np.abs(stat.inverse_deriv(u))
+        inside = np.isfinite(jac) & (x > support.lo) & (x < support.hi)
+        out = np.zeros(u.shape)
+        weights = np.array([fn(v) for v in u[inside].tolist()])
+        out[inside] = weights * bound.density(x[inside]) * jac[inside]
+        return out
 
     return checked_quad(integrand, *stat.image)
 

@@ -167,3 +167,16 @@ def test_a_nan_or_nonpositive_z_max_is_refused_with_its_value(text):
     with pytest.raises(ConfigError) as exc:
         cfg.parse_sample_config(obj)
     assert str(exc.value) == f"/z_max: z_max must be positive, got {float(text)}"
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_a_json_boolean_is_no_integer(value):
+    # bool is an int subclass in Python; JSON true must not build k = 1
+    obj = {"z_max": 2.0, "components": [dict(GAMMA_COMPONENT, k=value)]}
+    with pytest.raises(ConfigError) as exc:
+        cfg.parse_sample_config(obj)
+    assert (exc.value.pointer, str(exc.value)) == ("/components/0/k", "/components/0/k: expected int")
+    series = {"components": value, "scale": 1.0, "support": [0.25, 1.0], "alpha": {"const": 2.0}}
+    with pytest.raises(ConfigError) as exc:
+        cfg.parse_sample_config({"pareto_series": series})
+    assert str(exc.value) == "/pareto_series/components: expected int"

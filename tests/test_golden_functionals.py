@@ -12,9 +12,8 @@ import math
 
 import numpy as np
 import pytest
-import scipy.integrate
 
-from crmkit import levy, verify
+from crmkit import levy, quadpack, verify
 from crmkit.expfam import ParameterPath, make_family
 from crmkit.levy import (
     BaseMeasure,
@@ -199,21 +198,23 @@ def _refuse_quad(*args, **kwargs):
 def test_each_non_constant_stretch_takes_the_pass_and_equals_checked_quad(
     contexts, name, monkeypatch
 ):
-    quad = scipy.integrate.quad
+    qag = quadpack.qag
     stretch_integral = levy._stretch_integral
     compared = []
 
     def against_checked_quad(ctx, h, x, piece, lo, hi):
-        got = stretch_integral(ctx, h, x, piece, lo, hi)  # quad is refused here
+        got = stretch_integral(ctx, h, x, piece, lo, hi)  # the adaptive routine is refused here
         with monkeypatch.context() as m:
-            m.setattr(scipy.integrate, "quad", quad)
+            m.setattr(quadpack, "qag", qag)
             for point, value in zip(np.ravel(x).tolist(), np.ravel(got).tolist()):
-                want = checked_quad(lambda z: h(ctx.path.eval(z), point) * piece.value(z), lo, hi)
+                want = checked_quad(
+                    lambda zs: h(ctx.path.eval_many(zs).T, point) * piece.value(zs), lo, hi
+                )
                 assert value == pytest.approx(want, rel=1e-13, abs=0.0)
         compared.append((lo, hi))
         return got
 
-    monkeypatch.setattr(scipy.integrate, "quad", _refuse_quad)
+    monkeypatch.setattr(quadpack, "qag", _refuse_quad)
     monkeypatch.setattr(levy, "_stretch_integral", against_checked_quad)
     ctx = contexts[name]
     density_at, laplace_at, table_at, _ = CALLS[name]
@@ -236,18 +237,18 @@ def test_a_batch_whose_pass_declines_some_points_runs_quad_for_those_alone(conte
     ctx = contexts["pareto_affine"]
     us = (0.1, 1.0, 6.0)
     passes, quads = [], []
-    gk21, quad = levy._gk21, scipy.integrate.quad
+    first_pass, qag = levy.first_pass, quadpack.qag
 
-    def spied_gk21(*args):
-        passes.append(gk21(*args))
+    def spied_first_pass(*args):
+        passes.append(first_pass(*args))
         return passes[-1]
 
-    def spied_quad(f, a, b, **kwargs):
+    def spied_qag(f, a, b):
         quads.append((a, b))
-        return quad(f, a, b, **kwargs)
+        return qag(f, a, b)
 
-    monkeypatch.setattr(levy, "_gk21", spied_gk21)
-    monkeypatch.setattr(scipy.integrate, "quad", spied_quad)
+    monkeypatch.setattr(levy, "first_pass", spied_first_pass)
+    monkeypatch.setattr(quadpack, "qag", spied_qag)
     batch = levy_density_u(ctx, 2.5, np.array(us))
     # one stretch (0, 2.5]: the pass takes the first two u, quad the last alone
     assert [[v is None for v in p] for p in passes] == [[False, False, True]]

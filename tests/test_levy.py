@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 from scipy import special
 
-from crmkit import expfam, levy, piecewise, verify
+from crmkit import expfam, levy, piecewise, quadpack, verify
 from crmkit.errors import (
     ConditionError,
     CrmError,
@@ -651,7 +651,9 @@ def _refuse_quad(*args, **kwargs):
 def test_a_constant_path_needs_no_location_quadrature(name, monkeypatch):
     path, base, k, t, theta, masses = _CONSTANT_PATHS[name]
     ctx = LevyContext.build(make_family("gamma"), path, base, k=k)
-    monkeypatch.setattr(scipy.integrate, "quad", _refuse_quad)
+    # neither the 21-point pass nor the adaptive routine runs
+    monkeypatch.setattr(levy, "first_pass", _refuse_quad)
+    monkeypatch.setattr(quadpack, "qag", _refuse_quad)
     want = sum(mass * (1.0 - _gamma_tilt(eta, k, theta)) for eta, mass in masses)
     assert laplace_exponent(ctx, t, theta) == pytest.approx(want, rel=1e-13)
     us = (0.2, 0.7, 2.5)
@@ -672,7 +674,7 @@ _AFFINE_RATE = ParameterPath(
 
 def test_an_affine_path_takes_one_gauss_kronrod_pass_and_no_quad(monkeypatch):
     ctx = LevyContext.build(make_family("gamma"), _AFFINE_RATE, BaseMeasure.lebesgue(1.0), k=2)
-    monkeypatch.setattr(scipy.integrate, "quad", _refuse_quad)
+    monkeypatch.setattr(quadpack, "qag", _refuse_quad)
     # the doubles quad returned after its first 21-point pass
     assert repr(laplace_exponent(ctx, 1.0, 1.0)) == "0.4054651081081644"
     assert repr(levy_density_u(ctx, 1.0, 0.7)) == "0.5150251081337565"
@@ -692,7 +694,7 @@ def test_an_override_off_the_point_masses_leaves_the_densities_alone(monkeypatch
     base = BaseMeasure.lebesgue(1.0, hi=2.0)
     plain = LevyContext.build(gamma, path, base, k=2)
     ctx = LevyContext.build(gamma, path.with_override(1.0, (7.0, 0.5)), base, k=2)
-    monkeypatch.setattr(scipy.integrate, "quad", _refuse_quad)
+    monkeypatch.setattr(quadpack, "qag", _refuse_quad)
     assert levy_density_u(ctx, 2.0, 0.3) == levy_density_u(plain, 2.0, 0.3)
     assert laplace_exponent(ctx, 2.0, 1.0) == laplace_exponent(plain, 2.0, 1.0)
     assert levy_integrand(ctx, 1.0, 0.3) == levy_integrand(plain, 1.0, 0.3) > 0.5
@@ -707,13 +709,13 @@ def test_a_singular_base_is_rejected_by_the_pass_and_integrated_by_quad(monkeypa
         make_family("gamma"), _AFFINE_RATE, _func_base(lambda z: 1.0 / math.sqrt(z)), k=2
     )
     calls = []
-    quad = scipy.integrate.quad
+    qag = quadpack.qag
 
-    def counted(f, a, b, **kwargs):
+    def counted(f, a, b):
         calls.append((a, b))
-        return quad(f, a, b, **kwargs)
+        return qag(f, a, b)
 
-    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    monkeypatch.setattr(quadpack, "qag", counted)
     # the doubles quad gives on each whole stretch
     assert repr(laplace_exponent(ctx, 1.0, 1.0)) == "0.8704197513671034"
     assert repr(levy_density_u(ctx, 1.0, 0.7)) == "1.0242459459911837"
@@ -758,19 +760,19 @@ def test_a_tilt_leaving_the_natural_space_inside_an_affine_stretch_diverges():
 def test_the_qk21_port_returns_quads_double_where_quad_stops_after_21_nodes(f, a, b):
     val, _, info = scipy.integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-10, limit=300, full_output=1)
     assert info["neval"] == 21
-    assert levy._gk21(lambda zs: f(zs), a, b) == [val]
+    assert quadpack.first_pass(f, a, b) == [val]
 
 
 def test_the_qk21_port_declines_where_quad_subdivides():
     f = lambda z: 1.0 / math.sqrt(z)
     _, _, info = scipy.integrate.quad(f, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=300, full_output=1)
     assert info["neval"] > 21
-    assert levy._gk21(lambda zs: 1.0 / np.sqrt(zs), 0.0, 1.0) == [None]
-    assert levy._gk21(lambda zs: np.full(zs.shape, math.nan), 0.0, 1.0) == [None]
+    assert quadpack.first_pass(lambda zs: 1.0 / np.sqrt(zs), 0.0, 1.0) == [None]
+    assert quadpack.first_pass(lambda zs: np.full(zs.shape, math.nan), 0.0, 1.0) == [None]
     # one row per point: each row is declined or accepted on its own values
     want = scipy.integrate.quad(np.exp, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=300)[0]
     rows = lambda zs: np.stack([1.0 / np.sqrt(zs), np.exp(zs), np.full(zs.shape, math.nan)])
-    assert levy._gk21(rows, 0.0, 1.0) == [None, want, None]
+    assert quadpack.first_pass(rows, 0.0, 1.0) == [None, want, None]
 
 
 @pytest.mark.parametrize("t", [math.nan, -1.0])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
 
+from crmkit import quadpack
 from crmkit.errors import CrmError, DivergenceError
 from crmkit.piecewise import Piece, PiecewiseFunction, checked_quad
 
@@ -115,16 +116,19 @@ def test_piece_integral_divergent_raises_with_partial():
 def test_checked_quad_runs_quad_once_and_keeps_its_partial():
     calls = []
 
-    def f(z):
-        calls.append(z)
-        return 1.0 / z
+    def f(zs):
+        calls.append(len(zs))
+        return 1.0 / zs
 
-    with pytest.raises(DivergenceError) as exc:
+    with pytest.raises(DivergenceError, match="did not stabilize: the limit of 300 subintervals") as exc:
         checked_quad(f, 0.0, 1.0)
     single = len(calls)
-    val, *_ = integrate.quad(f, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=300, full_output=1)
-    assert len(calls) == 2 * single  # the helper made exactly one quad call
-    assert exc.value.partial == val
+    val, _, last, ier = quadpack.qag(f, 0.0, 1.0)
+    assert (last, ier) == (300, 1)
+    # one call of 21 nodes per subinterval: the first, then two per bisection
+    assert calls == [21] * (2 * single) and single == 2 * last - 1
+    want, *_ = integrate.quad(lambda z: 1.0 / z, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=300, full_output=1)
+    assert exc.value.partial == val == want
     assert checked_quad(f, 1.0, 1.0) == 0.0
 
 

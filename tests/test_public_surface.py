@@ -152,6 +152,7 @@ MODULE_ALL = {
         "density_table",
     ],
     "piecewise": ["Piece", "PiecewiseFunction", "checked_quad"],
+    "quadpack": ["REASONS", "first_pass", "qag"],
     "sampler": [
         "CRMDraw",
         "LikelihoodDraw",
@@ -181,10 +182,9 @@ def test_module_all_is_pinned(module):
 
 def test_importing_the_package_leaves_scipy_stats_unloaded(heavy_modules_after):
     # scipy.stats costs about half a second of import time and the package
-    # never needs it; scipy.special, scipy.integrate and scipy.optimize load
-    # on first use (a special function, a quadrature fallback, a func-piece
-    # location), so none loads here, and with "scipy" among the heavy modules
-    # no scipy module does
+    # never needs it; scipy.special and scipy.optimize load on first use (a
+    # special function, a func-piece location), so neither loads here, and
+    # with "scipy" among the heavy modules no scipy module does
     assert heavy_modules_after("import crmkit") == []
 
 
@@ -200,13 +200,19 @@ def test_pareto_loglog_loads_no_mpmath(heavy_modules_after, tmp_path):
     moment = f"import crmkit; {spec}; crmkit.moment_suff_stat(spec, [-2.0, -2.5], k=1, m=1)"
     assert heavy_modules_after(moment) == ["scipy", "scipy.special"]
     moment = f"import crmkit; {spec}; crmkit.moment_suff_stat(spec, [-2.0, -2.5], k=2, m=1)"
-    # scipy.integrate imports scipy.optimize itself
-    want = ["scipy", "scipy.integrate", "scipy.optimize", "scipy.special"]
-    assert heavy_modules_after(moment) == want
+    # the quadrature is the package's own
+    assert heavy_modules_after(moment) == ["scipy", "scipy.special"]
     newton = f"import crmkit; {spec}; spec.at([-2.0, -2.5]).quantile(0.5)"  # gamma shape -1.5
     assert heavy_modules_after(newton) == ["scipy", "scipy.special"]
     suite = f"from crmkit import cli; cli.main(['verify', '--suite', 'moments', '--out', {str(tmp_path)!r}])"
     assert "mpmath" not in heavy_modules_after(suite)
+
+
+def test_verify_all_loads_no_scipy_integrate(heavy_modules_after, tmp_path):
+    # every quadrature of every suite runs crmkit.quadpack
+    suite = f"from crmkit import cli; cli.main(['verify', '--suite', 'all', '--out', {str(tmp_path)!r}])"
+    loaded = heavy_modules_after(suite)
+    assert "scipy.integrate" not in loaded and "mpmath" not in loaded, loaded
 
 
 def test_runtime_dependencies_are_numpy_and_scipy():
