@@ -226,7 +226,9 @@ class BoundFamily:
         self.eta, self.log_partition = _bind_many(spec, eta, batch=False)
 
     def log_density(self, x) -> float | np.ndarray:
-        exponent = _exponent(self.spec, self.eta, self.log_partition, np.asarray(x, dtype=float))
+        xs = np.asarray(x, dtype=float)
+        _check_support(self.spec, xs)
+        exponent = _exponent(self.spec, self.eta, self.log_partition, xs)
         return exponent if np.ndim(x) else float(exponent)
 
     def density(self, x) -> float | np.ndarray:
@@ -262,16 +264,22 @@ class BoundFamily:
         return out if np.ndim(q) else float(out)
 
 
-def _exponent(spec: ExpFamilySpec, eta, log_partition, xs: np.ndarray) -> np.ndarray:
-    """log p(xs | eta) = log h(xs) - A(eta) + sum_j sign_j eta_j T_j(xs), in that order.
-
-    One eta (shape (l,), A a float) gives the shape of ``xs``; a batch (shape
-    (l, m), A of shape (m,)) broadcasts against ``xs`` of shape (..., 1).
-    """
+def _check_support(spec: ExpFamilySpec, xs: np.ndarray) -> None:
     if not spec.support.contains(xs):
         raise SupportError(
             f"{spec.name}: point outside support ({spec.support.lo}, {spec.support.hi})"
         )
+
+
+def _exponent(spec: ExpFamilySpec, eta, log_partition, xs: np.ndarray) -> np.ndarray:
+    """log p(xs | eta) = log h(xs) - A(eta) + sum_j sign_j eta_j T_j(xs), in that order,
+    at points ``xs`` that the caller has checked lie in the support.
+
+    One eta (shape (l,), A a float) gives the shape of ``xs``; a batch (shape
+    (l, m), A of shape (m,)) gives shape ``xs.shape + (m,)``.
+    """
+    if eta.ndim > 1:
+        xs = xs[..., None]
     exponent = spec.log_carrier(xs) - log_partition
     for j, stat in enumerate(spec.stats):
         exponent = exponent + stat.sign * eta[j] * stat.value(xs)
@@ -296,7 +304,8 @@ def _log_density_many(spec: ExpFamilySpec, eta, x) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         eta, log_partition = _bind_many(spec, eta)
         xs = np.asarray(x, dtype=float)
-        return _exponent(spec, eta, log_partition, xs if eta.ndim == 1 else xs[..., None])
+        _check_support(spec, xs)
+        return _exponent(spec, eta, log_partition, xs)
 
 
 def density(spec: ExpFamilySpec, eta, x) -> float | np.ndarray:
@@ -332,16 +341,19 @@ def moment_suff_stat(spec: ExpFamilySpec, eta, k: int, m: int) -> float:
     return float(mus[m])
 
 
-def _tilt(spec: ExpFamilySpec, eta, k: int, step: float) -> float | np.ndarray:
+def _tilt(spec: ExpFamilySpec, eta, k: int, step: float, log_partition=None) -> float | np.ndarray:
     """E[exp(step * T_k(X))] = exp(A(eta + sign_k step e_k) - A(eta)), eta and its
     tilt each bound once: a float at one eta (shape (l,)), an array at a batch
-    (shape (l, m), one eta per column).  It is infinite exactly where the tilt
-    leaves the natural space: there :class:`DivergenceError` (``partial=inf``)
-    names the tilted coordinate of the first such column.  Overflow is not
-    warned about; the caller reads a non-finite value itself.
+    (shape (l, m), one eta per column).  With ``log_partition``, eta and A(eta)
+    are a pair :func:`_bind_many` gave, and only the tilt is bound.  It is
+    infinite exactly where the tilt leaves the natural space: there
+    :class:`DivergenceError` (``partial=inf``) names the tilted coordinate of
+    the first such column.  Overflow is not warned about; the caller reads a
+    non-finite value itself.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        eta, log_partition = _bind_many(spec, eta)
+        if log_partition is None:
+            eta, log_partition = _bind_many(spec, eta)
         k = _check_k(spec, k)
         tilted = eta.copy()
         tilted[k - 1] += spec.stats[k - 1].sign * step
@@ -894,6 +906,15 @@ def make_family(name: str, **params) -> ExpFamilySpec:
 # ---------------------------------------------------------------------------
 
 
+def _check_finite_path(zs: np.ndarray, etas: np.ndarray) -> None:
+    """Raise :class:`CrmError` naming the first z of the 1-D ``zs`` whose eta, a
+    row of ``etas`` (shape (zs.size, l)), is not finite."""
+    bad = ~np.isfinite(etas).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise CrmError(f"parameter path not finite at z={float(zs[i])}: {etas[i]}")
+
+
 class ParameterPath:
     """A piecewise parameter path z -> eta(z), left-continuous per component.
 
@@ -964,10 +985,7 @@ class ParameterPath:
             free = ~hit
         for j, comp in enumerate(self.components):
             out[free, j] = comp(flat[free])
-        bad = ~np.isfinite(out).all(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise CrmError(f"parameter path not finite at z={float(flat[i])}: {out[i]}")
+        _check_finite_path(flat, out)
         return out.reshape(zs.shape + (self.dimension,))
 
     def natural_etas(self, family: ExpFamilySpec, zs, where: Callable) -> np.ndarray:

@@ -12,16 +12,22 @@ int (1 - e^{-theta u}) dL_t(u) = int_{(0,t]} (1 - E_{eta(z)}[e^{-theta T_k}]) dA
 The per-location transform is closed form, the log-partition tilt
 E_eta[e^{-theta T_k}] = exp(A(eta - sign_k theta e_k) - A(eta)), which
 :func:`stat_laplace` evaluates at one eta or at a batch, one eta per column.
-Each functional hands its location integral one integrand h(eta, x), at one
-eta or a batch and at its points x (theta, or one s or an array of s), so a
-density table is one walk over the locations.  Location integrals split
-exactly at piece breakpoints and add atoms of A_0 exactly over (0, t] (a
-jump at t counts, one at 0 does not).  Where eta is one constant on a
-stretch the integral is h(eta, x) A_0(stretch).  Any other stretch takes,
-per base piece, one 21-point Gauss-Kronrod pass (QUADPACK's ``qk21``,
-:func:`~crmkit.quadpack.first_pass`) with h on a batch of eta at its nodes
-and every point, and runs :func:`~crmkit.piecewise.checked_quad`, QUADPACK's
-adaptive routine, on the same integrand at one point only where QUADPACK
+Each functional hands its location integral one integrand h(eta, A(eta), x),
+at one bound eta or a batch and at its points x (theta, or one s or an array
+of s), so a density table is one walk over the locations.  The walk reads
+the context's stretch plan, the part that depends on neither t nor x: the
+cuts of (0, inf) at every path and base breakpoint and, per stretch, its
+path pieces, its base pieces and, where every path component is one
+``const`` piece, its eta.  Each context builds its own plan on the first
+functional call and keeps it; a constant stretch binds (eta, A(eta)) on
+first use and keeps them, and a failure is never kept.  Each call clips the
+plan to (0, t] and adds the atoms of A_0 exactly over (0, t] (a jump at t
+counts, one at 0 does not).  A constant stretch contributes
+h(eta, A(eta), x) A_0(stretch within (0, t]).  Any other stretch takes, per
+base piece that is not identically 0, one 21-point Gauss-Kronrod pass
+(QUADPACK's ``qk21``, :func:`~crmkit.quadpack.first_pass`) with h on a batch
+of eta at its nodes and every point, and runs
+:func:`~crmkit.piecewise.checked_quad`, QUADPACK's adaptive routine, on the same integrand at one point only where QUADPACK
 would not stop after that pass: each value is the double QUADPACK gives, at
 one point or in any array.
 """
@@ -29,7 +35,8 @@ one point or in any array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,7 +44,7 @@ import numpy as np
 from . import expfam
 from .errors import ConditionError, CrmError, DivergenceError, NaturalSpaceError, SupportError
 from .expfam import ExpFamilySpec, ParameterPath
-from .piecewise import PiecewiseFunction, checked_quad
+from .piecewise import Piece, PiecewiseFunction, checked_quad
 from .quadpack import first_pass
 
 __all__ = [
@@ -267,6 +274,12 @@ class LevyContext:
     A strict context (``require_conditions``, the default) cannot hold a
     failed report: making one, also by ``dataclasses.replace``, raises
     :class:`ConditionError`, so no functional checks it again.
+
+    The Levy functionals read the context's stretch plan (:class:`_Plan`).
+    It is built lazily, on the first functional call, and kept by this
+    instance alone: a ``dataclasses.replace`` copy builds its own, and
+    :meth:`build` and the sampler never build one.  A failure while building
+    or reading it is never kept, so it raises again on the next call.
     """
 
     family: ExpFamilySpec
@@ -304,28 +317,75 @@ class LevyContext:
     def stat(self):
         return self.family.stats[self.k - 1]
 
-
-def _cuts(ctx: LevyContext, lo: float, hi: float) -> list[float]:
-    """lo, hi and every path or base breakpoint strictly between, ascending."""
-    inner = [b for b in ctx.path.breakpoints() + ctx.base.breakpoints() if lo < b < hi]
-    return sorted({lo, hi, *inner})
+    @cached_property
+    def _plan(self) -> "_Plan":
+        return _Plan(self)
 
 
-def _without_overrides(ctx: LevyContext) -> LevyContext:
-    """``ctx`` without its path's atom overrides, which act on the measure only
-    through base point masses: densities in z read the path without them."""
-    if not ctx.path.atom_overrides:
-        return ctx
-    return replace(ctx, path=ParameterPath(ctx.path.components))
+def _bind(family: ExpFamilySpec, eta) -> tuple[np.ndarray, float | np.ndarray]:
+    """(eta, A(eta)) at one eta or a batch, each checked finite and in the natural
+    space (:func:`~crmkit.expfam._bind_many`); overflow is not warned about."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return expfam._bind_many(family, eta)
 
 
-def _stretch_integral(ctx: LevyContext, h: Callable, x, piece, lo, hi) -> np.ndarray:
-    """int_(lo, hi] h(eta(z), x) a_0(z) dz on one base piece at each point of x: one
-    :func:`~crmkit.quadpack.first_pass` over every point, then :func:`checked_quad` on
-    the same integrand at each point it declines, such as every point on an infinite
-    stretch."""
+class _Stretch:
+    """One stretch (lo, hi] of a plan, with no path or base breakpoint inside it.
+
+    ``path`` holds, per component, its piece's ``value`` there or, where no
+    piece covers the stretch, the component itself, which raises naming the
+    first z.  ``base`` holds (piece, lo, hi) for each base piece that is not
+    identically 0 and overlaps the stretch, clipped to it.  ``eta`` is the one
+    eta where every component is a ``const`` piece, else None.
+    """
+
+    def __init__(self, ctx: "LevyContext", lo: float, hi: float):
+        self.lo, self.hi = lo, hi
+        self.family = ctx.family
+        pieces = [comp.piece_at(hi) for comp in ctx.path.components]
+        self.path = tuple(comp if p is None else p.value for comp, p in zip(ctx.path.components, pieces))
+        const = all(p is not None and p.kind == "const" for p in pieces)
+        self.eta = np.array([p.c0 for p in pieces]) if const else None
+        self.base = tuple(
+            (p, max(lo, p.lo), min(hi, p.hi))
+            for p in ctx.base.density.pieces
+            if max(lo, p.lo) < min(hi, p.hi) and not p.zero
+        )
+
+    @cached_property
+    def bound(self) -> tuple[np.ndarray, float]:
+        """(eta, A(eta)) of a constant stretch, by :func:`_bind`."""
+        return _bind(self.family, self.eta)
+
+    def etas(self, zs: np.ndarray) -> np.ndarray:
+        """eta at each z of the 1-D ``zs`` inside the stretch, shape (l, zs.size),
+        checked finite as :meth:`~crmkit.expfam.ParameterPath.eval_many` checks it."""
+        etas = np.array([value(zs) for value in self.path], dtype=float)
+        expfam._check_finite_path(zs, etas.T)
+        return etas
+
+
+class _Plan:
+    """What the location integrals of a context need that depends on neither t
+    nor the points: ``path``, the parameter path without its atom overrides
+    (which act on the measure only through the base point masses), and
+    ``stretches``, the :class:`_Stretch` between consecutive cuts of (0, inf)
+    at every path and base breakpoint."""
+
+    def __init__(self, ctx: "LevyContext"):
+        self.path = ParameterPath(ctx.path.components)
+        inner = sorted({b for b in ctx.path.breakpoints() + ctx.base.breakpoints() if b > 0.0})
+        cuts = [0.0, *inner, _INF]
+        self.stretches = tuple(_Stretch(ctx, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+
+
+def _stretch_integral(stretch: _Stretch, h: Callable, x, piece: Piece, lo, hi) -> np.ndarray:
+    """int_(lo, hi] h(eta(z), A(eta(z)), x) a_0(z) dz on one base piece of a stretch at
+    each point of x: one :func:`~crmkit.quadpack.first_pass` over every point, then
+    :func:`checked_quad` on the same integrand at each point it declines, such as every
+    point on an infinite stretch."""
     def at(points):
-        return lambda zs: h(ctx.path.eval_many(zs).T, points) * piece.value(zs)
+        return lambda zs: h(*_bind(stretch.family, stretch.etas(zs)), points) * piece.value(zs)
 
     points = x.ravel().tolist()
     passes = [None] * len(points)
@@ -341,33 +401,33 @@ def _stretch_integral(ctx: LevyContext, h: Callable, x, piece, lo, hi) -> np.nda
 
 
 def _z_integral(ctx: LevyContext, h: Callable, t: float, x) -> float | np.ndarray:
-    """int_(0, t] h(eta(z), x) dA_0(z) at each point of x, split at breakpoints, atoms
-    exact: of shape ``np.shape(x)``, or the float 0.0 where nothing adds to it.
+    """int_(0, t] h(eta(z), A(eta(z)), x) dA_0(z) at each point of x, on the plan's
+    stretches clipped to (0, t], atoms exact: of shape ``np.shape(x)``, or the float
+    0.0 where nothing adds to it.
 
-    ``h`` maps one eta (shape (l,)) to shape ``np.shape(x)`` and a batch (shape
-    (l, m)) to ``np.shape(x) + (m,)``, each entry that eta's and point's double.
-    A stretch where every path component is one ``const`` piece gives h(eta, x)
+    ``h`` maps one bound eta (shape (l,), A a float) to shape ``np.shape(x)`` and
+    a batch (shape (l, m), A of shape (m,)) to ``np.shape(x) + (m,)``, each entry
+    that eta's and point's double.  A constant stretch gives h(eta, A, x)
     A_0(stretch), h not run where that mass is 0; any other takes
-    :func:`_stretch_integral` per base piece.  Atom overrides act only through
-    the base point masses.  The callers check t > 0.
+    :func:`_stretch_integral` per nonzero base piece.  Atom overrides act only
+    through the base point masses.  The callers check t > 0.
     """
     total, x = 0.0, np.asarray(x, dtype=float)
-    plain = _without_overrides(ctx)
-    cuts = _cuts(ctx, 0.0, t)
-    for a, b in zip(cuts, cuts[1:]):
-        pieces = [comp.piece_at(b) for comp in ctx.path.components]
-        if all(p is not None and p.kind == "const" for p in pieces):
-            mass = ctx.base.density.integral(a, b)
+    for stretch in ctx._plan.stretches:
+        if not stretch.lo < t:
+            break
+        if stretch.eta is not None:
+            mass = ctx.base.density.integral(stretch.lo, min(t, stretch.hi))
             if mass != 0.0:
-                total += h(np.array([p.c0 for p in pieces]), x) * mass
+                total += h(*stretch.bound, x) * mass
             continue
-        for piece in ctx.base.density.pieces:
-            lo, hi = max(a, piece.lo), min(b, piece.hi)
+        for piece, lo, hi in stretch.base:
+            hi = min(hi, t)
             if lo < hi:
-                total += _stretch_integral(plain, h, x, piece, lo, hi)
+                total += _stretch_integral(stretch, h, x, piece, lo, hi)
     for loc, mass in ctx.base.jumps_in(0.0, t):
         if mass > 0:
-            total += mass * h(ctx.path.eval(loc), x)
+            total += mass * h(*_bind(ctx.family, ctx.path.eval(loc)), x)
     return total
 
 
@@ -380,7 +440,13 @@ def levy_density_s(ctx: LevyContext, t: float, s):
     if not ctx.family.support.contains(s):
         bad = next(v for v in np.ravel(s) if not ctx.family.support.contains(v))
         raise SupportError(f"s={bad} outside the family support")
-    density = _z_integral(ctx, lambda eta, x: np.exp(expfam._log_density_many(ctx.family, eta, x)), t, s)
+
+    def density(eta, log_partition, x):  # x checked against the support above
+        with np.errstate(over="ignore", invalid="ignore"):
+            exponent = expfam._exponent(ctx.family, eta, log_partition, np.asarray(x))
+        return np.exp(exponent)
+
+    density = _z_integral(ctx, density, t, s)
     return density + np.zeros(np.shape(s)) if np.ndim(s) else float(density)
 
 
@@ -390,7 +456,7 @@ def levy_integrand(ctx: LevyContext, z: float, s: float) -> float:
         raise SupportError(f"s={s} outside the family support")
     if not ctx.base.density.defined_at(z):
         return 0.0
-    eta = _without_overrides(ctx).path.eval(z)
+    eta = ctx._plan.path.eval(z)
     return float(expfam.density(ctx.family, eta, s) * ctx.base.density(z))
 
 
@@ -453,7 +519,10 @@ def laplace_exponent(ctx: LevyContext, t: float, theta: float) -> float:
     if theta == 0.0 or t == 0.0:
         return 0.0
 
-    return float(_z_integral(ctx, lambda eta, th: 1.0 - stat_laplace(ctx.family, eta, ctx.k, th), t, theta))
+    def gap(eta, log_partition, th):  # 1 - stat_laplace, binding the tilted eta alone
+        return 1.0 - expfam._tilt(ctx.family, eta, ctx.k, -th, log_partition)
+
+    return float(_z_integral(ctx, gap, t, theta))
 
 
 @dataclass(frozen=True)
@@ -490,14 +559,15 @@ def _homogeneity_witnesses(ctx: LevyContext, t: float) -> list:
 
     A base point mass in (0, 2t] is a witness.  Otherwise eta and a_0 are
     compared at the path's check grid in (0, 2t], the midpoint of every
-    stretch between cuts, and 2t; a point where either is undefined is a
+    stretch of the plan, and 2t; a point where either is undefined is a
     witness.  The comparison reads the path without its atom overrides.
     """
     horizon = 2.0 * t
     jumps = ctx.base.jumps_in(0.0, horizon)
     if jumps:
         return [(loc, "base point mass", mass) for loc, mass in jumps]
-    cuts = _cuts(ctx, 0.0, horizon)
+    plan = ctx._plan
+    cuts = [stretch.lo for stretch in plan.stretches if stretch.lo < horizon] + [horizon]
     points = {z for z in _default_grid(ctx.path, cuts) if z <= horizon}
     points.update(0.5 * (a + b) for a, b in zip(cuts, cuts[1:]))
     points.add(horizon)
@@ -506,7 +576,7 @@ def _homogeneity_witnesses(ctx: LevyContext, t: float) -> list:
     witnesses = [(float(z), "path or base density undefined") for z in zs[~defined]]
     zs = zs[defined]
     if zs.size:
-        etas = _without_overrides(ctx).path.eval_many(zs)
+        etas = plan.path.eval_many(zs)
         values = np.column_stack([etas, ctx.base.density(zs)])
         moved = np.any(np.abs(values - values[0]) > _RATIO_TOL * np.abs(values[0]), axis=1)
         witnesses += [(float(z), *map(float, v)) for z, v in zip(zs[moved], values[moved])]

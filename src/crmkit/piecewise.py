@@ -98,6 +98,11 @@ class Piece:
         # the callable takes Python floats, one node at a time
         return np.array([float(self.func(zz)) for zz in np.ravel(z).tolist()]).reshape(np.shape(z))
 
+    @property
+    def zero(self) -> bool:
+        """Whether a const, affine or ratio piece is identically 0 (c0 = c1 = 0)."""
+        return self.kind != "func" and self.c0 == 0 and (self.kind == "const" or self.c1 == 0)
+
     def _ratio_terms(self) -> tuple[float, float]:
         """(L, K) with (c0 + c1 z)/(d0 + d1 z) = L + K d1/(d0 + d1 z), so the
         integral from a to b is L (b - a) + K ln(y_b / y_a), y = d0 + d1 z."""
@@ -130,7 +135,7 @@ class Piece:
             return checked_quad(self.value, a, b)
         if self.kind == "ratio":
             return self._ratio_integral(a, b)
-        if self.c0 == 0 and (self.kind == "const" or self.c1 == 0):
+        if self.zero:
             return 0.0
         if self.kind == "const":
             val = self.c0 * (b - a)

@@ -202,13 +202,16 @@ def test_each_non_constant_stretch_takes_the_pass_and_equals_checked_quad(
     stretch_integral = levy._stretch_integral
     compared = []
 
-    def against_checked_quad(ctx, h, x, piece, lo, hi):
-        got = stretch_integral(ctx, h, x, piece, lo, hi)  # the adaptive routine is refused here
+    def against_checked_quad(stretch, h, x, piece, lo, hi):
+        got = stretch_integral(stretch, h, x, piece, lo, hi)  # the adaptive routine is refused here
         with monkeypatch.context() as m:
             m.setattr(quadpack, "qag", qag)
             for point, value in zip(np.ravel(x).tolist(), np.ravel(got).tolist()):
                 want = checked_quad(
-                    lambda zs: h(ctx.path.eval_many(zs).T, point) * piece.value(zs), lo, hi
+                    lambda zs: h(*levy._bind(ctx.family, ctx.path.eval_many(zs).T), point)
+                    * piece.value(zs),
+                    lo,
+                    hi,
                 )
                 assert value == pytest.approx(want, rel=1e-13, abs=0.0)
         compared.append((lo, hi))

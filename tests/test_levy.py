@@ -545,9 +545,13 @@ def test_a_constant_stretch_evaluates_the_log_partition_once():
     levy_density_u(ctx, 3.0, 0.7)
     assert calls == [(2.0, 3.0), (3.0, 3.0)]
     calls.clear()
-    # each evaluation of 1 - E[exp(-theta T_2)] needs A at eta and at the tilted eta
+    # the context keeps each stretch's A(eta): 1 - E[exp(-theta T_2)] needs A
+    # at the tilted eta alone, and a second density call needs none
     laplace_exponent(ctx, 3.0, 1.0)
-    assert calls == [(2.0, 3.0), (2.0, 4.0), (3.0, 3.0), (3.0, 4.0)]
+    assert calls == [(2.0, 4.0), (3.0, 4.0)]
+    calls.clear()
+    levy_density_u(ctx, 2.5, 0.7)
+    assert calls == []
 
 
 def test_an_override_on_a_point_mass_keeps_the_constant_stretch_rule():
@@ -863,3 +867,152 @@ def test_density_table_walks_the_locations_once(monkeypatch):
     rows = density_table(ctx, 1.0, us)
     assert len(calls) == 1
     assert rows == [(1.0, u, levy_density_u(ctx, 1.0, u)) for u in us]
+
+
+# shape: const 2 on (0, 1], affine on (1, 2.5], const 3 beyond; rate 2.  With
+# the base's pieces and point masses the cuts are 0, 0.5, 0.75, 1, 1.5, 2, 2.5,
+# 3: constant stretches below 1 and above 2.5, quadrature between.
+_PLAN_PATH = ParameterPath(
+    [
+        PiecewiseFunction(
+            [
+                Piece(0.0, 1.0, "const", c0=2.0),
+                Piece(1.0, 2.5, "affine", c0=1.5, c1=0.5),
+                Piece(2.5, math.inf, "const", c0=3.0),
+            ]
+        ),
+        PiecewiseFunction.constant(2.0),
+    ]
+)
+_PLAN_BASE = BaseMeasure(
+    PiecewiseFunction(
+        [
+            Piece(0.0, 0.75, "const", c0=1.0),
+            Piece(0.75, 2.0, "affine", c0=0.5, c1=0.25),
+            Piece(2.0, math.inf, "const", c0=0.3),
+        ]
+    ),
+    ((0.5, 0.4), (1.5, 0.2), (3.0, 0.1)),
+)
+_PLAN_PATHS = {
+    "plain": _PLAN_PATH,
+    # one override on a point mass, one inside the affine stretch
+    "override": _PLAN_PATH.with_override(0.5, (4.0, 1.0)).with_override(1.2, (3.0, 1.5)),
+}
+
+# (path, t): levy_density_u at u = 0.6, laplace_exponent at theta = 0.8 and
+# levy_density_u at u = (0.2, 0.6, 2.0), as the per-call walk of the
+# breakpoints gave them: t on a breakpoint, just above it, and inside the
+# infinite last stretch
+_PLAN_PINNED = {
+    ("plain", 1.0): (
+        "0.9611860287648148", "0.6512755102040815",
+        "[0.7130529489704113, 0.9611860287648148, 0.19483260867890978]",
+    ),
+    ("plain", 1.0000001): (
+        "0.9611860829797736", "0.6512755469387763",
+        "[0.7130529891896134, 0.9611860829797736, 0.19483261966829357]",
+    ),
+    ("plain", 3.7): (
+        "1.9567730589488068", "1.6035431170277024",
+        "[1.1981584543746902, 1.9567730589488068, 0.5638362054854191]",
+    ),
+    ("override", 1.0): (
+        "0.6799424728888549", "0.8172531952881746",
+        "[0.4989871906406483, 0.6799424728888549, 0.20840138196115388]",
+    ),
+    ("override", 1.0000001): (
+        "0.6799425271038136", "0.8172532320228695",
+        "[0.4989872308598504, 0.6799425271038136, 0.20840139295053767]",
+    ),
+    ("override", 3.7): (
+        "1.6755295030728468", "1.7695208021117956",
+        "[0.9840926960449272, 1.6755295030728468, 0.5774049787676632]",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, t", sorted(_PLAN_PINNED))
+def test_the_plan_clipped_at_t_keeps_the_doubles_of_the_walk(name, t):
+    ctx = LevyContext.build(make_family("gamma"), _PLAN_PATHS[name], _PLAN_BASE, k=2)
+    density, laplace, batch = _PLAN_PINNED[name, t]
+    # twice: the second call reads the plan and the A(eta) the first one kept
+    for _ in range(2):
+        assert repr(levy_density_u(ctx, t, 0.6)) == density
+        assert repr(laplace_exponent(ctx, t, 0.8)) == laplace
+        us = (0.2, 0.6, 2.0)
+        assert repr(levy_density_u(ctx, t, np.array(us)).tolist()) == batch
+        assert repr([levy_density_u(ctx, t, u) for u in us]) == batch
+
+
+def test_a_context_builds_its_plan_once_and_a_copy_builds_its_own(monkeypatch):
+    built = []
+    plan = levy._Plan
+
+    def counted(ctx):
+        built.append(ctx)
+        return plan(ctx)
+
+    monkeypatch.setattr(levy, "_Plan", counted)
+    ctx = LevyContext.build(make_family("gamma"), _PLAN_PATH, _PLAN_BASE, k=2)
+    assert built == []
+    levy_density_u(ctx, 1.0, 0.6)
+    density_table(ctx, 3.7, (0.2, 0.6))
+    laplace_exponent(ctx, 2.0, 0.8)
+    assert isinstance(classify_activity(ctx, 1.0), NotTimeHomogeneous)
+    levy_integrand(ctx, 1.2, 0.6)
+    assert len(built) == 1 and built[0] is ctx
+    copy = dataclasses.replace(ctx)
+    assert levy_density_u(copy, 1.0, 0.6) == levy_density_u(ctx, 1.0, 0.6)
+    assert len(built) == 2 and built[1] is copy
+    assert copy._plan is not ctx._plan
+
+
+def test_a_failed_bind_is_not_kept():
+    ctx = LevyContext.build(
+        make_family("gamma"), ParameterPath.constant([-1.0, 2.0]), BaseMeasure.lebesgue(1.0), k=2,
+        require_conditions=False,
+    )
+    for call, arg in ((levy_density_u, 0.6), (levy_density_u, 0.6), (laplace_exponent, 0.8)):
+        with pytest.raises(NaturalSpaceError) as exc:
+            call(ctx, 1.0, arg)
+        assert str(exc.value) == "gamma: shape must be positive, got -1.0"
+
+
+def test_a_horizon_beyond_the_paths_domain_names_the_first_node_outside_it():
+    # the path ends at z = 2 and the base does not: quadrature on (2, 3] starts at 2.5
+    path = ParameterPath(
+        [
+            PiecewiseFunction([Piece(0.0, 2.0, "affine", c0=2.0, c1=0.5)]),
+            PiecewiseFunction.constant(3.0, 0.0, 2.0),
+        ]
+    )
+    ctx = LevyContext.build(make_family("gamma"), path, BaseMeasure.lebesgue(1.0), k=2)
+    assert levy_density_u(ctx, 2.0, 0.6) > 0
+    for call, arg in ((levy_density_u, 0.6), (laplace_exponent, 0.8), (levy_density_u, np.array([0.2, 0.6]))):
+        with pytest.raises(CrmError) as exc:
+            call(ctx, 3.0, arg)
+        assert str(exc.value) == "z=2.5 outside the covered domain"
+
+
+@pytest.mark.parametrize(
+    "zero",
+    [
+        Piece(1.0, math.inf, "const", c0=0.0),
+        Piece(1.0, math.inf, "affine", c0=0.0, c1=0.0),
+        Piece(1.0, math.inf, "ratio", c0=0.0, c1=0.0, d0=1.0, d1=1.0),
+    ],
+    ids=["const", "affine", "ratio"],
+)
+def test_a_stretch_over_a_zero_base_piece_evaluates_no_integrand(zero):
+    # the shape 3 - z leaves the natural space at z = 3, where the base is 0
+    shape = PiecewiseFunction([Piece(0.0, math.inf, "affine", c0=3.0, c1=-1.0)])
+    path = ParameterPath([shape, PiecewiseFunction.constant(2.0)])
+    base = BaseMeasure(PiecewiseFunction([Piece(0.0, 1.0, "const", c0=1.0), zero]))
+    ctx = LevyContext.build(make_family("gamma"), path, base, k=2, require_conditions=False)
+    assert repr(levy_density_s(ctx, 2.5, 0.7)) == "0.6053914607047293"
+    assert levy_density_s(ctx, 4.0, 0.7) == levy_density_s(ctx, 2.5, 0.7)
+    assert laplace_exponent(ctx, 4.0, 0.8) == laplace_exponent(ctx, 2.5, 0.8)
+    # as a constant path over the same base already did
+    constant = LevyContext.build(make_family("gamma"), ParameterPath.constant([3.0, 2.0]), base, k=2)
+    assert levy_density_s(constant, 4.0, 0.7) == levy_density_s(constant, 2.5, 0.7)
