@@ -116,7 +116,8 @@ def _draw_totals(
     for start in range(0, replicates, chunk):
         r = min(chunk, replicates - start)
         out = totals[start:start + r]  # a view: adding to it fills totals
-        rows, cells = np.nonzero(rng.random((r, hi)) < keep_below)
+        # the kept (replicate, cell) pairs in row-major order, as np.nonzero gives them
+        rows, cells = np.divmod(np.flatnonzero(rng.random((r, hi)) < keep_below), hi)
         if len(rows):
             draws = sampler(etas[cells] if shared is None else shared, rng, len(rows))
             out += np.bincount(rows, weights=value(draws), minlength=r)

@@ -30,6 +30,17 @@ of eta at its nodes and every point, and runs
 :func:`~crmkit.piecewise.checked_quad`, QUADPACK's adaptive routine, on the same integrand at one point only where QUADPACK
 would not stop after that pass: each value is the double QUADPACK gives, at
 one point or in any array.
+
+A call checks t and its points first (u against the statistic's image, s
+against the family support).  The eta of each batch of nodes is checked
+once, where it is made: finite as :meth:`_Stretch.etas` makes it (naming the
+first such z), then in the natural space (with the failing node's
+``index``), and A(eta) is evaluated with no further check.  One
+``np.errstate(over="ignore", invalid="ignore")`` covers the whole walk of
+:func:`_z_integral`: no overflow or invalid value inside it is warned about,
+and the first pass also ignores division by zero.  A point whose pass is not
+finite goes to :func:`checked_quad`, which raises where it finds no finite
+value.
 """
 
 from __future__ import annotations
@@ -322,13 +333,6 @@ class LevyContext:
         return _Plan(self)
 
 
-def _bind(family: ExpFamilySpec, eta) -> tuple[np.ndarray, float | np.ndarray]:
-    """(eta, A(eta)) at one eta or a batch, each checked finite and in the natural
-    space (:func:`~crmkit.expfam._bind_many`); overflow is not warned about."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return expfam._bind_many(family, eta)
-
-
 class _Stretch:
     """One stretch (lo, hi] of a plan, with no path or base breakpoint inside it.
 
@@ -354,13 +358,16 @@ class _Stretch:
 
     @cached_property
     def bound(self) -> tuple[np.ndarray, float]:
-        """(eta, A(eta)) of a constant stretch, by :func:`_bind`."""
-        return _bind(self.family, self.eta)
+        """(eta, A(eta)) of a constant stretch, by :func:`~crmkit.expfam._bind_many`."""
+        return expfam._bind_many(self.family, self.eta)
 
     def etas(self, zs: np.ndarray) -> np.ndarray:
         """eta at each z of the 1-D ``zs`` inside the stretch, shape (l, zs.size),
-        checked finite as :meth:`~crmkit.expfam.ParameterPath.eval_many` checks it."""
-        etas = np.array([value(zs) for value in self.path], dtype=float)
+        checked finite as :meth:`~crmkit.expfam.ParameterPath.eval_many` checks it,
+        and nowhere else."""
+        etas = np.empty((len(self.path), zs.size))
+        for j, value in enumerate(self.path):
+            etas[j] = value(zs)
         expfam._check_finite_path(zs, etas.T)
         return etas
 
@@ -381,53 +388,65 @@ class _Plan:
 
 def _stretch_integral(stretch: _Stretch, h: Callable, x, piece: Piece, lo, hi) -> np.ndarray:
     """int_(lo, hi] h(eta(z), A(eta(z)), x) a_0(z) dz on one base piece of a stretch at
-    each point of x: one :func:`~crmkit.quadpack.first_pass` over every point, then
-    :func:`checked_quad` on the same integrand at each point it declines, such as every
-    point on an infinite stretch."""
-    def at(points):
-        return lambda zs: h(*_bind(stretch.family, stretch.etas(zs)), points) * piece.value(zs)
+    each point of x (a float at a 0-d x): one :func:`~crmkit.quadpack.first_pass` over
+    every point, then :func:`checked_quad` on the same integrand at each point it
+    declines, such as every point on an infinite stretch.  The eta of each batch of
+    nodes is checked finite where it is made (:meth:`_Stretch.etas`), then only in
+    the natural space."""
+    family = stretch.family
 
-    points = x.ravel().tolist()
-    passes = [None] * len(points)
+    def at(points):
+        def integrand(zs):
+            etas = stretch.etas(zs)
+            family.check_natural(etas)
+            return h(etas, family.log_partition_fn(etas), points) * piece.value(zs)
+
+        return integrand
+
+    passes = [None] * x.size
     if math.isfinite(hi):
         try:
             with np.errstate(all="ignore"):
                 passes = first_pass(at(x), lo, hi)
         except CrmError:
             pass
-    return np.array([
-        checked_quad(at(p), lo, hi) if v is None else v for v, p in zip(passes, points)
-    ]).reshape(x.shape)
+    if None in passes:
+        points = x.ravel().tolist()
+        passes = [checked_quad(at(p), lo, hi) if v is None else v for v, p in zip(passes, points)]
+    return np.array(passes).reshape(x.shape) if x.ndim else passes[0]
 
 
 def _z_integral(ctx: LevyContext, h: Callable, t: float, x) -> float | np.ndarray:
     """int_(0, t] h(eta(z), A(eta(z)), x) dA_0(z) at each point of x, on the plan's
-    stretches clipped to (0, t], atoms exact: of shape ``np.shape(x)``, or the float
-    0.0 where nothing adds to it.
+    stretches clipped to (0, t], atoms exact: of shape ``np.shape(x)``, a float at one
+    point, and the float 0.0 where nothing adds to it.
 
     ``h`` maps one bound eta (shape (l,), A a float) to shape ``np.shape(x)`` and
     a batch (shape (l, m), A of shape (m,)) to ``np.shape(x) + (m,)``, each entry
     that eta's and point's double.  A constant stretch gives h(eta, A, x)
     A_0(stretch), h not run where that mass is 0; any other takes
     :func:`_stretch_integral` per nonzero base piece.  Atom overrides act only
-    through the base point masses.  The callers check t > 0.
+    through the base point masses.  The callers check t > 0.  Overflow and
+    invalid values are not warned about anywhere in the walk; h and the caller
+    read a non-finite value themselves.
     """
     total, x = 0.0, np.asarray(x, dtype=float)
-    for stretch in ctx._plan.stretches:
-        if not stretch.lo < t:
-            break
-        if stretch.eta is not None:
-            mass = ctx.base.density.integral(stretch.lo, min(t, stretch.hi))
-            if mass != 0.0:
-                total += h(*stretch.bound, x) * mass
-            continue
-        for piece, lo, hi in stretch.base:
-            hi = min(hi, t)
-            if lo < hi:
-                total += _stretch_integral(stretch, h, x, piece, lo, hi)
-    for loc, mass in ctx.base.jumps_in(0.0, t):
-        if mass > 0:
-            total += mass * h(*_bind(ctx.family, ctx.path.eval(loc)), x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for stretch in ctx._plan.stretches:
+            if not stretch.lo < t:
+                break
+            if stretch.eta is not None:
+                mass = ctx.base.density.integral(stretch.lo, min(t, stretch.hi))
+                if mass != 0.0:
+                    total += h(*stretch.bound, x) * mass
+                continue
+            for piece, lo, hi in stretch.base:
+                hi = min(hi, t)
+                if lo < hi:
+                    total += _stretch_integral(stretch, h, x, piece, lo, hi)
+        for loc, mass in ctx.base.jumps_in(0.0, t):
+            if mass > 0:
+                total += mass * h(*expfam._bind_many(ctx.family, ctx.path.eval(loc)), x)
     return total
 
 
@@ -442,9 +461,7 @@ def levy_density_s(ctx: LevyContext, t: float, s):
         raise SupportError(f"s={bad} outside the family support")
 
     def density(eta, log_partition, x):  # x checked against the support above
-        with np.errstate(over="ignore", invalid="ignore"):
-            exponent = expfam._exponent(ctx.family, eta, log_partition, np.asarray(x))
-        return np.exp(exponent)
+        return np.exp(expfam._exponent(ctx.family, eta, log_partition, np.asarray(x)))
 
     density = _z_integral(ctx, density, t, s)
     return density + np.zeros(np.shape(s)) if np.ndim(s) else float(density)
@@ -468,13 +485,13 @@ def _pushforward(ctx: LevyContext, u, density_s: Callable):
     if stat.inverse is None or stat.inverse_deriv is None:
         raise CrmError(f"statistic {stat.name!r} has no declared inverse")
     us = np.asarray(u, dtype=float)
-    if not stat.in_image(us).all():
+    if not expfam._all(stat.in_image(us)):
         bad = next(v for v in us.flat if not stat.in_image(v))
         raise SupportError(f"u={bad} outside the image {stat.image} of statistic {stat.name!r}")
     with np.errstate(over="ignore"):
         s, jac = stat.inverse(us), np.abs(stat.inverse_deriv(us))
     keep = np.isfinite(s) & np.isfinite(jac)
-    if keep.all():  # at u's own shape, so one u takes the one-point path
+    if expfam._all(keep):  # at u's own shape, so one u takes the one-point path
         return density_s(s) * jac if us.ndim else float(density_s(s) * jac)
     out = np.zeros(us.shape)
     if keep.any():

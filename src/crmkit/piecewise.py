@@ -86,17 +86,20 @@ class Piece:
             raise CrmError("ratio piece needs d1 != 0; a constant denominator is affine")
 
     def value(self, z):
+        """The piece at a scalar z (a scalar), or elementwise over an array."""
+        array = isinstance(z, np.ndarray)  # tested first: the quadrature nodes are arrays
+        if not (array or np.isscalar(z)):
+            z, array = np.asarray(z), True
         if self.kind == "const":
-            return self.c0 if np.isscalar(z) else np.full(np.shape(z), self.c0)
-        if self.kind != "func":
-            z = z if np.isscalar(z) else np.asarray(z)
-            if self.kind == "affine":
-                return self.c0 + self.c1 * z
+            return np.full(z.shape, self.c0) if array else self.c0
+        if self.kind == "affine":
+            return self.c0 + self.c1 * z
+        if self.kind == "ratio":
             return (self.c0 + self.c1 * z) / (self.d0 + self.d1 * z)
-        if np.isscalar(z):
+        if not array:
             return float(self.func(z))
         # the callable takes Python floats, one node at a time
-        return np.array([float(self.func(zz)) for zz in np.ravel(z).tolist()]).reshape(np.shape(z))
+        return np.array([float(self.func(zz)) for zz in z.ravel().tolist()]).reshape(z.shape)
 
     @property
     def zero(self) -> bool:

@@ -62,20 +62,16 @@ class _Rule:
     """
 
     def __init__(self, xgk, wgk, wg, centre, natural):
-        self.xgk = np.array(xgk)
+        self.signed = np.zeros(1 + 2 * len(xgk))  # 0, then -x_j and x_j for each x_j
+        self.signed[1::2], self.signed[2::2] = np.negative(xgk), xgk
         self.wgk, self.wg, self.centre = tuple(wgk), tuple(wg), centre
         self.natural = tuple(natural)
-        self.size = 1 + 2 * len(xgk)
 
     def nodes(self, centr: float, hlgth: float) -> np.ndarray:
         """The rule's nodes on (centr - hlgth, centr + hlgth) in evaluation order:
-        the centre, then centr - h x_j and centr + h x_j for each x_j in turn."""
-        absc = hlgth * self.xgk
-        out = np.empty(self.size)
-        out[0] = centr
-        out[1::2] = centr - absc
-        out[2::2] = centr + absc
-        return out
+        the centre, then centr - h x_j and centr + h x_j for each x_j in turn
+        (h (-x_j) is -(h x_j) exactly, so each node is the double of that form)."""
+        return centr + hlgth * self.signed
 
     def apply(self, fc: float, fv1: list, fv2: list, hlgth: float) -> tuple:
         """(result, abserr, resabs, resasc) of ``dqk21``/``dqk15i`` from the values at

@@ -671,6 +671,22 @@ def test_loglog_off_face_cdf_and_quantile_where_the_tail_mass_underflows():
     assert np.all(np.isfinite(draws) & (draws > math.e))
 
 
+@pytest.mark.parametrize("eta", [[-800.0, 0.7], [-900.0, -0.5]])
+def test_loglog_off_face_cdf_near_its_lower_end_matches_mpmath(eta):
+    # Gamma(a, s u_m) underflows at s u_m = 799 and 899: near w = u_m the CDF is
+    # small, and 1 - exp of a difference of two ln Gamma values near -800 kept
+    # about 1e-7 of it.  The reference is the CDF of W = ln X at the double
+    # w = ln x the family reads; the rounding of ln x alone moves it by up to
+    # about 1e-7 near u_m, which no formula for the CDF can undo
+    bound = expfam.make_family("pareto_loglog").at(eta)
+    s, a = -(eta[0] + 1.0), eta[1] + 1.0
+    xs = bound.quantile(np.array([1e-6, 1e-5, 1e-4]))
+    with mp.workdps(40):
+        top = mp.gammainc(a, s, mp.inf)
+        want = [float(1 - mp.gammainc(a, s * mp.mpf(w), mp.inf) / top) for w in np.log(xs).tolist()]
+    np.testing.assert_allclose(bound.cdf(xs), want, rtol=1e-12, atol=0.0)
+
+
 def _loglog_w_newton_mp(s, a, q):
     """W's q-quantile off the face at scale 1 by a 20-digit Newton on -ln P(W > w) from w = 1."""
     with mp.workdps(20):

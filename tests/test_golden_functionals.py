@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from crmkit import levy, quadpack, verify
+from crmkit import expfam, levy, quadpack, verify
 from crmkit.expfam import ParameterPath, make_family
 from crmkit.levy import (
     BaseMeasure,
@@ -208,7 +208,7 @@ def test_each_non_constant_stretch_takes_the_pass_and_equals_checked_quad(
             m.setattr(quadpack, "qag", qag)
             for point, value in zip(np.ravel(x).tolist(), np.ravel(got).tolist()):
                 want = checked_quad(
-                    lambda zs: h(*levy._bind(ctx.family, ctx.path.eval_many(zs).T), point)
+                    lambda zs: h(*expfam._bind_many(ctx.family, ctx.path.eval_many(zs).T), point)
                     * piece.value(zs),
                     lo,
                     hi,

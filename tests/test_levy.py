@@ -1016,3 +1016,71 @@ def test_a_stretch_over_a_zero_base_piece_evaluates_no_integrand(zero):
     # as a constant path over the same base already did
     constant = LevyContext.build(make_family("gamma"), ParameterPath.constant([3.0, 2.0]), base, k=2)
     assert levy_density_s(constant, 4.0, 0.7) == levy_density_s(constant, 2.5, 0.7)
+
+
+# gamma with shape 3 - z and rate 2 over Lebesgue, unenforced: the first pass over
+# (0, 4] leaves the natural space past z = 3, and its third node is the first to
+_LEAVING_SHAPE = PiecewiseFunction([Piece(0.0, math.inf, "affine", c0=3.0, c1=-1.0)])
+# a func shape that is infinite past z = 1.5, so the pass over (0, 2] meets inf
+_INF_SHAPE = PiecewiseFunction.from_callable(lambda z: math.inf if z > 1.5 else 2.0)
+
+
+@pytest.mark.parametrize(
+    "call, arg",
+    [(levy_density_u, 0.7), (levy_density_u, np.array([0.2, 0.7])), (laplace_exponent, 0.8), (levy_density_s, 0.7)],
+    ids=["density-u", "density-u-batch", "laplace", "density-s"],
+)
+def test_a_node_outside_the_natural_space_raises_with_its_index(call, arg):
+    path = ParameterPath([_LEAVING_SHAPE, PiecewiseFunction.constant(2.0)])
+    ctx = LevyContext.build(make_family("gamma"), path, BaseMeasure.lebesgue(1.0), k=2, require_conditions=False)
+    with pytest.raises(NaturalSpaceError) as exc:
+        call(ctx, 4.0, arg)
+    assert str(exc.value) == "gamma: shape must be positive, got -0.9478130570343435"
+    assert (exc.value.index, exc.value.coord) == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "call, arg",
+    [(levy_density_u, 0.7), (levy_density_u, np.array([0.2, 0.7])), (laplace_exponent, 0.8)],
+    ids=["density-u", "density-u-batch", "laplace"],
+)
+def test_a_path_not_finite_at_a_node_names_that_z(call, arg):
+    path = ParameterPath([_INF_SHAPE, PiecewiseFunction.constant(2.0)])
+    ctx = LevyContext.build(make_family("gamma"), path, BaseMeasure.lebesgue(1.0), k=2, require_conditions=False)
+    with pytest.raises(CrmError) as exc:
+        call(ctx, 2.0, arg)
+    assert type(exc.value) is CrmError
+    assert str(exc.value) == "parameter path not finite at z=1.9739065285171717: [inf  2.]"
+
+
+@pytest.mark.parametrize("k, image", [(1, "(-inf, inf) of statistic 'log_x'"), (2, "(0.0, inf) of statistic 'x'")])
+@pytest.mark.parametrize("u", [math.nan, np.array([0.5, math.nan])], ids=["one", "batch"])
+def test_a_nan_u_is_outside_the_image(k, image, u):
+    ctx = LevyContext.build(make_family("gamma"), _AFFINE_RATE, BaseMeasure.lebesgue(1.0), k=k)
+    with pytest.raises(SupportError) as exc:
+        levy_density_u(ctx, 1.0, u)
+    assert str(exc.value) == f"u=nan outside the image {image}"
+
+
+def test_one_density_checks_its_node_batch_once_where_it_is_made(monkeypatch):
+    # each check of the 21 etas of the one pass runs once; none runs through _as_eta
+    ctx = LevyContext.build(make_family("gamma"), _AFFINE_RATE, BaseMeasure.lebesgue(1.0), k=2)
+    calls = []
+    check_natural, check_finite = expfam.ExpFamilySpec.check_natural, expfam._check_finite_path
+
+    def natural(spec, eta):
+        calls.append(("check_natural", np.shape(eta)))
+        return check_natural(spec, eta)
+
+    def finite(zs, etas):
+        calls.append(("_check_finite_path", np.shape(etas)))
+        return check_finite(zs, etas)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the node batch is bound through _as_eta")
+
+    monkeypatch.setattr(expfam.ExpFamilySpec, "check_natural", natural)
+    monkeypatch.setattr(expfam, "_check_finite_path", finite)
+    monkeypatch.setattr(expfam, "_as_eta", refused)
+    assert levy_density_u(ctx, 1.2, 1.0) > 0
+    assert calls == [("_check_finite_path", (21, 2)), ("check_natural", (2, 21))]
