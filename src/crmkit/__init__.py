@@ -4,32 +4,20 @@ Construct measures whose jump-size densities are proper exponential-family
 densities with parameters varying along the index line, sample them by
 Poisson superposition, verify them against closed-form and Monte Carlo
 oracles, and push priors to posteriors through parametric translation.
+
+``import crmkit`` loads only the modules that parse a config and build a
+context (``errors``, ``piecewise``, ``expfam``, ``levy``, ``config``); the
+other submodules and the names they serve load on first access (PEP 562).
 """
 
-from .conjugacy import (
-    ConjugatePair,
-    finite_dim_tv,
-    make_pair,
-    pair_names,
-    posterior_context,
-    posterior_levy_density,
-    posterior_path,
-    posterior_process_params,
-)
+from importlib import import_module
+
 from .config import (
     config_hash,
     load_json,
     parse_component,
     parse_prior_config,
     parse_sample_config,
-)
-from .construct import (
-    DiscretizationPlan,
-    LaplaceEstimate,
-    discrete_laplace,
-    discretization_gap,
-    empirical_laplace,
-    sample_discretized,
 )
 from .errors import (
     AtomLinkError,
@@ -70,15 +58,56 @@ from .levy import (
     stat_laplace,
 )
 from .piecewise import Piece, PiecewiseFunction
-from .sampler import (
-    CRMDraw,
-    LikelihoodDraw,
-    evaluate_path,
-    link_names,
-    sample_crm,
-    sample_likelihood,
-)
-from .verify import run_suite, suite_names
+
+# submodule -> the public names it serves; each loads on first access
+_ON_FIRST_USE = {
+    "conjugacy": (
+        "ConjugatePair",
+        "finite_dim_tv",
+        "make_pair",
+        "pair_names",
+        "posterior_context",
+        "posterior_levy_density",
+        "posterior_path",
+        "posterior_process_params",
+    ),
+    "construct": (
+        "DiscretizationPlan",
+        "LaplaceEstimate",
+        "discrete_laplace",
+        "discretization_gap",
+        "empirical_laplace",
+        "sample_discretized",
+    ),
+    "quadpack": (),
+    "sampler": (
+        "CRMDraw",
+        "LikelihoodDraw",
+        "evaluate_path",
+        "link_names",
+        "sample_crm",
+        "sample_likelihood",
+    ),
+    "verify": ("run_suite", "suite_names"),
+}
+_HOME = {name: module for module, names in _ON_FIRST_USE.items() for name in names}
+
+
+def __getattr__(name: str):
+    """A name of a submodule in ``_ON_FIRST_USE``, or that submodule itself,
+    imported on first access.  A name is looked up in its submodule on every
+    access and never bound here, so a patch of the submodule's attribute, and
+    its undoing, shows through the package."""
+    module = _HOME.get(name, name)
+    if module not in _ON_FIRST_USE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = import_module(f".{module}", __name__)
+    return value if module == name else getattr(value, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import importlib.metadata
 import json
 import platform
 import sys
@@ -19,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+# loaded at import rather than per subcommand: crmbench/spans.py::_targets
+# reads every module its tracer wraps from sys.modules right after this import
 from . import config as cfg
 from . import conjugacy as conj
 from . import __version__, sampler, verify
@@ -36,7 +37,10 @@ def _write(path: Path, text: str) -> None:
 @functools.cache
 def _dist_version(name: str) -> str:
     """An installed distribution's version, read from its metadata once per
-    process, so a manifest does not import scipy's submodules."""
+    process, so a manifest does not import scipy's submodules; the metadata
+    machinery itself loads on the first call."""
+    import importlib.metadata
+
     return importlib.metadata.version(name)
 
 

@@ -20,16 +20,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from . import expfam
-from .conjugacy import ConjugatePair, make_pair, pair_names
 from .errors import ConfigError, CrmError
 from .expfam import ParameterPath
 from .levy import BaseMeasure, LevyContext
 from .piecewise import Piece, PiecewiseFunction
+
+if TYPE_CHECKING:
+    from .conjugacy import ConjugatePair
 
 __all__ = [
     "config_hash",
@@ -284,6 +286,8 @@ def parse_sample_config(obj) -> tuple[list[LevyContext], float | None]:
 
 
 def parse_prior_config(obj) -> tuple[ConjugatePair, LevyContext]:
+    from .conjugacy import make_pair, pair_names
+
     if not isinstance(obj, dict):
         raise ConfigError("config must be an object", "/")
     extra = set(obj) - {"pair", "component"}

@@ -55,8 +55,7 @@ import numpy as np
 from . import expfam
 from .errors import ConditionError, CrmError, DivergenceError, NaturalSpaceError, SupportError
 from .expfam import ExpFamilySpec, ParameterPath
-from .piecewise import Piece, PiecewiseFunction, checked_quad
-from .quadpack import first_pass
+from .piecewise import Piece, PiecewiseFunction, _quadpack, checked_quad
 
 __all__ = [
     "BaseMeasure",
@@ -168,7 +167,11 @@ def check_conditions(
     Checks (2) and (3) are sampled at the grid points alone, so a pass says
     nothing between them or beyond the last one; the grid of
     :meth:`LevyContext.build` stops at z = max(10, lo + 10) on a domain with
-    no upper end.
+    no upper end.  Check (2) evaluates the whole grid in one
+    :meth:`~crmkit.expfam.ParameterPath.eval_many` call; it walks the grid
+    point by point only when that call raises, or when an atom override
+    fills a point that the pieces do not cover, to name each undefined point
+    or raising piece as a witness.
     """
     if path.dimension != family.dimension:
         raise CrmError(
@@ -206,21 +209,27 @@ def check_conditions(
             )
         )
 
-    # (2) path in natural space: evaluated point by point, so an undefined
-    # point or a raising piece is a witness, then tested in one batch
+    # (2) path in natural space: the whole grid in one batch; only if that
+    # raises, point by point, so an undefined point or a raising piece is a witness
     witnesses = []
-    zs, etas = [], []
-    for z in grid:
-        if not path.defined_at(z):
-            witnesses.append((float(z), "path undefined"))
-            continue
-        try:
-            etas.append(path.eval(z))
-        except Exception as exc:  # record, don't raise
-            witnesses.append((float(z), str(exc)))
-            continue
-        zs.append(float(z))
-    zs, etas = np.array(zs), np.array(etas).reshape(-1, family.dimension)
+    try:
+        zs, etas = grid, path.eval_many(grid)
+        if path.atom_overrides:  # eval_many fills an override without the
+            # pieces, but a point they do not cover is still undefined
+            ParameterPath(path.components).eval_many(grid)
+    except Exception:  # some point fails: walk the grid to name each one
+        zs, etas = [], []
+        for z in grid:
+            if not path.defined_at(z):
+                witnesses.append((float(z), "path undefined"))
+                continue
+            try:
+                etas.append(path.eval(z))
+            except Exception as exc:  # record, don't raise
+                witnesses.append((float(z), str(exc)))
+                continue
+            zs.append(float(z))
+        zs, etas = np.array(zs), np.array(etas).reshape(-1, family.dimension)
     ok = family.in_natural_space(etas.T)
     for z, eta in zip(zs[~ok], etas[~ok]):
         try:
@@ -238,21 +247,22 @@ def check_conditions(
     )
 
     # (3) contraction closure in coordinate k, at the points that pass (2),
-    # every contraction of every point in one batch of shape (l, points, eps)
+    # every contraction of every point in one batch of shape (l, points, eps);
+    # witnesses are made for the first five open rows alone
     contracted = np.repeat(etas[ok].T[:, :, None], len(_CONTRACTIONS), axis=2)
     contracted[k - 1] *= _CONTRACTIONS
     closed = family.in_natural_space(contracted)
-    witnesses = [
-        (float(z), _CONTRACTIONS[int(np.argmin(row))])
-        for z, row in zip(zs[ok], closed)
-        if not row.all()
-    ]
+    open_rows = np.flatnonzero(~closed.all(axis=1))
+    witnesses = tuple(
+        (float(z), _CONTRACTIONS[int(i)])
+        for z, i in zip(zs[ok][open_rows[:5]], closed[open_rows[:5]].argmin(axis=1))
+    )
     checks.append(
         ConditionCheck(
             "contraction_closure",
-            not witnesses,
-            f"{len(witnesses)} grid points leave the natural space under contraction",
-            tuple(witnesses[:5]),
+            not open_rows.size,
+            f"{open_rows.size} grid points leave the natural space under contraction",
+            witnesses,
         )
     )
 
@@ -407,7 +417,7 @@ def _stretch_integral(stretch: _Stretch, h: Callable, x, piece: Piece, lo, hi) -
     if math.isfinite(hi):
         try:
             with np.errstate(all="ignore"):
-                passes = first_pass(at(x), lo, hi)
+                passes = _quadpack().first_pass(at(x), lo, hi)
         except CrmError:
             pass
     if None in passes:

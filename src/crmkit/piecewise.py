@@ -22,18 +22,27 @@ denominator vanishes on it) raises :class:`DivergenceError`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import quadpack
 from .errors import CrmError, DivergenceError
 
 __all__ = ["Piece", "PiecewiseFunction", "checked_quad"]
 
 _INF = float("inf")
+
+
+@functools.cache
+def _quadpack():
+    """:mod:`crmkit.quadpack`, imported on first use so that parsing and building
+    a context loads it only where an integral needs it."""
+    from . import quadpack
+
+    return quadpack
 
 
 def checked_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
@@ -51,6 +60,7 @@ def checked_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> f
     """
     if not a < b:
         return 0.0
+    quadpack = _quadpack()
     val, _, _, ier = quadpack.qag(f, a, b)
     if ier:
         raise DivergenceError(

@@ -52,6 +52,19 @@ def heavy_modules_after(fresh_interpreter):
 
 
 @pytest.fixture
+def crmkit_modules_after(fresh_interpreter):
+    """Run code in a new interpreter and return the sorted names of crmkit's
+    submodules loaded after it."""
+
+    def run(code: str) -> list[str]:
+        return fresh_interpreter(
+            f"{code}\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('crmkit.')))"
+        )
+
+    return run
+
+
+@pytest.fixture
 def gamma_const_ctx():
     """Constant eta=(2, 3) with base 1.5 * Lebesgue, weight = jump size."""
     return LevyContext.build(

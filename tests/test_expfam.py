@@ -598,8 +598,11 @@ def test_a_mixed_loglog_batch_keeps_the_closed_form_face_draws():
 
 
 def _loglog_cdf_mp(eta, xs):
-    """P(X <= x) off the face at scale 1: ln X is Gamma(eta_2 + 1, s) cut to (1, inf)."""
+    """P(X <= x) at scale 1: ln X is Gamma(eta_2 + 1, s) cut to (1, inf), or on the
+    face (s = 0) has the tail (ln x)^(eta_2 + 1)."""
     s, a = -(eta[0] + 1.0), eta[1] + 1.0
+    if s == 0.0:
+        return np.array([1.0 - float(mp.log(x) ** a) for x in xs])
     top = mp.gammainc(a, s, mp.inf)
     return np.array([1.0 - float(mp.gammainc(a, s * mp.log(x), mp.inf) / top) for x in xs])
 
@@ -653,6 +656,12 @@ def test_cdf_matches_the_density_and_inverts_the_quantile(case):
     qs = np.array([1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-3])
     xs = bound.quantile(qs)
     np.testing.assert_allclose(bound.cdf(xs), qs, rtol=1e-9)
+    if family == "pareto_loglog":
+        # the CDF alone, at the x the quantile returns: the level check above
+        # also carries how rounding x = e^w moves the exact CDF
+        with mp.workdps(40):
+            want = _loglog_cdf_mp(eta, xs)
+        np.testing.assert_allclose(bound.cdf(xs), want, rtol=1e-9, atol=0.0)
     assert bound.quantile(0.5) == xs[2]
     for x in xs[1:4]:
         want, _ = integrate.quad(bound.density, lo, x, epsabs=0.0, epsrel=1e-11, limit=200)

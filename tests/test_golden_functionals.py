@@ -240,7 +240,7 @@ def test_a_batch_whose_pass_declines_some_points_runs_quad_for_those_alone(conte
     ctx = contexts["pareto_affine"]
     us = (0.1, 1.0, 6.0)
     passes, quads = [], []
-    first_pass, qag = levy.first_pass, quadpack.qag
+    first_pass, qag = quadpack.first_pass, quadpack.qag
 
     def spied_first_pass(*args):
         passes.append(first_pass(*args))
@@ -250,7 +250,7 @@ def test_a_batch_whose_pass_declines_some_points_runs_quad_for_those_alone(conte
         quads.append((a, b))
         return qag(f, a, b)
 
-    monkeypatch.setattr(levy, "first_pass", spied_first_pass)
+    monkeypatch.setattr(quadpack, "first_pass", spied_first_pass)
     monkeypatch.setattr(quadpack, "qag", spied_qag)
     batch = levy_density_u(ctx, 2.5, np.array(us))
     # one stretch (0, 2.5]: the pass takes the first two u, quad the last alone

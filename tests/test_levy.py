@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.integrate
 from scipy import special
 
 from crmkit import expfam, levy, piecewise, quadpack, verify
+from crmkit.config import load_json, parse_sample_config
 from crmkit.errors import (
     ConditionError,
     CrmError,
@@ -513,6 +515,84 @@ def test_path_check_records_a_raising_path_piece_as_a_witness():
     )
 
 
+def _shape_undefined_beyond_3(z):
+    if np.any(np.asarray(z) > 3.0):
+        raise ValueError("shape undefined beyond z = 3")
+    return 2.5 - np.asarray(z)
+
+
+# reports whose check (2) leaves the one-batch evaluation for the point walk
+# (a gap between pieces; a func piece that raises on part of the grid; an
+# atom override on the one grid point the pieces leave uncovered), and an
+# unenforced pareto_series component that fails closure at every point: the
+# repr of each as recorded before check (2) became one batch
+_FAILING_REPORTS = {
+    "override in a gap": (
+        "ConditionReport(checks=(ConditionCheck(name='invertible_statistic', passed=True, "
+        "detail='max relative round-trip error 0.000e+00', witnesses=()), "
+        "ConditionCheck(name='path_in_natural_space', passed=False, detail='1 of 41 grid points fail', "
+        "witnesses=((1.0001, 'path undefined'),)), "
+        "ConditionCheck(name='contraction_closure', passed=True, "
+        "detail='0 grid points leave the natural space under contraction', witnesses=())))"
+    ),
+    "gap": (
+        "ConditionReport(checks=(ConditionCheck(name='invertible_statistic', passed=True, "
+        "detail='max relative round-trip error 0.000e+00', witnesses=()), "
+        "ConditionCheck(name='path_in_natural_space', passed=False, detail='6 of 16 grid points fail', "
+        "witnesses=((0.75, 'gamma: shape must be positive, got -0.125'), "
+        "(1.0, 'gamma: shape must be positive, got -0.5'), (1.25, 'path undefined'), "
+        "(1.5, 'path undefined'), (1.75, 'path undefined'))), "
+        "ConditionCheck(name='contraction_closure', passed=True, "
+        "detail='0 grid points leave the natural space under contraction', witnesses=())))"
+    ),
+    "raising func": (
+        "ConditionReport(checks=(ConditionCheck(name='invertible_statistic', passed=True, "
+        "detail='max relative round-trip error 0.000e+00', witnesses=()), "
+        "ConditionCheck(name='path_in_natural_space', passed=False, detail='6 of 10 grid points fail', "
+        "witnesses=((2.5, 'gamma: shape must be positive, got 0.0'), "
+        "(3.0, 'gamma: shape must be positive, got -0.5'), (3.5, 'shape undefined beyond z = 3'), "
+        "(4.0, 'shape undefined beyond z = 3'), (4.5, 'shape undefined beyond z = 3'))), "
+        "ConditionCheck(name='contraction_closure', passed=True, "
+        "detail='0 grid points leave the natural space under contraction', witnesses=())))"
+    ),
+    "pareto_series": (
+        "ConditionReport(checks=(ConditionCheck(name='invertible_statistic', passed=True, "
+        "detail='max relative round-trip error 2.842e-16', witnesses=()), "
+        "ConditionCheck(name='path_in_natural_space', passed=True, detail='0 of 38 grid points fail', "
+        "witnesses=()), ConditionCheck(name='contraction_closure', passed=False, "
+        "detail='38 grid points leave the natural space under contraction', "
+        "witnesses=((0.26553179421567275, 0.1), (0.28202853495757746, 0.1), (0.296875, 0.1), "
+        "(0.29955017162921255, 0.1), (0.31816037812126996, 0.1)))))"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAILING_REPORTS))
+def test_a_failing_condition_report_keeps_its_repr(name):
+    gamma = make_family("gamma")
+    rate = PiecewiseFunction.constant(3.0)
+    if name == "gap":
+        shape = PiecewiseFunction(
+            [Piece(0.0, 1.0, "affine", c0=1.0, c1=-1.5), Piece(2.0, math.inf, "const", c0=2.0)]
+        )
+        reports = [check_conditions(gamma, ParameterPath([shape, rate]), 2, np.linspace(0.25, 4.0, 16))]
+    elif name == "override in a gap":
+        # 1.0001 is a breakpoint, so on the default grid, and no piece covers it
+        shape = PiecewiseFunction(
+            [Piece(0.0, 1.0, "const", c0=2.0), Piece(1.0001, math.inf, "const", c0=2.0)]
+        )
+        path = ParameterPath([shape, rate], {1.0001: (2.0, 3.0)})
+        reports = [check_conditions(gamma, path, 2, levy._default_grid(path))]
+    elif name == "raising func":
+        shape = PiecewiseFunction([Piece(0.0, math.inf, "func", func=_shape_undefined_beyond_3)])
+        reports = [check_conditions(gamma, ParameterPath([shape, rate]), 2, np.linspace(0.5, 5.0, 10))]
+    else:
+        config = Path(__file__).resolve().parents[1] / "configs" / "pareto_series.json"
+        contexts, _ = parse_sample_config(load_json(config.read_text()))
+        reports = [ctx.report for ctx in contexts]
+    assert [repr(report) for report in reports] == [_FAILING_REPORTS[name]] * len(reports)
+
+
 def _two_stretch_shape(middle):
     """Gamma shape 2 on (0, 1], ``middle`` on (1, 2], 3 beyond; rate 3."""
     shape = PiecewiseFunction(
@@ -656,7 +736,7 @@ def test_a_constant_path_needs_no_location_quadrature(name, monkeypatch):
     path, base, k, t, theta, masses = _CONSTANT_PATHS[name]
     ctx = LevyContext.build(make_family("gamma"), path, base, k=k)
     # neither the 21-point pass nor the adaptive routine runs
-    monkeypatch.setattr(levy, "first_pass", _refuse_quad)
+    monkeypatch.setattr(quadpack, "first_pass", _refuse_quad)
     monkeypatch.setattr(quadpack, "qag", _refuse_quad)
     want = sum(mass * (1.0 - _gamma_tilt(eta, k, theta)) for eta, mass in masses)
     assert laplace_exponent(ctx, t, theta) == pytest.approx(want, rel=1e-13)

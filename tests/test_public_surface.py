@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import crmkit
+from crmkit import sampler
 
 PACKAGE_ALL = [
     "AtomLinkError",
@@ -213,6 +214,96 @@ def test_verify_all_loads_no_scipy_integrate(heavy_modules_after, tmp_path):
     suite = f"from crmkit import cli; cli.main(['verify', '--suite', 'all', '--out', {str(tmp_path)!r}])"
     loaded = heavy_modules_after(suite)
     assert "scipy.integrate" not in loaded and "mpmath" not in loaded, loaded
+
+
+# what parsing a sample config and building its contexts needs; the other
+# submodules load on first use
+_BUILD_MODULES = ["crmkit.config", "crmkit.errors", "crmkit.expfam", "crmkit.levy", "crmkit.piecewise"]
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("config", ["gamma.json", "pareto_series.json"])
+def test_parsing_a_sample_config_loads_only_the_modules_it_builds_with(crmkit_modules_after, config):
+    text = repr((_CONFIGS / config).read_text())
+    code = f"import crmkit; crmkit.parse_sample_config(crmkit.load_json({text}))"
+    assert crmkit_modules_after(code) == _BUILD_MODULES
+
+
+def test_a_location_integral_loads_quadpack_and_keeps_its_double(fresh_interpreter):
+    # a gamma rate affine in z: levy_density_u takes one 21-point pass
+    code = """
+import sys, crmkit
+from crmkit.piecewise import Piece, PiecewiseFunction
+rate = PiecewiseFunction([Piece(0.0, float("inf"), "affine", c0=1.0, c1=1.0)])
+path = crmkit.ParameterPath([PiecewiseFunction.constant(1.0), rate])
+ctx = crmkit.LevyContext.build(crmkit.make_family("gamma"), path, crmkit.BaseMeasure.lebesgue(1.0), k=2)
+before = "crmkit.quadpack" in sys.modules
+print((before, repr(crmkit.levy_density_u(ctx, 1.0, 0.7)), "crmkit.quadpack" in sys.modules))
+"""
+    assert fresh_interpreter(code) == (False, "0.5150251081337565", True)
+
+
+def test_importing_the_cli_loads_every_module_the_benchmark_tracer_wraps(crmkit_modules_after):
+    # crmbench/spans.py::_targets reads these from sys.modules right after the
+    # benchmark worker imports crmkit.cli, before any subcommand runs
+    traced = ["config", "conjugacy", "construct", "expfam", "levy", "piecewise", "sampler", "verify"]
+    loaded = crmkit_modules_after("import crmkit.cli")
+    assert {f"crmkit.{m}" for m in traced} <= set(loaded), loaded
+
+
+def test_the_package_names_resolve_on_first_access(fresh_interpreter):
+    # after a bare import, each name of __all__ resolves to the object of the
+    # module that exports it; a name served on first access stays unbound in
+    # the package, so every lookup reads its module
+    homes = {name: module for module, names in MODULE_ALL.items() for name in names if name in PACKAGE_ALL}
+    assert set(homes) == set(PACKAGE_ALL) - {"__version__"}
+    code = f"""
+import importlib, crmkit
+unbound = sorted(n for n in crmkit.__all__ if n not in vars(crmkit))
+undir = sorted(set(crmkit.__all__) - set(dir(crmkit)))
+foreign = [n for n, m in {homes!r}.items()
+           if getattr(crmkit, n) is not getattr(importlib.import_module("crmkit." + m), n)]
+print((unbound, undir, foreign, sorted(n for n in crmkit.__all__ if n not in vars(crmkit))))
+"""
+    unbound, undir, foreign, still_unbound = fresh_interpreter(code)
+    assert unbound == still_unbound
+    assert unbound == sorted(n for n, m in homes.items() if m in ("conjugacy", "construct", "sampler", "verify"))
+    assert undir == foreign == []
+
+
+def test_a_patched_submodule_name_shows_through_the_package_and_its_undoing_too(monkeypatch):
+    # a tracer or a test that patches sampler.sample_crm, then undoes it,
+    # leaves the package serving the original
+    original = sampler.sample_crm
+
+    def fake(*args, **kwargs):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(sampler, "sample_crm", fake)
+    assert crmkit.sample_crm is fake
+    monkeypatch.undo()
+    assert crmkit.sample_crm is original is sampler.sample_crm
+
+
+def test_a_star_import_binds_every_public_name(fresh_interpreter):
+    code = """
+namespace = {}
+exec("from crmkit import *", namespace)
+import crmkit
+print(sorted(set(crmkit.__all__) - set(namespace)))
+"""
+    assert fresh_interpreter(code) == []
+
+
+def test_a_submodule_resolves_as_a_package_attribute(fresh_interpreter):
+    code = "import crmkit; print(crmkit.verify.run_suite is crmkit.run_suite)"
+    assert fresh_interpreter(code) is True
+
+
+def test_an_unknown_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'crmkit' has no attribute 'no_such_name'"):
+        crmkit.no_such_name  # noqa: B018
+    assert not hasattr(crmkit, "no_such_name")
 
 
 def test_runtime_dependencies_are_numpy_and_scipy():
