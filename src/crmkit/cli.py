@@ -60,17 +60,10 @@ def _manifest(out_dir: Path, **fields) -> None:
     _write(out_dir / "manifest.json", json.dumps(fields, indent=2, sort_keys=True) + "\n")
 
 
-def _table_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _cell(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
+def _table_csv(header, columns) -> str:
+    """A header line, then one row per entry of the columns: ints by ``str``,
+    floats by ``repr``, through the formatter that writes ``atoms.csv``."""
+    return ",".join(header) + "\n" + sampler._floatrepr().csv_rows(columns)
 
 
 def cmd_sample(args) -> int:
@@ -97,7 +90,7 @@ def cmd_sample(args) -> int:
     values = sampler.evaluate_path(draw, ts)
     _write(
         out_dir / "path.csv",
-        _table_csv(("t", "value"), list(zip(ts, values))),
+        _table_csv(("t", "value"), (ts, values)),
     )
 
     _manifest(
@@ -136,7 +129,7 @@ def cmd_verify(args) -> int:
     outputs = ["report.csv"]
     for res in results:
         for fname, (header, rows) in res.tables.items():
-            _write(out_dir / fname, _table_csv(header, rows))
+            _write(out_dir / fname, _table_csv(header, list(zip(*rows))))
             outputs.append(fname)
     _write(out_dir / "report.csv", verify.report_csv(*results))
 

@@ -20,8 +20,8 @@ from one vectorized family draw.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import io
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -106,25 +106,29 @@ class LikelihoodDraw:
         )
 
 
-_CSV_BLOCK = 1 << 14
+@functools.cache
+def _floatrepr():
+    """:mod:`crmkit.floatrepr`, imported on the first CSV text, so that parsing
+    and building a context do not compile it."""
+    from . import floatrepr
+
+    return floatrepr
 
 
 def _atoms_csv(header: str, component, locations, values) -> str:
-    """Header plus one "component,location,value" row per atom, floats by repr.
+    """Header plus one "component,location,value" row per atom.
 
-    Rows are formatted in blocks, so the Python objects made for one block
-    are freed before the next: memory stays near the size of the text.
+    Each float is written exactly as ``repr`` writes it, Python's shortest
+    round-trip form, but a column at a time: :mod:`crmkit.floatrepr` runs the
+    Schubfach shortest-digit algorithm over whole numpy columns, so no
+    Python object is made per float.
     """
-    component = np.asarray(component, dtype=int)
-    locations = np.asarray(locations, dtype=float)
-    values = np.asarray(values, dtype=float)
-    out = io.StringIO()
-    out.write(header + "\n")
-    for i in range(0, component.size, _CSV_BLOCK):
-        block = slice(i, i + _CSV_BLOCK)
-        rows = zip(component[block].tolist(), locations[block].tolist(), values[block].tolist())
-        out.write("".join([f"{c},{z!r},{v!r}\n" for c, z, v in rows]))
-    return out.getvalue()
+    columns = (
+        np.asarray(component, dtype=int),
+        np.asarray(locations, dtype=float),
+        np.asarray(values, dtype=float),
+    )
+    return header + "\n" + _floatrepr().csv_rows(columns)
 
 
 def text_id(text: str) -> str:

@@ -135,6 +135,7 @@ MODULE_ALL = {
         "raw_moment_beta",
         "sample_each",
     ],
+    "floatrepr": ["csv_rows"],
     "levy": [
         "BaseMeasure",
         "ConditionCheck",
@@ -241,6 +242,22 @@ before = "crmkit.quadpack" in sys.modules
 print((before, repr(crmkit.levy_density_u(ctx, 1.0, 0.7)), "crmkit.quadpack" in sys.modules))
 """
     assert fresh_interpreter(code) == (False, "0.5150251081337565", True)
+
+
+def test_the_csv_formatter_loads_on_the_first_csv_text(fresh_interpreter):
+    # neither the cli's import nor a parse, a build or a draw compiles it, so
+    # set-up pays nothing for it
+    text = repr((_CONFIGS / "gamma.json").read_text())
+    code = f"""
+import sys, numpy as np
+import crmkit, crmkit.cli
+contexts, z_max = crmkit.parse_sample_config(crmkit.load_json({text}))
+draw = crmkit.sample_crm(contexts, z_max, np.random.default_rng(1))
+before = "crmkit.floatrepr" in sys.modules
+draw.csv_text()
+print((before, "crmkit.floatrepr" in sys.modules))
+"""
+    assert fresh_interpreter(code) == (False, True)
 
 
 def test_importing_the_cli_loads_every_module_the_benchmark_tracer_wraps(crmkit_modules_after):
