@@ -226,7 +226,13 @@ def cmd_posterior(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``crm`` parser, built once per process: each ``parse_args`` call
+    starts from a fresh namespace, so a parse leaves nothing for the next.
+
+    Only a process that calls :func:`main` more than once saves by this; a
+    one-shot ``crm`` run builds the parser once either way."""
     parser = argparse.ArgumentParser(
         prog="crm",
         description="Sample, verify, and update random measures built from "

@@ -10,14 +10,20 @@ products built from 32-bit limbs of ``uint64`` arrays.  Every normal double
 and ±0.0 goes through it; subnormal and non-finite values, which are rare,
 are written by ``repr`` one at a time.
 
-Int columns skip that step, since an int's digits are the int itself.  Every
-cell of either kind then becomes 48 byte slots, one for each character that
-some cell could need at that place, NUL where this cell has none, and a comma
-(a newline after a row's last cell).  A cell's layout depends only on its
-notation, the position of its decimal point and its digit count, so a table
-holds one byte mask per layout, and a cell's slots are its digits, looked up
-four at a time, ANDed with its layout's mask.  The NULs of a block of rows
-are dropped in one pass over the block's bytes.
+Every float cell becomes 48 byte slots, one for each character that some
+cell could need at that place, NUL where this cell has none, and a comma in
+the last slot.  A cell's layout depends only on its notation, the position
+of its decimal point and its digit count, so a table holds one byte mask per
+layout, and a cell's slots are its digits, looked up four at a time, ANDed
+with its layout's mask.
+
+An int 0 <= v < 10^4, the only kind crmkit writes (component indices, sample
+sizes), is one row of a table of 8 slots: its digits and a comma.  An int
+column with any other value is 48 slots wide, and each such value is written
+by ``str`` one at a time.  So each column has its own slot width, 8 or 48,
+and a row of the atoms CSV is 104 slots.  The last slot of a row, its last
+cell's comma, becomes a newline, and the NULs of a block of rows are dropped
+in one pass over the block's bytes.
 
 Integer operands of ``uint64`` arithmetic are ``np.uint64``, so the code
 means the same under numpy's value-based casting before 2.0.
@@ -36,7 +42,6 @@ _S32, _S52, _S63 = _U(32), _U(52), _U(63)
 _M32, _M52, _M63 = _U(2**32 - 1), _U(2**52 - 1), _U(2**63 - 1)
 _EXP_MASK, _MAX_NORMAL = _U(0x7FF), _U(0x7FE)
 _E4, _E8, _E16 = _U(10**4), _U(10**8), _U(10**16)
-_POW10 = np.array([10**i for i in range(20)], dtype=_U)
 
 _K_MIN, _K_MAX = -324, 292
 
@@ -117,20 +122,24 @@ def _shortest(biased, frac):
 
 
 def _tables():
-    """The 8-byte units a cell is made of, the layout masks and ``zeros4``.
+    """The 8-byte units a float cell is made of, its layout masks, ``zeros4``
+    and the 8-slot cells of the ints below 10^4.
 
-    A cell is 6 units, 48 slots: a leading unit, four digit units, 17
+    A float cell is 6 units, 48 slots: a leading unit, four digit units, 17
     digits in all, and an exponent unit.  Unit g < 10^4 holds g's four
     digits, each followed by 0xFF (where a point may follow the digit).
     Unit 10^4 + 10 neg + d holds the sign, "0.000" and the leading digit d
-    with its 0xFF.  Unit 10^4 + 20 + 324 + e holds "e", the signed
-    exponent e with at least two digits, and the comma after the cell.
+    with its 0xFF.  Unit 10^4 + 20 + 324 + e holds "e", the signed exponent
+    e with at least two digits, and in its last slot the comma after the cell.
 
     ``masks`` has one 48-slot mask a layout: 17 (decpt + 3) + n - 1 for a
     float of n digits in fixed notation (decpt in -3..16), 340 + n - 1 for
-    one in exponent notation, and 356 + decpt for an int of decpt digits.
+    one in exponent notation.
 
     ``zeros4`` holds the trailing zeros of each 4-digit group, 4 for 0000.
+
+    ``ints`` row v holds the four digits of unit v without its leading zeros,
+    and a comma in its last slot.
     """
     d = np.arange(48, 58, dtype=np.uint8)
     digits = np.full((10_020, 8), 0xFF, dtype=np.uint8)
@@ -142,7 +151,7 @@ def _tables():
     digits[10_000:, 6] = np.tile(d, 2)
     e = np.arange(-324, 325)
     exponents = np.zeros((649, 8), dtype=np.uint8)
-    exponents[:, 0], exponents[:, 1], exponents[:, 5] = 101, np.where(e < 0, 45, 43), 44
+    exponents[:, 0], exponents[:, 1], exponents[:, 7] = 101, np.where(e < 0, 45, 43), 44
     exponents[:, 2:5] = digits[np.abs(e), 2::2][:, :3]
     exponents[np.abs(e) < 100, 2] = 0
     units = np.concatenate([digits, exponents]).view(_U).ravel()
@@ -150,51 +159,47 @@ def _tables():
     for step in (10, 100, 1000, 10_000):
         zeros4[::step] += 1
 
-    layout = np.arange(374)
+    v = np.arange(10_000)
+    ints = np.zeros((10_000, 8), dtype=np.uint8)
+    ints[:, :4] = digits[:10_000, ::2]
+    ints[:, :3] *= np.arange(3) >= (3 - (v >= 10) - (v >= 100) - (v >= 1000))[:, None]
+    ints[:, 7] = 44
+
+    layout = np.arange(357)
     n = layout % 17 + 1
-    decpt = np.where(layout < 357, layout // 17 - 3, layout - 356)
-    fixed, whole = layout < 340, layout >= 357
+    decpt = layout // 17 - 3
+    fixed = layout < 340
     small = fixed & (decpt <= 0)
-    end = np.where(fixed & (decpt >= 1), np.maximum(n, decpt + 1), np.where(whole, decpt, n))
-    point = np.where(fixed, decpt - 1, np.where(whole | (n == 1), -1, 0))  # the digit it follows
-    masks = np.zeros((374, 48), dtype=np.uint8)
-    masks[:, [0, 45]] = 0xFF
+    end = np.where(fixed & (decpt >= 1), np.maximum(n, decpt + 1), n)
+    point = np.where(fixed, decpt - 1, np.where(n == 1, -1, 0))  # the digit it follows
+    masks = np.zeros((357, 48), dtype=np.uint8)
+    masks[:, [0, 47]] = 0xFF
     masks[:, 1:3] = small[:, None] * np.uint8(0xFF)
     masks[:, 3:6] = (small[:, None] & (np.arange(3) >= 3 + decpt[:, None])) * np.uint8(0xFF)
     j = np.arange(17)
     masks[:, 6:40:2] = (j < end[:, None]) * np.uint8(0xFF)
     masks[:, 7:40:2] = (j == point[:, None]) * np.uint8(46)
-    masks[:, 40:45] = ~(fixed | whole)[:, None] * np.uint8(0xFF)
-    return units, masks.view(_U), zeros4
+    masks[:, 40:45] = ~fixed[:, None] * np.uint8(0xFF)
+    return units, masks.view(_U), zeros4, ints.view(_U).ravel()
 
 
-_UNITS, _MASKS, _ZEROS4 = _tables()
+_UNITS, _MASKS, _ZEROS4, _INTS = _tables()
 
 
 def _cells(x: np.ndarray) -> np.ndarray:
-    """The (len(x), 48) slots of the values of x, each as ``repr`` writes it
-    and followed by a comma."""
-    if x.dtype.kind in "biu":
-        # an int's digits are the int; past 17 digits it is left to repr
-        x = np.ascontiguousarray(x, dtype=np.int64)
-        bits = x.view(_U)
-        mag = np.where(x < 0, -bits, bits)
-        decpt = np.maximum(np.searchsorted(_POW10, mag, side="right"), 1)
-        fallback = decpt > 17
-        decpt[fallback], mag[fallback] = 1, _0
-        f = mag * _POW10[17 - decpt]
-    else:
-        x = np.ascontiguousarray(x, dtype=float)
-        bits = x.view(_U)
-        biased = (bits >> _S52) & _EXP_MASK
-        frac = bits & _M52
-        zero = (biased == _0) & (frac == _0)
-        fallback = ~zero & ((biased == _0) | (biased == _EXP_MASK))
-        f, k = _shortest(np.clip(biased, _1, _MAX_NORMAL), frac)
-        # 17 digits, left-aligned; zero is the digit 0 at decpt 1
-        short = f < _E16
-        f = np.where(short, f * _10, f) * ~zero
-        decpt = np.where(zero, 1, k + 17 - short)
+    """The (len(x), 6) units of the 48 slots of the floats of x, each as
+    ``repr`` writes it and followed by a comma."""
+    x = np.ascontiguousarray(x, dtype=float)
+    bits = x.view(_U)
+    biased = (bits >> _S52) & _EXP_MASK
+    frac = bits & _M52
+    zero = (biased == _0) & (frac == _0)
+    fallback = ~zero & ((biased == _0) | (biased == _EXP_MASK))
+    f, k = _shortest(np.clip(biased, _1, _MAX_NORMAL), frac)
+    # 17 digits, left-aligned; zero is the digit 0 at decpt 1
+    short = f < _E16
+    f = np.where(short, f * _10, f) * ~zero
+    decpt = np.where(zero, 1, k + 17 - short)
     # 4-digit groups; numpy divides by a constant fast, but its remainder is slow
     top = f // _E16
     rest = f - top * _E16
@@ -206,22 +211,35 @@ def _cells(x: np.ndarray) -> np.ndarray:
         units[:, j] = q = group // _E4
         units[:, j + 1] = group - q * _E4
     units[:, 5] = 10_020 + 324 + decpt - 1  # the exponent unit of e = decpt - 1
-    if x.dtype.kind == "i":
-        layout = 356 + decpt
-    else:
-        # n digits once the trailing zeros of the 4-digit groups are dropped
-        z4, z3, z2, z1 = (_ZEROS4.take(units[:, i]) for i in (4, 3, 2, 1))
-        n = 17 - (z4 + (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * z1)))
-        fixed = (decpt > -4) & (decpt <= 16)  # CPython's 'r' rule
-        layout = np.where(fixed, 17 * (decpt + 3), 340) + n - 1
+    # n digits once the trailing zeros of the 4-digit groups are dropped
+    z4, z3, z2, z1 = (_ZEROS4.take(units[:, i]) for i in (4, 3, 2, 1))
+    n = 17 - (z4 + (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * z1)))
+    fixed = (decpt > -4) & (decpt <= 16)  # CPython's 'r' rule
+    layout = np.where(fixed, 17 * (decpt + 3), 340) + n - 1
     cells = _UNITS.take(units)
     np.bitwise_and(cells, _MASKS.take(layout, axis=0), out=cells)
-    cells = cells.view(np.uint8)
-    for i in np.flatnonzero(fallback).tolist():
-        text = repr(x[i].item()).encode()
-        cells[i, :45] = 0
-        cells[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    _write_each(cells, np.flatnonzero(fallback), lambda i: repr(x[i].item()))
     return cells
+
+
+def _int_cells(x: np.ndarray, small: np.ndarray, out: np.ndarray) -> None:
+    """Write the ints of x into ``out``, their rows of units (1 or 6 a row),
+    each as ``str`` writes it and followed by a comma; ``small`` marks the
+    values 0 <= v < 10^4, which come from the table."""
+    out[:, -1] = _INTS.take(np.where(small, x, 0).astype(np.intp))
+    if out.shape[1] > 1:
+        out[:, :-1] = _0
+        _write_each(out, np.flatnonzero(~small), lambda i: str(int(x[i])))
+
+
+def _write_each(cells: np.ndarray, rows: np.ndarray, text_of) -> None:
+    """Overwrite the 48-slot cells of the given rows with ``text_of(row)``
+    and the comma already in their last slot."""
+    slots = cells.view(np.uint8)
+    for i in rows.tolist():
+        text = text_of(i).encode()
+        slots[i, :47] = 0
+        slots[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
 
 
 _BLOCK = 4096
@@ -230,27 +248,36 @@ _BLOCK = 4096
 def csv_rows(columns) -> str:
     """One line per row of the equal-length columns, its cells joined by commas.
 
-    An integer (or boolean) column, read as int64, has its cells written as
-    ``str(int(v))`` writes them, any other column as ``repr(float(v))``.
-    Rows are laid out in blocks of 4,096, so the slots of one block stay in
-    cache; the float columns of a block go through the kernel together, as
-    do its int columns.
+    An integer (or boolean) column has its cells written as ``str(int(v))``
+    writes them, any other column as ``repr(float(v))``.  Rows are laid out
+    in blocks of 4,096, so the slots of one block stay in cache; the float
+    columns of a block go through the kernel together.
     """
     columns = [np.asarray(col) for col in columns]
     n = len(columns[0]) if columns else 0
     if any(len(col) != n for col in columns):
         raise ValueError(f"columns of unequal lengths {[len(col) for col in columns]}")
-    kinds = [col.dtype.kind in "biu" for col in columns]
-    groups = [[i for i, k in enumerate(kinds) if k == kind] for kind in set(kinds)]
+    floats = [i for i, col in enumerate(columns) if col.dtype.kind not in "biu"]
+    small = {
+        i: (col >= 0) & (col < 10_000) for i, col in enumerate(columns) if col.dtype.kind in "biu"
+    }
+    # a float column, or an int column with a value off the table, is 6
+    # units (48 slots) wide, any other int column 1 unit
+    widths = [1 if i in small and small[i].all() else 6 for i in range(len(columns))]
+    ends = np.cumsum(widths, dtype=int)
+    starts = ends - widths
     text = []
     for lo in range(0, n, _BLOCK):
-        rows = min(_BLOCK, n - lo)
-        block = np.empty((rows, len(columns), 48), dtype=np.uint8)
-        for idx in groups:
-            values = np.column_stack([columns[i][lo : lo + _BLOCK] for i in idx]).ravel()
-            cells = _cells(values).reshape(rows, len(idx), 48)
-            for j, i in enumerate(idx):
-                block[:, i] = cells[:, j]
-        block[:, -1, 45] = 10
-        text.append(block.tobytes().translate(None, b"\0"))
+        hi = min(lo + _BLOCK, n)
+        block = np.empty((hi - lo, ends[-1]), dtype=_U)
+        if floats:
+            values = np.column_stack([columns[i][lo:hi] for i in floats]).ravel()
+            cells = _cells(values).reshape(hi - lo, len(floats), 6)
+            for j, i in enumerate(floats):
+                block[:, starts[i] : ends[i]] = cells[:, j]
+        for i, ok in small.items():
+            _int_cells(columns[i][lo:hi], ok[lo:hi], block[:, starts[i] : ends[i]])
+        slots = block.view(np.uint8)
+        slots[:, -1] = 10
+        text.append(slots.tobytes().translate(None, b"\0"))
     return b"".join(text).decode()

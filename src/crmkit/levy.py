@@ -179,7 +179,7 @@ def check_conditions(
         )
     if not (1 <= k <= family.dimension):
         raise CrmError(f"statistic index k={k} out of range 1..{family.dimension}")
-    grid = np.asarray(sorted(grid), dtype=float)
+    grid = np.sort(np.asarray(grid, dtype=float))
     if grid.size == 0 or np.any(grid <= 0):
         raise CrmError("condition grid must be nonempty and strictly positive")
 
@@ -279,12 +279,22 @@ def _default_grid(path: ParameterPath, cuts: Sequence[float] = ()) -> np.ndarray
     hi = min(c.hi for c in path.components)
     hi_eff = hi if np.isfinite(hi) else max(10.0, lo + 10.0)
     lo_eff = max(lo, 1e-4 * max(1.0, hi_eff))
-    pts = set(np.geomspace(lo_eff if lo_eff > 0 else 1e-4, hi_eff, 24))
-    pts.update(np.linspace(lo_eff, hi_eff, 17))
-    for b in [*path.breakpoints(), *cuts]:
-        if lo < b < hi:
-            pts.add(b)
-    return np.asarray(sorted(p for p in pts if lo < p and p <= hi), dtype=float)
+    extra = np.array([*path.breakpoints(), *cuts], dtype=float)
+    pts = np.concatenate(
+        [
+            np.geomspace(lo_eff if lo_eff > 0 else 1e-4, hi_eff, 24),
+            np.linspace(lo_eff, hi_eff, 17),
+            extra[(lo < extra) & (extra < hi)],
+        ]
+    )
+    return _sorted_distinct(pts[(lo < pts) & (pts <= hi)])
+
+
+def _sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x, ascending, with no call to ``np.unique``,
+    whose first call imports ``numpy.ma``."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
 @dataclass(frozen=True)
@@ -595,10 +605,9 @@ def _homogeneity_witnesses(ctx: LevyContext, t: float) -> list:
         return [(loc, "base point mass", mass) for loc, mass in jumps]
     plan = ctx._plan
     cuts = [stretch.lo for stretch in plan.stretches if stretch.lo < horizon] + [horizon]
-    points = {z for z in _default_grid(ctx.path, cuts) if z <= horizon}
-    points.update(0.5 * (a + b) for a, b in zip(cuts, cuts[1:]))
-    points.add(horizon)
-    zs = np.array(sorted(points))
+    grid = _default_grid(ctx.path, cuts)
+    mids = 0.5 * (np.array(cuts[:-1]) + np.array(cuts[1:]))
+    zs = _sorted_distinct(np.concatenate([grid[grid <= horizon], mids, [horizon]]))
     defined = np.array([ctx.path.defined_at(z) and ctx.base.density.defined_at(z) for z in zs])
     witnesses = [(float(z), "path or base density undefined") for z in zs[~defined]]
     zs = zs[defined]

@@ -3,8 +3,10 @@
 A draw superposes independent components.  Component n contributes
 m_n ~ Poisson(A_{0,n}(0, z_max]) atoms; locations are exact inverse-CDF
 draws from the normalized base measure, and the weight at location z is
-T_k(S) with S ~ p(. | eta_n(z)).  Atoms merge sorted by location with
-stable ties by component then draw order, so equal seeds give equal bytes.
+T_k(S) with S ~ p(. | eta_n(z)).  Atoms merge sorted by location, ties in
+component then draw order, so equal seeds give equal bytes: numpy's default
+sort orders the locations, and only the runs of equal locations (atoms on a
+point mass) are sorted again by their place in the concatenated draws.
 
 Each component is sampled over whole arrays of atoms.  One array of
 uniforms picks every atom's base segment; point masses are assigned
@@ -55,9 +57,12 @@ class CRMDraw:
     tail_mass: float | None
 
     def __post_init__(self):
-        locs = np.asarray(self.locations, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        comp = np.asarray(self.component_index, dtype=int)
+        # the draw's own read-only copies, so the kept draw_id cannot go stale
+        locs = np.array(self.locations, dtype=float)
+        w = np.array(self.weights, dtype=float)
+        comp = np.array(self.component_index, dtype=int)
+        for a in (locs, w, comp):
+            a.flags.writeable = False
         if not (locs.shape == w.shape == comp.shape):
             raise CrmError("atom arrays must share one shape")
         if locs.size and (np.any(w <= 0) or np.any(~np.isfinite(w))):
@@ -78,7 +83,11 @@ class CRMDraw:
 
     @property
     def draw_id(self) -> str:
-        return text_id(self.csv_text())
+        """``text_id(csv_text())``, formatted and hashed on the first access
+        and kept on the draw, whose arrays are read-only."""
+        if "_draw_id" not in self.__dict__:
+            object.__setattr__(self, "_draw_id", text_id(self.csv_text()))
+        return self._draw_id
 
     def component_counts(self) -> dict[int, int]:
         idx, counts = np.unique(self.component_index, return_counts=True)
@@ -93,6 +102,12 @@ class LikelihoodDraw:
     observations: np.ndarray
     component_index: np.ndarray
     base_reference: str
+
+    def __post_init__(self):
+        if not (
+            np.shape(self.locations) == np.shape(self.observations) == np.shape(self.component_index)
+        ):
+            raise CrmError("atom arrays must share one shape")
 
     def __len__(self) -> int:
         return int(self.locations.size)
@@ -326,12 +341,31 @@ def sample_crm(
         z = np.concatenate(locs)
         u = np.concatenate(weights)
         c = np.concatenate(comp_idx)
-        order = np.lexsort((np.arange(len(z)), c, z))
+        order = _merge_order(z)
         z, u, c = z[order], u[order], c[order]
     else:
         z = u = np.empty(0)
         c = np.empty(0, dtype=int)
     return CRMDraw(z, u, c, float(z_max), level, tail_mass)
+
+
+def _merge_order(z: np.ndarray) -> np.ndarray:
+    """The order that sorts z, equal values kept in their order in z.
+
+    numpy's default sort does not keep that order, but it is several times
+    faster than a stable sort or ``lexsort``, and only the atoms on a point
+    mass tie: each run of equal values is sorted again by index, all runs in
+    one sort of keys run number * len(z) + index.
+    """
+    order = np.argsort(z)
+    sorted_z = z[order]
+    tie = sorted_z[1:] == sorted_z[:-1]
+    if tie.any():
+        after = np.concatenate(([False], tie))  # equal to the value before it
+        at = np.flatnonzero(after | np.concatenate((tie, [False])))
+        run = np.cumsum(~after[at])
+        order[at] = np.sort(run * len(z) + order[at]) % len(z)
+    return order
 
 
 def _require(w, ok, what: str) -> None:

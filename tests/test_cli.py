@@ -61,6 +61,25 @@ def test_sample_zmax_flag_overrides_config(tmp_path):
     assert manifest["z_max"] == 0.5
 
 
+def test_options_of_one_call_do_not_carry_into_the_next(tmp_path):
+    # the parser is built once per process; each call parses afresh
+    config = CONFIG_DIR / "pareto_series.json"
+    args = ("sample", "--config", config, "--seed", 5)
+    assert run(*args, "--zmax", 5.0, "--truncation", 1, "--out", tmp_path / "a") == 0
+    assert run(*args, "--out", tmp_path / "b") == 0
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert manifest["z_max"] == json.loads(config.read_text())["z_max"]
+    assert manifest["truncation_level"] == 3 and manifest["tail_mass"] == 0.0
+    rows = (tmp_path / "b" / "atoms.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"1", "2", "3"}
+
+    assert run("verify", "--suite", "examples", "--out", tmp_path / "c", "pareto-series") == 0
+    assert run("verify", "--suite", "examples", "--out", tmp_path / "d") == 0
+    want = verify.report_csv(verify.run_suite("examples"))
+    assert (tmp_path / "d" / "report.csv").read_text() == want
+    assert len(want.splitlines()) > len((tmp_path / "c" / "report.csv").read_text().splitlines())
+
+
 def test_sample_requires_some_zmax(tmp_path):
     cfg = {"components": [json.loads((CONFIG_DIR / "gamma.json").read_text())["components"][0]]}
     p = tmp_path / "no_zmax.json"

@@ -80,6 +80,36 @@ def test_int_columns_are_written_as_str_writes_them():
     assert csv_rows([np.array(ints, dtype=np.int64)]) == "".join(f"{i}\n" for i in ints)
     assert csv_rows([np.array([True, False])]) == "1\n0\n"
     assert csv_rows([np.array([7], dtype=np.uint8)]) == "7\n"
+    uints = [2**63, 2**64 - 1, 0, 9999]  # past int64
+    assert csv_rows([np.array(uints, dtype=np.uint64)]) == "".join(f"{i}\n" for i in uints)
+
+
+def _str_rows(*columns) -> str:
+    return "".join(",".join(str(v) for v in row) + "\n" for row in zip(*columns))
+
+
+@pytest.mark.parametrize(
+    "ints",
+    [
+        [0, 9999, 10_000, -1, 2**63 - 1, -(2**63), 10**17, 10**18],
+        list(range(0, 10_000, 7)),
+        [5, 123_456_789_012_345_678, 0, -42, 9999, 10_000, 3],
+    ],
+)
+def test_int_columns_of_small_and_large_values_are_written_as_str(ints):
+    col = np.array(ints, dtype=np.int64)
+    floats = np.linspace(-1.0, 2.5, len(ints))
+    assert csv_rows([col]) == _str_rows(ints)
+    assert csv_rows([col, floats]) == _str_rows(ints, floats.tolist())
+    assert csv_rows([floats, col]) == _str_rows(floats.tolist(), ints)
+    assert csv_rows([col, floats, col]) == _str_rows(ints, floats.tolist(), ints)
+
+
+def test_int_columns_span_blocks():
+    ints = np.arange(-3, 2 * _BLOCK)
+    small = ints % 10_000
+    assert csv_rows([small, ints]) == _str_rows(small.tolist(), ints.tolist())
+    assert csv_rows([np.array([], dtype=int)]) == ""
 
 
 def test_columns_keep_their_order_and_kind():

@@ -138,6 +138,20 @@ def test_sample_loads_no_heavy_module(tmp_path, heavy_modules_after, name):
     assert manifest["draw_id"] == GOLDEN[name][0]
 
 
+def test_sample_leaves_numpy_ma_unloaded(tmp_path, fresh_interpreter):
+    # np.unique's first call imports numpy.ma (13-15 ms), which every one-shot
+    # run and the set-up of a process would pay; nothing a run calls needs it
+    runs = [
+        ["sample", "--config", str(CONFIG_DIR / name), "--seed", "7", "--out", str(tmp_path / name)]
+        for name in ("gamma.json", "pareto_series.json")
+    ]
+    code = f"import sys\nfrom crmkit import cli\nfor argv in {runs!r}:\n    assert cli.main(argv) == 0\n"
+    assert fresh_interpreter(code + "print('numpy.ma' in sys.modules)") is False
+    for name in ("gamma.json", "pareto_series.json"):
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["draw_id"] == GOLDEN[name][0]
+
+
 def test_likelihood_bytes_are_pinned():
     contexts, z_max = config.parse_sample_config(MIX_CONFIG)
     rng = np.random.default_rng(7)

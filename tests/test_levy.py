@@ -1164,3 +1164,51 @@ def test_one_density_checks_its_node_batch_once_where_it_is_made(monkeypatch):
     monkeypatch.setattr(expfam, "_as_eta", refused)
     assert levy_density_u(ctx, 1.2, 1.0) > 0
     assert calls == [("_check_finite_path", (21, 2)), ("check_natural", (2, 21))]
+
+
+def _set_grid(path, cuts=()):
+    # the grid as a Python set of numpy scalars built it, the reference
+    lo = max(c.lo for c in path.components)
+    hi = min(c.hi for c in path.components)
+    hi_eff = hi if np.isfinite(hi) else max(10.0, lo + 10.0)
+    lo_eff = max(lo, 1e-4 * max(1.0, hi_eff))
+    pts = set(np.geomspace(lo_eff if lo_eff > 0 else 1e-4, hi_eff, 24))
+    pts.update(np.linspace(lo_eff, hi_eff, 17))
+    pts.update(b for b in [*path.breakpoints(), *cuts] if lo < b < hi)
+    return np.asarray(sorted(p for p in pts if lo < p and p <= hi), dtype=float)
+
+
+_FINITE_PATH = ParameterPath(
+    [
+        PiecewiseFunction(
+            [Piece(0.0, 1.0, "const", c0=2.0), Piece(1.0, 1.5, "affine", c0=1.0, c1=1.0)]
+        ),
+        PiecewiseFunction.constant(3.0, 0.0, 1.5),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "path, cuts",
+    [
+        (ParameterPath.constant([2.0, 3.0]), [0.5, 20.0]),
+        # cuts on a spaced point, repeated, at and past the domain's ends
+        (ParameterPath.constant([2.0, 3.0]), [1e-3, 10.0, 5.0, 5.0, 0.0, -1.0, np.inf]),
+        (ParameterPath.constant([2.0, 3.0]), []),
+        # a finite domain (0, 1.5] with a breakpoint at 1 and cuts at its end
+        (_FINITE_PATH, [1.0, 1.5, 0.75]),
+    ],
+)
+def test_default_grid_equals_the_set_built_grid(path, cuts):
+    grid = levy._default_grid(path, cuts)
+    assert grid.tobytes() == _set_grid(path, cuts).tobytes()
+    assert np.all(np.diff(grid) > 0)
+
+
+@pytest.mark.parametrize("name", ["gamma.json", "pareto_series.json"])
+def test_default_grid_of_each_config_component_equals_the_set_built_grid(name):
+    config = Path(__file__).resolve().parents[1] / "configs" / name
+    contexts, _ = parse_sample_config(load_json(config.read_text()))
+    for ctx in contexts:
+        cuts = ctx.base.breakpoints()
+        assert levy._default_grid(ctx.path, cuts).tobytes() == _set_grid(ctx.path, cuts).tobytes()

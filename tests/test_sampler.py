@@ -514,3 +514,114 @@ def test_ratio_base_locations_follow_the_base_density(ratio_branch):
 def test_a_nan_region_end_is_refused(gamma_unit_ctx):
     with pytest.raises(CrmError, match="region end must be positive, got z_max=nan"):
         sample_crm([gamma_unit_ctx], math.nan, np.random.default_rng(1))
+
+
+class _BoundaryUniforms:
+    """A generator whose every third location uniform is one of the given
+    values, each on the lower edge of a base segment: a zero remainder there
+    puts the atom at its piece's nextafter(lo)."""
+
+    def __init__(self, seed, edges):
+        self._rng, self._edges = np.random.default_rng(seed), np.asarray(edges, dtype=float)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def random(self, size):
+        u = self._rng.random(size)
+        u[::3] = np.resize(self._edges, u[::3].size)
+        return u
+
+
+def _merge_against_lexsort(monkeypatch, components, z_max, rng):
+    """A draw, after checking that its merge order is the three-key lexsort
+    of the concatenated draws: location, component, draw order."""
+    seen = []
+    merge = sampler._merge_order
+
+    def recording(z):
+        order = merge(z)
+        seen.append((z.copy(), order.copy()))
+        return order
+
+    monkeypatch.setattr(sampler, "_merge_order", recording)
+    draw = sample_crm(components, z_max, rng)
+    ((z, order),) = seen
+    c = np.sort(draw.component_index)  # components are concatenated in order
+    want = np.lexsort((np.arange(z.size), c, z))
+    assert np.array_equal(order, want)
+    assert draw.locations.tobytes() == z[want].tobytes()
+    assert np.array_equal(draw.component_index, c[want])
+    return draw
+
+
+def _gamma_ctx(eta, base):
+    return LevyContext.build(make_family("gamma"), ParameterPath.constant(eta), base, k=2)
+
+
+def test_merge_keeps_draw_order_on_a_heavy_point_mass(monkeypatch):
+    base = BaseMeasure(PiecewiseFunction.constant(20.0, 0.0, 2.0), jumps=((0.7, 400.0),))
+    components = [_gamma_ctx([2.0, 3.0], base)]
+    draw = _merge_against_lexsort(monkeypatch, components, 2.0, np.random.default_rng(3))
+    assert np.count_nonzero(draw.locations == 0.7) > 300
+
+
+def test_merge_orders_components_that_share_a_point_mass(monkeypatch):
+    density = PiecewiseFunction.constant(5.0, 0.0, 2.0)
+    shared = BaseMeasure(density, jumps=((0.7, 60.0), (1.3, 40.0)))
+    other = BaseMeasure(density, jumps=((0.7, 80.0),))
+    components = [
+        _gamma_ctx([2.0, 3.0], shared),
+        _gamma_ctx([1.5, 2.0], other),
+        _gamma_ctx([2.0, 1.0], shared),
+    ]
+    draw = _merge_against_lexsort(monkeypatch, components, 2.0, np.random.default_rng(11))
+    at = draw.component_index[draw.locations == 0.7]
+    assert set(at.tolist()) == {1, 2, 3}
+    assert np.all(np.diff(at) >= 0)
+
+
+def test_merge_orders_atoms_clamped_to_a_lower_edge(monkeypatch):
+    # two const pieces of mass 30 each: u = 0 and u = 1/2 give zero remainders
+    # on the lower edges 0 and 1
+    base = BaseMeasure(
+        PiecewiseFunction([Piece(0.0, 1.0, "const", c0=30.0), Piece(1.0, 2.0, "const", c0=30.0)])
+    )
+    components = [_gamma_ctx([2.0, 3.0], base), _gamma_ctx([1.5, 2.0], base)]
+    draw = _merge_against_lexsort(monkeypatch, components, 2.0, _BoundaryUniforms(5, [0.0, 0.5]))
+    for edge in (0.0, 1.0):
+        at = draw.component_index[draw.locations == np.nextafter(edge, np.inf)]
+        assert at.size > 10 and set(at.tolist()) == {1, 2}
+
+
+def test_draw_id_is_kept_after_the_first_access(monkeypatch):
+    draw = sample_crm([_affine_base_ctx()], 2.0, np.random.default_rng(8))
+    first = draw.draw_id
+    calls = []
+    atoms_csv = sampler._atoms_csv
+    monkeypatch.setattr(sampler, "_atoms_csv", lambda *a: calls.append(a) or atoms_csv(*a))
+    assert draw.draw_id == first
+    assert calls == []
+    assert first == sampler.text_id(draw.csv_text())
+    # a property, whose fget the benchmark tracer wraps
+    assert isinstance(CRMDraw.__dict__["draw_id"], property)
+    assert replace(draw, z_max=3.0).draw_id == first
+
+
+def test_draw_arrays_are_its_own_and_read_only():
+    locs, weights, comp = np.array([0.25, 0.5]), np.array([1.0, 2.0]), np.array([1, 1])
+    draw = CRMDraw(locs, weights, comp, 1.0, 1, None)
+    first = draw.draw_id
+    for name in ("locations", "weights", "component_index"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(draw, name)[0] = 1
+    locs[0], weights[0], comp[0] = 0.75, 3.0, 2
+    assert draw.locations[0] == 0.25 and draw.weights[0] == 1.0 and draw.component_index[0] == 1
+    assert draw.draw_id == first == sampler.text_id(draw.csv_text())
+
+
+def test_likelihood_draw_refuses_arrays_of_different_shapes():
+    with pytest.raises(CrmError, match="shape"):
+        sampler.LikelihoodDraw(np.array([0.1, 0.2, 0.3]), np.array([1.0]), np.array([1, 2, 3]), "")
+    draw = sampler.LikelihoodDraw(np.array([0.1]), np.array([1.0]), np.array([1]), "")
+    assert draw.csv_text() == "component,location,observation\n1,0.1,1.0\n"
