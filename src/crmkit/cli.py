@@ -199,11 +199,10 @@ def cmd_posterior(args) -> int:
         for loc, v in observations:
             grouped.setdefault(float(loc), []).append(v)
         post = conj.posterior_path(pair, ctx.path, grouped, mode="per-atom")
-        overrides = {}
-        for loc in sorted(grouped):
-            overrides[loc] = post.atom_overrides[loc]
-            before = ", ".join(f"{v:g}" for v in ctx.path.eval(loc))
-            after = ", ".join(f"{v:g}" for v in overrides[loc])
+        overrides = {loc: post.atom_overrides[loc] for loc in sorted(grouped)}
+        for (loc, eta), prior_eta in zip(overrides.items(), ctx.path.eval_many(list(overrides))):
+            before = ", ".join(f"{v:g}" for v in prior_eta)
+            after = ", ".join(f"{v:g}" for v in eta)
             diff.append(f"atom {loc!r}: ({before}) -> ({after})")
         post_component = cfg.override_component_obj(component, overrides)
         if not grouped:

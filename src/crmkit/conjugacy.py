@@ -15,7 +15,7 @@ mu), gamma-pareto (known scale x_m), gamma-poisson.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -123,7 +123,8 @@ def posterior_path(
 
     ``uniform`` treats ``observations`` as one flat collection and shifts the
     whole path; ``per-atom`` takes a mapping location -> observation list and
-    overrides the path value only at those locations.  The updated path must
+    overrides the path value only at those locations, refusing one the prior's
+    pieces do not cover before it reads any observation.  The updated path must
     lie in the natural space on its check grid, else :class:`NaturalSpaceError`.
     """
     if prior_path.dimension != pair.prior_family.dimension:
@@ -134,14 +135,14 @@ def posterior_path(
     if mode == "uniform":
         new = prior_path.shifted(pair.shift(observations))
     elif mode == "per-atom":
-        if not isinstance(observations, Mapping):
-            observations = dict(observations)
+        items = sorted(dict(observations).items())
+        locs = np.array([loc for loc, _ in items], dtype=float)
+        undefined = locs[~prior_path.defined_at(locs)]
+        if undefined.size:
+            raise CrmError(f"prior path is undefined at observed atom {float(undefined[0])}")
         overrides = dict(prior_path.atom_overrides or {})
-        for loc, ys in sorted(observations.items()):
-            loc = float(loc)
-            if not prior_path.defined_at(loc):
-                raise CrmError(f"prior path is undefined at observed atom {loc}")
-            overrides[loc] = pair.tau(prior_path.eval(loc), ys)
+        for loc, (_, ys), eta in zip(locs.tolist(), items, prior_path.eval_many(locs)):
+            overrides[loc] = pair.tau(eta, ys)
         new = ParameterPath(prior_path.components, overrides)
     else:
         raise CrmError(f"mode must be 'uniform' or 'per-atom', got {mode!r}")

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -1005,21 +1006,17 @@ class ParameterPath:
     def dimension(self) -> int:
         return len(self.components)
 
-    def defined_at(self, z: float) -> bool:
-        return all(c.defined_at(z) for c in self.components)
+    def defined_at(self, z):
+        """Whether every component's pieces cover each z of ``np.asarray(z)``, atom
+        overrides not counted: a bool at a scalar z, else a boolean array of z's shape."""
+        return functools.reduce(operator.and_, (c.defined_at(z) for c in self.components))
 
     def eval(self, z: float) -> np.ndarray:
-        if z in self.atom_overrides:
-            return np.asarray(self.atom_overrides[z], dtype=float)
-        out = np.empty(self.dimension)
-        for j, comp in enumerate(self.components):
-            out[j] = comp(z)
-        if not np.all(np.isfinite(out)):
-            raise CrmError(f"parameter path not finite at z={z}: {out}")
-        return out
+        """eta at one z, shape (l,): :meth:`eval_many` at a single point."""
+        return self.eval_many(z)
 
     def eval_many(self, zs) -> np.ndarray:
-        """eta at every z, shape ``zs.shape + (l,)``; the array form of :meth:`eval`.
+        """eta at every z, shape ``zs.shape + (l,)``.
 
         Each component is evaluated over the whole array with one mask per
         piece (pieces cover (lo, hi], the left piece wins at a shared

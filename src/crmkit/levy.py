@@ -167,11 +167,11 @@ def check_conditions(
     Checks (2) and (3) are sampled at the grid points alone, so a pass says
     nothing between them or beyond the last one; the grid of
     :meth:`LevyContext.build` stops at z = max(10, lo + 10) on a domain with
-    no upper end.  Check (2) evaluates the whole grid in one
-    :meth:`~crmkit.expfam.ParameterPath.eval_many` call; it walks the grid
-    point by point only when that call raises, or when an atom override
-    fills a point that the pieces do not cover, to name each undefined point
-    or raising piece as a witness.
+    no upper end.  Check (2) finds the points the path's pieces do not cover
+    (an override there does not count) in one ``defined_at`` call and
+    evaluates the others in one ``eval_many`` call; it walks them point by
+    point only where that call raises, a ``func`` piece raising or eta not
+    finite, to name each such point as a witness.
     """
     if path.dimension != family.dimension:
         raise CrmError(
@@ -209,27 +209,22 @@ def check_conditions(
             )
         )
 
-    # (2) path in natural space: the whole grid in one batch; only if that
-    # raises, point by point, so an undefined point or a raising piece is a witness
-    witnesses = []
+    # (2) path in natural space: the defined points in one batch; only if that
+    # raises, point by point, so a raising piece or a non-finite eta is a witness
+    defined = path.defined_at(grid)
+    witnesses = [(float(z), "path undefined") for z in grid[~defined]]
+    zs = grid[defined]
     try:
-        zs, etas = grid, path.eval_many(grid)
-        if path.atom_overrides:  # eval_many fills an override without the
-            # pieces, but a point they do not cover is still undefined
-            ParameterPath(path.components).eval_many(grid)
-    except Exception:  # some point fails: walk the grid to name each one
-        zs, etas = [], []
-        for z in grid:
-            if not path.defined_at(z):
-                witnesses.append((float(z), "path undefined"))
-                continue
+        etas = path.eval_many(zs)
+    except Exception:  # some point fails: walk the points to name each one
+        kept = []
+        for z in zs.tolist():
             try:
-                etas.append(path.eval(z))
+                kept.append((z, path.eval(z)))
             except Exception as exc:  # record, don't raise
-                witnesses.append((float(z), str(exc)))
-                continue
-            zs.append(float(z))
-        zs, etas = np.array(zs), np.array(etas).reshape(-1, family.dimension)
+                witnesses.append((z, str(exc)))
+        zs = np.array([z for z, _ in kept])
+        etas = np.array([eta for _, eta in kept]).reshape(-1, family.dimension)
     ok = family.in_natural_space(etas.T)
     for z, eta in zip(zs[~ok], etas[~ok]):
         try:
@@ -445,10 +440,11 @@ def _z_integral(ctx: LevyContext, h: Callable, t: float, x) -> float | np.ndarra
     a batch (shape (l, m), A of shape (m,)) to ``np.shape(x) + (m,)``, each entry
     that eta's and point's double.  A constant stretch gives h(eta, A, x)
     A_0(stretch), h not run where that mass is 0; any other takes
-    :func:`_stretch_integral` per nonzero base piece.  Atom overrides act only
-    through the base point masses.  The callers check t > 0.  Overflow and
-    invalid values are not warned about anywhere in the walk; h and the caller
-    read a non-finite value themselves.
+    :func:`_stretch_integral` per nonzero base piece.  The point masses take h at
+    one batch of their eta, added in location order; atom overrides act only
+    through them.  The callers check t > 0.  Overflow and invalid values are
+    not warned about anywhere in the walk; h and the caller read a non-finite
+    value themselves.
     """
     total, x = 0.0, np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -464,10 +460,20 @@ def _z_integral(ctx: LevyContext, h: Callable, t: float, x) -> float | np.ndarra
                 hi = min(hi, t)
                 if lo < hi:
                     total += _stretch_integral(stretch, h, x, piece, lo, hi)
-        for loc, mass in ctx.base.jumps_in(0.0, t):
-            if mass > 0:
-                total += mass * h(*expfam._bind_many(ctx.family, ctx.path.eval(loc)), x)
+        jumps = [(loc, mass) for loc, mass in ctx.base.jumps_in(0.0, t) if mass > 0]
+        if jumps:  # one batch of eta, added a mass at a time in location order
+            locs, masses = zip(*jumps)
+            values = h(*expfam._bind_many(ctx.family, ctx.path.eval_many(locs).T), x)
+            for i, mass in enumerate(masses):
+                total += mass * values[..., i]
     return total
+
+
+def _check_s(family: ExpFamilySpec, s) -> None:
+    """Raise :class:`SupportError` naming the first s outside the family support."""
+    if not family.support.contains(s):
+        bad = next(v for v in np.ravel(s) if not family.support.contains(v))
+        raise SupportError(f"s={bad} outside the family support")
 
 
 def levy_density_s(ctx: LevyContext, t: float, s):
@@ -476,9 +482,7 @@ def levy_density_s(ctx: LevyContext, t: float, s):
     locations.  The first s outside the family support raises :class:`SupportError`."""
     if not (t > 0):
         raise CrmError(f"time must be positive, got t={t}")
-    if not ctx.family.support.contains(s):
-        bad = next(v for v in np.ravel(s) if not ctx.family.support.contains(v))
-        raise SupportError(f"s={bad} outside the family support")
+    _check_s(ctx.family, s)
 
     def density(eta, log_partition, x):  # x checked against the support above
         return np.exp(expfam._exponent(ctx.family, eta, log_partition, np.asarray(x)))
@@ -487,14 +491,14 @@ def levy_density_s(ctx: LevyContext, t: float, s):
     return density + np.zeros(np.shape(s)) if np.ndim(s) else float(density)
 
 
-def levy_integrand(ctx: LevyContext, z: float, s: float) -> float:
-    """Density-in-z of the Levy measure: p(s | eta(z)) a_0(z), atoms and overrides excluded."""
-    if not ctx.family.support.contains(s):
-        raise SupportError(f"s={s} outside the family support")
+def levy_integrand(ctx: LevyContext, z: float, s):
+    """Density-in-z of the Levy measure, p(s | eta(z)) a_0(z) at one z, atoms and overrides
+    excluded: a float at one s, at an array of s an array of the doubles each s alone gives."""
+    _check_s(ctx.family, s)
     if not ctx.base.density.defined_at(z):
-        return 0.0
-    eta = ctx._plan.path.eval(z)
-    return float(expfam.density(ctx.family, eta, s) * ctx.base.density(z))
+        return np.zeros(np.shape(s)) if np.ndim(s) else 0.0
+    value = expfam.density(ctx.family, ctx._plan.path.eval(z), s) * ctx.base.density(z)
+    return value if np.ndim(s) else float(value)
 
 
 def _pushforward(ctx: LevyContext, u, density_s: Callable):
@@ -608,7 +612,7 @@ def _homogeneity_witnesses(ctx: LevyContext, t: float) -> list:
     grid = _default_grid(ctx.path, cuts)
     mids = 0.5 * (np.array(cuts[:-1]) + np.array(cuts[1:]))
     zs = _sorted_distinct(np.concatenate([grid[grid <= horizon], mids, [horizon]]))
-    defined = np.array([ctx.path.defined_at(z) and ctx.base.density.defined_at(z) for z in zs])
+    defined = ctx.path.defined_at(zs) & ctx.base.density.defined_at(zs)
     witnesses = [(float(z), "path or base density undefined") for z in zs[~defined]]
     zs = zs[defined]
     if zs.size:

@@ -7,8 +7,8 @@ affine and ratio pieces integrate exactly and the location sampler inverts
 them exactly over arrays.
 
 Evaluation is left-continuous: a piece covers (lo, hi], so at a shared
-breakpoint the left piece wins.  A function evaluates at a scalar or, with
-one mask per piece, over a whole array.
+breakpoint the left piece wins.  A function evaluates, and says where it is
+defined, with one mask per piece over ``np.asarray(z)``; a scalar is a batch of one.
 
 Callable pieces integrate through :func:`checked_quad`, the package's one checked
 quadrature helper: QUADPACK's adaptive quadrature (:mod:`crmkit.quadpack`)
@@ -96,18 +96,14 @@ class Piece:
             raise CrmError("ratio piece needs d1 != 0; a constant denominator is affine")
 
     def value(self, z):
-        """The piece at a scalar z (a scalar), or elementwise over an array."""
-        array = isinstance(z, np.ndarray)  # tested first: the quadrature nodes are arrays
-        if not (array or np.isscalar(z)):
-            z, array = np.asarray(z), True
+        """The piece elementwise over ``np.asarray(z)``, an array of its shape."""
+        z = np.asarray(z, dtype=float)
         if self.kind == "const":
-            return np.full(z.shape, self.c0) if array else self.c0
+            return np.full(z.shape, self.c0)
         if self.kind == "affine":
             return self.c0 + self.c1 * z
         if self.kind == "ratio":
             return (self.c0 + self.c1 * z) / (self.d0 + self.d1 * z)
-        if not array:
-            return float(self.func(z))
         # the callable takes Python floats, one node at a time
         return np.array([float(self.func(zz)) for zz in z.ravel().tolist()]).reshape(z.shape)
 
@@ -235,34 +231,37 @@ class PiecewiseFunction:
         return None
 
     def __call__(self, z):
-        """Value at a scalar z, or elementwise over an array with one mask per piece.
+        """Value at each z of ``np.asarray(z)``, with one mask per piece: a float at
+        a Python or numpy scalar, else an array of z's shape (0-d at a 0-d array).
 
         Pieces cover (lo, hi] and are tried left to right, so the left piece
         wins at a shared breakpoint; a piece that covers every z evaluates
         the whole array with no masked write.  A z outside every piece raises
         :class:`CrmError` naming the first such z.
         """
-        if np.isscalar(z):
-            p = self.piece_at(z)
-            if p is None:
-                raise CrmError(f"z={z} outside the covered domain")
-            return float(p.value(z))
-        z = np.asarray(z, dtype=float)
-        out = np.empty(z.shape)
-        todo = np.ones(z.shape, dtype=bool)
+        zs = np.asarray(z, dtype=float)
+        out = np.empty(zs.shape)
+        todo = np.ones(zs.shape, dtype=bool)
         for p in self.pieces:
-            mask = todo & (z > p.lo) & (z <= p.hi)
-            if mask.all():  # only while no earlier piece took a z
-                return np.asarray(p.value(z), dtype=float)
+            mask = todo & (zs > p.lo) & (zs <= p.hi)
+            if mask.all():  # only while no earlier piece took a z: none is left
+                out, todo = np.asarray(p.value(zs), dtype=float), ~mask
+                break
             if mask.any():
-                out[mask] = p.value(z[mask])
+                out[mask] = p.value(zs[mask])
                 todo &= ~mask
         if todo.any():
-            raise CrmError(f"z={float(z[todo][0])} outside the covered domain")
-        return out
+            raise CrmError(f"z={float(zs[todo][0])} outside the covered domain")
+        return out if isinstance(z, np.ndarray) or out.ndim else float(out)
 
     def defined_at(self, z):
-        return self.piece_at(z) is not None
+        """Whether a piece covers each z of ``np.asarray(z)``: a bool at a Python or
+        numpy scalar, else a boolean array of z's shape.  No piece covers NaN."""
+        zs = np.asarray(z, dtype=float)
+        ok = np.zeros(zs.shape, dtype=bool)
+        for p in self.pieces:
+            ok |= (zs > p.lo) & (zs <= p.hi)
+        return ok if isinstance(z, np.ndarray) or ok.ndim else bool(ok)
 
     def integral(self, a, b):
         """Integral over [a, b]; gaps between pieces contribute zero."""

@@ -436,20 +436,19 @@ def _suite_examples(seed, replicates) -> SuiteResult:
         worst = 0.0
         for z in zs:
             c = 1.0 + z
-            for s in ss:
-                got = levy.levy_integrand(ctx, z, s)
+            for s, got in zip(ss, levy.levy_integrand(ctx, z, np.array(ss)).tolist()):
                 want = c * (1.0 - s) ** (c + n - 1.0)
                 worst = max(worst, abs(got - want))
         res.add(f"beta-decomposition n={n}", worst, 0.0, 1e-8)
 
     # gamma decomposition: integrand equals Gamma(h, c(z)/(k+1)) / ((k+1)^h h)
+    ss = (0.1, 0.5, 1.0, 2.0, 5.0)
     for k, h in ((0, 1), (1, 2)):
         ctx = gamma_decomposition_context(k, h)
         worst = 0.0
         for z in zs:
             rate = (1.0 + z) / (k + 1.0)
-            for s in (0.1, 0.5, 1.0, 2.0, 5.0):
-                got = levy.levy_integrand(ctx, z, s)
+            for s, got in zip(ss, levy.levy_integrand(ctx, z, np.array(ss)).tolist()):
                 want = (
                     rate**h * s ** (h - 1.0) * math.exp(-rate * s) / math.gamma(h)
                 ) / ((k + 1.0) ** h * h)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -138,6 +139,46 @@ def test_posterior_path_per_atom():
     post = conj.posterior_path(pair, path, {0.25: [1.0, 1.0, 0.0]}, mode="per-atom")
     np.testing.assert_allclose(post.eval(0.25), [2.6, 2.4])
     np.testing.assert_allclose(post.eval(0.7), [0.6, 1.4])
+
+
+def _many_atom_prior():
+    # an affine-then-ratio first coordinate with a breakpoint at 1, an affine
+    # second, both on (0, 4], and an override at 1.5
+    return ParameterPath(
+        [
+            PiecewiseFunction(
+                [
+                    Piece(0.0, 1.0, "affine", c0=2.0, c1=0.5),
+                    Piece(1.0, 4.0, "ratio", c0=1.0, c1=2.0, d0=1.0, d1=0.5),
+                ]
+            ),
+            PiecewiseFunction([Piece(0.0, 4.0, "affine", c0=3.0, c1=0.25)]),
+        ],
+        atom_overrides={1.5: (4.0, 5.0)},
+    )
+
+
+def test_posterior_path_per_atom_overrides_keep_their_bits_over_many_atoms():
+    # the breakpoint, the prior's override and the domain's end, then 37 atoms
+    rng = np.random.default_rng(29)
+    locs = [1.0, 1.5, 4.0, *rng.uniform(0.0, 4.0, 37).tolist()]
+    obs = {loc: rng.poisson(3.0, size=1 + i % 3).astype(float).tolist() for i, loc in enumerate(locs)}
+    post = conj.posterior_path(conj.make_pair("gamma-poisson"), _many_atom_prior(), obs, mode="per-atom")
+    keys = sorted(post.atom_overrides)
+    assert keys == sorted(locs)
+    bits = np.array([post.atom_overrides[loc] for loc in keys]).tobytes()
+    assert hashlib.sha256(bits).hexdigest() == (
+        "f2c444ef3e62d30603619e7e2bd6a392fa6743df31b5685e818f99984b560152"
+    )
+    # tau reads the prior's override at 1.5 and the left piece at the breakpoint
+    assert post.atom_overrides[1.5].tolist() == [12.0, 7.0]
+    assert post.atom_overrides[1.0].tolist() == [3.5, 4.25]
+
+
+def test_posterior_path_refuses_an_undefined_atom_by_its_location():
+    pair = conj.make_pair("gamma-poisson")
+    with pytest.raises(CrmError, match=r"^prior path is undefined at observed atom 5\.0$"):
+        conj.posterior_path(pair, _many_atom_prior(), {0.5: [1.0], 5.0: [2.0]}, mode="per-atom")
 
 
 def test_posterior_path_empty_observations_is_prior():

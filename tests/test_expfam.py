@@ -319,6 +319,33 @@ def _piecewise_path():
     )
 
 
+def _piece_formula(pieces, z):
+    """The component at the Python float z by the (lo, hi] rule, the left piece
+    winning at a shared breakpoint, from the piece formulas on Python floats."""
+    for p in pieces:
+        if p.lo < z <= p.hi:
+            if p.kind == "const":
+                return float(p.c0)
+            if p.kind == "affine":
+                return p.c0 + p.c1 * z
+            if p.kind == "ratio":
+                return (p.c0 + p.c1 * z) / (p.d0 + p.d1 * z)
+            return float(p.func(z))
+    raise CrmError(f"z={z} outside the covered domain")
+
+
+def _stacked_oracle(path, zs):
+    """eta at each z, one row per z: an override by dict lookup, else each
+    component's piece formula."""
+    rows = []
+    for z in np.ravel(zs).tolist():
+        if z in path.atom_overrides:
+            rows.append([float(v) for v in path.atom_overrides[z]])
+        else:
+            rows.append([_piece_formula(c.pieces, z) for c in path.components])
+    return np.array(rows, dtype=float)
+
+
 def test_eval_many_equals_stacked_eval():
     path = _piecewise_path()
     rng = np.random.default_rng(11)
@@ -327,13 +354,14 @@ def test_eval_many_equals_stacked_eval():
     zs = np.concatenate(
         [[0.25, 1.0, 5.0, np.nextafter(1.0, 2.0), 3.0, 0.25], rng.uniform(0.0, 3.0, size=98)]
     )
-    want = np.vstack([path.eval(float(z)) for z in zs])
+    want = _stacked_oracle(path, zs)
     got = path.eval_many(zs)
     assert got.tobytes() == want.tobytes()
     assert got[0].tolist() == [7.0, 6.0] and got[2].tolist() == [4.0, 3.0]
     assert path.eval_many(zs.reshape(4, -1)).shape == (4, len(zs) // 4, 2)
+    assert np.vstack([path.eval(float(z)) for z in zs]).tobytes() == want.tobytes()
     no_overrides = expfam.ParameterPath(path.components)
-    want = np.vstack([no_overrides.eval(float(z)) for z in zs[3:]])
+    want = _stacked_oracle(no_overrides, zs[3:])
     assert no_overrides.eval_many(zs[3:]).tobytes() == want.tobytes()
 
 
@@ -363,7 +391,7 @@ def test_eval_many_is_stacked_eval_for_every_piece_kind(kind, split, overrides):
     # both pieces and inside the first
     edges = [0.75, 1.5, np.nextafter(1.5, 4.0), 4.0, np.nextafter(0.0, 1.0)]
     for zs in (np.array(edges), rng.uniform(0.0, 4.0, 60), rng.uniform(0.1, 1.4, 21)):
-        want = np.vstack([path.eval(float(z)) for z in zs])
+        want = _stacked_oracle(path, zs)
         got = path.eval_many(zs)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
     with pytest.raises(CrmError, match=r"^z=5\.0 outside the covered domain$"):
@@ -379,14 +407,39 @@ def test_eval_many_raises_the_scalar_non_finite_error():
             PiecewiseFunction.constant(2.0),
         ]
     )
-    with pytest.raises(CrmError) as scalar:
-        path.eval(2.5)
-    with pytest.raises(CrmError) as batch:
-        path.eval_many([0.5, 2.5, 3.5])
-    assert str(batch.value) == str(scalar.value)
-    assert "z=2.5" in str(batch.value)
+    message = "parameter path not finite at z=2.5: [inf  2.]"
+    for call, z in ((path.eval, 2.5), (path.eval_many, [0.5, 2.5, 3.5])):
+        with pytest.raises(CrmError) as exc:
+            call(z)
+        assert str(exc.value) == message
     with pytest.raises(CrmError, match=r"^z=0\.0 outside the covered domain$"):
         path.eval_many([0.5, 0.0, 2.5])
+
+
+def test_defined_at_over_an_array_counts_the_pieces_alone():
+    # the second component has a gap on (1, 2]; an override at 1.5 inside the
+    # gap and one at 5.0 past every piece do not count
+    path = expfam.ParameterPath(
+        [
+            PiecewiseFunction(
+                [Piece(0.0, 1.0, "const", c0=2.0), Piece(1.0, 3.0, "affine", c0=0.7, c1=1.3)]
+            ),
+            PiecewiseFunction(
+                [Piece(0.0, 1.0, "const", c0=1.0), Piece(2.0, 3.0, "const", c0=4.0)]
+            ),
+        ],
+        atom_overrides={1.5: (9.0, 8.0), 5.0: (4.0, 3.0)},
+    )
+    zs = np.array([0.0, 0.5, 1.0, np.nextafter(1.0, 2.0), 1.5, 2.0, 2.5, 3.0, 5.0, math.nan])
+    want = [False, True, True, False, False, False, True, True, False, False]
+    got = path.defined_at(zs)
+    assert got.dtype == np.bool_ and got.tolist() == want
+    assert path.defined_at(zs.reshape(2, 5)).tolist() == [want[:5], want[5:]]
+    assert [path.defined_at(float(z)) for z in zs] == want
+    assert type(path.defined_at(1.0)) is bool and type(path.defined_at(np.float64(1.5))) is bool
+    assert path.defined_at(np.array(1.0)).shape == ()
+    # an override counts for evaluation, not for definedness
+    assert path.eval(1.5).tolist() == [9.0, 8.0]
 
 
 # (family, valid etas, first failing eta, a later failing eta)

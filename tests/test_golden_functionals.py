@@ -82,6 +82,15 @@ def _contexts():
             ),
             k=2,
         ),
+        # several point masses on an affine rate, one of them under an override
+        "jumps": LevyContext.build(
+            gamma,
+            ParameterPath(
+                [const(2.0), PiecewiseFunction([Piece(0.0, INF, "affine", c0=3.0, c1=0.5)])]
+            ).with_override(1.25, [3.0, 1.5]),
+            BaseMeasure(const(1.0), ((0.4, 0.5), (1.25, 2.0), (2.5, 0.75))),
+            k=2,
+        ),
         # paths that are not constant: an affine rate, an affine second
         # coordinate over a ratio base, an affine pareto shape, and a func
         # shape with an affine-then-const rate over an affine-then-const base
@@ -120,6 +129,7 @@ CALLS = {
     "piecewise": ((2.0, 0.7), (2.0, 1.0), (1.5, (0.2, 1.0, 2.5)), 1.0),
     "override": ((2.0, 0.7), (2.0, 1.0), (1.0, (0.2, 1.0, 2.5)), 1.0),
     "gap_jump": ((3.0, 0.7), (3.0, 1.0), (3.0, (0.2, 1.0, 2.5)), 3.0),
+    "jumps": ((3.0, 0.7), (3.0, 1.0), (2.0, (0.2, 1.0, 2.5)), 1.0),
     "gamma_affine": ((1.0, 0.7), (1.0, 2.0), (2.5, (0.1, 1.0, 3.0)), 1.0),
     "beta_ratio": ((1.0, -0.3), (2.0, 0.6), (1.5, (-2.0, -0.5, -0.05)), 1.0),
     "pareto_affine": ((1.0, 0.4), (2.0, 0.8), (1.5, (0.1, 1.0, 4.0)), 1.0),
@@ -149,6 +159,10 @@ PINNED = {
     ("gap_jump", "laplace_exponent"): "1.6187499999999995",
     ("gap_jump", "density_table"): "[(3.0, 0.2, 3.655085496386216), (3.0, 1.0, 1.6579093766498694), (3.0, 2.5, 0.046044273814807135)]",
     ("gap_jump", "classify_activity"): "('NotTimeHomogeneous', 3.7)",
+    ("jumps", "levy_density_u"): "3.560206901757371",
+    ("jumps", "laplace_exponent"): "3.1737052563644705",
+    ("jumps", "density_table"): "[(2.0, 0.2, 3.0706887338978417), (2.0, 1.0, 1.7021138771633824), (2.0, 2.5, 0.5115632576656822)]",
+    ("jumps", "classify_activity"): "('NotTimeHomogeneous', 1.5)",
     # pinned when every non-constant stretch still ran scipy's quad
     ("gamma_affine", "levy_density_u"): "0.0292169905522886",
     ("gamma_affine", "laplace_exponent"): "0.11565489012728797",

@@ -167,6 +167,21 @@ def test_levy_integrand_is_pointwise_product(gamma_const_ctx):
     assert levy_integrand(gamma_const_ctx, -5.0, s) == 0.0
 
 
+def test_levy_integrand_at_an_array_of_s_gives_each_one_point_double():
+    ss = np.array([0.05, 0.2, 0.5, 0.8, 0.95])
+    for n in (1, 2, 5):
+        ctx = verify.beta_decomposition_context(n)
+        for z in (0.25, 0.75, 1.5, 3.0):
+            got = levy_integrand(ctx, z, ss)
+            assert got.shape == ss.shape
+            assert got.tolist() == [levy_integrand(ctx, z, s) for s in ss.tolist()]
+    # where the base density is undefined, zeros of the shape of s
+    ctx = verify.beta_decomposition_context(1)
+    assert levy_integrand(ctx, -1.0, ss.reshape(5, 1)).tolist() == [[0.0]] * 5
+    with pytest.raises(SupportError, match=r"^s=1\.5 outside the family support$"):
+        levy_integrand(ctx, 0.5, np.array([0.5, 1.5, 2.0]))
+
+
 def test_levy_density_u_pushforward_identity(gamma_const_ctx):
     # k = 2 uses T(s) = s whose inverse is the identity
     assert levy_density_u(gamma_const_ctx, 1.0, 0.9) == pytest.approx(

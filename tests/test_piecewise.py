@@ -159,6 +159,30 @@ def test_piecewise_lookup_and_domain():
         f(5.0)
 
 
+def test_defined_at_over_an_array_is_one_mask_per_piece():
+    # a shared breakpoint at 1, a gap on (2, 3], then a piece on (3, 4]
+    f = PiecewiseFunction(
+        [
+            Piece(0.0, 1.0, "const", c0=2.0),
+            Piece(1.0, 2.0, "affine", c0=0.0, c1=3.0),
+            Piece(3.0, 4.0, "const", c0=5.0),
+        ]
+    )
+    zs = np.array([0.0, 0.5, 1.0, np.nextafter(1.0, 2.0), 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, math.nan])
+    want = [False, True, True, True, True, False, False, True, True, False, False]
+    got = f.defined_at(zs)
+    assert got.dtype == np.bool_ and got.tolist() == want
+    assert f.defined_at(zs[:10].reshape(2, 5)).tolist() == [want[:5], want[5:10]]
+    assert f.defined_at(np.empty(0)).shape == (0,)
+    # a scalar is a batch of one that gives back a bool; a 0-d array stays 0-d
+    assert [f.defined_at(z) for z in zs.tolist()] == want
+    assert type(f.defined_at(np.float64(2.5))) is bool and type(f.defined_at(1.0)) is bool
+    assert f.defined_at(np.array(1.0)).shape == () and f.defined_at(np.array(1.0))
+    assert type(f(np.float64(1.5))) is float and f(1.5) == 4.5
+    with pytest.raises(CrmError, match=r"^z=nan outside the covered domain$"):
+        f(math.nan)
+
+
 def test_piecewise_integral_spans_pieces_and_gaps():
     f = PiecewiseFunction(
         [Piece(0.0, 1.0, "const", c0=2.0), Piece(3.0, 4.0, "const", c0=5.0)]
@@ -197,6 +221,11 @@ def _mixed():
     )
 
 
+def _by_piece_at(f, zs):
+    """f at each z from the piece that ``piece_at``'s scalar (lo, hi] loop picks."""
+    return np.array([float(f.piece_at(z).value(z)) for z in np.ravel(zs).tolist()])
+
+
 def test_array_call_equals_the_scalar_loop():
     f = _mixed()
     rng = np.random.default_rng(5)
@@ -206,8 +235,9 @@ def test_array_call_equals_the_scalar_loop():
             rng.uniform(0.0, 4.0, size=200),
         ]
     )
-    want = np.array([f(float(zz)) for zz in z])
+    want = _by_piece_at(f, z)
     got = f(z)
+    assert np.array([f(float(zz)) for zz in z]).tobytes() == want.tobytes()
     assert got.tobytes() == want.tobytes()
     # a shared breakpoint takes the left piece's value
     assert got[1] == 2.0 and got[3] == 0.3 + 1.7 * 2.5
@@ -227,7 +257,7 @@ def test_array_call_inside_one_piece_is_a_float_array_of_the_input_shape():
     f = _mixed()
     z = np.linspace(1.05, 2.45, 12).reshape(3, 4)  # all inside the affine piece
     got = f(z)
-    assert got.shape == (3, 4) and got.tobytes() == np.array([f(float(zz)) for zz in z.ravel()]).tobytes()
+    assert got.shape == (3, 4) and got.tobytes() == _by_piece_at(f, z).tobytes()
     one = PiecewiseFunction([Piece(0.0, 2.0, "const", c0=2)])  # an int coefficient
     assert one(z[:1]).dtype == np.float64 and one(z[:1]).shape == (1, 4)
     assert one(np.array(0.5)).shape == () and one(np.array(0.5)) == 2.0
