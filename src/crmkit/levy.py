@@ -122,6 +122,24 @@ class BaseMeasure:
         mass += sum(m for _, m in self.jumps_in(a, b))
         return float(mass)
 
+    def segments(self, a: float, b: float):
+        """Where A_0 puts its mass on a window (a, b], a < b: ``(pieces, jumps, total)``.
+
+        ``pieces`` holds (piece, lo, hi, mass) for each density piece that
+        meets the window, (lo, hi] being its part inside; ``jumps`` is
+        ``jumps_in(a, b)``; ``total`` is ``increment(a, b)``, summed in the
+        same order to the same double, with each piece integrated once.
+        """
+        pieces, total = [], 0
+        for p in self.density.pieces:
+            lo, hi = max(a, p.lo), min(b, p.hi)
+            if lo < hi:
+                mass = p.integral(lo, hi)
+                pieces.append((p, lo, hi, mass))
+                total += mass
+        jumps = self.jumps_in(a, b)
+        return pieces, jumps, float(total) + sum(m for _, m in jumps)
+
     def breakpoints(self) -> list[float]:
         return sorted(set(self.density.breakpoints()) | {loc for loc, _ in self.jumps})
 

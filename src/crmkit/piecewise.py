@@ -3,8 +3,9 @@
 Both parameter paths and base-measure densities are piecewise functions of a
 location coordinate z >= 0.  Pieces are constant, affine (c0 + c1*z), ratio
 ((c0 + c1*z) / (d0 + d1*z), d1 != 0), or an arbitrary callable; constant,
-affine and ratio pieces integrate exactly and the location sampler inverts
-them exactly over arrays.
+affine and ratio pieces integrate exactly, and :meth:`Piece.locate`, the
+inverse of :meth:`Piece.integral` that places the sampler's atoms, inverts
+them exactly over arrays (callable pieces by brentq, one entry at a time).
 
 Evaluation is left-continuous: a piece covers (lo, hi], so at a shared
 breakpoint the left piece wins.  A function evaluates, and says where it is
@@ -34,6 +35,7 @@ from .errors import CrmError, DivergenceError
 __all__ = ["Piece", "PiecewiseFunction", "checked_quad"]
 
 _INF = float("inf")
+_EPS = float(np.finfo(float).eps)
 
 
 @functools.cache
@@ -174,6 +176,84 @@ class Piece:
         if log_coef == 0:
             return lin * (b - a)  # the denominator cancels
         return lin * (b - a) + log_coef * math.log1p(self.d1 * (b - a) / y_a)
+
+    def locate(self, rem: np.ndarray, a, b) -> np.ndarray:
+        """The z in [a, b] with ``integral(a, z) == rem``, for each entry of rem.
+
+        The window is clipped to the piece as :meth:`integral` clips it, and
+        each rem lies in [0, integral(a, b)].  Const and affine pieces invert
+        in closed form, ratio pieces by Newton's method on their exact mass,
+        and callable pieces one entry at a time by brentq on (a, b), which
+        must then be finite; ``scipy.optimize`` is imported on the first such
+        call.
+        """
+        a, b = max(a, self.lo), min(b, self.hi)
+        if self.kind == "const":
+            return a + rem / self.c0
+        if self.kind == "ratio":
+            return self._ratio_locate(rem, a, b)
+        if self.kind == "func":
+            from scipy import optimize
+
+            def short(z, r):
+                return self.integral(a, z) - r
+
+            return np.array(
+                [optimize.brentq(short, a, b, args=(r,), xtol=1e-14, rtol=1e-14) for r in rem.tolist()]
+            )
+        # solve c0 (z - a) + c1 (z^2 - a^2) / 2 = rem, stable as c1 -> 0
+        r = rem + self.c0 * a + 0.5 * self.c1 * a * a
+        root = np.sqrt(np.maximum(self.c0 * self.c0 + 2.0 * self.c1 * r, 0.0))
+        denom = self.c0 + root
+        flat = denom <= 0
+        if not flat.any():
+            return 2.0 * r / denom
+        # c0 + root cancels where c0 <= 0 and r <= 0 (rem = 0 at a = 0 with c0 = 0
+        # gives 0 / 0); there the same root is (root - c0) / c1, with no cancellation
+        if self.c1 <= 0:
+            raise CrmError(f"affine base piece is not positive on ({a}, {b}]")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(flat, (root - self.c0) / self.c1, 2.0 * r / denom)
+
+    def _ratio_locate(self, rem, a, b):
+        """:meth:`locate` for a ratio piece.
+
+        With h = (d0 + d1 a)/d1 and t = z - a, the mass from a is
+        G(t) = L t + K log1p(t/h) (see :meth:`_ratio_terms`), whose slope is
+        the density.  K = 0 inverts linearly.  Otherwise G'' = -K/(h + t)^2
+        keeps one sign, so G is concave (K > 0) or convex (K < 0), and
+        Newton's method on G(t) = rem started from the end where the density
+        is larger (a for K > 0, b for K < 0) moves monotonically to the root:
+        every tangent meets rem between the iterate and the root.  An entry
+        is done when its step turns back (the rounding of G), or when the
+        error the step leaves, |G''/(2 G')| step^2, is below an ulp of the
+        new t.
+        """
+        lin, log_coef = self._ratio_terms()
+        if log_coef == 0:
+            return a + rem / lin
+        h = (self.d0 + self.d1 * a) / self.d1
+        width = b - a
+        toward = 1.0 if log_coef > 0 else -1.0
+        end = 0.0 if log_coef > 0 else width
+        # the first tangent, from the end, is the one with no logarithm per entry
+        t = end + (rem - (lin * end + log_coef * np.log1p(end / h))) / (lin + log_coef / (h + end))
+        todo = np.arange(rem.size)
+        for _ in range(200):
+            if not todo.size:
+                break
+            tt = t[todo]
+            y = h + tt
+            g = lin * tt + log_coef * np.log1p(tt / h) - rem[todo]
+            slope = lin + log_coef / y
+            # a zero density is met only at the far end, when the root is there
+            step = np.divide(-g, slope, out=np.zeros_like(g), where=slope > 0)
+            more = toward * step > 0
+            new = np.where(more, tt + step, tt)
+            t[todo] = new
+            more &= np.abs(log_coef / (y * y)) * step * step > 2 * _EPS * slope * np.abs(new)
+            todo = todo[more]
+        return a + np.clip(t, 0.0, width)
 
     def shifted(self, delta):
         """The piece plus a constant."""

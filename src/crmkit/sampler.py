@@ -8,14 +8,18 @@ component then draw order, so equal seeds give equal bytes: numpy's default
 sort orders the locations, and only the runs of equal locations (atoms on a
 point mass) are sorted again by their place in the concatenated draws.
 
-Each component is sampled over whole arrays of atoms.  One array of
-uniforms picks every atom's base segment; point masses are assigned
-directly, constant and affine pieces (which cover (lo, hi]) invert in
-closed form over the segment's atoms, ratio pieces by Newton's method on
-their exact mass over the same arrays, and only callable pieces
-(:meth:`~crmkit.piecewise.PiecewiseFunction.from_callable`) invert atom by
-atom with brentq.  The path is evaluated once per component and its
-parameters validated in one natural-space check
+Each component is sampled over whole arrays of atoms.  One walk of its base
+measure (:meth:`~crmkit.levy.BaseMeasure.segments`) integrates each piece
+once and gives both the Poisson mean and the segments; a negative piece
+mass is refused before the count is drawn.  One array of uniforms picks
+every atom's segment; point masses are assigned directly, and each piece
+(covering (lo, hi]) places its atoms with
+:meth:`~crmkit.piecewise.Piece.locate`, the inverse of its mass: in closed
+form for constant and affine pieces, by Newton's method on the exact mass
+for ratio pieces, and atom by atom with brentq only for callable pieces
+(:meth:`~crmkit.piecewise.PiecewiseFunction.from_callable`), which import
+``scipy.optimize`` on their first location.  The path is evaluated once
+per component and its parameters validated in one natural-space check
 (:meth:`~crmkit.expfam.ParameterPath.natural_etas`), and the weights come
 from one vectorized family draw.
 """
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,8 +94,8 @@ class CRMDraw:
         return self._draw_id
 
     def component_counts(self) -> dict[int, int]:
-        idx, counts = np.unique(self.component_index, return_counts=True)
-        return {int(i): int(c) for i, c in zip(idx, counts)}
+        counts = np.bincount(self.component_index)
+        return {i: int(counts[i]) for i in np.flatnonzero(counts).tolist()}
 
 
 @dataclass(frozen=True)
@@ -151,135 +155,25 @@ def text_id(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _closed_location(piece, rem: np.ndarray) -> np.ndarray:
-    """z with mass rem accumulated from the lower edge of a const, affine or ratio piece."""
-    lo, hi = piece.lo, piece.hi
-    if piece.kind == "const":
-        return lo + rem / piece.c0
-    if piece.kind == "ratio":
-        return _ratio_location(piece, rem)
-    # solve c0 (z - lo) + c1 (z^2 - lo^2) / 2 = rem, stable as c1 -> 0
-    r = rem + piece.c0 * lo + 0.5 * piece.c1 * lo * lo
-    root = np.sqrt(np.maximum(piece.c0 * piece.c0 + 2.0 * piece.c1 * r, 0.0))
-    denom = piece.c0 + root
-    flat = denom <= 0
-    if not flat.any():
-        return 2.0 * r / denom
-    # c0 + root cancels where c0 <= 0 and r <= 0 (rem = 0 at lo = 0 with c0 = 0
-    # gives 0 / 0); there the same root is (root - c0) / c1, with no cancellation
-    if piece.c1 <= 0:
-        raise CrmError(f"affine base piece is not positive on ({lo}, {hi}]")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(flat, (root - piece.c0) / piece.c1, 2.0 * r / denom)
-
-
-_EPS = float(np.finfo(float).eps)
-
-
-def _ratio_location(piece, rem: np.ndarray) -> np.ndarray:
-    """z with mass rem accumulated from the lower edge of a ratio piece.
-
-    With h = (d0 + d1 lo)/d1 and t = z - lo, the mass from lo is
-    G(t) = L t + K log1p(t/h) (see ``Piece._ratio_terms``), whose slope is
-    the density.  K = 0 inverts linearly.  Otherwise G'' = -K/(h + t)^2
-    keeps one sign, so G is concave (K > 0) or convex (K < 0), and Newton's
-    method on G(t) = rem started from the end where the density is larger
-    (lo for K > 0, hi for K < 0) moves monotonically to the root: every
-    tangent meets rem between the iterate and the root.  An atom is done
-    when its step turns back (the rounding of G), or when the error the step
-    leaves, |G''/(2 G')| step^2, is below an ulp of the new t.
-    """
-    lin, log_coef = piece._ratio_terms()
-    if log_coef == 0:
-        return piece.lo + rem / lin
-    h = (piece.d0 + piece.d1 * piece.lo) / piece.d1
-    width = piece.hi - piece.lo
-    toward = 1.0 if log_coef > 0 else -1.0
-    end = 0.0 if log_coef > 0 else width
-    # the first tangent, from the end, is the one with no logarithm per atom
-    t = end + (rem - (lin * end + log_coef * np.log1p(end / h))) / (lin + log_coef / (h + end))
-    todo = np.arange(rem.size)
-    for _ in range(200):
-        if not todo.size:
-            break
-        tt = t[todo]
-        y = h + tt
-        g = lin * tt + log_coef * np.log1p(tt / h) - rem[todo]
-        slope = lin + log_coef / y
-        # a zero density is met only at the far end, when the root is there
-        step = np.divide(-g, slope, out=np.zeros_like(g), where=slope > 0)
-        more = toward * step > 0
-        new = np.where(more, tt + step, tt)
-        t[todo] = new
-        more &= np.abs(log_coef / (y * y)) * step * step > 2 * _EPS * slope * np.abs(new)
-        todo = todo[more]
-    return piece.lo + np.clip(t, 0.0, width)
-
-
-def _piece_location(piece, rem: float) -> float:
-    """z with mass rem accumulated from the lower edge of a callable piece, by brentq.
-
-    Only callable pieces get here, so ``scipy.optimize`` is imported here on
-    the first such location.
-    """
-    from scipy import optimize
-
-    lo, hi = piece.lo, piece.hi
-    target = rem
-
-    def short(z):
-        return piece.integral(lo, z) - target
-
-    hi_b = hi if np.isfinite(hi) else lo + 1.0
-    while short(hi_b) < 0:
-        hi_b = lo + 2.0 * (hi_b - lo)
-    return float(optimize.brentq(short, lo, hi_b, xtol=1e-14, rtol=1e-14))
-
-
-def _clip_piece(piece, z_max: float):
-    lo, hi = max(piece.lo, 0.0), min(piece.hi, z_max)
-    if not lo < hi:
-        return None
-    return replace(piece, lo=lo, hi=hi)
-
-
-def _sample_locations(ctx: LevyContext, z_max: float, count: int, rng) -> np.ndarray:
-    if count == 0:
-        return np.empty(0)
-    pieces, masses = [], []
-    for piece in ctx.base.density.pieces:
-        clipped = _clip_piece(piece, z_max)
-        if clipped is None:
-            continue
-        mass = clipped.integral(clipped.lo, clipped.hi)
-        if mass < 0:
-            raise CrmError("base density piece has negative mass")
-        if mass > 0:
-            pieces.append(clipped)
-            masses.append(mass)
-    jumps = [(loc, mass) for loc, mass in ctx.base.jumps_in(0.0, z_max) if mass > 0]
-    masses += [mass for _, mass in jumps]
-    if not masses:
-        raise CrmError("cannot place atoms: base measure has zero mass in the region")
-    # segments are the pieces, then the point masses
+def _sample_locations(pieces, jumps, count: int, rng) -> np.ndarray:
+    """count exact draws from the base measure normalized over a window,
+    given its ``BaseMeasure.segments``: the pieces, then the point masses."""
+    masses = [mass for *_, mass in pieces] + [mass for _, mass in jumps]
     cum = np.cumsum(masses)
     v = rng.random(count) * cum[-1]
+    # a zero-mass segment holds no v: v >= cum[s - 1] = cum[s] skips it
     idx = np.searchsorted(cum, v, side="right")
     locs = np.empty(count)
     at_jump = idx >= len(pieces)
     if at_jump.any():
         locs[at_jump] = np.array([loc for loc, _ in jumps])[idx[at_jump] - len(pieces)]
-    for s, piece in enumerate(pieces):
+    for s, (piece, lo, hi, _) in enumerate(pieces):
         sel = idx == s
         if not sel.any():
             continue
         rem = v[sel] - (cum[s - 1] if s > 0 else 0.0)
-        if piece.kind == "func":
-            loc = np.array([_piece_location(piece, r) for r in rem.tolist()])
-        else:
-            loc = _closed_location(piece, rem)
         # pieces cover (lo, hi]; a zero remainder would land exactly on lo
-        locs[sel] = np.minimum(np.maximum(loc, np.nextafter(piece.lo, np.inf)), piece.hi)
+        locs[sel] = np.minimum(np.maximum(piece.locate(rem, lo, hi), np.nextafter(lo, np.inf)), hi)
     return locs
 
 
@@ -305,16 +199,26 @@ def sample_crm(
     locs, weights, comp_idx = [], [], []
     for n, ctx in enumerate(components[:level], start=1):
         try:
-            mass = ctx.base.increment(0.0, z_max)
+            pieces, jumps, mass = ctx.base.segments(0.0, z_max)
         except DivergenceError as exc:
             raise TruncationError(
                 f"component {n} has non-finite base mass over (0, {z_max}] "
                 f"(partial {exc.partial}); restrict the region or the base support"
             )
+        for _, lo, hi, piece_mass in pieces:
+            if piece_mass < 0:
+                raise CrmError(
+                    f"component {n}: base density piece on ({lo}, {hi}] has negative mass {piece_mass}"
+                )
+            if piece_mass > 0 and hi == np.inf:
+                raise TruncationError(
+                    f"component {n}: base density piece on ({lo}, {hi}] has mass {piece_mass} "
+                    "but no upper end to place atoms in; restrict the region"
+                )
         count = int(rng.poisson(mass))
         if count == 0:
             continue
-        z = _sample_locations(ctx, z_max, count, rng)
+        z = _sample_locations(pieces, jumps, count, rng)
         etas = ctx.path.natural_etas(
             ctx.family, z, lambda i, loc: f"component {n}, atom at location {loc!r}"
         )

@@ -107,8 +107,7 @@ def rng():
 
 
 # (c0, c1, d0, d1, lo, hi): one ratio piece per shape of the closed-form
-# mass, labelled by x0 = L h / K (see Piece._ratio_terms and
-# sampler._ratio_location)
+# mass, labelled by x0 = L h / K (see Piece._ratio_terms and Piece.locate)
 RATIO_BRANCHES = {
     "K=0": (2.0, 2.0, 1.0, 1.0, 0.0, 2.0),
     "L=0": (1.0, 0.0, 0.0, 3.0, 0.25, 1.0),

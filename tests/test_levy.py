@@ -94,6 +94,29 @@ def test_base_measure_window_convention():
     assert base.jumps_in(1.0, 2.0) == []
 
 
+def test_segments_total_is_the_increment_double_and_each_window_its_part():
+    base = BaseMeasure(
+        PiecewiseFunction(
+            [
+                Piece(0.0, 0.3, "const", c0=0.1),
+                Piece(0.3, 0.7, "affine", c0=0.2, c1=1.0 / 3.0),
+                Piece(0.7, 1.1, "ratio", c0=1.0, c1=0.7, d0=0.3, d1=1.1),
+                Piece(1.1, 1.9, "func", func=lambda z: math.exp(-z) / 3.0),
+                Piece(1.9, 4.0, "const", c0=0.7),
+            ]
+        ),
+        jumps=((0.2, 0.1), (1.5, 1.0 / 7.0), (3.0, 0.3)),
+    )
+    for a, b in ((0.0, 2.5), (0.1, 1.5), (0.25, 0.3), (1.2, 1.3), (0.0, 10.0), (4.0, 5.0)):
+        pieces, jumps, total = base.segments(a, b)
+        assert total.hex() == base.increment(a, b).hex(), (a, b)
+        assert jumps == base.jumps_in(a, b)
+        for piece, lo, hi, mass in pieces:
+            assert (lo, hi) == (max(a, piece.lo), min(b, piece.hi)) and lo < hi
+            assert mass == piece.integral(a, b)
+        assert [p for p, *_ in pieces] == [p for p in base.density.pieces if p.lo < b and a < p.hi]
+
+
 def test_null_and_atoms_constructors():
     assert BaseMeasure.null().increment(0.0, 100.0) == 0.0
     atoms = BaseMeasure.atoms([(0.5, 1.0), (2.0, 3.0)])

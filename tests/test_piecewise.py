@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -263,3 +264,39 @@ def test_array_call_inside_one_piece_is_a_float_array_of_the_input_shape():
     assert one(np.array(0.5)).shape == () and one(np.array(0.5)) == 2.0
     with pytest.raises(CrmError, match=r"^z=2\.05 outside the covered domain$"):
         one(np.array([0.5, 2.05, 3.0]))
+
+
+@pytest.mark.parametrize(
+    "piece",
+    [
+        Piece(0.0, 2.0, "const", c0=3.0),
+        Piece(0.0, 2.0, "affine", c0=1.5, c1=-0.5),
+        Piece(0.0, 2.0, "ratio", c0=3.0, c1=1.0, d0=1.0, d1=1.0),
+        Piece(0.0, 2.0, "ratio", c0=1.0, c1=1.0, d0=3.0, d1=1.0),
+        Piece(0.0, 2.0, "func", func=lambda z: math.exp(-z) + 0.5),
+    ],
+    ids=["const", "affine", "ratio K>0", "ratio K<0", "func"],
+)
+def test_locate_inverts_the_integral_over_a_window_inside_the_piece(piece):
+    # the window is clipped as integral clips it: (-1, 1.7] is (0, 1.7] here,
+    # and (0.3, 1.7] starts inside the piece, where its clipped copy starts
+    for a, b in ((-1.0, 1.7), (0.3, 1.7), (0.3, 5.0)):
+        lo, hi = max(a, piece.lo), min(b, piece.hi)
+        mass = piece.integral(a, b)
+        rem = np.concatenate([[0.0], np.random.default_rng(4).uniform(0.0, mass, 20), [mass]])
+        z = piece.locate(rem, a, b)
+        assert z.tobytes() == replace(piece, lo=lo, hi=hi).locate(rem, lo, hi).tobytes()
+        assert z[0] == pytest.approx(lo, abs=1e-12) and z[-1] == pytest.approx(hi, rel=1e-12)
+        # closed forms may round a few ulps past an end, which the sampler clamps
+        assert np.all((lo - 1e-12 <= z) & (z <= hi * (1 + 1e-12)))
+        got = [piece.integral(lo, zz) for zz in z.tolist()]
+        np.testing.assert_allclose(got, rem, rtol=1e-10, atol=1e-12 * mass)
+
+
+def test_locate_on_a_func_piece_brackets_its_window():
+    # brentq on (a, b) itself: a zero remainder is a, the window's mass is b
+    piece = Piece(0.0, math.inf, "func", func=lambda z: math.exp(-z))
+    a, b = 0.25, 1.5
+    mass = piece.integral(a, b)
+    z = piece.locate(np.array([0.0, mass]), a, b)
+    assert z.tolist() == [a, b]

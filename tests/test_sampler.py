@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import optimize, special
 
 from crmkit import expfam, levy, sampler
 from crmkit.errors import AtomLinkError, CrmError, NaturalSpaceError, TruncationError
@@ -294,31 +294,36 @@ def test_closed_location_equals_the_scalar_formulas(piece):
     mass = piece.integral(piece.lo, piece.hi)
     rem = np.concatenate([[0.0, 5e-324], np.random.default_rng(3).uniform(0.0, mass, 300), [mass]])
     want = np.array([_scalar_closed_location(piece, float(r)) for r in rem])
-    assert sampler._closed_location(piece, rem).tobytes() == want.tobytes()
+    assert piece.locate(rem, piece.lo, piece.hi).tobytes() == want.tobytes()
 
 
 def test_closed_location_where_the_stable_form_cancels():
     # c0 = 0 at lo = 0: a zero remainder gives r = 0 and c0 + sqrt(disc) = 0
     piece = Piece(0.0, 2.0, "affine", c0=0.0, c1=0.5)
     rem = np.array([0.0, 5e-324, 0.25, 1.0])
-    got = sampler._closed_location(piece, rem)
+    got = piece.locate(rem, piece.lo, piece.hi)
     assert got[0] == 0.0
     want = np.array([_scalar_closed_location(piece, float(r)) for r in rem[1:]])
     assert got[1:].tobytes() == want.tobytes()
-    locs = sampler._sample_locations(_affine_base_ctx(), 2.0, 2, _FixedUniforms([0.0, 0.5]))
+    locs = _sample_locations(_affine_base_ctx(), 2.0, 2, _FixedUniforms([0.0, 0.5]))
     assert locs[0] == np.nextafter(0.0, 1.0)
     assert locs[1] == pytest.approx(math.sqrt(2.0))
 
     # negative intercept, positive on (0.5, 2]: the mass from lo reaches rem
     piece = Piece(0.5, 2.0, "affine", c0=-0.4, c1=1.0)
     rem = np.array([0.0, 0.01, 0.075, 0.5])
-    z = sampler._closed_location(piece, rem)
+    z = piece.locate(rem, piece.lo, piece.hi)
     assert z[[0, 2]] == pytest.approx([0.5, 0.8], rel=1e-15)
     assert np.all(z >= 0.5)
     assert piece.c0 * (z - 0.5) + 0.5 * piece.c1 * (z * z - 0.25) == pytest.approx(rem, abs=1e-15)
 
     with pytest.raises(CrmError, match="not positive"):
-        sampler._closed_location(Piece(0.0, 2.0, "affine", c0=-1.0, c1=0.0), np.array([0.5]))
+        Piece(0.0, 2.0, "affine", c0=-1.0, c1=0.0).locate(np.array([0.5]), 0.0, 2.0)
+
+
+def _sample_locations(ctx, z_max, count, rng):
+    pieces, jumps, _ = ctx.base.segments(0.0, z_max)
+    return sampler._sample_locations(pieces, jumps, count, rng)
 
 
 class _FixedUniforms:
@@ -346,8 +351,8 @@ def test_sample_locations_equals_the_scalar_loop():
     )
     ctx = LevyContext.build(make_family("gamma"), ParameterPath.constant([2.0, 3.0]), base, k=2)
     z_max = 2.0
-    clipped = [sampler._clip_piece(p, z_max) for p in base.density.pieces]
-    segments = [(p.integral(p.lo, p.hi), p) for p in clipped]
+    windows = [(p, max(p.lo, 0.0), min(p.hi, z_max)) for p in base.density.pieces]
+    segments = [(p.integral(lo, hi), (p, lo, hi)) for p, lo, hi in windows]
     segments += [(mass, loc) for loc, mass in base.jumps_in(0.0, z_max)]
     cum = np.cumsum([m for m, _ in segments])
     # u = 0 puts a zero remainder on the first piece's lower edge
@@ -361,14 +366,15 @@ def test_sample_locations_equals_the_scalar_loop():
         if isinstance(seg, float):
             want[j] = seg
             continue
+        seg, lo, hi = seg
         rem = float(v[j] - (cum[idx[j] - 1] if idx[j] > 0 else 0.0))
         if seg.kind == "func":
-            loc = sampler._piece_location(seg, rem)
+            loc = optimize.brentq(lambda z: seg.integral(lo, z) - rem, lo, hi, xtol=1e-14, rtol=1e-14)
         else:
             loc = _scalar_closed_location(seg, rem)
-        want[j] = min(max(loc, np.nextafter(seg.lo, np.inf)), seg.hi)
+        want[j] = min(max(loc, np.nextafter(lo, np.inf)), hi)
 
-    got = sampler._sample_locations(ctx, z_max, u.size, _FixedUniforms(u))
+    got = _sample_locations(ctx, z_max, u.size, _FixedUniforms(u))
     assert got.tobytes() == want.tobytes()
     assert got[0] == np.nextafter(0.0, 1.0)
     assert set(idx.tolist()) == set(range(len(segments)))
@@ -432,13 +438,13 @@ def _check_location_against_the_exact_root(piece):
     mass = piece.integral(piece.lo, piece.hi)
     uniforms = np.random.default_rng(11).random(12)
     rem = np.concatenate([[1e-9, 1e-4, 1.0 - 1e-12, 1.0], uniforms]) * mass
-    z = sampler._closed_location(piece, rem)
+    z = piece.locate(rem, piece.lo, piece.hi)
     for got, r in zip(z.tolist(), rem.tolist()):
         want = _mp_ratio_location(piece, r)
         assert abs(got - want) <= 1e-12 * abs(want), (r, got, float(want))
     # a zero remainder is the end itself, which Newton's method from the far
     # end approaches to within the rounding of the mass
-    z0 = sampler._closed_location(piece, np.array([0.0]))[0]
+    z0 = piece.locate(np.array([0.0]), piece.lo, piece.hi)[0]
     assert piece.lo <= z0 <= piece.lo + 1e-12 * (piece.hi - piece.lo)
 
 
@@ -625,3 +631,75 @@ def test_likelihood_draw_refuses_arrays_of_different_shapes():
         sampler.LikelihoodDraw(np.array([0.1, 0.2, 0.3]), np.array([1.0]), np.array([1, 2, 3]), "")
     draw = sampler.LikelihoodDraw(np.array([0.1]), np.array([1.0]), np.array([1]), "")
     assert draw.csv_text() == "component,location,observation\n1,0.1,1.0\n"
+
+
+def _func_base_ctx(pieces, jumps=()):
+    return LevyContext.build(
+        make_family("gamma"), ParameterPath.constant([2.0, 3.0]),
+        BaseMeasure(PiecewiseFunction(pieces), jumps), k=2, require_conditions=False,
+    )
+
+
+def test_a_negative_func_base_is_refused_before_the_count_is_drawn():
+    class NoPoisson:
+        def poisson(self, lam):
+            raise AssertionError("count drawn")
+
+    ctx = _func_base_ctx([Piece(0.0, 2.0, "func", func=lambda z: -1.0)])
+    with pytest.raises(CrmError) as exc:
+        sample_crm([ctx], 2.0, NoPoisson())
+    assert str(exc.value) == "component 1: base density piece on (0.0, 2.0] has negative mass -2.0"
+
+
+def test_a_negative_piece_beside_a_positive_one_is_named_with_its_component(gamma_unit_ctx):
+    ctx = _func_base_ctx(
+        [Piece(0.0, 1.0, "const", c0=5.0), Piece(1.0, 3.0, "func", func=lambda z: -0.25)]
+    )
+    with pytest.raises(CrmError) as exc:
+        sample_crm([gamma_unit_ctx, ctx], 2.0, np.random.default_rng(3))
+    assert str(exc.value) == "component 2: base density piece on (1.0, 2.0] has negative mass -0.25"
+
+
+def test_a_func_base_with_mass_but_no_upper_end_is_a_truncation_error():
+    ctx = _func_base_ctx([Piece(0.0, math.inf, "func", func=lambda z: 3.0 * math.exp(-z))])
+    with pytest.raises(TruncationError, match=r"component 1: .* \(0.0, inf\] .* restrict the region"):
+        sample_crm([ctx], math.inf, np.random.default_rng(1))
+    # with an upper end the same base samples
+    assert len(sample_crm([ctx], 5.0, np.random.default_rng(1))) > 0
+
+
+def test_sample_crm_integrates_each_base_piece_once_per_component(monkeypatch):
+    ctx = _func_base_ctx(
+        [
+            Piece(0.0, 0.5, "const", c0=20.0),
+            Piece(0.5, 1.5, "func", func=lambda z: 10.0 + z),
+            Piece(1.5, 3.0, "affine", c0=10.0, c1=1.0),
+        ],
+        jumps=((0.7, 5.0),),
+    )
+    # brentq's own integrals are the atoms' locations, not the masses counted here
+    monkeypatch.setattr(optimize, "brentq", lambda f, a, b, **kw: 0.5 * (a + b))
+    windows = []
+    integral = Piece.integral
+
+    def counting(self, a, b):
+        windows.append((self.lo, a, b))
+        return integral(self, a, b)
+
+    monkeypatch.setattr(Piece, "integral", counting)
+    draw = sample_crm([ctx, ctx], 2.0, np.random.default_rng(5))
+    assert set(draw.component_index.tolist()) == {1, 2}
+    once = [(0.0, 0.0, 0.5), (0.5, 0.5, 1.5), (1.5, 1.5, 2.0)]
+    assert windows == once + once
+
+
+def test_component_counts_skip_a_component_with_no_atoms(gamma_unit_ctx):
+    null = LevyContext.build(
+        make_family("gamma"), ParameterPath.constant([2.0, 3.0]), BaseMeasure.null(), k=2
+    )
+    draw = sample_crm([gamma_unit_ctx, null, gamma_unit_ctx], 30.0, np.random.default_rng(2))
+    idx, counts = np.unique(draw.component_index, return_counts=True)
+    assert draw.component_counts() == {int(i): int(c) for i, c in zip(idx, counts)}
+    assert sorted(draw.component_counts()) == [1, 3]
+    assert all(type(k) is int and type(v) is int for k, v in draw.component_counts().items())
+    assert CRMDraw(np.empty(0), np.empty(0), np.empty(0, dtype=int), 1.0, 0, 0.0).component_counts() == {}
