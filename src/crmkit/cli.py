@@ -167,9 +167,12 @@ def _read_observations(path: Path) -> list[tuple[float, float]]:
             if len(row) != 2:
                 raise ConfigError(f"{path}:{i}: expected two columns")
             try:
-                out.append((float(row[0]), float(row[1])))
+                entry = (float(row[0]), float(row[1]))
             except ValueError:
                 raise ConfigError(f"{path}:{i}: non-numeric entry {row!r}")
+            if not np.isfinite(entry).all():
+                raise ConfigError(f"{path}:{i}: non-finite entry {row!r}")
+            out.append(entry)
     return out
 
 

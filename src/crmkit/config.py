@@ -1,9 +1,11 @@
 """JSON configuration for contexts, sampling runs, and conjugate priors.
 
-A component object names a family, the statistic index k (one-based), the
-natural-parameter path (one list of pieces per coordinate), and the base
-measure.  Piece objects carry "from"/"to" (null meaning infinity) plus
-exactly one of:
+A component object names a family ({"name", "params"}), the statistic index
+k (one-based), the natural-parameter path (one list of pieces per
+coordinate), the base measure ({"pieces", "jumps"}) and, optionally,
+"enforce_conditions" and "atom_overrides" ([[location, [values...]], ...],
+at distinct locations).  Piece objects carry "from" and an optional "to"
+(absent or null meaning infinity) plus exactly one of:
 
     "const": v            value v
     "affine": [c0, c1]    value c0 + c1 z
@@ -12,8 +14,11 @@ exactly one of:
                                 as the affine piece (p0 + p1 z) / q0
 
 Sampling configs hold {"components": [...]} plus optional "z_max" and an
-optional "pareto_series" generator; prior configs hold {"pair": {...},
-"component": {...}}.  Validation errors carry a JSON-pointer location.
+optional "pareto_series" generator, whose components are built from its
+numbers and report their errors under /pareto_series/...; prior configs hold
+{"pair": {"name", "fixed"}, "component": {...}}.  Every object refuses a key
+outside its schema, the values of "params" and "fixed" are numbers, and every
+validation error carries the JSON pointer of the value at fault.
 """
 
 from __future__ import annotations
@@ -65,9 +70,13 @@ def load_json(path_or_text):
         raise ConfigError(f"cannot read config: {exc}")
 
 
-def _need(obj, key, kind, ptr):
-    if not isinstance(obj, dict) or key not in obj:
-        raise ConfigError("missing required key", f"{ptr}/{key}")
+def _need(obj, key, kind, ptr, default=None):
+    """obj[key] of the given kind (float: any JSON number, read as a float);
+    default where the key is absent, which only a non-None default allows."""
+    if key not in obj:
+        if default is None:
+            raise ConfigError("missing required key", f"{ptr}/{key}")
+        return default
     val = obj[key]
     if kind is float:
         if not isinstance(val, (int, float)) or isinstance(val, bool):
@@ -78,47 +87,60 @@ def _need(obj, key, kind, ptr):
     return val
 
 
-def _edge(obj, key, ptr, default=None):
-    if key not in obj:
-        if default is None:
-            raise ConfigError("missing required key", f"{ptr}/{key}")
-        return default
-    val = obj[key]
-    if val is None:
-        return _INF
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError("expected a number or null", f"{ptr}/{key}")
-    return float(val)
+def _object(val, ptr, what, keys):
+    """val, refused at ptr unless it is a JSON object with no key outside keys."""
+    if not isinstance(val, dict):
+        raise ConfigError(f"{what} must be an object", ptr)
+    extra = val.keys() - keys
+    if extra:
+        raise ConfigError(f"unknown {what} keys {sorted(extra)}", ptr)
+    return val
+
+
+class _At:
+    """Turns a library error raised inside ``with _At(ptr)`` into a
+    :class:`ConfigError` at ptr, its message after ``prefix``; a ConfigError,
+    which already names its own pointer, passes through unchanged."""
+
+    __slots__ = ("ptr", "prefix")
+
+    def __init__(self, ptr, prefix=""):
+        self.ptr, self.prefix = ptr, prefix
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if kind is not None and issubclass(kind, CrmError) and not issubclass(kind, ConfigError):
+            raise ConfigError(f"{self.prefix}{exc}", self.ptr) from exc
+        return False
+
+
+_PIECE_KINDS = ("const", "affine", "ratio")
 
 
 def _parse_piece(obj, ptr, allow_ratio):
-    if not isinstance(obj, dict):
-        raise ConfigError("piece must be an object", ptr)
-    lo = _edge(obj, "from", ptr)
-    hi = _edge(obj, "to", ptr, default=_INF)
-    kinds = [k for k in ("const", "affine", "ratio") if k in obj]
+    _object(obj, ptr, "piece", ("from", "to") + _PIECE_KINDS)
+    lo = _need(obj, "from", float, ptr)
+    hi = _INF if obj.get("to") is None else _need(obj, "to", float, ptr)
+    kinds = [k for k in _PIECE_KINDS if k in obj]
     if len(kinds) != 1:
         raise ConfigError('piece needs exactly one of "const", "affine", "ratio"', ptr)
     kind = kinds[0]
-    extra = set(obj) - {"from", "to", kind}
-    if extra:
-        raise ConfigError(f"unknown piece keys {sorted(extra)}", ptr)
-    try:
+    if kind == "ratio" and not allow_ratio:
+        raise ConfigError('"ratio" pieces are only allowed in base densities', ptr)
+    with _At(ptr):
         if kind == "const":
             return Piece(lo, hi, "const", c0=_need(obj, "const", float, ptr))
         if kind == "affine":
             c0, c1 = _floats(obj["affine"], 2, f"{ptr}/affine")
             return Piece(lo, hi, "affine", c0=c0, c1=c1)
-        if not allow_ratio:
-            raise ConfigError('"ratio" pieces are only allowed in base densities', ptr)
         p0, p1, q0, q1 = _floats(obj["ratio"], 4, f"{ptr}/ratio")
         if q1 == 0:
             if q0 == 0:
                 raise ConfigError("ratio denominator q0 + q1 z is identically 0", f"{ptr}/ratio")
             return Piece(lo, hi, "affine", c0=p0 / q0, c1=p1 / q0)
         return Piece(lo, hi, "ratio", c0=p0, c1=p1, d0=q0, d1=q1)
-    except CrmError as exc:
-        raise ConfigError(str(exc), ptr)
 
 
 def _floats(val, count, ptr):
@@ -135,34 +157,31 @@ def _parse_piecewise(obj, ptr, allow_ratio):
     if not isinstance(obj, list) or not obj:
         raise ConfigError("expected a nonempty list of pieces", ptr)
     pieces = [_parse_piece(p, f"{ptr}/{i}", allow_ratio) for i, p in enumerate(obj)]
-    try:
+    with _At(ptr):
         return PiecewiseFunction(pieces)
-    except CrmError as exc:
-        raise ConfigError(str(exc), ptr)
+
+
+def _parse_family(obj, ptr):
+    _object(obj, ptr, "family", ("name", "params"))
+    name = _need(obj, "name", str, ptr)
+    params = _need(obj, "params", dict, ptr, {})
+    # an unknown name passes any params here, so that make_family names it
+    _, known = expfam._REGISTRY.get(name, (None, params))
+    _object(params, f"{ptr}/params", "params", known)
+    params = {key: _need(params, key, float, f"{ptr}/params") for key in params}
+    with _At(ptr):
+        return expfam.make_family(name, **params)
 
 
 def parse_component(obj, ptr="/component") -> LevyContext:
-    if not isinstance(obj, dict):
-        raise ConfigError("component must be an object", ptr)
-    known = {"family", "k", "path", "base", "enforce_conditions", "atom_overrides"}
-    extra = set(obj) - known
-    if extra:
-        raise ConfigError(f"unknown component keys {sorted(extra)}", ptr)
-
-    fam_obj = _need(obj, "family", dict, ptr)
-    fam_name = _need(fam_obj, "name", str, f"{ptr}/family")
-    params = fam_obj.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("family params must be an object", f"{ptr}/family/params")
-    try:
-        family = expfam.make_family(fam_name, **params)
-    except (CrmError, TypeError) as exc:
-        raise ConfigError(str(exc), f"{ptr}/family")
-
+    _object(
+        obj, ptr, "component", ("family", "k", "path", "base", "enforce_conditions", "atom_overrides")
+    )
+    family = _parse_family(_need(obj, "family", dict, ptr), f"{ptr}/family")
     k = _need(obj, "k", int, ptr)
     if not 1 <= k <= family.dimension:
         raise ConfigError(
-            f"k={k} out of range 1..{family.dimension} for {fam_name}", f"{ptr}/k"
+            f"k={k} out of range 1..{family.dimension} for {family.name}", f"{ptr}/k"
         )
 
     path_obj = _need(obj, "path", list, ptr)
@@ -176,107 +195,87 @@ def parse_component(obj, ptr="/component") -> LevyContext:
         for i, coord in enumerate(path_obj)
     ]
     overrides = {}
-    for i, entry in enumerate(obj.get("atom_overrides", [])):
+    for i, entry in enumerate(_need(obj, "atom_overrides", list, ptr, [])):
         optr = f"{ptr}/atom_overrides/{i}"
         if not isinstance(entry, list) or len(entry) != 2:
             raise ConfigError("override must be [location, [values...]]", optr)
         loc = entry[0]
         if isinstance(loc, bool) or not isinstance(loc, (int, float)):
             raise ConfigError("override location must be a number", optr)
+        if float(loc) in overrides:
+            raise ConfigError(f"override location {float(loc)} repeats an earlier one", optr)
         overrides[float(loc)] = np.asarray(
             _floats(entry[1], family.dimension, optr), dtype=float
         )
-    try:
+    with _At(f"{ptr}/path"):
         path = ParameterPath(coords, overrides or None)
-    except CrmError as exc:
-        raise ConfigError(str(exc), f"{ptr}/path")
 
-    base_obj = _need(obj, "base", dict, ptr)
-    extra = set(base_obj) - {"pieces", "jumps"}
-    if extra:
-        raise ConfigError(f"unknown base keys {sorted(extra)}", f"{ptr}/base")
-    pieces_obj = base_obj.get("pieces", [])
+    bptr = f"{ptr}/base"
+    base_obj = _object(_need(obj, "base", dict, ptr), bptr, "base", ("pieces", "jumps"))
+    pieces_obj = _need(base_obj, "pieces", list, bptr, [])
     if pieces_obj:
-        density = _parse_piecewise(pieces_obj, f"{ptr}/base/pieces", allow_ratio=True)
+        density = _parse_piecewise(pieces_obj, f"{bptr}/pieces", allow_ratio=True)
     else:
         density = PiecewiseFunction.constant(0.0)
-    jumps = []
-    for i, j in enumerate(base_obj.get("jumps", [])):
-        loc, mass = _floats(j, 2, f"{ptr}/base/jumps/{i}")
-        jumps.append((loc, mass))
-    try:
+    jumps = [
+        tuple(_floats(j, 2, f"{bptr}/jumps/{i}"))
+        for i, j in enumerate(_need(base_obj, "jumps", list, bptr, []))
+    ]
+    with _At(bptr):
         base = BaseMeasure(density, tuple(jumps))
-    except CrmError as exc:
-        raise ConfigError(str(exc), f"{ptr}/base")
 
-    enforce = obj.get("enforce_conditions", True)
-    if not isinstance(enforce, bool):
-        raise ConfigError("enforce_conditions must be a boolean", f"{ptr}/enforce_conditions")
-    try:
+    enforce = _need(obj, "enforce_conditions", bool, ptr, True)
+    with _At(ptr, "cannot build context: "):
         return LevyContext.build(family, path, base, k, require_conditions=enforce)
-    except CrmError as exc:
-        raise ConfigError(f"cannot build context: {exc}", ptr)
 
 
-def _expand_pareto_series(obj, ptr) -> list[dict]:
-    """Series of components with shape n*alpha(z) and base dz/(n*alpha(z))."""
+def _parse_pareto_series(obj, ptr) -> list[LevyContext]:
+    """Pareto components n = 1..N of shape n alpha(z), so eta(z) = -(n alpha(z) + 1),
+    over the base dz / (n alpha(z)), built unenforced."""
+    _object(obj, ptr, "series", ("components", "scale", "support", "alpha"))
     count = _need(obj, "components", int, ptr)
     if count < 1:
         raise ConfigError("components must be >= 1", f"{ptr}/components")
-    scale = _need(obj, "scale", float, ptr) if "scale" in obj else 1.0
+    scale = _need(obj, "scale", float, ptr, 1.0)
     lo, hi = _floats(_need(obj, "support", list, ptr), 2, f"{ptr}/support")
     if not 0 <= lo < hi:
         raise ConfigError("support must satisfy 0 <= from < to", f"{ptr}/support")
-    alpha = _need(obj, "alpha", dict, ptr)
-    extra = set(obj) - {"components", "scale", "support", "alpha"}
-    if extra:
-        raise ConfigError(f"unknown series keys {sorted(extra)}", ptr)
+    alpha = _object(_need(obj, "alpha", dict, ptr), f"{ptr}/alpha", "alpha", ("const", "affine"))
+    if len(alpha) != 1:
+        raise ConfigError('alpha needs exactly one of "const", "affine"', f"{ptr}/alpha")
     if "const" in alpha:
         c0, c1 = _need(alpha, "const", float, f"{ptr}/alpha"), 0.0
-    elif "affine" in alpha:
-        c0, c1 = _floats(alpha["affine"], 2, f"{ptr}/alpha/affine")
     else:
-        raise ConfigError('alpha needs "const" or "affine"', f"{ptr}/alpha")
+        c0, c1 = _floats(alpha["affine"], 2, f"{ptr}/alpha/affine")
     if not (c0 + c1 * lo >= 0 and (c0 + c1 * hi if c1 else c0) > 0):
         raise ConfigError(f"alpha(z) = {c0} + {c1} z must be positive on ({lo}, {hi}]", f"{ptr}/alpha")
+    with _At(f"{ptr}/scale"):
+        family = expfam.make_family("pareto", scale=scale)
 
-    out = []
-    for n in range(1, count + 1):
-        # eta(z) = -(n alpha(z) + 1); base dz / (n alpha(z))
-        path_piece = {"from": lo, "to": hi, "affine": [-(n * c0 + 1.0), -(n * c1)]}
-        if c1 == 0.0:
-            base_piece = {"from": lo, "to": hi, "const": 1.0 / (n * c0)}
-        else:
-            base_piece = {"from": lo, "to": hi, "ratio": [1.0, 0.0, n * c0, n * c1]}
-        out.append(
-            {
-                "family": {"name": "pareto", "params": {"scale": scale}},
-                "k": 1,
-                "path": [[path_piece]],
-                "base": {"pieces": [base_piece]},
-                "enforce_conditions": False,
-            }
-        )
-    return out
+    contexts = []
+    with _At(ptr):
+        for n in range(1, count + 1):
+            eta = Piece(lo, hi, "affine", c0=-(n * c0 + 1.0), c1=-(n * c1))
+            if c1 == 0.0:
+                density = Piece(lo, hi, "const", c0=1.0 / (n * c0))
+            else:
+                density = Piece(lo, hi, "ratio", c0=1.0, c1=0.0, d0=n * c0, d1=n * c1)
+            path = ParameterPath([PiecewiseFunction([eta])])
+            base = BaseMeasure(PiecewiseFunction([density]))
+            contexts.append(LevyContext.build(family, path, base, 1, require_conditions=False))
+    return contexts
 
 
 def parse_sample_config(obj) -> tuple[list[LevyContext], float | None]:
-    if not isinstance(obj, dict):
-        raise ConfigError("config must be an object", "/")
-    extra = set(obj) - {"components", "z_max", "pareto_series"}
-    if extra:
-        raise ConfigError(f"unknown config keys {sorted(extra)}", "/")
-    comp_objs = obj.get("components", [])
-    if not isinstance(comp_objs, list):
-        raise ConfigError("components must be a list", "/components")
-    comp_objs = list(comp_objs)
-    if "pareto_series" in obj:
-        comp_objs.extend(_expand_pareto_series(obj["pareto_series"], "/pareto_series"))
-    if not comp_objs:
-        raise ConfigError("config defines no components", "/components")
+    _object(obj, "", "config", ("components", "z_max", "pareto_series"))
     contexts = [
-        parse_component(c, f"/components/{i}") for i, c in enumerate(comp_objs)
+        parse_component(c, f"/components/{i}")
+        for i, c in enumerate(_need(obj, "components", list, "", []))
     ]
+    if "pareto_series" in obj:
+        contexts += _parse_pareto_series(obj["pareto_series"], "/pareto_series")
+    if not contexts:
+        raise ConfigError("config defines no components", "/components")
     z_max = None
     if "z_max" in obj:
         z_max = _need(obj, "z_max", float, "")
@@ -286,26 +285,19 @@ def parse_sample_config(obj) -> tuple[list[LevyContext], float | None]:
 
 
 def parse_prior_config(obj) -> tuple[ConjugatePair, LevyContext]:
-    from .conjugacy import make_pair, pair_names
+    from .conjugacy import _PAIRS, make_pair, pair_names
 
-    if not isinstance(obj, dict):
-        raise ConfigError("config must be an object", "/")
-    extra = set(obj) - {"pair", "component"}
-    if extra:
-        raise ConfigError(f"unknown config keys {sorted(extra)}", "/")
-    pair_obj = _need(obj, "pair", dict, "")
+    _object(obj, "", "config", ("pair", "component"))
+    pair_obj = _object(_need(obj, "pair", dict, ""), "/pair", "pair", ("name", "fixed"))
     name = _need(pair_obj, "name", str, "/pair")
     if name not in pair_names():
         raise ConfigError(
             f"unknown pair {name!r}; registered: {', '.join(pair_names())}", "/pair/name"
         )
-    fixed = pair_obj.get("fixed", {})
-    if not isinstance(fixed, dict):
-        raise ConfigError("fixed must be an object", "/pair/fixed")
-    try:
-        pair = make_pair(name, **fixed)
-    except CrmError as exc:
-        raise ConfigError(str(exc), "/pair/fixed")
+    _, _, _, defaults, _ = _PAIRS[name]
+    fixed = _object(_need(pair_obj, "fixed", dict, "/pair", {}), "/pair/fixed", "fixed", defaults)
+    with _At("/pair/fixed"):
+        pair = make_pair(name, **{key: _need(fixed, key, float, "/pair/fixed") for key in fixed})
     ctx = parse_component(_need(obj, "component", dict, ""), "/component")
     if ctx.family.name != pair.prior_family.name:
         raise ConfigError(

@@ -409,3 +409,89 @@ def test_sample_nan_zmax_exits_2_naming_it(tmp_path, capsys):
     assert rc == 2
     assert "--zmax must be positive, got nan" in capsys.readouterr().err
     assert not (tmp_path / "atoms.csv").exists()
+
+
+@pytest.mark.parametrize("row", ["nan,1.0", "0.5,inf", "0.5,1e999"], ids=["nan", "inf", "overflow"])
+def test_posterior_refuses_a_non_finite_observation_where_it_is_read(tmp_path, capsys, row):
+    obs = tmp_path / "obs.csv"
+    obs.write_text(f"location,value\n0.5,1.0\n{row}\n")
+    out = tmp_path / "run"
+    rc = run(
+        "posterior", "--config", CONFIG_DIR / "gamma_lognormal_prior.json",
+        "--observations", obs, "--out", out,
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {obs}:3: non-finite entry {row.split(',')!r}\n"
+    assert not out.exists()
+
+
+def _set(doc, pointer, value):
+    *parents, last = pointer.split("/")[1:]
+    node = doc
+    for token in parents:
+        node = node[int(token)] if isinstance(node, list) else node[token]
+    node[int(last) if isinstance(node, list) else last] = value
+
+
+# (config, pointer set, value, the error it gives)
+BAD_VALUES = [
+    ("gamma_lognormal_prior.json", "/component/atom_overrides", 5, "/component/atom_overrides: expected list"),
+    ("gamma_lognormal_prior.json", "/component/base/jumps", 5, "/component/base/jumps: expected list"),
+    (
+        "gamma_lognormal_prior.json", "/component/family", {"name": "lognormal", "params": {"mu": "abc"}},
+        "/component/family/params/mu: expected a number",
+    ),
+    ("gamma_lognormal_prior.json", "/pair/fixed", {"mu": "abc"}, "/pair/fixed/mu: expected a number"),
+    ("gamma_lognormal_prior.json", "/pair/fixed", {"mu": None}, "/pair/fixed/mu: expected a number"),
+    (
+        "gamma_lognormal_prior.json", "/component/family", {"name": "pareto", "parms": {"scale": 2.0}},
+        "/component/family: unknown family keys ['parms']",
+    ),
+    (
+        "gamma_lognormal_prior.json", "/pair", {"name": "gamma-pareto", "fixd": {"x_m": 2.0}},
+        "/pair: unknown pair keys ['fixd']",
+    ),
+    (
+        "pareto_series.json", "/pareto_series/alpha", {"const": 1.0, "afine": [0.5, 2.0]},
+        "/pareto_series/alpha: unknown alpha keys ['afine']",
+    ),
+    (
+        "gamma_lognormal_prior.json", "/component/path/0/0", {"from": 0, "const": "x"},
+        "/component/path/0/0/const: expected a number",
+    ),
+    (
+        "pareto_series.json", "/pareto_series/scale", -1,
+        "/pareto_series/scale: pareto: scale must be positive and finite, got -1.0",
+    ),
+    (
+        "gamma_lognormal_prior.json", "/component/atom_overrides", [[0.5, [4, 5]], [0.5, [9, 9]]],
+        "/component/atom_overrides/1: override location 0.5 repeats an earlier one",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, pointer, value, want",
+    BAD_VALUES,
+    ids=[
+        "overrides-not-a-list", "jumps-not-a-list", "string-mu", "string-fixed", "null-fixed",
+        "family-key", "pair-key", "alpha-key", "piece-const", "series-scale", "repeated-override",
+    ],
+)
+def test_a_bad_config_value_is_refused_at_its_pointer(tmp_path, capsys, name, pointer, value, want):
+    obj = json.loads((CONFIG_DIR / name).read_text())
+    _set(obj, pointer, value)
+    parse = crmkit.parse_prior_config if "pair" in obj else crmkit.parse_sample_config
+    with pytest.raises(crmkit.ConfigError) as exc:
+        parse(obj)
+    assert (exc.value.pointer, str(exc.value)) == (want.partition(": ")[0], want)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(obj))
+    out = tmp_path / "run"
+    if "pair" in obj:
+        rc = run("posterior", "--config", config, "--observations", CONFIG_DIR / "observations_lognormal.csv", "--out", out)
+    else:
+        rc = run("sample", "--config", config, "--seed", 1, "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {want}\n"
+    assert not out.exists()

@@ -1,11 +1,15 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from crmkit import cli
 from crmkit import config as cfg
 from crmkit.errors import ConfigError
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 GAMMA_COMPONENT = {
     "family": {"name": "gamma"},
@@ -90,6 +94,18 @@ def test_atom_overrides_parse():
     ctx = cfg.parse_component(obj)
     np.testing.assert_allclose(ctx.path.eval(0.5), [4.0, 5.0])
     np.testing.assert_allclose(ctx.path.eval(0.6), [2.0, 3.0])
+
+
+def test_an_override_location_repeated_by_a_posterior_is_merged_not_repeated():
+    obj = json.loads(json.dumps(GAMMA_COMPONENT))
+    obj["atom_overrides"] = [[0.5, [4.0, 5.0]]]
+    out = cfg.override_component_obj(obj, {0.5: np.array([9.0, 9.0])})
+    assert out["atom_overrides"] == [[0.5, [9.0, 9.0]]]
+    np.testing.assert_allclose(cfg.parse_component(out).path.eval(0.5), [9.0, 9.0])
+    obj["atom_overrides"].append([0.5, [9.0, 9.0]])
+    with pytest.raises(ConfigError) as exc:
+        cfg.parse_component(obj)
+    assert exc.value.pointer == "/component/atom_overrides/1"
 
 
 def test_enforce_conditions_flag():
@@ -180,3 +196,91 @@ def test_a_json_boolean_is_no_integer(value):
     with pytest.raises(ConfigError) as exc:
         cfg.parse_sample_config({"pareto_series": series})
     assert str(exc.value) == "/pareto_series/components: expected int"
+
+
+# every configs/ file, and a component that also holds family params, atom
+# overrides, point masses and the enforce flag
+POINTER_DOCS = {path.name: json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))}
+POINTER_DOCS["full component"] = {
+    "z_max": 2.0,
+    "components": [
+        dict(
+            GAMMA_COMPONENT,
+            family={"name": "gamma", "params": {}},
+            atom_overrides=[[0.5, [4.0, 5.0]]],
+            base={"pieces": [{"from": 0.0, "to": 1.0, "const": 1.0}], "jumps": [[0.5, 1.0]]},
+            enforce_conditions=True,
+        )
+    ],
+}
+
+
+def _mutations(node, path=()):
+    """(path, mutated copy) pairs: an unknown key added to each object, and each
+    value below the root replaced by one of a wrong JSON type."""
+    if isinstance(node, dict):
+        yield path, dict(node, bogus=1)
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield (*path, key), 5 if isinstance(child, (str, list, dict)) else "x"
+        yield from _mutations(child, (*path, key))
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    out = json.loads(json.dumps(doc))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def _tokens(pointer):
+    return pointer.split("/")[1:] if pointer else []
+
+
+@pytest.mark.parametrize("name", sorted(POINTER_DOCS))
+def test_every_refusal_points_at_the_value_at_fault(name):
+    doc = POINTER_DOCS[name]
+    parse = cfg.parse_prior_config if "pair" in doc else cfg.parse_sample_config
+    faults = []
+    for path, value in _mutations(doc):
+        where = [str(key) for key in path]
+        try:
+            parse(_replace(doc, path, value))
+        except ConfigError as exc:
+            tokens = _tokens(exc.pointer)
+            message = str(exc)[len(exc.pointer) + 2 :] if exc.pointer else str(exc)
+            # the pointer names the mutated value or one of the objects above it, once
+            if tokens != where[: len(tokens)] or message.startswith("/"):
+                faults.append((where, str(exc)))
+        except Exception as exc:  # any other exception is itself the fault
+            faults.append((where, repr(exc)))
+        else:
+            faults.append((where, "parsed"))
+    assert faults == []
+
+
+@pytest.mark.parametrize(
+    "name, path, value",
+    [
+        ("gamma.json", ("components", 0, "family", "nmae"), "gamma"),
+        ("gamma_lognormal_prior.json", ("pair", "fixed", "mu"), "x"),
+    ],
+    ids=["unknown-key", "wrong-type"],
+)
+def test_a_refused_mutation_exits_2_through_the_cli(tmp_path, capsys, name, path, value):
+    doc = _replace(POINTER_DOCS[name], path, value)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    if "pair" in doc:
+        argv = ["posterior", "--observations", str(CONFIG_DIR / "observations_lognormal.csv")]
+    else:
+        argv = ["sample", "--seed", "1"]
+    assert cli.main(argv + ["--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()

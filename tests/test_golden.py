@@ -8,7 +8,10 @@ re-pinned once, when ratio pieces moved from brentq over quadrature to an
 array inversion of their exact mass, which moves their locations in the last
 bits.  The
 posterior digests pin the written config and diff of ``crm posterior`` in
-both update modes.
+both update modes.  The verify digests pin the three CSVs of
+``crm verify --suite all`` at its default seeds, and the context digest pins
+every field the config reader hands on, so a change that moves one last bit
+of a check value, a piece coefficient or a condition report fails here.
 """
 
 import hashlib
@@ -99,6 +102,17 @@ POSTERIOR_GOLDEN = {
     ),
 }
 MIX_LIKELIHOOD = "c96bbd3d85a3b5174cfbcea174e9538b1e37d44cfb6c8a0e1bc10851a1e35604"
+VERIFY_GOLDEN = {
+    "report.csv": "5ad3df771b002668b3ec2845f904ff953c74d08116357f02f16ecd9ffb18032d",
+    "laplace_convergence.csv": "8429aed43e5280478d6ed06313e293deebe209518e68a2f03f073fd9024bd037",
+    "series_partial_sums.csv": "0c39bbfe422a883d51a5985f5be764d1181fa4da56d3ea5f016e908ba6cb5fe5",
+}
+# sha256 over _context_repr of every context parsed from configs/, the mix and
+# a const-alpha series
+CONTEXTS_GOLDEN = "ff3cb04d9100ccfd46a50992d5df4c653cbb96177c6b6c62264cedb685e89b05"
+CONST_SERIES = {
+    "pareto_series": {"components": 4, "scale": 2.0, "support": [0.5, 3.0], "alpha": {"const": 1.5}}
+}
 
 
 def _sha(data: bytes) -> str:
@@ -170,3 +184,46 @@ def test_posterior_bytes_are_pinned(tmp_path, prior, observations, mode):
     config_sha, diff_sha = POSTERIOR_GOLDEN[prior, observations, mode]
     assert _sha((tmp_path / "posterior_config.json").read_bytes()) == config_sha
     assert _sha((tmp_path / "diff.txt").read_bytes()) == diff_sha
+
+
+def test_verify_bytes_are_pinned(tmp_path):
+    assert cli.main(["verify", "--suite", "all", "--out", str(tmp_path)]) == 0
+    assert {name: _sha((tmp_path / name).read_bytes()) for name in VERIFY_GOLDEN} == VERIFY_GOLDEN
+
+
+def _pieces(function):
+    return [(p.lo, p.hi, p.kind, p.c0, p.c1, p.d0, p.d1, p.func) for p in function.pieces]
+
+
+def _context_repr(ctx):
+    overrides = sorted((loc, eta.tolist()) for loc, eta in ctx.path.atom_overrides.items())
+    return repr(
+        (
+            ctx.report,
+            [_pieces(coord) for coord in ctx.path.components],
+            overrides,
+            _pieces(ctx.base.density),
+            ctx.base.jumps,
+            ctx.family.name,
+            ctx.family.fixed,
+            ctx.k,
+            ctx.require_conditions,
+        )
+    )
+
+
+def test_parsed_contexts_are_pinned():
+    reprs = []
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        obj = config.load_json(path.read_text())
+        if "pair" in obj:
+            pair, ctx = config.parse_prior_config(obj)
+            reprs.append(f"{path.name} {pair.name} {pair.fixed!r} {_context_repr(ctx)}")
+        else:
+            contexts, z_max = config.parse_sample_config(obj)
+            reprs += [f"{path.name} {z_max!r} {_context_repr(ctx)}" for ctx in contexts]
+    for name, obj in (("mix", MIX_CONFIG), ("const series", CONST_SERIES)):
+        contexts, z_max = config.parse_sample_config(obj)
+        reprs += [f"{name} {z_max!r} {_context_repr(ctx)}" for ctx in contexts]
+    assert len(reprs) == 14
+    assert _sha("\n".join(reprs).encode()) == CONTEXTS_GOLDEN
