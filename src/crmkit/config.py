@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import expfam
-from .errors import ConfigError, CrmError
+from .errors import ConfigError, CrmError, _registered
 from .expfam import ParameterPath
 from .levy import BaseMeasure, LevyContext
 from .piecewise import Piece, PiecewiseFunction
@@ -165,11 +165,10 @@ def _parse_family(obj, ptr):
     _object(obj, ptr, "family", ("name", "params"))
     name = _need(obj, "name", str, ptr)
     params = _need(obj, "params", dict, ptr, {})
-    # an unknown name passes any params here, so that make_family names it
-    _, known = expfam._REGISTRY.get(name, (None, params))
-    _object(params, f"{ptr}/params", "params", known)
-    params = {key: _need(params, key, float, f"{ptr}/params") for key in params}
-    with _At(ptr):
+    with _At(ptr):  # the ConfigErrors of params pass through it unchanged
+        _, known = _registered(expfam._REGISTRY, name, "family")
+        _object(params, f"{ptr}/params", "params", known)
+        params = {key: _need(params, key, float, f"{ptr}/params") for key in params}
         return expfam.make_family(name, **params)
 
 
@@ -285,16 +284,13 @@ def parse_sample_config(obj) -> tuple[list[LevyContext], float | None]:
 
 
 def parse_prior_config(obj) -> tuple[ConjugatePair, LevyContext]:
-    from .conjugacy import _PAIRS, make_pair, pair_names
+    from .conjugacy import _PAIRS, make_pair
 
     _object(obj, "", "config", ("pair", "component"))
     pair_obj = _object(_need(obj, "pair", dict, ""), "/pair", "pair", ("name", "fixed"))
     name = _need(pair_obj, "name", str, "/pair")
-    if name not in pair_names():
-        raise ConfigError(
-            f"unknown pair {name!r}; registered: {', '.join(pair_names())}", "/pair/name"
-        )
-    _, _, _, defaults, _ = _PAIRS[name]
+    with _At("/pair/name"):
+        _, _, _, defaults, _ = _registered(_PAIRS, name, "pair")
     fixed = _object(_need(pair_obj, "fixed", dict, "/pair", {}), "/pair/fixed", "fixed", defaults)
     with _At("/pair/fixed"):
         pair = make_pair(name, **{key: _need(fixed, key, float, "/pair/fixed") for key in fixed})

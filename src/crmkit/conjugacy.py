@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expfam
-from .errors import CrmError, SupportError
+from .errors import CrmError, SupportError, _float_params, _registered
 from .expfam import ExpFamilySpec, ParameterPath
 from .levy import LevyContext, _default_grid, levy_density_u
 from .sampler import link_rule
@@ -99,13 +99,8 @@ _PAIRS = {
 
 
 def make_pair(name: str, **fixed) -> ConjugatePair:
-    if name not in _PAIRS:
-        raise CrmError(f"unknown pair {name!r}; registered: {', '.join(pair_names())}")
-    prior, likelihood, link, defaults, statistic = _PAIRS[name]
-    extra = set(fixed) - set(defaults)
-    if extra:
-        raise CrmError(f"{name} does not accept hyperparameter(s) {sorted(extra)}")
-    fixed = {key: float(fixed.get(key, default)) for key, default in defaults.items()}
+    prior, likelihood, link, defaults, statistic = _registered(_PAIRS, name, "pair")
+    fixed = _float_params(name, "hyperparameter", fixed, defaults)
     return ConjugatePair(name, expfam.make_family(prior), likelihood(**fixed), link, statistic, fixed)
 
 

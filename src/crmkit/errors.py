@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two registry helpers:
+:func:`_registered` looks a name up in a registry table, and
+:func:`_float_params` checks the keyword parameters a registered factory takes.
+"""
+
+import numbers
 
 __all__ = [
     "CrmError",
@@ -80,3 +85,24 @@ class ConfigError(CrmError):
     def __init__(self, message, pointer=""):
         super().__init__(f"{pointer}: {message}" if pointer else message)
         self.pointer = pointer
+
+
+def _registered(table: dict, name, kind: str, names=sorted):
+    """``table[name]``; an unknown name raises :class:`CrmError` listing the
+    registered ones in the order ``names(table)`` gives."""
+    if name not in table:
+        raise CrmError(f"unknown {kind} {name!r}; registered: {', '.join(names(table))}")
+    return table[name]
+
+
+def _float_params(name: str, what: str, given: dict, defaults: dict) -> dict:
+    """``defaults`` updated by ``given``, every value a float: a key outside the
+    defaults, or a value that is not a real number (a bool, a str, None), raises
+    :class:`CrmError` naming it."""
+    extra = given.keys() - defaults.keys()
+    if extra:
+        raise CrmError(f"{name} does not accept {what}(s) {sorted(extra)}")
+    for key, value in given.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise CrmError(f"{name}: {what} {key} must be a number, got {value!r}")
+    return {key: float(given.get(key, default)) for key, default in defaults.items()}

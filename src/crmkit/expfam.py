@@ -43,6 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CrmError, DerivativeDomainError, DivergenceError, NaturalSpaceError, SupportError
+from .errors import _float_params, _registered
 from .piecewise import PiecewiseFunction, checked_quad
 
 __all__ = [
@@ -87,11 +88,14 @@ class Support:
     discrete: bool = False
 
     def contains(self, x) -> bool:
+        return _all(self._inside(x))
+
+    def _inside(self, x):
+        """Whether each point of ``np.asarray(x)`` lies in the support, a mask of its shape."""
         x = np.asarray(x, dtype=float)
-        inside = (x > self.lo) & (x < self.hi)
         if self.discrete:
-            inside = (x >= self.lo) & (x <= self.hi) & (x == np.floor(x))
-        return _all(inside)
+            return (x >= self.lo) & (x <= self.hi) & (x == np.floor(x))
+        return (x > self.lo) & (x < self.hi)
 
     def grid(self, n: int = 201) -> np.ndarray:
         """Interior points for dense sign/round-trip checks."""
@@ -164,32 +168,29 @@ class ExpFamilySpec:
         """Raise :class:`NaturalSpaceError` unless eta lies in the natural space.
 
         Every rule is first tested on the whole of eta.  Only where one
-        fails, one eta (shape (l,)) is tested rule by rule, and a batch
-        (shape (l, m), one eta per column) raises its first failing column's
-        first failing rule, with ``index``.
+        fails are the rules tested again, on eta as a batch of shape (l, m),
+        one eta per column: a batch raises its first failing column's first
+        failing rule, with ``index`` (its position in the flattened
+        ``eta.shape[1:]``), and one eta (shape (l,)), a batch of one, raises
+        its first failing rule with ``index=None``.
         """
         eta = np.asarray(eta, dtype=float)
         if all(_all(test(eta)) for _, test, _ in self.natural):
             return
-        if eta.ndim < 2:
-            for coord, test, message in self.natural:
-                if not test(eta):
-                    raise NaturalSpaceError(message.format(eta[coord - 1]), coord=coord)
-            return
-        masks = [test(eta) for _, test, _ in self.natural]
-        bad = ~np.logical_and.reduce(masks)
-        if bad.any():
-            i = int(np.argmax(bad))
-            coord, _, message = next(rule for rule, ok in zip(self.natural, masks) if not ok[i])
-            raise NaturalSpaceError(message.format(eta[coord - 1, i]), coord=coord, index=i)
+        batch = eta.reshape(len(eta), -1)
+        masks = [test(batch) for _, test, _ in self.natural]
+        i = int(np.argmin(np.logical_and.reduce(masks)))
+        coord, _, message = next(rule for rule, ok in zip(self.natural, masks) if not ok[i])
+        raise NaturalSpaceError(
+            message.format(batch[coord - 1, i]), coord=coord, index=i if eta.ndim > 1 else None
+        )
 
     def in_natural_space(self, eta) -> bool | np.ndarray:
         """Whether eta lies in the natural space: a bool for one eta, a
         boolean array of shape ``eta.shape[1:]`` for a batch."""
         eta = np.asarray(eta, dtype=float)
-        if eta.ndim < 2:
-            return all(test(eta) for _, test, _ in self.natural)
-        return np.logical_and.reduce([test(eta) for _, test, _ in self.natural])
+        inside = np.logical_and.reduce([test(eta) for _, test, _ in self.natural])
+        return inside if eta.ndim > 1 else bool(inside)
 
     def at(self, eta) -> "BoundFamily":
         """The family at one natural parameter; see :class:`BoundFamily`."""
@@ -854,7 +855,6 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
 
 def _lognormal_family(mu: float) -> ExpFamilySpec:
     """Log-normal with known drift; natural parameter is the precision of ln X."""
-    mu = float(mu)
     if not math.isfinite(mu):
         raise CrmError(f"lognormal: mu must be finite, got {mu}")
     stats = (
@@ -948,13 +948,8 @@ def make_family(name: str, **params) -> ExpFamilySpec:
     ``pareto`` and ``pareto_loglog`` accept ``scale``, ``lognormal`` accepts
     ``mu``; the other families take no parameters.
     """
-    if name not in _REGISTRY:
-        raise CrmError(f"unknown family {name!r}; registered: {', '.join(family_names())}")
-    factory, defaults = _REGISTRY[name]
-    extra = set(params) - set(defaults)
-    if extra:
-        raise CrmError(f"{name} does not accept parameter(s) {sorted(extra)}")
-    return factory(**{**defaults, **params})
+    factory, defaults = _registered(_REGISTRY, name, "family")
+    return factory(**_float_params(name, "parameter", params, defaults))
 
 
 # ---------------------------------------------------------------------------

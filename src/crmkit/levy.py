@@ -118,17 +118,15 @@ class BaseMeasure:
             if math.isnan(a) or math.isnan(b):
                 raise CrmError(f"base measure window ({a}, {b}] has a NaN end")
             return 0.0
-        mass = self.density.integral(a, b)
-        mass += sum(m for _, m in self.jumps_in(a, b))
-        return float(mass)
+        return self.segments(a, b)[2]
 
     def segments(self, a: float, b: float):
         """Where A_0 puts its mass on a window (a, b], a < b: ``(pieces, jumps, total)``.
 
         ``pieces`` holds (piece, lo, hi, mass) for each density piece that
         meets the window, (lo, hi] being its part inside; ``jumps`` is
-        ``jumps_in(a, b)``; ``total`` is ``increment(a, b)``, summed in the
-        same order to the same double, with each piece integrated once.
+        ``jumps_in(a, b)``; ``total``, the density's mass and then each jump's
+        added in location order, is ``increment(a, b)``.
         """
         pieces, total = [], 0
         for p in self.density.pieces:
@@ -470,7 +468,7 @@ def _z_integral(ctx: LevyContext, h: Callable, t: float, x) -> float | np.ndarra
             if not stretch.lo < t:
                 break
             if stretch.eta is not None:
-                mass = ctx.base.density.integral(stretch.lo, min(t, stretch.hi))
+                mass = sum(piece.integral(lo, min(hi, t)) for piece, lo, hi in stretch.base)
                 if mass != 0.0:
                     total += h(*stretch.bound, x) * mass
                 continue
@@ -489,9 +487,9 @@ def _z_integral(ctx: LevyContext, h: Callable, t: float, x) -> float | np.ndarra
 
 def _check_s(family: ExpFamilySpec, s) -> None:
     """Raise :class:`SupportError` naming the first s outside the family support."""
-    if not family.support.contains(s):
-        bad = next(v for v in np.ravel(s) if not family.support.contains(v))
-        raise SupportError(f"s={bad} outside the family support")
+    inside = family.support._inside(s)
+    if not expfam._all(inside):
+        raise SupportError(f"s={np.ravel(s)[np.argmin(inside)]} outside the family support")
 
 
 def levy_density_s(ctx: LevyContext, t: float, s):
@@ -527,8 +525,9 @@ def _pushforward(ctx: LevyContext, u, density_s: Callable):
     if stat.inverse is None or stat.inverse_deriv is None:
         raise CrmError(f"statistic {stat.name!r} has no declared inverse")
     us = np.asarray(u, dtype=float)
-    if not expfam._all(stat.in_image(us)):
-        bad = next(v for v in us.flat if not stat.in_image(v))
+    inside = stat.in_image(us)
+    if not expfam._all(inside):
+        bad = us.flat[np.argmin(inside)]
         raise SupportError(f"u={bad} outside the image {stat.image} of statistic {stat.name!r}")
     with np.errstate(over="ignore"):
         s, jac = stat.inverse(us), np.abs(stat.inverse_deriv(us))

@@ -144,10 +144,10 @@ class Piece:
             return 0.0
         if self.kind == "func":
             return checked_quad(self.value, a, b)
-        if self.kind == "ratio":
-            return self._ratio_integral(a, b)
         if self.zero:
             return 0.0
+        if self.kind == "ratio":
+            return self._ratio_integral(a, b)
         if self.kind == "const":
             val = self.c0 * (b - a)
         else:
@@ -161,8 +161,6 @@ class Piece:
     def _ratio_integral(self, a, b):
         lin, log_coef = self._ratio_terms()
         y_a, y_b = self.d0 + self.d1 * a, self.d0 + self.d1 * b
-        if lin == 0 and log_coef == 0:
-            return 0.0
         if not np.isfinite(b - a):
             raise DivergenceError(
                 f"ratio piece integral over ({a}, {b}) is infinite", partial=_INF

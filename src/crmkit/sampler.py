@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expfam
-from .errors import AtomLinkError, CrmError, DivergenceError, NaturalSpaceError, TruncationError
+from .errors import AtomLinkError, CrmError, DivergenceError, NaturalSpaceError, TruncationError, _registered
 from .expfam import ExpFamilySpec, _special
 from .levy import LevyContext
 
@@ -323,9 +323,7 @@ _LINKS = {
 def link_rule(link) -> Callable:
     if callable(link):
         return link
-    if link not in _LINKS:
-        raise CrmError(f"unknown link rule {link!r}; registered: {', '.join(link_names())}")
-    return _LINKS[link]
+    return _registered(_LINKS, link, "link rule")
 
 
 def link_names() -> tuple[str, ...]:

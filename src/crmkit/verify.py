@@ -23,7 +23,7 @@ import numpy as np
 
 from . import conjugacy as conj
 from . import construct, expfam, levy
-from .errors import CrmError
+from .errors import CrmError, _registered
 from .expfam import ParameterPath, _special
 from .levy import BaseMeasure, LevyContext
 from .piecewise import Piece, PiecewiseFunction, checked_quad
@@ -506,6 +506,4 @@ def suite_names() -> tuple[str, ...]:
 
 
 def run_suite(name: str, seed=None, replicates=None) -> SuiteResult:
-    if name not in _SUITES:
-        raise CrmError(f"unknown suite {name!r}; registered: {', '.join(suite_names())}")
-    return _SUITES[name](seed, replicates)
+    return _registered(_SUITES, name, "suite", tuple)(seed, replicates)

@@ -157,8 +157,26 @@ def test_parse_prior_config_checks_family():
     obj = {"pair": {"name": "beta-bernoulli"}, "component": GAMMA_COMPONENT}
     with pytest.raises(ConfigError, match="does not match pair prior"):
         cfg.parse_prior_config(obj)
-    with pytest.raises(ConfigError, match="unknown pair"):
+    with pytest.raises(ConfigError) as exc:
         cfg.parse_prior_config({"pair": {"name": "nope"}, "component": GAMMA_COMPONENT})
+    assert exc.value.pointer == "/pair/name"
+    assert str(exc.value) == (
+        "/pair/name: unknown pair 'nope'; registered: "
+        "beta-bernoulli, gamma-lognormal, gamma-pareto, gamma-poisson"
+    )
+
+
+@pytest.mark.parametrize("params", [{}, {"scale": "x"}], ids=["no-params", "bad-params-value"])
+def test_an_unknown_family_name_is_refused_at_the_family(params):
+    # the name is reported before any params value is read
+    obj = {**GAMMA_COMPONENT, "family": {"name": "weibull", "params": params}}
+    with pytest.raises(ConfigError) as exc:
+        cfg.parse_component(obj)
+    assert exc.value.pointer == "/component/family"
+    assert str(exc.value) == (
+        "/component/family: unknown family 'weibull'; registered: "
+        "bernoulli, beta, gamma, lognormal, pareto, pareto_loglog, poisson"
+    )
 
 
 def test_shift_component_obj():

@@ -21,8 +21,12 @@ def test_pair_registry():
         "gamma-pareto",
         "gamma-poisson",
     )
-    with pytest.raises(CrmError, match="unknown pair"):
+    with pytest.raises(CrmError) as exc:
         conj.make_pair("gamma-weibull")
+    assert str(exc.value) == (
+        "unknown pair 'gamma-weibull'; registered: "
+        "beta-bernoulli, gamma-lognormal, gamma-pareto, gamma-poisson"
+    )
 
 
 def test_fixed_hyperparameters():
@@ -32,6 +36,28 @@ def test_fixed_hyperparameters():
     assert conj.make_pair("gamma-lognormal").fixed["mu"] == 0.0
     with pytest.raises(CrmError):
         conj.make_pair("beta-bernoulli", mu=1.0)
+
+
+@pytest.mark.parametrize(
+    "name, fixed, message",
+    [
+        ("gamma-lognormal", {"mu": "1.5"}, "gamma-lognormal: hyperparameter mu must be a number, got '1.5'"),
+        ("gamma-pareto", {"x_m": None}, "gamma-pareto: hyperparameter x_m must be a number, got None"),
+        ("gamma-pareto", {"x_m": False}, "gamma-pareto: hyperparameter x_m must be a number, got False"),
+    ],
+)
+def test_a_hyperparameter_that_is_not_a_number_is_refused(name, fixed, message):
+    with pytest.raises(CrmError) as exc:
+        conj.make_pair(name, **fixed)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("value", [2, np.int64(2), np.float64(2.0)])
+def test_integer_and_numpy_hyperparameters_build_as_floats(value):
+    for name, key in (("gamma-pareto", "x_m"), ("gamma-lognormal", "mu")):
+        pair = conj.make_pair(name, **{key: value})
+        assert (type(pair.fixed[key]), pair.fixed[key]) == (float, 2.0)
+        assert pair.likelihood_family.fixed[key if key == "mu" else "scale"] == 2.0
 
 
 @pytest.mark.parametrize("name", list(verify._PAIR_FIXTURES))

@@ -21,10 +21,35 @@ def test_registry_contents():
         "pareto_loglog",
         "poisson",
     )
-    with pytest.raises(CrmError, match="unknown family"):
+    with pytest.raises(CrmError) as exc:
         expfam.make_family("weibull")
+    assert str(exc.value) == (
+        "unknown family 'weibull'; registered: "
+        "bernoulli, beta, gamma, lognormal, pareto, pareto_loglog, poisson"
+    )
     with pytest.raises(CrmError, match=r"pareto does not accept parameter\(s\) \['form'\]"):
         expfam.make_family("pareto", form="loglog")
+
+
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("pareto", {"scale": True}, "pareto: parameter scale must be a number, got True"),
+        ("lognormal", {"mu": "2"}, "lognormal: parameter mu must be a number, got '2'"),
+        ("pareto_loglog", {"scale": None}, "pareto_loglog: parameter scale must be a number, got None"),
+    ],
+)
+def test_a_family_parameter_that_is_not_a_number_is_refused(name, params, message):
+    with pytest.raises(CrmError) as exc:
+        expfam.make_family(name, **params)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("value", [2, np.int64(2), np.float64(2.0)])
+def test_integer_and_numpy_family_parameters_build_as_floats(value):
+    for name, key in (("pareto", "scale"), ("pareto_loglog", "scale"), ("lognormal", "mu")):
+        fixed = expfam.make_family(name, **{key: value}).fixed[key]
+        assert (type(fixed), fixed) == (float, 2.0)
 
 
 @pytest.mark.parametrize(
@@ -470,6 +495,12 @@ def test_batch_check_raises_the_first_failing_rows_own_error(name, good, first, 
     assert str(batch.value) == str(scalar.value)
     assert batch.value.coord == scalar.value.coord
     assert batch.value.index == len(good)
+    # any batch shape: the index counts along the flattened eta.shape[1:]
+    with pytest.raises(NaturalSpaceError) as grid:
+        spec.check_natural(rows.T.reshape(spec.dimension, 2, -1))
+    assert (str(grid.value), grid.value.coord, grid.value.index) == (
+        str(scalar.value), scalar.value.coord, len(good)
+    )
 
 
 @pytest.mark.parametrize("name, good, first, later", _BATCH_CASES, ids=[c[0] for c in _BATCH_CASES])

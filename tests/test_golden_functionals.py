@@ -8,12 +8,14 @@ float, and every ``repr`` here is fixed.  The ``classify_activity`` masses
 are the exact base masses A_0((0, t]).
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from crmkit import expfam, levy, quadpack, verify
+from crmkit.construct import DiscretizationPlan, discrete_laplace
 from crmkit.expfam import ParameterPath, make_family
 from crmkit.levy import (
     BaseMeasure,
@@ -277,3 +279,123 @@ def test_loglog_moment_oracle_keeps_its_bits():
     spec = make_family("pareto_loglog")
     want, rel = verify._moment_oracle(spec, [-2.0, -2.5], 2, 2)
     assert (repr(want), rel) == ("0.16258478853279784", 1e-6)
+
+
+def _digest_contexts():
+    """(context, u points in its weight image) covering const, affine and ``func``
+    path pieces; const, affine, ratio, zero and ``func`` base pieces; point masses,
+    one of them under an override; and both ``pareto_loglog`` branches."""
+    gamma, beta, loglog = make_family("gamma"), make_family("beta"), make_family("pareto_loglog")
+    const = PiecewiseFunction.constant
+
+    def pieces(*ps):
+        return PiecewiseFunction(list(ps))
+
+    rate = pieces(Piece(0.0, INF, "affine", c0=3.0, c1=0.5))
+    us = (0.2, 1.0, 2.5)
+    return {
+        "const": (
+            LevyContext.build(gamma, ParameterPath.constant([2.0, 3.0]), BaseMeasure.lebesgue(1.5), k=2),
+            us,
+        ),
+        "affine": (
+            LevyContext.build(
+                gamma,
+                ParameterPath([const(2.0), rate]),
+                BaseMeasure(
+                    pieces(Piece(0.0, 1.5, "affine", c0=1.0, c1=0.5), Piece(1.5, INF, "const", c0=1.75))
+                ),
+                k=2,
+            ),
+            us,
+        ),
+        "func_path_ratio_base": (
+            LevyContext.build(
+                gamma,
+                ParameterPath(
+                    [PiecewiseFunction.from_callable(lambda z: 2.0 + 0.5 * math.sin(z)), const(3.0)]
+                ),
+                BaseMeasure(
+                    pieces(
+                        Piece(0.0, 2.0, "ratio", c0=1.0, c1=0.5, d0=1.0, d1=1.0),
+                        Piece(2.0, 3.0, "ratio", c0=0.0, c1=0.0, d0=1.0, d1=1.0),
+                        Piece(3.0, INF, "const", c0=0.75),
+                    )
+                ),
+                k=2,
+            ),
+            us,
+        ),
+        "beta_ratio": (
+            LevyContext.build(
+                beta,
+                ParameterPath([const(1.0), pieces(Piece(0.0, INF, "affine", c0=3.0, c1=1.0))]),
+                BaseMeasure(pieces(Piece(0.0, INF, "ratio", c0=1.0, c1=1.0, d0=3.0, d1=1.0))),
+                k=1,
+            ),
+            (-2.0, -0.5, -0.05),
+        ),
+        "func_base": (
+            LevyContext.build(
+                gamma,
+                ParameterPath.constant([2.0, 3.0]),
+                BaseMeasure(
+                    pieces(
+                        Piece(0.0, 2.5, "func", func=lambda z: 1.0 + 0.5 * math.cos(z)),
+                        Piece(2.5, INF, "const", c0=1.0),
+                    ),
+                    ((0.75, 0.3),),
+                ),
+                k=2,
+            ),
+            us,
+        ),
+        "jumps_override": (
+            LevyContext.build(
+                gamma,
+                ParameterPath([const(2.0), rate]).with_override(1.25, [3.0, 1.5]),
+                BaseMeasure(const(1.0), ((0.4, 0.5), (1.25, 2.0), (2.5, 0.75))),
+                k=2,
+            ),
+            us,
+        ),
+        **{
+            name: (
+                LevyContext.build(
+                    loglog, ParameterPath.constant(eta), BaseMeasure.lebesgue(1.0), k=1,
+                    require_conditions=False,
+                ),
+                (1.1, 2.0, 3.5),
+            )
+            for name, eta in (("loglog_off_face", [-2.0, -2.5]), ("loglog_on_face", [-1.0, -2.5]))
+        },
+    }
+
+
+def _classified(res, us):
+    """The fields of a classify_activity result, its weight density read at us."""
+    fields = (type(res).__name__,) + tuple(
+        getattr(res, f) for f in ("total_mass", "rate", "detail", "witnesses") if hasattr(res, f)
+    )
+    if getattr(res, "weight_density", None) is not None:
+        fields += (res.weight_density(np.array(us)).tolist(),)
+    return fields
+
+
+FUNCTIONALS_DIGEST = "6146ecca9dc51dab3a402d1c3cdfd22704eea010c978b4358b17ca49274c8b2b"
+
+
+def test_functionals_digest_is_pinned():
+    # one sha256 over the reprs of laplace_exponent, levy_density_u on an
+    # array, classify_activity and discrete_laplace at two horizons per context
+    lines = []
+    for name, (ctx, us) in _digest_contexts().items():
+        for t in (1.0, 2.5):
+            values = (
+                laplace_exponent(ctx, t, 0.5),
+                levy_density_u(ctx, t, np.array(us)).tolist(),
+                _classified(classify_activity(ctx, t), us),
+                discrete_laplace(ctx, DiscretizationPlan.build(ctx, t, 8), t, 0.5),
+            )
+            lines.append(f"{name} {t} {values!r}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == FUNCTIONALS_DIGEST

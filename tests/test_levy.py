@@ -1180,6 +1180,23 @@ def test_a_nan_u_is_outside_the_image(k, image, u):
     assert str(exc.value) == f"u=nan outside the image {image}"
 
 
+@pytest.mark.parametrize("bad", [0, 1, 99_999], ids=["first", "second", "last"])
+def test_a_batch_names_its_first_point_outside_the_support_or_image(bad):
+    ctx = LevyContext.build(make_family("gamma"), _AFFINE_RATE, BaseMeasure.lebesgue(1.0), k=2)
+    points = np.linspace(0.5, 2.0, 100_000)
+    points[bad], points[bad + 1:] = -1.0, -2.0  # later bad points are not named
+    with pytest.raises(SupportError) as exc:
+        levy_density_s(ctx, 1.0, points)
+    assert str(exc.value) == "s=-1.0 outside the family support"
+    with pytest.raises(SupportError) as exc:
+        levy_density_u(ctx, 1.0, points.reshape(1000, 100))
+    assert str(exc.value) == "u=-1.0 outside the image (0.0, inf) of statistic 'x'"
+    # the entry is named as the input holds it, an integer as an integer
+    with pytest.raises(SupportError) as exc:
+        levy_density_s(ctx, 1.0, [1, 2, -3, -4])
+    assert str(exc.value) == "s=-3 outside the family support"
+
+
 def test_one_density_checks_its_node_batch_once_where_it_is_made(monkeypatch):
     # each check of the 21 etas of the one pass runs once; none runs through _as_eta
     ctx = LevyContext.build(make_family("gamma"), _AFFINE_RATE, BaseMeasure.lebesgue(1.0), k=2)

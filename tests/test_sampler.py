@@ -153,8 +153,12 @@ def test_link_registry():
     rule = sampler.link_rule("bernoulli_prob")
     eta = rule(0.8)
     assert eta[0] == pytest.approx(math.log(0.8 / 0.2), rel=1e-12)
-    with pytest.raises(CrmError):
+    with pytest.raises(CrmError) as exc:
         sampler.link_rule("no_such_link")
+    assert str(exc.value) == (
+        "unknown link rule 'no_such_link'; registered: bernoulli_prob, "
+        "lognormal_precision, lognormal_variance, pareto_shape, poisson_rate"
+    )
 
 
 def test_sample_likelihood_bernoulli(rng):
