@@ -30,10 +30,6 @@ __all__ = ["main"]
 _PATH_GRID_POINTS = 201
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text)
-
-
 @functools.cache
 def _dist_version(name: str) -> str:
     """An installed distribution's version, read from its metadata once per
@@ -49,15 +45,23 @@ def _check_seed(seed) -> None:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
 
 
-def _manifest(out_dir: Path, **fields) -> None:
-    fields.setdefault("created_utc", datetime.now(timezone.utc).isoformat(timespec="seconds"))
+def _write_run(out, files: dict, **fields) -> None:
+    """Write a run into the directory ``out``, made if missing: each file of
+    ``files`` (name -> text), then ``manifest.json``, which holds ``fields``,
+    the creation time, the versions and ``outputs``, the names of ``files``."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text)
+    fields["outputs"] = list(files)
+    fields["created_utc"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     fields["versions"] = {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": _dist_version("scipy"),
         "crmkit": __version__,
     }
-    _write(out_dir / "manifest.json", json.dumps(fields, indent=2, sort_keys=True) + "\n")
+    (out_dir / "manifest.json").write_text(json.dumps(fields, indent=2, sort_keys=True) + "\n")
 
 
 def _table_csv(header, columns) -> str:
@@ -81,20 +85,12 @@ def cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
     draw = sampler.sample_crm(contexts, z_max, rng, truncation=args.truncation)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     atoms_csv = draw.csv_text()
-    _write(out_dir / "atoms.csv", atoms_csv)
-
     ts = np.linspace(0.0, z_max, _PATH_GRID_POINTS)
-    values = sampler.evaluate_path(draw, ts)
-    _write(
-        out_dir / "path.csv",
-        _table_csv(("t", "value"), (ts, values)),
-    )
-
-    _manifest(
-        out_dir,
+    path_csv = _table_csv(("t", "value"), (ts, sampler.evaluate_path(draw, ts)))
+    _write_run(
+        args.out,
+        {"atoms.csv": atoms_csv, "path.csv": path_csv},
         command="sample",
         config_hash=cfg.config_hash(obj),
         seed=args.seed,
@@ -103,9 +99,8 @@ def cmd_sample(args) -> int:
         tail_mass=draw.tail_mass,
         atoms=len(draw),
         draw_id=sampler.text_id(atoms_csv),
-        outputs=["atoms.csv", "path.csv"],
     )
-    print(f"wrote {len(draw)} atoms over (0, {z_max:g}] to {out_dir / 'atoms.csv'}")
+    print(f"wrote {len(draw)} atoms over (0, {z_max:g}] to {Path(args.out) / 'atoms.csv'}")
     return 0
 
 
@@ -123,23 +118,12 @@ def cmd_verify(args) -> int:
     if args.filter and not any(res.rows for res in results):
         raise ConfigError(f"filter {args.filter!r} matches no check of suite(s) {', '.join(names)}")
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    outputs = ["report.csv"]
+    files = {"report.csv": verify.report_csv(*results)}
     for res in results:
         for fname, (header, rows) in res.tables.items():
-            _write(out_dir / fname, _table_csv(header, list(zip(*rows))))
-            outputs.append(fname)
-    _write(out_dir / "report.csv", verify.report_csv(*results))
-
-    _manifest(
-        out_dir,
-        command="verify",
-        suites=list(names),
-        seed=args.seed,
-        replicates=args.replicates,
-        outputs=outputs,
+            files[fname] = _table_csv(header, list(zip(*rows)))
+    _write_run(
+        args.out, files, command="verify", suites=list(names), seed=args.seed, replicates=args.replicates
     )
 
     ok = True
@@ -193,8 +177,6 @@ def cmd_posterior(args) -> int:
         diff.append(
             "shift: (" + ", ".join(f"{d:+g}" for d in delta) + ") applied to every coordinate"
         )
-        if not values:
-            diff.append("no observations: posterior equals prior")
     else:
         # the update checks each observation's support once, atom by atom in
         # location order
@@ -208,21 +190,20 @@ def cmd_posterior(args) -> int:
             after = ", ".join(f"{v:g}" for v in eta)
             diff.append(f"atom {loc!r}: ({before}) -> ({after})")
         post_component = cfg.override_component_obj(component, overrides)
-        if not grouped:
-            diff.append("no observations: posterior equals prior")
+    if not values:
+        diff.append("no observations: posterior equals prior")
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     post_obj = {"pair": obj["pair"], "component": post_component}
-    _write(out_dir / "posterior_config.json", json.dumps(post_obj, indent=2, sort_keys=True) + "\n")
-    _write(out_dir / "diff.txt", "\n".join(diff) + "\n")
-    _manifest(
-        out_dir,
+    _write_run(
+        args.out,
+        {
+            "posterior_config.json": json.dumps(post_obj, indent=2, sort_keys=True) + "\n",
+            "diff.txt": "\n".join(diff) + "\n",
+        },
         command="posterior",
         config_hash=cfg.config_hash(obj),
         mode=args.mode,
         observations=len(values),
-        outputs=["posterior_config.json", "diff.txt"],
     )
     print("\n".join(diff))
     return 0

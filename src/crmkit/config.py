@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import expfam
-from .errors import ConfigError, CrmError, _registered
+from .errors import ConfigError, CrmError, _integer, _real, _registered
 from .expfam import ParameterPath
 from .levy import BaseMeasure, LevyContext
 from .piecewise import Piece, PiecewiseFunction
@@ -71,18 +71,20 @@ def load_json(path_or_text):
 
 
 def _need(obj, key, kind, ptr, default=None):
-    """obj[key] of the given kind (float: any JSON number, read as a float);
-    default where the key is absent, which only a non-None default allows."""
+    """obj[key] of the given kind (float: a real number, read as a float; int: an
+    integer; neither a bool, by :func:`~crmkit.errors._real` and
+    :func:`~crmkit.errors._integer`); default where the key is absent, which
+    only a non-None default allows."""
     if key not in obj:
         if default is None:
             raise ConfigError("missing required key", f"{ptr}/{key}")
         return default
     val = obj[key]
     if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
+        if not _real(val):
             raise ConfigError("expected a number", f"{ptr}/{key}")
         return float(val)
-    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):  # JSON true is no int
+    if not (_integer(val) if kind is int else isinstance(val, kind)):
         raise ConfigError(f"expected {kind.__name__}", f"{ptr}/{key}")
     return val
 
@@ -144,11 +146,7 @@ def _parse_piece(obj, ptr, allow_ratio):
 
 
 def _floats(val, count, ptr):
-    if (
-        not isinstance(val, list)
-        or len(val) != count
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in val)
-    ):
+    if not isinstance(val, list) or len(val) != count or not all(map(_real, val)):
         raise ConfigError(f"expected a list of {count} numbers", ptr)
     return [float(v) for v in val]
 
@@ -199,7 +197,7 @@ def parse_component(obj, ptr="/component") -> LevyContext:
         if not isinstance(entry, list) or len(entry) != 2:
             raise ConfigError("override must be [location, [values...]]", optr)
         loc = entry[0]
-        if isinstance(loc, bool) or not isinstance(loc, (int, float)):
+        if not _real(loc):
             raise ConfigError("override location must be a number", optr)
         if float(loc) in overrides:
             raise ConfigError(f"override location {float(loc)} repeats an earlier one", optr)

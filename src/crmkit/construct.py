@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrmError
+from .errors import CrmError, _integer
 from .levy import LevyContext, laplace_exponent, stat_laplace
 
 __all__ = [
@@ -55,7 +55,9 @@ class DiscretizationPlan:
     def build(cls, ctx: LevyContext, t: float, n: int) -> "DiscretizationPlan":
         if not (t > 0):
             raise CrmError(f"horizon must be positive, got t={t}")
-        if not (isinstance(n, (int, np.integer)) and n >= 1):
+        if t == math.inf:
+            raise CrmError(f"horizon must be finite, got t={t}")
+        if not (_integer(n) and n >= 1):
             raise CrmError(f"cells per unit must be a positive integer, got {n}")
         m = int(math.floor(t * n + 1e-9))
         if m < 1:
@@ -140,10 +142,14 @@ def sample_discretized(
     return float(_draw_totals(ctx, plan, t, 1, rng)[0])
 
 
-def discrete_laplace(ctx: LevyContext, plan: DiscretizationPlan, t: float, theta: float) -> float:
-    """Exact E[e^{-theta X_n}] of the discretized draw (product over cells)."""
+def _check_theta(theta) -> None:
     if not (theta >= 0):
         raise CrmError(f"theta must be nonnegative, got {theta}")
+
+
+def discrete_laplace(ctx: LevyContext, plan: DiscretizationPlan, t: float, theta: float) -> float:
+    """Exact E[e^{-theta X_n}] of the discretized draw (product over cells)."""
+    _check_theta(theta)
     live = np.flatnonzero(plan.masses[:plan.cell_range(t)] != 0.0)
     # cells often share an eta: one batch over the distinct ones
     distinct, which = np.unique(plan.etas[live], axis=0, return_inverse=True)
@@ -182,8 +188,9 @@ def empirical_laplace(
     chunks of replicates, so one seed fixes the estimate to the bit.  Its
     target is :func:`discrete_laplace`, the exact transform of the same draw.
     """
-    if replicates < 2:
-        raise CrmError(f"need at least 2 replicates, got {replicates}")
+    _check_theta(theta)
+    if not (_integer(replicates) and replicates >= 2):
+        raise CrmError(f"replicates must be an integer >= 2, got {replicates}")
     vals = np.exp(-theta * _draw_totals(ctx, plan, t, replicates, rng))
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(replicates))

@@ -1,6 +1,10 @@
-"""Exception types shared across the package, and the two registry helpers:
-:func:`_registered` looks a name up in a registry table, and
-:func:`_float_params` checks the keyword parameters a registered factory takes.
+"""Exception types shared across the package, the two registry helpers and the
+number rule:
+:func:`_registered` looks a name up in a registry table,
+:func:`_float_params` checks the keyword parameters a registered factory takes,
+and :func:`_real` and :func:`_integer` say what counts as a number anywhere in
+the package: a ``numbers.Real`` or ``numbers.Integral`` (numpy scalars
+included) that is not a bool.
 """
 
 import numbers
@@ -87,6 +91,16 @@ class ConfigError(CrmError):
         self.pointer = pointer
 
 
+def _real(value) -> bool:
+    """Whether value is a real number: a ``numbers.Real`` that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(value) -> bool:
+    """Whether value is an integer: a ``numbers.Integral`` that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _registered(table: dict, name, kind: str, names=sorted):
     """``table[name]``; an unknown name raises :class:`CrmError` listing the
     registered ones in the order ``names(table)`` gives."""
@@ -103,6 +117,6 @@ def _float_params(name: str, what: str, given: dict, defaults: dict) -> dict:
     if extra:
         raise CrmError(f"{name} does not accept {what}(s) {sorted(extra)}")
     for key, value in given.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        if not _real(value):
             raise CrmError(f"{name}: {what} {key} must be a number, got {value!r}")
     return {key: float(given.get(key, default)) for key, default in defaults.items()}

@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CrmError, DerivativeDomainError, DivergenceError, NaturalSpaceError, SupportError
-from .errors import _float_params, _registered
+from .errors import _float_params, _integer, _registered
 from .piecewise import PiecewiseFunction, checked_quad
 
 __all__ = [
@@ -214,7 +214,7 @@ def _as_eta(spec: ExpFamilySpec, eta, batch: bool = True) -> np.ndarray:
 
 
 def _check_k(spec: ExpFamilySpec, k: int) -> int:
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= spec.dimension):
+    if not (_integer(k) and 1 <= k <= spec.dimension):
         raise CrmError(f"{spec.name}: statistic index k must satisfy 1 <= k <= {spec.dimension}, got {k}")
     return int(k)
 
@@ -238,9 +238,8 @@ class BoundFamily:
         self.eta, self.log_partition = _bind_many(spec, eta, batch=False)
 
     def log_density(self, x) -> float | np.ndarray:
-        xs = np.asarray(x, dtype=float)
-        _check_support(self.spec, xs)
-        exponent = _exponent(self.spec, self.eta, self.log_partition, xs)
+        _check_support(self.spec, x)
+        exponent = _exponent(self.spec, self.eta, self.log_partition, np.asarray(x, dtype=float))
         return exponent if np.ndim(x) else float(exponent)
 
     def density(self, x) -> float | np.ndarray:
@@ -276,11 +275,13 @@ class BoundFamily:
         return out if np.ndim(q) else float(out)
 
 
-def _check_support(spec: ExpFamilySpec, xs: np.ndarray) -> None:
-    if not spec.support.contains(xs):
-        raise SupportError(
-            f"{spec.name}: point outside support ({spec.support.lo}, {spec.support.hi})"
-        )
+def _check_support(spec: ExpFamilySpec, x) -> None:
+    """Raise :class:`SupportError` naming the family, the first point of x outside
+    its support, as x holds it (an integer as an integer), and the support."""
+    inside = spec.support._inside(x)
+    if not _all(inside):
+        bad, lo, hi = np.ravel(x)[np.argmin(inside)], spec.support.lo, spec.support.hi
+        raise SupportError(f"{spec.name}: s={bad} outside the support ({lo}, {hi})")
 
 
 def _exponent(spec: ExpFamilySpec, eta, log_partition, xs: np.ndarray) -> np.ndarray:
@@ -315,9 +316,8 @@ def _log_density_many(spec: ExpFamilySpec, eta, x) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         eta, log_partition = _bind_many(spec, eta)
-        xs = np.asarray(x, dtype=float)
-        _check_support(spec, xs)
-        return _exponent(spec, eta, log_partition, xs)
+        _check_support(spec, x)
+        return _exponent(spec, eta, log_partition, np.asarray(x, dtype=float))
 
 
 def density(spec: ExpFamilySpec, eta, x) -> float | np.ndarray:
@@ -334,7 +334,7 @@ def moment_suff_stat(spec: ExpFamilySpec, eta, k: int, m: int) -> float:
     """
     eta = _as_eta(spec, eta, batch=False)
     k = _check_k(spec, k)
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
+    if not (_integer(m) and m >= 1):
         raise CrmError(f"moment order m must be a positive integer, got {m}")
     m = int(m)
 

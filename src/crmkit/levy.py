@@ -128,15 +128,9 @@ class BaseMeasure:
         ``jumps_in(a, b)``; ``total``, the density's mass and then each jump's
         added in location order, is ``increment(a, b)``.
         """
-        pieces, total = [], 0
-        for p in self.density.pieces:
-            lo, hi = max(a, p.lo), min(b, p.hi)
-            if lo < hi:
-                mass = p.integral(lo, hi)
-                pieces.append((p, lo, hi, mass))
-                total += mass
+        pieces, total = self.density._window(a, b)
         jumps = self.jumps_in(a, b)
-        return pieces, jumps, float(total) + sum(m for _, m in jumps)
+        return pieces, jumps, total + sum(m for _, m in jumps)
 
     def breakpoints(self) -> list[float]:
         return sorted(set(self.density.breakpoints()) | {loc for loc, _ in self.jumps})
@@ -193,8 +187,7 @@ def check_conditions(
         raise CrmError(
             f"path dimension {path.dimension} != family dimension {family.dimension}"
         )
-    if not (1 <= k <= family.dimension):
-        raise CrmError(f"statistic index k={k} out of range 1..{family.dimension}")
+    k = expfam._check_k(family, k)
     grid = np.sort(np.asarray(grid, dtype=float))
     if grid.size == 0 or np.any(grid <= 0):
         raise CrmError("condition grid must be nonempty and strictly positive")
@@ -293,7 +286,7 @@ def _default_grid(path: ParameterPath, cuts: Sequence[float] = ()) -> np.ndarray
     extra = np.array([*path.breakpoints(), *cuts], dtype=float)
     pts = np.concatenate(
         [
-            np.geomspace(lo_eff if lo_eff > 0 else 1e-4, hi_eff, 24),
+            np.geomspace(lo_eff, hi_eff, 24),
             np.linspace(lo_eff, hi_eff, 17),
             extra[(lo < extra) & (extra < hi)],
         ]
@@ -381,11 +374,7 @@ class _Stretch:
         self.path = tuple(comp if p is None else p.value for comp, p in zip(ctx.path.components, pieces))
         const = all(p is not None and p.kind == "const" for p in pieces)
         self.eta = np.array([p.c0 for p in pieces]) if const else None
-        self.base = tuple(
-            (p, max(lo, p.lo), min(hi, p.hi))
-            for p in ctx.base.density.pieces
-            if max(lo, p.lo) < min(hi, p.hi) and not p.zero
-        )
+        self.base = tuple((p, a, b) for p, a, b in ctx.base.density._meeting(lo, hi) if not p.zero)
 
     @cached_property
     def bound(self) -> tuple[np.ndarray, float]:
@@ -485,20 +474,13 @@ def _z_integral(ctx: LevyContext, h: Callable, t: float, x) -> float | np.ndarra
     return total
 
 
-def _check_s(family: ExpFamilySpec, s) -> None:
-    """Raise :class:`SupportError` naming the first s outside the family support."""
-    inside = family.support._inside(s)
-    if not expfam._all(inside):
-        raise SupportError(f"s={np.ravel(s)[np.argmin(inside)]} outside the family support")
-
-
 def levy_density_s(ctx: LevyContext, t: float, s):
     """Levy density dL_t(s) in the family coordinate over (0, t]: a float at one s, at an
     array of s an array of the doubles each s alone gives, from one walk over the
     locations.  The first s outside the family support raises :class:`SupportError`."""
     if not (t > 0):
         raise CrmError(f"time must be positive, got t={t}")
-    _check_s(ctx.family, s)
+    expfam._check_support(ctx.family, s)
 
     def density(eta, log_partition, x):  # x checked against the support above
         return np.exp(expfam._exponent(ctx.family, eta, log_partition, np.asarray(x)))
@@ -510,7 +492,7 @@ def levy_density_s(ctx: LevyContext, t: float, s):
 def levy_integrand(ctx: LevyContext, z: float, s):
     """Density-in-z of the Levy measure, p(s | eta(z)) a_0(z) at one z, atoms and overrides
     excluded: a float at one s, at an array of s an array of the doubles each s alone gives."""
-    _check_s(ctx.family, s)
+    expfam._check_support(ctx.family, s)
     if not ctx.base.density.defined_at(z):
         return np.zeros(np.shape(s)) if np.ndim(s) else 0.0
     value = expfam.density(ctx.family, ctx._plan.path.eval(z), s) * ctx.base.density(z)

@@ -343,9 +343,23 @@ class PiecewiseFunction:
 
     def integral(self, a, b):
         """Integral over [a, b]; gaps between pieces contribute zero."""
-        if not a < b:
-            return 0.0
-        return float(sum(p.integral(a, b) for p in self.pieces))
+        return self._window(a, b)[1]
+
+    def _meeting(self, a, b):
+        """(piece, lo, hi) for each piece that meets the window (a, b], left to
+        right, (lo, hi] being its part inside."""
+        for p in self.pieces:
+            lo, hi = max(a, p.lo), min(b, p.hi)
+            if lo < hi:
+                yield p, lo, hi
+
+    def _window(self, a, b):
+        """``(pieces, total)``: (piece, lo, hi, mass) for each piece of
+        :meth:`_meeting`, mass its :meth:`Piece.integral` over (lo, hi], and
+        their masses' sum in that order, a float (0.0 where no piece meets the
+        window)."""
+        pieces = [(p, lo, hi, p.integral(lo, hi)) for p, lo, hi in self._meeting(a, b)]
+        return pieces, float(sum(mass for *_, mass in pieces))
 
     def shifted(self, delta):
         return PiecewiseFunction([p.shifted(delta) for p in self.pieces])

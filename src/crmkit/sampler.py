@@ -34,7 +34,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expfam
-from .errors import AtomLinkError, CrmError, DivergenceError, NaturalSpaceError, TruncationError, _registered
+from .errors import AtomLinkError, CrmError, DivergenceError, NaturalSpaceError, TruncationError
+from .errors import _integer, _registered
 from .expfam import ExpFamilySpec, _special
 from .levy import LevyContext
 
@@ -192,9 +193,9 @@ def sample_crm(
     if not (z_max > 0):
         raise CrmError(f"region end must be positive, got z_max={z_max}")
     n_total = len(components)
-    level = n_total if truncation is None else int(truncation)
-    if not 0 <= level <= n_total:
-        raise CrmError(f"truncation level {level} outside 0..{n_total}")
+    level = n_total if truncation is None else truncation
+    if not (_integer(level) and 0 <= level <= n_total):
+        raise CrmError(f"truncation level must be an integer in 0..{n_total}, got {truncation!r}")
 
     locs, weights, comp_idx = [], [], []
     for n, ctx in enumerate(components[:level], start=1):
@@ -250,7 +251,7 @@ def sample_crm(
     else:
         z = u = np.empty(0)
         c = np.empty(0, dtype=int)
-    return CRMDraw(z, u, c, float(z_max), level, tail_mass)
+    return CRMDraw(z, u, c, float(z_max), int(level), tail_mass)
 
 
 def _merge_order(z: np.ndarray) -> np.ndarray:
@@ -388,7 +389,7 @@ def sample_likelihood(
 def evaluate_path(draw: CRMDraw, t):
     """T(t) = sum of weights at locations <= t; right-continuous step path."""
     ts = np.asarray(t, dtype=float)
-    if np.any(ts < 0):
+    if not np.all(ts >= 0):
         raise CrmError("path evaluation needs t >= 0")
     cum = np.concatenate([[0.0], np.cumsum(draw.weights)])
     idx = np.searchsorted(draw.locations, ts, side="right")

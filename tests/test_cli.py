@@ -495,3 +495,24 @@ def test_a_bad_config_value_is_refused_at_its_pointer(tmp_path, capsys, name, po
     assert rc == 2
     assert capsys.readouterr().err == f"config error: {want}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "--config", CONFIG_DIR / "gamma.json", "--seed", 3),
+        ("verify", "--suite", "all"),
+        ("verify", "--suite", "moments"),
+        (
+            "posterior", "--config", CONFIG_DIR / "beta_bernoulli_prior.json",
+            "--observations", CONFIG_DIR / "observations_bernoulli.csv", "--mode", "per-atom",
+        ),
+    ],
+    ids=["sample", "verify-all", "verify-moments", "posterior"],
+)
+def test_a_manifest_lists_exactly_the_files_its_command_wrote(tmp_path, argv):
+    out = tmp_path / "run"
+    assert run(*argv, "--out", out) in (0, 1)
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert len(outputs) == len(set(outputs))
+    assert sorted(outputs) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")

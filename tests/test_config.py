@@ -302,3 +302,22 @@ def test_a_refused_mutation_exits_2_through_the_cli(tmp_path, capsys, name, path
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_numpy_family_parameters_are_accepted_as_make_family_accepts_them():
+    # a numpy float32 is a real number, as a bool is not
+    obj = {
+        "family": {"name": "pareto", "params": {"scale": np.float32(2.0)}},
+        "k": 1,
+        "path": [[{"from": 0.0, "const": np.float32(-2.5)}]],
+        "base": {"pieces": [{"from": 0.0, "to": 1.0, "const": 1.0}]},
+        "enforce_conditions": False,
+    }
+    ctx = cfg.parse_component(obj)
+    want = cfg.parse_component(json.loads(json.dumps(obj, default=float)))
+    assert ctx.family.support == want.family.support == cfg.expfam.make_family("pareto", scale=np.float32(2.0)).support
+    xs = np.array([2.5, 4.0])
+    assert ctx.family.at([-2.5]).density(xs).tolist() == want.family.at([-2.5]).density(xs).tolist()
+    obj["family"]["params"]["scale"] = True
+    with pytest.raises(ConfigError, match=r"^/component/family/params/scale: expected a number$"):
+        cfg.parse_component(obj)

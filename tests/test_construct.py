@@ -315,3 +315,32 @@ def test_empirical_laplace_sets_the_window_up_once(gamma_unit_ctx, monkeypatch):
     monkeypatch.setattr(construct.DiscretizationPlan, "cell_range", counted)
     construct.empirical_laplace(gamma_unit_ctx, plan, 1.0, 1.0, 500, np.random.default_rng(8))
     assert len(calls) == 1
+
+
+def test_cells_per_unit_and_replicates_must_be_integers(gamma_unit_ctx):
+    # a bool is no number: True used to build cells of width 1
+    for n in (True, 4.0):
+        with pytest.raises(CrmError, match=f"cells per unit must be a positive integer, got {n}"):
+            construct.DiscretizationPlan.build(gamma_unit_ctx, 1.0, n)
+    plan = construct.DiscretizationPlan.build(gamma_unit_ctx, 1.0, np.int64(4))
+    assert plan.n == 4 and type(plan.n) is int
+    # 2.5 replicates used to end in a numpy TypeError
+    for replicates in (2.5, True, 1):
+        with pytest.raises(CrmError, match=f"replicates must be an integer >= 2, got {replicates}"):
+            construct.empirical_laplace(gamma_unit_ctx, plan, 1.0, 1.0, replicates, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("theta", [-1.0, math.nan])
+def test_empirical_laplace_refuses_a_theta_its_target_refuses(gamma_unit_ctx, theta):
+    # theta = -1 used to return a mean near 1.94, theta = nan a nan mean
+    plan = construct.DiscretizationPlan.build(gamma_unit_ctx, 1.0, 4)
+    with pytest.raises(CrmError, match=f"^theta must be nonnegative, got {theta}$"):
+        construct.discrete_laplace(gamma_unit_ctx, plan, 1.0, theta)
+    with pytest.raises(CrmError, match=f"^theta must be nonnegative, got {theta}$"):
+        construct.empirical_laplace(gamma_unit_ctx, plan, 1.0, theta, 100, np.random.default_rng(1))
+
+
+def test_an_infinite_horizon_is_refused(gamma_unit_ctx):
+    # it used to raise a bare OverflowError from the cell count
+    with pytest.raises(CrmError, match="^horizon must be finite, got t=inf$"):
+        construct.DiscretizationPlan.build(gamma_unit_ctx, math.inf, 4)

@@ -623,9 +623,10 @@ def test_bound_family_checks_the_support_at_each_point():
     gamma = expfam.make_family("gamma")
     bound = gamma.at([2.0, 3.0])
     assert bound.log_partition == gamma.at([2.0, 3.0]).log_partition
-    for x in (-1.0, 0.0, np.array([1.0, -1.0])):
-        with pytest.raises(SupportError, match=r"gamma: point outside support \(0.0, inf\)"):
+    for x, bad in ((-1.0, "-1.0"), (0.0, "0.0"), (np.array([1.0, -1.0]), "-1.0"), ([2, -3], "-3")):
+        with pytest.raises(SupportError) as exc:
             bound.density(x)
+        assert str(exc.value) == f"gamma: s={bad} outside the support (0.0, inf)"
         with pytest.raises(SupportError):
             bound.log_density(x)
     np.testing.assert_array_equal(bound.density(np.array([0.5, 2.0])), [bound.density(0.5), bound.density(2.0)])
@@ -911,3 +912,11 @@ def test_every_statistic_has_a_closed_moment_or_a_declared_inverse():
             closed = (name, k) in verify._CLOSED_MOMENTS
             quadrature = stat.inverse is not None and not spec.support.discrete
             assert closed or quadrature, f"{name} k={k}"
+
+
+@pytest.mark.parametrize("k, m", [(True, 1), (1, True), (1.0, 1), (1, 2.0)], ids=["bool-k", "bool-m", "float-k", "float-m"])
+def test_a_statistic_index_or_moment_order_that_is_not_an_integer_is_refused(k, m):
+    # a bool is no number: True used to answer for k = 1 or m = 1
+    with pytest.raises(CrmError, match="k must satisfy|m must be a positive integer"):
+        expfam.moment_suff_stat(expfam.make_family("gamma"), [2.0, 3.0], k, m)
+    assert expfam.moment_suff_stat(expfam.make_family("gamma"), [2.0, 3.0], np.int64(2), np.int8(1)) == 2.0 / 3.0

@@ -201,7 +201,7 @@ def test_levy_integrand_at_an_array_of_s_gives_each_one_point_double():
     # where the base density is undefined, zeros of the shape of s
     ctx = verify.beta_decomposition_context(1)
     assert levy_integrand(ctx, -1.0, ss.reshape(5, 1)).tolist() == [[0.0]] * 5
-    with pytest.raises(SupportError, match=r"^s=1\.5 outside the family support$"):
+    with pytest.raises(SupportError, match=r"^beta: s=1\.5 outside the support \(0\.0, 1\.0\)$"):
         levy_integrand(ctx, 0.5, np.array([0.5, 1.5, 2.0]))
 
 
@@ -1187,14 +1187,14 @@ def test_a_batch_names_its_first_point_outside_the_support_or_image(bad):
     points[bad], points[bad + 1:] = -1.0, -2.0  # later bad points are not named
     with pytest.raises(SupportError) as exc:
         levy_density_s(ctx, 1.0, points)
-    assert str(exc.value) == "s=-1.0 outside the family support"
+    assert str(exc.value) == "gamma: s=-1.0 outside the support (0.0, inf)"
     with pytest.raises(SupportError) as exc:
         levy_density_u(ctx, 1.0, points.reshape(1000, 100))
     assert str(exc.value) == "u=-1.0 outside the image (0.0, inf) of statistic 'x'"
     # the entry is named as the input holds it, an integer as an integer
     with pytest.raises(SupportError) as exc:
         levy_density_s(ctx, 1.0, [1, 2, -3, -4])
-    assert str(exc.value) == "s=-3 outside the family support"
+    assert str(exc.value) == "gamma: s=-3 outside the support (0.0, inf)"
 
 
 def test_one_density_checks_its_node_batch_once_where_it_is_made(monkeypatch):
@@ -1267,3 +1267,9 @@ def test_default_grid_of_each_config_component_equals_the_set_built_grid(name):
     for ctx in contexts:
         cuts = ctx.base.breakpoints()
         assert levy._default_grid(ctx.path, cuts).tobytes() == _set_grid(ctx.path, cuts).tobytes()
+
+
+@pytest.mark.parametrize("k", [True, 1.0, 1.5])
+def test_a_context_refuses_a_statistic_index_that_is_not_an_integer(k):
+    with pytest.raises(CrmError, match=r"^gamma: statistic index k must satisfy 1 <= k <= 2, got"):
+        LevyContext.build(make_family("gamma"), _AFFINE_RATE, BaseMeasure.lebesgue(1.0), k=k)

@@ -300,3 +300,24 @@ def test_locate_on_a_func_piece_brackets_its_window():
     mass = piece.integral(a, b)
     z = piece.locate(np.array([0.0, mass]), a, b)
     assert z.tolist() == [a, b]
+
+
+def test_a_windows_integral_is_the_base_measures_increment_to_the_bit():
+    from crmkit.levy import BaseMeasure
+
+    # gaps (1, 2] and (4, 5], a func piece, and pieces that miss most windows
+    density = PiecewiseFunction(
+        [
+            Piece(0.0, 1.0, "affine", c0=0.3, c1=0.7),
+            Piece(2.0, 3.0, "ratio", c0=1.0, c1=2.0, d0=1.0, d1=3.0),
+            Piece(3.0, 4.0, "func", func=lambda z: math.exp(-z) + 0.1 * z),
+            Piece(5.0, 8.0, "const", c0=1.0 / 3.0),
+        ]
+    )
+    base = BaseMeasure(density)
+    windows = [
+        (0.0, 8.0), (0.1, 0.7), (0.5, 2.5), (1.2, 1.8), (1.5, 3.5), (2.9, 3.1),
+        (3.3, 4.6), (4.2, 4.8), (4.5, 6.0), (-1.0, 10.0), (7.5, 9.0), (9.0, 12.0), (2.0, 2.0), (3.0, 1.0),
+    ]
+    for a, b in windows:
+        assert density.integral(a, b).hex() == base.increment(a, b).hex(), (a, b)

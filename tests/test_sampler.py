@@ -707,3 +707,21 @@ def test_component_counts_skip_a_component_with_no_atoms(gamma_unit_ctx):
     assert sorted(draw.component_counts()) == [1, 3]
     assert all(type(k) is int and type(v) is int for k, v in draw.component_counts().items())
     assert CRMDraw(np.empty(0), np.empty(0), np.empty(0, dtype=int), 1.0, 0, 0.0).component_counts() == {}
+
+
+@pytest.mark.parametrize("truncation", [1.5, "2", True], ids=["float", "str", "bool"])
+def test_a_truncation_that_is_not_an_integer_is_refused(gamma_const_ctx, gamma_unit_ctx, truncation):
+    # 1.5 used to keep one component, "2" two
+    with pytest.raises(CrmError, match=f"^truncation level must be an integer in 0..2, got {truncation!r}$"):
+        sample_crm([gamma_unit_ctx, gamma_unit_ctx], 1.0, np.random.default_rng(1), truncation=truncation)
+    draw = sample_crm([gamma_unit_ctx, gamma_unit_ctx], 1.0, np.random.default_rng(1), truncation=np.int64(1))
+    assert draw.truncation_level == 1 and type(draw.truncation_level) is int
+
+
+def test_evaluate_path_refuses_a_nan_t():
+    # nan used to read as the draw's total weight
+    draw = CRMDraw(np.array([0.5, 1.0]), np.array([2.0, 3.0]), np.array([1, 1]), 1.0, 1, 0.0)
+    for t in (math.nan, [0.5, math.nan], -1.0):
+        with pytest.raises(CrmError, match="path evaluation needs t >= 0"):
+            evaluate_path(draw, t)
+    assert evaluate_path(draw, math.inf) == 5.0
