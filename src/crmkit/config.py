@@ -17,8 +17,9 @@ Sampling configs hold {"components": [...]} plus optional "z_max" and an
 optional "pareto_series" generator, whose components are built from its
 numbers and report their errors under /pareto_series/...; prior configs hold
 {"pair": {"name", "fixed"}, "component": {...}}.  Every object refuses a key
-outside its schema, the values of "params" and "fixed" are numbers, and every
-validation error carries the JSON pointer of the value at fault.
+outside its schema, the values of "params" and "fixed" are numbers, every
+number is finite (as JSON has no NaN or Infinity), and every validation error
+carries the JSON pointer of the value at fault.
 """
 
 from __future__ import annotations
@@ -71,10 +72,10 @@ def load_json(path_or_text):
 
 
 def _need(obj, key, kind, ptr, default=None):
-    """obj[key] of the given kind (float: a real number, read as a float; int: an
-    integer; neither a bool, by :func:`~crmkit.errors._real` and
-    :func:`~crmkit.errors._integer`); default where the key is absent, which
-    only a non-None default allows."""
+    """obj[key] of the given kind (float: a finite real number, read as a float;
+    int: an integer within the double range; neither a bool, by
+    :func:`~crmkit.errors._real` and :func:`~crmkit.errors._integer`); default
+    where the key is absent, which only a non-None default allows."""
     if key not in obj:
         if default is None:
             raise ConfigError("missing required key", f"{ptr}/{key}")
@@ -175,11 +176,8 @@ def parse_component(obj, ptr="/component") -> LevyContext:
         obj, ptr, "component", ("family", "k", "path", "base", "enforce_conditions", "atom_overrides")
     )
     family = _parse_family(_need(obj, "family", dict, ptr), f"{ptr}/family")
-    k = _need(obj, "k", int, ptr)
-    if not 1 <= k <= family.dimension:
-        raise ConfigError(
-            f"k={k} out of range 1..{family.dimension} for {family.name}", f"{ptr}/k"
-        )
+    with _At(f"{ptr}/k"):
+        k = expfam._check_k(family, _need(obj, "k", int, ptr))
 
     path_obj = _need(obj, "path", list, ptr)
     if len(path_obj) != family.dimension:

@@ -67,10 +67,9 @@ class ConjugatePair:
         return np.array(self.statistic(ys, **self.fixed), dtype=float)
 
     def tau(self, eta, observations: Sequence[float]) -> np.ndarray:
-        eta = np.asarray(eta, dtype=float)
-        out = eta + self.shift(observations)
-        self.prior_family.check_natural(out)
-        return out
+        """eta + S(Y), checked in the prior family by :func:`~crmkit.expfam._as_eta`:
+        length, finiteness and natural space."""
+        return expfam._as_eta(self.prior_family, np.asarray(eta, dtype=float) + self.shift(observations))
 
 
 # name -> (prior family, likelihood factory, link rule, fixed hyperparameters

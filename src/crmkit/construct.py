@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrmError, _integer
-from .levy import LevyContext, laplace_exponent, stat_laplace
+from .errors import CrmError, _integer, _real
+from .levy import LevyContext, _check_theta, laplace_exponent, stat_laplace
 
 __all__ = [
     "DiscretizationPlan",
@@ -53,10 +53,8 @@ class DiscretizationPlan:
 
     @classmethod
     def build(cls, ctx: LevyContext, t: float, n: int) -> "DiscretizationPlan":
-        if not (t > 0):
-            raise CrmError(f"horizon must be positive, got t={t}")
-        if t == math.inf:
-            raise CrmError(f"horizon must be finite, got t={t}")
+        if not (_real(t) and t > 0):
+            raise CrmError(f"horizon must be a finite number > 0, got t={t}")
         if not (_integer(n) and n >= 1):
             raise CrmError(f"cells per unit must be a positive integer, got {n}")
         m = int(math.floor(t * n + 1e-9))
@@ -140,11 +138,6 @@ def sample_discretized(
 ) -> float:
     """One draw of the discretized total statistic over the window (0, t]."""
     return float(_draw_totals(ctx, plan, t, 1, rng)[0])
-
-
-def _check_theta(theta) -> None:
-    if not (theta >= 0):
-        raise CrmError(f"theta must be nonnegative, got {theta}")
 
 
 def discrete_laplace(ctx: LevyContext, plan: DiscretizationPlan, t: float, theta: float) -> float:

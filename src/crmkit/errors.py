@@ -2,11 +2,13 @@
 number rule:
 :func:`_registered` looks a name up in a registry table,
 :func:`_float_params` checks the keyword parameters a registered factory takes,
-and :func:`_real` and :func:`_integer` say what counts as a number anywhere in
-the package: a ``numbers.Real`` or ``numbers.Integral`` (numpy scalars
-included) that is not a bool.
+and :func:`_real` and :func:`_integer` say what counts as a number where the
+package takes one from a caller: a finite ``numbers.Real`` or
+``numbers.Integral`` (numpy scalars included) that is not a bool, finite
+meaning within the double range, as a JSON number is (RFC 8259, section 6).
 """
 
+import math
 import numbers
 
 __all__ = [
@@ -91,14 +93,24 @@ class ConfigError(CrmError):
         self.pointer = pointer
 
 
+_MAX = math.nextafter(math.inf, 0.0)  # the largest finite double
+
+
 def _real(value) -> bool:
-    """Whether value is a real number: a ``numbers.Real`` that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether value is a finite real number: a ``numbers.Real`` that is not a
+    bool and lies within the double range.  A ``numbers.Rational`` (an int of
+    any size, a bool refused) is compared exactly, with no conversion that could
+    overflow; any other real goes through ``math.isfinite``, so a numpy
+    ``float32`` is never compared with a double it cannot hold."""
+    if isinstance(value, float) or not isinstance(value, numbers.Rational):
+        # float is tested first: a double, np.float64 included, needs no ABC lookup
+        return isinstance(value, (float, numbers.Real)) and math.isfinite(value)
+    return not isinstance(value, bool) and -_MAX <= value <= _MAX
 
 
 def _integer(value) -> bool:
-    """Whether value is an integer: a ``numbers.Integral`` that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """Whether value is an integer: a ``numbers.Integral`` that :func:`_real` accepts."""
+    return isinstance(value, numbers.Integral) and _real(value)
 
 
 def _registered(table: dict, name, kind: str, names=sorted):
@@ -111,8 +123,8 @@ def _registered(table: dict, name, kind: str, names=sorted):
 
 def _float_params(name: str, what: str, given: dict, defaults: dict) -> dict:
     """``defaults`` updated by ``given``, every value a float: a key outside the
-    defaults, or a value that is not a real number (a bool, a str, None), raises
-    :class:`CrmError` naming it."""
+    defaults, or a value that is not a finite real number (a bool, a str, None,
+    inf, NaN), raises :class:`CrmError` naming it."""
     extra = given.keys() - defaults.keys()
     if extra:
         raise CrmError(f"{name} does not accept {what}(s) {sorted(extra)}")

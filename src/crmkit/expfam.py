@@ -94,7 +94,7 @@ class Support:
         """Whether each point of ``np.asarray(x)`` lies in the support, a mask of its shape."""
         x = np.asarray(x, dtype=float)
         if self.discrete:
-            return (x >= self.lo) & (x <= self.hi) & (x == np.floor(x))
+            return (x >= self.lo) & (x <= self.hi) & (x == np.floor(x)) & np.isfinite(x)
         return (x > self.lo) & (x < self.hi)
 
     def grid(self, n: int = 201) -> np.ndarray:
@@ -249,8 +249,11 @@ class BoundFamily:
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw from the family; deterministic given the generator state.
 
-        ``size`` draws equal :func:`sample_each` on that many copies of eta.
+        ``size`` draws, a nonnegative integer, equal :func:`sample_each` on that
+        many copies of eta.
         """
+        if not (size is None or _integer(size) and size >= 0):
+            raise CrmError(f"{self.spec.name}: sample size must be a nonnegative integer, got {size}")
         out = self.spec.sampler(self.eta, rng, 1 if size is None else int(size))
         return float(out[0]) if size is None else np.asarray(out, dtype=float)
 
@@ -624,7 +627,7 @@ def _gamma_family() -> ExpFamilySpec:
 
 def _pareto_family(scale: float) -> ExpFamilySpec:
     """Single-statistic form: density a*u_m^a/x^(a+1) on (u_m, inf), eta = -(a+1)."""
-    if not (0 < scale < _INF):
+    if not scale > 0:
         raise CrmError(f"pareto: scale must be positive and finite, got {scale}")
     u_m = float(scale)
     log_u_m = np.log(u_m)
@@ -674,7 +677,7 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
     ln Gamma(a, s w) - ln Gamma(a, s u_m), taken as one quantity.
     The natural space is {eta_1 < -1} union {eta_1 = -1, eta_2 < -1}.
     """
-    if not (0 < scale < _INF):
+    if not scale > 0:
         raise CrmError(f"pareto(log-log): scale must be positive and finite, got {scale}")
     if scale >= _LOG_MAX:  # x_lo = e^scale would overflow
         raise CrmError(f"pareto(log-log): scale must be below ln(max double) = {_LOG_MAX}, got {scale}")
@@ -855,8 +858,6 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
 
 def _lognormal_family(mu: float) -> ExpFamilySpec:
     """Log-normal with known drift; natural parameter is the precision of ln X."""
-    if not math.isfinite(mu):
-        raise CrmError(f"lognormal: mu must be finite, got {mu}")
     stats = (
         SufficientStat(
             "half_sq_centered_log",

@@ -53,7 +53,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expfam
-from .errors import ConditionError, CrmError, DivergenceError, NaturalSpaceError, SupportError
+from .errors import ConditionError, CrmError, DivergenceError, NaturalSpaceError, SupportError, _real
 from .expfam import ExpFamilySpec, ParameterPath
 from .piecewise import Piece, PiecewiseFunction, _quadpack, checked_quad
 
@@ -90,11 +90,12 @@ class BaseMeasure:
         for p in self.density.pieces:
             if p.kind != "func" and not p.nonnegative():
                 raise CrmError(f"base density {p.kind} piece on ({p.lo}, {p.hi}] must be nonnegative")
-        jumps = tuple(sorted((float(loc), float(mass)) for loc, mass in self.jumps))
-        for loc, mass in jumps:
+        for loc, mass in self.jumps:
+            if not (_real(loc) and _real(mass)):
+                raise CrmError(f"base measure jump ({loc}, {mass}) must be finite")
             if not (loc >= 0 and mass >= 0):
-                raise CrmError(f"base measure jump ({loc}, {mass}) must be nonnegative")
-        object.__setattr__(self, "jumps", jumps)
+                raise CrmError(f"base measure jump ({float(loc)}, {float(mass)}) must be nonnegative")
+        object.__setattr__(self, "jumps", tuple(sorted((float(a), float(m)) for a, m in self.jumps)))
 
     @classmethod
     def lebesgue(cls, scale: float = 1.0, lo: float = 0.0, hi: float = _INF) -> "BaseMeasure":
@@ -214,7 +215,7 @@ def check_conditions(
                 "invertible_statistic",
                 bad.size == 0,
                 f"max relative round-trip error {err.max():.3e}",
-                tuple(bad[:3]),
+                tuple(bad[:3].tolist()),
             )
         )
 
@@ -326,8 +327,12 @@ class LevyContext:
 
     def __post_init__(self):
         if self.require_conditions and not self.report.passed:
+            failed = "".join(
+                f"; {c.name}: {c.detail}" + (f", first witness {c.witnesses[0]}" if c.witnesses else "")
+                for c in self.report.checks if not c.passed
+            )
             raise ConditionError(
-                f"construction conditions fail: {self.report.summary()}", report=self.report
+                f"construction conditions fail: {self.report.summary()}{failed}", report=self.report
             )
 
     @classmethod
@@ -546,14 +551,19 @@ def stat_laplace(family: ExpFamilySpec, eta, k: int, theta: float) -> float | np
     return expfam._tilt(family, eta, k, -theta)
 
 
+def _check_theta(theta) -> None:
+    """Refuse a theta that is not a finite number >= 0 (:func:`~crmkit.errors._real`)."""
+    if not (_real(theta) and theta >= 0):
+        raise CrmError(f"theta must be a finite number >= 0, got {theta}")
+
+
 def laplace_exponent(ctx: LevyContext, t: float, theta: float) -> float:
     """int (1 - e^{-theta u}) dL_t(u); 0 at theta=0 or t=0.
 
     Raises :class:`DivergenceError` carrying the partial value when either
     axis fails to stabilize (improper tails or infinite location mass).
     """
-    if not (theta >= 0):
-        raise CrmError(f"theta must be nonnegative, got {theta}")
+    _check_theta(theta)
     if not (t >= 0):
         raise CrmError(f"time must be nonnegative, got {t}")
     if theta == 0.0 or t == 0.0:

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CrmError, DivergenceError
+from .errors import CrmError, DivergenceError, _real
 
 __all__ = ["Piece", "PiecewiseFunction", "checked_quad"]
 
@@ -90,8 +90,8 @@ class Piece:
         if not self.lo < self.hi:
             raise CrmError(f"piece has empty interval ({self.lo}, {self.hi}]")
         for name in ("c0", "c1", "d0", "d1"):
-            if math.isnan(getattr(self, name)):
-                raise CrmError(f"piece on ({self.lo}, {self.hi}] has {name} = NaN")
+            if not _real(value := getattr(self, name)):
+                raise CrmError(f"piece on ({self.lo}, {self.hi}] has {name} = {value}, not a finite number")
         if self.kind == "func" and self.func is None:
             raise CrmError("func piece requires a callable")
         if self.kind == "ratio" and self.d1 == 0:

@@ -279,15 +279,15 @@ def test_posterior_out_of_support_observation_exits_1(tmp_path):
     [
         (
             {"pieces": [{"from": 0.0, "const": 1.0}], "jumps": [[0.5, float("nan")]]},
-            "/components/0/base: base measure jump (0.5, nan) must be nonnegative",
+            "/components/0/base/jumps/0: expected a list of 2 numbers",
         ),
         (
             {"pieces": [{"from": 0.0, "const": 1.0}], "jumps": [[float("nan"), 1.0]]},
-            "/components/0/base: base measure jump (nan, 1.0) must be nonnegative",
+            "/components/0/base/jumps/0: expected a list of 2 numbers",
         ),
         (
             {"pieces": [{"from": 0.0, "const": float("nan")}]},
-            "/components/0/base/pieces/0: piece on (0.0, inf] has c0 = NaN",
+            "/components/0/base/pieces/0/const: expected a number",
         ),
     ],
     ids=["jump-mass", "jump-location", "piece-const"],
@@ -306,9 +306,9 @@ def test_sample_refuses_a_nan_base_value_at_its_pointer(tmp_path, capsys, base, 
 @pytest.mark.parametrize(
     "override, want",
     [
-        ([0.5, [float("nan"), 3.0]], "atom override at z=0.5 is not finite: (nan, 3.0)"),
-        ([float("nan"), [2, 3]], "atom override at z=nan is not finite: (2.0, 3.0)"),
-        ([0.5, [2.0, float("inf")]], "atom override at z=0.5 is not finite: (2.0, inf)"),
+        ([0.5, [float("nan"), 3.0]], "expected a list of 2 numbers"),
+        ([float("nan"), [2, 3]], "override location must be a number"),
+        ([0.5, [2.0, float("inf")]], "expected a list of 2 numbers"),
     ],
     ids=["value-nan", "location-nan", "value-inf"],
 )
@@ -319,7 +319,7 @@ def test_sample_refuses_a_non_finite_atom_override(tmp_path, capsys, override, w
     config.write_text(json.dumps(obj))  # NaN and Infinity literals, which JSON parsing accepts
     out = tmp_path / "run"
     assert run("sample", "--config", config, "--seed", 1, "--out", out) == 2
-    assert capsys.readouterr().err == f"config error: /components/0/path: {want}\n"
+    assert capsys.readouterr().err == f"config error: /components/0/atom_overrides/0: {want}\n"
     assert not out.exists()
 
 
@@ -333,7 +333,7 @@ def test_sample_refuses_a_nan_family_scale_at_its_pointer(tmp_path, capsys):
     out = tmp_path / "run"
     assert run("sample", "--config", config, "--seed", 1, "--out", out) == 2
     err = capsys.readouterr().err
-    assert err == "config error: /components/0/family: pareto: scale must be positive and finite, got nan\n"
+    assert err == "config error: /components/0/family/params/scale: expected a number\n"
     assert not out.exists()
 
 
@@ -516,3 +516,25 @@ def test_a_manifest_lists_exactly_the_files_its_command_wrote(tmp_path, argv):
     outputs = json.loads((out / "manifest.json").read_text())["outputs"]
     assert len(outputs) == len(set(outputs))
     assert sorted(outputs) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+
+def test_a_refused_context_names_where_its_path_fails(tmp_path, capsys):
+    obj = json.loads((CONFIG_DIR / "gamma.json").read_text())
+    component = obj["components"][0]
+    component["path"][0] = [{"from": 0.0, "to": 5.0, "affine": [2.0, -1.0]}]  # shape 2 - z
+    component["path"][1] = [{"from": 0.0, "to": 5.0, "const": 3.0}]
+    config = tmp_path / "shape.json"
+    config.write_text(json.dumps(obj))
+    out = tmp_path / "run"
+    assert run("sample", "--config", config, "--seed", 1, "--out", out) == 2
+    err = capsys.readouterr().err
+    report = crmkit.parse_component(dict(component, enforce_conditions=False)).report
+    check = report.check("path_in_natural_space")
+    z, reason = check.witnesses[0]
+    assert z > 2.0 and reason.startswith("gamma: shape must be positive, got -")
+    assert err == (
+        "config error: /components/0: cannot build context: construction conditions fail: "
+        "invertible_statistic=pass; path_in_natural_space=FAIL; contraction_closure=pass; "
+        f"path_in_natural_space: {check.detail}, first witness ({z!r}, {reason!r})\n"
+    )
+    assert not out.exists()

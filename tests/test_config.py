@@ -1,11 +1,12 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crmkit import cli
+from crmkit import cli, errors
 from crmkit import config as cfg
 from crmkit.errors import ConfigError
 
@@ -194,13 +195,14 @@ def test_override_component_obj():
     np.testing.assert_allclose(ctx.path.eval(1.5), [2.0, 3.0])
 
 
-@pytest.mark.parametrize("text", ["NaN", "-1.0", "0"])
+@pytest.mark.parametrize("text", ["NaN", "-1.0", "0", "Infinity"])
 def test_a_nan_or_nonpositive_z_max_is_refused_with_its_value(text):
     obj = cfg.load_json('{"z_max": %s, "components": []}' % text)
     obj["components"] = [GAMMA_COMPONENT]
     with pytest.raises(ConfigError) as exc:
         cfg.parse_sample_config(obj)
-    assert str(exc.value) == f"/z_max: z_max must be positive, got {float(text)}"
+    want = "expected a number" if text in ("NaN", "Infinity") else f"z_max must be positive, got {float(text)}"
+    assert str(exc.value) == f"/z_max: {want}"
 
 
 @pytest.mark.parametrize("value", [True, False])
@@ -233,14 +235,22 @@ POINTER_DOCS["full component"] = {
 }
 
 
+# what JSON cannot hold but Python's json module reads: NaN, Infinity, -Infinity
+# and an integer beyond the double range
+NON_FINITE = (math.inf, -math.inf, math.nan, 10**400)
+
+
 def _mutations(node, path=()):
-    """(path, mutated copy) pairs: an unknown key added to each object, and each
-    value below the root replaced by one of a wrong JSON type."""
+    """(path, mutated copy) pairs: an unknown key added to each object, each
+    value below the root replaced by one of a wrong JSON type, and each number
+    replaced by each value of ``NON_FINITE``."""
     if isinstance(node, dict):
         yield path, dict(node, bogus=1)
     children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
     for key, child in children:
         yield (*path, key), 5 if isinstance(child, (str, list, dict)) else "x"
+        if isinstance(child, (int, float)) and not isinstance(child, bool):
+            yield from (((*path, key), value) for value in NON_FINITE)
         yield from _mutations(child, (*path, key))
 
 
@@ -273,11 +283,11 @@ def test_every_refusal_points_at_the_value_at_fault(name):
             message = str(exc)[len(exc.pointer) + 2 :] if exc.pointer else str(exc)
             # the pointer names the mutated value or one of the objects above it, once
             if tokens != where[: len(tokens)] or message.startswith("/"):
-                faults.append((where, str(exc)))
+                faults.append((where, value, str(exc)))
         except Exception as exc:  # any other exception is itself the fault
-            faults.append((where, repr(exc)))
+            faults.append((where, value, repr(exc)))
         else:
-            faults.append((where, "parsed"))
+            faults.append((where, value, "parsed"))
     assert faults == []
 
 
@@ -286,16 +296,19 @@ def test_every_refusal_points_at_the_value_at_fault(name):
     [
         ("gamma.json", ("components", 0, "family", "nmae"), "gamma"),
         ("gamma_lognormal_prior.json", ("pair", "fixed", "mu"), "x"),
+        ("gamma.json", ("components", 0, "base", "jumps"), [[0.5, 1e999]]),
+        ("beta_bernoulli_prior.json", ("component", "base", "pieces", 0, "to"), 1e999),
     ],
-    ids=["unknown-key", "wrong-type"],
+    ids=["unknown-key", "wrong-type", "non-finite-jump-mass", "non-finite-to"],
 )
 def test_a_refused_mutation_exits_2_through_the_cli(tmp_path, capsys, name, path, value):
     doc = _replace(POINTER_DOCS[name], path, value)
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps(doc))
+    config.write_text(json.dumps(doc))  # 1e999 reads back as inf, written as Infinity
     out = tmp_path / "run"
     if "pair" in doc:
-        argv = ["posterior", "--observations", str(CONFIG_DIR / "observations_lognormal.csv")]
+        observations = "observations_bernoulli.csv" if "bernoulli" in name else "observations_lognormal.csv"
+        argv = ["posterior", "--observations", str(CONFIG_DIR / observations)]
     else:
         argv = ["sample", "--seed", "1"]
     assert cli.main(argv + ["--config", str(config), "--out", str(out)]) == 2
@@ -321,3 +334,33 @@ def test_numpy_family_parameters_are_accepted_as_make_family_accepts_them():
     obj["family"]["params"]["scale"] = True
     with pytest.raises(ConfigError, match=r"^/component/family/params/scale: expected a number$"):
         cfg.parse_component(obj)
+
+
+@pytest.mark.parametrize(
+    "value, real, integer",
+    [
+        (2.5, True, False),
+        (3, True, True),
+        (10**300, True, True),
+        (np.float32(2.0), True, False),
+        (np.int64(-(2**63)), True, True),
+        (math.inf, False, False),
+        (-math.inf, False, False),
+        (math.nan, False, False),
+        (np.float32(math.inf), False, False),
+        (10**400, False, False),
+        (-(10**400), False, False),
+        (True, False, False),
+        ("1", False, False),
+        (None, False, False),
+    ],
+    ids=[
+        "float", "int", "big-int", "float32", "int64", "inf", "-inf", "nan", "float32-inf",
+        "int-beyond-double", "-int-beyond-double", "bool", "str", "none",
+    ],
+)
+def test_a_number_is_a_finite_real_that_is_not_a_bool(value, real, integer):
+    # decided without a warning and without converting an int beyond the double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (errors._real(value), errors._integer(value)) == (real, integer)

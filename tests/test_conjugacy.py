@@ -340,3 +340,13 @@ def test_family_mismatch_rejected():
     )
     with pytest.raises(CrmError, match="family"):
         conj.posterior_context(pair, ctx, [1.0])
+
+
+def test_an_infinite_observation_or_concentration_is_refused():
+    # tau used to return [inf, 4.0], and the process update (inf, nan) with a RuntimeWarning
+    with pytest.raises(SupportError, match=r"^gamma-poisson: observation inf outside the poisson support$"):
+        conj.make_pair("gamma-poisson").tau([2.0, 3.0], [math.inf])
+    with pytest.raises(NaturalSpaceError, match=r"^beta: natural parameter must be finite, got \[inf inf\]$"):
+        conj.posterior_process_params(conj.make_pair("beta-bernoulli"), math.inf, 0.3, [1.0])
+    with pytest.raises(CrmError, match="^gamma-lognormal: hyperparameter mu must be a number, got 10{400}$"):
+        conj.make_pair("gamma-lognormal", mu=10**400)

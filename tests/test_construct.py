@@ -7,7 +7,7 @@ import pytest
 from crmkit import construct, expfam
 from crmkit.errors import CrmError, NaturalSpaceError
 from crmkit.expfam import ParameterPath, make_family
-from crmkit.levy import BaseMeasure, LevyContext
+from crmkit.levy import BaseMeasure, LevyContext, laplace_exponent
 from crmkit.piecewise import Piece, PiecewiseFunction
 
 
@@ -202,7 +202,7 @@ def test_count_mode_cells_draw_what_binding_each_cell_drew():
 
 
 def test_a_nan_horizon_or_window_is_refused(gamma_unit_ctx):
-    with pytest.raises(CrmError, match="horizon must be positive, got t=nan"):
+    with pytest.raises(CrmError, match="horizon must be a finite number > 0, got t=nan"):
         construct.DiscretizationPlan.build(gamma_unit_ctx, math.nan, 4)
     plan = construct.DiscretizationPlan.build(gamma_unit_ctx, t=1.0, n=4)
     with pytest.raises(CrmError, match="window end nan is not within the planned horizon 1.0"):
@@ -210,7 +210,7 @@ def test_a_nan_horizon_or_window_is_refused(gamma_unit_ctx):
     # a negative end used to index the plan's cells from the end
     with pytest.raises(CrmError, match="window end -0.25 is not within the planned horizon 1.0"):
         plan.cell_range(-0.25)
-    with pytest.raises(CrmError, match="theta must be nonnegative, got nan"):
+    with pytest.raises(CrmError, match="theta must be a finite number >= 0, got nan"):
         construct.discrete_laplace(gamma_unit_ctx, plan, 1.0, math.nan)
 
 
@@ -330,17 +330,20 @@ def test_cells_per_unit_and_replicates_must_be_integers(gamma_unit_ctx):
             construct.empirical_laplace(gamma_unit_ctx, plan, 1.0, 1.0, replicates, np.random.default_rng(1))
 
 
-@pytest.mark.parametrize("theta", [-1.0, math.nan])
+@pytest.mark.parametrize("theta", [-1.0, math.nan, math.inf, True])
 def test_empirical_laplace_refuses_a_theta_its_target_refuses(gamma_unit_ctx, theta):
-    # theta = -1 used to return a mean near 1.94, theta = nan a nan mean
+    # theta = -1 used to return a mean near 1.94, theta = nan a nan mean; theta = inf
+    # raised DivergenceError in the exact transforms, though psi is finite there
     plan = construct.DiscretizationPlan.build(gamma_unit_ctx, 1.0, 4)
-    with pytest.raises(CrmError, match=f"^theta must be nonnegative, got {theta}$"):
+    with pytest.raises(CrmError, match=f"^theta must be a finite number >= 0, got {theta}$"):
+        laplace_exponent(gamma_unit_ctx, 1.0, theta)
+    with pytest.raises(CrmError, match=f"^theta must be a finite number >= 0, got {theta}$"):
         construct.discrete_laplace(gamma_unit_ctx, plan, 1.0, theta)
-    with pytest.raises(CrmError, match=f"^theta must be nonnegative, got {theta}$"):
+    with pytest.raises(CrmError, match=f"^theta must be a finite number >= 0, got {theta}$"):
         construct.empirical_laplace(gamma_unit_ctx, plan, 1.0, theta, 100, np.random.default_rng(1))
 
 
 def test_an_infinite_horizon_is_refused(gamma_unit_ctx):
     # it used to raise a bare OverflowError from the cell count
-    with pytest.raises(CrmError, match="^horizon must be finite, got t=inf$"):
+    with pytest.raises(CrmError, match="^horizon must be a finite number > 0, got t=inf$"):
         construct.DiscretizationPlan.build(gamma_unit_ctx, math.inf, 4)

@@ -55,9 +55,9 @@ def test_integer_and_numpy_family_parameters_build_as_floats(value):
 @pytest.mark.parametrize(
     "name, params, message",
     [
-        ("pareto", {"scale": math.nan}, "pareto: scale must be positive and finite, got nan"),
-        ("pareto", {"scale": math.inf}, "pareto: scale must be positive and finite, got inf"),
-        ("pareto_loglog", {"scale": math.nan}, "pareto(log-log): scale must be positive and finite, got nan"),
+        ("pareto", {"scale": math.nan}, "pareto: parameter scale must be a number, got nan"),
+        ("pareto", {"scale": math.inf}, "pareto: parameter scale must be a number, got inf"),
+        ("pareto_loglog", {"scale": math.nan}, "pareto_loglog: parameter scale must be a number, got nan"),
         ("pareto_loglog", {"scale": -1.0}, "pareto(log-log): scale must be positive and finite, got -1.0"),
         (
             "pareto_loglog",
@@ -69,12 +69,17 @@ def test_integer_and_numpy_family_parameters_build_as_floats(value):
             {"scale": 709.782712893384},
             "pareto(log-log): scale must be below ln(max double) = 709.782712893384, got 709.782712893384",
         ),
-        ("lognormal", {"mu": math.nan}, "lognormal: mu must be finite, got nan"),
-        ("lognormal", {"mu": -math.inf}, "lognormal: mu must be finite, got -inf"),
+        ("lognormal", {"mu": math.nan}, "lognormal: parameter mu must be a number, got nan"),
+        ("lognormal", {"mu": -math.inf}, "lognormal: parameter mu must be a number, got -inf"),
+        # an integer beyond the double range used to raise OverflowError
+        ("pareto", {"scale": 10**400}, f"pareto: parameter scale must be a number, got {10**400}"),
+        ("pareto_loglog", {"scale": 10**400}, f"pareto_loglog: parameter scale must be a number, got {10**400}"),
+        ("lognormal", {"mu": -(10**400)}, f"lognormal: parameter mu must be a number, got {-(10**400)}"),
     ],
     ids=[
         "pareto-nan", "pareto-inf", "loglog-nan", "loglog-negative", "loglog-overflow",
-        "loglog-ln-max", "lognormal-nan", "lognormal-inf",
+        "loglog-ln-max", "lognormal-nan", "lognormal-inf", "pareto-huge-int", "loglog-huge-int",
+        "lognormal-huge-int",
     ],
 )
 def test_make_family_refuses_a_non_finite_parameter(name, params, message):
@@ -427,7 +432,7 @@ def test_eval_many_raises_the_scalar_non_finite_error():
     path = expfam.ParameterPath(
         [
             PiecewiseFunction(
-                [Piece(0.0, 1.0, "const", c0=1.0), Piece(1.0, math.inf, "const", c0=math.inf)]
+                [Piece(0.0, 1.0, "const", c0=1.0), Piece(1.0, math.inf, "func", func=lambda z: math.inf)]
             ),
             PiecewiseFunction.constant(2.0),
         ]
@@ -920,3 +925,23 @@ def test_a_statistic_index_or_moment_order_that_is_not_an_integer_is_refused(k, 
     with pytest.raises(CrmError, match="k must satisfy|m must be a positive integer"):
         expfam.moment_suff_stat(expfam.make_family("gamma"), [2.0, 3.0], k, m)
     assert expfam.moment_suff_stat(expfam.make_family("gamma"), [2.0, 3.0], np.int64(2), np.int8(1)) == 2.0 / 3.0
+
+
+def test_a_discrete_support_holds_no_infinite_point():
+    poisson = expfam.make_family("poisson")
+    xs = [0.0, 2.0, math.inf, -math.inf, 2.5, math.nan]
+    assert poisson.support._inside(xs).tolist() == [True, True, False, False, False, False]
+    assert not poisson.support.contains(math.inf)
+    # the density at inf used to be nan, with a RuntimeWarning
+    with pytest.raises(SupportError, match=r"^poisson: s=inf outside the support \(0\.0, inf\)$"):
+        poisson.at([0.5]).density(math.inf)
+
+
+@pytest.mark.parametrize("size", [2.5, True, -1, "2"], ids=["float", "bool", "negative", "str"])
+def test_a_sample_size_that_is_not_a_nonnegative_integer_is_refused(size):
+    # 2.5 used to give 2 draws and True one
+    bound = expfam.make_family("gamma").at([2.0, 3.0])
+    with pytest.raises(CrmError, match=f"^gamma: sample size must be a nonnegative integer, got {size}$"):
+        bound.sample(np.random.default_rng(1), size)
+    rng = np.random.default_rng(1)
+    assert bound.sample(rng, np.int64(2)).shape == (2,) and bound.sample(rng, 0).shape == (0,)

@@ -40,8 +40,11 @@ def test_base_measure_validation():
         BaseMeasure(PiecewiseFunction.constant(1.0), jumps=((1.0, -2.0),))
     with pytest.raises(CrmError):
         BaseMeasure(PiecewiseFunction.constant(1.0), jumps=((-1.0, 2.0),))
-    for jump in ((0.5, math.nan), (math.nan, 1.0)):
-        with pytest.raises(CrmError, match="must be nonnegative"):
+    # an infinite mass used to reach numpy's Poisson draw, an infinite location the
+    # config hash; an int beyond the double range raised OverflowError
+    jumps = [(0.5, math.nan), (math.nan, 1.0), (0.5, math.inf), (math.inf, 1.0), (-math.inf, 1.0), (0.5, 10**400)]
+    for jump in jumps:
+        with pytest.raises(CrmError, match=r"^base measure jump \(.*\) must be finite$"):
             BaseMeasure(PiecewiseFunction.constant(1.0), jumps=(jump,))
 
 
@@ -911,7 +914,7 @@ def test_a_nan_horizon_or_theta_is_refused(gamma_unit_ctx):
     nan = math.nan
     with pytest.raises(CrmError, match="time must be nonnegative, got nan"):
         laplace_exponent(gamma_unit_ctx, nan, 1.0)
-    with pytest.raises(CrmError, match="theta must be nonnegative, got nan"):
+    with pytest.raises(CrmError, match="theta must be a finite number >= 0, got nan"):
         laplace_exponent(gamma_unit_ctx, 1.0, nan)
     with pytest.raises(CrmError, match="time must be positive, got t=nan"):
         classify_activity(gamma_unit_ctx, nan)

@@ -19,8 +19,9 @@ def test_piece_kind_validation():
     with pytest.raises(CrmError):
         Piece(0.0, 1.0, "func")
     for name in ("c0", "c1", "d0", "d1"):
-        with pytest.raises(CrmError, match=f"^piece on \\(0.0, 1.0\\] has {name} = NaN$"):
-            Piece(0.0, 1.0, "ratio", **{"c0": 1.0, "d1": 1.0, name: math.nan})
+        for value in (math.nan, math.inf, -math.inf, 10**400, True):
+            with pytest.raises(CrmError, match=f"^piece on \\(0.0, 1.0\\] has {name} = {value}, not a finite number$"):
+                Piece(0.0, 1.0, "ratio", **{"c0": 1.0, "d1": 1.0, name: value})
 
 
 def test_piece_values_scalar_and_array():

@@ -95,3 +95,9 @@ def test_check_names_cannot_break_report_rows(check):
     assert res.rows == []
     res.add("mass a=1 b=2", 1.0, 1.0, 0.0)
     assert verify.report_csv(res).splitlines()[1].split(",")[:2] == ["activity", "mass a=1 b=2"]
+
+
+def test_the_moments_suite_refuses_a_replicate_count_that_is_not_an_integer():
+    # replicates=2.5 used to draw 2 and return a failing suite
+    with pytest.raises(CrmError, match="^beta: sample size must be a nonnegative integer, got 2.5$"):
+        verify.run_suite("moments", replicates=2.5)
