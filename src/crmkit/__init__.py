@@ -5,62 +5,17 @@ densities with parameters varying along the index line, sample them by
 Poisson superposition, verify them against closed-form and Monte Carlo
 oracles, and push priors to posteriors through parametric translation.
 
-``import crmkit`` loads only the modules that parse a config and build a
-context (``errors``, ``piecewise``, ``expfam``, ``levy``, ``config``); the
-other submodules and the names they serve load on first access (PEP 562).
+``_PUBLIC`` is the one list of public names and of when each loads: it maps
+each submodule to the names it serves, and ``__all__`` is every name there.
+``import crmkit`` loads only the submodules of ``_AT_IMPORT``, those that
+parse a config and build a context, and binds their names; the other
+submodules and the names they serve load on first access (PEP 562).
 """
 
 from importlib import import_module
 
-from .config import (
-    config_hash,
-    load_json,
-    parse_component,
-    parse_prior_config,
-    parse_sample_config,
-)
-from .errors import (
-    AtomLinkError,
-    ConditionError,
-    ConfigError,
-    CrmError,
-    DerivativeDomainError,
-    DivergenceError,
-    NaturalSpaceError,
-    SupportError,
-    TruncationError,
-)
-from .expfam import (
-    ExpFamilySpec,
-    ParameterPath,
-    SufficientStat,
-    Support,
-    family_names,
-    make_family,
-    moment_suff_stat,
-    raw_moment,
-    raw_moment_beta,
-)
-from .levy import (
-    BaseMeasure,
-    ConditionReport,
-    FiniteActivity,
-    InfiniteActivity,
-    LevyContext,
-    NotTimeHomogeneous,
-    check_conditions,
-    classify_activity,
-    density_table,
-    laplace_exponent,
-    levy_density_s,
-    levy_density_u,
-    levy_integrand,
-    stat_laplace,
-)
-from .piecewise import Piece, PiecewiseFunction
-
-# submodule -> the public names it serves; each loads on first access
-_ON_FIRST_USE = {
+_PUBLIC = {
+    "config": ("config_hash", "load_json", "parse_component", "parse_prior_config", "parse_sample_config"),
     "conjugacy": (
         "ConjugatePair",
         "finite_dim_tv",
@@ -79,6 +34,45 @@ _ON_FIRST_USE = {
         "empirical_laplace",
         "sample_discretized",
     ),
+    "errors": (
+        "AtomLinkError",
+        "ConditionError",
+        "ConfigError",
+        "CrmError",
+        "DerivativeDomainError",
+        "DivergenceError",
+        "NaturalSpaceError",
+        "SupportError",
+        "TruncationError",
+    ),
+    "expfam": (
+        "ExpFamilySpec",
+        "ParameterPath",
+        "SufficientStat",
+        "Support",
+        "family_names",
+        "make_family",
+        "moment_suff_stat",
+        "raw_moment",
+        "raw_moment_beta",
+    ),
+    "levy": (
+        "BaseMeasure",
+        "ConditionReport",
+        "FiniteActivity",
+        "InfiniteActivity",
+        "LevyContext",
+        "NotTimeHomogeneous",
+        "check_conditions",
+        "classify_activity",
+        "density_table",
+        "laplace_exponent",
+        "levy_density_s",
+        "levy_density_u",
+        "levy_integrand",
+        "stat_laplace",
+    ),
+    "piecewise": ("Piece", "PiecewiseFunction"),
     "quadpack": (),
     "sampler": (
         "CRMDraw",
@@ -90,16 +84,23 @@ _ON_FIRST_USE = {
     ),
     "verify": ("run_suite", "suite_names"),
 }
-_HOME = {name: module for module, names in _ON_FIRST_USE.items() for name in names}
+# loaded with the package, in this order; each name they serve is bound here
+_AT_IMPORT = ("config", "errors", "expfam", "levy", "piecewise")
+globals().update(
+    (name, getattr(import_module(f".{module}", __name__), name))
+    for module in _AT_IMPORT
+    for name in _PUBLIC[module]
+)
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 
 
 def __getattr__(name: str):
-    """A name of a submodule in ``_ON_FIRST_USE``, or that submodule itself,
-    imported on first access.  A name is looked up in its submodule on every
-    access and never bound here, so a patch of the submodule's attribute, and
-    its undoing, shows through the package."""
+    """A public name not bound here, or a submodule of ``_PUBLIC``, imported on
+    first access.  A name is looked up in its submodule on every access and
+    never bound here, so a patch of the submodule's attribute, and its undoing,
+    shows through the package."""
     module = _HOME.get(name, name)
-    if module not in _ON_FIRST_USE:
+    if module not in _PUBLIC:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = import_module(f".{module}", __name__)
     return value if module == name else getattr(value, name)
@@ -111,67 +112,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomLinkError",
-    "BaseMeasure",
-    "CRMDraw",
-    "ConditionError",
-    "ConditionReport",
-    "ConfigError",
-    "ConjugatePair",
-    "CrmError",
-    "DerivativeDomainError",
-    "DiscretizationPlan",
-    "DivergenceError",
-    "ExpFamilySpec",
-    "FiniteActivity",
-    "InfiniteActivity",
-    "LaplaceEstimate",
-    "LevyContext",
-    "LikelihoodDraw",
-    "NaturalSpaceError",
-    "NotTimeHomogeneous",
-    "ParameterPath",
-    "Piece",
-    "PiecewiseFunction",
-    "SufficientStat",
-    "Support",
-    "SupportError",
-    "TruncationError",
-    "check_conditions",
-    "classify_activity",
-    "config_hash",
-    "density_table",
-    "discrete_laplace",
-    "discretization_gap",
-    "empirical_laplace",
-    "evaluate_path",
-    "family_names",
-    "finite_dim_tv",
-    "laplace_exponent",
-    "levy_density_s",
-    "levy_density_u",
-    "levy_integrand",
-    "link_names",
-    "load_json",
-    "make_family",
-    "make_pair",
-    "moment_suff_stat",
-    "pair_names",
-    "parse_component",
-    "parse_prior_config",
-    "parse_sample_config",
-    "posterior_context",
-    "posterior_levy_density",
-    "posterior_path",
-    "posterior_process_params",
-    "raw_moment",
-    "raw_moment_beta",
-    "run_suite",
-    "sample_crm",
-    "sample_discretized",
-    "sample_likelihood",
-    "stat_laplace",
-    "suite_names",
-    "__version__",
-]
+__all__ = sorted(name for names in _PUBLIC.values() for name in names) + ["__version__"]

@@ -6,6 +6,7 @@ and :func:`_real` and :func:`_integer` say what counts as a number where the
 package takes one from a caller: a finite ``numbers.Real`` or
 ``numbers.Integral`` (numpy scalars included) that is not a bool, finite
 meaning within the double range, as a JSON number is (RFC 8259, section 6).
+:func:`_horizon` admits +inf besides, for the end of a window (0, t].
 """
 
 import math
@@ -111,6 +112,11 @@ def _real(value) -> bool:
 def _integer(value) -> bool:
     """Whether value is an integer: a ``numbers.Integral`` that :func:`_real` accepts."""
     return isinstance(value, numbers.Integral) and _real(value)
+
+
+def _horizon(value) -> bool:
+    """Whether value can end a window (0, value]: a number :func:`_real` accepts, or +inf."""
+    return _real(value) or value == math.inf
 
 
 def _registered(table: dict, name, kind: str, names=sorted):

@@ -1032,8 +1032,9 @@ class ParameterPath:
             etas = np.array([self.atom_overrides[loc] for loc in locs], dtype=float)
             out[hit] = etas[pos[hit]]
             free = ~hit
-        for j, comp in enumerate(self.components):
-            out[free, j] = comp(flat[free])
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite eta is named below
+            for j, comp in enumerate(self.components):
+                out[free, j] = comp(flat[free])
         _check_finite_path(flat, out)
         return out.reshape(zs.shape + (self.dimension,))
 

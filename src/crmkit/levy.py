@@ -53,7 +53,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expfam
-from .errors import ConditionError, CrmError, DivergenceError, NaturalSpaceError, SupportError, _real
+from .errors import ConditionError, CrmError, DivergenceError, NaturalSpaceError, SupportError
+from .errors import _horizon, _real
 from .expfam import ExpFamilySpec, ParameterPath
 from .piecewise import Piece, PiecewiseFunction, _quadpack, checked_quad
 
@@ -483,8 +484,7 @@ def levy_density_s(ctx: LevyContext, t: float, s):
     """Levy density dL_t(s) in the family coordinate over (0, t]: a float at one s, at an
     array of s an array of the doubles each s alone gives, from one walk over the
     locations.  The first s outside the family support raises :class:`SupportError`."""
-    if not (t > 0):
-        raise CrmError(f"time must be positive, got t={t}")
+    _check_time(t)
     expfam._check_support(ctx.family, s)
 
     def density(eta, log_partition, x):  # x checked against the support above
@@ -531,8 +531,7 @@ def levy_density_u(ctx: LevyContext, t: float, u):
     """The pushforward of :func:`levy_density_s` to the weight coordinate
     u = T_k(s), at one u or an array alike: 0.0 where the inverse overflows,
     and the first u outside the image raises :class:`SupportError`."""
-    if not (t > 0):
-        raise CrmError(f"time must be positive, got t={t}")
+    _check_time(t)
     return _pushforward(ctx, u, lambda s: levy_density_s(ctx, t, s))
 
 
@@ -557,6 +556,13 @@ def _check_theta(theta) -> None:
         raise CrmError(f"theta must be a finite number >= 0, got {theta}")
 
 
+def _check_time(t, zero: bool = False) -> None:
+    """Refuse a horizon t that :func:`~crmkit.errors._horizon` refuses (a bool, NaN)
+    or that is not > 0 (>= 0 where ``zero``)."""
+    if not (_horizon(t) and (t >= 0 if zero else t > 0)):
+        raise CrmError(f"time must be nonnegative, got {t}" if zero else f"time must be positive, got t={t}")
+
+
 def laplace_exponent(ctx: LevyContext, t: float, theta: float) -> float:
     """int (1 - e^{-theta u}) dL_t(u); 0 at theta=0 or t=0.
 
@@ -564,8 +570,7 @@ def laplace_exponent(ctx: LevyContext, t: float, theta: float) -> float:
     axis fails to stabilize (improper tails or infinite location mass).
     """
     _check_theta(theta)
-    if not (t >= 0):
-        raise CrmError(f"time must be nonnegative, got {t}")
+    _check_time(t, zero=True)
     if theta == 0.0 or t == 0.0:
         return 0.0
 
@@ -654,8 +659,7 @@ def classify_activity(ctx: LevyContext, t: float):
     :func:`levy_density_u`) when proportional, NotTimeHomogeneous with up to
     five z witnesses otherwise.
     """
-    if not (t > 0):
-        raise CrmError(f"time must be positive, got t={t}")
+    _check_time(t)
     if ctx.family.support.discrete:
         raise CrmError("activity classification needs a continuous support")
 

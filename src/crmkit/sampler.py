@@ -35,7 +35,7 @@ import numpy as np
 
 from . import expfam
 from .errors import AtomLinkError, CrmError, DivergenceError, NaturalSpaceError, TruncationError
-from .errors import _integer, _registered
+from .errors import _horizon, _integer, _registered
 from .expfam import ExpFamilySpec, _special
 from .levy import LevyContext
 
@@ -190,7 +190,7 @@ def sample_crm(
     ``tail_mass`` is the summed base mass of the rest, or None when that mass
     diverges.
     """
-    if not (z_max > 0):
+    if not (_horizon(z_max) and z_max > 0):
         raise CrmError(f"region end must be positive, got z_max={z_max}")
     n_total = len(components)
     level = n_total if truncation is None else truncation

@@ -264,6 +264,53 @@ def test_posterior_bad_observations_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", ": empty observations file"),
+        ("location,value\n0.5,1.0,2.0\n", ":2: expected two columns"),
+        ("location,value\n0.5,1.0\n1.5,abc\n", ":3: non-numeric entry ['1.5', 'abc']"),
+    ],
+    ids=["empty-file", "three-columns", "non-numeric"],
+)
+def test_posterior_refuses_a_malformed_observations_file_before_writing(tmp_path, capsys, text, message):
+    obs = tmp_path / "obs.csv"
+    obs.write_text(text)
+    out = tmp_path / "run"
+    rc = run(
+        "posterior", "--config", CONFIG_DIR / "gamma_lognormal_prior.json",
+        "--observations", obs, "--out", out,
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {obs}{message}\n"
+    assert not out.exists()
+
+
+def test_posterior_uniform_shifts_an_affine_piece_and_an_atom_override(tmp_path):
+    # ln y = 1 and 2: the shape coordinate moves by n/2 = 1 and the rate by
+    # (1 + 4)/2 = 2.5, in the affine intercept, the const and the override alike
+    prior = json.loads((CONFIG_DIR / "gamma_lognormal_prior.json").read_text())
+    prior["component"]["path"][0] = [{"from": 0.0, "affine": [2.0, 0.5]}]
+    prior["component"]["atom_overrides"] = [[1.0, [5.0, 6.0]]]
+    config, obs = tmp_path / "prior.json", tmp_path / "obs.csv"
+    config.write_text(json.dumps(prior))
+    obs.write_text(f"location,value\n0.5,{np.e!r}\n1.5,{np.e**2!r}\n")
+    out = tmp_path / "run"
+    assert run("posterior", "--config", config, "--observations", obs, "--out", out) == 0
+    want = {
+        "pair": {"name": "gamma-lognormal", "fixed": {"mu": 0.0}},
+        "component": {
+            "family": {"name": "gamma"},
+            "k": 2,
+            "path": [[{"from": 0.0, "affine": [3.0, 0.5]}], [{"from": 0.0, "const": 5.5}]],
+            "base": {"pieces": [{"from": 0.0, "to": 4.0, "const": 1.0}]},
+            "atom_overrides": [[1.0, [6.0, 8.5]]],
+        },
+    }
+    assert (out / "posterior_config.json").read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    assert "shift: (+1, +2.5) applied to every coordinate" in (out / "diff.txt").read_text()
+
+
 def test_posterior_out_of_support_observation_exits_1(tmp_path):
     obs = tmp_path / "neg.csv"
     obs.write_text("location,value\n0.5,-3.0\n")
@@ -537,4 +584,19 @@ def test_a_refused_context_names_where_its_path_fails(tmp_path, capsys):
         "invertible_statistic=pass; path_in_natural_space=FAIL; contraction_closure=pass; "
         f"path_in_natural_space: {check.detail}, first witness ({z!r}, {reason!r})\n"
     )
+    assert not out.exists()
+
+
+def test_an_overflowing_path_piece_is_refused_naming_its_z(tmp_path, capsys):
+    # 1 + 1e308 z overflows on the condition grid; the witness names the z,
+    # not numpy's overflow warning, which tier-1 turns into an error
+    obj = json.loads((CONFIG_DIR / "gamma.json").read_text())
+    obj["components"][0]["path"][0] = [{"from": 0.0, "affine": [1.0, 1e308]}]
+    config = tmp_path / "overflow.json"
+    config.write_text(json.dumps(obj))
+    out = tmp_path / "run"
+    assert run("sample", "--config", config, "--seed", 1, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "path_in_natural_space=FAIL" in err
+    assert "first witness (1.8758124999999999, 'parameter path not finite at z=1.8758124999999999: [inf  3.]')" in err
     assert not out.exists()

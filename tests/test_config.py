@@ -154,6 +154,25 @@ def test_pareto_series_expansion():
         assert ctx.base.increment(0.25, 1.0) == pytest.approx(math.log(4.0) / n, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        ({"components": 0}, "/pareto_series/components: components must be >= 1"),
+        ({"support": [1.0, 0.25]}, "/pareto_series/support: support must satisfy 0 <= from < to"),
+        (
+            {"alpha": {"const": 2.0, "affine": [0.0, 1.0]}},
+            '/pareto_series/alpha: alpha needs exactly one of "const", "affine"',
+        ),
+    ],
+    ids=["no-components", "support-out-of-order", "alpha-both-keys"],
+)
+def test_a_pareto_series_refuses_a_bad_count_support_or_alpha_at_its_pointer(change, error):
+    series = {"components": 3, "scale": 1.0, "support": [0.25, 1.0], "alpha": {"const": 2.0}, **change}
+    with pytest.raises(ConfigError) as exc:
+        cfg.parse_sample_config({"pareto_series": series})
+    assert str(exc.value) == error
+
+
 def test_parse_prior_config_checks_family():
     obj = {"pair": {"name": "beta-bernoulli"}, "component": GAMMA_COMPONENT}
     with pytest.raises(ConfigError, match="does not match pair prior"):

@@ -233,6 +233,17 @@ def test_loglog_face_moments():
         expfam.moment_suff_stat(spec, eta, 1, 2)  # E[w^2] needs alpha > 2
 
 
+def test_loglog_face_moments_of_the_log_log_statistic_come_from_its_cumulants():
+    # on the face ln w = ln u_m + Exp(alpha), so E[(ln w)^m] is a binomial sum
+    # over the Exp moments j! / alpha^j; stat_moment declines k = 2 there
+    spec = expfam.make_family("pareto_loglog", scale=2.0)
+    alpha, shift = 3.5, math.log(2.0)
+    for m in range(1, 5):
+        want = sum(math.comb(m, j) * shift ** (m - j) * math.factorial(j) / alpha**j for j in range(m + 1))
+        got = expfam.moment_suff_stat(spec, [-1.0, -(alpha + 1.0)], k=2, m=m)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0), m
+
+
 def test_raw_moment_matches_beta_closed_form():
     beta = expfam.make_family("beta")
     for a, b in ((2.0, 3.0), (0.5, 0.5)):
@@ -444,6 +455,23 @@ def test_eval_many_raises_the_scalar_non_finite_error():
         assert str(exc.value) == message
     with pytest.raises(CrmError, match=r"^z=0\.0 outside the covered domain$"):
         path.eval_many([0.5, 0.0, 2.5])
+
+
+def test_an_overflowing_affine_piece_is_named_where_it_overflows_with_no_warning():
+    # 1 + 1e308 z overflows past z = 1.8; the warning used to come first, and
+    # under -W error it replaced the message that names z
+    path = expfam.ParameterPath(
+        [
+            PiecewiseFunction([Piece(0.0, math.inf, "affine", c0=1.0, c1=1e308)]),
+            PiecewiseFunction.constant(3.0),
+        ]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, z in ((path.eval, 2.0), (path.eval_many, [0.5, 2.0, 3.0])):
+            with pytest.raises(CrmError) as exc:
+                call(z)
+            assert str(exc.value) == "parameter path not finite at z=2.0: [inf  3.]"
 
 
 def test_defined_at_over_an_array_counts_the_pieces_alone():

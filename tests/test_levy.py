@@ -922,6 +922,27 @@ def test_a_nan_horizon_or_theta_is_refused(gamma_unit_ctx):
         levy_density_u(gamma_unit_ctx, nan, 0.5)
 
 
+def test_a_bool_horizon_is_refused_and_an_infinite_one_ends_at_the_base(gamma_unit_ctx):
+    # True used to read as t = 1
+    for call in (
+        lambda t: levy_density_s(gamma_unit_ctx, t, 0.5),
+        lambda t: levy_density_u(gamma_unit_ctx, t, 0.5),
+        lambda t: classify_activity(gamma_unit_ctx, t),
+    ):
+        with pytest.raises(CrmError, match=r"^time must be positive, got t=True$"):
+            call(True)
+    with pytest.raises(CrmError) as exc:
+        laplace_exponent(gamma_unit_ctx, True, 1.0)
+    assert str(exc.value) == "time must be nonnegative, got True"
+    # t = inf is the whole line: over a base on (0, 2] it is t = 2, and over an
+    # unbounded base the location mass diverges
+    base = BaseMeasure(PiecewiseFunction([Piece(0.0, 2.0, "const", c0=1.0)]))
+    ctx = LevyContext.build(make_family("gamma"), ParameterPath.constant([2.0, 3.0]), base, k=2)
+    assert laplace_exponent(ctx, math.inf, 1.0) == laplace_exponent(ctx, 2.0, 1.0) == 0.8749999999999998
+    with pytest.raises(DivergenceError):
+        laplace_exponent(gamma_unit_ctx, math.inf, 1.0)
+
+
 @pytest.mark.parametrize("window", [(0.0, math.nan), (math.nan, 1.0)], ids=["nan-end", "nan-start"])
 def test_a_nan_window_end_is_refused_naming_the_window(gamma_unit_ctx, window):
     a, b = window

@@ -4,6 +4,8 @@ Adding or removing a public name means editing the lists below in the same
 change, next to the caller that needs it.
 """
 
+import ast
+import collections
 import dataclasses
 import importlib
 import importlib.util
@@ -428,3 +430,16 @@ def test_every_boundary_the_benchmark_traces_exists():
     spec.loader.exec_module(spans)
     missing = [name for name, owner, attr, _ in spans._targets() if attr not in vars(owner)]
     assert missing == []
+
+
+def test_the_package_source_names_each_public_name_once():
+    # __init__.py's table is the one list of public names: an import block, a
+    # literal __all__ or a second table would name each of them again
+    tree = ast.parse(Path(crmkit.__file__).read_text())
+    said = collections.Counter(
+        node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    )
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    public = [name for name in crmkit.__all__ if name != "__version__"]
+    assert {name: said[name] for name in public if said[name] != 1} == {}
+    assert imported.isdisjoint(public), sorted(imported & set(public))

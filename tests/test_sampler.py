@@ -526,6 +526,25 @@ def test_a_nan_region_end_is_refused(gamma_unit_ctx):
         sample_crm([gamma_unit_ctx], math.nan, np.random.default_rng(1))
 
 
+def test_a_bool_region_end_is_refused(gamma_unit_ctx):
+    # True used to draw over (0, 1]
+    with pytest.raises(CrmError) as exc:
+        sample_crm([gamma_unit_ctx], True, np.random.default_rng(1))
+    assert str(exc.value) == "region end must be positive, got z_max=True"
+
+
+def test_a_dropped_component_of_divergent_mass_leaves_the_tail_mass_unknown(gamma_unit_ctx):
+    # the second component's base 1/z has infinite mass on (0, 1]; dropping it
+    # draws what the first alone draws
+    base = BaseMeasure(PiecewiseFunction([Piece(0.0, 2.0, "ratio", c0=1.0, c1=0.0, d0=0.0, d1=1.0)]))
+    pole = LevyContext.build(make_family("gamma"), ParameterPath.constant([2.0, 3.0]), base, k=2)
+    draw = sample_crm([gamma_unit_ctx, pole], 1.0, np.random.default_rng(1), truncation=1)
+    alone = sample_crm([gamma_unit_ctx], 1.0, np.random.default_rng(1))
+    assert draw.tail_mass is None and draw.truncation_level == 1
+    assert draw.locations.size > 0
+    assert np.array_equal(draw.locations, alone.locations) and np.array_equal(draw.weights, alone.weights)
+
+
 class _BoundaryUniforms:
     """A generator whose every third location uniform is one of the given
     values, each on the lower edge of a base segment: a zero remainder there

@@ -99,5 +99,23 @@ def test_check_names_cannot_break_report_rows(check):
 
 def test_the_moments_suite_refuses_a_replicate_count_that_is_not_an_integer():
     # replicates=2.5 used to draw 2 and return a failing suite
-    with pytest.raises(CrmError, match="^beta: sample size must be a nonnegative integer, got 2.5$"):
+    with pytest.raises(CrmError, match="^replicates must be an integer >= 2, got 2.5$"):
         verify.run_suite("moments", replicates=2.5)
+
+
+@pytest.mark.parametrize(
+    "given, message",
+    [
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+        ({"seed": True}, "seed must be an integer >= 0, got True"),
+        ({"replicates": 1}, "replicates must be an integer >= 2, got 1"),
+    ],
+    ids=["negative-seed", "float-seed", "bool-seed", "one-replicate"],
+)
+def test_a_suite_refuses_a_seed_or_replicate_count_crm_verify_would_refuse(given, message):
+    # each used to reach numpy: a ValueError, a TypeError, seed 1, or a failing
+    # moments suite with two RuntimeWarnings
+    with pytest.raises(CrmError) as exc:
+        verify.run_suite("moments", **given)
+    assert str(exc.value) == message
