@@ -185,10 +185,18 @@ def cmd_posterior(args) -> int:
             grouped.setdefault(float(loc), []).append(v)
         post = conj.posterior_path(pair, ctx.path, grouped, mode="per-atom")
         overrides = {loc: post.atom_overrides[loc] for loc in sorted(grouped)}
+        # an override acts on the measure only through a point mass of the base
+        point_masses = {loc for loc, mass in ctx.base.jumps if mass > 0}
         for (loc, eta), prior_eta in zip(overrides.items(), ctx.path.eval_many(list(overrides))):
             before = ", ".join(f"{v:g}" for v in prior_eta)
             after = ", ".join(f"{v:g}" for v in eta)
             diff.append(f"atom {loc!r}: ({before}) -> ({after})")
+            if loc not in point_masses:
+                print(
+                    f"warning: atom {loc!r} is no point mass of the base, so its override "
+                    "leaves the law of the posterior unchanged",
+                    file=sys.stderr,
+                )
         post_component = cfg.override_component_obj(component, overrides)
     if not values:
         diff.append("no observations: posterior equals prior")

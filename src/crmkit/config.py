@@ -224,6 +224,11 @@ def parse_component(obj, ptr="/component") -> LevyContext:
         return LevyContext.build(family, path, base, k, require_conditions=enforce)
 
 
+# a Pareto series builds one context per component, about 0.2 ms each, so
+# this bound keeps a parse to seconds; the shipped configs use 3
+_MAX_SERIES_COMPONENTS = 10_000
+
+
 def _parse_pareto_series(obj, ptr) -> list[LevyContext]:
     """Pareto components n = 1..N of shape n alpha(z), so eta(z) = -(n alpha(z) + 1),
     over the base dz / (n alpha(z)), built unenforced."""
@@ -231,6 +236,10 @@ def _parse_pareto_series(obj, ptr) -> list[LevyContext]:
     count = _need(obj, "components", int, ptr)
     if count < 1:
         raise ConfigError("components must be >= 1", f"{ptr}/components")
+    if count > _MAX_SERIES_COMPONENTS:
+        raise ConfigError(
+            f"components must be <= {_MAX_SERIES_COMPONENTS}, got {count}", f"{ptr}/components"
+        )
     scale = _need(obj, "scale", float, ptr, 1.0)
     lo, hi = _floats(_need(obj, "support", list, ptr), 2, f"{ptr}/support")
     if not 0 <= lo < hi:

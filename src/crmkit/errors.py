@@ -50,8 +50,8 @@ class NaturalSpaceError(CrmError):
 class DerivativeDomainError(CrmError):
     """A derivative of the log-partition does not exist where it is asked for.
 
-    Raised for a one-sided A on the ``pareto_loglog`` face and for a moment
-    that diverges.
+    Raised for a moment that diverges, such as E[(ln x)^m] on the
+    ``pareto_loglog`` face for a Pareto shape alpha <= m.
     """
 
 

@@ -17,15 +17,16 @@ pareto_loglog (two-statistic log/log-log form, scale ``scale``), lognormal
 (known drift ``mu``), poisson, bernoulli.  Each declares its natural space
 once, as ``natural`` rules of array comparisons that test one eta or a batch,
 one eta per column.  Each declares its distribution from A and the special
-functions, with no generic numeric fallback: ``cumulants(eta, k, n)``, the
-derivatives of A of orders 1..n, from which :func:`moment_suff_stat` builds
-moments of every order (unless a ``stat_moment`` answers first; off its
-face, ``pareto_loglog`` takes one quadrature for E[(ln ln x)^m]); ``cdf``
-and, for continuous families, ``quantile``, reached through
-:meth:`ExpFamilySpec.at`; and one exact sampler, for one natural parameter
-shared by all draws or one per draw.  Off its face ``eta_1 = -1``, ``pareto_loglog`` draws by inversion
-for ``eta_2 > 0`` and by rejection from ``u_m + Exp(-(eta_1 + 1))`` for
-``eta_2 <= 0``.
+functions, with no generic numeric fallback: either ``cumulants(eta, k, n)``,
+the derivatives of A of orders 1..n, from which :func:`moment_suff_stat`
+builds moments of every order, or a ``stat_moment(eta, k, m)`` that returns
+E[T_k^m] as a float for every (eta, k, m) (``pareto_loglog``: on its face
+``eta_1 = -1`` the ``pareto`` law of ln x, off it one quadrature for
+E[(ln ln x)^m]); ``cdf`` and, for continuous families, ``quantile``, reached
+through :meth:`ExpFamilySpec.at`; and one exact sampler, for one natural
+parameter shared by all draws or one per draw.  Off its face,
+``pareto_loglog`` draws by inversion for ``eta_2 > 0`` and by rejection
+from ``u_m + Exp(-(eta_1 + 1))`` for ``eta_2 <= 0``.
 
 Binding (:func:`_bind_many`), the log-density and the log-partition tilt
 each take one eta of shape (l,) or a batch of shape (l, m), one eta per
@@ -44,7 +45,7 @@ import numpy as np
 
 from .errors import CrmError, DerivativeDomainError, DivergenceError, NaturalSpaceError, SupportError
 from .errors import _float_params, _integer, _registered
-from .piecewise import PiecewiseFunction, checked_quad
+from .piecewise import PiecewiseFunction, _quadpack, checked_quad
 
 __all__ = [
     "Support",
@@ -157,7 +158,7 @@ class ExpFamilySpec:
     cdf: Callable  # (eta, x) -> P(X <= x), x inside the support
     quantile: Callable | None = None  # (eta, q) -> x; continuous families
     cumulants: Callable | None = None  # (eta, k, n) -> d^j A / d eta_k^j, j = 1..n
-    stat_moment: Callable | None = None  # (eta, k, m) -> float | None
+    stat_moment: Callable | None = None  # (eta, k, m) -> E[T_k^m], a float; replaces cumulants
     fixed: dict = field(default_factory=dict)
 
     @property
@@ -331,9 +332,9 @@ def density(spec: ExpFamilySpec, eta, x) -> float | np.ndarray:
 def moment_suff_stat(spec: ExpFamilySpec, eta, k: int, m: int) -> float:
     """E[T_k(X)^m] from the family's closed forms.
 
-    A closed-form statistic moment declared by the family comes first.
-    Otherwise the cumulants kappa_j = sign^j d^j A / d eta_k^j give the raw
-    moments through mu_n = sum_j C(n-1, j-1) kappa_j mu_{n-j}, mu_0 = 1.
+    A family that declares a statistic moment answers every (eta, k, m) with
+    it.  Otherwise the cumulants kappa_j = sign^j d^j A / d eta_k^j give the
+    raw moments through mu_n = sum_j C(n-1, j-1) kappa_j mu_{n-j}, mu_0 = 1.
     """
     eta = _as_eta(spec, eta, batch=False)
     k = _check_k(spec, k)
@@ -342,9 +343,7 @@ def moment_suff_stat(spec: ExpFamilySpec, eta, k: int, m: int) -> float:
     m = int(m)
 
     if spec.stat_moment is not None:
-        val = spec.stat_moment(eta, k, m)
-        if val is not None:
-            return float(val)
+        return float(spec.stat_moment(eta, k, m))
     if spec.cumulants is None:
         raise CrmError(f"{spec.name}: declares neither a moment of statistic {k} nor cumulants")
 
@@ -418,11 +417,6 @@ def sample_each(spec: ExpFamilySpec, etas: np.ndarray, rng: np.random.Generator)
 # ---------------------------------------------------------------------------
 # Registered families
 # ---------------------------------------------------------------------------
-
-
-def _exp_cumulants(shift: float, rate: float, n: int) -> list:
-    """The first n cumulants of shift + Exp(rate)."""
-    return [shift + 1.0 / rate] + [math.factorial(j - 1) / rate ** j for j in range(2, n + 1)]
 
 
 # The power series of R(a, x) = e^x x^-a Gamma(a, x) serves -20 < a <= 1/2
@@ -504,12 +498,6 @@ def _upper_gamma_ratio_cf(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     )
 
 
-@functools.cache
-def _gauss_legendre_8() -> tuple:
-    """The nodes in (-1, 1) and the weights of the 8-point Gauss-Legendre rule."""
-    return np.polynomial.legendre.leggauss(8)
-
-
 def _upper_gamma_ratio(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """R(a, x) = e^x x^-a Gamma(a, x): from the series below x = 2 with -20 < a <= 1/2,
     from the continued fraction elsewhere; each element alone or in any batch alike."""
@@ -544,11 +532,14 @@ def _log_upper_gamma(a, x) -> np.ndarray:
     return out
 
 
+def _log_x(lo: float, hi: float = _INF) -> SufficientStat:
+    """The statistic ln x, with inverse e^u, of a support whose image under ln is (lo, hi)."""
+    return SufficientStat("log_x", np.log, inverse=np.exp, inverse_deriv=np.exp, image=(lo, hi))
+
+
 def _beta_family() -> ExpFamilySpec:
     stats = (
-        SufficientStat(
-            "log_x", np.log, inverse=np.exp, inverse_deriv=np.exp, image=(-_INF, 0.0)
-        ),
+        _log_x(-_INF, 0.0),
         SufficientStat(
             "log_1mx",
             lambda x: np.log1p(-np.asarray(x, dtype=float)),
@@ -585,9 +576,7 @@ def _beta_family() -> ExpFamilySpec:
 
 def _gamma_family() -> ExpFamilySpec:
     stats = (
-        SufficientStat(
-            "log_x", np.log, inverse=np.exp, inverse_deriv=np.exp, image=(-_INF, _INF)
-        ),
+        _log_x(-_INF),
         SufficientStat(
             "x",
             lambda x: np.asarray(x, dtype=float) + 0.0,
@@ -631,17 +620,14 @@ def _pareto_family(scale: float) -> ExpFamilySpec:
         raise CrmError(f"pareto: scale must be positive and finite, got {scale}")
     u_m = float(scale)
     log_u_m = np.log(u_m)
-    stats = (
-        SufficientStat(
-            "log_x", np.log, inverse=np.exp, inverse_deriv=np.exp, image=(log_u_m, _INF)
-        ),
-    )
+    stats = (_log_x(log_u_m),)
 
     def a(eta):
         return (eta[0] + 1.0) * log_u_m - np.log(-eta[0] - 1.0)
 
     def cumulants(eta, k, n):
-        return _exp_cumulants(log_u_m, -eta[0] - 1.0, n)  # ln x = ln u_m + Exp(alpha)
+        alpha = -eta[0] - 1.0  # ln x = ln u_m + Exp(alpha)
+        return [log_u_m + 1.0 / alpha] + [math.factorial(j - 1) / alpha ** j for j in range(2, n + 1)]
 
     def quantile(eta, q):
         alpha = -eta[0] - 1.0
@@ -665,9 +651,10 @@ def _pareto_family(scale: float) -> ExpFamilySpec:
 def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
     """Two-statistic form with T = (ln x, ln ln x) on (e^{u_m}, inf).
 
-    At eta = (-1, -(a+1)) the pushforward of the density under w = ln x is
-    the Pareto(u_m, a) density, which is what makes this family the seed of
-    the Pareto-weight random measures.  Off that face w has the density of a
+    On the face eta_1 = -1, eta = (-1, eta_2), w = ln x has the law of the
+    ``pareto`` family at scale u_m and eta_2, which is what makes this family
+    the seed of the Pareto-weight random measures: the face CDF, quantile and
+    moments of ln ln x are that family's.  Off the face w has the density of a
     Gamma(eta_2 + 1, s) variable, s = -(eta_1 + 1), truncated to w > u_m
     (for eta_2 + 1 <= 0 an improper gamma kernel, still integrable there),
     so A(eta) = -(eta_2 + 1) ln s + ln Gamma(eta_2 + 1, s u_m) in doubles
@@ -683,8 +670,9 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
         raise CrmError(f"pareto(log-log): scale must be below ln(max double) = {_LOG_MAX}, got {scale}")
     u_m = float(scale)
     x_lo = float(np.exp(u_m))
+    pareto = _pareto_family(u_m)  # the law of w = ln x on the face
     stats = (
-        SufficientStat("log_x", np.log, inverse=np.exp, inverse_deriv=np.exp, image=(u_m, _INF)),
+        _log_x(u_m),
         SufficientStat(
             "log_log_x",
             lambda x: np.log(np.log(x)),
@@ -694,10 +682,8 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
         ),
     )
 
-    _FACE_TOL = 1e-12
-
     def on_face(eta):
-        return abs(eta[0] + 1.0) <= _FACE_TOL
+        return eta[0] == -1.0
 
     def a(eta):
         """A at one eta (a float) or at each column of a batch, in one array
@@ -712,20 +698,15 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
             out[off] = -shape[off] * np.log(s) + _log_upper_gamma(shape[off], s * u_m)
         return float(out) if out.ndim == 0 else out
 
-    def cumulants(eta, k, n):
-        """Of ln w on the face, ln u_m + Exp(alpha); stat_moment answers every other (eta, k)."""
-        if k == 1 or not on_face(eta):
-            raise DerivativeDomainError("pareto(log-log): cumulants of ln ln x on the face only")
-        return _exp_cumulants(math.log(u_m), -eta[1] - 1.0, n)
-
     def stat_moment(eta, k, m):
-        """Pareto(u_m, alpha) moments of w = ln x on the face.  Off it, with
-        x = s u_m, E[w^m] = s^-m Gamma(a + m, x) / Gamma(a, x), and E[(ln w)^m]
-        is d^m times one quadrature in t = s w - x of (ln w / d)^m, where
-        d = |ln u_m| + 1/x keeps small moments above its absolute floor."""
+        """On the face, E[w^m] of Pareto(u_m, alpha) and the ``pareto`` family's
+        E[(ln w)^m].  Off it, with x = s u_m, E[w^m] = s^-m Gamma(a + m, x) /
+        Gamma(a, x), and E[(ln w)^m] is d^m times one quadrature in t = s w - x
+        of (ln w / d)^m, where d = |ln u_m| + 1/x keeps small moments above its
+        absolute floor."""
         if on_face(eta):
             if k == 2:
-                return None  # from the cumulants
+                return moment_suff_stat(pareto, eta[1:], 1, m)
             alpha = -eta[1] - 1.0
             if alpha <= m:
                 raise DerivativeDomainError(
@@ -752,9 +733,11 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
         x0 where gammaincc underflows, where R(a, x) = e^x x^-a Gamma(a, x) comes from
         the series or the continued fraction, each good to a few 1e-15.  Over a long
         window (d > x0 / 4) it is a log1p(d / x0) - d + ln(R(a, x) / R(a, x0)).  Over
-        a short one that sum is small, so it is the 8-point Gauss-Legendre integral of
-        the derivative, -int_x0^x dt / (t R(a, t)), smooth on the scale of x0 there,
-        whose relative error is that of R: no two values near ln Gamma(a, x0) cancel."""
+        a short one that sum is small, so it is -d int_0^1 dv / (t R(a, t)),
+        t = x0 + d v, the integral of the derivative, smooth on the scale of x0
+        there, whose relative error is that of R: no two values near ln Gamma(a, x0)
+        cancel.  The short windows take one QUADPACK first pass, one row each, and
+        :func:`checked_quad` where it declines."""
         s, a, w = np.broadcast_arrays(s, a, w)
         x0, d = s * u_m, s * (w - u_m)
         out = np.empty(d.shape)
@@ -764,19 +747,28 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
             ratio = _upper_gamma_ratio(a_l, x0_l + d_l) / _upper_gamma_ratio(a_l, x0_l)
             out[~short] = a_l * np.log1p(d_l / x0_l) - d_l + np.log(ratio)
         if short.any():
-            nodes, weights = _gauss_legendre_8()
-            x0_s, d_s = x0[short, None], d[short, None]
-            t = x0_s + 0.5 * d_s * (1.0 + nodes)
-            r = _upper_gamma_ratio(np.broadcast_to(a[short, None], t.shape), t)
-            out[short] = -0.5 * d_s[:, 0] * (weights / (t * r)).sum(axis=-1)
+            a_s, x0_s, d_s = a[short, None], x0[short, None], d[short, None]
+
+            def rate(v, rows=slice(None)):
+                """1 / (t R(a, t)) at t = x0 + d v on the short windows ``rows``."""
+                t = x0_s[rows] + d_s[rows] * v
+                return 1.0 / (t * _upper_gamma_ratio(np.broadcast_to(a_s[rows], t.shape), t))
+
+            passes = _quadpack().first_pass(rate, 0.0, 1.0)
+            integrals = [
+                checked_quad(functools.partial(rate, rows=i), 0.0, 1.0) if v is None else v
+                for i, v in enumerate(passes)
+            ]
+            out[short] = -d_s[:, 0] * np.array(integrals)
         return out
 
     def cdf(eta, x):
-        """P(X <= x) = 1 - P(W > w), w = ln x, for x inside the support; -expm1 of
-        :func:`log_tail` where gammaincc cannot give P(W > w)."""
+        """P(X <= x) for x inside the support: on the face the ``pareto`` CDF of
+        w = ln x; off it 1 - P(W > w), -expm1 of :func:`log_tail` where gammaincc
+        cannot give P(W > w)."""
         w = np.log(x)
         if on_face(eta):
-            return 1.0 - (u_m / w) ** (-eta[1] - 1.0)
+            return pareto.cdf(eta[1:], w)
         s, a = -(eta[0] + 1.0), eta[1] + 1.0
         top = _special().gammaincc(a, s * u_m)  # nan for a <= 0
         if top > 0:
@@ -801,12 +793,13 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
         raise CrmError(f"pareto(log-log): quantile {q[0]} did not converge at s={s[0]}, a={a[0]}")
 
     def quantile(eta, q):
-        """x at level q, elementwise over eta of shape (2,) or (2, m) and q."""
+        """x at level q, elementwise over eta of shape (2,) or (2, m) and q; on the
+        face e to the ``pareto`` quantile."""
         shape = np.broadcast(eta[0], eta[1], q).shape
         e1, e2, q = (np.atleast_1d(v) for v in np.broadcast_arrays(eta[0], eta[1], q))
         face = on_face((e1, e2))
         w = np.empty(q.shape)
-        w[face] = u_m * (1.0 - q[face]) ** (-1.0 / (-e2[face] - 1.0))
+        w[face] = pareto.quantile(e2[None, face], q[face])
         off = np.flatnonzero(~face)
         s, a, q = -(e1[off] + 1.0), e2[off] + 1.0, q[off]
         top = _special().gammaincc(a, s * u_m)
@@ -842,15 +835,13 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
         log_carrier=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         log_partition_fn=a,
         natural=(
-            (1, lambda eta: eta[0] <= -1.0 + _FACE_TOL,
-             "pareto(log-log): first coordinate must be <= -1, got {}"),
+            (1, lambda eta: eta[0] <= -1.0, "pareto(log-log): first coordinate must be <= -1, got {}"),
             (2, lambda eta: ~on_face(eta) | (eta[1] < -1.0),
              "pareto(log-log): on the face eta_1 = -1 the second coordinate must be < -1, got {}"),
         ),
         sampler=sampler,
         cdf=lambda eta, x: np.clip(cdf(eta, x), 0.0, 1.0),
         quantile=quantile,
-        cumulants=cumulants,
         stat_moment=stat_moment,
         fixed={"scale": u_m},
     )

@@ -600,3 +600,41 @@ def test_an_overflowing_path_piece_is_refused_naming_its_z(tmp_path, capsys):
     assert err.count("\n") == 1 and "path_in_natural_space=FAIL" in err
     assert "first witness (1.8758124999999999, 'parameter path not finite at z=1.8758124999999999: [inf  3.]')" in err
     assert not out.exists()
+
+
+def test_sample_refuses_a_non_positive_zmax(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = run("sample", "--config", CONFIG_DIR / "gamma.json", "--seed", 1, "--zmax", 0, "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: --zmax must be positive, got 0.0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "jumps, warned",
+    [([], True), ([[0.5, 0.0]], True), ([[0.5, 1.0]], False), ([[0.25, 1.0]], True)],
+    ids=["no-point-mass", "massless-point", "point-mass-there", "point-mass-elsewhere"],
+)
+def test_posterior_per_atom_warns_where_an_override_changes_nothing(tmp_path, capsys, jumps, warned):
+    # an override acts on the measure only through a positive point mass of the
+    # base at its location; elsewhere the emitted posterior is the prior in law
+    prior = json.loads((CONFIG_DIR / "beta_bernoulli_prior.json").read_text())
+    prior["component"]["base"]["jumps"] = jumps
+    config = tmp_path / "prior.json"
+    config.write_text(json.dumps(prior))
+    rc = run(
+        "posterior", "--config", config, "--observations", CONFIG_DIR / "observations_bernoulli.csv",
+        "--mode", "per-atom", "--out", tmp_path / "post",
+    )
+    assert rc == 0
+    warning = (
+        "warning: atom 0.5 is no point mass of the base, so its override leaves the law of the posterior"
+        " unchanged"
+    )
+    assert capsys.readouterr().err == (warning + "\n" if warned else "")
+    post = json.loads((tmp_path / "post" / "posterior_config.json").read_text())
+    assert post["component"]["atom_overrides"] == [[0.5, [2.6, 2.4]]]
+    assert (tmp_path / "post" / "diff.txt").read_text() == (
+        "pair: beta-bernoulli\nmode: per-atom\nobservations: 3\natom 0.5: (0.6, 1.4) -> (2.6, 2.4)\n"
+    )
+

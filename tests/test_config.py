@@ -383,3 +383,47 @@ def test_a_number_is_a_finite_real_that_is_not_a_bool(value, real, integer):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert (errors._real(value), errors._integer(value)) == (real, integer)
+
+
+@pytest.mark.parametrize("count", [10_001, 10**9])
+def test_a_pareto_series_refuses_a_count_above_its_bound_before_building_a_context(monkeypatch, count):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a context was built")
+
+    monkeypatch.setattr(cfg.LevyContext, "build", refuse)
+    series = {"components": count, "scale": 1.0, "support": [0.25, 1.0], "alpha": {"const": 2.0}}
+    with pytest.raises(ConfigError) as exc:
+        cfg.parse_sample_config({"pareto_series": series})
+    assert str(exc.value) == f"/pareto_series/components: components must be <= 10000, got {count}"
+
+
+def _shift_ratio_path():
+    ratio = {"from": 0.0, "ratio": [1.0, 0.0, 1.0, 1.0]}
+    return cfg.shift_component_obj(dict(GAMMA_COMPONENT, path=[[ratio], GAMMA_COMPONENT["path"][1]]), [1.0, 1.0])
+
+
+# refusal -> (call, its exact message)
+_CONFIG_REFUSALS = {
+    "unreadable-file": (
+        lambda: cfg.load_json("no/such/config.json"),
+        "cannot read config: [Errno 2] No such file or directory: 'no/such/config.json'",
+    ),
+    "malformed-json": (
+        lambda: cfg.load_json("{"),
+        "cannot read config: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    ),
+    "path-length": (
+        lambda: cfg.parse_component(dict(GAMMA_COMPONENT, path=GAMMA_COMPONENT["path"][:1])),
+        "/component/path: path needs 2 coordinate(s), got 1",
+    ),
+    "shift-length": (lambda: cfg.shift_component_obj(GAMMA_COMPONENT, [1.0]), "delta has 1 coordinates, path 2"),
+    "shift-ratio-piece": (_shift_ratio_path, "only const/affine path pieces can be updated"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONFIG_REFUSALS))
+def test_a_config_refusal_names_its_cause(case):
+    call, message = _CONFIG_REFUSALS[case]
+    with pytest.raises(ConfigError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -350,3 +350,36 @@ def test_an_infinite_observation_or_concentration_is_refused():
         conj.posterior_process_params(conj.make_pair("beta-bernoulli"), math.inf, 0.3, [1.0])
     with pytest.raises(CrmError, match="^gamma-lognormal: hyperparameter mu must be a number, got 10{400}$"):
         conj.make_pair("gamma-lognormal", mu=10**400)
+
+
+# refusal -> (call, its exact message)
+_CONJUGACY_REFUSALS = {
+    "path-dimension": (
+        lambda: conj.posterior_path(conj.make_pair("gamma-poisson"), ParameterPath.constant([1.0]), []),
+        "path dimension 1 != gamma dimension 2",
+    ),
+    "unknown-mode": (
+        lambda: conj.posterior_path(conj.make_pair("gamma-poisson"), ParameterPath.constant([1.0, 2.0]), [], "both"),
+        "mode must be 'uniform' or 'per-atom', got 'both'",
+    ),
+    "concentration": (
+        lambda: conj.posterior_process_params(conj.make_pair("gamma-poisson"), 0.0, 0.5, []),
+        "concentration must be positive, got 0.0",
+    ),
+    "beta-base-increment": (
+        lambda: conj.posterior_process_params(conj.make_pair("beta-bernoulli"), 2.0, 1.5, []),
+        "base increment must lie in (0, 1), got 1.5",
+    ),
+    "gamma-base-increment": (
+        lambda: conj.posterior_process_params(conj.make_pair("gamma-poisson"), 2.0, -1.0, []),
+        "base increment must be positive, got -1.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONJUGACY_REFUSALS))
+def test_a_conjugacy_refusal_names_its_cause(case):
+    call, message = _CONJUGACY_REFUSALS[case]
+    with pytest.raises(CrmError) as exc:
+        call()
+    assert str(exc.value) == message

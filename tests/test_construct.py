@@ -347,3 +347,9 @@ def test_an_infinite_horizon_is_refused(gamma_unit_ctx):
     # it used to raise a bare OverflowError from the cell count
     with pytest.raises(CrmError, match="^horizon must be a finite number > 0, got t=inf$"):
         construct.DiscretizationPlan.build(gamma_unit_ctx, math.inf, 4)
+
+
+def test_a_plan_refuses_a_horizon_shorter_than_one_cell(gamma_unit_ctx):
+    with pytest.raises(CrmError) as exc:
+        construct.DiscretizationPlan.build(gamma_unit_ctx, t=0.1, n=4)
+    assert str(exc.value) == "horizon t=0.1 shorter than one cell width 1/4"

@@ -235,7 +235,8 @@ def test_loglog_face_moments():
 
 def test_loglog_face_moments_of_the_log_log_statistic_come_from_its_cumulants():
     # on the face ln w = ln u_m + Exp(alpha), so E[(ln w)^m] is a binomial sum
-    # over the Exp moments j! / alpha^j; stat_moment declines k = 2 there
+    # over the Exp moments j! / alpha^j; stat_moment reads it from the cumulants
+    # of the pareto family at scale u_m, the law of w
     spec = expfam.make_family("pareto_loglog", scale=2.0)
     alpha, shift = 3.5, math.log(2.0)
     for m in range(1, 5):
@@ -973,3 +974,95 @@ def test_a_sample_size_that_is_not_a_nonnegative_integer_is_refused(size):
         bound.sample(np.random.default_rng(1), size)
     rng = np.random.default_rng(1)
     assert bound.sample(rng, np.int64(2)).shape == (2,) and bound.sample(rng, 0).shape == (0,)
+
+
+@pytest.mark.parametrize("eta_2", [-1.5, -2.5, -7.0])
+def test_loglog_face_cdf_and_quantile_are_the_pareto_law_of_ln_x(eta_2):
+    # on the face w = ln x is Pareto(u_m, -(eta_2 + 1)): the same doubles as the pareto family
+    loglog = expfam.make_family("pareto_loglog", scale=2.0).at([-1.0, eta_2])
+    pareto = expfam.make_family("pareto", scale=2.0).at([eta_2])
+    xs = np.exp([2.0 + 1e-9, 2.01, 2.5, 3.0, 7.5, 40.0])
+    assert loglog.cdf(xs).tobytes() == pareto.cdf(np.log(xs)).tobytes()
+    qs = np.array([1e-9, 0.1, 0.5, 0.8])  # w below 709.78, where e^w is finite
+    assert loglog.quantile(qs).tobytes() == np.exp(pareto.quantile(qs)).tobytes()
+
+
+@pytest.mark.parametrize("eta_1", [-1.0 + 1e-13, -1.0 + 1e-12, np.nextafter(-1.0, 0.0)])
+def test_loglog_first_coordinate_above_minus_one_is_outside_the_natural_space(eta_1):
+    # the face is eta_1 = -1 exactly: {eta_1 < -1} union {eta_1 = -1, eta_2 < -1}
+    loglog = expfam.make_family("pareto_loglog")
+    with pytest.raises(NaturalSpaceError) as exc:
+        loglog.check_natural([eta_1, -2.5])
+    assert (exc.value.coord, str(exc.value)) == (
+        1, f"pareto(log-log): first coordinate must be <= -1, got {eta_1}"
+    )
+    assert not loglog.in_natural_space([eta_1, -2.5])
+
+
+def test_loglog_newton_quantile_integrates_its_short_windows_with_quadpack(monkeypatch):
+    from crmkit import quadpack
+
+    spec = expfam.make_family("pareto_loglog")
+    want = spec.at([-2.0, -2.5]).quantile(0.5)  # gamma shape -1.5: Newton from w = u_m
+    rows = []
+    first_pass = quadpack.first_pass
+
+    def spied(f, a, b):
+        passes = first_pass(f, a, b)
+        rows.append(((a, b), len(passes)))
+        return passes
+
+    monkeypatch.setattr(quadpack, "first_pass", spied)
+    assert spec.at([-2.0, -2.5]).quantile(0.5) == want
+    assert rows and all(window == (0.0, 1.0) and n == 1 for window, n in rows)
+
+
+def test_loglog_short_windows_declined_by_the_first_pass_take_the_adaptive_routine(monkeypatch):
+    # the adaptive routine starts from the same 21-point rule on the same row,
+    # so where the first pass would have stopped it returns the same doubles
+    from crmkit import quadpack
+
+    bound = expfam.make_family("pareto_loglog").at([-2.0, -2.5])
+    xs = np.exp([1.05, 1.1, 1.2, 3.0])  # three short windows, w - u_m <= u_m / 4, and a long one
+    want = bound.cdf(xs)
+    first_pass, declined = quadpack.first_pass, []
+
+    def decline(f, a, b):
+        declined.append(len(first_pass(f, a, b)))
+        return [None] * declined[-1]
+
+    monkeypatch.setattr(quadpack, "first_pass", decline)
+    assert bound.cdf(xs).tobytes() == want.tobytes()
+    assert declined == [3]
+
+
+# refusal -> (call, its error type, its exact message)
+_EXPFAM_REFUSALS = {
+    "beta-moment-shape": (
+        lambda: expfam.raw_moment_beta(0.0, 2.0, 1), NaturalSpaceError, "beta parameters must be positive"
+    ),
+    "sample-each-shape": (
+        lambda: expfam.sample_each(expfam.make_family("gamma"), np.ones((3, 1)), np.random.default_rng(0)),
+        CrmError,
+        "gamma: expected eta array of shape (m, 2)",
+    ),
+    "path-no-component": (lambda: expfam.ParameterPath([]), CrmError, "parameter path needs at least one component"),
+    "override-dimension": (
+        lambda: expfam.ParameterPath(
+            [PiecewiseFunction.constant(1.0), PiecewiseFunction.constant(2.0)], {0.5: (1.0,)}
+        ),
+        CrmError,
+        "atom override at z=0.5 has wrong dimension",
+    ),
+    "shift-dimension": (
+        lambda: expfam.ParameterPath.constant([1.0, 2.0]).shifted([1.0]), CrmError, "shift vector dimension mismatch"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXPFAM_REFUSALS))
+def test_a_family_layer_refusal_names_its_cause(case):
+    call, error, message = _EXPFAM_REFUSALS[case]
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -1297,3 +1297,44 @@ def test_default_grid_of_each_config_component_equals_the_set_built_grid(name):
 def test_a_context_refuses_a_statistic_index_that_is_not_an_integer(k):
     with pytest.raises(CrmError, match=r"^gamma: statistic index k must satisfy 1 <= k <= 2, got"):
         LevyContext.build(make_family("gamma"), _AFFINE_RATE, BaseMeasure.lebesgue(1.0), k=k)
+
+
+def _unchecked(name, eta, k=1):
+    """A context of the family at a constant eta over a unit Lebesgue base, built unenforced."""
+    return LevyContext.build(
+        make_family(name), ParameterPath.constant(eta), BaseMeasure.lebesgue(1.0), k=k, require_conditions=False
+    )
+
+
+# refusal -> (call, its error type, its exact message)
+_LEVY_REFUSALS = {
+    "unknown-check": (lambda: _unchecked("gamma", [2.0, 3.0], 2).report.check("nope"), KeyError, "'nope'"),
+    "path-dimension": (
+        lambda: check_conditions(make_family("gamma"), ParameterPath.constant([1.0]), 1, [1.0]),
+        CrmError,
+        "path dimension 1 != family dimension 2",
+    ),
+    "empty-grid": (
+        lambda: check_conditions(make_family("gamma"), ParameterPath.constant([2.0, 3.0]), 2, []),
+        CrmError,
+        "condition grid must be nonempty and strictly positive",
+    ),
+    "no-inverse": (
+        lambda: levy_density_u(_unchecked("lognormal", [2.0]), 1.0, 0.5),
+        CrmError,
+        "statistic 'half_sq_centered_log' has no declared inverse",
+    ),
+    "discrete-activity": (
+        lambda: classify_activity(_unchecked("poisson", [0.0]), 1.0),
+        CrmError,
+        "activity classification needs a continuous support",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LEVY_REFUSALS))
+def test_a_levy_refusal_names_its_cause(case):
+    call, error, message = _LEVY_REFUSALS[case]
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -744,3 +744,9 @@ def test_evaluate_path_refuses_a_nan_t():
         with pytest.raises(CrmError, match="path evaluation needs t >= 0"):
             evaluate_path(draw, t)
     assert evaluate_path(draw, math.inf) == 5.0
+
+
+def test_a_likelihood_draw_refuses_atom_arrays_of_different_shapes():
+    with pytest.raises(CrmError) as exc:
+        sampler.LikelihoodDraw(np.zeros(2), np.zeros(3), np.zeros(2, dtype=int), "draw")
+    assert str(exc.value) == "atom arrays must share one shape"
