@@ -40,11 +40,6 @@ def _dist_version(name: str) -> str:
     return importlib.metadata.version(name)
 
 
-def _check_seed(seed) -> None:
-    if seed is not None and seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
-
-
 def _write_run(out, files: dict, **fields) -> None:
     """Write a run into the directory ``out``, made if missing: each file of
     ``files`` (name -> text), then ``manifest.json``, which holds ``fields``,
@@ -64,12 +59,6 @@ def _write_run(out, files: dict, **fields) -> None:
     (out_dir / "manifest.json").write_text(json.dumps(fields, indent=2, sort_keys=True) + "\n")
 
 
-def _table_csv(header, columns) -> str:
-    """A header line, then one row per entry of the columns: ints by ``str``,
-    floats by ``repr``, through the formatter that writes ``atoms.csv``."""
-    return ",".join(header) + "\n" + sampler._floatrepr().csv_rows(columns)
-
-
 def cmd_sample(args) -> int:
     obj = cfg.load_json(Path(args.config).read_text())
     contexts, z_max_cfg = cfg.parse_sample_config(obj)
@@ -80,14 +69,15 @@ def cmd_sample(args) -> int:
         raise ConfigError(f"--zmax must be positive, got {z_max}")
     if args.truncation is not None and args.truncation < 1:
         raise ConfigError(f"--truncation must be >= 1, got {args.truncation}")
-    _check_seed(args.seed)
+    if args.seed < 0:  # default_rng would refuse it with a bare ValueError
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
 
     rng = np.random.default_rng(args.seed)
     draw = sampler.sample_crm(contexts, z_max, rng, truncation=args.truncation)
 
     atoms_csv = draw.csv_text()
     ts = np.linspace(0.0, z_max, _PATH_GRID_POINTS)
-    path_csv = _table_csv(("t", "value"), (ts, sampler.evaluate_path(draw, ts)))
+    path_csv = sampler._table_csv(("t", "value"), (ts, sampler.evaluate_path(draw, ts)))
     _write_run(
         args.out,
         {"atoms.csv": atoms_csv, "path.csv": path_csv},
@@ -105,9 +95,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_seed(args.seed)
-    if args.replicates is not None and args.replicates < 2:
-        raise ConfigError(f"--replicates must be >= 2, got {args.replicates}")
     names = verify.suite_names() if args.suite == "all" else (args.suite,)
     results = []
     for name in names:
@@ -121,7 +108,7 @@ def cmd_verify(args) -> int:
     files = {"report.csv": verify.report_csv(*results)}
     for res in results:
         for fname, (header, rows) in res.tables.items():
-            files[fname] = _table_csv(header, list(zip(*rows)))
+            files[fname] = sampler._table_csv(header, list(zip(*rows)))
     _write_run(
         args.out, files, command="verify", suites=list(names), seed=args.seed, replicates=args.replicates
     )
@@ -165,15 +152,13 @@ def cmd_posterior(args) -> int:
     pair, ctx = cfg.parse_prior_config(obj)
     observations = _read_observations(Path(args.observations))
     values = [v for _, v in observations]
-    component = obj["component"]
     diff = [f"pair: {pair.name}", f"mode: {args.mode}", f"observations: {len(values)}"]
 
     if args.mode == "uniform":
         # shift checks each observation's support; updating the shifted path
         # by no further observations checks that it stays in the natural space
         delta = pair.shift(values)
-        conj.posterior_path(pair, ctx.path.shifted(delta), [])
-        post_component = cfg.shift_component_obj(component, delta)
+        post = conj.posterior_path(pair, ctx.path.shifted(delta), [])
         diff.append(
             "shift: (" + ", ".join(f"{d:+g}" for d in delta) + ") applied to every coordinate"
         )
@@ -184,12 +169,12 @@ def cmd_posterior(args) -> int:
         for loc, v in observations:
             grouped.setdefault(float(loc), []).append(v)
         post = conj.posterior_path(pair, ctx.path, grouped, mode="per-atom")
-        overrides = {loc: post.atom_overrides[loc] for loc in sorted(grouped)}
+        locs = sorted(grouped)
         # an override acts on the measure only through a point mass of the base
         point_masses = {loc for loc, mass in ctx.base.jumps if mass > 0}
-        for (loc, eta), prior_eta in zip(overrides.items(), ctx.path.eval_many(list(overrides))):
+        for loc, prior_eta in zip(locs, ctx.path.eval_many(locs)):
             before = ", ".join(f"{v:g}" for v in prior_eta)
-            after = ", ".join(f"{v:g}" for v in eta)
+            after = ", ".join(f"{v:g}" for v in post.atom_overrides[loc])
             diff.append(f"atom {loc!r}: ({before}) -> ({after})")
             if loc not in point_masses:
                 print(
@@ -197,11 +182,10 @@ def cmd_posterior(args) -> int:
                     "leaves the law of the posterior unchanged",
                     file=sys.stderr,
                 )
-        post_component = cfg.override_component_obj(component, overrides)
     if not values:
         diff.append("no observations: posterior equals prior")
 
-    post_obj = {"pair": obj["pair"], "component": post_component}
+    post_obj = {"pair": obj["pair"], "component": dict(obj["component"], **cfg.path_to_obj(post))}
     _write_run(
         args.out,
         {

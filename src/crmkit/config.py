@@ -20,13 +20,17 @@ numbers and report their errors under /pareto_series/...; prior configs hold
 outside its schema, the values of "params" and "fixed" are numbers, every
 number is finite (as JSON has no NaN or Infinity), and every validation error
 carries the JSON pointer of the value at fault.
+
+:func:`path_to_obj` writes a :class:`~crmkit.expfam.ParameterPath` back as
+the "path" and "atom_overrides" of a component object, every number a float;
+``crm posterior`` writes the updated path of a prior this way.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,9 +49,7 @@ __all__ = [
     "parse_component",
     "parse_sample_config",
     "parse_prior_config",
-    "component_to_obj",
-    "shift_component_obj",
-    "override_component_obj",
+    "path_to_obj",
 ]
 
 _INF = float("inf")
@@ -309,38 +311,24 @@ def parse_prior_config(obj) -> tuple[ConjugatePair, LevyContext]:
     return pair, ctx
 
 
-def component_to_obj(component_obj: dict) -> dict:
-    """Deep copy via the JSON round trip; keeps only schema content."""
-    return json.loads(json.dumps(component_obj))
+def _piece_obj(p: Piece) -> dict:
+    if p.kind not in ("const", "affine"):
+        raise CrmError(f"{p.kind} piece on ({p.lo}, {p.hi}] has no config form")
+    obj = {"from": float(p.lo)}
+    if p.hi != _INF:
+        obj["to"] = float(p.hi)
+    obj[p.kind] = float(p.c0) if p.kind == "const" else [float(p.c0), float(p.c1)]
+    return obj
 
 
-def shift_component_obj(component_obj: dict, delta: Sequence[float]) -> dict:
-    """The component with every path coordinate translated by delta."""
-    out = component_to_obj(component_obj)
-    path = out["path"]
-    if len(delta) != len(path):
-        raise ConfigError(f"delta has {len(delta)} coordinates, path {len(path)}")
-    for coord, d in zip(path, delta):
-        for piece in coord:
-            if "const" in piece:
-                piece["const"] = piece["const"] + d
-            elif "affine" in piece:
-                piece["affine"][0] = piece["affine"][0] + d
-            else:
-                raise ConfigError("only const/affine path pieces can be updated")
-    if "atom_overrides" in out:
-        out["atom_overrides"] = [
-            [loc, [v + d for v, d in zip(vals, delta)]]
-            for loc, vals in out["atom_overrides"]
-        ]
-    return out
-
-
-def override_component_obj(component_obj: dict, overrides: dict) -> dict:
-    """The component with per-atom natural-parameter overrides added."""
-    out = component_to_obj(component_obj)
-    merged = {float(loc): list(vals) for loc, vals in out.get("atom_overrides", [])}
-    for loc, eta in overrides.items():
-        merged[float(loc)] = [float(v) for v in np.asarray(eta)]
-    out["atom_overrides"] = [[loc, merged[loc]] for loc in sorted(merged)]
+def path_to_obj(path: ParameterPath) -> dict:
+    """The "path" and, where the path has any, the "atom_overrides" of a
+    component object that :func:`parse_component` reads back as ``path``:
+    each piece as {"from", "to" (omitted at infinity), "const" | "affine"},
+    the overrides sorted by location.  A ratio or func piece, which no config
+    path holds, is refused."""
+    out = {"path": [[_piece_obj(p) for p in comp.pieces] for comp in path.components]}
+    overrides = path.atom_overrides
+    if overrides:
+        out["atom_overrides"] = [[float(z), [float(v) for v in overrides[z]]] for z in sorted(overrides)]
     return out

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrmError, _integer, _real
+from .errors import CrmError, TruncationError, _integer, _real
 from .levy import LevyContext, _check_theta, laplace_exponent, stat_laplace
 
 __all__ = [
@@ -109,7 +109,7 @@ def _draw_totals(
     small = masses <= 1.0
     # a count-mode cell is never kept: no uniform falls below 0
     keep_below = np.where(small, masses, 0.0)
-    counted = [(masses[j], etas[j]) for j in np.flatnonzero(~small)]
+    counted = [(j, masses[j], etas[j]) for j in np.flatnonzero(~small)]
     shared = etas[0] if np.all(etas == etas[0]) else None
     sampler, value = ctx.family.sampler, ctx.stat().value
     chunk = max(1, _CHUNK_CELLS // hi)
@@ -121,8 +121,14 @@ def _draw_totals(
         if len(rows):
             draws = sampler(etas[cells] if shared is None else shared, rng, len(rows))
             out += np.bincount(rows, weights=value(draws), minlength=r)
-        for mass, eta in counted:
-            counts = rng.poisson(mass, r)
+        for j, mass, eta in counted:
+            try:
+                counts = rng.poisson(mass, r)
+            except ValueError:  # numpy draws no Poisson count of a mean above about 9.2e18
+                raise TruncationError(
+                    f"cell {j + 1} has base mass {mass}, too large for a Poisson count; "
+                    "restrict the base density"
+                ) from None
             n_draws = int(counts.sum())
             if n_draws:
                 draws = sampler(eta, rng, n_draws)

@@ -72,7 +72,8 @@ class DivergenceError(CrmError):
 
 
 class TruncationError(CrmError):
-    """A sampling region carries infinite base mass and must be restricted."""
+    """A sampling region carries more base mass than a draw can hold (an
+    infinite mass, or one too large for a Poisson count) and must be restricted."""
 
 
 class AtomLinkError(CrmError):

@@ -82,9 +82,8 @@ class CRMDraw:
         return int(self.locations.size)
 
     def csv_text(self) -> str:
-        return _atoms_csv(
-            "component,location,weight", self.component_index, self.locations, self.weights
-        )
+        columns = (self.component_index, self.locations, self.weights)
+        return _table_csv(("component", "location", "weight"), columns)
 
     @property
     def draw_id(self) -> str:
@@ -118,12 +117,12 @@ class LikelihoodDraw:
         return int(self.locations.size)
 
     def csv_text(self) -> str:
-        return _atoms_csv(
-            "component,location,observation",
-            self.component_index,
-            self.locations,
-            self.observations,
+        columns = (
+            np.asarray(self.component_index, dtype=int),
+            np.asarray(self.locations, dtype=float),
+            np.asarray(self.observations, dtype=float),
         )
+        return _table_csv(("component", "location", "observation"), columns)
 
 
 @functools.cache
@@ -135,20 +134,18 @@ def _floatrepr():
     return floatrepr
 
 
-def _atoms_csv(header: str, component, locations, values) -> str:
-    """Header plus one "component,location,value" row per atom.
+def _table_csv(header, columns) -> str:
+    """A header line, the names joined by commas, then one row per entry of
+    the equal-length columns: an int column's cells as ``str`` writes them,
+    any other column's as ``repr`` writes floats, Python's shortest round-trip
+    form.
 
-    Each float is written exactly as ``repr`` writes it, Python's shortest
-    round-trip form, but a column at a time: :mod:`crmkit.floatrepr` runs the
+    :mod:`crmkit.floatrepr` writes them a column at a time, running the
     Schubfach shortest-digit algorithm over whole numpy columns, so no
-    Python object is made per float.
+    Python object is made per float.  ``atoms.csv``, ``path.csv`` and the
+    tables of ``crm verify`` are all written here.
     """
-    columns = (
-        np.asarray(component, dtype=int),
-        np.asarray(locations, dtype=float),
-        np.asarray(values, dtype=float),
-    )
-    return header + "\n" + _floatrepr().csv_rows(columns)
+    return ",".join(header) + "\n" + _floatrepr().csv_rows(columns)
 
 
 def text_id(text: str) -> str:
@@ -216,7 +213,13 @@ def sample_crm(
                     f"component {n}: base density piece on ({lo}, {hi}] has mass {piece_mass} "
                     "but no upper end to place atoms in; restrict the region"
                 )
-        count = int(rng.poisson(mass))
+        try:
+            count = int(rng.poisson(mass))
+        except ValueError:  # numpy draws no Poisson count of a mean above about 9.2e18
+            raise TruncationError(
+                f"component {n} has base mass {mass} over (0, {z_max}], too large for a "
+                "Poisson count; restrict the region or the base density"
+            ) from None
         if count == 0:
             continue
         z = _sample_locations(pieces, jumps, count, rng)

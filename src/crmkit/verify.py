@@ -23,7 +23,7 @@ import numpy as np
 
 from . import conjugacy as conj
 from . import construct, expfam, levy
-from .errors import CrmError, _integer, _registered
+from .errors import ConfigError, CrmError, _integer, _registered
 from .expfam import ParameterPath, _special
 from .levy import BaseMeasure, LevyContext
 from .piecewise import Piece, PiecewiseFunction, checked_quad
@@ -507,9 +507,11 @@ def suite_names() -> tuple[str, ...]:
 
 def run_suite(name: str, seed=None, replicates=None) -> SuiteResult:
     """Run one suite; ``seed`` (an integer >= 0) and ``replicates`` (an integer
-    >= 2) replace the suite's pinned values where they are not None."""
+    >= 2) replace the suite's pinned values where they are not None.  Any
+    other value is refused with a :class:`ConfigError`, which ``crm verify``
+    reports as a config error."""
     suite = _registered(_SUITES, name, "suite", tuple)
     for what, value, least in (("seed", seed, 0), ("replicates", replicates, 2)):
         if not (value is None or (_integer(value) and value >= least)):
-            raise CrmError(f"{what} must be an integer >= {least}, got {value}")
+            raise ConfigError(f"{what} must be an integer >= {least}, got {value}")
     return suite(seed, replicates)

@@ -173,13 +173,25 @@ def test_verify_filter_that_matches_nothing_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "report.csv").exists()
 
 
+def test_a_region_too_large_for_a_poisson_count_is_an_error_not_a_traceback(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = run("sample", "--config", CONFIG_DIR / "gamma.json", "--seed", 1, "--zmax", 1e308, "--out", out)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: component 1 has base mass 1e+308 over (0, 1e+308], too large for a Poisson count; "
+        "restrict the region or the base density\n"
+    )
+    assert not out.exists()
+
+
 def test_negative_seed_is_a_config_error(tmp_path, capsys):
     rc = run("sample", "--config", CONFIG_DIR / "gamma.json", "--seed", -1, "--out", tmp_path)
     assert rc == 2
     assert "config error: --seed must be >= 0, got -1" in capsys.readouterr().err
+    # crm verify takes the rule of verify.run_suite, and its text
     rc = run("verify", "--suite", "laplace", "--seed", -3, "--out", tmp_path)
     assert rc == 2
-    assert "config error: --seed must be >= 0, got -3" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: seed must be an integer >= 0, got -3\n"
     assert not (tmp_path / "atoms.csv").exists() and not (tmp_path / "report.csv").exists()
 
 
@@ -188,7 +200,7 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
 def test_fewer_than_two_replicates_is_a_config_error(tmp_path, capsys, suite, replicates):
     rc = run("verify", "--suite", suite, "--replicates", replicates, "--out", tmp_path)
     assert rc == 2
-    assert f"config error: --replicates must be >= 2, got {replicates}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: replicates must be an integer >= 2, got {replicates}\n"
     assert not (tmp_path / "report.csv").exists()
 
 
@@ -309,6 +321,38 @@ def test_posterior_uniform_shifts_an_affine_piece_and_an_atom_override(tmp_path)
     }
     assert (out / "posterior_config.json").read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
     assert "shift: (+1, +2.5) applied to every coordinate" in (out / "diff.txt").read_text()
+
+
+def test_posterior_per_atom_writes_an_integer_written_prior_as_floats_that_read_back(tmp_path):
+    prior = {
+        "pair": {"name": "beta-bernoulli"},
+        "component": {
+            "family": {"name": "beta"},
+            "k": 1,
+            "path": [[{"from": 0, "to": 5, "const": 2}], [{"from": 0, "to": 5, "affine": [3, 1]}]],
+            "base": {"pieces": [{"from": 0, "to": 5, "const": 1}], "jumps": [[2, 1]]},
+            "atom_overrides": [[4, [1, 2]]],
+        },
+    }
+    config, obs = tmp_path / "prior.json", tmp_path / "obs.csv"
+    config.write_text(json.dumps(prior))
+    obs.write_text("location,value\n2,1\n")
+    out = tmp_path / "run"
+    assert run("posterior", "--config", config, "--observations", obs, "--mode", "per-atom", "--out", out) == 0
+    post = json.loads((out / "posterior_config.json").read_text())
+    # the path and overrides are written as floats; the family, k and base as given
+    want = dict(
+        prior["component"],
+        path=[[{"from": 0.0, "to": 5.0, "const": 2.0}], [{"from": 0.0, "to": 5.0, "affine": [3.0, 1.0]}]],
+        atom_overrides=[[2.0, [3.0, 5.0]], [4.0, [1.0, 2.0]]],
+    )
+    # json.dumps tells 2 from 2.0, which == does not
+    assert json.dumps(post["component"], sort_keys=True) == json.dumps(want, sort_keys=True)
+    _, written = crmkit.parse_prior_config(post)
+    _, given = crmkit.parse_prior_config(prior)
+    zs = [1.0, 2.0, 4.0, 5.0]
+    want = given.path.with_override(2.0, [3.0, 5.0]).eval_many(zs)
+    assert np.array_equal(written.path.eval_many(zs), want)
 
 
 def test_posterior_out_of_support_observation_exits_1(tmp_path):

@@ -8,7 +8,9 @@ import pytest
 
 from crmkit import cli, errors
 from crmkit import config as cfg
-from crmkit.errors import ConfigError
+from crmkit.errors import ConfigError, CrmError
+from crmkit.expfam import ParameterPath
+from crmkit.piecewise import Piece, PiecewiseFunction
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -97,16 +99,17 @@ def test_atom_overrides_parse():
     np.testing.assert_allclose(ctx.path.eval(0.6), [2.0, 3.0])
 
 
-def test_an_override_location_repeated_by_a_posterior_is_merged_not_repeated():
+def test_an_override_location_the_prior_already_overrides_is_written_once():
     obj = json.loads(json.dumps(GAMMA_COMPONENT))
-    obj["atom_overrides"] = [[0.5, [4.0, 5.0]]]
-    out = cfg.override_component_obj(obj, {0.5: np.array([9.0, 9.0])})
-    assert out["atom_overrides"] == [[0.5, [9.0, 9.0]]]
+    obj["atom_overrides"] = [[0.5, [4.0, 5.0]], [1.5, [6.0, 7.0]]]
+    path = cfg.parse_component(obj).path.with_override(0.5, [9.0, 9.0])
+    out = dict(obj, **cfg.path_to_obj(path))
+    assert out["atom_overrides"] == [[0.5, [9.0, 9.0]], [1.5, [6.0, 7.0]]]
     np.testing.assert_allclose(cfg.parse_component(out).path.eval(0.5), [9.0, 9.0])
     obj["atom_overrides"].append([0.5, [9.0, 9.0]])
     with pytest.raises(ConfigError) as exc:
         cfg.parse_component(obj)
-    assert exc.value.pointer == "/component/atom_overrides/1"
+    assert exc.value.pointer == "/component/atom_overrides/2"
 
 
 def test_enforce_conditions_flag():
@@ -199,19 +202,51 @@ def test_an_unknown_family_name_is_refused_at_the_family(params):
     )
 
 
-def test_shift_component_obj():
-    shifted = cfg.shift_component_obj(GAMMA_COMPONENT, [1.5, -0.5])
-    ctx = cfg.parse_component(shifted)
-    np.testing.assert_allclose(ctx.path.eval(1.0), [3.5, 2.5])
-    # the original object is untouched
-    assert GAMMA_COMPONENT["path"][0][0]["const"] == 2.0
+# paths a component object can hold: const and affine pieces, finite and
+# infinite ends, atom overrides (given out of order)
+_WRITTEN_PATHS = {
+    "const": ([[{"from": 0.0, "const": 2.0}], [{"from": 0.0, "const": 3.0}]], []),
+    "affine-finite-ends": (
+        [
+            [{"from": 0.0, "to": 1.5, "affine": [2.0, 0.5]}, {"from": 1.5, "to": 4.0, "const": 2.75}],
+            [{"from": 0.0, "to": 4.0, "affine": [3.0, -0.25]}],
+        ],
+        [],
+    ),
+    "overrides": (
+        [[{"from": 0.0, "const": 2.0}], [{"from": 0.0, "to": 2.5, "affine": [1.0, 1e-3]}]],
+        [[2.0, [5.0, 6.5]], [0.25, [4.0, 0.125]]],
+    ),
+}
 
 
-def test_override_component_obj():
-    out = cfg.override_component_obj(GAMMA_COMPONENT, {0.5: np.array([9.0, 9.0])})
-    ctx = cfg.parse_component(out)
-    np.testing.assert_allclose(ctx.path.eval(0.5), [9.0, 9.0])
-    np.testing.assert_allclose(ctx.path.eval(1.5), [2.0, 3.0])
+@pytest.mark.parametrize("case", sorted(_WRITTEN_PATHS))
+def test_a_written_path_reads_back_as_the_same_path(case):
+    coords, overrides = _WRITTEN_PATHS[case]
+    obj = dict(GAMMA_COMPONENT, path=coords, atom_overrides=overrides)
+    for path in (cfg.parse_component(obj).path, cfg.parse_component(obj).path.shifted([1.5, -0.5])):
+        written = dict(obj, **cfg.path_to_obj(path))
+        back = cfg.parse_component(written).path
+        zs = [z for z in path.breakpoints() if 0 < z < math.inf] + sorted(path.atom_overrides) + [0.1, 2.4]
+        assert np.array_equal(back.eval_many(zs), path.eval_many(zs))
+        assert back.atom_overrides.keys() == path.atom_overrides.keys()
+        assert cfg.path_to_obj(back) == cfg.path_to_obj(path)
+        assert json.dumps(dict(obj, **cfg.path_to_obj(back))) == json.dumps(written)
+        assert [loc for loc, _ in written["atom_overrides"]] == sorted(loc for loc, _ in overrides)
+        # a piece's "to" is written where it is finite and only there
+        assert [["to" in p for p in coord] for coord in written["path"]] == [
+            ["to" in p for p in coord] for coord in coords
+        ]
+
+
+def test_a_path_with_a_ratio_or_func_piece_has_no_config_form():
+    ratio = Piece(0.0, 2.0, "ratio", c0=1.0, c1=0.0, d0=1.0, d1=1.0)
+    path = ParameterPath([PiecewiseFunction([ratio]), PiecewiseFunction.constant(3.0)])
+    with pytest.raises(CrmError, match=r"^ratio piece on \(0.0, 2.0\] has no config form$"):
+        cfg.path_to_obj(path)
+    path = ParameterPath([PiecewiseFunction.from_callable(lambda z: 2.0), PiecewiseFunction.constant(3.0)])
+    with pytest.raises(CrmError, match=r"^func piece on \(0.0, inf\] has no config form$"):
+        cfg.path_to_obj(path)
 
 
 @pytest.mark.parametrize("text", ["NaN", "-1.0", "0", "Infinity"])
@@ -397,11 +432,6 @@ def test_a_pareto_series_refuses_a_count_above_its_bound_before_building_a_conte
     assert str(exc.value) == f"/pareto_series/components: components must be <= 10000, got {count}"
 
 
-def _shift_ratio_path():
-    ratio = {"from": 0.0, "ratio": [1.0, 0.0, 1.0, 1.0]}
-    return cfg.shift_component_obj(dict(GAMMA_COMPONENT, path=[[ratio], GAMMA_COMPONENT["path"][1]]), [1.0, 1.0])
-
-
 # refusal -> (call, its exact message)
 _CONFIG_REFUSALS = {
     "unreadable-file": (
@@ -416,8 +446,6 @@ _CONFIG_REFUSALS = {
         lambda: cfg.parse_component(dict(GAMMA_COMPONENT, path=GAMMA_COMPONENT["path"][:1])),
         "/component/path: path needs 2 coordinate(s), got 1",
     ),
-    "shift-length": (lambda: cfg.shift_component_obj(GAMMA_COMPONENT, [1.0]), "delta has 1 coordinates, path 2"),
-    "shift-ratio-piece": (_shift_ratio_path, "only const/affine path pieces can be updated"),
 }
 
 

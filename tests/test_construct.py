@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crmkit import construct, expfam
-from crmkit.errors import CrmError, NaturalSpaceError
+from crmkit.errors import CrmError, NaturalSpaceError, TruncationError
 from crmkit.expfam import ParameterPath, make_family
 from crmkit.levy import BaseMeasure, LevyContext, laplace_exponent
 from crmkit.piecewise import Piece, PiecewiseFunction
@@ -48,6 +48,19 @@ def test_discrete_laplace_poisson_branch():
     plan = construct.DiscretizationPlan.build(ctx, t=1.0, n=2)
     want = math.exp(-2.5 * (1.0 - 9.0 / 16.0))
     assert construct.discrete_laplace(ctx, plan, 1.0, 1.0) == pytest.approx(want, rel=1e-12)
+
+
+def test_a_count_mode_cell_numpy_cannot_draw_a_poisson_count_of_is_a_truncation_error():
+    # numpy refuses a mean above about 9.2e18 before it allocates anything
+    ctx = LevyContext.build(
+        make_family("gamma"), ParameterPath.constant([2.0, 3.0]), BaseMeasure.lebesgue(1e300), k=2
+    )
+    plan = construct.DiscretizationPlan.build(ctx, t=1.0, n=4)
+    message = "^cell 1 has base mass 2.5e\\+299, too large for a Poisson count; restrict the base density$"
+    with pytest.raises(TruncationError, match=message):
+        construct.empirical_laplace(ctx, plan, 1.0, 1.0, 2, np.random.default_rng(1))
+    with pytest.raises(TruncationError, match=message):
+        construct.sample_discretized(ctx, plan, 1.0, np.random.default_rng(1))
 
 
 # name -> (family, path, base, k, n, theta, distinct etas, discrete_laplace

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crmkit import cli, floatrepr, sampler
+from crmkit import floatrepr, sampler
 from crmkit.floatrepr import csv_rows
 
 
@@ -131,9 +131,9 @@ def test_atoms_csv_matches_the_per_row_loop(size):
     component = np.sort(rng.integers(1, 40, size))  # indices of one and two digits
     locations = np.sort(rng.random(size) * 30.0)
     weights = rng.gamma(0.3, 1.0, size) * 10.0 ** rng.integers(-9, 9, size)
-    header = "component,location,weight"
-    assert sampler._atoms_csv(header, component, locations, weights) == _old_atoms_csv(
-        header, component, locations, weights
+    header = ("component", "location", "weight")
+    assert sampler._table_csv(header, (component, locations, weights)) == _old_atoms_csv(
+        ",".join(header), component, locations, weights
     )
 
 
@@ -151,5 +151,5 @@ def test_likelihood_observations_match_the_per_row_loop():
 def test_cli_tables_match_the_per_cell_format():
     rows = [(n, 1.0 / n, n * 1e-9, 0.5, 2.0**-n) for n in (8, 32, 128, 512)]
     header = ("n", "estimate", "se", "oracle", "gap")
-    assert cli._table_csv(header, list(zip(*rows))) == _old_table_csv(header, rows)
-    assert cli._table_csv(header, []) == _old_table_csv(header, [])
+    assert sampler._table_csv(header, list(zip(*rows))) == _old_table_csv(header, rows)
+    assert sampler._table_csv(header, []) == _old_table_csv(header, [])

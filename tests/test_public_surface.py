@@ -91,9 +91,7 @@ MODULE_ALL = {
         "parse_component",
         "parse_sample_config",
         "parse_prior_config",
-        "component_to_obj",
-        "shift_component_obj",
-        "override_component_obj",
+        "path_to_obj",
     ],
     "conjugacy": [
         "ConjugatePair",
@@ -268,6 +266,25 @@ def test_importing_the_cli_loads_every_module_the_benchmark_tracer_wraps(crmkit_
     traced = ["config", "conjugacy", "construct", "expfam", "levy", "piecewise", "sampler", "verify"]
     loaded = crmkit_modules_after("import crmkit.cli")
     assert {f"crmkit.{m}" for m in traced} <= set(loaded), loaded
+
+
+def test_every_target_of_the_benchmark_tracer_is_on_its_owner_with_its_kind(fresh_interpreter):
+    # the tracer replaces each target in its owner's namespace, so a target
+    # deleted, moved to a base class or turned into another kind of attribute
+    # (a cached_property for a property) breaks a traced benchmark run
+    spans = Path(__file__).resolve().parents[1] / "crmbench" / "spans.py"
+    code = f"""
+import importlib.util
+import crmkit.cli
+spec = importlib.util.spec_from_file_location("spans", {str(spans)!r})
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+kinds = {{"classmethod": lambda v: isinstance(v, classmethod), "property": lambda v: isinstance(v, property)}}
+targets = spans._targets()
+bad = [name for name, owner, attr, kind in targets if not kinds.get(kind, callable)(vars(owner).get(attr))]
+print((len(targets), bad))
+"""
+    assert fresh_interpreter(code) == (26, [])
 
 
 def test_the_package_names_resolve_on_first_access(fresh_interpreter):

@@ -627,8 +627,8 @@ def test_draw_id_is_kept_after_the_first_access(monkeypatch):
     draw = sample_crm([_affine_base_ctx()], 2.0, np.random.default_rng(8))
     first = draw.draw_id
     calls = []
-    atoms_csv = sampler._atoms_csv
-    monkeypatch.setattr(sampler, "_atoms_csv", lambda *a: calls.append(a) or atoms_csv(*a))
+    table_csv = sampler._table_csv
+    monkeypatch.setattr(sampler, "_table_csv", lambda *a: calls.append(a) or table_csv(*a))
     assert draw.draw_id == first
     assert calls == []
     assert first == sampler.text_id(draw.csv_text())
