@@ -42,12 +42,16 @@ def _dist_version(name: str) -> str:
 
 def _write_run(out, files: dict, **fields) -> None:
     """Write a run into the directory ``out``, made if missing: each file of
-    ``files`` (name -> text), then ``manifest.json``, which holds ``fields``,
-    the creation time, the versions and ``outputs``, the names of ``files``."""
+    ``files`` (name -> text, or bytes written as they are), then
+    ``manifest.json``, which holds ``fields``, the creation time, the
+    versions and ``outputs``, the names of ``files``."""
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (out_dir / name).write_text(text)
+    for name, data in files.items():
+        if isinstance(data, str):
+            (out_dir / name).write_text(data)
+        else:
+            (out_dir / name).write_bytes(data)
     fields["outputs"] = list(files)
     fields["created_utc"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     fields["versions"] = {
@@ -75,7 +79,7 @@ def cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
     draw = sampler.sample_crm(contexts, z_max, rng, truncation=args.truncation)
 
-    atoms_csv = draw.csv_text()
+    atoms_csv = draw.csv_bytes()
     ts = np.linspace(0.0, z_max, _PATH_GRID_POINTS)
     path_csv = sampler._table_csv(("t", "value"), (ts, sampler.evaluate_path(draw, ts)))
     _write_run(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrmError, TruncationError, _integer, _real
+from .errors import _MAX_ATOMS, CrmError, TruncationError, _integer, _real
 from .levy import LevyContext, _check_theta, laplace_exponent, stat_laplace
 
 __all__ = [
@@ -93,9 +93,11 @@ def _draw_totals(
     order: one (r, cells) uniform block, a small cell being kept where its
     uniform falls below its mass; one family batch over the kept cells, in
     replicate then cell order; and per count-mode cell (mass > 1) a vector of
-    r Poisson counts and one batch of their total.  A replicate's total is the
-    sequential sum (``np.bincount``) of its kept cells' statistics, in cell
-    order, plus that of each count-mode cell's statistics in turn.  When every
+    r Poisson counts and one batch of their total.  Count-mode cells whose
+    summed mass passes ``errors._MAX_ATOMS`` are refused before any draw.  A
+    replicate's total is the sequential sum (``np.bincount``) of its kept
+    cells' statistics, in cell order, plus that of each count-mode cell's
+    statistics in turn.  When every
     cell of the window has one eta, the batch passes that eta once, which
     draws what the per-row batch draws (``BoundFamily.sample``).  The plan
     checked every cell's eta when it was built, so no draw binds the family
@@ -109,6 +111,15 @@ def _draw_totals(
     small = masses <= 1.0
     # a count-mode cell is never kept: no uniform falls below 0
     keep_below = np.where(small, masses, 0.0)
+    # the atoms a replicate expects from the count-mode cells, before any draw
+    counted_mass = np.cumsum(masses - keep_below)
+    if not counted_mass[-1] <= _MAX_ATOMS:
+        j = int(np.argmax(~(counted_mass <= _MAX_ATOMS)))
+        raise TruncationError(
+            f"cell {j + 1} brings the summed base mass of the count-mode cells to "
+            f"{counted_mass[j]}, more than the {_MAX_ATOMS:g} expected atoms a draw may "
+            "hold; restrict the base density"
+        )
     counted = [(j, masses[j], etas[j]) for j in np.flatnonzero(~small)]
     shared = etas[0] if np.all(etas == etas[0]) else None
     sampler, value = ctx.family.sampler, ctx.stat().value
@@ -122,13 +133,7 @@ def _draw_totals(
             draws = sampler(etas[cells] if shared is None else shared, rng, len(rows))
             out += np.bincount(rows, weights=value(draws), minlength=r)
         for j, mass, eta in counted:
-            try:
-                counts = rng.poisson(mass, r)
-            except ValueError:  # numpy draws no Poisson count of a mean above about 9.2e18
-                raise TruncationError(
-                    f"cell {j + 1} has base mass {mass}, too large for a Poisson count; "
-                    "restrict the base density"
-                ) from None
+            counts = rng.poisson(mass, r)
             n_draws = int(counts.sum())
             if n_draws:
                 draws = sampler(eta, rng, n_draws)

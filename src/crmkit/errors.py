@@ -73,7 +73,13 @@ class DivergenceError(CrmError):
 
 class TruncationError(CrmError):
     """A sampling region carries more base mass than a draw can hold (an
-    infinite mass, or one too large for a Poisson count) and must be restricted."""
+    infinite mass, or more than ``_MAX_ATOMS`` expected atoms) and must be
+    restricted."""
+
+
+# The most expected atoms, a summed base mass, that one draw may hold; a draw
+# of more is refused before any count is drawn or any array is allocated
+_MAX_ATOMS = 1e8
 
 
 class AtomLinkError(CrmError):

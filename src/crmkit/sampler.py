@@ -10,10 +10,12 @@ point mass) are sorted again by their place in the concatenated draws.
 
 Each component is sampled over whole arrays of atoms.  One walk of its base
 measure (:meth:`~crmkit.levy.BaseMeasure.segments`) integrates each piece
-once and gives both the Poisson mean and the segments; a negative piece
-mass is refused before the count is drawn.  One array of uniforms picks
-every atom's segment; point masses are assigned directly, and each piece
-(covering (lo, hi]) places its atoms with
+once and gives both the Poisson mean and the segments.  Every kept
+component is walked before any count is drawn, so a negative piece mass, or
+a summed base mass of more than ``errors._MAX_ATOMS`` (10^8) expected
+atoms, is refused before anything is drawn or allocated.  One array of
+uniforms picks every atom's segment; point masses are assigned directly, and
+each piece (covering (lo, hi]) places its atoms with
 :meth:`~crmkit.piecewise.Piece.locate`, the inverse of its mass: in closed
 form for constant and affine pieces, by Newton's method on the exact mass
 for ratio pieces, and atom by atom with brentq only for callable pieces
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import expfam
 from .errors import AtomLinkError, CrmError, DivergenceError, NaturalSpaceError, TruncationError
-from .errors import _horizon, _integer, _registered
+from .errors import _MAX_ATOMS, _horizon, _integer, _registered
 from .expfam import ExpFamilySpec, _special
 from .levy import LevyContext
 
@@ -81,16 +83,23 @@ class CRMDraw:
     def __len__(self) -> int:
         return int(self.locations.size)
 
-    def csv_text(self) -> str:
+    def csv_bytes(self) -> bytearray:
+        """``atoms.csv``: the header ``component,location,weight``, then one
+        row per atom, as ASCII bytes (see :func:`_table_csv`)."""
         columns = (self.component_index, self.locations, self.weights)
         return _table_csv(("component", "location", "weight"), columns)
 
+    def csv_text(self) -> str:
+        """``atoms.csv`` as text: the decode of :meth:`csv_bytes`."""
+        return self.csv_bytes().decode()
+
     @property
     def draw_id(self) -> str:
-        """``text_id(csv_text())``, formatted and hashed on the first access
-        and kept on the draw, whose arrays are read-only."""
+        """``text_id(csv_bytes())``, the SHA-256 of ``atoms.csv``, formatted
+        and hashed on the first access and kept on the draw, whose arrays are
+        read-only."""
         if "_draw_id" not in self.__dict__:
-            object.__setattr__(self, "_draw_id", text_id(self.csv_text()))
+            object.__setattr__(self, "_draw_id", text_id(self.csv_bytes()))
         return self._draw_id
 
     def component_counts(self) -> dict[int, int]:
@@ -122,7 +131,7 @@ class LikelihoodDraw:
             np.asarray(self.locations, dtype=float),
             np.asarray(self.observations, dtype=float),
         )
-        return _table_csv(("component", "location", "observation"), columns)
+        return _table_csv(("component", "location", "observation"), columns).decode()
 
 
 @functools.cache
@@ -134,23 +143,27 @@ def _floatrepr():
     return floatrepr
 
 
-def _table_csv(header, columns) -> str:
+def _table_csv(header, columns) -> bytearray:
     """A header line, the names joined by commas, then one row per entry of
     the equal-length columns: an int column's cells as ``str`` writes them,
     any other column's as ``repr`` writes floats, Python's shortest round-trip
     form.
 
-    :mod:`crmkit.floatrepr` writes them a column at a time, running the
+    The table is one buffer of ASCII bytes, the header at its start, which a
+    run hashes and writes as it is; a caller that wants text decodes it.
+    :mod:`crmkit.floatrepr` writes the rows a column at a time, running the
     Schubfach shortest-digit algorithm over whole numpy columns, so no
     Python object is made per float.  ``atoms.csv``, ``path.csv`` and the
     tables of ``crm verify`` are all written here.
     """
-    return ",".join(header) + "\n" + _floatrepr().csv_rows(columns)
+    return _floatrepr().csv_rows(columns, (",".join(header) + "\n").encode())
 
 
-def text_id(text: str) -> str:
-    """SHA-256 hex digest of a draw's CSV text; ``CRMDraw.draw_id`` is this of ``csv_text()``."""
-    return hashlib.sha256(text.encode()).hexdigest()
+def text_id(data: bytes | str) -> str:
+    """SHA-256 hex digest of a draw's CSV, given as its bytes or as text,
+    which is hashed as its UTF-8 encoding; ``CRMDraw.draw_id`` is this of
+    ``csv_bytes()``."""
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
 def _sample_locations(pieces, jumps, count: int, rng) -> np.ndarray:
@@ -185,7 +198,8 @@ def sample_crm(
 
     ``truncation`` keeps only the first N components; the dropped-mass proxy
     ``tail_mass`` is the summed base mass of the rest, or None when that mass
-    diverges.
+    diverges.  A :class:`TruncationError` names the first kept component that
+    brings the summed base mass past ``errors._MAX_ATOMS`` expected atoms.
     """
     if not (_horizon(z_max) and z_max > 0):
         raise CrmError(f"region end must be positive, got z_max={z_max}")
@@ -194,7 +208,8 @@ def sample_crm(
     if not (_integer(level) and 0 <= level <= n_total):
         raise CrmError(f"truncation level must be an integer in 0..{n_total}, got {truncation!r}")
 
-    locs, weights, comp_idx = [], [], []
+    # every kept component's segments, before any count is drawn
+    kept, total = [], 0.0
     for n, ctx in enumerate(components[:level], start=1):
         try:
             pieces, jumps, mass = ctx.base.segments(0.0, z_max)
@@ -213,13 +228,18 @@ def sample_crm(
                     f"component {n}: base density piece on ({lo}, {hi}] has mass {piece_mass} "
                     "but no upper end to place atoms in; restrict the region"
                 )
-        try:
-            count = int(rng.poisson(mass))
-        except ValueError:  # numpy draws no Poisson count of a mean above about 9.2e18
+        total += mass
+        if not total <= _MAX_ATOMS:
             raise TruncationError(
-                f"component {n} has base mass {mass} over (0, {z_max}], too large for a "
-                "Poisson count; restrict the region or the base density"
-            ) from None
+                f"component {n} brings the summed base mass over (0, {z_max}] to {total}, "
+                f"more than the {_MAX_ATOMS:g} expected atoms a draw may hold; "
+                "restrict the region or the base density"
+            )
+        kept.append((n, ctx, pieces, jumps, mass))
+
+    locs, weights, comp_idx = [], [], []
+    for n, ctx, pieces, jumps, mass in kept:
+        count = int(rng.poisson(mass))
         if count == 0:
             continue
         z = _sample_locations(pieces, jumps, count, rng)

@@ -173,13 +173,18 @@ def test_verify_filter_that_matches_nothing_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "report.csv").exists()
 
 
-def test_a_region_too_large_for_a_poisson_count_is_an_error_not_a_traceback(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "zmax, mass", [(1e12, "1000000000000.0"), (1e308, "1e+308")], ids=["1e12", "1e308"]
+)
+def test_a_region_past_the_atom_cap_is_an_error_not_a_traceback(tmp_path, capsys, zmax, mass):
+    # masses from 1e8 up to numpy's Poisson limit (about 9.2e18) were drawn,
+    # and the atom arrays of that size allocated
     out = tmp_path / "run"
-    rc = run("sample", "--config", CONFIG_DIR / "gamma.json", "--seed", 1, "--zmax", 1e308, "--out", out)
+    rc = run("sample", "--config", CONFIG_DIR / "gamma.json", "--seed", 1, "--zmax", zmax, "--out", out)
     assert rc == 1
     assert capsys.readouterr().err == (
-        "error: component 1 has base mass 1e+308 over (0, 1e+308], too large for a Poisson count; "
-        "restrict the region or the base density\n"
+        f"error: component 1 brings the summed base mass over (0, {zmax!r}] to {mass}, more than "
+        "the 1e+08 expected atoms a draw may hold; restrict the region or the base density\n"
     )
     assert not out.exists()
 

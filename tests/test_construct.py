@@ -50,17 +50,27 @@ def test_discrete_laplace_poisson_branch():
     assert construct.discrete_laplace(ctx, plan, 1.0, 1.0) == pytest.approx(want, rel=1e-12)
 
 
-def test_a_count_mode_cell_numpy_cannot_draw_a_poisson_count_of_is_a_truncation_error():
-    # numpy refuses a mean above about 9.2e18 before it allocates anything
-    ctx = LevyContext.build(
-        make_family("gamma"), ParameterPath.constant([2.0, 3.0]), BaseMeasure.lebesgue(1e300), k=2
-    )
+@pytest.mark.parametrize(
+    "head, tail, cell, mass",
+    [(1e300, 1e300, 1, "2.5e\\+299"), (4e12, 4e12, 1, "1000000000000.0"), (8.0, 4e12, 3, "1000000000004.0")],
+    ids=["1e300", "4e12", "third-cell"],
+)
+def test_count_mode_cells_past_the_atom_cap_are_a_truncation_error(head, tail, cell, mass):
+    # refused before any draw: the rng is left as it was
+    density = PiecewiseFunction([Piece(0.0, 0.5, "const", c0=head), Piece(0.5, math.inf, "const", c0=tail)])
+    ctx = LevyContext.build(make_family("gamma"), ParameterPath.constant([2.0, 3.0]), BaseMeasure(density), k=2)
     plan = construct.DiscretizationPlan.build(ctx, t=1.0, n=4)
-    message = "^cell 1 has base mass 2.5e\\+299, too large for a Poisson count; restrict the base density$"
+    message = (
+        f"^cell {cell} brings the summed base mass of the count-mode cells to {mass}, more than "
+        "the 1e\\+08 expected atoms a draw may hold; restrict the base density$"
+    )
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
     with pytest.raises(TruncationError, match=message):
-        construct.empirical_laplace(ctx, plan, 1.0, 1.0, 2, np.random.default_rng(1))
+        construct.empirical_laplace(ctx, plan, 1.0, 1.0, 2, rng)
     with pytest.raises(TruncationError, match=message):
-        construct.sample_discretized(ctx, plan, 1.0, np.random.default_rng(1))
+        construct.sample_discretized(ctx, plan, 1.0, rng)
+    assert rng.bit_generator.state == state
 
 
 # name -> (family, path, base, k, n, theta, distinct etas, discrete_laplace

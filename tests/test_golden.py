@@ -82,6 +82,13 @@ GOLDEN = {
     ),
 }
 MIX_ATOMS = 2332
+# gamma.json at seed 7 over (0, 12500]: 12,540 atoms, which the CSV writer
+# lays out in four blocks -> (draw_id, sha256 of path.csv)
+MULTI_BLOCK = (
+    "b52b4f5a5953f64f51703fc6d1bfbfd70376b9979260ea28eeb6898dc4deea38",
+    "0077e32fe3167c01d427850b6140091f8795dee4c4e9be2b373217e9bfbb8574",
+)
+MULTI_BLOCK_ATOMS = 12_540
 # (prior config, observations, mode) -> sha256 of (posterior_config.json, diff.txt)
 POSTERIOR_GOLDEN = {
     ("gamma_lognormal_prior.json", "observations_lognormal.csv", "uniform"): (
@@ -139,6 +146,15 @@ def test_sample_bytes_are_pinned(tmp_path, name):
     assert _sha((out / "path.csv").read_bytes()) == path_sha
     if name == "mix":
         assert manifest["atoms"] == MIX_ATOMS
+
+
+def test_a_draw_of_several_csv_blocks_is_pinned(tmp_path):
+    argv = ["sample", "--config", str(CONFIG_DIR / "gamma.json"), "--seed", "7", "--zmax", "12500"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["atoms"] == MULTI_BLOCK_ATOMS
+    assert manifest["draw_id"] == _sha((tmp_path / "atoms.csv").read_bytes()) == MULTI_BLOCK[0]
+    assert _sha((tmp_path / "path.csv").read_bytes()) == MULTI_BLOCK[1]
 
 
 @pytest.mark.parametrize("name", ["gamma.json", "pareto_series.json"])

@@ -127,6 +127,24 @@ def test_an_unbounded_region_is_a_truncation_error(gamma_const_ctx):
         sample_crm([gamma_const_ctx], math.inf, np.random.default_rng(0))
 
 
+def test_a_draw_past_the_atom_cap_is_refused_before_any_count_is_drawn():
+    # the summed base mass of the kept components passes 1e8 at component 2;
+    # the rng is left as it was, so nothing was drawn or allocated
+    small = _gamma_ctx([2.0, 3.0], BaseMeasure.lebesgue(5.0))
+    huge = _gamma_ctx([2.0, 3.0], BaseMeasure.lebesgue(1e12))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    message = (
+        r"^component 2 brings the summed base mass over \(0, 2.0\] to 2000000000010.0, more than "
+        r"the 1e\+08 expected atoms a draw may hold; restrict the region or the base density$"
+    )
+    with pytest.raises(TruncationError, match=message):
+        sample_crm([small, huge], 2.0, rng)
+    assert rng.bit_generator.state == state
+    # a truncation that drops the huge component draws the rest
+    assert len(sample_crm([small, huge], 2.0, rng, truncation=1)) > 0
+
+
 def test_truncation_tail_mass(gamma_const_ctx, gamma_unit_ctx):
     comps = [gamma_unit_ctx, gamma_unit_ctx, gamma_const_ctx]
     draw = sample_crm(comps, 1.0, np.random.default_rng(1), truncation=2)
