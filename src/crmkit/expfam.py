@@ -80,6 +80,15 @@ def _all(mask) -> bool:
     return np.count_nonzero(mask) == mask.size if isinstance(mask, np.ndarray) else bool(mask)
 
 
+def _float64(x):
+    """x as float64: an array, or at one point a numpy scalar, whose arithmetic
+    costs a tenth of a 0-d array's and gives the same doubles."""
+    if isinstance(x, np.float64):
+        return x
+    x = np.asarray(x, dtype=float)
+    return x if x.ndim else x[()]
+
+
 @dataclass(frozen=True)
 class Support:
     """Interval of the real line carrying the family's densities."""
@@ -93,7 +102,7 @@ class Support:
 
     def _inside(self, x):
         """Whether each point of ``np.asarray(x)`` lies in the support, a mask of its shape."""
-        x = np.asarray(x, dtype=float)
+        x = _float64(x)
         if self.discrete:
             return (x >= self.lo) & (x <= self.hi) & (x == np.floor(x)) & np.isfinite(x)
         return (x > self.lo) & (x < self.hi)
@@ -288,18 +297,27 @@ def _check_support(spec: ExpFamilySpec, x) -> None:
         raise SupportError(f"{spec.name}: s={bad} outside the support ({lo}, {hi})")
 
 
-def _exponent(spec: ExpFamilySpec, eta, log_partition, xs: np.ndarray) -> np.ndarray:
+def _terms(spec: ExpFamilySpec, xs) -> tuple:
+    """(log h(xs), [T_j(xs) for each j]): all that log p(xs | eta) reads of the points,
+    so a caller that evaluates many eta at the same points reads them once."""
+    return spec.log_carrier(xs), [stat.value(xs) for stat in spec.stats]
+
+
+def _exponent(spec: ExpFamilySpec, eta, log_partition, xs: np.ndarray, terms=None) -> np.ndarray:
     """log p(xs | eta) = log h(xs) - A(eta) + sum_j sign_j eta_j T_j(xs), in that order,
-    at points ``xs`` that the caller has checked lie in the support.
+    at points ``xs`` that the caller has checked lie in the support; ``terms`` is
+    :func:`_terms` at ``xs`` where the caller holds it.
 
     One eta (shape (l,), A a float) gives the shape of ``xs``; a batch (shape
-    (l, m), A of shape (m,)) gives shape ``xs.shape + (m,)``.
+    (l, m), A of shape (m,)) gives shape ``xs.shape + (m,)``, one point
+    broadcasting as a scalar.
     """
-    if eta.ndim > 1:
-        xs = xs[..., None]
-    exponent = spec.log_carrier(xs) - log_partition
+    carrier, values = _terms(spec, xs) if terms is None else terms
+    if eta.ndim > 1 and np.ndim(carrier):
+        carrier, values = carrier[..., None], [value[..., None] for value in values]
+    exponent = carrier - log_partition
     for j, stat in enumerate(spec.stats):
-        exponent = exponent + stat.sign * eta[j] * stat.value(xs)
+        exponent = exponent + (eta[j] if stat.sign > 0 else -eta[j]) * values[j]
     return exponent
 
 
@@ -368,19 +386,24 @@ def _tilt(spec: ExpFamilySpec, eta, k: int, step: float, log_partition=None) -> 
     with np.errstate(over="ignore", invalid="ignore"):
         if log_partition is None:
             eta, log_partition = _bind_many(spec, eta)
-        k = _check_k(spec, k)
-        tilted = eta.copy()
-        tilted[k - 1] += spec.stats[k - 1].sign * step
-        try:
-            tilted_log_partition = _bind_many(spec, tilted)[1]
-        except NaturalSpaceError as exc:
-            coord = tilted[k - 1] if exc.index is None else tilted[k - 1, exc.index]
-            raise DivergenceError(
-                f"{spec.name}: E[exp({step} T_{k})] is infinite, the tilted coordinate "
-                f"eta_{k} = {coord} leaves the natural space ({exc})",
-                partial=_INF,
-            ) from exc
-        out = np.exp(tilted_log_partition - log_partition)
+        return _tilted(spec, eta, log_partition, _check_k(spec, k), step)
+
+
+def _tilted(spec: ExpFamilySpec, eta, log_partition, k: int, step: float) -> float | np.ndarray:
+    """:func:`_tilt` at a pair (eta, A(eta)) that :func:`_bind_many` gave and a checked
+    k, under the caller's ``np.errstate``."""
+    tilted = eta.copy()
+    tilted[k - 1] += spec.stats[k - 1].sign * step
+    try:
+        tilted_log_partition = _bind_many(spec, tilted)[1]
+    except NaturalSpaceError as exc:
+        coord = tilted[k - 1] if exc.index is None else tilted[k - 1, exc.index]
+        raise DivergenceError(
+            f"{spec.name}: E[exp({step} T_{k})] is infinite, the tilted coordinate "
+            f"eta_{k} = {coord} leaves the natural space ({exc})",
+            partial=_INF,
+        ) from exc
+    out = np.exp(tilted_log_partition - log_partition)
     return float(out) if eta.ndim == 1 else out
 
 
@@ -542,7 +565,7 @@ def _beta_family() -> ExpFamilySpec:
         _log_x(-_INF, 0.0),
         SufficientStat(
             "log_1mx",
-            lambda x: np.log1p(-np.asarray(x, dtype=float)),
+            lambda x: np.log1p(-_float64(x)),
             inverse=lambda u: 1.0 - np.exp(u),
             inverse_deriv=lambda u: -np.exp(u),
             image=(-_INF, 0.0),
@@ -561,7 +584,7 @@ def _beta_family() -> ExpFamilySpec:
         name="beta",
         support=Support(0.0, 1.0),
         stats=stats,
-        log_carrier=lambda x: -np.log(x) - np.log1p(-np.asarray(x, dtype=float)),
+        log_carrier=lambda x: -np.log(x) - np.log1p(-_float64(x)),
         log_partition_fn=a,
         natural=(
             (1, lambda eta: eta[0] > 0, "beta: first coordinate must be positive, got {}"),
@@ -579,10 +602,10 @@ def _gamma_family() -> ExpFamilySpec:
         _log_x(-_INF),
         SufficientStat(
             "x",
-            lambda x: np.asarray(x, dtype=float) + 0.0,
+            lambda x: _float64(x) + 0.0,
             sign=-1,
             inverse=lambda u: u,
-            inverse_deriv=lambda u: np.ones_like(np.asarray(u, dtype=float)),
+            inverse_deriv=lambda u: _float64(u) * 0.0 + 1.0,  # 1 at every finite u
             image=(0.0, _INF),
         ),
     )
@@ -623,7 +646,8 @@ def _pareto_family(scale: float) -> ExpFamilySpec:
     stats = (_log_x(log_u_m),)
 
     def a(eta):
-        return (eta[0] + 1.0) * log_u_m - np.log(-eta[0] - 1.0)
+        shape = eta[0] + 1.0  # -shape is -eta_1 - 1 to the bit
+        return shape * log_u_m - np.log(-shape)
 
     def cumulants(eta, k, n):
         alpha = -eta[0] - 1.0  # ln x = ln u_m + Exp(alpha)
@@ -637,7 +661,7 @@ def _pareto_family(scale: float) -> ExpFamilySpec:
         name="pareto",
         support=Support(u_m, _INF),
         stats=stats,
-        log_carrier=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        log_carrier=lambda x: np.zeros(np.shape(x))[()],
         log_partition_fn=a,
         natural=((1, lambda eta: eta[0] < -1, "pareto: coordinate must be < -1, got {}"),),
         sampler=lambda eta, rng, size: quantile(eta.T, rng.random(size)),
@@ -832,7 +856,7 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
         name="pareto_loglog",
         support=Support(x_lo, _INF),
         stats=stats,
-        log_carrier=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        log_carrier=lambda x: np.zeros(np.shape(x))[()],
         log_partition_fn=a,
         natural=(
             (1, lambda eta: eta[0] <= -1.0, "pareto(log-log): first coordinate must be <= -1, got {}"),
@@ -877,7 +901,7 @@ def _lognormal_family(mu: float) -> ExpFamilySpec:
 
 
 def _poisson_family() -> ExpFamilySpec:
-    stats = (SufficientStat("x", lambda x: np.asarray(x, dtype=float) + 0.0, image=(0.0, _INF)),)
+    stats = (SufficientStat("x", lambda x: _float64(x) + 0.0, image=(0.0, _INF)),)
 
     return ExpFamilySpec(
         name="poisson",
@@ -893,7 +917,7 @@ def _poisson_family() -> ExpFamilySpec:
 
 
 def _bernoulli_family() -> ExpFamilySpec:
-    stats = (SufficientStat("x", lambda x: np.asarray(x, dtype=float) + 0.0, image=(0.0, 1.0)),)
+    stats = (SufficientStat("x", lambda x: _float64(x) + 0.0, image=(0.0, 1.0)),)
 
     def cumulants(eta, k, n):
         # the derivatives of the logistic p are p and p (1 - p) P_j(p), with
@@ -909,7 +933,7 @@ def _bernoulli_family() -> ExpFamilySpec:
         name="bernoulli",
         support=Support(0.0, 1.0, discrete=True),
         stats=stats,
-        log_carrier=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        log_carrier=lambda x: np.zeros(np.shape(x))[()],
         log_partition_fn=lambda eta: np.logaddexp(0.0, eta[0]),
         natural=((1, lambda eta: np.isfinite(eta[0]), "bernoulli: log-odds must be finite"),),
         sampler=lambda eta, rng, size: (rng.random(size) < _special().expit(eta.T[0])).astype(float),

@@ -17,30 +17,35 @@ at one bound eta or a batch and at its points x (theta, or one s or an array
 of s), so a density table is one walk over the locations.  The walk reads
 the context's stretch plan, the part that depends on neither t nor x: the
 cuts of (0, inf) at every path and base breakpoint and, per stretch, its
-path pieces, its base pieces and, where every path component is one
-``const`` piece, its eta.  Each context builds its own plan on the first
-functional call and keeps it; a constant stretch binds (eta, A(eta)) on
-first use and keeps them, and a failure is never kept.  Each call clips the
-plan to (0, t] and adds the atoms of A_0 exactly over (0, t] (a jump at t
-counts, one at 0 does not).  A constant stretch contributes
-h(eta, A(eta), x) A_0(stretch within (0, t]).  Any other stretch takes, per
-base piece that is not identically 0, one 21-point Gauss-Kronrod pass
-(QUADPACK's ``qk21``, :func:`~crmkit.quadpack.first_pass`) with h on a batch
-of eta at its nodes and every point, and runs
-:func:`~crmkit.piecewise.checked_quad`, QUADPACK's adaptive routine, on the same integrand at one point only where QUADPACK
+base pieces, its eta where every path component is one ``const`` piece, and
+its path as coefficient rows (c0, c1) where every component is ``const`` or
+``affine``, so the eta of a batch of nodes is one broadcast c0 + c1 z.  Each
+context builds its own plan on the first functional call and keeps it; a
+constant stretch binds (eta, A(eta)) on first use and keeps them, and a
+failure is never kept.  Each call clips the plan to (0, t] and adds the atoms
+of A_0 exactly over (0, t] (a jump at t counts, one at 0 does not).  A
+constant stretch contributes h(eta, A(eta), x) A_0(stretch within (0, t]).
+Any other stretch takes, per base piece that is not identically 0, one
+21-point Gauss-Kronrod pass (QUADPACK's ``qk21``,
+:func:`~crmkit.quadpack.first_pass`) with h on a batch of eta at its nodes and
+every point, and runs :func:`~crmkit.piecewise.checked_quad`, QUADPACK's
+adaptive routine, on the same integrand at one point only where QUADPACK
 would not stop after that pass: each value is the double QUADPACK gives, at
 one point or in any array.
 
-A call checks t and its points first (u against the statistic's image, s
-against the family support).  The eta of each batch of nodes is checked
-once, where it is made: finite as :meth:`_Stretch.etas` makes it (naming the
-first such z), then in the natural space (with the failing node's
-``index``), and A(eta) is evaluated with no further check.  One
-``np.errstate(over="ignore", invalid="ignore")`` covers the whole walk of
-:func:`_z_integral`: no overflow or invalid value inside it is warned about,
-and the first pass also ignores division by zero.  A point whose pass is not
-finite goes to :func:`checked_quad`, which raises where it finds no finite
-value.
+Each public functional checks its inputs once, at its door, and hands them to
+the private walk, which checks them no more: t; u against the statistic's
+declared inverse and image, then the s it maps to against the family support
+(the two differ where the inverse rounds onto the support's end); s against
+the support; or theta.  One point travels as a numpy scalar, an array as an array, through
+the same code.  The density reads the carrier and the statistics at the
+call's points once.  The eta of each batch of nodes is checked once, where it
+is made: finite as :meth:`_Stretch.etas` makes it (naming the first such z),
+then in the natural space (with the failing node's ``index``), and A(eta) is
+evaluated with no further check.  The door enters one
+``np.errstate(all="ignore")``: no division by zero, overflow, underflow or
+invalid value in the call is warned about.  A point whose pass is not finite
+goes to :func:`checked_quad`, which raises where it finds no finite value.
 """
 
 from __future__ import annotations
@@ -186,39 +191,24 @@ def check_conditions(
     finite, to name each such point as a witness.
     """
     if path.dimension != family.dimension:
-        raise CrmError(
-            f"path dimension {path.dimension} != family dimension {family.dimension}"
-        )
+        raise CrmError(f"path dimension {path.dimension} != family dimension {family.dimension}")
     k = expfam._check_k(family, k)
     grid = np.sort(np.asarray(grid, dtype=float))
     if grid.size == 0 or np.any(grid <= 0):
         raise CrmError("condition grid must be nonempty and strictly positive")
-
-    checks = []
     stat = family.stats[k - 1]
 
     # (1) invertible statistic
     if stat.inverse is None or stat.inverse_deriv is None:
-        checks.append(
-            ConditionCheck(
-                "invertible_statistic",
-                False,
-                f"statistic {stat.name!r} declares no differentiable inverse",
-            )
-        )
+        detail = f"statistic {stat.name!r} declares no differentiable inverse"
+        invertible = ConditionCheck("invertible_statistic", False, detail)
     else:
         xs = family.support.grid(101)
         back = np.asarray(stat.inverse(np.asarray(stat.value(xs))), dtype=float)
         err = np.abs(back - xs) / np.maximum(1.0, np.abs(xs))
         bad = xs[err > 1e-10]
-        checks.append(
-            ConditionCheck(
-                "invertible_statistic",
-                bad.size == 0,
-                f"max relative round-trip error {err.max():.3e}",
-                tuple(bad[:3].tolist()),
-            )
-        )
+        detail = f"max relative round-trip error {err.max():.3e}"
+        invertible = ConditionCheck("invertible_statistic", bad.size == 0, detail, tuple(bad[:3].tolist()))
 
     # (2) path in natural space: the defined points in one batch; only if that
     # raises, point by point, so a raising piece or a non-finite eta is a witness
@@ -243,14 +233,8 @@ def check_conditions(
         except NaturalSpaceError as exc:
             witnesses.append((float(z), str(exc)))
     witnesses.sort(key=lambda w: w[0])
-    checks.append(
-        ConditionCheck(
-            "path_in_natural_space",
-            not witnesses,
-            f"{len(witnesses)} of {grid.size} grid points fail",
-            tuple(witnesses[:5]),
-        )
-    )
+    detail = f"{len(witnesses)} of {grid.size} grid points fail"
+    in_space = ConditionCheck("path_in_natural_space", not witnesses, detail, tuple(witnesses[:5]))
 
     # (3) contraction closure in coordinate k, at the points that pass (2),
     # every contraction of every point in one batch of shape (l, points, eps);
@@ -263,16 +247,9 @@ def check_conditions(
         (float(z), _CONTRACTIONS[int(i)])
         for z, i in zip(zs[ok][open_rows[:5]], closed[open_rows[:5]].argmin(axis=1))
     )
-    checks.append(
-        ConditionCheck(
-            "contraction_closure",
-            not open_rows.size,
-            f"{open_rows.size} grid points leave the natural space under contraction",
-            witnesses,
-        )
-    )
-
-    return ConditionReport(tuple(checks))
+    detail = f"{open_rows.size} grid points leave the natural space under contraction"
+    closure = ConditionCheck("contraction_closure", not open_rows.size, detail, witnesses)
+    return ConditionReport((invertible, in_space, closure))
 
 
 def _default_grid(path: ParameterPath, cuts: Sequence[float] = ()) -> np.ndarray:
@@ -363,23 +340,28 @@ class LevyContext:
         return _Plan(self)
 
 
+_ROWS = ("const", "affine")  # the path piece kinds a stretch evaluates as coefficient rows
+
+
 class _Stretch:
     """One stretch (lo, hi] of a plan, with no path or base breakpoint inside it.
 
-    ``path`` holds, per component, its piece's ``value`` there or, where no
-    piece covers the stretch, the component itself, which raises naming the
-    first z.  ``base`` holds (piece, lo, hi) for each base piece that is not
-    identically 0 and overlaps the stretch, clipped to it.  ``eta`` is the one
-    eta where every component is a ``const`` piece, else None.
+    ``rows`` holds the path as coefficient columns (c0, c1), each of shape
+    (l, 1), where every component is one ``const`` or ``affine`` piece there,
+    so eta at the nodes is the one broadcast c0 + c1 z (a ``const`` row takes
+    c1 = -0.0, which keeps c0 to the bit at every z > 0, where 0.0 z would turn
+    a c0 of -0.0 into +0.0); elsewhere it is None and the plan's path gives eta.
+    ``base`` holds (piece, lo, hi) for each base piece that is not identically 0
+    and overlaps the stretch, clipped to it.  ``eta`` is the one eta where every
+    component is a ``const`` piece, else None.
     """
 
-    def __init__(self, ctx: "LevyContext", lo: float, hi: float):
-        self.lo, self.hi = lo, hi
-        self.family = ctx.family
-        pieces = [comp.piece_at(hi) for comp in ctx.path.components]
-        self.path = tuple(comp if p is None else p.value for comp, p in zip(ctx.path.components, pieces))
-        const = all(p is not None and p.kind == "const" for p in pieces)
-        self.eta = np.array([p.c0 for p in pieces]) if const else None
+    def __init__(self, ctx: "LevyContext", path: ParameterPath, lo: float, hi: float):
+        self.lo, self.hi, self.family, self.path = lo, hi, ctx.family, path
+        pieces = [comp.piece_at(hi) for comp in path.components]
+        self.eta = np.array([p.c0 for p in pieces]) if all(p and p.kind == "const" for p in pieces) else None
+        rows = [(p.c0, -0.0 if p.kind == "const" else p.c1) for p in pieces if p and p.kind in _ROWS]
+        self.rows = tuple(np.array(rows).T.copy()[:, :, None]) if len(rows) == len(pieces) else None
         self.base = tuple((p, a, b) for p, a, b in ctx.base.density._meeting(lo, hi) if not p.zero)
 
     @cached_property
@@ -391,49 +373,59 @@ class _Stretch:
         """eta at each z of the 1-D ``zs`` inside the stretch, shape (l, zs.size),
         checked finite as :meth:`~crmkit.expfam.ParameterPath.eval_many` checks it,
         and nowhere else."""
-        etas = np.empty((len(self.path), zs.size))
-        for j, value in enumerate(self.path):
-            etas[j] = value(zs)
+        if self.rows is None:
+            return self.path.eval_many(zs).T
+        etas = self.rows[0] + self.rows[1] * zs
         expfam._check_finite_path(zs, etas.T)
         return etas
 
 
 class _Plan:
-    """What the location integrals of a context need that depends on neither t
-    nor the points: ``path``, the parameter path without its atom overrides
-    (which act on the measure only through the base point masses), and
-    ``stretches``, the :class:`_Stretch` between consecutive cuts of (0, inf)
+    """What the functionals of a context need that depends on neither t nor the
+    points: ``stat``, the weight statistic; ``path``, the parameter path without
+    its atom overrides (which act on the measure only through the base point
+    masses); ``jumps``, the point masses of A_0 with positive location and mass;
+    and ``stretches``, the :class:`_Stretch` between consecutive cuts of (0, inf)
     at every path and base breakpoint."""
 
     def __init__(self, ctx: "LevyContext"):
-        self.path = ParameterPath(ctx.path.components)
-        inner = sorted({b for b in ctx.path.breakpoints() + ctx.base.breakpoints() if b > 0.0})
-        cuts = [0.0, *inner, _INF]
-        self.stretches = tuple(_Stretch(ctx, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+        self.stat, self.path = ctx.stat(), ParameterPath(ctx.path.components)
+        self.jumps = [(loc, mass) for loc, mass in ctx.base.jumps if loc > 0.0 and mass > 0.0]
+        cuts = [0.0, *sorted({b for b in ctx.path.breakpoints() + ctx.base.breakpoints() if b > 0.0}), _INF]
+        self.stretches = tuple(_Stretch(ctx, self.path, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+
+
+def _density(family: ExpFamilySpec, xs) -> Callable:
+    """h(eta, A, x) = p(x | eta) at points x checked in the support, the carrier and
+    statistics at the call's own points ``xs`` read once."""
+    terms = expfam._terms(family, xs)
+    return lambda eta, log_partition, x: np.exp(
+        expfam._exponent(family, eta, log_partition, x, terms if x is xs else None)
+    )
 
 
 def _stretch_integral(stretch: _Stretch, h: Callable, x, piece: Piece, lo, hi) -> np.ndarray:
     """int_(lo, hi] h(eta(z), A(eta(z)), x) a_0(z) dz on one base piece of a stretch at
-    each point of x (a float at a 0-d x): one :func:`~crmkit.quadpack.first_pass` over
+    each point of x (a float at one point): one :func:`~crmkit.quadpack.first_pass` over
     every point, then :func:`checked_quad` on the same integrand at each point it
     declines, such as every point on an infinite stretch.  The eta of each batch of
     nodes is checked finite where it is made (:meth:`_Stretch.etas`), then only in
     the natural space."""
     family = stretch.family
+    value = piece.value if piece.kind != "const" else lambda zs: piece.c0  # a_0 at the nodes
 
     def at(points):
         def integrand(zs):
             etas = stretch.etas(zs)
             family.check_natural(etas)
-            return h(etas, family.log_partition_fn(etas), points) * piece.value(zs)
+            return h(etas, family.log_partition_fn(etas), points) * value(zs)
 
         return integrand
 
     passes = [None] * x.size
     if math.isfinite(hi):
         try:
-            with np.errstate(all="ignore"):
-                passes = _quadpack().first_pass(at(x), lo, hi)
+            passes = _quadpack().first_pass(at(x), lo, hi)
         except CrmError:
             pass
     if None in passes:
@@ -444,40 +436,36 @@ def _stretch_integral(stretch: _Stretch, h: Callable, x, piece: Piece, lo, hi) -
 
 def _z_integral(ctx: LevyContext, h: Callable, t: float, x) -> float | np.ndarray:
     """int_(0, t] h(eta(z), A(eta(z)), x) dA_0(z) at each point of x, on the plan's
-    stretches clipped to (0, t], atoms exact: of shape ``np.shape(x)``, a float at one
-    point, and the float 0.0 where nothing adds to it.
+    stretches clipped to (0, t], atoms exact: an array of x's shape, and at one point
+    (a numpy scalar, :func:`~crmkit.expfam._float64`) a float, 0.0 where nothing adds.
 
-    ``h`` maps one bound eta (shape (l,), A a float) to shape ``np.shape(x)`` and
-    a batch (shape (l, m), A of shape (m,)) to ``np.shape(x) + (m,)``, each entry
-    that eta's and point's double.  A constant stretch gives h(eta, A, x)
-    A_0(stretch), h not run where that mass is 0; any other takes
-    :func:`_stretch_integral` per nonzero base piece.  The point masses take h at
-    one batch of their eta, added in location order; atom overrides act only
-    through them.  The callers check t > 0.  Overflow and invalid values are
-    not warned about anywhere in the walk; h and the caller read a non-finite
-    value themselves.
+    ``h`` maps one bound eta (shape (l,), A a float) to the shape of x and a batch
+    (shape (l, m), A of shape (m,)) to ``x.shape + (m,)``, each entry that eta's
+    and point's double.  A constant stretch gives h(eta, A, x) A_0(stretch), h not
+    run where that mass is 0; any other takes :func:`_stretch_integral` per
+    nonzero base piece.  The point masses take h at one batch of their eta, added
+    in location order; atom overrides act only through them.  The callers check
+    t > 0 and x, under the call's one ``np.errstate``.
     """
-    total, x = 0.0, np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for stretch in ctx._plan.stretches:
-            if not stretch.lo < t:
-                break
-            if stretch.eta is not None:
-                mass = sum(piece.integral(lo, min(hi, t)) for piece, lo, hi in stretch.base)
-                if mass != 0.0:
-                    total += h(*stretch.bound, x) * mass
-                continue
-            for piece, lo, hi in stretch.base:
-                hi = min(hi, t)
-                if lo < hi:
-                    total += _stretch_integral(stretch, h, x, piece, lo, hi)
-        jumps = [(loc, mass) for loc, mass in ctx.base.jumps_in(0.0, t) if mass > 0]
-        if jumps:  # one batch of eta, added a mass at a time in location order
-            locs, masses = zip(*jumps)
-            values = h(*expfam._bind_many(ctx.family, ctx.path.eval_many(locs).T), x)
-            for i, mass in enumerate(masses):
-                total += mass * values[..., i]
-    return total
+    total, plan = 0.0, ctx._plan
+    for stretch in plan.stretches:
+        if not stretch.lo < t:
+            break
+        if stretch.eta is not None:
+            mass = sum(piece.integral(lo, min(hi, t)) for piece, lo, hi in stretch.base)
+            if mass != 0.0:
+                total += h(*stretch.bound, x) * mass
+            continue
+        for piece, lo, hi in stretch.base:
+            if lo < min(hi, t):
+                total += _stretch_integral(stretch, h, x, piece, lo, min(hi, t))
+    jumps = [(loc, mass) for loc, mass in plan.jumps if loc <= t]
+    if jumps:  # one batch of eta, added a mass at a time in location order
+        locs, masses = zip(*jumps)
+        values = h(*expfam._bind_many(ctx.family, ctx.path.eval_many(locs).T), x)
+        for i, mass in enumerate(masses):
+            total += mass * values[..., i]
+    return total + np.zeros(x.shape) if x.ndim else total
 
 
 def levy_density_s(ctx: LevyContext, t: float, s):
@@ -486,12 +474,9 @@ def levy_density_s(ctx: LevyContext, t: float, s):
     locations.  The first s outside the family support raises :class:`SupportError`."""
     _check_time(t)
     expfam._check_support(ctx.family, s)
-
-    def density(eta, log_partition, x):  # x checked against the support above
-        return np.exp(expfam._exponent(ctx.family, eta, log_partition, np.asarray(x)))
-
-    density = _z_integral(ctx, density, t, s)
-    return density + np.zeros(np.shape(s)) if np.ndim(s) else float(density)
+    with np.errstate(all="ignore"):
+        density = _z_integral(ctx, _density(ctx.family, xs := expfam._float64(s)), t, xs)
+    return density if xs.ndim else float(density)
 
 
 def levy_integrand(ctx: LevyContext, z: float, s):
@@ -500,30 +485,38 @@ def levy_integrand(ctx: LevyContext, z: float, s):
     expfam._check_support(ctx.family, s)
     if not ctx.base.density.defined_at(z):
         return np.zeros(np.shape(s)) if np.ndim(s) else 0.0
-    value = expfam.density(ctx.family, ctx._plan.path.eval(z), s) * ctx.base.density(z)
-    return value if np.ndim(s) else float(value)
+    with np.errstate(all="ignore"):
+        eta, xs = ctx._plan.path.eval(z), expfam._float64(s)
+        ctx.family.check_natural(eta)
+        density = _density(ctx.family, xs)(eta, float(ctx.family.log_partition_fn(eta)), xs)
+        value = density * ctx.base.density(z)
+    return value if xs.ndim else float(value)
 
 
-def _pushforward(ctx: LevyContext, u, density_s: Callable):
-    """density_s(s) |ds/du| at s = T_k^{-1}(u), at one u (a float) or an array, from one
-    ``density_s`` call: at s of u's shape, or, where the inverse or its derivative overflows
-    (the deep tail, 0.0), at the others.  The first u outside the image raises SupportError."""
-    stat = ctx.stat()
+def _pushforward(ctx: LevyContext, u, density: Callable):
+    """density(s) |ds/du| at s = T_k^{-1}(u), at one u (a float) or an array, from one
+    ``density`` call at s checked in the support: at s of u's shape, or, where the
+    inverse or its derivative overflows (the deep tail, 0.0), at the others.  The
+    first u outside the image raises SupportError, then the first such s.  The door
+    of :func:`levy_density_u` and of a :class:`FiniteActivity`'s weight density,
+    under one ``np.errstate``."""
+    stat = ctx._plan.stat
     if stat.inverse is None or stat.inverse_deriv is None:
         raise CrmError(f"statistic {stat.name!r} has no declared inverse")
-    us = np.asarray(u, dtype=float)
-    inside = stat.in_image(us)
+    inside = stat.in_image(us := expfam._float64(u))
     if not expfam._all(inside):
         bad = us.flat[np.argmin(inside)]
         raise SupportError(f"u={bad} outside the image {stat.image} of statistic {stat.name!r}")
-    with np.errstate(over="ignore"):
-        s, jac = stat.inverse(us), np.abs(stat.inverse_deriv(us))
-    keep = np.isfinite(s) & np.isfinite(jac)
-    if expfam._all(keep):  # at u's own shape, so one u takes the one-point path
-        return density_s(s) * jac if us.ndim else float(density_s(s) * jac)
-    out = np.zeros(us.shape)
-    if keep.any():
-        out[keep] = density_s(s[keep]) * jac[keep]
+    with np.errstate(all="ignore"):
+        s, jac = stat.inverse(us), abs(stat.inverse_deriv(us))
+        keep = s * 0.0 + jac < _INF  # both finite: s * 0.0 is NaN where s is not
+        if expfam._all(keep):  # at u's own shape, so one u takes the one-point path
+            expfam._check_support(ctx.family, s)
+            return density(s) * jac if us.ndim else float(density(s) * jac)
+        out = np.zeros(us.shape)
+        if keep.any():
+            expfam._check_support(ctx.family, s[keep])
+            out[keep] = density(s[keep]) * jac[keep]
     return out if us.ndim else float(out)
 
 
@@ -532,7 +525,7 @@ def levy_density_u(ctx: LevyContext, t: float, u):
     u = T_k(s), at one u or an array alike: 0.0 where the inverse overflows,
     and the first u outside the image raises :class:`SupportError`."""
     _check_time(t)
-    return _pushforward(ctx, u, lambda s: levy_density_s(ctx, t, s))
+    return _pushforward(ctx, u, lambda s: _z_integral(ctx, _density(ctx.family, s), t, s))
 
 
 def stat_laplace(family: ExpFamilySpec, eta, k: int, theta: float) -> float | np.ndarray:
@@ -575,9 +568,10 @@ def laplace_exponent(ctx: LevyContext, t: float, theta: float) -> float:
         return 0.0
 
     def gap(eta, log_partition, th):  # 1 - stat_laplace, binding the tilted eta alone
-        return 1.0 - expfam._tilt(ctx.family, eta, ctx.k, -th, log_partition)
+        return 1.0 - expfam._tilted(ctx.family, eta, log_partition, ctx.k, -th)
 
-    return float(_z_integral(ctx, gap, t, theta))
+    with np.errstate(all="ignore"):
+        return float(_z_integral(ctx, gap, t, expfam._float64(theta)))
 
 
 @dataclass(frozen=True)
@@ -678,9 +672,10 @@ def classify_activity(ctx: LevyContext, t: float):
             witnesses=tuple(witnesses[:5]),
         )
 
-    bound = ctx.family.at([comp(t) for comp in ctx.path.components])
-
-    return FiniteActivity(mass, mass / t, weight_density=lambda u: _pushforward(ctx, u, bound.density))
+    bound = expfam._bind_many(ctx.family, [comp(t) for comp in ctx.path.components], batch=False)
+    return FiniteActivity(
+        mass, mass / t, lambda u: _pushforward(ctx, u, lambda s: _density(ctx.family, s)(*bound, s))
+    )
 
 
 def density_table(ctx: LevyContext, t: float, us: Sequence[float]):

@@ -1245,6 +1245,69 @@ def test_one_density_checks_its_node_batch_once_where_it_is_made(monkeypatch):
     assert calls == [("_check_finite_path", (21, 2)), ("check_natural", (2, 21))]
 
 
+def test_one_density_checks_t_once_and_enters_one_errstate(monkeypatch):
+    # the door checks t and sets the floating-point state once for the whole walk:
+    # no second check of t behind it, no errstate of its own in any layer under it
+    ctx = LevyContext.build(make_family("gamma"), _AFFINE_RATE, BaseMeasure.lebesgue(1.0), k=2)
+    want = levy_density_u(ctx, 1.2, 1.0)  # builds the plan outside the count
+    times, entered = [], []
+    check_time, errstate = levy._check_time, np.errstate
+
+    def counted_time(*args, **kwargs):
+        times.append(args)
+        return check_time(*args, **kwargs)
+
+    class CountedErrstate:
+        def __init__(self, **kwargs):
+            self.state = errstate(**kwargs)
+
+        def __enter__(self):
+            entered.append(1)
+            return self.state.__enter__()
+
+        def __exit__(self, *exc):
+            return self.state.__exit__(*exc)
+
+    monkeypatch.setattr(levy, "_check_time", counted_time)
+    monkeypatch.setattr(np, "errstate", CountedErrstate)
+    assert levy_density_u(ctx, 1.2, 1.0) == want
+    assert times == [(1.2,)]
+    assert len(entered) == 1
+
+
+# (family, k, eta, u): points at the ends of the statistic's image, where the
+# inverse underflows, overflows or rounds onto the end of the support
+_IMAGE_EDGES = [
+    ("beta", 1, (1.0, 2.0), (-1e-17, -5e-324, -700.0, -746.0)),
+    ("beta", 2, (1.0, 2.0), (-1e-17, -5e-324, -700.0, -746.0)),
+    ("gamma", 1, (1.5, 2.0), (700.0, -700.0, 710.0, -746.0)),
+]
+
+
+@pytest.mark.parametrize("name, k, eta, us", _IMAGE_EDGES)
+def test_points_at_the_image_edges_raise_or_give_a_finite_density_alone_and_in_an_array(name, k, eta, us):
+    ctx = LevyContext.build(make_family(name), ParameterPath.constant(eta), BaseMeasure.lebesgue(1.0), k=k)
+
+    def alone(u):
+        try:
+            return levy_density_u(ctx, 1.0, u)
+        except SupportError as exc:
+            return exc
+
+    singles = {u: alone(u) for u in us}
+    for value in singles.values():
+        assert isinstance(value, SupportError) or (math.isfinite(value) and value >= 0.0)
+    for pair in [(a, b) for a in us for b in us]:
+        raised = [singles[u] for u in pair if isinstance(singles[u], SupportError)]
+        if raised:
+            with pytest.raises(SupportError) as exc:
+                levy_density_u(ctx, 1.0, np.array(pair))
+            assert str(exc.value) == str(raised[0])
+        else:
+            got = levy_density_u(ctx, 1.0, np.array(pair))
+            assert [v.hex() for v in got.tolist()] == [singles[u].hex() for u in pair]
+
+
 def _set_grid(path, cuts=()):
     # the grid as a Python set of numpy scalars built it, the reference
     lo = max(c.lo for c in path.components)
