@@ -3,9 +3,9 @@
 The location axis is cut into cells of width 1/n.  Cell i covers
 ((i-1)/n, i/n], carries base mass A_i = A_0((i-1)/n, i/n], and evaluates the
 path at its midpoint.  A draw keeps cell i's statistic T_k(S_i), with
-S_i ~ p(. | eta(midpoint_i)), when a uniform falls below A_i; cells whose
-mass exceeds one contribute a Poisson(A_i)-distributed number of independent
-statistics instead.  The per-cell transform is then exactly
+S_i ~ p(. | eta(midpoint_i)), with probability A_i; cells whose mass exceeds
+one contribute a Poisson(A_i)-distributed number of independent statistics
+instead.  The per-cell transform is then exactly
 1 - A_i (1 - E[e^{-theta T_k}]) (resp. exp(-A_i (1 - E[...]))), so the
 product converges to exp(-psi(t, theta)) as n grows.
 
@@ -13,9 +13,13 @@ Everything fixed for one window (0, t] of a plan -- the cell slice, the
 masses and etas, the split into small and count-mode cells, the
 statistic -- is set up once per :func:`sample_discretized` or
 :func:`empirical_laplace` call.  The replicates of a call are then drawn in
-array passes over chunks of replicates, each pass one uniform block, one
-family batch over every kept cell and one Poisson vector per count-mode
-cell; :func:`sample_discretized` is the one-replicate call of that draw.
+array passes over chunks of replicates.  Each pass draws the kept
+(replicate, cell) pairs themselves by Bernoulli thinning (Devroye 1986): a
+binomial number of candidate pairs at the largest small-cell mass, placed
+uniformly, each kept by one uniform; then one family batch over every kept
+cell and one Poisson vector per count-mode cell.  Its work grows with the
+pairs it keeps, not with replicates times cells.
+:func:`sample_discretized` is the one-replicate call of that draw.
 Its exact transform, :func:`discrete_laplace`, takes every cell's
 per-location factor from one :func:`~crmkit.levy.stat_laplace` call over
 the batch of the window's distinct etas, one per column.
@@ -62,7 +66,7 @@ class DiscretizationPlan:
             raise CrmError(f"horizon t={t} shorter than one cell width 1/{n}")
         idx = np.arange(1, m + 1, dtype=float)
         mids = (idx - 0.5) / n
-        masses = np.array([ctx.base.increment((i - 1.0) / n, i / n) for i in idx])
+        masses = ctx.base._cell_masses(np.arange(m + 1, dtype=float) / n)
         etas = ctx.path.natural_etas(
             ctx.family, mids, lambda i, z: f"cell {i + 1}, midpoint z={z!r}"
         )
@@ -78,8 +82,8 @@ class DiscretizationPlan:
         return hi
 
 
-# Cells per array pass: the (replicates, cells) uniform block of one pass
-# holds at most 2 MB, or one replicate's cells where they are more
+# (replicate, cell) pairs per array pass, or one replicate's cells where they
+# are more: a pass's candidate positions, at most every pair, hold at most 2 MB
 _CHUNK_CELLS = 2**18
 
 
@@ -89,11 +93,18 @@ def _draw_totals(
     """``replicates`` draws of the discretized total statistic over (0, t].
 
     The window is set up once.  The replicates are drawn in chunks of r, with
-    r * cells at most ``_CHUNK_CELLS``; each chunk draws from ``rng``, in this
-    order: one (r, cells) uniform block, a small cell being kept where its
-    uniform falls below its mass; one family batch over the kept cells, in
-    replicate then cell order; and per count-mode cell (mass > 1) a vector of
-    r Poisson counts and one batch of their total.  Count-mode cells whose
+    r * cells at most ``_CHUNK_CELLS``.  With p the largest mass of a small
+    cell (mass <= 1), each chunk draws from ``rng``, in this order: a count
+    N ~ Binomial(r * cells, p); a uniform N-subset of the flat positions
+    ``range(r * cells)`` of the (replicate, cell) pairs
+    (``rng.choice(..., replace=False, shuffle=False)``), sorted into
+    replicate then cell order; one uniform per candidate, which keeps it
+    where it falls below A_j / p, A_j being its cell's mass; one family batch
+    over the kept cells, in replicate then cell order; and per count-mode
+    cell (mass > 1) a vector of r Poisson counts and one batch of their
+    total.  Each pair of a small cell j is so kept independently with
+    probability A_j; a count-mode cell's is 0.  Where p is 0, the count is 0
+    and no position or uniform is drawn.  Count-mode cells whose
     summed mass passes ``errors._MAX_ATOMS`` are refused before any draw.  A
     replicate's total is the sequential sum (``np.bincount``) of its kept
     cells' statistics, in cell order, plus that of each count-mode cell's
@@ -109,10 +120,10 @@ def _draw_totals(
     if hi == 0:
         return totals
     small = masses <= 1.0
-    # a count-mode cell is never kept: no uniform falls below 0
-    keep_below = np.where(small, masses, 0.0)
+    # a count-mode cell is never kept
+    keep = np.where(small, masses, 0.0)
     # the atoms a replicate expects from the count-mode cells, before any draw
-    counted_mass = np.cumsum(masses - keep_below)
+    counted_mass = np.cumsum(masses - keep)
     if not counted_mass[-1] <= _MAX_ATOMS:
         j = int(np.argmax(~(counted_mass <= _MAX_ATOMS)))
         raise TruncationError(
@@ -123,12 +134,17 @@ def _draw_totals(
     counted = [(j, masses[j], etas[j]) for j in np.flatnonzero(~small)]
     shared = etas[0] if np.all(etas == etas[0]) else None
     sampler, value = ctx.family.sampler, ctx.stat().value
+    top = float(keep.max())
+    accept = keep / top if top > 0.0 else keep
     chunk = max(1, _CHUNK_CELLS // hi)
     for start in range(0, replicates, chunk):
         r = min(chunk, replicates - start)
         out = totals[start:start + r]  # a view: adding to it fills totals
-        # the kept (replicate, cell) pairs in row-major order, as np.nonzero gives them
-        rows, cells = np.divmod(np.flatnonzero(rng.random((r, hi)) < keep_below), hi)
+        # candidate (replicate, cell) pairs, each in with probability top, in row-major order
+        pairs = np.sort(rng.choice(r * hi, rng.binomial(r * hi, top), replace=False, shuffle=False))
+        rows, cells = np.divmod(pairs, hi)
+        kept = rng.random(len(pairs)) < accept[cells]
+        rows, cells = rows[kept], cells[kept]
         if len(rows):
             draws = sampler(etas[cells] if shared is None else shared, rng, len(rows))
             out += np.bincount(rows, weights=value(draws), minlength=r)

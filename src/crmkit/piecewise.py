@@ -148,15 +148,19 @@ class Piece:
             return 0.0
         if self.kind == "ratio":
             return self._ratio_integral(a, b)
-        if self.kind == "const":
-            val = self.c0 * (b - a)
-        else:
-            val = self.c0 * (b - a) + 0.5 * self.c1 * (b * b - a * a)
+        val = self._closed(a, b)
         if not math.isfinite(val):
             raise DivergenceError(
                 f"{self.kind} piece integral over ({a}, {b}) is not finite", partial=_INF
             )
         return val
+
+    def _closed(self, a, b):
+        """A const or affine piece's integral over (a, b], a <= b within the piece:
+        the arithmetic of :meth:`integral`, unchecked, elementwise over arrays."""
+        if self.kind == "const":
+            return self.c0 * (b - a)
+        return self.c0 * (b - a) + 0.5 * self.c1 * (b * b - a * a)
 
     def _ratio_integral(self, a, b):
         lin, log_coef = self._ratio_terms()

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from crmkit import construct, expfam
 from crmkit.errors import CrmError, NaturalSpaceError, TruncationError
@@ -18,6 +20,50 @@ def test_plan_cells_cover_window(gamma_unit_ctx):
     np.testing.assert_allclose(plan.masses, 0.25)
     np.testing.assert_allclose(plan.midpoints[:2], [0.125, 0.375])
     assert plan.etas.shape == (8, 2)
+
+
+# case -> (base, cells per unit, horizon)
+_MASS_CASES = {
+    "const-affine-ratio": (
+        BaseMeasure(PiecewiseFunction([
+            Piece(0.0, 0.5, "const", c0=0.3),
+            Piece(0.5, 1.25, "affine", c0=0.1, c1=0.7),
+            Piece(1.25, math.inf, "ratio", c0=1.0, c1=0.5, d0=3.0, d1=1.0),
+        ])),
+        8, 3.0,
+    ),
+    # boundaries at 0.75 and 1.6 fall inside cells of width 1/7, a gap on (1.6, 1.9]
+    # has no piece, and a callable piece integrates by quadrature
+    "boundary-inside-a-cell": (
+        BaseMeasure(PiecewiseFunction([
+            Piece(0.0, 0.75, "affine", c0=0.2, c1=1.3),
+            Piece(0.75, 1.6, "ratio", c0=0.0, c1=2.0, d0=1.0, d1=3.0),
+            Piece(1.9, math.inf, "func", func=lambda z: math.exp(-z)),
+        ])),
+        7, 3.0,
+    ),
+    # jumps at 0 (in no cell), on the edges 0.25 (twice) and 0.5, inside a
+    # cell, and past the horizon
+    "jump-on-a-cell-edge": (
+        BaseMeasure(
+            PiecewiseFunction.constant(0.5),
+            ((0.0, 1.0), (0.25, 0.3), (0.25, 0.7), (0.3, 0.1), (0.5, 2.0), (2.0, 4.0)),
+        ),
+        4, 1.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MASS_CASES))
+def test_plan_masses_are_each_cells_increment_to_the_bit(case):
+    base, n, horizon = _MASS_CASES[case]
+    ctx = LevyContext.build(
+        make_family("gamma"), ParameterPath.constant([2.0, 3.0]), base, k=2, require_conditions=False
+    )
+    plan = construct.DiscretizationPlan.build(ctx, t=horizon, n=n)
+    idx = np.arange(1, len(plan.masses) + 1, dtype=float)
+    want = [float(base.increment((i - 1.0) / n, i / n)).hex() for i in idx]
+    assert [mass.hex() for mass in plan.masses.tolist()] == want
 
 
 def test_plan_window_errors(gamma_unit_ctx):
@@ -190,6 +236,19 @@ def _sequential_sum(values):
     return total
 
 
+def _kept_cells(masses, rng):
+    """The cells one replicate keeps, drawn as a chunk of one replicate draws
+    them: N ~ Binomial(cells, p) candidates, p the largest mass of a small
+    cell (mass <= 1), placed by ``rng.choice`` and sorted, each kept by one
+    uniform below its mass over p; no draw where p is 0."""
+    keep = np.where(masses <= 1.0, masses, 0.0)
+    pick, top = np.zeros(len(masses), dtype=bool), keep.max()
+    if top > 0.0:
+        cand = np.sort(rng.choice(len(masses), rng.binomial(len(masses), top), replace=False, shuffle=False))
+        pick[cand[rng.random(len(cand)) < keep[cand] / top]] = True
+    return pick
+
+
 def test_count_mode_cells_draw_what_binding_each_cell_drew():
     """Count-mode draws and the generator stream equal the route that bound the
     family at every count-mode cell's eta and drew through the bound family."""
@@ -206,7 +265,7 @@ def test_count_mode_cells_draw_what_binding_each_cell_drew():
     def bound_route(rng):
         stat = ctx.stat()
         small = plan.masses <= 1.0
-        pick = small & (rng.random(len(plan.masses)) < plan.masses)
+        pick = _kept_cells(plan.masses, rng)
         total = 0.0
         if np.any(pick):
             total += _sequential_sum(stat.value(expfam.sample_each(ctx.family, plan.etas[pick], rng)))
@@ -245,7 +304,7 @@ def _draw_per_call(ctx, plan, t, rng):
         return 0.0
     masses, etas, stat = plan.masses[:hi], plan.etas[:hi], ctx.stat()
     small = masses <= 1.0
-    pick = small & (rng.random(len(masses)) < masses)
+    pick = _kept_cells(masses, rng)
     total = 0.0
     if np.any(pick):
         total += _sequential_sum(stat.value(expfam.sample_each(ctx.family, etas[pick], rng)))
@@ -298,6 +357,12 @@ def test_a_window_set_up_once_draws_what_a_per_call_window_drew(case):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+# The cases whose statistic is ln s: e^{-theta ln s} = s^{-theta} has a finite
+# fourth moment only where 4 theta < 2 (shape-2 gamma and Beta(2, .) weights),
+# and the standard error is a valid scale only with it
+_LOG_STAT_CASES = ("affine-small-only", "beta-k1")
+
+
 @pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
 def test_the_batched_estimate_holds_its_exact_transform(case, monkeypatch):
     """The chunked estimate lies within 4 standard errors of the exact
@@ -305,7 +370,7 @@ def test_the_batched_estimate_holds_its_exact_transform(case, monkeypatch):
     seven with a short last one, or chunks of one; one seed gives the same
     bits; and chunks of one average exactly the one-replicate draws."""
     ctx, plan, t = _window_case(case)
-    theta, replicates = 0.7, 300
+    theta, replicates = (0.3 if case in _LOG_STAT_CASES else 0.7), 300
     exact = construct.discrete_laplace(ctx, plan, t, theta)
     cells = plan.cell_range(t)
 
@@ -376,3 +441,89 @@ def test_a_plan_refuses_a_horizon_shorter_than_one_cell(gamma_unit_ctx):
     with pytest.raises(CrmError) as exc:
         construct.DiscretizationPlan.build(gamma_unit_ctx, t=0.1, n=4)
     assert str(exc.value) == "horizon t=0.1 shorter than one cell width 1/4"
+
+
+# case -> base density pieces on (0, 1], cut into n = 8 cells of width 1/8; the
+# path is _AFFINE_RATE, whose eta differs in every cell
+_LAW_CASES = {
+    # small masses 0.0625, 0.0875, then 0.3 and 0.15: the accept step matters;
+    # cells 3 and 4 (mass 5) are count-mode
+    "differing": [
+        Piece(0.0, 0.25, "affine", c0=0.4, c1=1.6),
+        Piece(0.25, 0.5, "const", c0=40.0),
+        Piece(0.5, 0.75, "const", c0=2.4),
+        Piece(0.75, math.inf, "const", c0=1.2),
+    ],
+    # cell 3 has mass exactly 1.0, the largest small mass
+    "unit-cell": [
+        Piece(0.0, 0.25, "affine", c0=0.4, c1=1.6),
+        Piece(0.25, 0.375, "const", c0=8.0),
+        Piece(0.375, 0.5, "const", c0=40.0),
+        Piece(0.5, math.inf, "const", c0=2.4),
+    ],
+    # every small mass is 0, the others count-mode
+    "zero-small": [Piece(0.0, 0.5, "const", c0=0.0), Piece(0.5, math.inf, "const", c0=40.0)],
+}
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("case", sorted(_LAW_CASES))
+def test_each_small_cell_is_kept_binomially_often(case, seed):
+    """Over R replicates, the number kept of small cell j is Binomial(R, A_j):
+    a chi-square over the cells with 0 < A_j < 1; a cell of mass 1 is kept in
+    every replicate, one of mass 0 and a count-mode cell in none."""
+    gamma = make_family("gamma")
+    kept = []
+
+    def spy(eta, rng, size):
+        if np.ndim(eta) == 2:  # the small cells' batch; count-mode cells pass one eta
+            kept.extend(map(tuple, eta))
+        return gamma.sampler(eta, rng, size)
+
+    family = dataclasses.replace(gamma, sampler=spy)
+    ctx = LevyContext.build(family, _AFFINE_RATE, BaseMeasure(PiecewiseFunction(_LAW_CASES[case])), k=2)
+    plan = construct.DiscretizationPlan.build(ctx, t=1.0, n=8)
+    replicates = 2000
+    construct.empirical_laplace(ctx, plan, 1.0, 1.0, replicates, np.random.default_rng(seed))
+
+    cell_of = {tuple(eta): j for j, eta in enumerate(plan.etas)}
+    counts = np.bincount([cell_of[eta] for eta in kept], minlength=len(plan.masses))
+    keep = np.where(plan.masses <= 1.0, plan.masses, 0.0)
+    assert counts[keep == 0.0].tolist() == [0] * int(np.sum(keep == 0.0))
+    assert counts[keep == 1.0].tolist() == [replicates] * int(np.sum(keep == 1.0))
+    inner = (keep > 0.0) & (keep < 1.0)
+    if inner.any():
+        expected, var = replicates * keep[inner], replicates * keep[inner] * (1.0 - keep[inner])
+        chi2 = float(np.sum((counts[inner] - expected) ** 2 / var))
+        assert stats.chi2.sf(chi2, int(inner.sum())) > 1e-3
+
+
+class _CountingRng:
+    """A generator that counts the uniforms it hands out: each value of
+    ``random`` and each position ``choice`` draws."""
+
+    def __init__(self, rng):
+        self._rng, self.uniforms = rng, 0
+
+    def random(self, *args, **kwargs):
+        out = self._rng.random(*args, **kwargs)
+        self.uniforms += np.size(out)
+        return out
+
+    def choice(self, *args, **kwargs):
+        out = self._rng.choice(*args, **kwargs)
+        self.uniforms += np.size(out)
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_the_draw_takes_uniforms_in_proportion_to_the_kept_cells(gamma_unit_ctx):
+    # 512 cells of mass 1/512 and 10^4 replicates: 10^4 kept pairs expected,
+    # where one uniform per replicate and cell would be 5.12 million
+    plan = construct.DiscretizationPlan.build(gamma_unit_ctx, t=1.0, n=512)
+    rng = _CountingRng(np.random.default_rng(8))
+    construct.empirical_laplace(gamma_unit_ctx, plan, 1.0, 1.0, 10_000, rng)
+    expected_kept = 10_000 * float(plan.masses.sum())
+    assert 0 < rng.uniforms <= 3 * expected_kept

@@ -110,8 +110,8 @@ POSTERIOR_GOLDEN = {
 }
 MIX_LIKELIHOOD = "c96bbd3d85a3b5174cfbcea174e9538b1e37d44cfb6c8a0e1bc10851a1e35604"
 VERIFY_GOLDEN = {
-    "report.csv": "5ad3df771b002668b3ec2845f904ff953c74d08116357f02f16ecd9ffb18032d",
-    "laplace_convergence.csv": "8429aed43e5280478d6ed06313e293deebe209518e68a2f03f073fd9024bd037",
+    "report.csv": "ab7ba70bcaa38df20bcba7ba59e88ef39465b499ae406de34d60dc1e6a7cbef2",
+    "laplace_convergence.csv": "6ec10d9f7ca35cbb694d034447559ef0c1c51e7dc54495fdc36e2fed5083e17b",
     "series_partial_sums.csv": "0c39bbfe422a883d51a5985f5be764d1181fa4da56d3ea5f016e908ba6cb5fe5",
 }
 # sha256 over _context_repr of every context parsed from configs/, the mix and
