@@ -2,12 +2,17 @@
 
 The location axis is cut into cells of width 1/n.  Cell i covers
 ((i-1)/n, i/n], carries base mass A_i = A_0((i-1)/n, i/n], and evaluates the
-path at its midpoint.  A draw keeps cell i's statistic T_k(S_i), with
-S_i ~ p(. | eta(midpoint_i)), with probability A_i; cells whose mass exceeds
-one contribute a Poisson(A_i)-distributed number of independent statistics
-instead.  The per-cell transform is then exactly
-1 - A_i (1 - E[e^{-theta T_k}]) (resp. exp(-A_i (1 - E[...]))), so the
-product converges to exp(-psi(t, theta)) as n grows.
+path, without its atom overrides, at its midpoint.  A draw keeps cell i's
+statistic T_k(S_i), with S_i ~ p(. | eta(midpoint_i)), with probability A_i;
+a count-mode cell, one whose mass exceeds one or that holds a base point
+mass, contributes a Poisson(A_i)-distributed number of independent
+statistics instead.  The per-cell transform is then exactly
+1 - A_i (1 - E[e^{-theta T_k}]) (resp. exp(-A_i (1 - E[...]))).  A cell
+without a point mass has A_i of order 1/n, where the two agree to
+O(A_i^2); a point mass keeps its mass as n grows, and its Poisson count
+gives its atom's own factor.  So the product converges to
+exp(-psi(t, theta)) as n grows where the path is continuous at every point
+mass and no atom override sits on one.
 
 Everything fixed for one window (0, t] of a plan -- the cell slice, the
 masses and etas, the split into small and count-mode cells, the
@@ -67,7 +72,9 @@ class DiscretizationPlan:
         idx = np.arange(1, m + 1, dtype=float)
         mids = (idx - 0.5) / n
         masses = ctx.base._cell_masses(np.arange(m + 1, dtype=float) / n)
-        etas = ctx.path.natural_etas(
+        # the path without its atom overrides (levy's plan path), which act only
+        # through the point masses
+        etas = ctx._plan.path.natural_etas(
             ctx.family, mids, lambda i, z: f"cell {i + 1}, midpoint z={z!r}"
         )
         return cls(int(n), m / n, mids, masses, etas)
@@ -82,6 +89,16 @@ class DiscretizationPlan:
         return hi
 
 
+def _counted(ctx: LevyContext, plan: DiscretizationPlan, hi: int) -> np.ndarray:
+    """Whether each of the window's ``hi`` cells is count-mode: its mass is above 1,
+    or it holds a base point mass of positive mass."""
+    counted = plan.masses[:hi] > 1.0
+    locs = [loc for loc, mass in ctx.base.jumps if mass > 0.0]
+    cells = np.searchsorted(np.arange(hi + 1) / plan.n, locs) - 1  # cell i covers (i / n, (i + 1) / n]
+    counted[cells[(cells >= 0) & (cells < hi)]] = True
+    return counted
+
+
 # (replicate, cell) pairs per array pass, or one replicate's cells where they
 # are more: a pass's candidate positions, at most every pair, hold at most 2 MB
 _CHUNK_CELLS = 2**18
@@ -94,32 +111,31 @@ def _draw_totals(
 
     The window is set up once.  The replicates are drawn in chunks of r, with
     r * cells at most ``_CHUNK_CELLS``.  With p the largest mass of a small
-    cell (mass <= 1), each chunk draws from ``rng``, in this order: a count
-    N ~ Binomial(r * cells, p); a uniform N-subset of the flat positions
-    ``range(r * cells)`` of the (replicate, cell) pairs
+    cell (mass <= 1 and no base point mass), each chunk draws from ``rng``,
+    in this order: a count N ~ Binomial(r * cells, p); a uniform N-subset of
+    the flat positions ``range(r * cells)`` of the (replicate, cell) pairs
     (``rng.choice(..., replace=False, shuffle=False)``), sorted into
     replicate then cell order; one uniform per candidate, which keeps it
     where it falls below A_j / p, A_j being its cell's mass; one family batch
     over the kept cells, in replicate then cell order; and per count-mode
-    cell (mass > 1) a vector of r Poisson counts and one batch of their
-    total.  Each pair of a small cell j is so kept independently with
-    probability A_j; a count-mode cell's is 0.  Where p is 0, the count is 0
-    and no position or uniform is drawn.  Count-mode cells whose
-    summed mass passes ``errors._MAX_ATOMS`` are refused before any draw.  A
-    replicate's total is the sequential sum (``np.bincount``) of its kept
-    cells' statistics, in cell order, plus that of each count-mode cell's
-    statistics in turn.  When every
-    cell of the window has one eta, the batch passes that eta once, which
-    draws what the per-row batch draws (``BoundFamily.sample``).  The plan
-    checked every cell's eta when it was built, so no draw binds the family
-    again.
+    cell (mass > 1, or a point mass) a vector of r Poisson counts and one
+    batch of their total.  Each pair of a small cell j is so kept
+    independently with probability A_j; a count-mode cell's is 0.  Where p
+    is 0, the count is 0 and no position or uniform is drawn.  Count-mode
+    cells whose summed mass passes ``errors._MAX_ATOMS`` are refused before
+    any draw.  A replicate's total is the sequential sum (``np.bincount``) of
+    its kept cells' statistics, in cell order, plus that of each count-mode
+    cell's statistics in turn.  When every cell of the window has one eta,
+    the batch passes that eta once, which draws what the per-row batch draws
+    (``BoundFamily.sample``).  The plan checked every cell's eta when it was
+    built, so no draw binds the family again.
     """
     hi = plan.cell_range(t)
     masses, etas = plan.masses[:hi], plan.etas[:hi]
     totals = np.zeros(replicates)
     if hi == 0:
         return totals
-    small = masses <= 1.0
+    small = ~_counted(ctx, plan, hi)
     # a count-mode cell is never kept
     keep = np.where(small, masses, 0.0)
     # the atoms a replicate expects from the count-mode cells, before any draw
@@ -170,14 +186,15 @@ def sample_discretized(
 def discrete_laplace(ctx: LevyContext, plan: DiscretizationPlan, t: float, theta: float) -> float:
     """Exact E[e^{-theta X_n}] of the discretized draw (product over cells)."""
     _check_theta(theta)
-    live = np.flatnonzero(plan.masses[:plan.cell_range(t)] != 0.0)
+    hi = plan.cell_range(t)
+    live, counted = np.flatnonzero(plan.masses[:hi] != 0.0), _counted(ctx, plan, hi).tolist()
     # cells often share an eta: one batch over the distinct ones
     distinct, which = np.unique(plan.etas[live], axis=0, return_inverse=True)
     inners = stat_laplace(ctx.family, distinct.T, ctx.k, theta)
     log_total = 0.0
     for j, u in zip(live, which.reshape(-1)):
         mass, inner = plan.masses[j], inners[u]
-        if mass <= 1.0:
+        if not counted[j]:
             factor = 1.0 - mass * (1.0 - inner)
             if factor <= 0.0:
                 raise CrmError(f"cell {j + 1} transform is nonpositive ({factor})")

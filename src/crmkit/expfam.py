@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import CrmError, DerivativeDomainError, DivergenceError, NaturalSpaceError, SupportError
 from .errors import _float_params, _integer, _registered
-from .piecewise import PiecewiseFunction, _quadpack, checked_quad
+from .piecewise import PiecewiseFunction, checked_quad
 
 __all__ = [
     "Support",
@@ -373,20 +373,16 @@ def moment_suff_stat(spec: ExpFamilySpec, eta, k: int, m: int) -> float:
     return float(mus[m])
 
 
-def _tilt(spec: ExpFamilySpec, eta, k: int, step: float, log_partition=None) -> float | np.ndarray:
+def _tilt(spec: ExpFamilySpec, eta, k: int, step: float) -> float | np.ndarray:
     """E[exp(step * T_k(X))] = exp(A(eta + sign_k step e_k) - A(eta)), eta and its
     tilt each bound once: a float at one eta (shape (l,)), an array at a batch
-    (shape (l, m), one eta per column).  With ``log_partition``, eta and A(eta)
-    are a pair :func:`_bind_many` gave, and only the tilt is bound.  It is
-    infinite exactly where the tilt leaves the natural space: there
-    :class:`DivergenceError` (``partial=inf``) names the tilted coordinate of
-    the first such column.  Overflow is not warned about; the caller reads a
-    non-finite value itself.
+    (shape (l, m), one eta per column).  It is infinite exactly where the tilt
+    leaves the natural space: there :class:`DivergenceError` (``partial=inf``)
+    names the tilted coordinate of the first such column.  Overflow is not
+    warned about; the caller reads a non-finite value itself.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if log_partition is None:
-            eta, log_partition = _bind_many(spec, eta)
-        return _tilted(spec, eta, log_partition, _check_k(spec, k), step)
+        return _tilted(spec, *_bind_many(spec, eta), _check_k(spec, k), step)
 
 
 def _tilted(spec: ExpFamilySpec, eta, log_partition, k: int, step: float) -> float | np.ndarray:
@@ -760,8 +756,7 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
         a short one that sum is small, so it is -d int_0^1 dv / (t R(a, t)),
         t = x0 + d v, the integral of the derivative, smooth on the scale of x0
         there, whose relative error is that of R: no two values near ln Gamma(a, x0)
-        cancel.  The short windows take one QUADPACK first pass, one row each, and
-        :func:`checked_quad` where it declines."""
+        cancel.  The short windows are one batch of :func:`checked_quad`, a row each."""
         s, a, w = np.broadcast_arrays(s, a, w)
         x0, d = s * u_m, s * (w - u_m)
         out = np.empty(d.shape)
@@ -773,17 +768,12 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
         if short.any():
             a_s, x0_s, d_s = a[short, None], x0[short, None], d[short, None]
 
-            def rate(v, rows=slice(None)):
+            def rate(v, rows):
                 """1 / (t R(a, t)) at t = x0 + d v on the short windows ``rows``."""
                 t = x0_s[rows] + d_s[rows] * v
                 return 1.0 / (t * _upper_gamma_ratio(np.broadcast_to(a_s[rows], t.shape), t))
 
-            passes = _quadpack().first_pass(rate, 0.0, 1.0)
-            integrals = [
-                checked_quad(functools.partial(rate, rows=i), 0.0, 1.0) if v is None else v
-                for i, v in enumerate(passes)
-            ]
-            out[short] = -d_s[:, 0] * np.array(integrals)
+            out[short] = -d_s[:, 0] * checked_quad(rate, 0.0, 1.0, np.arange(len(d_s)))
         return out
 
     def cdf(eta, x):

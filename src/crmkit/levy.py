@@ -26,12 +26,11 @@ failure is never kept.  Each call clips the plan to (0, t] and adds the atoms
 of A_0 exactly over (0, t] (a jump at t counts, one at 0 does not).  A
 constant stretch contributes h(eta, A(eta), x) A_0(stretch within (0, t]).
 Any other stretch takes, per base piece that is not identically 0, one
-21-point Gauss-Kronrod pass (QUADPACK's ``qk21``,
-:func:`~crmkit.quadpack.first_pass`) with h on a batch of eta at its nodes and
-every point, and runs :func:`~crmkit.piecewise.checked_quad`, QUADPACK's
-adaptive routine, on the same integrand at one point only where QUADPACK
-would not stop after that pass: each value is the double QUADPACK gives, at
-one point or in any array.
+:func:`~crmkit.piecewise.checked_quad` over the points, its integrand h on a
+batch of eta at the nodes and every point: QUADPACK's first pass over them
+all, and its adaptive routine at one point only where QUADPACK would not
+stop after that pass, so each value is the double QUADPACK gives, at one
+point or in any array.
 
 Each public functional checks its inputs once, at its door, and hands them to
 the private walk, which checks them no more: t; u against the statistic's
@@ -45,7 +44,7 @@ then in the natural space (with the failing node's ``index``), and A(eta) is
 evaluated with no further check.  The door enters one
 ``np.errstate(all="ignore")``: no division by zero, overflow, underflow or
 invalid value in the call is warned about.  A point whose pass is not finite
-goes to :func:`checked_quad`, which raises where it finds no finite value.
+takes the adaptive routine, which raises where it finds no finite value.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from . import expfam
 from .errors import ConditionError, CrmError, DivergenceError, NaturalSpaceError, SupportError
 from .errors import _horizon, _real
 from .expfam import ExpFamilySpec, ParameterPath
-from .piecewise import Piece, PiecewiseFunction, _quadpack, checked_quad
+from .piecewise import Piece, PiecewiseFunction, checked_quad
 
 __all__ = [
     "BaseMeasure",
@@ -437,32 +436,18 @@ def _density(family: ExpFamilySpec, xs) -> Callable:
 
 def _stretch_integral(stretch: _Stretch, h: Callable, x, piece: Piece, lo, hi) -> np.ndarray:
     """int_(lo, hi] h(eta(z), A(eta(z)), x) a_0(z) dz on one base piece of a stretch at
-    each point of x (a float at one point): one :func:`~crmkit.quadpack.first_pass` over
-    every point, then :func:`checked_quad` on the same integrand at each point it
-    declines, such as every point on an infinite stretch.  The eta of each batch of
-    nodes is checked finite where it is made (:meth:`_Stretch.etas`), then only in
-    the natural space."""
+    each point of x (a float at one point), by :func:`checked_quad` over the points.
+    The eta of each batch of nodes is checked finite where it is made
+    (:meth:`_Stretch.etas`), then only in the natural space."""
     family = stretch.family
     value = piece.value if piece.kind != "const" else lambda zs: piece.c0  # a_0 at the nodes
 
-    def at(points):
-        def integrand(zs):
-            etas = stretch.etas(zs)
-            family.check_natural(etas)
-            return h(etas, family.log_partition_fn(etas), points) * value(zs)
+    def integrand(zs, points):
+        etas = stretch.etas(zs)
+        family.check_natural(etas)
+        return h(etas, family.log_partition_fn(etas), points) * value(zs)
 
-        return integrand
-
-    passes = [None] * x.size
-    if math.isfinite(hi):
-        try:
-            passes = _quadpack().first_pass(at(x), lo, hi)
-        except CrmError:
-            pass
-    if None in passes:
-        points = x.ravel().tolist()
-        passes = [checked_quad(at(p), lo, hi) if v is None else v for v, p in zip(passes, points)]
-    return np.array(passes).reshape(x.shape) if x.ndim else passes[0]
+    return checked_quad(integrand, lo, hi, x)
 
 
 def _z_integral(ctx: LevyContext, h: Callable, t: float, x) -> float | np.ndarray:

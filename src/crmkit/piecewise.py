@@ -14,9 +14,11 @@ defined, with one mask per piece over ``np.asarray(z)``; a scalar is a batch of 
 Callable pieces integrate through :func:`checked_quad`, the package's one checked
 quadrature helper: QUADPACK's adaptive quadrature (:mod:`crmkit.quadpack`)
 on an integrand that takes an array of nodes, raising rather than returning
-an unconverged value.  (The location integrals of :mod:`crmkit.levy` first
-take QUADPACK's first 21-point pass over a batch of points, and call it for
-a point where that pass is not enough.)  A closed-form integral that is not
+an unconverged value.  It is the one way into :mod:`crmkit.quadpack`, for one
+integrand or for a batch of integrands indexed by points, such as the
+location integrals of :mod:`crmkit.levy` at a batch of weights: QUADPACK's
+first 21-point pass runs once over the batch, and the adaptive routine only
+at a point where that pass is not enough.  A closed-form integral that is not
 finite (a nonzero piece over an unbounded interval, or a ratio piece whose
 denominator vanishes on it) raises :class:`DivergenceError`.
 """
@@ -47,7 +49,7 @@ def _quadpack():
     return quadpack
 
 
-def checked_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+def checked_quad(f: Callable, a: float, b: float, points=None):
     """Adaptive quadrature of f over (a, b) to 1e-12 absolute / 1e-10 relative.
 
     ``f`` maps a 1-D array of nodes to their values; each subinterval's 21
@@ -59,7 +61,26 @@ def checked_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> f
     partial when QUADPACK reports a problem (subdivision limit, roundoff,
     bad integrand behaviour, probable divergence), naming it, or when the
     value is not finite.
+
+    With ``points`` (a numpy array or scalar) it integrates one integrand per
+    point: ``f(nodes, points)`` has shape ``points.shape + (nodes.size,)``, and
+    the result is an array of the points' shape (a float at a scalar).  On
+    finite ends QUADPACK's first 21-point pass runs once over every point
+    (:func:`crmkit.quadpack.first_pass`); the routine above runs only at a
+    point where QUADPACK would not stop after that pass, as
+    ``f(nodes, p)`` for that one point p (a Python number), and at every point
+    where an end is infinite.  Each value is the double its point gives alone.
     """
+    if points is not None:
+        if not a < b:
+            return np.zeros(points.shape) if points.ndim else 0.0
+        values = [None] * points.size
+        if math.isfinite(a) and math.isfinite(b):
+            values = _quadpack().first_pass(lambda nodes: f(nodes, points), a, b)
+        if None in values:  # the points are listed only where the pass declines one
+            values = [checked_quad(lambda nodes: f(nodes, p), a, b) if v is None else v
+                      for v, p in zip(values, points.ravel().tolist())]
+        return np.array(values).reshape(points.shape) if points.ndim else values[0]
     if not a < b:
         return 0.0
     quadpack = _quadpack()

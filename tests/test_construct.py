@@ -162,6 +162,44 @@ def test_discretization_gap_decreases(gamma_unit_ctx):
     assert gaps[0] > gaps[1] > gaps[2] > 0.0
 
 
+def test_a_point_mass_cell_draws_a_poisson_count_so_the_transform_converges():
+    # a point mass of 0.5 at z = 0.3 on a unit Lebesgue base: psi(1, 1) = 1.5 (1 - 9/16).
+    # Kept by one Bernoulli draw, its cell's factor 1 - 0.5 (1 - 9/16) stayed off the
+    # atom's exp(-0.5 (1 - 9/16)), and the gap stuck near 0.0144 at every n
+    ctx = LevyContext.build(
+        make_family("gamma"), ParameterPath.constant([2.0, 3.0]),
+        BaseMeasure(PiecewiseFunction.constant(1.0), ((0.3, 0.5),)), k=2,
+    )
+    assert laplace_exponent(ctx, 1.0, 1.0) == pytest.approx(1.5 * (1.0 - 9.0 / 16.0), rel=1e-12)
+    gaps = [
+        construct.discretization_gap(ctx, construct.DiscretizationPlan.build(ctx, 1.0, n), 1.0, 1.0)
+        for n in (64, 512, 4096)
+    ]
+    assert gaps[0] > gaps[1] > gaps[2] and gaps[2] < 1e-4, gaps
+    # the point-mass cell is the only count-mode factor: exp(-A (1 - E)) with A = 0.5 + 1/4096
+    plan = construct.DiscretizationPlan.build(ctx, 1.0, 4096)
+    cell, gap = int(0.3 * 4096), 1.0 - 9.0 / 16.0
+    want = math.exp(
+        sum(math.log1p(-m * gap) for j, m in enumerate(plan.masses.tolist()) if j != cell)
+        - plan.masses[cell] * gap
+    )
+    assert construct.discrete_laplace(ctx, plan, 1.0, 1.0) == pytest.approx(want, rel=1e-12)
+
+
+def test_a_plan_reads_the_path_at_a_midpoint_without_its_atom_overrides():
+    # an override at the first cell's midpoint z = 0.0625 (n = 8) with no point mass
+    # there moves no functional, and no longer the discretized law: it read
+    # eta = (20, 3) in that cell, and discrete_laplace gave 0.59052 for 0.63768
+    base, family = BaseMeasure.lebesgue(1.0), make_family("gamma")
+    plain = LevyContext.build(family, ParameterPath.constant([2.0, 3.0]), base, k=2)
+    overridden = LevyContext.build(family, plain.path.with_override(0.0625, [20.0, 3.0]), base, k=2)
+    plans = [construct.DiscretizationPlan.build(ctx, 1.0, 8) for ctx in (plain, overridden)]
+    assert plans[1].etas.tolist() == plans[0].etas.tolist()
+    transforms = [construct.discrete_laplace(ctx, plan, 1.0, 1.0) for ctx, plan in zip((plain, overridden), plans)]
+    assert transforms[1] == transforms[0] == pytest.approx(0.63768, abs=5e-6)
+    assert laplace_exponent(overridden, 1.0, 1.0) == laplace_exponent(plain, 1.0, 1.0)
+
+
 def test_sample_discretized_total_statistic(gamma_unit_ctx, rng):
     plan = construct.DiscretizationPlan.build(gamma_unit_ctx, t=1.0, n=8)
     totals = [construct.sample_discretized(gamma_unit_ctx, plan, 1.0, rng) for _ in range(200)]
@@ -236,12 +274,22 @@ def _sequential_sum(values):
     return total
 
 
-def _kept_cells(masses, rng):
+def _small_cells(ctx, plan, hi):
+    """Whether each of the first hi cells is small: mass <= 1 and no base point
+    mass of positive mass in it, read cell by cell from ``jumps_in``."""
+    n = plan.n
+    return np.array([
+        plan.masses[j] <= 1.0 and not any(m > 0.0 for _, m in ctx.base.jumps_in(j / n, (j + 1) / n))
+        for j in range(hi)
+    ], dtype=bool)
+
+
+def _kept_cells(masses, small, rng):
     """The cells one replicate keeps, drawn as a chunk of one replicate draws
     them: N ~ Binomial(cells, p) candidates, p the largest mass of a small
-    cell (mass <= 1), placed by ``rng.choice`` and sorted, each kept by one
-    uniform below its mass over p; no draw where p is 0."""
-    keep = np.where(masses <= 1.0, masses, 0.0)
+    cell, placed by ``rng.choice`` and sorted, each kept by one uniform below
+    its mass over p; no draw where p is 0."""
+    keep = np.where(small, masses, 0.0)
     pick, top = np.zeros(len(masses), dtype=bool), keep.max()
     if top > 0.0:
         cand = np.sort(rng.choice(len(masses), rng.binomial(len(masses), top), replace=False, shuffle=False))
@@ -264,8 +312,8 @@ def test_count_mode_cells_draw_what_binding_each_cell_drew():
 
     def bound_route(rng):
         stat = ctx.stat()
-        small = plan.masses <= 1.0
-        pick = _kept_cells(plan.masses, rng)
+        small = _small_cells(ctx, plan, len(plan.masses))
+        pick = _kept_cells(plan.masses, small, rng)
         total = 0.0
         if np.any(pick):
             total += _sequential_sum(stat.value(expfam.sample_each(ctx.family, plan.etas[pick], rng)))
@@ -303,8 +351,8 @@ def _draw_per_call(ctx, plan, t, rng):
     if hi == 0:
         return 0.0
     masses, etas, stat = plan.masses[:hi], plan.etas[:hi], ctx.stat()
-    small = masses <= 1.0
-    pick = _kept_cells(masses, rng)
+    small = _small_cells(ctx, plan, hi)
+    pick = _kept_cells(masses, small, rng)
     total = 0.0
     if np.any(pick):
         total += _sequential_sum(stat.value(expfam.sample_each(ctx.family, etas[pick], rng)))
@@ -334,6 +382,17 @@ _WINDOW_CASES = {
     "affine-partial": ("gamma", _AFFINE_RATE, _two_level_base(1.0, 12.0), 2, 8, 1.5, 1.25),
     "beta-k1": ("beta", _CONSTANT, _two_level_base(2.0, 8.0), 1, 2, 1.0, 1.0),
     "empty-window": ("gamma", _CONSTANT, BaseMeasure.lebesgue(1.0), 2, 4, 1.0, 0.0),
+    # small masses 0.046875 to 0.265625, each its own: A_j / p differs per cell
+    "affine-base": (
+        "gamma", _AFFINE_RATE,
+        BaseMeasure(PiecewiseFunction([Piece(0.0, math.inf, "affine", c0=0.25, c1=2.0)])), 2, 8, 1.0, 1.0,
+    ),
+    # point masses of 0.5 (small by mass, count-mode by the point mass), 0.0 (its
+    # cell stays small) and 2.0, the last two on cell edges
+    "point-masses": (
+        "gamma", _AFFINE_RATE,
+        BaseMeasure(PiecewiseFunction.constant(1.0), ((0.3, 0.5), (0.5, 0.0), (0.75, 2.0))), 2, 4, 1.0, 1.0,
+    ),
 }
 
 
@@ -348,7 +407,7 @@ def test_a_window_set_up_once_draws_what_a_per_call_window_drew(case):
     """Draws and the generator stream equal, bit for bit, the route that sets
     the window up in every call: one eta shared by every cell, per-cell etas,
     count-mode cells, windows that end inside the plan, beta's log statistic,
-    an empty window."""
+    an empty window, small cells of differing mass, and point masses."""
     ctx, plan, t = _window_case(case)
     rng, ref = np.random.default_rng(2024), np.random.default_rng(2024)
     got = np.array([construct.sample_discretized(ctx, plan, t, rng) for _ in range(60)])

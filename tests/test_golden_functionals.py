@@ -382,7 +382,7 @@ def _classified(res, us):
     return fields
 
 
-FUNCTIONALS_DIGEST = "6146ecca9dc51dab3a402d1c3cdfd22704eea010c978b4358b17ca49274c8b2b"
+FUNCTIONALS_DIGEST = "4ea5b65f90ef46f2b359c6f5f93679c15ed675eb78cfc49c0c57f5ec7f8e7e73"
 
 
 def test_functionals_digest_is_pinned():

@@ -134,6 +134,35 @@ def test_checked_quad_runs_quad_once_and_keeps_its_partial():
     assert checked_quad(f, 1.0, 1.0) == 0.0
 
 
+def test_checked_quad_over_points_gives_each_points_own_double(monkeypatch):
+    # 1/sqrt(c + z) on (0, 1): the first pass takes c = 1 and c = 2 and declines
+    # c = 0, whose integrand is singular at 0; only that point runs qag, alone
+    def f(zs, c):
+        return 1.0 / np.sqrt(np.add.outer(c, zs))
+
+    points = np.array([[1.0, 0.0, 2.0]])
+    singles = [checked_quad(lambda zs, c=c: f(zs, c), 0.0, 1.0) for c in points.ravel().tolist()]
+    qag, runs = quadpack.qag, []
+
+    def counted(g, a, b):
+        runs.append((a, b))
+        return qag(g, a, b)
+
+    monkeypatch.setattr(quadpack, "qag", counted)
+    got = checked_quad(f, 0.0, 1.0, points)
+    assert got.shape == (1, 3) and got.ravel().tolist() == singles and runs == [(0.0, 1.0)]
+    assert checked_quad(f, 0.0, 1.0, np.float64(2.0)) == singles[2]
+    # an infinite end runs qag at every point; an empty window is zeros of the points' shape
+    def decay(zs, c):
+        return np.exp(-np.multiply.outer(c, zs))
+
+    want = [checked_quad(lambda zs, c=c: decay(zs, c), 0.0, math.inf) for c in (1.0, 4.0)]
+    runs.clear()
+    assert checked_quad(decay, 0.0, math.inf, np.array([1.0, 4.0])).tolist() == want
+    assert runs == [(0.0, math.inf)] * 2
+    assert checked_quad(f, 1.0, 1.0, points).tolist() == [[0.0, 0.0, 0.0]]
+
+
 def test_overlapping_pieces_rejected():
     with pytest.raises(CrmError, match="overlap"):
         PiecewiseFunction(

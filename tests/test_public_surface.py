@@ -217,6 +217,33 @@ def test_verify_all_loads_no_scipy_integrate(heavy_modules_after, tmp_path):
     assert "scipy.integrate" not in loaded and "mpmath" not in loaded, loaded
 
 
+def _names_in_code(source: str) -> set:
+    """Every identifier the code of ``source`` uses: names, attributes and the
+    parts of imported module paths and names (strings and docstrings aside)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."), [node.asname])
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.update(node.module.split("."))
+    return names
+
+
+def test_piecewise_is_the_one_door_to_quadpack():
+    # checked_quad integrates one integrand or a batch; no other module stages
+    # QUADPACK's passes itself.  __init__ lists the submodule by a string key only
+    package = Path(crmkit.__file__).parent
+    naming = [
+        path.stem for path in sorted(package.glob("*.py"))
+        if {"quadpack", "_quadpack"} & _names_in_code(path.read_text())
+    ]
+    assert naming == ["piecewise"]
+
+
 # what parsing a sample config and building its contexts needs; the other
 # submodules load on first use
 _BUILD_MODULES = ["crmkit.config", "crmkit.errors", "crmkit.expfam", "crmkit.levy", "crmkit.piecewise"]
