@@ -208,16 +208,17 @@ class ExpFamilySpec:
 
 
 def _as_eta(spec: ExpFamilySpec, eta, batch: bool = True) -> np.ndarray:
-    """eta of shape (l,), or with ``batch`` (l, m), checked for length, finiteness and
-    natural space (a batch's first bad column raises, with ``index``); rows contiguous."""
+    """eta of shape (l,), or with ``batch`` (l, m) or any (l, ...), checked for length,
+    finiteness and natural space (a batch's first bad column raises, with ``index``
+    in the flattened ``eta.shape[1:]``); rows contiguous."""
     eta = np.ascontiguousarray(eta, dtype=float)
-    if eta.shape[:1] != (spec.dimension,) or eta.ndim > (2 if batch else 1):
+    if eta.shape[:1] != (spec.dimension,) or (eta.ndim > 1 and not batch):
         raise CrmError(
             f"{spec.name}: natural parameter must have length {spec.dimension}, got shape {eta.shape}"
         )
     if not np.isfinite(eta).all():
         i = int(np.argmin(np.isfinite(eta).all(axis=0))) if eta.ndim > 1 else None
-        got = eta if i is None else eta[:, i]
+        got = eta if i is None else eta.reshape(len(eta), -1)[:, i]
         raise NaturalSpaceError(f"{spec.name}: natural parameter must be finite, got {got}", index=i)
     spec.check_natural(eta)
     return eta
@@ -393,7 +394,7 @@ def _tilted(spec: ExpFamilySpec, eta, log_partition, k: int, step: float) -> flo
     try:
         tilted_log_partition = _bind_many(spec, tilted)[1]
     except NaturalSpaceError as exc:
-        coord = tilted[k - 1] if exc.index is None else tilted[k - 1, exc.index]
+        coord = tilted[k - 1] if exc.index is None else tilted[k - 1].flat[exc.index]
         raise DivergenceError(
             f"{spec.name}: E[exp({step} T_{k})] is infinite, the tilted coordinate "
             f"eta_{k} = {coord} leaves the natural space ({exc})",
@@ -735,9 +736,10 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
             return alpha * u_m ** m / (alpha - m)
         s, a = -(eta[0] + 1.0), eta[1] + 1.0
         x = s * u_m
+        if k == 1:  # both ln Gamma from one call, each the double it gives alone
+            log_top, log_moment = _log_upper_gamma(np.array([a, a + m]), x).tolist()
+            return s ** -m * math.exp(log_moment - log_top)
         log_top = float(_log_upper_gamma(a, x))
-        if k == 1:
-            return s ** -m * math.exp(float(_log_upper_gamma(a + m, x)) - log_top)
         log_u, d = math.log(u_m), abs(math.log(u_m)) + 1.0 / x
 
         def integrand(t):
@@ -906,18 +908,22 @@ def _poisson_family() -> ExpFamilySpec:
     )
 
 
+@functools.cache
+def _logistic_poly(j: int) -> np.poly1d:
+    """P_j of the logistic's derivatives: P_0 = 1, P_{j+1} = (1 - 2p) P_j + p (1 - p) P_j'."""
+    if j == 0:
+        return np.poly1d([1.0])
+    poly = _logistic_poly(j - 1)
+    return np.poly1d([-2.0, 1.0]) * poly + np.poly1d([-1.0, 1.0, 0.0]) * poly.deriv()
+
+
 def _bernoulli_family() -> ExpFamilySpec:
     stats = (SufficientStat("x", lambda x: _float64(x) + 0.0, image=(0.0, 1.0)),)
 
     def cumulants(eta, k, n):
-        # the derivatives of the logistic p are p and p (1 - p) P_j(p), with
-        # P_0 = 1 and P_{j+1} = (1 - 2p) P_j + p (1 - p) P_j'
+        # the derivatives of the logistic p are p and p (1 - p) P_j(p)
         p = _special().expit(eta[0])
-        out, poly = [p], np.poly1d([1.0])
-        for _ in range(1, n):
-            out.append(p * (1.0 - p) * poly(p))
-            poly = np.poly1d([-2.0, 1.0]) * poly + np.poly1d([-1.0, 1.0, 0.0]) * poly.deriv()
-        return out
+        return [p] + [p * (1.0 - p) * _logistic_poly(j)(p) for j in range(n - 1)]
 
     return ExpFamilySpec(
         name="bernoulli",

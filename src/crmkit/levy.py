@@ -26,11 +26,11 @@ failure is never kept.  Each call clips the plan to (0, t] and adds the atoms
 of A_0 exactly over (0, t] (a jump at t counts, one at 0 does not).  A
 constant stretch contributes h(eta, A(eta), x) A_0(stretch within (0, t]).
 Any other stretch takes, per base piece that is not identically 0, one
-:func:`~crmkit.piecewise.checked_quad` over the points, its integrand h on a
-batch of eta at the nodes and every point: QUADPACK's first pass over them
-all, and its adaptive routine at one point only where QUADPACK would not
-stop after that pass, so each value is the double QUADPACK gives, at one
-point or in any array.
+:func:`~crmkit.piecewise.checked_quad` over the points, QUADPACK's routine
+in lockstep: its integrand h at the first step on a batch of eta at the
+nodes and every point, and at each later step on the nodes of each point
+still bisecting, paired with that point, so each value is the double
+QUADPACK gives, at one point or in any array.
 
 Each public functional checks its inputs once, at its door, and hands them to
 the private walk, which checks them no more: t; u against the statistic's
@@ -43,8 +43,8 @@ is made: finite as :meth:`_Stretch.etas` makes it (naming the first such z),
 then in the natural space (with the failing node's ``index``), and A(eta) is
 evaluated with no further check.  The door enters one
 ``np.errstate(all="ignore")``: no division by zero, overflow, underflow or
-invalid value in the call is warned about.  A point whose pass is not finite
-takes the adaptive routine, which raises where it finds no finite value.
+invalid value in the call is warned about.  A point whose first rule is not
+finite bisects, and the routine raises where it finds no finite value.
 """
 
 from __future__ import annotations
@@ -438,12 +438,13 @@ def _stretch_integral(stretch: _Stretch, h: Callable, x, piece: Piece, lo, hi) -
     """int_(lo, hi] h(eta(z), A(eta(z)), x) a_0(z) dz on one base piece of a stretch at
     each point of x (a float at one point), by :func:`checked_quad` over the points.
     The eta of each batch of nodes is checked finite where it is made
-    (:meth:`_Stretch.etas`), then only in the natural space."""
+    (:meth:`_Stretch.etas`), then only in the natural space; the nodes of a
+    later step, one row per point (shape (r, 2n)), give eta of shape (l, r, 2n)."""
     family = stretch.family
     value = piece.value if piece.kind != "const" else lambda zs: piece.c0  # a_0 at the nodes
 
     def integrand(zs, points):
-        etas = stretch.etas(zs)
+        etas = stretch.etas(zs) if zs.ndim == 1 else stretch.etas(zs.ravel()).reshape(-1, *zs.shape)
         family.check_natural(etas)
         return h(etas, family.log_partition_fn(etas), points) * value(zs)
 
@@ -457,11 +458,13 @@ def _z_integral(ctx: LevyContext, h: Callable, t: float, x) -> float | np.ndarra
 
     ``h`` maps one bound eta (shape (l,), A a float) to the shape of x and a batch
     (shape (l, m), A of shape (m,)) to ``x.shape + (m,)``, each entry that eta's
-    and point's double.  A constant stretch gives h(eta, A, x) A_0(stretch), h not
-    run where that mass is 0; any other takes :func:`_stretch_integral` per
-    nonzero base piece.  The point masses take h at one batch of their eta, added
-    in location order; atom overrides act only through them.  The callers check
-    t > 0 and x, under the call's one ``np.errstate``.
+    and point's double; a batch of shape (l, r, m) with x of shape (r,) pairs
+    row i of the batch with point i, to shape (r, m).  A constant stretch gives
+    h(eta, A, x) A_0(stretch), h not run where that mass is 0; any other takes
+    :func:`_stretch_integral` per nonzero base piece.  The point masses take h
+    at one batch of their eta, added in location order; atom overrides act only
+    through them.  The callers check t > 0 and x, under the call's one
+    ``np.errstate``.
     """
     total, plan = 0.0, ctx._plan
     for stretch in plan.stretches:

@@ -13,14 +13,16 @@ defined, with one mask per piece over ``np.asarray(z)``; a scalar is a batch of 
 
 Callable pieces integrate through :func:`checked_quad`, the package's one checked
 quadrature helper: QUADPACK's adaptive quadrature (:mod:`crmkit.quadpack`)
-on an integrand that takes an array of nodes, raising rather than returning
-an unconverged value.  It is the one way into :mod:`crmkit.quadpack`, for one
-integrand or for a batch of integrands indexed by points, such as the
-location integrals of :mod:`crmkit.levy` at a batch of weights: QUADPACK's
-first 21-point pass runs once over the batch, and the adaptive routine only
-at a point where that pass is not enough.  A closed-form integral that is not
-finite (a nonzero piece over an unbounded interval, or a ratio piece whose
-denominator vanishes on it) raises :class:`DivergenceError`.
+on an integrand that takes an array of nodes, one call per step of the
+routine, raising rather than returning an unconverged value.  It is the one
+way into :mod:`crmkit.quadpack`, for one integrand or for a batch of
+integrands indexed by points, such as the location integrals of
+:mod:`crmkit.levy` at a batch of weights or the moments of one statistic at
+several orders: the batch runs in lockstep, one integrand call per step for
+every point still bisecting, the first step's nodes shared by all.  A
+closed-form integral that is not finite (a nonzero piece over an unbounded
+interval, or a ratio piece whose denominator vanishes on it) raises
+:class:`DivergenceError`.
 """
 
 from __future__ import annotations
@@ -52,10 +54,11 @@ def _quadpack():
 def checked_quad(f: Callable, a: float, b: float, points=None):
     """Adaptive quadrature of f over (a, b) to 1e-12 absolute / 1e-10 relative.
 
-    ``f`` maps a 1-D array of nodes to their values; each subinterval's 21
-    nodes (15, or 30 on (-inf, inf), where an end is infinite) go to it in
-    one call.  The routine is QUADPACK's ``dqagse``/``dqagie`` (Piessens et al.
-    1983; :func:`crmkit.quadpack.qag`) with at most 300 subintervals: on the
+    ``f`` maps a 1-D array of nodes to their values, one call per step of the
+    routine: the first rule's 21 nodes (15, or 30 on (-inf, inf), where an
+    end is infinite), then both halves' nodes of each bisection.  The routine
+    is QUADPACK's ``dqagse``/``dqagie`` (Piessens et al. 1983;
+    :func:`crmkit.quadpack.qag`) with at most 300 subintervals: on the
     doubles of a scalar integrand it returns what ``scipy.integrate.quad``
     does.  Raises :class:`DivergenceError` carrying the estimate as the
     partial when QUADPACK reports a problem (subdivision limit, roundoff,
@@ -63,35 +66,30 @@ def checked_quad(f: Callable, a: float, b: float, points=None):
     value is not finite.
 
     With ``points`` (a numpy array or scalar) it integrates one integrand per
-    point: ``f(nodes, points)`` has shape ``points.shape + (nodes.size,)``, and
-    the result is an array of the points' shape (a float at a scalar).  On
-    finite ends QUADPACK's first 21-point pass runs once over every point
-    (:func:`crmkit.quadpack.first_pass`); the routine above runs only at a
-    point where QUADPACK would not stop after that pass, as
-    ``f(nodes, p)`` for that one point p (a Python number), and at every point
-    where an end is infinite.  Each value is the double its point gives alone.
+    point, all in lockstep on finite and infinite ends alike, and returns an
+    array of the points' shape (a float at a scalar).  At the first step
+    ``f(nodes, points)`` takes one 1-D array of nodes shared by every point
+    and has shape ``points.shape + (nodes.size,)``; at each later step
+    ``f(nodes, live)`` takes the points still bisecting (shape (r,)) and
+    their nodes, one row each (shape (r, 2n)), and has that shape.  Each
+    value is the double its point gives alone; where several points fail,
+    the first in flattened order raises.
     """
-    if points is not None:
-        if not a < b:
-            return np.zeros(points.shape) if points.ndim else 0.0
-        values = [None] * points.size
-        if math.isfinite(a) and math.isfinite(b):
-            values = _quadpack().first_pass(lambda nodes: f(nodes, points), a, b)
-        if None in values:  # the points are listed only where the pass declines one
-            values = [checked_quad(lambda nodes: f(nodes, p), a, b) if v is None else v
-                      for v, p in zip(values, points.ravel().tolist())]
-        return np.array(values).reshape(points.shape) if points.ndim else values[0]
     if not a < b:
-        return 0.0
+        return 0.0 if points is None or not points.ndim else np.zeros(points.shape)
     quadpack = _quadpack()
-    val, _, _, ier = quadpack.qag(f, a, b)
-    if ier:
-        raise DivergenceError(
-            f"integral over ({a}, {b}) did not stabilize: {quadpack.REASONS[ier]}", partial=val
-        )
-    if not math.isfinite(val):
-        raise DivergenceError(f"integral over ({a}, {b}) is not finite", partial=val)
-    return val
+    values = []  # the first failing row raises
+    for val, _, _, ier in [quadpack.qag(f, a, b)] if points is None else quadpack.qag(f, a, b, points):
+        if ier:
+            raise DivergenceError(
+                f"integral over ({a}, {b}) did not stabilize: {quadpack.REASONS[ier]}", partial=val
+            )
+        if not math.isfinite(val):
+            raise DivergenceError(f"integral over ({a}, {b}) is not finite", partial=val)
+        values.append(val)
+    if points is None or not points.ndim:
+        return values[0]
+    return np.array(values).reshape(points.shape)
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,22 @@ C. W. Ueberhuber and D. K. Kahaner, *QUADPACK*, Springer 1983, sections 2.2
 and 3; P. Wynn, *On a device for computing the e_m(S_n) transformation*,
 MTAC 10 (1956).  One loop serves both routines.
 
-The integrand maps a 1-D array of nodes to their values, so each rule
-application is one call: 21 nodes on a finite subinterval, and on an
-infinite one 15, or 30 on (-inf, inf) where f(x) + f(-x) is integrated over
-(0, inf).  The nodes go in the order in which QUADPACK evaluates them one at
-a time.  Everything else is QUADPACK's arithmetic, in its order, in Python
-floats, with ``fmax``/``fmin`` taking the number over a NaN; on an
-integrand whose values are the doubles of a scalar integrand, :func:`qag`
-returns the value, error estimate, subinterval count and error code that
-``scipy.integrate.quad`` (the same QUADPACK routines) returns.
+The integrand maps an array of nodes to their values, so each step is one
+call.  A rule takes 21 nodes on a finite subinterval, and on an infinite one
+15, or 30 on (-inf, inf) where f(x) + f(-x) is integrated over (0, inf); the
+nodes go in the order in which QUADPACK evaluates them one at a time.  The
+first step is one rule on the whole interval; each later step is one
+bisection, both halves' nodes in turn.  A batch of integrands runs in
+lockstep: the first step's nodes are shared by every row, and each later
+step holds both halves of every live row's bisection, one row each, so a
+batch makes as many calls as its longest row has subintervals.  A row the
+first rule settles goes no further; each other row runs QUADPACK's loop as a
+generator that yields the halves it needs ruled.  Everything else is
+QUADPACK's arithmetic, in its order, in Python floats, with ``fmax``/``fmin``
+taking the number over a NaN; on an integrand whose values are the doubles
+of a scalar integrand, each row of :func:`qag` returns the value, error
+estimate, subinterval count and error code that ``scipy.integrate.quad``
+(the same QUADPACK routines) returns.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["REASONS", "first_pass", "qag"]
+__all__ = ["REASONS", "qag"]
 
 # the package's tolerances and subdivision limit
 _EPSABS, _EPSREL, _LIMIT = 1e-12, 1e-10, 300
@@ -179,33 +186,48 @@ _QK15I = _Rule(
 )
 
 
-def _qk21_rows(f: Callable, a: float, b: float) -> list[tuple]:
-    """``dqk21`` on (a, b) for each row of values f gives at the 21 nodes (shape (..., 21))."""
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    values = np.asarray(f(_QK21.nodes(centr, hlgth)), dtype=float).reshape(-1, 21).tolist()
-    return [_QK21.apply(row[0], row[1::2], row[2::2], hlgth) for row in values]
+def _ruled(evaluate: Callable, rows: list | None, ends, inf: int, boun: float) -> list[tuple]:
+    """(result, abserr, resabs, resasc) of ``dqk21`` (finite ends, ``inf`` = 0) or
+    ``dqk15i`` (within (0, 1), mapped to the infinite range by x = boun +
+    dinf (1 - t) / t, on (-inf, inf) at x and -x alike) from one ``evaluate`` call.
 
-
-def _qk15i(f: Callable, boun: float, inf: int, a: float, b: float) -> tuple:
-    """``dqk15i`` on (a, b) within (0, 1), mapped to the infinite range by
-    x = boun + dinf (1 - t) / t; on (-inf, inf) (inf = 2) at x and -x alike."""
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    t = _QK15I.nodes(centr, hlgth)
-    with np.errstate(all="ignore"):
-        x = boun + min(1, inf) * (1.0 - t) / t
-        if inf == 2:
-            # QUADPACK's order: x_c, -x_c, then per abscissa x_1, x_2, -x_1, -x_2
-            pairs = x[1:].reshape(-1, 2)
-            x = np.concatenate((x[:1], -x[:1], np.hstack((pairs, -pairs)).ravel()))
-        values = np.asarray(f(x), dtype=float)
-        if inf == 2:
-            quads = values[2:].reshape(-1, 4)
-            values = np.concatenate(([values[0] + values[1]], np.column_stack(
-                (quads[:, 0] + quads[:, 2], quads[:, 1] + quads[:, 3])).ravel()))
-        values = ((values / t) / t).tolist()
-    return _QK15I.apply(values[0], values[1::2], values[2::2], hlgth)
+    At the first step (``rows`` None) ``ends`` is the one interval (a, b) and the
+    nodes are one 1-D array shared by every row: one tuple per row of the
+    values.  Later ``ends`` holds both halves of each live row's bisection,
+    and the nodes have one row per live row, both halves' nodes in turn: one
+    tuple per half, in order.
+    """
+    rule = _QK15I if inf else _QK21
+    if rows is None:
+        a, b = ends
+        centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+        hlgths = None
+    else:
+        hlgths = [0.5 * (b - a) for a, b in ends]
+        centr = np.array([0.5 * (a + b) for a, b in ends])[:, None]
+        hlgth = np.array(hlgths)[:, None]
+    t = rule.nodes(centr, hlgth)
+    if not inf:
+        values = evaluate(t if rows is None else t.reshape(len(rows), -1), rows)
+        values = np.asarray(values, dtype=float).reshape(-1, 21).tolist()
+    else:
+        with np.errstate(all="ignore"):
+            x = boun + min(1, inf) * (1.0 - t) / t
+            if inf == 2:
+                # QUADPACK's order: x_c, -x_c, then per abscissa x_1, x_2, -x_1, -x_2
+                pairs = x[..., 1:].reshape(*x.shape[:-1], -1, 2)
+                quads = np.concatenate((pairs, -pairs), axis=-1).reshape(*x.shape[:-1], -1)
+                x = np.concatenate((x[..., :1], -x[..., :1], quads), axis=-1)
+            values = evaluate(x if rows is None else x.reshape(len(rows), -1), rows)
+            values = np.asarray(values, dtype=float).reshape(-1, x.shape[-1])
+            if inf == 2:  # f(x) + f(-x), at the centre and at each abscissa
+                quads = values[:, 2:].reshape(len(values), -1, 4)
+                pairs = np.stack((quads[..., 0] + quads[..., 2], quads[..., 1] + quads[..., 3]), axis=-1)
+                values = np.hstack((values[:, :1] + values[:, 1:2], pairs.reshape(len(values), -1)))
+            values = ((values / t) / t).tolist()
+    if hlgths is None:
+        return [rule.apply(row[0], row[1::2], row[2::2], hlgth) for row in values]
+    return [rule.apply(row[0], row[1::2], row[2::2], h) for row, h in zip(values, hlgths)]
 
 
 def _first_stop(result: float, abserr: float, resabs: float, resasc: float) -> int | None:
@@ -218,38 +240,62 @@ def _first_stop(result: float, abserr: float, resabs: float, resasc: float) -> i
     return None
 
 
-def first_pass(f: Callable, a: float, b: float) -> list:
-    """QUADPACK's first ``dqk21`` pass on finite (a, b) for each row of values that
-    ``f`` gives at the 21 nodes (shape (..., 21)): the finite value :func:`qag`
-    returns where it stops there with no error, else None."""
-    out = []
-    for result, abserr, resabs, resasc in _qk21_rows(f, a, b):
-        done = _first_stop(result, abserr, resabs, resasc) == 0 and math.isfinite(result)
-        out.append(result if done else None)
-    return out
-
-
-def qag(f: Callable, a: float, b: float) -> tuple[float, float, int, int]:
+def qag(f: Callable, a: float, b: float, points=None) -> tuple | list[tuple]:
     """``dqagse`` on finite (a, b), ``dqagie`` where an end is infinite, to 1e-12
     absolute or 1e-10 relative error, with at most 300 subintervals.
 
     Returns (result, abserr, last, ier): the estimate, its error estimate,
     the number of subintervals and QUADPACK's error code (0, or a key of
-    :data:`REASONS`).  Needs a < b.
+    :data:`REASONS`).  Needs a < b.  ``f`` maps a 1-D array of nodes to
+    their values: the first rule's nodes, then at each bisection both
+    halves' nodes in turn.
+
+    With ``points`` (a numpy array or scalar) it integrates one integrand per
+    point in lockstep and returns one such tuple per point, in flattened
+    order.  At the first step ``f(nodes, points)`` takes one 1-D array of
+    nodes shared by every point and gives ``points.shape + (nodes.size,)``.
+    At each later step ``f(nodes, live)`` takes ``live``, the points still
+    bisecting, flattened (shape (r,)), and their nodes, one row per point
+    with both halves' nodes in turn (shape (r, 2n)), and gives that shape.
+    Each point follows the steps it follows alone, to the same tuple.  One
+    call of ``f`` per step: a row the first rule settles takes no generator.
     """
+
+    def evaluate(nodes, rows):
+        if points is None:
+            return f(nodes.reshape(-1))
+        return f(nodes, points if rows is None else np.ravel(points)[rows])
+
+    inf, boun = 0, 0.0
     if math.isinf(a) or math.isinf(b):
         inf = 2 if math.isinf(a) and math.isinf(b) else (1 if math.isinf(b) else -1)
         boun = 0.0 if inf == 2 else (a if inf == 1 else b)
-
-        def rule(a1, b1):
-            return _qk15i(f, boun, inf, a1, b1)
-
         a, b = 0.0, 1.0
-    else:
+    out, live = _ruled(evaluate, None, (a, b), inf, boun), {}
+    for i, (result, abserr, resabs, resasc) in enumerate(out):
+        ier = _first_stop(result, abserr, resabs, resasc)
+        if ier is None:
+            routine = _bisect(a, b, result, abserr, resabs, resasc)
+            live[i] = (routine, next(routine))
+        else:
+            out[i] = (result, abserr, 1, ier)
+    while live:
+        rows = list(live)
+        ruled = _ruled(evaluate, rows, [end for i in rows for end in live[i][1]], inf, boun)
+        for i, halves in zip(rows, zip(ruled[::2], ruled[1::2])):
+            routine = live[i][0]
+            try:
+                live[i] = (routine, routine.send(halves))
+            except StopIteration as stop:
+                out[i] = stop.value
+                del live[i]
+    return out[0] if points is None else out
 
-        def rule(a1, b1):
-            return _qk21_rows(f, a1, b1)[0]
 
+def _bisect(a: float, b: float, result: float, abserr: float, defabs: float, resabs: float):
+    """The rest of :func:`qag` on one row after a first rule on (a, b) that did not
+    stop it: a generator that yields the two halves ((a1, b1), (a2, b2)) of each
+    bisection, is sent their rule tuples, and returns (result, abserr, last, ier)."""
     limit = _LIMIT
     # QUADPACK's lists, 1-based; rlist2 holds the epsilon table (52 entries)
     alist, blist = [0.0] * (limit + 1), [0.0] * (limit + 1)
@@ -258,15 +304,8 @@ def qag(f: Callable, a: float, b: float) -> tuple[float, float, int, int]:
     rlist2, res3la = [0.0] * 53, [0.0] * 4
     alist[1], blist[1] = a, b
 
-    result, abserr, defabs, resabs = rule(a, b)
     dres = abs(result)
-    errbnd = _fmax(_EPSABS, _EPSREL * dres)
-    last = 1
     rlist[1], elist[1], iord[1] = result, abserr, 1
-    ier = _first_stop(result, abserr, defabs, resabs)
-    if ier is not None:
-        return result, abserr, last, ier
-
     rlist2[1] = result
     errmax, maxerr = abserr, 1
     area, errsum = result, abserr
@@ -284,8 +323,7 @@ def qag(f: Callable, a: float, b: float) -> tuple[float, float, int, int]:
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        area1, error1, _, defab1 = rule(a1, b1)
-        area2, error2, _, defab2 = rule(a2, b2)
+        (area1, error1, _, defab1), (area2, error2, _, defab2) = yield (a1, b1), (a2, b2)
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax

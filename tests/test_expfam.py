@@ -879,8 +879,7 @@ def test_moments_of_every_order_match_closed_forms_and_quadrature():
     for name, eta in points:
         spec = expfam.make_family(name)
         for k in range(1, spec.dimension + 1):
-            for m in range(1, 9):
-                want, rel = verify._moment_oracle(spec, eta, k, m)
+            for m, (want, rel) in enumerate(verify._moment_oracle(spec, eta, k, tuple(range(1, 9))), start=1):
                 got = expfam.moment_suff_stat(spec, eta, k, m)
                 assert got == pytest.approx(want, rel=rel), f"{name} eta={eta} k={k} m={m}"
 
@@ -903,6 +902,63 @@ def _loglog_moments_mp(eta, k, m_max):
     for n in range(1, m_max + 1):
         mus.append(sum(math.comb(n - 1, j - 1) * kappas[j - 1] * mus[n - j] for j in range(1, n + 1)))
     return mus[1:]
+
+
+# the moments suite's three pareto_loglog eta -> E[(ln x)^m] at m = 1, 2, 4, 6
+_LOGLOG_LOG_MOMENTS = {
+    (-3.7588828649842028, -2.321770645261294): (
+        "1.2269838533500645", "1.5629761025349402", "2.9776189113293596", "7.834479811441637"
+    ),
+    (-3.8051160933093113, -1.9561225899653443): (
+        "1.2395633765985978", "1.5998020928907786", "3.1657205442247274", "8.810924230505986"
+    ),
+    (-1.7498552236326619, -3.0241495022774316): (
+        "1.3998422952741016", "2.1873299244792257", "9.342230854861418", "118.05973145326747"
+    ),
+}
+
+
+def test_loglog_log_moment_takes_both_ln_gammas_from_one_call(monkeypatch):
+    # ln Gamma(a, x) and ln Gamma(a + m, x) in one batch, each its own double:
+    # at most one continued fraction per moment, where it took one per ln Gamma
+    spec = expfam.make_family("pareto_loglog")
+    cf, calls = expfam._upper_gamma_ratio_cf, []
+    monkeypatch.setattr(expfam, "_upper_gamma_ratio_cf", lambda a, x: calls.append(a.size) or cf(a, x))
+    for eta, want in _LOGLOG_LOG_MOMENTS.items():
+        for m, value in zip((1, 2, 4, 6), want):
+            calls.clear()
+            assert repr(expfam.moment_suff_stat(spec, list(eta), 1, m)) == value
+            assert len(calls) <= 1
+            if eta[0] == -3.7588828649842028 and m == 1:
+                assert calls == [2]  # both ln Gamma by the fraction, in one call
+
+
+# bernoulli eta -> E[T^m] at m = 1..8
+_BERNOULLI_MOMENTS = {
+    -0.7: (
+        "0.3318122278318339", "0.3318122278318339", "0.3318122278318339", "0.33181222783183395",
+        "0.33181222783183395", "0.33181222783183406", "0.3318122278318336", "0.33181222783183273",
+    ),
+    0.3: (
+        "0.574442516811659", "0.574442516811659", "0.574442516811659", "0.574442516811659",
+        "0.5744425168116589", "0.5744425168116583", "0.5744425168116525", "0.5744425168116293",
+    ),
+    2.9: (
+        "0.9478464369215823", "0.9478464369215823", "0.9478464369215823", "0.9478464369215823",
+        "0.9478464369215824", "0.9478464369215823", "0.947846436921582", "0.947846436921641",
+    ),
+}
+
+
+def test_bernoulli_cumulants_build_their_polynomials_once(monkeypatch):
+    spec = expfam.make_family("bernoulli")
+    for eta, want in _BERNOULLI_MOMENTS.items():
+        assert tuple(repr(expfam.moment_suff_stat(spec, [eta], 1, m)) for m in range(1, 9)) == want
+    poly1d, built = np.poly1d, []
+    monkeypatch.setattr(np, "poly1d", lambda *args: built.append(args) or poly1d(*args))
+    for eta, want in _BERNOULLI_MOMENTS.items():
+        assert tuple(repr(expfam.moment_suff_stat(spec, [eta], 1, m)) for m in range(1, 9)) == want
+    assert built == []
 
 
 def test_loglog_off_face_moments_match_mpmath():
@@ -999,41 +1055,39 @@ def test_loglog_first_coordinate_above_minus_one_is_outside_the_natural_space(et
     assert not loglog.in_natural_space([eta_1, -2.5])
 
 
-def test_loglog_newton_quantile_integrates_its_short_windows_with_quadpack(monkeypatch):
+def _spied_batches(monkeypatch) -> list:
+    """((a, b), rows) of each batch that :func:`crmkit.quadpack.qag` integrates."""
     from crmkit import quadpack
 
+    qag, batches = quadpack.qag, []
+
+    def spied(f, a, b, points=None):
+        rows = qag(f, a, b, points)
+        if points is not None:
+            batches.append(((a, b), len(rows)))
+        return rows
+
+    monkeypatch.setattr(quadpack, "qag", spied)
+    return batches
+
+
+def test_loglog_newton_quantile_integrates_its_short_windows_with_quadpack(monkeypatch):
     spec = expfam.make_family("pareto_loglog")
     want = spec.at([-2.0, -2.5]).quantile(0.5)  # gamma shape -1.5: Newton from w = u_m
-    rows = []
-    first_pass = quadpack.first_pass
-
-    def spied(f, a, b):
-        passes = first_pass(f, a, b)
-        rows.append(((a, b), len(passes)))
-        return passes
-
-    monkeypatch.setattr(quadpack, "first_pass", spied)
+    batches = _spied_batches(monkeypatch)
     assert spec.at([-2.0, -2.5]).quantile(0.5) == want
-    assert rows and all(window == (0.0, 1.0) and n == 1 for window, n in rows)
+    assert batches and all(batch == ((0.0, 1.0), 1) for batch in batches)
 
 
-def test_loglog_short_windows_declined_by_the_first_pass_take_the_adaptive_routine(monkeypatch):
-    # the adaptive routine starts from the same 21-point rule on the same row,
-    # so where the first pass would have stopped it returns the same doubles
-    from crmkit import quadpack
-
+def test_loglog_short_windows_in_one_batch_give_each_windows_own_double(monkeypatch):
+    # the short windows run QUADPACK in lockstep, one row each, and each row
+    # gives the double its window gives alone
     bound = expfam.make_family("pareto_loglog").at([-2.0, -2.5])
     xs = np.exp([1.05, 1.1, 1.2, 3.0])  # three short windows, w - u_m <= u_m / 4, and a long one
-    want = bound.cdf(xs)
-    first_pass, declined = quadpack.first_pass, []
-
-    def decline(f, a, b):
-        declined.append(len(first_pass(f, a, b)))
-        return [None] * declined[-1]
-
-    monkeypatch.setattr(quadpack, "first_pass", decline)
-    assert bound.cdf(xs).tobytes() == want.tobytes()
-    assert declined == [3]
+    alone = np.array([bound.cdf(x) for x in xs])
+    batches = _spied_batches(monkeypatch)
+    assert bound.cdf(xs).tobytes() == alone.tobytes()
+    assert batches == [((0.0, 1.0), 3)]
 
 
 # refusal -> (call, its error type, its exact message)

@@ -202,38 +202,41 @@ def test_functionals_keep_their_bits(contexts, name):
         assert repr((type(res).__name__, res.total_mass)) == PINNED[name, "classify_activity"]
 
 
-class _NoQuadrature(Exception):
-    pass
+def _spied_batches(monkeypatch) -> list:
+    """The (a, b, subinterval counts) of each batch :func:`quadpack.qag` integrates."""
+    qag, batches = quadpack.qag, []
 
+    def spied(f, a, b, points=None):
+        rows = qag(f, a, b, points)
+        if points is not None:
+            batches.append((a, b, [last for _, _, last, _ in rows]))
+        return rows
 
-def _refuse_quad(*args, **kwargs):
-    raise _NoQuadrature
+    monkeypatch.setattr(quadpack, "qag", spied)
+    return batches
 
 
 @pytest.mark.parametrize("name", NON_CONSTANT)
 def test_each_non_constant_stretch_takes_the_pass_and_equals_checked_quad(
     contexts, name, monkeypatch
 ):
-    qag = quadpack.qag
     stretch_integral = levy._stretch_integral
     compared = []
 
     def against_checked_quad(stretch, h, x, piece, lo, hi):
-        got = stretch_integral(stretch, h, x, piece, lo, hi)  # the adaptive routine is refused here
-        with monkeypatch.context() as m:
-            m.setattr(quadpack, "qag", qag)
-            for point, value in zip(np.ravel(x).tolist(), np.ravel(got).tolist()):
-                want = checked_quad(
-                    lambda zs: h(*expfam._bind_many(ctx.family, ctx.path.eval_many(zs).T), point)
-                    * piece.value(zs),
-                    lo,
-                    hi,
-                )
-                assert value == pytest.approx(want, rel=1e-13, abs=0.0)
+        got = stretch_integral(stretch, h, x, piece, lo, hi)
+        for point, value in zip(np.ravel(x).tolist(), np.ravel(got).tolist()):
+            want = checked_quad(
+                lambda zs: h(*expfam._bind_many(ctx.family, ctx.path.eval_many(zs).T), point)
+                * piece.value(zs),
+                lo,
+                hi,
+            )
+            assert value == pytest.approx(want, rel=1e-13, abs=0.0)
         compared.append((lo, hi))
         return got
 
-    monkeypatch.setattr(quadpack, "qag", _refuse_quad)
+    batches = _spied_batches(monkeypatch)
     monkeypatch.setattr(levy, "_stretch_integral", against_checked_quad)
     ctx = contexts[name]
     density_at, laplace_at, table_at, _ = CALLS[name]
@@ -241,6 +244,9 @@ def test_each_non_constant_stretch_takes_the_pass_and_equals_checked_quad(
     laplace_exponent(ctx, *laplace_at)
     density_table(ctx, *table_at)
     assert compared
+    # every point of every stretch stops after QUADPACK's first rule
+    assert [(a, b) for a, b, _ in batches] == compared
+    assert all(lasts == [1] * len(lasts) for _, _, lasts in batches)
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -255,29 +261,17 @@ def test_a_batch_of_u_gives_each_one_point_double(contexts, name):
 def test_a_batch_whose_pass_declines_some_points_runs_quad_for_those_alone(contexts, monkeypatch):
     ctx = contexts["pareto_affine"]
     us = (0.1, 1.0, 6.0)
-    passes, quads = [], []
-    first_pass, qag = quadpack.first_pass, quadpack.qag
-
-    def spied_first_pass(*args):
-        passes.append(first_pass(*args))
-        return passes[-1]
-
-    def spied_qag(f, a, b):
-        quads.append((a, b))
-        return qag(f, a, b)
-
-    monkeypatch.setattr(quadpack, "first_pass", spied_first_pass)
-    monkeypatch.setattr(quadpack, "qag", spied_qag)
+    batches = _spied_batches(monkeypatch)
     batch = levy_density_u(ctx, 2.5, np.array(us))
-    # one stretch (0, 2.5]: the pass takes the first two u, quad the last alone
-    assert [[v is None for v in p] for p in passes] == [[False, False, True]]
-    assert quads == [(0.0, 2.5)]
+    # one stretch (0, 2.5]: the first rule settles the first two u, the last bisects
+    ((a, b, lasts),) = batches
+    assert (a, b, lasts[:2]) == (0.0, 2.5, [1, 1]) and lasts[2] > 1
     assert batch.tolist() == [levy_density_u(ctx, 2.5, u) for u in us]
 
 
 def test_loglog_moment_oracle_keeps_its_bits():
     spec = make_family("pareto_loglog")
-    want, rel = verify._moment_oracle(spec, [-2.0, -2.5], 2, 2)
+    ((want, rel),) = verify._moment_oracle(spec, [-2.0, -2.5], 2, (2,))
     assert (repr(want), rel) == ("0.16258478853279784", 1e-6)
 
 

@@ -776,8 +776,7 @@ def _refuse_quad(*args, **kwargs):
 def test_a_constant_path_needs_no_location_quadrature(name, monkeypatch):
     path, base, k, t, theta, masses = _CONSTANT_PATHS[name]
     ctx = LevyContext.build(make_family("gamma"), path, base, k=k)
-    # neither the 21-point pass nor the adaptive routine runs
-    monkeypatch.setattr(quadpack, "first_pass", _refuse_quad)
+    # QUADPACK runs neither its first rule nor a bisection
     monkeypatch.setattr(quadpack, "qag", _refuse_quad)
     want = sum(mass * (1.0 - _gamma_tilt(eta, k, theta)) for eta, mass in masses)
     assert laplace_exponent(ctx, t, theta) == pytest.approx(want, rel=1e-13)
@@ -797,12 +796,26 @@ _AFFINE_RATE = ParameterPath(
 )
 
 
+def _spied_lasts(monkeypatch) -> list:
+    """The subinterval count of each row :func:`quadpack.qag` integrates, a list per call."""
+    qag, lasts = quadpack.qag, []
+
+    def spied(f, a, b, points=None):
+        rows = qag(f, a, b, points)
+        lasts.append([rows[2]] if points is None else [row[2] for row in rows])
+        return rows
+
+    monkeypatch.setattr(quadpack, "qag", spied)
+    return lasts
+
+
 def test_an_affine_path_takes_one_gauss_kronrod_pass_and_no_quad(monkeypatch):
     ctx = LevyContext.build(make_family("gamma"), _AFFINE_RATE, BaseMeasure.lebesgue(1.0), k=2)
-    monkeypatch.setattr(quadpack, "qag", _refuse_quad)
-    # the doubles quad returned after its first 21-point pass
+    lasts = _spied_lasts(monkeypatch)
+    # the doubles quad returned after its first 21-point pass, where it stops
     assert repr(laplace_exponent(ctx, 1.0, 1.0)) == "0.4054651081081644"
     assert repr(levy_density_u(ctx, 1.0, 0.7)) == "0.5150251081337565"
+    assert lasts == [[1], [1]]
 
 
 def test_an_override_off_the_point_masses_leaves_the_densities_alone(monkeypatch):
@@ -819,9 +832,10 @@ def test_an_override_off_the_point_masses_leaves_the_densities_alone(monkeypatch
     base = BaseMeasure.lebesgue(1.0, hi=2.0)
     plain = LevyContext.build(gamma, path, base, k=2)
     ctx = LevyContext.build(gamma, path.with_override(1.0, (7.0, 0.5)), base, k=2)
-    monkeypatch.setattr(quadpack, "qag", _refuse_quad)
+    lasts = _spied_lasts(monkeypatch)
     assert levy_density_u(ctx, 2.0, 0.3) == levy_density_u(plain, 2.0, 0.3)
     assert laplace_exponent(ctx, 2.0, 1.0) == laplace_exponent(plain, 2.0, 1.0)
+    assert lasts == [[1]] * 4
     assert levy_integrand(ctx, 1.0, 0.3) == levy_integrand(plain, 1.0, 0.3) > 0.5
 
 
@@ -833,18 +847,11 @@ def test_a_singular_base_is_rejected_by_the_pass_and_integrated_by_quad(monkeypa
     ctx = LevyContext.build(
         make_family("gamma"), _AFFINE_RATE, _func_base(lambda z: 1.0 / math.sqrt(z)), k=2
     )
-    calls = []
-    qag = quadpack.qag
-
-    def counted(f, a, b):
-        calls.append((a, b))
-        return qag(f, a, b)
-
-    monkeypatch.setattr(quadpack, "qag", counted)
-    # the doubles quad gives on each whole stretch
+    lasts = _spied_lasts(monkeypatch)
+    # the doubles quad gives on each whole stretch, one point each, bisected
     assert repr(laplace_exponent(ctx, 1.0, 1.0)) == "0.8704197513671034"
     assert repr(levy_density_u(ctx, 1.0, 0.7)) == "1.0242459459911837"
-    assert calls == [(0.0, 1.0), (0.0, 1.0)]
+    assert [len(rows) for rows in lasts] == [1, 1] and all(rows[0] > 1 for rows in lasts)
 
 
 @pytest.mark.parametrize(
@@ -885,19 +892,26 @@ def test_a_tilt_leaving_the_natural_space_inside_an_affine_stretch_diverges():
 def test_the_qk21_port_returns_quads_double_where_quad_stops_after_21_nodes(f, a, b):
     val, _, info = scipy.integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-10, limit=300, full_output=1)
     assert info["neval"] == 21
-    assert quadpack.first_pass(f, a, b) == [val]
+    result, _, last, ier = quadpack.qag(f, a, b)
+    assert (result, last, ier) == (val, 1, 0)
 
 
 def test_the_qk21_port_declines_where_quad_subdivides():
     f = lambda z: 1.0 / math.sqrt(z)
     _, _, info = scipy.integrate.quad(f, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=300, full_output=1)
     assert info["neval"] > 21
-    assert quadpack.first_pass(lambda zs: 1.0 / np.sqrt(zs), 0.0, 1.0) == [None]
-    assert quadpack.first_pass(lambda zs: np.full(zs.shape, math.nan), 0.0, 1.0) == [None]
-    # one row per point: each row is declined or accepted on its own values
+    assert quadpack.qag(lambda zs: 1.0 / np.sqrt(zs), 0.0, 1.0)[2] > 1
+    assert quadpack.qag(lambda zs: np.full(zs.shape, math.nan), 0.0, 1.0)[2] > 1
+    # one row per point: each row stops or bisects on its own values
     want = scipy.integrate.quad(np.exp, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=300)[0]
-    rows = lambda zs: np.stack([1.0 / np.sqrt(zs), np.exp(zs), np.full(zs.shape, math.nan)])
-    assert quadpack.first_pass(rows, 0.0, 1.0) == [None, want, None]
+    fs = (lambda zs: 1.0 / np.sqrt(zs), np.exp, lambda zs: np.full(zs.shape, math.nan))
+
+    def rows(zs, points):
+        zs = np.broadcast_to(zs, points.shape + zs.shape[-1:])
+        return np.stack([fs[p](z) for p, z in zip(points.tolist(), zs)])
+
+    (_, _, last0, _), (result, _, last1, ier), (_, _, last2, _) = quadpack.qag(rows, 0.0, 1.0, np.arange(3))
+    assert (result, last1, ier) == (want, 1, 0) and last0 > 1 and last2 > 1
 
 
 @pytest.mark.parametrize("t", [math.nan, -1.0])

@@ -127,39 +127,43 @@ def test_checked_quad_runs_quad_once_and_keeps_its_partial():
     single = len(calls)
     val, _, last, ier = quadpack.qag(f, 0.0, 1.0)
     assert (last, ier) == (300, 1)
-    # one call of 21 nodes per subinterval: the first, then two per bisection
-    assert calls == [21] * (2 * single) and single == 2 * last - 1
+    # one call per step: the first rule's 21 nodes, then both halves' 42 per bisection
+    assert calls == ([21] + [42] * (last - 1)) * 2 and single == last
     want, *_ = integrate.quad(lambda z: 1.0 / z, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=300, full_output=1)
     assert exc.value.partial == val == want
     assert checked_quad(f, 1.0, 1.0) == 0.0
 
 
 def test_checked_quad_over_points_gives_each_points_own_double(monkeypatch):
-    # 1/sqrt(c + z) on (0, 1): the first pass takes c = 1 and c = 2 and declines
-    # c = 0, whose integrand is singular at 0; only that point runs qag, alone
+    # 1/sqrt(c + z) on (0, 1): the first rule settles c = 1 and c = 2; c = 0,
+    # whose integrand is singular at 0, bisects, in the same batch
     def f(zs, c):
-        return 1.0 / np.sqrt(np.add.outer(c, zs))
+        return 1.0 / np.sqrt(c[..., None] + zs)
 
     points = np.array([[1.0, 0.0, 2.0]])
-    singles = [checked_quad(lambda zs, c=c: f(zs, c), 0.0, 1.0) for c in points.ravel().tolist()]
+    singles = [checked_quad(lambda zs, c=c: f(zs, np.float64(c)), 0.0, 1.0) for c in points.ravel().tolist()]
     qag, runs = quadpack.qag, []
 
-    def counted(g, a, b):
-        runs.append((a, b))
-        return qag(g, a, b)
+    def counted(g, a, b, points=None):
+        rows = qag(g, a, b, points)
+        if points is not None:
+            runs.append((a, b, [row[2] for row in rows]))
+        return rows
 
     monkeypatch.setattr(quadpack, "qag", counted)
     got = checked_quad(f, 0.0, 1.0, points)
-    assert got.shape == (1, 3) and got.ravel().tolist() == singles and runs == [(0.0, 1.0)]
+    ((a, b, lasts),) = runs
+    assert got.shape == (1, 3) and got.ravel().tolist() == singles
+    assert (a, b) == (0.0, 1.0) and lasts[0] == lasts[2] == 1 < lasts[1]
     assert checked_quad(f, 0.0, 1.0, np.float64(2.0)) == singles[2]
-    # an infinite end runs qag at every point; an empty window is zeros of the points' shape
+    # an infinite end takes the same one batch; an empty window is zeros of the points' shape
     def decay(zs, c):
-        return np.exp(-np.multiply.outer(c, zs))
+        return np.exp(-c[..., None] * zs)
 
-    want = [checked_quad(lambda zs, c=c: decay(zs, c), 0.0, math.inf) for c in (1.0, 4.0)]
+    want = [checked_quad(lambda zs, c=c: decay(zs, np.float64(c)), 0.0, math.inf) for c in (1.0, 4.0)]
     runs.clear()
     assert checked_quad(decay, 0.0, math.inf, np.array([1.0, 4.0])).tolist() == want
-    assert runs == [(0.0, math.inf)] * 2
+    assert [(a, b) for a, b, _ in runs] == [(0.0, math.inf)]
     assert checked_quad(f, 1.0, 1.0, points).tolist() == [[0.0, 0.0, 0.0]]
 
 

@@ -154,7 +154,7 @@ MODULE_ALL = {
         "density_table",
     ],
     "piecewise": ["Piece", "PiecewiseFunction", "checked_quad"],
-    "quadpack": ["REASONS", "first_pass", "qag"],
+    "quadpack": ["REASONS", "qag"],
     "sampler": [
         "CRMDraw",
         "LikelihoodDraw",

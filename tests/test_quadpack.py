@@ -115,7 +115,7 @@ def test_every_error_exit_keeps_quads_value_as_the_partial(name):
     assert str(exc.value) == f"integral over ({a}, {b}) did not stabilize: {quadpack.REASONS[ier]}"
 
 
-def test_each_subinterval_is_one_integrand_call():
+def test_each_step_is_one_integrand_call():
     calls = []
 
     def f(zs):
@@ -124,11 +124,78 @@ def test_each_subinterval_is_one_integrand_call():
 
     assert quadpack.qag(f, 0.0, 3.0)[2] == 1 and calls == [(21,)]
     calls.clear()
+    # the first rule, then both halves of each bisection in one call
     last = quadpack.qag(f, 1.0, INF)[2]
-    assert calls == [(15,)] * (2 * last - 1)
+    assert last > 1 and calls == [(15,)] + [(30,)] * (last - 1)
     calls.clear()
     last = quadpack.qag(f, -INF, INF)[2]
-    assert calls == [(30,)] * (2 * last - 1)
+    assert last > 1 and calls == [(30,)] + [(60,)] * (last - 1)
+
+
+def _row(f, flat, i):
+    """Row i of the batch integrand f as an integrand alone."""
+    return lambda zs: np.asarray(f(zs, flat[i : i + 1]), dtype=float).reshape(-1)
+
+
+# name: (scalar integrand of z and a point p, a, b, points)
+_BATCHES = {
+    # settled by the first rule, a kink that bisects, a singular end, 1/z to the limit
+    "finite": (
+        lambda z, p: [math.exp(z), abs(z - 0.3), 1.0 / math.sqrt(z), 1.0 / z][int(p)], 0.0, 1.0, range(4)
+    ),
+    "(a, inf)": (lambda z, p: math.exp(-p * z), 0.5, INF, (0.5, 1.0, 4.0)),
+    "(-inf, b)": (lambda z, p: math.exp(p * z), -INF, 0.3, (1.0, 3.0)),
+    "(-inf, inf)": (lambda z, p: math.exp(-p * z * z) + 1.0 / (1.0 + z * z), -INF, INF, (0.1, 1.0, 7.0)),
+}
+
+
+def _batch(g):
+    """The array integrand over points of the scalar g(z, p), one node at a time."""
+
+    def f(zs, points):
+        zs = np.broadcast_to(zs, points.shape + zs.shape[-1:])
+        return np.array([[g(z, p) for z in row] for row, p in zip(zs.tolist(), points.tolist())])
+
+    return f
+
+
+@pytest.mark.parametrize("name", sorted(_BATCHES))
+def test_a_batch_gives_each_row_its_tuple_alone_and_quads(name):
+    g, a, b, points = _BATCHES[name]
+    f, points = _batch(g), np.array(points, dtype=float)
+    calls = []
+    rows = quadpack.qag(lambda zs, ps: calls.append(zs.shape) or f(zs, ps), a, b, points)
+    lasts = [last for _, _, last, _ in rows]
+    assert len(rows) == len(points) and 1 < max(lasts)
+    for i, got in enumerate(rows):
+        alone = _row(f, points, i)
+        assert _same(got, quadpack.qag(alone, a, b)), (i, got)
+        assert _same(got, _scipy(alone, a, b)), (i, got)
+        assert float(got[0]).hex() == float(_scipy(alone, a, b)[0]).hex()
+    # one call per step: the shared first rule, then the live rows' bisections
+    n = 21 if math.isfinite(a) and math.isfinite(b) else (30 if math.isinf(a) and math.isinf(b) else 15)
+    live = [sum(last > step for last in lasts) for step in range(1, max(lasts))]
+    assert calls == [(n,)] + [(r, 2 * n) for r in live]
+    assert len(calls) == max(lasts)
+
+
+def test_a_batch_raises_its_lowest_failing_rows_error():
+    g = lambda z, p: [math.exp(z), 1.0 / z, z ** -1.5, 1.0 / math.sqrt(z)][int(p)]
+    f = _batch(g)
+    # rows 1 and 2 fail, 1/z at the subdivision limit and z^-1.5 as divergent, either way round
+    for points in ((0, 1, 2, 3), (3, 2, 1, 0)):
+        points = np.array(points, dtype=float)
+        want = _scipy(_row(f, points, 1), 0.0, 1.0)
+        with pytest.raises(DivergenceError) as alone:
+            checked_quad(_row(f, points, 1), 0.0, 1.0)
+        with pytest.raises(DivergenceError) as exc:
+            checked_quad(f, 0.0, 1.0, points)
+        assert (str(exc.value), exc.value.partial) == (str(alone.value), alone.value.partial)
+        assert str(exc.value) == f"integral over (0.0, 1.0) did not stabilize: {quadpack.REASONS[want[3]]}"
+        assert exc.value.partial == want[0]
+    # a row whose integrand raises stops the batch with its error
+    with pytest.raises(ZeroDivisionError):
+        checked_quad(_batch(lambda z, p: math.exp(z) if p else 1.0 / (z - 0.5)), 0.0, 1.0, np.array([1.0, 0.0]))
 
 
 def test_the_nodes_go_in_quadpacks_order_of_evaluation():
@@ -143,15 +210,22 @@ def test_the_nodes_go_in_quadpacks_order_of_evaluation():
 
 @pytest.fixture
 def held_to_quad(monkeypatch):
-    """Hold every call of the adaptive routine to scipy's quad on the same integrand;
-    the (a, b) of each call compared."""
+    """Hold every row of every call of QUADPACK's routine to scipy's quad on the
+    same integrand, a batch's row as an integrand alone; the (a, b) of each row
+    compared."""
     qag = quadpack.qag
     compared = []
 
-    def checked(f, a, b):
-        got = qag(f, a, b)
-        assert _same(got, _scipy(f, a, b)), (a, b, got)
-        compared.append((a, b))
+    def checked(f, a, b, points=None):
+        got = qag(f, a, b, points)
+        if points is None:
+            rows, alone = [got], [f]
+        else:
+            flat = points.reshape(-1)
+            rows, alone = got, [_row(f, flat, i) for i in range(flat.size)]
+        for row, g in zip(rows, alone):
+            assert _same(row, _scipy(g, a, b)), (a, b, row)
+            compared.append((a, b))
         return got
 
     monkeypatch.setattr(quadpack, "qag", checked)
@@ -161,7 +235,7 @@ def held_to_quad(monkeypatch):
 def test_the_verify_oracles_are_quads_doubles(held_to_quad):
     assert verify.run_suite("moments").passed
     gamma = make_family("gamma")
-    verify._stat_expectation(gamma, [2.0, 3.0], 2, lambda u: math.exp(-0.7 * u))
+    verify._stat_expectation(gamma, [2.0, 3.0], 2, lambda u, th: math.exp(-th * u), np.float64(0.7))
     assert len(held_to_quad) >= 48
 
 
@@ -194,11 +268,12 @@ def test_the_levy_declines_are_quads_doubles(held_to_quad):
     ctx = LevyContext.build(gamma, _AFFINE_RATE, singular, k=2)
     laplace_exponent(ctx, 1.0, 1.0)
     levy_density_u(ctx, 1.0, np.array([0.3, 0.7]))
-    # a point the 21-point pass declines, and an infinite stretch
+    # a batch whose last point bisects while the first rule settles the others,
+    # and an infinite stretch
     levy_density_u(verify.nonhomogeneous_pareto_context(), 2.5, np.array([0.1, 1.0, 6.0]))
     affine = LevyContext.build(gamma, _AFFINE_RATE, BaseMeasure.lebesgue(1.0), k=2)
     levy_density_u(affine, INF, 0.7)
-    assert held_to_quad == [(0.0, 1.0)] * 3 + [(0.0, 2.5), (0.0, INF)]
+    assert held_to_quad == [(0.0, 1.0)] * 3 + [(0.0, 2.5)] * 3 + [(0.0, INF)]
 
 
 def test_an_infinite_stretch_that_diverges_keeps_quads_partial():
@@ -240,7 +315,7 @@ def test_random_smooth_integrands_give_quads_doubles(terms, ends, slope):
 
     got = quadpack.qag(f, a, b)
     assert _same(got, _scipy(f, a, b)), (got, a, b)
-    if math.isfinite(a) and math.isfinite(b):
-        val, _, last, ier = got
-        done = last == 1 and ier == 0 and math.isfinite(val)
-        assert quadpack.first_pass(f, a, b) == [val if done else None]
+    # in a batch with the integrand shifted by 1, each row is its tuple alone
+    shifted = quadpack.qag(lambda zs: f(zs - 1.0), a, b)
+    batch = quadpack.qag(lambda zs, ps: f(zs - ps[..., None]), a, b, np.array([0.0, 1.0]))
+    assert _same(batch[0], got) and _same(batch[1], shifted), (batch, a, b)
