@@ -190,10 +190,11 @@ def discrete_laplace(ctx: LevyContext, plan: DiscretizationPlan, t: float, theta
     live, counted = np.flatnonzero(plan.masses[:hi] != 0.0), _counted(ctx, plan, hi).tolist()
     # cells often share an eta: one batch over the distinct ones
     distinct, which = np.unique(plan.etas[live], axis=0, return_inverse=True)
-    inners = stat_laplace(ctx.family, distinct.T, ctx.k, theta)
+    inners = stat_laplace(ctx.family, distinct.T, ctx.k, theta).tolist()
     log_total = 0.0
-    for j, u in zip(live, which.reshape(-1)):
-        mass, inner = plan.masses[j], inners[u]
+    # in Python floats: the same arithmetic, with no numpy scalar per cell
+    for j, mass, u in zip(live.tolist(), plan.masses[live].tolist(), which.reshape(-1).tolist()):
+        inner = inners[u]
         if not counted[j]:
             factor = 1.0 - mass * (1.0 - inner)
             if factor <= 0.0:

@@ -19,9 +19,10 @@ once, as ``natural`` rules of array comparisons that test one eta or a batch,
 one eta per column.  Each declares its distribution from A and the special
 functions, with no generic numeric fallback: either ``cumulants(eta, k, n)``,
 the derivatives of A of orders 1..n, from which :func:`moment_suff_stat`
-builds moments of every order, or a ``stat_moment(eta, k, m)`` that returns
-E[T_k^m] as a float for every (eta, k, m) (``pareto_loglog``: on its face
-``eta_1 = -1`` the ``pareto`` law of ln x, off it one quadrature for
+builds moments of every order, or a ``stat_moment(eta, k, ms)`` that returns
+the list of E[T_k^m], one float per order m of ``ms``, for every eta and k
+(``pareto_loglog``: on its face ``eta_1 = -1`` the ``pareto`` law of ln x,
+off it one ln Gamma for every E[(ln x)^m] and one quadrature batch for every
 E[(ln ln x)^m]); ``cdf`` and, for continuous families, ``quantile``, reached
 through :meth:`ExpFamilySpec.at`; and one exact sampler, for one natural
 parameter shared by all draws or one per draw.  Off its face,
@@ -167,7 +168,8 @@ class ExpFamilySpec:
     cdf: Callable  # (eta, x) -> P(X <= x), x inside the support
     quantile: Callable | None = None  # (eta, q) -> x; continuous families
     cumulants: Callable | None = None  # (eta, k, n) -> d^j A / d eta_k^j, j = 1..n
-    stat_moment: Callable | None = None  # (eta, k, m) -> E[T_k^m], a float; replaces cumulants
+    # (eta, k, ms) -> [E[T_k^m] for m in ms], floats; replaces cumulants
+    stat_moment: Callable | None = None
     fixed: dict = field(default_factory=dict)
 
     @property
@@ -311,7 +313,9 @@ def _exponent(spec: ExpFamilySpec, eta, log_partition, xs: np.ndarray, terms=Non
 
     One eta (shape (l,), A a float) gives the shape of ``xs``; a batch (shape
     (l, m), A of shape (m,)) gives shape ``xs.shape + (m,)``, one point
-    broadcasting as a scalar.
+    broadcasting as a scalar.  Any other batch (shape (l, ...), A of shape
+    ``eta.shape[1:]``) broadcasts against ``xs.shape + (1,)``: a batch of
+    shape (l, n, 1) pairs eta i with point i of ``xs`` (shape (n,)).
     """
     carrier, values = _terms(spec, xs) if terms is None else terms
     if eta.ndim > 1 and np.ndim(carrier):
@@ -349,29 +353,38 @@ def density(spec: ExpFamilySpec, eta, x) -> float | np.ndarray:
 
 
 def moment_suff_stat(spec: ExpFamilySpec, eta, k: int, m: int) -> float:
-    """E[T_k(X)^m] from the family's closed forms.
+    """E[T_k(X)^m] from the family's closed forms: :func:`_stat_moments` at the one
+    order m."""
+    return _stat_moments(spec, eta, k, (m,))[0]
 
-    A family that declares a statistic moment answers every (eta, k, m) with
-    it.  Otherwise the cumulants kappa_j = sign^j d^j A / d eta_k^j give the
-    raw moments through mu_n = sum_j C(n-1, j-1) kappa_j mu_{n-j}, mu_0 = 1.
+
+def _stat_moments(spec: ExpFamilySpec, eta, k: int, ms) -> list[float]:
+    """E[T_k(X)^m] at each order m of ``ms``, in order, each the float it is alone.
+
+    A family that declares a statistic moment answers every (eta, k, ms) with
+    it.  Otherwise the cumulants kappa_j = sign^j d^j A / d eta_k^j of orders
+    up to the largest m give the raw moments through mu_n = sum_j C(n-1, j-1)
+    kappa_j mu_{n-j}, mu_0 = 1; a cumulant does not depend on how many are
+    asked for.  eta, k and then each m are checked in turn.
     """
     eta = _as_eta(spec, eta, batch=False)
     k = _check_k(spec, k)
-    if not (_integer(m) and m >= 1):
-        raise CrmError(f"moment order m must be a positive integer, got {m}")
-    m = int(m)
+    for m in ms:
+        if not (_integer(m) and m >= 1):
+            raise CrmError(f"moment order m must be a positive integer, got {m}")
+    ms = [int(m) for m in ms]
 
     if spec.stat_moment is not None:
-        return float(spec.stat_moment(eta, k, m))
+        return [float(value) for value in spec.stat_moment(eta, k, ms)]
     if spec.cumulants is None:
         raise CrmError(f"{spec.name}: declares neither a moment of statistic {k} nor cumulants")
 
-    sign = spec.stats[k - 1].sign
-    kappas = [sign ** j * d for j, d in enumerate(spec.cumulants(eta, k, m), start=1)]
+    sign, top = spec.stats[k - 1].sign, max(ms)
+    kappas = [sign ** j * d for j, d in enumerate(spec.cumulants(eta, k, top), start=1)]
     mus = [1.0]
-    for n in range(1, m + 1):
+    for n in range(1, top + 1):
         mus.append(sum(math.comb(n - 1, j - 1) * kappas[j - 1] * mus[n - j] for j in range(1, n + 1)))
-    return float(mus[m])
+    return [float(mus[m]) for m in ms]
 
 
 def _tilt(spec: ExpFamilySpec, eta, k: int, step: float) -> float | np.ndarray:
@@ -537,7 +550,7 @@ def _log_upper_gamma(a, x) -> np.ndarray:
     normal double (a > 0 short of its underflow), else a ln x - x + ln R
     from the continued fraction.  Within 1e-13 max(1, |ln Gamma|) of
     40-digit mpmath on a in (-4, 4), x in (1e-3, 100), and x up to 1e3 for
-    a > 0.
+    a > 0.  Each element is the double it gives alone, in any batch.
     """
     a, x = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
     out = np.empty(a.shape)
@@ -719,35 +732,47 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
             out[off] = -shape[off] * np.log(s) + _log_upper_gamma(shape[off], s * u_m)
         return float(out) if out.ndim == 0 else out
 
-    def stat_moment(eta, k, m):
+    def stat_moment(eta, k, ms):
         """On the face, E[w^m] of Pareto(u_m, alpha) and the ``pareto`` family's
         E[(ln w)^m].  Off it, with x = s u_m, E[w^m] = s^-m Gamma(a + m, x) /
-        Gamma(a, x), and E[(ln w)^m] is d^m times one quadrature in t = s w - x
-        of (ln w / d)^m, where d = |ln u_m| + 1/x keeps small moments above its
-        absolute floor."""
+        Gamma(a, x), every ln Gamma from one call, and E[(ln w)^m] is d^m times
+        one quadrature in t = s w - x of (ln w / d)^m, where d = |ln u_m| + 1/x
+        keeps small moments above its absolute floor: the orders one batch in
+        lockstep, ln Gamma(a, x) and the density once per node."""
         if on_face(eta):
             if k == 2:
-                return moment_suff_stat(pareto, eta[1:], 1, m)
+                return _stat_moments(pareto, eta[1:], 1, ms)
             alpha = -eta[1] - 1.0
-            if alpha <= m:
-                raise DerivativeDomainError(
-                    f"pareto(log-log): E[(ln x)^{m}] diverges for shape {alpha} <= {m}"
-                )
-            return alpha * u_m ** m / (alpha - m)
+            for m in ms:
+                if alpha <= m:
+                    raise DerivativeDomainError(
+                        f"pareto(log-log): E[(ln x)^{m}] diverges for shape {alpha} <= {m}"
+                    )
+            return [alpha * u_m ** m / (alpha - m) for m in ms]
         s, a = -(eta[0] + 1.0), eta[1] + 1.0
         x = s * u_m
-        if k == 1:  # both ln Gamma from one call, each the double it gives alone
-            log_top, log_moment = _log_upper_gamma(np.array([a, a + m]), x).tolist()
-            return s ** -m * math.exp(log_moment - log_top)
+        if k == 1:
+            log_top, *log_moments = _log_upper_gamma(np.array([a, *(a + m for m in ms)]), x).tolist()
+            return [s ** -m * math.exp(log_moment - log_top) for m, log_moment in zip(ms, log_moments)]
         log_top = float(_log_upper_gamma(a, x))
         log_u, d = math.log(u_m), abs(math.log(u_m)) + 1.0 / x
 
-        def integrand(t):
+        def terms(t):
+            """(ln w / d, the density) at one node t"""
             density = math.exp((a - 1.0) * math.log(x + t) - x - t - log_top)
-            return ((log_u + math.log1p(t / x)) / d) ** m * density
+            return (log_u + math.log1p(t / x)) / d, density
 
-        # one node at a time: math's functions and ** keep their own doubles
-        return d ** m * checked_quad(lambda ts: np.array([integrand(t) for t in ts.tolist()]), 0.0, _INF)
+        def integrand(ts, orders):
+            """One node at a time, so math's functions and ** keep their own doubles;
+            the first step's nodes, shared by every order, are evaluated once."""
+            rows = [[terms(t) for t in row] for row in np.atleast_2d(ts).tolist()]
+            rows = rows * len(orders) if ts.ndim == 1 else rows
+            return np.array(
+                [[base ** m * density for base, density in row] for row, m in zip(rows, orders.tolist())]
+            )
+
+        values = checked_quad(integrand, 0.0, _INF, np.array(ms)).tolist()
+        return [d ** m * value for m, value in zip(ms, values)]
 
     def log_tail(s, a, w):
         """ln P(W > w) = ln Gamma(a, x) - ln Gamma(a, x0) off the face, for w >= u_m, as

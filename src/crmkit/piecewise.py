@@ -73,7 +73,9 @@ def checked_quad(f: Callable, a: float, b: float, points=None):
     ``f(nodes, live)`` takes the points still bisecting (shape (r,)) and
     their nodes, one row each (shape (r, 2n)), and has that shape.  Each
     value is the double its point gives alone; where several points fail,
-    the first in flattened order raises.
+    the first in flattened order raises.  An exception that ``f`` itself
+    raises propagates from the first step at which a live point meets it,
+    which may be another point's than the lowest-index point's.
     """
     if not a < b:
         return 0.0 if points is None or not points.ndim else np.zeros(points.shape)

@@ -3,9 +3,10 @@
 Five suites: ``moments`` (closed-form and Monte Carlo moment identities,
 statistic moments of orders 1, 2, 4 and 6 against one oracle, the closed
 form where the family has one and otherwise a quadrature over the
-statistic's image, the orders of one statistic at one eta one batch that
-QUADPACK integrates in lockstep, and one goodness-of-fit check of each
-family's sampler against its CDF),
+statistic's image, every eta and order of one statistic one batch that
+QUADPACK integrates in lockstep, beta's two statistics one batch, while the
+engine answers the orders of one (eta, k) together; and one
+goodness-of-fit check of each family's sampler against its CDF),
 ``laplace`` (discretized-construction convergence to the Laplace exponent),
 ``conjugacy`` (update identities and grid-Bayes agreement), ``activity``
 (classification trichotomy and exact base masses), and ``examples``
@@ -124,53 +125,66 @@ _CLOSED_MOMENTS = {
 }
 
 
-def _stat_expectation(spec, eta, k: int, fn, points):
-    """E[fn(T_k, p)] at each point p (a numpy array or scalar, as
-    :func:`~crmkit.piecewise.checked_quad` takes them) by one quadrature over
-    the statistic's image, through its inverse, on an array of nodes u: zero
+def _stat_expectation(spec, etas, k: int, fn, params) -> list[float]:
+    """E[fn(T_k, p_i)] under eta_i for each row i of ``etas`` (one eta each) and
+    ``params`` (one Python number each), by one quadrature over the
+    statistic's image, through its inverse, on an array of nodes u: zero
     where the inverse or its derivative leaves the double range, deep in a
-    tail.  The points run in lockstep, and the density is evaluated once at
-    each node, shared by every point at the first step.
+    tail.  The rows are one batch of :func:`~crmkit.piecewise.checked_quad`
+    whose points are the row indices, bound together by
+    :func:`~crmkit.expfam._bind_many`; each row's density is
+    :func:`~crmkit.expfam._exponent` at its own eta, so every row keeps the
+    double it gives alone.
 
     For a log statistic this trades the (ln x)^m x^(a-1) endpoint
     singularity of the x-space integrand for a smooth one.  ``fn`` takes one
-    Python float and one point at a time, so ``u**m`` and ``math.exp`` keep
-    their own doubles.
+    Python float and one parameter at a time, so ``u**m`` and ``math.exp``
+    keep their own doubles.
     """
-    bound, stat, support = spec.at(eta), spec.stats[k - 1], spec.support
+    eta, log_partition = expfam._bind_many(spec, np.transpose(etas))
+    params = np.asarray(params)
+    stat, support = spec.stats[k - 1], spec.support
 
-    def integrand(u, points):
+    def integrand(u, rows):
         with np.errstate(over="ignore"):
             x = stat.inverse(u)
             jac = np.abs(stat.inverse_deriv(u))
         inside = np.isfinite(jac) & (x > support.lo) & (x < support.hi)
-        density = np.zeros(u.shape)
-        density[inside] = bound.density(x[inside])
-        u, p, inside, density, jac = np.broadcast_arrays(u, points[..., None], inside, density, jac)
+        u, row, inside, x, jac = np.broadcast_arrays(u, rows[:, None], inside, x, jac)
+        row = row[inside]  # each inside node's row, its eta paired with it
+        density = np.exp(expfam._exponent(spec, eta[:, row, None], log_partition[row, None], x[inside]))
+        weights = np.array([fn(v, p) for v, p in zip(u[inside].tolist(), params[row].tolist())])
         out = np.zeros(u.shape)
-        weights = np.array([fn(v, q) for v, q in zip(u[inside].tolist(), p[inside].tolist())])
-        out[inside] = weights * density[inside] * jac[inside]
+        out[inside] = weights * density[:, 0] * jac[inside]
         return out
 
-    return checked_quad(integrand, *stat.image, points)
+    return checked_quad(integrand, *stat.image, np.arange(len(params))).tolist()
 
 
-def _moment_oracle(spec, eta, k: int, ms: tuple) -> list[tuple[float, float]]:
-    """E[T_k^m] and its relative accuracy at each order m: closed form, else
-    one quadrature with the orders as its points.
+def _moment_oracle(spec, rows) -> list[tuple[float, float]]:
+    """E[T_k^m] and its relative accuracy for each row (eta, k, m): closed form,
+    else quadrature, the rows of one statistic one batch of
+    :func:`_stat_expectation`.
 
     Every discrete statistic and every statistic without a declared inverse
     has a closed form.  Beta's second statistic ln(1 - x) goes through the
-    reflection 1 - X ~ Beta(eta_2, eta_1): its inverse 1 - e^u rounds to 1
-    in the tail.
+    reflection 1 - X ~ Beta(eta_2, eta_1), in the batch of its first: its
+    inverse 1 - e^u rounds to 1 in the tail.
     """
-    closed = _CLOSED_MOMENTS.get((spec.name, k))
-    if closed is not None:
-        return [(closed(spec, eta, m), 1e-10) for m in ms]
-    if spec.name == "beta" and k == 2:
-        eta, k = eta[::-1], 1
-    values = _stat_expectation(spec, eta, k, lambda u, m: u**m, np.array(ms))
-    return [(value, 1e-6) for value in values.tolist()]
+    out, batches = [None] * len(rows), {}  # k -> [(row, eta, m)] of each quadrature statistic
+    for i, (eta, k, m) in enumerate(rows):
+        closed = _CLOSED_MOMENTS.get((spec.name, k))
+        if closed is not None:
+            out[i] = (closed(spec, eta, m), 1e-10)
+            continue
+        if spec.name == "beta" and k == 2:
+            eta, k = eta[::-1], 1
+        batches.setdefault(k, []).append((i, eta, m))
+    for k, batch in batches.items():
+        index, etas, ms = zip(*batch)
+        for i, value in zip(index, _stat_expectation(spec, etas, k, lambda u, m: u**m, ms)):
+            out[i] = (value, 1e-6)
+    return out
 
 
 def _ks(bound, draws) -> tuple[float, float, float]:
@@ -228,14 +242,21 @@ def _suite_moments(seed, replicates) -> SuiteResult:
     gof_etas = {}
     for name in expfam.family_names():
         spec = expfam.make_family(name)
-        for i, eta in enumerate(_admissible_grid(name, rng, 3)):
-            gof_etas.setdefault(name, eta)
-            for k in range(1, spec.dimension + 1):
-                ms = (1, 2, 4, 6) if i == 0 else (1, 2)
-                for m, (want, rel) in zip(ms, _moment_oracle(spec, eta, k, ms)):
-                    got = expfam.moment_suff_stat(spec, eta, k, m)
-                    tol = 1e-4 * max(abs(want), 1e-9) if m <= 2 else rel * abs(want)
-                    res.add(f"{name}-stat-moment pt={i} k={k} m={m}", got, want, tol)
+        grid = _admissible_grid(name, rng, 3)
+        gof_etas[name] = grid[0]
+        # (pt, eta, k, orders) in row order; the engine takes the orders of one
+        # (eta, k) together, the oracle every row of the family at once
+        cases = [
+            (i, eta, k, (1, 2, 4, 6) if i == 0 else (1, 2))
+            for i, eta in enumerate(grid)
+            for k in range(1, spec.dimension + 1)
+        ]
+        rows = [(i, eta, k, m) for i, eta, k, ms in cases for m in ms]
+        engine = [got for _, eta, k, ms in cases for got in expfam._stat_moments(spec, eta, k, ms)]
+        oracle = _moment_oracle(spec, [(eta, k, m) for _, eta, k, m in rows])
+        for (i, _, k, m), got, (want, rel) in zip(rows, engine, oracle):
+            tol = 1e-4 * max(abs(want), 1e-9) if m <= 2 else rel * abs(want)
+            res.add(f"{name}-stat-moment pt={i} k={k} m={m}", got, want, tol)
 
     # one sampler check per family, at its first point; pareto_loglog off its
     # face with eta_2 > 0, where it draws by inversion
@@ -300,7 +321,7 @@ def _suite_laplace(seed, replicates) -> SuiteResult:
     # the closed-form tilt against the quadrature oracle at gamma (2, 3), k=2
     gamma = expfam.make_family("gamma")
     tilt = levy.stat_laplace(gamma, [2.0, 3.0], 2, theta)
-    quad = _stat_expectation(gamma, [2.0, 3.0], 2, lambda u, th: math.exp(-th * u), np.float64(theta))
+    (quad,) = _stat_expectation(gamma, [[2.0, 3.0]], 2, lambda u, th: math.exp(-th * u), [theta])
     res.add("laplace-tilt-vs-quad", tilt, quad, 1e-8)
     res.tables["laplace_convergence.csv"] = (
         ("n", "estimate", "se", "oracle", "gap"),

@@ -879,7 +879,8 @@ def test_moments_of_every_order_match_closed_forms_and_quadrature():
     for name, eta in points:
         spec = expfam.make_family(name)
         for k in range(1, spec.dimension + 1):
-            for m, (want, rel) in enumerate(verify._moment_oracle(spec, eta, k, tuple(range(1, 9))), start=1):
+            oracle = verify._moment_oracle(spec, [(eta, k, m) for m in range(1, 9)])
+            for m, (want, rel) in enumerate(oracle, start=1):
                 got = expfam.moment_suff_stat(spec, eta, k, m)
                 assert got == pytest.approx(want, rel=rel), f"{name} eta={eta} k={k} m={m}"
 
@@ -931,6 +932,31 @@ def test_loglog_log_moment_takes_both_ln_gammas_from_one_call(monkeypatch):
             assert len(calls) <= 1
             if eta[0] == -3.7588828649842028 and m == 1:
                 assert calls == [2]  # both ln Gamma by the fraction, in one call
+
+
+@pytest.mark.parametrize("eta", [[-1.0, -8.0], [-2.0, -2.5], [-3.0, 0.7], [-1.5, -1.2]])
+def test_a_loglog_batch_of_orders_gives_each_order_its_own_double(eta):
+    # on the face and off it: one ln Gamma and, for k = 2, one quadrature batch
+    # for every order, each value the bits of that order alone
+    spec = expfam.make_family("pareto_loglog")
+    for k in (1, 2):
+        got = expfam._stat_moments(spec, eta, k, (1, 2, 4, 6))
+        assert [v.hex() for v in got] == [expfam.moment_suff_stat(spec, eta, k, m).hex() for m in (1, 2, 4, 6)]
+
+
+def test_a_loglog_face_batch_raises_its_first_divergent_order():
+    spec = expfam.make_family("pareto_loglog")
+    with pytest.raises(DerivativeDomainError, match=r"^pareto\(log-log\): E\[\(ln x\)\^4\] diverges for shape 3.0 <= 4$"):
+        expfam._stat_moments(spec, [-1.0, -4.0], 1, (1, 2, 4, 6))
+    assert expfam._stat_moments(spec, [-1.0, -4.0], 1, (1, 2)) == [
+        expfam.moment_suff_stat(spec, [-1.0, -4.0], 1, m) for m in (1, 2)
+    ]
+
+
+def test_a_batch_of_orders_checks_each_order():
+    gamma = expfam.make_family("gamma")
+    with pytest.raises(CrmError, match="^moment order m must be a positive integer, got 0$"):
+        expfam._stat_moments(gamma, [2.0, 3.0], 1, (1, 2, 0))
 
 
 # bernoulli eta -> E[T^m] at m = 1..8

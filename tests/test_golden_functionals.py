@@ -271,7 +271,7 @@ def test_a_batch_whose_pass_declines_some_points_runs_quad_for_those_alone(conte
 
 def test_loglog_moment_oracle_keeps_its_bits():
     spec = make_family("pareto_loglog")
-    ((want, rel),) = verify._moment_oracle(spec, [-2.0, -2.5], 2, (2,))
+    ((want, rel),) = verify._moment_oracle(spec, [([-2.0, -2.5], 2, 2)])
     assert (repr(want), rel) == ("0.16258478853279784", 1e-6)
 
 

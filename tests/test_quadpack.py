@@ -235,7 +235,7 @@ def held_to_quad(monkeypatch):
 def test_the_verify_oracles_are_quads_doubles(held_to_quad):
     assert verify.run_suite("moments").passed
     gamma = make_family("gamma")
-    verify._stat_expectation(gamma, [2.0, 3.0], 2, lambda u, th: math.exp(-th * u), np.float64(0.7))
+    verify._stat_expectation(gamma, [[2.0, 3.0]], 2, lambda u, th: math.exp(-th * u), [0.7])
     assert len(held_to_quad) >= 48
 
 

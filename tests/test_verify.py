@@ -66,14 +66,14 @@ def test_moment_oracle_gamma_and_poisson_means():
     from crmkit import expfam
 
     gamma = expfam.make_family("gamma")
-    assert verify._stat_expectation(gamma, [2.0, 3.0], 2, lambda u, m: u**m, np.int64(1)) == pytest.approx(
-        2.0 / 3.0, rel=1e-9
-    )
-    ((want, rel),) = verify._moment_oracle(gamma, [2.0, 3.0], 1, (1,))
+    assert verify._stat_expectation(gamma, [[2.0, 3.0]], 2, lambda u, m: u**m, [1]) == [
+        pytest.approx(2.0 / 3.0, rel=1e-9)
+    ]
+    ((want, rel),) = verify._moment_oracle(gamma, [([2.0, 3.0], 1, 1)])
     assert rel == 1e-6  # the log statistic has no closed moment: quadrature
     assert want == pytest.approx(special.digamma(2.0) - math.log(3.0), rel=1e-9)  # E[ln X]
     poisson = expfam.make_family("poisson")
-    assert verify._moment_oracle(poisson, [math.log(2.0)], 1, (1,)) == [(pytest.approx(2.0, rel=1e-9), 1e-10)]
+    assert verify._moment_oracle(poisson, [([math.log(2.0)], 1, 1)]) == [(pytest.approx(2.0, rel=1e-9), 1e-10)]
 
 
 def test_moments_suite_checks_high_orders_and_every_sampler():
@@ -86,6 +86,50 @@ def test_moments_suite_checks_high_orders_and_every_sampler():
     assert "pareto_loglog-sampler-gof eta=[-2 0.7]" in checks
     closed = next(r for r in res.rows if r.check == "gamma-stat-moment pt=0 k=2 m=6")
     assert closed.tolerance == pytest.approx(1e-10 * closed.expected)
+
+
+def test_one_moments_pass_integrates_each_statistic_in_one_batch(monkeypatch):
+    # the oracle takes every eta and order of a statistic as one QUADPACK batch
+    # (beta's two statistics as one), the engine the orders of one (eta, k)
+    # from one ln Gamma
+    from crmkit import expfam, quadpack
+
+    calls = {"qag": 0, "_log_upper_gamma": 0}
+    for module, name in ((quadpack, "qag"), (expfam, "_log_upper_gamma")):
+        routine = getattr(module, name)
+
+        def counted(*args, routine=routine, name=name):
+            calls[name] += 1
+            return routine(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert verify.run_suite("moments").passed
+    assert calls["qag"] <= 8 and calls["_log_upper_gamma"] <= 10, calls
+
+
+def test_the_engine_batch_gives_each_order_its_double_alone(monkeypatch):
+    from crmkit import expfam
+
+    batches, batch = [], expfam._stat_moments
+    monkeypatch.setattr(expfam, "_stat_moments", lambda *args: batches.append((args, out := batch(*args))) or out)
+    verify.run_suite("moments")
+    monkeypatch.undo()
+    assert {args[0].name for args, _ in batches} == set(expfam.family_names())
+    for (spec, eta, k, ms), values in batches:
+        assert [v.hex() for v in values] == [expfam.moment_suff_stat(spec, eta, k, m).hex() for m in ms]
+
+
+@pytest.mark.parametrize("name", ["beta", "gamma", "pareto_loglog"])
+def test_a_merged_oracle_row_is_the_double_of_its_row_alone(name):
+    from crmkit import expfam
+
+    spec = expfam.make_family(name)
+    grid = verify._admissible_grid(name, np.random.default_rng(5), 3)
+    rows = [(eta, k, m) for eta in grid for k in range(1, spec.dimension + 1) for m in (1, 2, 4, 6)]
+    merged = verify._moment_oracle(spec, rows)
+    assert [float(v).hex() for v, _ in merged] == [
+        float(verify._moment_oracle(spec, [row])[0][0]).hex() for row in rows
+    ]
 
 
 @pytest.mark.parametrize("check", ["mass a=1,b=2", "mass\na=1"])

@@ -4,9 +4,10 @@ For each suite it prints the minimum time in milliseconds of N passes of
 ``verify.run_suite(name)`` at the suite's pinned seed and replicates, and
 their sum.  Then, over one pass of the moments suite, it prints the number
 of integrand calls QUADPACK makes: those made for the moment oracle
-(``verify._moment_oracle``) and those made in the whole suite.  Every call
-of ``quadpack.qag`` (and of ``quadpack.first_pass``, where a checkout still
-has it) is wrapped to count its integrand calls.
+(``verify._moment_oracle``) and those made in the whole suite; and the calls
+of ``quadpack.qag`` and of ``expfam._log_upper_gamma`` in that pass.  Every
+call of ``quadpack.qag`` (and of ``quadpack.first_pass``, where a checkout
+still has it) is wrapped to count itself and its integrand calls.
 
 It imports only ``crmkit``, so it measures any checkout put first on the path:
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 import sys
 import time
 
-from crmkit import quadpack, verify
+from crmkit import expfam, quadpack, verify
 
 
 def best_ms(name: str, passes: int) -> float:
@@ -32,19 +33,28 @@ def best_ms(name: str, passes: int) -> float:
     return best * 1e3
 
 
-def moments_integrand_calls() -> tuple[int, int]:
-    """(oracle calls, suite calls): QUADPACK's integrand calls in one moments pass."""
-    counts = {"oracle": 0, "suite": 0}
+def moments_calls() -> dict[str, int]:
+    """Counts over one moments pass: QUADPACK's integrand calls made for the
+    oracle (``oracle``) and in the whole suite (``suite``), and the calls of
+    each wrapped routine by its name (``qag``, ``_log_upper_gamma``)."""
+    counts = {"oracle": 0, "suite": 0, "qag": 0, "_log_upper_gamma": 0}
     in_oracle = [False]
 
-    def counting(routine):
+    def called(name, routine):
+        def wrapped(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return routine(*args)
+
+        return wrapped
+
+    def quadrature(name, routine):
         def wrapped(f, *args):
             def g(*xs):
                 counts["suite"] += 1
                 counts["oracle"] += in_oracle[0]
                 return f(*xs)
 
-            return routine(g, *args)
+            return called(name, routine)(g, *args)
 
         return wrapped
 
@@ -55,18 +65,20 @@ def moments_integrand_calls() -> tuple[int, int]:
         finally:
             in_oracle[0] = False
 
-    moment_oracle = verify._moment_oracle
+    moment_oracle, log_upper_gamma = verify._moment_oracle, expfam._log_upper_gamma
     saved = {name: getattr(quadpack, name) for name in ("qag", "first_pass") if hasattr(quadpack, name)}
     try:
         for name, routine in saved.items():
-            setattr(quadpack, name, counting(routine))
+            setattr(quadpack, name, quadrature(name, routine))
         verify._moment_oracle = oracle
+        expfam._log_upper_gamma = called("_log_upper_gamma", log_upper_gamma)
         verify.run_suite("moments")
     finally:
         for name, routine in saved.items():
             setattr(quadpack, name, routine)
         verify._moment_oracle = moment_oracle
-    return counts["oracle"], counts["suite"]
+        expfam._log_upper_gamma = log_upper_gamma
+    return counts
 
 
 def main(argv: list[str]) -> int:
@@ -77,8 +89,9 @@ def main(argv: list[str]) -> int:
         total += ms
         print(f"{name:<10} {ms:8.2f} ms")
     print(f"{'sum':<10} {total:8.2f} ms  (minimum of {passes} passes each)")
-    oracle, suite = moments_integrand_calls()
-    print(f"moments integrand calls: oracle {oracle}, suite {suite}")
+    counts = moments_calls()
+    print(f"moments integrand calls: oracle {counts['oracle']}, suite {counts['suite']}")
+    print(f"moments qag calls {counts['qag']}, _log_upper_gamma calls {counts['_log_upper_gamma']}")
     return 0
 
 
