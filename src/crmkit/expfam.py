@@ -32,6 +32,16 @@ from ``u_m + Exp(-(eta_1 + 1))`` for ``eta_2 <= 0``.
 Binding (:func:`_bind_many`), the log-density and the log-partition tilt
 each take one eta of shape (l,) or a batch of shape (l, m), one eta per
 column, and give a column the doubles of that eta alone.
+
+Two declarations serve the closed-form location integrals of
+:mod:`crmkit.levy`.  ``normaliser`` states where e^{-A(eta)} is a polynomial
+in one coordinate times an exponential of it, the other coordinates held
+fixed: ``pareto`` always, ``beta`` with its other coordinate a positive
+integer, ``gamma`` in its rate with an integer shape, each up to degree 8.
+``stat_terms`` gives the carrier and the statistics at s = T_k^{-1}(u) from u
+itself (``beta``, ``gamma``, ``pareto``), in the precision of u: the
+functionals read them where the inverse rounds s onto an end of the support
+and, in long double, for the closed forms.
 """
 
 from __future__ import annotations
@@ -81,10 +91,18 @@ def _all(mask) -> bool:
     return np.count_nonzero(mask) == mask.size if isinstance(mask, np.ndarray) else bool(mask)
 
 
+_KEPT = (np.dtype(float), np.dtype(np.longdouble))
+
+
 def _float64(x):
     """x as float64: an array, or at one point a numpy scalar, whose arithmetic
-    costs a tenth of a 0-d array's and gives the same doubles."""
+    costs a tenth of a 0-d array's and gives the same doubles.  Long double, in
+    which the Levy functionals evaluate closed forms, is kept."""
     if isinstance(x, np.float64):
+        return x
+    if type(x) is np.ndarray and (x.dtype is _KEPT[0] or x.dtype is _KEPT[1]):
+        return x if x.ndim else x[()]
+    if isinstance(x, np.longdouble):
         return x
     x = np.asarray(x, dtype=float)
     return x if x.ndim else x[()]
@@ -170,6 +188,15 @@ class ExpFamilySpec:
     cumulants: Callable | None = None  # (eta, k, n) -> d^j A / d eta_k^j, j = 1..n
     # (eta, k, ms) -> [E[T_k^m] for m in ms], floats; replaces cumulants
     stat_moment: Callable | None = None
+    # (eta, j) -> (factors, c, divisor) with e^{-A(eta)} = prod (p0 + p1 eta_j) e^{c eta_j} / divisor
+    # over factors (p0, p1), as eta_j varies and eta's other coordinates stay fixed; None
+    # where A is not of that form.  eta_j then lies in the natural space exactly where
+    # every factor is positive
+    normaliser: Callable | None = None
+    # (k, u) -> (log h(s) + log|ds/du|, [T_j(s)]) at s = T_k^{-1}(u), computed from u in
+    # u's precision: where the declared inverse rounds s onto an end of the support, and
+    # in long double for the closed forms of crmkit.levy
+    stat_terms: Callable | None = None
     fixed: dict = field(default_factory=dict)
 
     @property
@@ -565,6 +592,17 @@ def _log_upper_gamma(a, x) -> np.ndarray:
     return out
 
 
+# the largest integer order a normaliser declares as a polynomial: the degree of that
+# polynomial, and so the number of terms of a closed-form location integral, stays small
+_NORMALISER_DEGREE = 8
+
+
+def _integer_order(value) -> int | None:
+    """value as an int where it is an integer in 1.._NORMALISER_DEGREE, else None."""
+    value = float(value)
+    return int(value) if value.is_integer() and 1 <= value <= _NORMALISER_DEGREE else None
+
+
 def _log_x(lo: float, hi: float = _INF) -> SufficientStat:
     """The statistic ln x, with inverse e^u, of a support whose image under ln is (lo, hi)."""
     return SufficientStat("log_x", np.log, inverse=np.exp, inverse_deriv=np.exp, image=(lo, hi))
@@ -590,6 +628,21 @@ def _beta_family() -> ExpFamilySpec:
         orders = np.arange(n)
         return _special().polygamma(orders, eta[k - 1]) - _special().polygamma(orders, eta[0] + eta[1])
 
+    def normaliser(eta, j):
+        """1/B(a, b) in b = eta_j, the other coordinate a a positive integer:
+        b (b + 1) ... (b + a - 1) / (a - 1)!"""
+        a = _integer_order(eta[2 - j])
+        if a is None:
+            return None
+        return tuple((float(i), 1.0) for i in range(a)), 0.0, math.factorial(a - 1)
+
+    def stat_terms(k, u):
+        """At s = e^u (k = 1) or 1 - e^u (k = 2), T_k = u and the other statistic is
+        ln(-expm1(u)); |ds/du| = e^u, so ln h(s) + ln|ds/du| = -T_1 - T_2 + u is minus
+        the other statistic."""
+        other = np.log(-np.expm1(u))
+        return -other, [u, other] if k == 1 else [other, u]
+
     return ExpFamilySpec(
         name="beta",
         support=Support(0.0, 1.0),
@@ -604,6 +657,8 @@ def _beta_family() -> ExpFamilySpec:
         cdf=lambda eta, x: _special().betainc(eta[0], eta[1], x),
         quantile=lambda eta, q: _special().betaincinv(eta[0], eta[1], q),
         cumulants=cumulants,
+        normaliser=normaliser,
+        stat_terms=stat_terms,
     )
 
 
@@ -630,6 +685,21 @@ def _gamma_family() -> ExpFamilySpec:
             return [special.digamma(shape) - np.log(rate), *special.polygamma(np.arange(1, n), shape)]
         return [(-1) ** j * math.factorial(j - 1) * shape / rate ** j for j in range(1, n + 1)]
 
+    def stat_terms(k, u):
+        """At s = e^u (k = 1), T = (u, e^u) and ln h(s) + ln|ds/du| = -u + u = 0; at s = u
+        (k = 2), T = (ln u, u) and ln h(s) = -ln u."""
+        if k == 1:
+            return u * 0.0, [u, np.exp(u)]
+        log_u = np.log(u)
+        return -log_u, [log_u, u]
+
+    def normaliser(eta, j):
+        """b^a / Gamma(a) in the rate b = eta_2, the shape a an integer: b^a / (a - 1)!"""
+        a = _integer_order(eta[0])
+        if j != 2 or a is None:
+            return None
+        return ((0.0, 1.0),) * a, 0.0, math.factorial(a - 1)
+
     return ExpFamilySpec(
         name="gamma",
         support=Support(0.0, _INF),
@@ -644,6 +714,8 @@ def _gamma_family() -> ExpFamilySpec:
         cdf=lambda eta, x: _special().gammainc(eta[0], eta[1] * x),
         quantile=lambda eta, q: _special().gammaincinv(eta[0], q) / eta[1],
         cumulants=cumulants,
+        normaliser=normaliser,
+        stat_terms=stat_terms,
     )
 
 
@@ -667,6 +739,10 @@ def _pareto_family(scale: float) -> ExpFamilySpec:
         alpha = -eta[0] - 1.0
         return u_m * (1.0 - q) ** (-1.0 / alpha)
 
+    def normaliser(eta, j):
+        """-(eta + 1) u_m^-(eta + 1) = (-1 - eta) e^{-ln(u_m) eta} / u_m, ln u_m in long double"""
+        return ((-1.0, -1.0),), -np.log(np.longdouble(u_m)), u_m
+
     return ExpFamilySpec(
         name="pareto",
         support=Support(u_m, _INF),
@@ -678,6 +754,8 @@ def _pareto_family(scale: float) -> ExpFamilySpec:
         cdf=lambda eta, x: -np.expm1((-eta[0] - 1.0) * np.log(u_m / x)),
         quantile=quantile,
         cumulants=cumulants,
+        normaliser=normaliser,
+        stat_terms=lambda k, u: (u, [u]),  # at s = e^u: T = u, ln h(s) + ln|ds/du| = 0 + u
         fixed={"scale": u_m},
     )
 

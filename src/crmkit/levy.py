@@ -13,32 +13,47 @@ The per-location transform is closed form, the log-partition tilt
 E_eta[e^{-theta T_k}] = exp(A(eta - sign_k theta e_k) - A(eta)), which
 :func:`stat_laplace` evaluates at one eta or at a batch, one eta per column.
 Each functional hands its location integral one integrand h(eta, A(eta), x),
-at one bound eta or a batch and at its points x (theta, or one s or an array
-of s), so a density table is one walk over the locations.  The walk reads
-the context's stretch plan, the part that depends on neither t nor x: the
-cuts of (0, inf) at every path and base breakpoint and, per stretch, its
-base pieces, its eta where every path component is one ``const`` piece, and
-its path as coefficient rows (c0, c1) where every component is ``const`` or
-``affine``, so the eta of a batch of nodes is one broadcast c0 + c1 z.  Each
-context builds its own plan on the first functional call and keeps it; a
-constant stretch binds (eta, A(eta)) on first use and keeps them, and a
-failure is never kept.  Each call clips the plan to (0, t] and adds the atoms
-of A_0 exactly over (0, t] (a jump at t counts, one at 0 does not).  A
-constant stretch contributes h(eta, A(eta), x) A_0(stretch within (0, t]).
-Any other stretch takes, per base piece that is not identically 0, one
-:func:`~crmkit.piecewise.checked_quad` over the points, QUADPACK's routine
-in lockstep: its integrand h at the first step on a batch of eta at the
-nodes and every point, and at each later step on the nodes of each point
-still bisecting, paired with that point, so each value is the double
-QUADPACK gives, at one point or in any array.
+at one bound eta or a batch and at its points x (theta, or the positions of
+one s or an array of s), so a density table is one walk over the locations.
+The walk reads the context's stretch plan, the part that depends on neither
+t nor x: the cuts of (0, inf) at every path and base breakpoint and, per
+stretch, its base pieces, its kind, and its path as coefficient rows
+(c0, c1) where every component is ``const`` or ``affine``, so the eta of a
+batch of nodes is one broadcast c0 + c1 z.  Each context builds its own plan
+on the first functional call and keeps it; a constant stretch binds
+(eta, A(eta)) on first use and keeps them, and a failure is never kept.
+Each call clips the plan to (0, t] and adds the atoms of A_0 exactly over
+(0, t] (a jump at t counts, one at 0 does not).  A stretch is of one of
+three kinds:
+
+- constant, every path component one ``const`` piece: it contributes
+  h(eta, A(eta), x) A_0(stretch within (0, t]);
+- exponential-polynomial, one component ``affine`` and the others ``const``,
+  where the family declares e^{-A} a polynomial times an exponential in that
+  coordinate, the base cancels it to a polynomial q(z) and eta stays in the
+  natural space (:class:`_ExpPoly`): a density takes the closed form of
+  q(z) e^{lambda_0 + lambda_1 z} over each finite base piece, in long double
+  from the points' own input, rounded to a double once with the walk's other
+  parts; the Laplace exponent's tilt integrand, which is no such product,
+  takes QUADPACK there;
+- general, every other one (a ``func`` piece, a gamma shape that is no
+  integer under an affine rate, ``pareto_loglog``, a base that cancels no
+  factor, a piece clipped to an infinite t): per base piece that is not
+  identically 0, one :func:`~crmkit.piecewise.checked_quad` over the points,
+  QUADPACK's routine in lockstep: its integrand h at the first step on a
+  batch of eta at the nodes and every point, and at each later step on the
+  nodes of each point still bisecting, paired with that point, so each value
+  is the double QUADPACK gives, at one point or in any array.
 
 Each public functional checks its inputs once, at its door, and hands them to
 the private walk, which checks them no more: t; u against the statistic's
 declared inverse and image, then the s it maps to against the family support
 (the two differ where the inverse rounds onto the support's end); s against
-the support; or theta.  One point travels as a numpy scalar, an array as an array, through
-the same code.  The density reads the carrier and the statistics at the
-call's points once.  The eta of each batch of nodes is checked once, where it
+the support; or theta.  Where a statistic's inverse rounds s onto an end of
+the support though u lies in the image, a family that declares
+``stat_terms`` evaluates the density from u itself.  One point travels as a
+numpy scalar, an array as an array, through the same code.  The density
+reads the carrier and the statistics at the call's points once.  The eta of each batch of nodes is checked once, where it
 is made: finite as :meth:`_Stretch.etas` makes it (naming the first such z),
 then in the natural space (with the failing node's ``index``), and A(eta) is
 evaluated with no further check.  The door enters one
@@ -49,6 +64,7 @@ finite bisects, and the routine raises where it finds no finite value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -374,7 +390,8 @@ _ROWS = ("const", "affine")  # the path piece kinds a stretch evaluates as coeff
 
 
 class _Stretch:
-    """One stretch (lo, hi] of a plan, with no path or base breakpoint inside it.
+    """One stretch (lo, hi] of a plan, with no path or base breakpoint inside it,
+    of one of three kinds, decided once, when the plan is built.
 
     ``rows`` holds the path as coefficient columns (c0, c1), each of shape
     (l, 1), where every component is one ``const`` or ``affine`` piece there,
@@ -382,8 +399,13 @@ class _Stretch:
     c1 = -0.0, which keeps c0 to the bit at every z > 0, where 0.0 z would turn
     a c0 of -0.0 into +0.0); elsewhere it is None and the plan's path gives eta.
     ``base`` holds (piece, lo, hi) for each base piece that is not identically 0
-    and overlaps the stretch, clipped to it.  ``eta`` is the one eta where every
-    component is a ``const`` piece, else None.
+    and overlaps the stretch, clipped to it.  The kinds:
+
+    - constant: ``eta`` is the one eta where every component is a ``const``
+      piece, else None;
+    - exponential-polynomial: ``poly`` is an :class:`_ExpPoly` where the base
+      cancels the family's normaliser (:func:`_ExpPoly.classify`), else None;
+    - general: every other stretch, integrated by QUADPACK.
     """
 
     def __init__(self, ctx: "LevyContext", path: ParameterPath, lo: float, hi: float):
@@ -393,6 +415,9 @@ class _Stretch:
         rows = [(p.c0, -0.0 if p.kind == "const" else p.c1) for p in pieces if p and p.kind in _ROWS]
         self.rows = tuple(np.array(rows).T.copy()[:, :, None]) if len(rows) == len(pieces) else None
         self.base = tuple((p, a, b) for p, a, b in ctx.base.density._meeting(lo, hi) if not p.zero)
+        self.poly = None
+        if self.eta is None and self.rows is not None:
+            self.poly = _ExpPoly.classify(ctx.family, pieces, self.base, lo, hi)
 
     @cached_property
     def bound(self) -> tuple[np.ndarray, float]:
@@ -410,13 +435,238 @@ class _Stretch:
         return etas
 
 
+_ONE_POINT = np.intp(0)  # the position of a call's one point
+_LD = np.longdouble  # x87 extended on x86-64, a 64-bit significand: a closed form rounds to a double once
+_LD_ZERO = _LD(0.0)  # x + _LD_ZERO is x in long double, at a tenth of the constructor's cost
+_EPS_LD = float(np.finfo(_LD).epsneg)
+
+
+def _ld(x):
+    """x, a double or an array of them, in long double."""
+    return x.astype(_LD) if isinstance(x, np.ndarray) else x + _LD_ZERO
+
+
+def _upward_from(degree: int) -> float:
+    """The mu from which :func:`_weighted` takes the upward recurrence at this degree:
+    there its steps amplify W_0's relative error by (d + 1)!/mu^d <= 2^6 at most."""
+    return (math.factorial(degree + 1) / 64.0) ** (1.0 / degree) if degree else 0.0
+
+
+def _weighted(mu, coeffs: list, upward: float):
+    """sum_k r_k W_k(mu) over the coefficients r_k, in long double at one mu >= 0, where
+    W_k(mu) = int_0^1 theta^k e^{-mu theta} dtheta = k! e^{-mu} phi_{k+1}(mu) and
+    phi_k(x) = sum_i x^i / (i + k)! are the phi-functions of exponential
+    integrators (Hochbruck and Ostermann, *Acta Numerica* 19, 2010).
+
+    W_0 = -expm1(-mu)/mu.  From ``upward`` (:func:`_upward_from`) on,
+    W_k = (k W_{k-1} - e^{-mu})/mu upward; below it, where that recurrence would
+    cancel, the top order d is d! e^{-mu} phi_{d+1}(mu), phi's series of positive
+    terms, and the lower ones follow downward, W_{k-1} = (mu W_k + e^{-mu})/k
+    (phi_k = x phi_{k+1} + 1/k!), a sum of positive terms.
+    """
+    degree = len(coeffs) - 1
+    if mu == 0.0:
+        return sum(coeff / (k + 1) for k, coeff in enumerate(coeffs))
+    if mu >= upward:
+        weight = -np.expm1(-mu) / mu
+        total = coeffs[0] * weight
+        if degree:
+            decay = np.exp(-mu)
+            for k in range(1, degree + 1):
+                weight = (k * weight - decay) / mu
+                total = total + coeffs[k] * weight
+        return total
+    decay = np.exp(-mu)
+    i, term = degree + 1, (_LD_ZERO + 1.0) / math.factorial(degree + 1)
+    series = term
+    while term > _EPS_LD * series:
+        i += 1
+        term = term * mu / i
+        series = series + term
+    weight = math.factorial(degree) * decay * series
+    total = coeffs[degree] * weight
+    for k in range(degree, 0, -1):
+        weight = (mu * weight + decay) / k
+        total = total + coeffs[k - 1] * weight
+    return total
+
+
+def _taylor(scale, factors, z, step) -> list:
+    """The coefficients, in theta, of scale prod (a + b z') at z' = z + step theta, in
+    long double."""
+    coeffs = [scale]
+    for a, b in factors:
+        f, g = a + b * z, b * step
+        coeffs = [x * f + y * g for x, y in zip(coeffs + [_LD_ZERO], [_LD_ZERO, *coeffs])]
+    return coeffs
+
+
+class _ExpPoly:
+    """An exponential-polynomial stretch: one path coordinate j is affine,
+    eta_j = a + b z, the others are constant, and each base piece a_0 times the
+    family's normaliser e^{-A(eta(z))} = P(eta_j) e^{c eta_j} (its declared
+    ``normaliser``) is a polynomial q(z), kept as a constant times linear
+    factors.  At a point s the integrand is then
+
+        p(s | eta(z)) a_0(z) = q(z) exp(E(z)),  E(z) = lambda_0(s) + lambda_1(s) z,
+
+    with lambda_0 = ln h(s) + sum_{i != j} sign_i eta_i T_i(s) + a w and
+    lambda_1 = b w, w = sign_j T_j(s) + c, both linear in T(s).  Over (lo, hi],
+    h = hi - lo, with z* the end where E is larger and z = z* +- h theta
+    into the stretch,
+
+        int q(z) e^{E(z)} dz = h e^{E(z*)} sum_k r_k W_k(|lambda_1| h),
+
+    r_k the coefficients of q in theta and W_k of :func:`_weighted`.  Expanded
+    at that end no exponential overflows where the value is finite, and each
+    r_k W_k is positive where the linear factors have their roots on the side
+    of z*, as the normaliser's do: e^{E} grows toward the natural space's
+    boundary, where P vanishes.  The arithmetic is in long double, from
+    statistics computed in long double from the call's own input
+    (:attr:`_Density.precise`), so the double the walk rounds it to is the
+    nearest one to the integral except within a small multiple of long
+    double's epsilon (2^-63 on x86-64) of a midpoint between two doubles;
+    where the platform's long double is a double, it is within a few ulps.
+
+    ``pieces`` holds, per base piece of the stretch, q's constant and linear
+    factors, the piece's lower end, eta_j there and q's coefficients there in
+    powers of z - lo, and its :func:`_upward_from`.
+    """
+
+    def __init__(self, family: ExpFamilySpec, j: int, eta: np.ndarray, slope: float, c, polys, base):
+        self.j, self.c, self.negate = j, c, family.stats[j].sign < 0
+        self.slope, self.intercept = slope + _LD_ZERO, eta[j] + _LD_ZERO
+        self.others = [(i, (v if stat.sign > 0 else -v) + _LD_ZERO)
+                       for i, (v, stat) in enumerate(zip(eta.tolist(), family.stats)) if i != j]
+        self.pieces = []
+        for (scale, factors), (_, lo, _) in zip(polys, base):
+            lo = lo + _LD_ZERO
+            self.pieces.append((scale, factors, lo, self.intercept + self.slope * lo,
+                                _taylor(scale, factors, lo, 1.0), _upward_from(len(factors))))
+
+    @classmethod
+    def classify(cls, family: ExpFamilySpec, pieces, base, lo: float, hi: float) -> "_ExpPoly | None":
+        """The stretch as exponential-polynomial, or None where it is not: where
+        not exactly one path piece is ``affine``, where the family declares no
+        polynomial normaliser in that coordinate, where eta leaves the natural
+        space on (lo, hi] (an affine eta is monotone: eta at hi, its limit on an
+        infinite stretch, lies in it and no factor of P is negative at lo), or
+        where a base piece times P is no polynomial: a ``func`` piece, or a
+        ``ratio`` whose denominator is no factor of P (d0 b' == d1 a', exactly,
+        for the factor a' + b' z)."""
+        kinds = [p.kind for p in pieces]
+        if family.normaliser is None or kinds.count("affine") != 1:
+            return None
+        j = kinds.index("affine")
+        eta = np.array([p.c0 for p in pieces])
+        declared = family.normaliser(eta, j + 1)
+        if declared is None:
+            return None
+        factors, c, divisor = declared
+        a, b = pieces[j].c0, pieces[j].c1
+        at_hi = eta.copy()
+        at_hi[j] = a + b * hi if b else a
+        factors = [(p0 + p1 * a, p1 * b) for p0, p1 in factors]
+        if not family.in_natural_space(at_hi) or any(f + g * lo < 0.0 for f, g in factors):
+            return None
+        polys = []
+        for piece, _, _ in base:
+            kept, scale = list(factors), (_LD_ZERO + 1.0) / divisor
+            if piece.kind == "func":
+                return None
+            if piece.kind == "ratio":
+                cancels = [i for i, (f, g) in enumerate(kept) if f * piece.d1 == g * piece.d0]
+                if not cancels:
+                    return None
+                scale = scale * kept.pop(cancels[0])[1] / piece.d1
+            if piece.kind != "const" and piece.c1 != 0.0:
+                kept.append((piece.c0, piece.c1))
+            else:
+                scale = scale * piece.c0
+            polys.append((scale, kept))
+        return cls(family, j, eta, b, c, polys, base)
+
+    def integral(self, index: int, hi: float, terms):
+        """int_(lo, hi] p(s | eta(z)) a_0(z) dz over base piece ``index`` from its lower
+        end lo, at every point s: a long double at one point, else an array of the
+        points' shape; None where some value is not a finite double.  ``terms`` are
+        the points' carrier and statistics in long double.  Each point takes the
+        same long-double arithmetic, one scalar at a time, alone or in any batch."""
+        scale, factors, lo, eta_lo, coeffs_lo, upward = self.pieces[index]
+        carrier, values = terms
+        shape = np.shape(carrier)
+        if shape:
+            carriers, columns = carrier.ravel().tolist(), [value.ravel().tolist() for value in values]
+        else:
+            carriers, columns = [carrier], [[value] for value in values]
+        width = (hi + _LD_ZERO) - lo
+        stat, negate, c, slope, others = columns[self.j], self.negate, self.c, self.slope, self.others
+        at_lo = at_hi = None
+        out = []
+        for p, exponent in enumerate(carriers):
+            w = -stat[p] if negate else stat[p]
+            if c:
+                w = w + c
+            for i, coef in others:
+                exponent = exponent + coef * columns[i][p]
+            rate = slope * w
+            if rate > 0.0:
+                if at_hi is None:
+                    end = lo + width  # hi in long double
+                    at_hi = (self.intercept + slope * end, _taylor(scale, factors, end, -width))
+                eta_end, coeffs = at_hi
+            else:
+                if at_lo is None:  # q's coefficients at lo, in theta = (z - lo)/width
+                    at_lo, power = [coeffs_lo[0]], width
+                    for coeff in coeffs_lo[1:]:
+                        at_lo.append(coeff * power)
+                        power = power * width
+                    at_lo = (eta_lo, at_lo)
+                eta_end, coeffs = at_lo
+            value = width * np.exp(exponent + eta_end * w) * _weighted(abs(rate) * width, coeffs, upward)
+            if not math.isfinite(float(value)):
+                return None
+            out.append(value)
+        return np.array(out, dtype=_LD).reshape(shape) if shape else out[0]
+
+
+def _precise_density(ctx: LevyContext, loc: float, terms):
+    """p(s | eta(loc)) in long double at a point mass, from the points' long-double
+    ``terms``: eta is the atom override at loc, else the path's ``const`` and ``affine``
+    pieces there in long double, and the family declares its normaliser polynomial
+    in some coordinate at that eta; else None."""
+    family, override = ctx.family, ctx.path.atom_overrides.get(loc)
+    if override is not None:
+        eta = np.array(override, dtype=_LD)
+    else:
+        pieces = [comp.piece_at(loc) for comp in ctx.path.components]
+        if not all(p.kind in _ROWS for p in pieces):
+            return None
+        eta = np.array([p.c0 + (_LD_ZERO + p.c1) * loc if p.kind == "affine" else _LD_ZERO + p.c0 for p in pieces])
+    for j in range(family.dimension):
+        declared = family.normaliser(eta, j + 1) if family.normaliser is not None else None
+        if declared is not None:
+            break
+    else:
+        return None
+    factors, c, divisor = declared
+    eta_j = eta[j]
+    exponent = terms[0] + c * eta_j - np.log(_LD_ZERO + divisor)
+    for p0, p1 in factors:
+        exponent = exponent + np.log(p0 + p1 * eta_j)
+    for value, coord, stat in zip(terms[1], eta, family.stats):
+        exponent = exponent + (coord if stat.sign > 0 else -coord) * value
+    return np.exp(exponent)
+
+
 class _Plan:
     """What the functionals of a context need that depends on neither t nor the
     points: ``stat``, the weight statistic; ``path``, the parameter path without
     its atom overrides (which act on the measure only through the base point
     masses); ``jumps``, the point masses of A_0 with positive location and mass;
     and ``stretches``, the :class:`_Stretch` between consecutive cuts of (0, inf)
-    at every path and base breakpoint."""
+    at every path and base breakpoint, each classified constant,
+    exponential-polynomial or general as it is built."""
 
     def __init__(self, ctx: "LevyContext"):
         self.stat, self.path = ctx.stat(), ParameterPath(ctx.path.components)
@@ -425,13 +675,75 @@ class _Plan:
         self.stretches = tuple(_Stretch(ctx, self.path, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
 
 
-def _density(family: ExpFamilySpec, xs) -> Callable:
-    """h(eta, A, x) = p(x | eta) at points x checked in the support, the carrier and
-    statistics at the call's own points ``xs`` read once."""
-    terms = expfam._terms(family, xs)
-    return lambda eta, log_partition, x: np.exp(
-        expfam._exponent(family, eta, log_partition, x, terms if x is xs else None)
-    )
+@functools.lru_cache(maxsize=32)
+def _positions(shape: tuple) -> np.ndarray:
+    """The positions of a call's points of this shape, one array per recent shape, never
+    written."""
+    return np.arange(math.prod(shape)).reshape(shape)
+
+
+class _Density:
+    """h(eta, A, pos) = p(s | eta) at the points s of one call, read by position.
+
+    ``terms`` is the carrier and the statistics at every point
+    (:func:`~crmkit.expfam._terms` at points checked in the support) and
+    ``precise`` the same in long double from the call's own input, for
+    :meth:`_ExpPoly.integral`; each is computed on first use and read from
+    then on.  ``jac`` is the |ds/du| that the walk multiplies its double by
+    (1.0 in the family coordinate).  With ``at_stat`` = (statistic, k, u,
+    inside) the points are s = T_k^{-1}(u): ``precise`` comes from u (the
+    family's ``stat_terms``, or the terms at the inverse with ln|ds/du| added to
+    the carrier), and where ``inside`` is not None the points off it, whose s
+    the inverse rounded onto an end of the support, take their ``terms`` from
+    ``stat_terms`` too.  ``points`` stands for all the points: ``np.intp(0)`` at
+    one point, else the positions in the points' shape, so the walk passes it
+    where it passes its points.  A subset of positions, the points still
+    bisecting that QUADPACK's later steps pass, reads those points' terms.
+    """
+
+    __slots__ = ("family", "s", "jac", "at_stat", "points", "_terms", "_precise")
+
+    def __init__(self, family: ExpFamilySpec, s, jac=1.0, at_stat: tuple | None = None):
+        self.family, self.s, self.jac, self.at_stat = family, s, jac, at_stat
+        self._terms = self._precise = None
+        self.points = _positions(s.shape) if s.ndim else _ONE_POINT
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            terms = expfam._terms(self.family, self.s)
+            if self.at_stat is not None and self.at_stat[3] is not None:
+                _, k, u, inside = self.at_stat
+                carrier, values = terms
+                u_carrier, u_values = self.family.stat_terms(k, u)
+                terms = np.where(inside, carrier, u_carrier)[()], [
+                    np.where(inside, a, b)[()] for a, b in zip(values, u_values)
+                ]
+            self._terms = terms
+        return self._terms
+
+    @property
+    def precise(self):
+        if self._precise is None:
+            family = self.family
+            if self.at_stat is None:
+                self._precise = expfam._terms(family, _ld(self.s))
+            else:
+                stat, k, u, _ = self.at_stat
+                u = _ld(u)
+                if family.stat_terms is not None:
+                    self._precise = family.stat_terms(k, u)
+                else:
+                    carrier, values = expfam._terms(family, stat.inverse(u))
+                    self._precise = carrier + np.log(np.abs(stat.inverse_deriv(u))), values
+        return self._precise
+
+    def __call__(self, eta, log_partition, pos):
+        terms = self._terms or self.terms
+        if pos is not self.points:
+            carrier, values = terms
+            terms = np.ravel(carrier)[pos], [np.ravel(value)[pos] for value in values]
+        return np.exp(expfam._exponent(self.family, eta, log_partition, None, terms))
 
 
 def _stretch_integral(stretch: _Stretch, h: Callable, x, piece: Piece, lo, hi) -> np.ndarray:
@@ -460,13 +772,21 @@ def _z_integral(ctx: LevyContext, h: Callable, t: float, x) -> float | np.ndarra
     (shape (l, m), A of shape (m,)) to ``x.shape + (m,)``, each entry that eta's
     and point's double; a batch of shape (l, r, m) with x of shape (r,) pairs
     row i of the batch with point i, to shape (r, m).  A constant stretch gives
-    h(eta, A, x) A_0(stretch), h not run where that mass is 0; any other takes
+    h(eta, A, x) A_0(stretch), h not run where that mass is 0.  An
+    exponential-polynomial stretch gives a density h (a :class:`_Density`, x
+    its ``points``) its closed form per nonzero base piece that ends below
+    infinity (:meth:`_ExpPoly.integral`), or :func:`_stretch_integral` where
+    that form is not a finite double; any other h or stretch takes
     :func:`_stretch_integral` per nonzero base piece.  The point masses take h
-    at one batch of their eta, added in location order; atom overrides act only
-    through them.  The callers check t > 0 and x, under the call's one
+    at one batch of their eta, added in location order, or, once a closed form
+    has been taken, each density in long double where the family's normaliser
+    is polynomial at its eta (:func:`_precise_density`); atom overrides act only
+    through them.  A density's value is multiplied by its ``jac``; with closed
+    forms the long-double parts and that product are summed and rounded to a
+    double once.  The callers check t > 0 and x, under the call's one
     ``np.errstate``.
     """
-    total, plan = 0.0, ctx._plan
+    total, exact, plan = 0.0, None, ctx._plan
     for stretch in plan.stretches:
         if not stretch.lo < t:
             break
@@ -475,16 +795,35 @@ def _z_integral(ctx: LevyContext, h: Callable, t: float, x) -> float | np.ndarra
             if mass != 0.0:
                 total += h(*stretch.bound, x) * mass
             continue
-        for piece, lo, hi in stretch.base:
-            if lo < min(hi, t):
-                total += _stretch_integral(stretch, h, x, piece, lo, min(hi, t))
+        closed = stretch.poly is not None and isinstance(h, _Density)
+        for index, (piece, lo, hi) in enumerate(stretch.base):
+            if lo < (end := min(hi, t)):
+                value = stretch.poly.integral(index, end, h.precise) if closed and end < _INF else None
+                if value is None:
+                    total += _stretch_integral(stretch, h, x, piece, lo, end)
+                else:
+                    exact = value if exact is None else exact + value
     jumps = [(loc, mass) for loc, mass in plan.jumps if loc <= t]
     if jumps:  # one batch of eta, added a mass at a time in location order
         locs, masses = zip(*jumps)
-        values = h(*expfam._bind_many(ctx.family, ctx.path.eval_many(locs).T), x)
-        for i, mass in enumerate(masses):
-            total += mass * values[..., i]
-    return total + np.zeros(x.shape) if x.ndim else total
+        etas, log_partitions = expfam._bind_many(ctx.family, ctx.path.eval_many(locs).T)
+        # a walk with a closed-form part takes each point mass in long double where it can
+        precise = [] if exact is None else [_precise_density(ctx, loc, h.precise) for loc in locs]
+        if precise and all(value is not None for value in precise):
+            for mass, value in zip(masses, precise):
+                exact = exact + mass * value
+        else:
+            values = h(etas, log_partitions, x)
+            for i, mass in enumerate(masses):
+                total += mass * values[..., i]
+    total = total + np.zeros(x.shape) if x.ndim else total
+    if not isinstance(h, _Density):
+        return total
+    total = total * h.jac
+    if exact is None:
+        return total
+    exact = exact + total  # rounded to a double once
+    return exact.astype(float) if x.ndim else float(exact)
 
 
 def levy_density_s(ctx: LevyContext, t: float, s):
@@ -494,7 +833,8 @@ def levy_density_s(ctx: LevyContext, t: float, s):
     _check_time(t)
     expfam._check_support(ctx.family, s)
     with np.errstate(all="ignore"):
-        density = _z_integral(ctx, _density(ctx.family, xs := expfam._float64(s)), t, xs)
+        h = _Density(ctx.family, xs := expfam._float64(s))
+        density = _z_integral(ctx, h, t, h.points)
     return density if xs.ndim else float(density)
 
 
@@ -505,16 +845,15 @@ def levy_integrand(ctx: LevyContext, z: float, s):
     if not ctx.base.density.defined_at(z):
         return np.zeros(np.shape(s)) if np.ndim(s) else 0.0
     with np.errstate(all="ignore"):
-        eta, xs = ctx._plan.path.eval(z), expfam._float64(s)
+        eta, h = ctx._plan.path.eval(z), _Density(ctx.family, xs := expfam._float64(s))
         ctx.family.check_natural(eta)
-        density = _density(ctx.family, xs)(eta, float(ctx.family.log_partition_fn(eta)), xs)
-        value = density * ctx.base.density(z)
+        value = h(eta, float(ctx.family.log_partition_fn(eta)), h.points) * ctx.base.density(z)
     return value if xs.ndim else float(value)
 
 
 def _pushforward(ctx: LevyContext, u, density: Callable):
-    """density(s) |ds/du| at s = T_k^{-1}(u), at one u (a float) or an array, from one
-    ``density`` call at s checked in the support: at s of u's shape, or, where the
+    """density(h) |ds/du| at s = T_k^{-1}(u), at one u (a float) or an array, from one
+    ``density`` call, h the :class:`_Density` at s: at s of u's shape, or, where the
     inverse or its derivative overflows (the deep tail, 0.0), at the others.  The
     first u outside the image raises SupportError, then the first such s.  The door
     of :func:`levy_density_u` and of a :class:`FiniteActivity`'s weight density,
@@ -530,13 +869,26 @@ def _pushforward(ctx: LevyContext, u, density: Callable):
         s, jac = stat.inverse(us), abs(stat.inverse_deriv(us))
         keep = s * 0.0 + jac < _INF  # both finite: s * 0.0 is NaN where s is not
         if expfam._all(keep):  # at u's own shape, so one u takes the one-point path
-            expfam._check_support(ctx.family, s)
-            return density(s) * jac if us.ndim else float(density(s) * jac)
+            value = density(_at_stat(ctx, s, us, jac))
+            return value if us.ndim else float(value)
         out = np.zeros(us.shape)
         if keep.any():
-            expfam._check_support(ctx.family, s[keep])
-            out[keep] = density(s[keep]) * jac[keep]
+            out[keep] = density(_at_stat(ctx, s[keep], us[keep], jac[keep]))
     return out if us.ndim else float(out)
+
+
+def _at_stat(ctx: LevyContext, s, u, jac) -> "_Density":
+    """The :class:`_Density` at s = T_k^{-1}(u) checked in the support, with ``jac``.
+    Where the inverse rounds s onto an end of the support though u lies in the
+    image, and the family declares ``stat_terms``, those points take their terms
+    from u, |ds/du| among them, and a jac of 1.0; elsewhere such an s raises."""
+    family, stat = ctx.family, ctx._plan.stat
+    inside = family.support._inside(s)
+    if expfam._all(inside):
+        return _Density(family, s, jac, (stat, ctx.k, u, None))
+    if family.stat_terms is None:
+        expfam._check_support(family, s)
+    return _Density(family, s, np.where(inside, jac, 1.0)[()], (stat, ctx.k, u, inside))
 
 
 def levy_density_u(ctx: LevyContext, t: float, u):
@@ -544,7 +896,7 @@ def levy_density_u(ctx: LevyContext, t: float, u):
     u = T_k(s), at one u or an array alike: 0.0 where the inverse overflows,
     and the first u outside the image raises :class:`SupportError`."""
     _check_time(t)
-    return _pushforward(ctx, u, lambda s: _z_integral(ctx, _density(ctx.family, s), t, s))
+    return _pushforward(ctx, u, lambda h: _z_integral(ctx, h, t, h.points))
 
 
 def stat_laplace(family: ExpFamilySpec, eta, k: int, theta: float) -> float | np.ndarray:
@@ -693,7 +1045,7 @@ def classify_activity(ctx: LevyContext, t: float):
 
     bound = expfam._bind_many(ctx.family, [comp(t) for comp in ctx.path.components], batch=False)
     return FiniteActivity(
-        mass, mass / t, lambda u: _pushforward(ctx, u, lambda s: _density(ctx.family, s)(*bound, s))
+        mass, mass / t, lambda u: _pushforward(ctx, u, lambda h: h(*bound, h.points) * h.jac)
     )
 
 

@@ -1,11 +1,16 @@
 """Pinned bits of the Levy functionals.
 
-On a stretch where the parameter path is one constant, a location integral
-is the closed form h(eta) A_0(stretch); elsewhere it is, per base piece, one
-21-point Gauss-Kronrod pass over a batch of eta, the double QUADPACK's
-``quad`` returns when it stops after that pass.  Every result is a Python
-float, and every ``repr`` here is fixed.  The ``classify_activity`` masses
-are the exact base masses A_0((0, t]).
+A location integral takes one of three stretch kinds.  On a stretch where
+the parameter path is one constant it is the closed form h(eta) A_0(stretch).
+On an exponential-polynomial stretch, where one coordinate of the path is
+affine and the base cancels the family's normaliser to a polynomial, a
+density is the closed form of the polynomial times an exponential, rounded
+once from long double; ``laplace_exponent`` still integrates there.
+Elsewhere it is, per base piece, QUADPACK's routine, whose first 21-point
+Gauss-Kronrod pass over a batch of eta gives the double ``quad`` returns
+when it stops after that pass.  Every result is a Python float, and every
+``repr`` here is fixed.  The ``classify_activity`` masses are the exact base
+masses A_0((0, t]).
 """
 
 import hashlib
@@ -28,6 +33,17 @@ from crmkit.levy import (
 from crmkit.piecewise import Piece, PiecewiseFunction, checked_quad
 
 INF = math.inf
+
+
+def _quad_twin(ctx):
+    """ctx with its one base piece as a ``func`` piece of the same doubles: every
+    stretch then reaches QUADPACK, with the integrand values of ctx."""
+    (piece,) = ctx.base.density.pieces
+    twin = Piece(piece.lo, piece.hi, "func", func=lambda z: float(piece.value(z)))
+    return LevyContext.build(
+        ctx.family, ctx.path, BaseMeasure(PiecewiseFunction([twin])), ctx.k,
+        require_conditions=ctx.require_conditions,
+    )
 
 
 def _contexts():
@@ -94,12 +110,16 @@ def _contexts():
             k=2,
         ),
         # paths that are not constant: an affine rate, an affine second
-        # coordinate over a ratio base, an affine pareto shape, and a func
-        # shape with an affine-then-const rate over an affine-then-const base
-        # with a point mass
+        # coordinate over a ratio base and an affine pareto shape, each
+        # exponential-polynomial, their twins over a func base, which reach
+        # QUADPACK, and a func shape with an affine-then-const rate over an
+        # affine-then-const base with a point mass
         "gamma_affine": verify.gamma_decomposition_context(1, 2),
         "beta_ratio": verify.beta_decomposition_context(2),
         "pareto_affine": verify.nonhomogeneous_pareto_context(),
+        "gamma_affine_quad": _quad_twin(verify.gamma_decomposition_context(1, 2)),
+        "beta_ratio_quad": _quad_twin(verify.beta_decomposition_context(2)),
+        "pareto_affine_quad": _quad_twin(verify.nonhomogeneous_pareto_context()),
         "func_path": LevyContext.build(
             gamma,
             ParameterPath(
@@ -121,7 +141,7 @@ def _contexts():
     }
 
 
-NON_CONSTANT = ("gamma_affine", "beta_ratio", "pareto_affine", "func_path")
+NON_CONSTANT = ("gamma_affine_quad", "beta_ratio_quad", "pareto_affine_quad", "func_path")
 
 # context: ((t, u), (t, theta), (t, us), classify horizon or None)
 CALLS = {
@@ -135,6 +155,9 @@ CALLS = {
     "gamma_affine": ((1.0, 0.7), (1.0, 2.0), (2.5, (0.1, 1.0, 3.0)), 1.0),
     "beta_ratio": ((1.0, -0.3), (2.0, 0.6), (1.5, (-2.0, -0.5, -0.05)), 1.0),
     "pareto_affine": ((1.0, 0.4), (2.0, 0.8), (1.5, (0.1, 1.0, 4.0)), 1.0),
+    "gamma_affine_quad": ((1.0, 0.7), (1.0, 2.0), (2.5, (0.1, 1.0, 3.0)), 1.0),
+    "beta_ratio_quad": ((1.0, -0.3), (2.0, 0.6), (1.5, (-2.0, -0.5, -0.05)), 1.0),
+    "pareto_affine_quad": ((1.0, 0.4), (2.0, 0.8), (1.5, (0.1, 1.0, 4.0)), 1.0),
     "func_path": ((2.0, 0.7), (2.0, 1.0), (1.5, (0.2, 1.0, 2.5)), 1.0),
 }
 
@@ -161,23 +184,38 @@ PINNED = {
     ("gap_jump", "laplace_exponent"): "1.6187499999999995",
     ("gap_jump", "density_table"): "[(3.0, 0.2, 3.655085496386216), (3.0, 1.0, 1.6579093766498694), (3.0, 2.5, 0.046044273814807135)]",
     ("gap_jump", "classify_activity"): "('NotTimeHomogeneous', 3.7)",
-    ("jumps", "levy_density_u"): "3.560206901757371",
+    ("jumps", "levy_density_u"): "3.56020690175737",
     ("jumps", "laplace_exponent"): "3.1737052563644705",
-    ("jumps", "density_table"): "[(2.0, 0.2, 3.0706887338978417), (2.0, 1.0, 1.7021138771633824), (2.0, 2.5, 0.5115632576656822)]",
+    ("jumps", "density_table"): "[(2.0, 0.2, 3.0706887338978412), (2.0, 1.0, 1.7021138771633824), (2.0, 2.5, 0.5115632576656821)]",
     ("jumps", "classify_activity"): "('NotTimeHomogeneous', 1.5)",
-    # pinned when every non-constant stretch still ran scipy's quad
+    # densities on exponential-polynomial stretches, each the nearest double to a
+    # 40-digit mpmath value; the Laplace exponents are quad's doubles
     ("gamma_affine", "levy_density_u"): "0.0292169905522886",
     ("gamma_affine", "laplace_exponent"): "0.11565489012728797",
-    ("gamma_affine", "density_table"): "[(2.5, 0.1, 0.038187373601423415), (2.5, 1.0, 0.12082131331790555), (2.5, 3.0, 0.039096248755803115)]",
+    ("gamma_affine", "density_table"): "[(2.5, 0.1, 0.038187373601423415), (2.5, 1.0, 0.12082131331790556), (2.5, 3.0, 0.039096248755803115)]",
     ("gamma_affine", "classify_activity"): "('NotTimeHomogeneous', 0.125)",
-    ("beta_ratio", "levy_density_u"): "0.037973228266667214",
+    ("beta_ratio", "levy_density_u"): "0.03797322826666719",
     ("beta_ratio", "laplace_exponent"): "-4.213633139653034",
-    ("beta_ratio", "density_table"): "[(1.5, -2.0, 0.23491896130992387), (1.5, -0.5, 0.11984586374172355), (1.5, -0.05, 0.0009741724467552071)]",
+    ("beta_ratio", "density_table"): "[(1.5, -2.0, 0.23491896130992393), (1.5, -0.5, 0.11984586374172354), (1.5, -0.05, 0.0009741724467552073)]",
     ("beta_ratio", "classify_activity"): "('NotTimeHomogeneous', 0.4246358550964382)",
-    ("pareto_affine", "levy_density_u"): "0.38469959718815616",
+    ("pareto_affine", "levy_density_u"): "0.3846995971881561",
     ("pareto_affine", "laplace_exponent"): "1.0022103747962943",
-    ("pareto_affine", "density_table"): "[(1.5, 0.1, 1.018582711118352), (1.5, 1.0, 0.4421745996289255), (1.5, 4.0, 0.061415545922708474)]",
+    ("pareto_affine", "density_table"): "[(1.5, 0.1, 1.018582711118352), (1.5, 1.0, 0.4421745996289254), (1.5, 4.0, 0.06141554592270847)]",
     ("pareto_affine", "classify_activity"): "('NotTimeHomogeneous', 1.0)",
+    # their twins over a func base reach QUADPACK: the doubles scipy's quad gave
+    # the three above when every non-constant stretch ran it
+    ("gamma_affine_quad", "levy_density_u"): "0.0292169905522886",
+    ("gamma_affine_quad", "laplace_exponent"): "0.11565489012728797",
+    ("gamma_affine_quad", "density_table"): "[(2.5, 0.1, 0.038187373601423415), (2.5, 1.0, 0.12082131331790555), (2.5, 3.0, 0.039096248755803115)]",
+    ("gamma_affine_quad", "classify_activity"): "('NotTimeHomogeneous', 0.125)",
+    ("beta_ratio_quad", "levy_density_u"): "0.037973228266667214",
+    ("beta_ratio_quad", "laplace_exponent"): "-4.213633139653034",
+    ("beta_ratio_quad", "density_table"): "[(1.5, -2.0, 0.23491896130992387), (1.5, -0.5, 0.11984586374172355), (1.5, -0.05, 0.0009741724467552071)]",
+    ("beta_ratio_quad", "classify_activity"): "('NotTimeHomogeneous', 0.42463585509643814)",
+    ("pareto_affine_quad", "levy_density_u"): "0.38469959718815616",
+    ("pareto_affine_quad", "laplace_exponent"): "1.0022103747962943",
+    ("pareto_affine_quad", "density_table"): "[(1.5, 0.1, 1.018582711118352), (1.5, 1.0, 0.4421745996289255), (1.5, 4.0, 0.061415545922708474)]",
+    ("pareto_affine_quad", "classify_activity"): "('NotTimeHomogeneous', 1.0)",
     ("func_path", "levy_density_u"): "2.3822918216691837",
     ("func_path", "laplace_exponent"): "2.1112655379935474",
     ("func_path", "density_table"): "[(1.5, 0.2, 1.1042411881767602), (1.5, 1.0, 1.4433457314380616), (1.5, 2.5, 0.19402504344718774)]",
@@ -259,7 +297,7 @@ def test_a_batch_of_u_gives_each_one_point_double(contexts, name):
 
 
 def test_a_batch_whose_pass_declines_some_points_runs_quad_for_those_alone(contexts, monkeypatch):
-    ctx = contexts["pareto_affine"]
+    ctx = contexts["pareto_affine_quad"]
     us = (0.1, 1.0, 6.0)
     batches = _spied_batches(monkeypatch)
     batch = levy_density_u(ctx, 2.5, np.array(us))
@@ -376,7 +414,7 @@ def _classified(res, us):
     return fields
 
 
-FUNCTIONALS_DIGEST = "4ea5b65f90ef46f2b359c6f5f93679c15ed675eb78cfc49c0c57f5ec7f8e7e73"
+FUNCTIONALS_DIGEST = "ace80eb164c52a3078911fb1802aef0242e25cc3c3f2192c7adb31190acd59fc"
 
 
 def test_functionals_digest_is_pinned():

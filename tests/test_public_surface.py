@@ -258,7 +258,9 @@ def test_parsing_a_sample_config_loads_only_the_modules_it_builds_with(crmkit_mo
 
 
 def test_a_location_integral_loads_quadpack_and_keeps_its_double(fresh_interpreter):
-    # a gamma rate affine in z: levy_density_u takes one 21-point pass
+    # a gamma rate affine in z under an integer shape: levy_density_u is the
+    # stretch's closed form and loads no quadrature, laplace_exponent's tilt
+    # takes one 21-point pass
     code = """
 import sys, crmkit
 from crmkit.piecewise import Piece, PiecewiseFunction
@@ -266,9 +268,12 @@ rate = PiecewiseFunction([Piece(0.0, float("inf"), "affine", c0=1.0, c1=1.0)])
 path = crmkit.ParameterPath([PiecewiseFunction.constant(1.0), rate])
 ctx = crmkit.LevyContext.build(crmkit.make_family("gamma"), path, crmkit.BaseMeasure.lebesgue(1.0), k=2)
 before = "crmkit.quadpack" in sys.modules
-print((before, repr(crmkit.levy_density_u(ctx, 1.0, 0.7)), "crmkit.quadpack" in sys.modules))
+density = repr(crmkit.levy_density_u(ctx, 1.0, 0.7))
+after_density = "crmkit.quadpack" in sys.modules
+laplace = repr(crmkit.laplace_exponent(ctx, 1.0, 1.0))
+print((before, density, after_density, laplace, "crmkit.quadpack" in sys.modules))
 """
-    assert fresh_interpreter(code) == (False, "0.5150251081337565", True)
+    assert fresh_interpreter(code) == (False, "0.5150251081337565", False, "0.4054651081081644", True)
 
 
 def test_the_csv_formatter_loads_on_the_first_csv_text(fresh_interpreter):
@@ -460,6 +465,8 @@ def test_family_spec_fields_are_pinned():
         "quantile",
         "cumulants",
         "stat_moment",
+        "normaliser",
+        "stat_terms",
         "fixed",
     ]
 

@@ -268,9 +268,13 @@ def test_the_levy_declines_are_quads_doubles(held_to_quad):
     ctx = LevyContext.build(gamma, _AFFINE_RATE, singular, k=2)
     laplace_exponent(ctx, 1.0, 1.0)
     levy_density_u(ctx, 1.0, np.array([0.3, 0.7]))
-    # a batch whose last point bisects while the first rule settles the others,
-    # and an infinite stretch
-    levy_density_u(verify.nonhomogeneous_pareto_context(), 2.5, np.array([0.1, 1.0, 6.0]))
+    # a batch whose last point bisects while the first rule settles the others
+    # (the pareto context over a func base of its doubles, which reaches
+    # QUADPACK), and an infinite stretch
+    pareto = verify.nonhomogeneous_pareto_context()
+    ones = BaseMeasure(PiecewiseFunction.from_callable(lambda z: 1.0))
+    pareto = LevyContext.build(pareto.family, pareto.path, ones, 1, require_conditions=False)
+    levy_density_u(pareto, 2.5, np.array([0.1, 1.0, 6.0]))
     affine = LevyContext.build(gamma, _AFFINE_RATE, BaseMeasure.lebesgue(1.0), k=2)
     levy_density_u(affine, INF, 0.7)
     assert held_to_quad == [(0.0, 1.0)] * 3 + [(0.0, 2.5)] * 3 + [(0.0, INF)]

@@ -1,15 +1,17 @@
 """Time a Levy point density and a density table in-process.
 
-For three contexts it prints the minimum time in microseconds of N calls of
+For four contexts it prints the minimum time in microseconds of N calls of
 
 - ``levy_density_u(ctx, t, u)`` at one u, and
-- ``density_table(ctx, t, us)`` at 6 points:
+- ``density_table(ctx, t, us)`` at 6 points,
 
-on a constant path (gamma, k = 2, eta = (2, 3)), an affine path over (0, inf)
-(a term of the gamma decomposition: shape 2, rate (1 + z)/2) and a term of a
-pareto series with a ratio base (alpha(z) = z on (0.25, 1]).  Each context is
-built through the config layer and warmed by one call, so the stretch plan
-is built before the timed calls.
+each also as a ratio to the constant context's point: on a constant path
+(gamma, k = 2, eta = (2, 3)), an affine path over (0, inf) (a term of the
+gamma decomposition: shape 2, rate (1 + z)/2), a term of the beta
+decomposition (k = 1, eta = (1, 3 + z) over the ratio base (1 + z)/(3 + z))
+and a term of a pareto series with a ratio base (alpha(z) = z on
+(0.25, 1]).  Each context is built through the config layer and warmed by
+one call, so the stretch plan is built before the timed calls.
 
 It imports only ``crmkit``, so it times any checkout put first on the path:
 
@@ -46,6 +48,14 @@ def contexts():
             "base": {"pieces": _const(0.125)},
         }
     )
+    beta_ratio = crmkit.parse_component(
+        {
+            "family": {"name": "beta"},
+            "k": 1,
+            "path": [_const(1.0), [{"from": 0.0, "affine": [3.0, 1.0]}]],
+            "base": {"pieces": [{"from": 0.0, "ratio": [1.0, 1.0, 3.0, 1.0]}]},
+        }
+    )
     series, _ = crmkit.parse_sample_config(
         {
             "pareto_series": {
@@ -60,6 +70,7 @@ def contexts():
     return [
         ("const gamma k=2", gamma_const, 1.2, 1.0, us),
         ("affine gamma decomp", gamma_affine, 1.5, 1.0, us),
+        ("ratio beta decomp", beta_ratio, 1.5, -0.5, [-3.0, -2.0, -1.0, -0.5, -0.2, -0.05]),
         ("ratio pareto term 2", series[1], 0.8, 1.0, us),
     ]
 
@@ -77,10 +88,15 @@ def best_us(fn, calls: int) -> float:
 
 def main(argv: list[str]) -> int:
     calls = int(argv[0]) if argv else 2000
+    unit = None  # the constant context's point
     for name, ctx, t, u, us in contexts():
         point = best_us(lambda: crmkit.levy_density_u(ctx, t, u), calls)
         table = best_us(lambda: crmkit.density_table(ctx, t, us), calls)
-        print(f"{name:<20}  point {point:8.2f} us  table(6) {table:8.2f} us  (n={calls})")
+        unit = unit or point
+        print(
+            f"{name:<20}  point {point:8.2f} us ({point / unit:4.2f})"
+            f"  table(6) {table:8.2f} us ({table / unit:4.2f})  (n={calls})"
+        )
     return 0
 
 
