@@ -38,10 +38,15 @@ Two declarations serve the closed-form location integrals of
 in one coordinate times an exponential of it, the other coordinates held
 fixed: ``pareto`` always, ``beta`` with its other coordinate a positive
 integer, ``gamma`` in its rate with an integer shape, each up to degree 8.
-``stat_terms`` gives the carrier and the statistics at s = T_k^{-1}(u) from u
-itself (``beta``, ``gamma``, ``pareto``), in the precision of u: the
-functionals read them where the inverse rounds s onto an end of the support
-and, in long double, for the closed forms.
+``stat_terms`` gives the carrier and the statistics at s = T_k^{-1}(u)
+from u itself, in the precision of u, with ln|ds/du| folded into the
+carrier or, for ``pareto_loglog``, into a tilt of eta that the face
+eta_1 = -1 cancels exactly: every family whose statistics have an inverse
+declares it, and it is the only source of a weight-coordinate density's
+terms, in double on quadrature stretches and in long double on constant
+stretches and for the closed forms.  The declared ``inverse`` and
+``inverse_deriv`` serve the construction's invertibility check and the
+moment oracle of :mod:`crmkit.verify`.
 """
 
 from __future__ import annotations
@@ -146,7 +151,10 @@ class SufficientStat:
     ``sign * eta_j * T_j(x)``.  ``inverse`` and ``inverse_deriv`` (the signed
     derivative of the inverse) are declared only when the statistic is
     monotone on the support; ``image`` is the open interval of statistic
-    values reached on the support.
+    values reached on the support.  They serve the construction's
+    invertibility check and the moment oracle; a density in the weight
+    coordinate u = T_k(x) reads its terms from the family's ``stat_terms``
+    instead, and needs both.
     """
 
     name: str
@@ -193,9 +201,13 @@ class ExpFamilySpec:
     # where A is not of that form.  eta_j then lies in the natural space exactly where
     # every factor is positive
     normaliser: Callable | None = None
-    # (k, u) -> (log h(s) + log|ds/du|, [T_j(s)]) at s = T_k^{-1}(u), computed from u in
-    # u's precision: where the declared inverse rounds s onto an end of the support, and
-    # in long double for the closed forms of crmkit.levy
+    # (k, u) -> (carrier, [T_j(s)], tilt) at s = T_k^{-1}(u), computed from u in u's
+    # precision, never through s, with log h(s) + log|ds/du| = carrier + sum_j sign_j
+    # tilt_j T_j(s): tilt is None (all zero) or one float per statistic, added to eta,
+    # so where eta + tilt cancels the Jacobian no large term is summed.  The terms of
+    # every density of crmkit.levy in the weight coordinate, in double and in long
+    # double, which exists only where the family declares this; a family that declares
+    # a normaliser returns no tilt
     stat_terms: Callable | None = None
     fixed: dict = field(default_factory=dict)
 
@@ -641,7 +653,7 @@ def _beta_family() -> ExpFamilySpec:
         ln(-expm1(u)); |ds/du| = e^u, so ln h(s) + ln|ds/du| = -T_1 - T_2 + u is minus
         the other statistic."""
         other = np.log(-np.expm1(u))
-        return -other, [u, other] if k == 1 else [other, u]
+        return -other, [u, other] if k == 1 else [other, u], None
 
     return ExpFamilySpec(
         name="beta",
@@ -689,9 +701,9 @@ def _gamma_family() -> ExpFamilySpec:
         """At s = e^u (k = 1), T = (u, e^u) and ln h(s) + ln|ds/du| = -u + u = 0; at s = u
         (k = 2), T = (ln u, u) and ln h(s) = -ln u."""
         if k == 1:
-            return u * 0.0, [u, np.exp(u)]
+            return u * 0.0, [u, np.exp(u)], None
         log_u = np.log(u)
-        return -log_u, [log_u, u]
+        return -log_u, [log_u, u], None
 
     def normaliser(eta, j):
         """b^a / Gamma(a) in the rate b = eta_2, the shape a an integer: b^a / (a - 1)!"""
@@ -755,7 +767,7 @@ def _pareto_family(scale: float) -> ExpFamilySpec:
         quantile=quantile,
         cumulants=cumulants,
         normaliser=normaliser,
-        stat_terms=lambda k, u: (u, [u]),  # at s = e^u: T = u, ln h(s) + ln|ds/du| = 0 + u
+        stat_terms=lambda k, u: (u, [u], None),  # at s = e^u: T = u, ln h(s) + ln|ds/du| = 0 + u
         fixed={"scale": u_m},
     )
 
@@ -947,6 +959,17 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
             pending = pending[~accept]
         return draws
 
+    def stat_terms(k, u):
+        """At s = e^u (k = 1), T = (u, ln u) and ln h(s) + ln|ds/du| = 0 + u = T_1; at
+        s = e^{e^u} (k = 2), T = (e^u, u) and ln|ds/du| = e^u + u = T_1 + T_2.  Both
+        are a tilt, so the exponent is (eta_1 + 1) T_1 + ... - A and on the face
+        eta_1 + 1 = 0 drops T_1 exactly.  u is held below ln(largest double), so
+        e^u stays finite: on the face T_1 is dropped, and off it (eta_1 + 1) T_1
+        <= -4e292 gives the density's 0.0."""
+        if k == 1:
+            return u * 0.0, [u, np.log(u)], (1.0, 0.0)
+        return u * 0.0, [np.exp(np.minimum(u, _LOG_MAX)), u], (1.0, 1.0)
+
     return ExpFamilySpec(
         name="pareto_loglog",
         support=Support(x_lo, _INF),
@@ -962,6 +985,7 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
         cdf=lambda eta, x: np.clip(cdf(eta, x), 0.0, 1.0),
         quantile=quantile,
         stat_moment=stat_moment,
+        stat_terms=stat_terms,
         fixed={"scale": u_m},
     )
 

@@ -47,14 +47,17 @@ three kinds:
 
 Each public functional checks its inputs once, at its door, and hands them to
 the private walk, which checks them no more: t; u against the statistic's
-declared inverse and image, then the s it maps to against the family support
-(the two differ where the inverse rounds onto the support's end); s against
-the support; or theta.  Where a statistic's inverse rounds s onto an end of
-the support though u lies in the image, a family that declares
-``stat_terms`` evaluates the density from u itself.  One point travels as a
+image; s against the support; or theta.  A density in the weight coordinate
+reads a point's carrier and statistics from u alone, through the family's
+``stat_terms``, ln|ds/du| folded into the carrier or into a tilt of eta: in
+double on general stretches, in long double on constant stretches and for the
+closed forms, rounded to a double once.  The statistic's inverse is never
+evaluated there: s = T_k^{-1}(u) may round onto an end of the support or
+overflow where the density at u is a normal double.  One point travels as a
 numpy scalar, an array as an array, through the same code.  The density
-reads the carrier and the statistics at the call's points once.  The eta of each batch of nodes is checked once, where it
-is made: finite as :meth:`_Stretch.etas` makes it (naming the first such z),
+reads the carrier and the statistics at the call's points once.  The eta of
+each batch of nodes is checked once, where it is made: finite as
+:meth:`_Stretch.etas` makes it (naming the first such z),
 then in the natural space (with the failing node's ``index``), and A(eta) is
 evaluated with no further check.  The door enters one
 ``np.errstate(all="ignore")``: no division by zero, overflow, underflow or
@@ -630,9 +633,9 @@ class _ExpPoly:
         return np.array(out, dtype=_LD).reshape(shape) if shape else out[0]
 
 
-def _precise_density(ctx: LevyContext, loc: float, terms):
-    """p(s | eta(loc)) in long double at a point mass, from the points' long-double
-    ``terms``: eta is the atom override at loc, else the path's ``const`` and ``affine``
+def _precise_density(ctx: LevyContext, loc: float, h: "_Density"):
+    """h at a point mass in long double, from its ``precise`` terms and A(eta) in long
+    double: eta is the atom override at loc, else the path's ``const`` and ``affine``
     pieces there in long double, and the family declares its normaliser polynomial
     in some coordinate at that eta; else None."""
     family, override = ctx.family, ctx.path.atom_overrides.get(loc)
@@ -650,13 +653,8 @@ def _precise_density(ctx: LevyContext, loc: float, terms):
     else:
         return None
     factors, c, divisor = declared
-    eta_j = eta[j]
-    exponent = terms[0] + c * eta_j - np.log(_LD_ZERO + divisor)
-    for p0, p1 in factors:
-        exponent = exponent + np.log(p0 + p1 * eta_j)
-    for value, coord, stat in zip(terms[1], eta, family.stats):
-        exponent = exponent + (coord if stat.sign > 0 else -coord) * value
-    return np.exp(exponent)
+    log_partition = np.log(_LD_ZERO + divisor) - c * eta[j] - sum(np.log(p0 + p1 * eta[j]) for p0, p1 in factors)
+    return h(eta, log_partition, h.points, h.precise)
 
 
 class _Plan:
@@ -683,66 +681,56 @@ def _positions(shape: tuple) -> np.ndarray:
 
 
 class _Density:
-    """h(eta, A, pos) = p(s | eta) at the points s of one call, read by position.
+    """h(eta, A, pos) = p(s | eta) at the points of one call, read by position.
 
-    ``terms`` is the carrier and the statistics at every point
-    (:func:`~crmkit.expfam._terms` at points checked in the support) and
-    ``precise`` the same in long double from the call's own input, for
-    :meth:`_ExpPoly.integral`; each is computed on first use and read from
-    then on.  ``jac`` is the |ds/du| that the walk multiplies its double by
-    (1.0 in the family coordinate).  With ``at_stat`` = (statistic, k, u,
-    inside) the points are s = T_k^{-1}(u): ``precise`` comes from u (the
-    family's ``stat_terms``, or the terms at the inverse with ln|ds/du| added to
-    the carrier), and where ``inside`` is not None the points off it, whose s
-    the inverse rounded onto an end of the support, take their ``terms`` from
-    ``stat_terms`` too.  ``points`` stands for all the points: ``np.intp(0)`` at
-    one point, else the positions in the points' shape, so the walk passes it
-    where it passes its points.  A subset of positions, the points still
-    bisecting that QUADPACK's later steps pass, reads those points' terms.
+    The points are s in the family coordinate, checked in the support, whose
+    carrier and statistics are :func:`~crmkit.expfam._terms` at s; or, with
+    ``k``, u = T_k(s) in the weight coordinate, checked in the image, whose
+    terms are the family's ``stat_terms(k, u)``, ln|ds/du| folded into the
+    carrier and its ``tilt`` added to every eta, so h is the pushforward density
+    and no s is formed.  ``terms`` is that one source at the points and
+    ``precise`` the same at the points in long double, for the closed forms and
+    a constant stretch's weight density; each is computed on first use and read
+    from then on.  A tilt is read with the terms; the closed forms read none,
+    as a family that declares a normaliser returns none.  ``points`` stands for
+    all the points: ``np.intp(0)`` at one point, else the positions in the
+    points' shape, so the walk passes it where it passes its points.  A subset
+    of positions, the points still bisecting that QUADPACK's later steps pass,
+    reads those points' terms.
     """
 
-    __slots__ = ("family", "s", "jac", "at_stat", "points", "_terms", "_precise")
+    __slots__ = ("family", "x", "k", "points", "tilt", "_terms", "_precise")
 
-    def __init__(self, family: ExpFamilySpec, s, jac=1.0, at_stat: tuple | None = None):
-        self.family, self.s, self.jac, self.at_stat = family, s, jac, at_stat
-        self._terms = self._precise = None
-        self.points = _positions(s.shape) if s.ndim else _ONE_POINT
+    def __init__(self, family: ExpFamilySpec, x, k: int | None = None):
+        self.family, self.x, self.k = family, x, k
+        self._terms = self._precise = self.tilt = None
+        self.points = _positions(x.shape) if x.ndim else _ONE_POINT
+
+    def _source(self, x):
+        if self.k is None:
+            return expfam._terms(self.family, x)
+        carrier, values, self.tilt = self.family.stat_terms(self.k, x)
+        return carrier, values
 
     @property
     def terms(self):
         if self._terms is None:
-            terms = expfam._terms(self.family, self.s)
-            if self.at_stat is not None and self.at_stat[3] is not None:
-                _, k, u, inside = self.at_stat
-                carrier, values = terms
-                u_carrier, u_values = self.family.stat_terms(k, u)
-                terms = np.where(inside, carrier, u_carrier)[()], [
-                    np.where(inside, a, b)[()] for a, b in zip(values, u_values)
-                ]
-            self._terms = terms
+            self._terms = self._source(self.x)
         return self._terms
 
     @property
     def precise(self):
         if self._precise is None:
-            family = self.family
-            if self.at_stat is None:
-                self._precise = expfam._terms(family, _ld(self.s))
-            else:
-                stat, k, u, _ = self.at_stat
-                u = _ld(u)
-                if family.stat_terms is not None:
-                    self._precise = family.stat_terms(k, u)
-                else:
-                    carrier, values = expfam._terms(family, stat.inverse(u))
-                    self._precise = carrier + np.log(np.abs(stat.inverse_deriv(u))), values
+            self._precise = self._source(_ld(self.x))
         return self._precise
 
-    def __call__(self, eta, log_partition, pos):
-        terms = self._terms or self.terms
+    def __call__(self, eta, log_partition, pos, terms=None):
+        terms = terms or self._terms or self.terms
         if pos is not self.points:
             carrier, values = terms
             terms = np.ravel(carrier)[pos], [np.ravel(value)[pos] for value in values]
+        if self.tilt is not None:
+            eta = (eta.T + self.tilt).T  # along eta's first axis, of any batch
         return np.exp(expfam._exponent(self.family, eta, log_partition, None, terms))
 
 
@@ -772,8 +760,10 @@ def _z_integral(ctx: LevyContext, h: Callable, t: float, x) -> float | np.ndarra
     (shape (l, m), A of shape (m,)) to ``x.shape + (m,)``, each entry that eta's
     and point's double; a batch of shape (l, r, m) with x of shape (r,) pairs
     row i of the batch with point i, to shape (r, m).  A constant stretch gives
-    h(eta, A, x) A_0(stretch), h not run where that mass is 0.  An
-    exponential-polynomial stretch gives a density h (a :class:`_Density`, x
+    h(eta, A, x) A_0(stretch), h not run where that mass is 0, and a density in
+    the weight coordinate that product in long double (:attr:`_Density.precise`)
+    rounded to a double once, which keeps the rounding of ln|ds/du| out of its
+    exponent.  An exponential-polynomial stretch gives a density h (a :class:`_Density`, x
     its ``points``) its closed form per nonzero base piece that ends below
     infinity (:meth:`_ExpPoly.integral`), or :func:`_stretch_integral` where
     that form is not a finite double; any other h or stretch takes
@@ -781,18 +771,20 @@ def _z_integral(ctx: LevyContext, h: Callable, t: float, x) -> float | np.ndarra
     at one batch of their eta, added in location order, or, once a closed form
     has been taken, each density in long double where the family's normaliser
     is polynomial at its eta (:func:`_precise_density`); atom overrides act only
-    through them.  A density's value is multiplied by its ``jac``; with closed
-    forms the long-double parts and that product are summed and rounded to a
-    double once.  The callers check t > 0 and x, under the call's one
-    ``np.errstate``.
+    through them.  With closed forms the long-double parts and the double
+    ones are summed and rounded to a double once.  The callers check t > 0 and
+    x, under the call's one ``np.errstate``.
     """
     total, exact, plan = 0.0, None, ctx._plan
+    weight = isinstance(h, _Density) and h.k is not None  # a density in u
     for stretch in plan.stretches:
         if not stretch.lo < t:
             break
         if stretch.eta is not None:
             mass = sum(piece.integral(lo, min(hi, t)) for piece, lo, hi in stretch.base)
-            if mass != 0.0:
+            if mass != 0.0 and weight:  # in long double, rounded once
+                total += (h(*stretch.bound, x, h.precise) * mass).astype(float)
+            elif mass != 0.0:
                 total += h(*stretch.bound, x) * mass
             continue
         closed = stretch.poly is not None and isinstance(h, _Density)
@@ -808,7 +800,7 @@ def _z_integral(ctx: LevyContext, h: Callable, t: float, x) -> float | np.ndarra
         locs, masses = zip(*jumps)
         etas, log_partitions = expfam._bind_many(ctx.family, ctx.path.eval_many(locs).T)
         # a walk with a closed-form part takes each point mass in long double where it can
-        precise = [] if exact is None else [_precise_density(ctx, loc, h.precise) for loc in locs]
+        precise = [] if exact is None else [_precise_density(ctx, loc, h) for loc in locs]
         if precise and all(value is not None for value in precise):
             for mass, value in zip(masses, precise):
                 exact = exact + mass * value
@@ -817,9 +809,6 @@ def _z_integral(ctx: LevyContext, h: Callable, t: float, x) -> float | np.ndarra
             for i, mass in enumerate(masses):
                 total += mass * values[..., i]
     total = total + np.zeros(x.shape) if x.ndim else total
-    if not isinstance(h, _Density):
-        return total
-    total = total * h.jac
     if exact is None:
         return total
     exact = exact + total  # rounded to a double once
@@ -852,49 +841,30 @@ def levy_integrand(ctx: LevyContext, z: float, s):
 
 
 def _pushforward(ctx: LevyContext, u, density: Callable):
-    """density(h) |ds/du| at s = T_k^{-1}(u), at one u (a float) or an array, from one
-    ``density`` call, h the :class:`_Density` at s: at s of u's shape, or, where the
-    inverse or its derivative overflows (the deep tail, 0.0), at the others.  The
-    first u outside the image raises SupportError, then the first such s.  The door
-    of :func:`levy_density_u` and of a :class:`FiniteActivity`'s weight density,
-    under one ``np.errstate``."""
-    stat = ctx._plan.stat
-    if stat.inverse is None or stat.inverse_deriv is None:
-        raise CrmError(f"statistic {stat.name!r} has no declared inverse")
+    """density(h) at one u (a float) or an array, from one ``density`` call, h the
+    :class:`_Density` at the points u of the weight coordinate, whose terms are the
+    family's ``stat_terms``: the statistic's inverse is never evaluated.  A
+    statistic with no declared inverse, or a family with no ``stat_terms``, is
+    refused, and then the first u outside the image raises SupportError.  The
+    door of :func:`levy_density_u` and of a :class:`FiniteActivity`'s weight
+    density, under one ``np.errstate``."""
+    family, stat = ctx.family, ctx._plan.stat
+    if stat.inverse is None or family.stat_terms is None:
+        lack = "declared inverse" if stat.inverse is None else f"stat_terms in family {family.name!r}"
+        raise CrmError(f"statistic {stat.name!r} has no {lack}")
     inside = stat.in_image(us := expfam._float64(u))
     if not expfam._all(inside):
         bad = us.flat[np.argmin(inside)]
         raise SupportError(f"u={bad} outside the image {stat.image} of statistic {stat.name!r}")
     with np.errstate(all="ignore"):
-        s, jac = stat.inverse(us), abs(stat.inverse_deriv(us))
-        keep = s * 0.0 + jac < _INF  # both finite: s * 0.0 is NaN where s is not
-        if expfam._all(keep):  # at u's own shape, so one u takes the one-point path
-            value = density(_at_stat(ctx, s, us, jac))
-            return value if us.ndim else float(value)
-        out = np.zeros(us.shape)
-        if keep.any():
-            out[keep] = density(_at_stat(ctx, s[keep], us[keep], jac[keep]))
-    return out if us.ndim else float(out)
-
-
-def _at_stat(ctx: LevyContext, s, u, jac) -> "_Density":
-    """The :class:`_Density` at s = T_k^{-1}(u) checked in the support, with ``jac``.
-    Where the inverse rounds s onto an end of the support though u lies in the
-    image, and the family declares ``stat_terms``, those points take their terms
-    from u, |ds/du| among them, and a jac of 1.0; elsewhere such an s raises."""
-    family, stat = ctx.family, ctx._plan.stat
-    inside = family.support._inside(s)
-    if expfam._all(inside):
-        return _Density(family, s, jac, (stat, ctx.k, u, None))
-    if family.stat_terms is None:
-        expfam._check_support(family, s)
-    return _Density(family, s, np.where(inside, jac, 1.0)[()], (stat, ctx.k, u, inside))
+        value = density(_Density(family, us, ctx.k))
+    return value if us.ndim else float(value)
 
 
 def levy_density_u(ctx: LevyContext, t: float, u):
     """The pushforward of :func:`levy_density_s` to the weight coordinate
-    u = T_k(s), at one u or an array alike: 0.0 where the inverse overflows,
-    and the first u outside the image raises :class:`SupportError`."""
+    u = T_k(s), at one u or an array alike; the first u outside the image
+    raises :class:`SupportError`."""
     _check_time(t)
     return _pushforward(ctx, u, lambda h: _z_integral(ctx, h, t, h.points))
 
@@ -1045,7 +1015,7 @@ def classify_activity(ctx: LevyContext, t: float):
 
     bound = expfam._bind_many(ctx.family, [comp(t) for comp in ctx.path.components], batch=False)
     return FiniteActivity(
-        mass, mass / t, lambda u: _pushforward(ctx, u, lambda h: h(*bound, h.points) * h.jac)
+        mass, mass / t, lambda u: _pushforward(ctx, u, lambda h: h(*bound, h.points, h.precise).astype(float))
     )
 
 

@@ -229,9 +229,14 @@ def test_levy_density_u_log_jacobian():
     )
 
 
-def test_levy_density_u_overflow_tail_is_zero(pareto_linear_ctx):
-    # u = ln s; exp(u) overflows well before u = 1000, the measure is long gone
-    assert levy_density_u(pareto_linear_ctx, 1.0, 1000.0) == 0.0
+def test_levy_density_u_where_the_inverse_overflows_is_read_from_u(pareto_linear_ctx):
+    # u = ln s and s = e^1000 overflows, but the density in u, int_0^1 z e^{-1000 z} dz,
+    # is 1.0e-6: it is read from u, to the nearest double or one neighbour
+    got = levy_density_u(pareto_linear_ctx, 1.0, 1000.0)
+    with mp.workdps(50):
+        want = mp.quad(lambda z: z * mp.exp(-1000 * z), [0, mp.mpf(1) / 100, 1])
+    assert float(abs(got - want)) <= math.ulp(float(want))
+    assert got == pytest.approx(1.0e-6, rel=1e-12)
 
 
 def test_levy_density_u_rejects_outside_image(gamma_const_ctx):
@@ -974,29 +979,52 @@ def _affine(c0, c1):
 _SHAPE_PATH = [_affine(2.0, 0.5), PiecewiseFunction.constant(3.0)]
 _LOGLOG_FACE = [PiecewiseFunction.constant(-1.0), _affine(-2.5, -0.5)]
 
-# name: (family, path, k, t, us, whether the inverse overflows at the last u);
-# each path is affine in z: the beta, gamma and pareto stretches are
-# exponential-polynomial, the pareto_loglog ones take the 21-point pass
+def _loglog_face(k, u, t):
+    """The 50-digit density at u of ``_LOGLOG_FACE`` over (0, t] and a unit base: the
+    face's law of w = ln x is Pareto with shape alpha = 1.5 + 0.5 z, so u = w has
+    density alpha u^{-alpha - 1} (k = 1) and u = ln w density alpha e^{-alpha u} (k = 2)."""
+    with mp.workdps(50):
+        u = mp.mpf(u)
+
+        def density(z):
+            alpha = mp.mpf(1.5) + z / 2
+            return alpha * (u ** (-alpha - 1) if k == 1 else mp.exp(-alpha * u))
+
+        return mp.quad(density, [0, t])
+
+
+# name: (family, path, k, t, us, the last u's density: "zero" where it is below
+# the least double, "face" where it is _loglog_face's, else "positive"); each
+# path is affine in z: the beta, gamma and pareto stretches are
+# exponential-polynomial, the pareto_loglog ones take the 21-point pass.  At the
+# last u of gamma_k1, pareto and loglog_k1 the inverse s overflows, and at
+# loglog_k2's e^{e^7} does
 _INVERTIBLE = {
-    "beta_k1": ("beta", _SHAPE_PATH, 1, 1.5, (-3.0, -0.7, -0.05), False),
-    "beta_k2": ("beta", _SHAPE_PATH, 2, 1.5, (-3.0, -0.7, -0.05), False),
-    "gamma_k1": ("gamma", _SHAPE_PATH, 1, 1.5, (-2.0, 0.0, 1.0, 800.0), True),
-    "gamma_k2": ("gamma", _SHAPE_PATH, 2, 1.5, (0.1, 1.0, 3.0), False),
-    "pareto": ("pareto", [_affine(-3.0, -1.0)], 1, 1.5, (0.1, 1.0, 4.0, 800.0), True),
-    "loglog_k1": ("pareto_loglog", _LOGLOG_FACE, 1, 1.5, (1.1, 2.0, 3.5, 800.0), True),
-    "loglog_k2": ("pareto_loglog", _LOGLOG_FACE, 2, 1.5, (0.1, 0.7, 1.2, 7.0), True),
+    "beta_k1": ("beta", _SHAPE_PATH, 1, 1.5, (-3.0, -0.7, -0.05), "positive"),
+    "beta_k2": ("beta", _SHAPE_PATH, 2, 1.5, (-3.0, -0.7, -0.05), "positive"),
+    "gamma_k1": ("gamma", _SHAPE_PATH, 1, 1.5, (-2.0, 0.0, 1.0, 800.0), "zero"),
+    "gamma_k2": ("gamma", _SHAPE_PATH, 2, 1.5, (0.1, 1.0, 3.0), "positive"),
+    "pareto": ("pareto", [_affine(-3.0, -1.0)], 1, 1.5, (0.1, 1.0, 4.0, 800.0), "zero"),
+    "loglog_k1": ("pareto_loglog", _LOGLOG_FACE, 1, 1.5, (1.1, 2.0, 3.5, 800.0), "face"),
+    "loglog_k2": ("pareto_loglog", _LOGLOG_FACE, 2, 1.5, (0.1, 0.7, 1.2, 7.0), "face"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_INVERTIBLE))
 def test_a_batch_of_u_gives_each_one_point_double(name):
-    family, path, k, t, us, overflows = _INVERTIBLE[name]
+    family, path, k, t, us, last = _INVERTIBLE[name]
     ctx = LevyContext.build(
         make_family(family), ParameterPath(path), BaseMeasure.lebesgue(1.0), k=k, require_conditions=False
     )
     singles = [levy_density_u(ctx, t, u) for u in us]
     assert all(type(v) is float for v in singles)
-    assert all(v > 0 for v in singles[:-1]) and (singles[-1] == 0.0) == overflows
+    assert all(v > 0 for v in singles[:-1])
+    if last == "zero":
+        assert singles[-1] == 0.0
+    elif last == "face":  # QUADPACK's first rule on a smooth integrand
+        assert singles[-1] == pytest.approx(float(_loglog_face(k, us[-1], t)), rel=1e-12, abs=0.0)
+    else:
+        assert singles[-1] > 0
     batch = levy_density_u(ctx, t, np.array(us))
     assert batch.shape == (len(us),) and batch.tolist() == singles
     s = np.array([float(ctx.stat().inverse(u)) for u in us[:-1]])
@@ -1067,15 +1095,15 @@ _PLAN_PATHS = {
 _PLAN_PINNED = {
     ("plain", 1.0): (
         "0.9611860287648148", "0.6512755102040815",
-        "[0.7130529489704113, 0.9611860287648148, 0.19483260867890978]",
+        "[0.7130529489704113, 0.9611860287648148, 0.19483260867890984]",
     ),
     ("plain", 1.0000001): (
         "0.9611860829797736", "0.6512755469387763",
-        "[0.7130529891896134, 0.9611860829797736, 0.19483261966829357]",
+        "[0.7130529891896134, 0.9611860829797736, 0.19483261966829363]",
     ),
     ("plain", 3.7): (
         "1.9567730589488068", "1.6035431170277024",
-        "[1.1981584543746902, 1.9567730589488068, 0.5638362054854191]",
+        "[1.1981584543746902, 1.9567730589488068, 0.5638362054854194]",
     ),
     ("override", 1.0): (
         "0.6799424728888549", "0.8172531952881746",
@@ -1087,7 +1115,7 @@ _PLAN_PINNED = {
     ),
     ("override", 3.7): (
         "1.6755295030728468", "1.7695208021117956",
-        "[0.9840926960449272, 1.6755295030728468, 0.5774049787676632]",
+        "[0.9840926960449272, 1.6755295030728468, 0.5774049787676634]",
     ),
 }
 
@@ -1326,6 +1354,135 @@ def test_points_at_the_image_edges_raise_or_give_a_finite_density_alone_and_in_a
             assert [v.hex() for v in got.tolist()] == [singles[u].hex() for u in pair]
 
 
+def test_a_beta_weight_density_near_zero_holds_to_8_ulps_on_a_constant_path():
+    # k = 2: u = ln(1 - s), density 12 (1 - e^u) e^{3u}; s = 1 - e^u would cancel near
+    # u = 0, and the density is read from u
+    ctx = LevyContext.build(make_family("beta"), ParameterPath.constant([2.0, 3.0]), BaseMeasure.lebesgue(1.0), k=2)
+    for u in (-1e-3, -1e-6, -1e-9):
+        got = levy_density_u(ctx, 1.0, u)
+        with mp.workdps(50):
+            want = 12 * -mp.expm1(mp.mpf(u)) * mp.exp(3 * mp.mpf(u))
+        assert float(abs(got - want)) <= 8 * math.ulp(float(want)), u
+
+
+def test_a_constant_path_weight_density_is_rounded_once_from_long_double():
+    # gamma (1.5, 2), k = 1: the density's exponent 1.5u - A - 2e^u reaches -660 at
+    # u = 5.8, where the rounding of a double exponent alone costs hundreds of ulps
+    ctx = LevyContext.build(make_family("gamma"), ParameterPath.constant([1.5, 2.0]), BaseMeasure.lebesgue(1.0), k=1)
+    us = np.linspace(5.0, 5.8, 41)
+    for u, got in zip(us.tolist(), levy_density_u(ctx, 1.0, us).tolist()):
+        with mp.workdps(50):
+            u_ = mp.mpf(u)
+            want = mp.exp(mp.mpf(1.5) * u_ - (mp.loggamma(mp.mpf(1.5)) - mp.mpf(1.5) * mp.log(2)) - 2 * mp.exp(u_))
+        assert float(abs(got - want)) <= 4 * math.ulp(float(want)), u
+
+
+def _loglog_const(eta, k):
+    return LevyContext.build(
+        make_family("pareto_loglog"), ParameterPath.constant(eta), BaseMeasure.lebesgue(1.0), k=k,
+        require_conditions=False,
+    )
+
+
+def test_a_loglog_face_density_past_the_double_range_of_s_holds_to_4_ulps():
+    # on the face (-1, eta_2) w = ln x is Pareto(1, alpha = -1 - eta_2): u = w has density
+    # alpha u^{-alpha - 1} (k = 1) and v = ln w density alpha e^{-alpha v} (k = 2), while
+    # s = e^u overflows past u = 709.78 and s = e^{e^v} past v = 6.57.  The tilt
+    # eta_1 + 1 = 0 drops ln x from the exponent, so no term larger than the density's
+    # own exponent is summed
+    for eta_2, k, us in ((-3.0, 2, (7.0, 8.0, 10.0, 50.0)), (-3.0, 1, (1e3, 1e6, 1e12, 1e100))):
+        ctx, alpha = _loglog_const([-1.0, eta_2], k), -1 - eta_2
+        for u in us:
+            got = levy_density_u(ctx, 1.0, u)
+            with mp.workdps(50):
+                want = alpha * (mp.mpf(u) ** (-alpha - 1) if k == 1 else mp.exp(-alpha * mp.mpf(u)))
+            assert float(abs(got - want)) <= 4 * math.ulp(float(want)), (k, u)
+
+
+def test_a_loglog_density_where_e_to_the_v_overflows_is_its_own_double():
+    # k = 2 at v = 800, where T_1 = e^v is past the largest double: off the face the
+    # density is 0.0, on it alpha e^{-alpha v}, a normal double for alpha near 0.001
+    # (-1 - eta_2 at the double eta_2 = -1.001); alone and in a batch with a v inside
+    # the double range
+    us = np.array([1.0, 800.0])
+    off = _loglog_const([-2.0, -2.5], 2)
+    assert levy_density_u(off, 1.0, 800.0) == 0.0 < levy_density_u(off, 1.0, 1.0)
+    assert levy_density_u(off, 1.0, us).tolist() == [levy_density_u(off, 1.0, 1.0), 0.0]
+    face = _loglog_const([-1.0, -1.001], 2)
+    got = levy_density_u(face, 1.0, 800.0)
+    with mp.workdps(50):
+        alpha = -1 - mp.mpf(-1.001)
+        want = alpha * mp.exp(-alpha * 800)
+    assert float(abs(got - want)) <= 4 * math.ulp(float(want))
+    assert levy_density_u(face, 1.0, us).tolist() == [levy_density_u(face, 1.0, 1.0), got]
+    assert [row[2] for row in density_table(face, 1.0, us)] == [levy_density_u(face, 1.0, 1.0), got]
+
+
+# (family, k) -> (eta, u inside the image) for every registered statistic with an inverse
+_WEIGHT_POINTS = {
+    ("beta", 1): ((2.0, 3.0), (-3.0, -0.5, -0.01)),
+    ("beta", 2): ((2.0, 3.0), (-3.0, -0.5, -0.01)),
+    ("gamma", 1): ((2.0, 3.0), (-2.0, 0.5, 3.0)),
+    ("gamma", 2): ((2.0, 3.0), (0.1, 1.0, 5.0)),
+    ("pareto", 1): ((-3.0,), (0.1, 1.0, 5.0)),
+    ("pareto_loglog", 1): ((-2.0, -2.5), (1.1, 2.0, 5.0)),
+    ("pareto_loglog", 2): ((-2.0, -2.5), (0.1, 1.0, 2.0)),
+}
+
+
+def test_weight_points_cover_every_registered_statistic_with_an_inverse():
+    invertible = {
+        (name, k)
+        for name in expfam.family_names()
+        for k, stat in enumerate(make_family(name).stats, start=1)
+        if stat.inverse is not None
+    }
+    assert invertible == set(_WEIGHT_POINTS)
+    assert all(make_family(name).stat_terms is not None for name, _ in invertible)
+
+
+@pytest.mark.parametrize("name, k", sorted(_WEIGHT_POINTS))
+def test_stat_terms_agree_with_the_terms_at_the_inverse_plus_the_log_jacobian(name, k):
+    # the two declarations of a weight statistic: stat_terms serves the functionals,
+    # inverse and inverse_deriv the invertibility check and verify's moment oracle;
+    # at interior u they agree to a relative 1e-13 (0 exactly where one is 0), the
+    # tilt's sum_j sign_j tilt_j T_j added to the carrier
+    family = make_family(name)
+    stat, us = family.stats[k - 1], np.array(_WEIGHT_POINTS[name, k][1])
+    carrier, values, tilt = family.stat_terms(k, us)
+    for j, value in enumerate(values if tilt is not None else ()):
+        carrier = carrier + family.stats[j].sign * tilt[j] * value
+    s_carrier, s_values = expfam._terms(family, stat.inverse(us))
+    s_carrier = s_carrier + np.log(np.abs(stat.inverse_deriv(us)))
+    for got, want in zip([carrier, *values], [s_carrier, *s_values]):
+        assert np.broadcast_to(got, us.shape).tolist() == pytest.approx(
+            np.broadcast_to(want, us.shape).tolist(), rel=1e-13, abs=0.0
+        )
+
+
+def _refuse(*args):
+    raise AssertionError("the statistic's inverse was evaluated")
+
+
+@pytest.mark.parametrize("name, k", sorted(_WEIGHT_POINTS))
+def test_weight_densities_never_evaluate_the_inverse(name, k):
+    eta, us = _WEIGHT_POINTS[name, k]
+    ctx = LevyContext.build(
+        make_family(name), ParameterPath.constant(list(eta)), BaseMeasure.lebesgue(1.0), k=k,
+        require_conditions=False,
+    )
+    want = [levy_density_u(ctx, 1.0, u) for u in us]
+    family = ctx.family
+    stats = tuple(dataclasses.replace(stat, inverse=_refuse, inverse_deriv=_refuse) for stat in family.stats)
+    spied = dataclasses.replace(ctx, family=dataclasses.replace(family, stats=stats))
+    assert [levy_density_u(spied, 1.0, u) for u in us] == want
+    assert levy_density_u(spied, 1.0, np.array(us)).tolist() == want
+    assert [row[2] for row in density_table(spied, 1.0, us)] == want
+    activity = classify_activity(spied, 1.0)
+    assert isinstance(activity, FiniteActivity)
+    assert activity.weight_density(np.array(us)).tolist() == want
+
+
 def _set_grid(path, cuts=()):
     # the grid as a Python set of numpy scalars built it, the reference
     lo = max(c.lo for c in path.components)
@@ -1404,6 +1561,19 @@ _LEVY_REFUSALS = {
         lambda: levy_density_u(_unchecked("lognormal", [2.0]), 1.0, 0.5),
         CrmError,
         "statistic 'half_sq_centered_log' has no declared inverse",
+    ),
+    # a weight density reads its terms from stat_terms alone
+    "no-stat-terms": (
+        lambda: levy_density_u(
+            dataclasses.replace(
+                _unchecked("gamma", [2.0, 3.0], 2),
+                family=dataclasses.replace(make_family("gamma"), stat_terms=None),
+            ),
+            1.0,
+            0.5,
+        ),
+        CrmError,
+        "statistic 'x' has no stat_terms in family 'gamma'",
     ),
     "discrete-activity": (
         lambda: classify_activity(_unchecked("poisson", [0.0]), 1.0),

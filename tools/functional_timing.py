@@ -1,12 +1,13 @@
 """Time a Levy point density and a density table in-process.
 
-For four contexts it prints the minimum time in microseconds of N calls of
+For five contexts it prints the minimum time in microseconds of N calls of
 
 - ``levy_density_u(ctx, t, u)`` at one u, and
 - ``density_table(ctx, t, us)`` at 6 points,
 
-each also as a ratio to the constant context's point: on a constant path
-(gamma, k = 2, eta = (2, 3)), an affine path over (0, inf) (a term of the
+each also as a ratio to the first constant context's point: on a constant
+path (gamma, k = 2, eta = (2, 3)), the log statistic on a constant path
+(gamma, k = 1, eta = (1.5, 2)), an affine path over (0, inf) (a term of the
 gamma decomposition: shape 2, rate (1 + z)/2), a term of the beta
 decomposition (k = 1, eta = (1, 3 + z) over the ratio base (1 + z)/(3 + z))
 and a term of a pareto series with a ratio base (alpha(z) = z on
@@ -40,6 +41,14 @@ def contexts():
             "base": {"pieces": _const(1.0)},
         }
     )
+    gamma_log = crmkit.parse_component(
+        {
+            "family": {"name": "gamma"},
+            "k": 1,
+            "path": [_const(1.5), _const(2.0)],
+            "base": {"pieces": _const(1.0)},
+        }
+    )
     gamma_affine = crmkit.parse_component(
         {
             "family": {"name": "gamma"},
@@ -69,6 +78,7 @@ def contexts():
     us = [0.2, 0.5, 0.9, 1.4, 2.0, 3.0]
     return [
         ("const gamma k=2", gamma_const, 1.2, 1.0, us),
+        ("const gamma k=1", gamma_log, 1.2, 0.3, [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0]),
         ("affine gamma decomp", gamma_affine, 1.5, 1.0, us),
         ("ratio beta decomp", beta_ratio, 1.5, -0.5, [-3.0, -2.0, -1.0, -0.5, -0.2, -0.05]),
         ("ratio pareto term 2", series[1], 0.8, 1.0, us),
@@ -88,7 +98,7 @@ def best_us(fn, calls: int) -> float:
 
 def main(argv: list[str]) -> int:
     calls = int(argv[0]) if argv else 2000
-    unit = None  # the constant context's point
+    unit = None  # the first constant context's point
     for name, ctx, t, u, us in contexts():
         point = best_us(lambda: crmkit.levy_density_u(ctx, t, u), calls)
         table = best_us(lambda: crmkit.density_table(ctx, t, us), calls)
