@@ -38,15 +38,16 @@ Two declarations serve the closed-form location integrals of
 in one coordinate times an exponential of it, the other coordinates held
 fixed: ``pareto`` always, ``beta`` with its other coordinate a positive
 integer, ``gamma`` in its rate with an integer shape, each up to degree 8.
-``stat_terms`` gives the carrier and the statistics at s = T_k^{-1}(u)
-from u itself, in the precision of u, with ln|ds/du| folded into the
-carrier or, for ``pareto_loglog``, into a tilt of eta that the face
-eta_1 = -1 cancels exactly: every family whose statistics have an inverse
-declares it, and it is the only source of a weight-coordinate density's
-terms, in double on quadrature stretches and in long double on constant
-stretches and for the closed forms.  The declared ``inverse`` and
-``inverse_deriv`` serve the construction's invertibility check and the
-moment oracle of :mod:`crmkit.verify`.
+``stat_terms`` is a statistic's inverse, declared once: the carrier and
+the statistics at s = T_k^{-1}(u) from u itself, in the precision of u,
+with ln|ds/du| folded into the carrier or, for ``pareto_loglog``, into a
+tilt of eta that the face eta_1 = -1 cancels exactly.  Every family whose
+statistics have an inverse declares it.  It is the only source of a
+weight-coordinate density's terms, in double on quadrature stretches and in
+long double on constant stretches and for the closed forms; the
+construction's invertibility check asks it to give back the statistics it
+was handed, and the moment oracle of :mod:`crmkit.verify` integrates the
+pushforward density it gives.
 """
 
 from __future__ import annotations
@@ -145,23 +146,19 @@ class Support:
 
 @dataclass(frozen=True)
 class SufficientStat:
-    """One sufficient statistic with its optional inverse data.
+    """One sufficient statistic.
 
     ``sign`` is the canonical coefficient sign: the density's exponent carries
-    ``sign * eta_j * T_j(x)``.  ``inverse`` and ``inverse_deriv`` (the signed
-    derivative of the inverse) are declared only when the statistic is
-    monotone on the support; ``image`` is the open interval of statistic
-    values reached on the support.  They serve the construction's
-    invertibility check and the moment oracle; a density in the weight
-    coordinate u = T_k(x) reads its terms from the family's ``stat_terms``
-    instead, and needs both.
+    ``sign * eta_j * T_j(x)``; ``image`` is the open interval of statistic
+    values reached on the support.  The inverse of a statistic that is
+    monotone on the support is declared by its family, as
+    :attr:`ExpFamilySpec.stat_terms`: the weight coordinate u = T_k(x), the
+    construction's invertibility check and the moment oracle read it there.
     """
 
     name: str
     value: Callable
     sign: int = 1
-    inverse: Callable | None = None
-    inverse_deriv: Callable | None = None
     image: tuple[float, float] | None = None
 
     def in_image(self, u) -> bool | np.ndarray:
@@ -204,10 +201,11 @@ class ExpFamilySpec:
     # (k, u) -> (carrier, [T_j(s)], tilt) at s = T_k^{-1}(u), computed from u in u's
     # precision, never through s, with log h(s) + log|ds/du| = carrier + sum_j sign_j
     # tilt_j T_j(s): tilt is None (all zero) or one float per statistic, added to eta,
-    # so where eta + tilt cancels the Jacobian no large term is summed.  The terms of
-    # every density of crmkit.levy in the weight coordinate, in double and in long
-    # double, which exists only where the family declares this; a family that declares
-    # a normaliser returns no tilt
+    # so where eta + tilt cancels the Jacobian no large term is summed.  The statistics'
+    # one declared inverse, declared where each statistic is monotone on the support:
+    # the terms of every density of crmkit.levy in the weight coordinate, in double and
+    # in long double, of the invertibility check and of verify's moment oracle; a family
+    # that declares a normaliser returns no tilt
     stat_terms: Callable | None = None
     fixed: dict = field(default_factory=dict)
 
@@ -616,20 +614,14 @@ def _integer_order(value) -> int | None:
 
 
 def _log_x(lo: float, hi: float = _INF) -> SufficientStat:
-    """The statistic ln x, with inverse e^u, of a support whose image under ln is (lo, hi)."""
-    return SufficientStat("log_x", np.log, inverse=np.exp, inverse_deriv=np.exp, image=(lo, hi))
+    """The statistic ln x of a support whose image under ln is (lo, hi)."""
+    return SufficientStat("log_x", np.log, image=(lo, hi))
 
 
 def _beta_family() -> ExpFamilySpec:
     stats = (
         _log_x(-_INF, 0.0),
-        SufficientStat(
-            "log_1mx",
-            lambda x: np.log1p(-_float64(x)),
-            inverse=lambda u: 1.0 - np.exp(u),
-            inverse_deriv=lambda u: -np.exp(u),
-            image=(-_INF, 0.0),
-        ),
+        SufficientStat("log_1mx", lambda x: np.log1p(-_float64(x)), image=(-_INF, 0.0)),
     )
 
     def a(eta):
@@ -677,14 +669,7 @@ def _beta_family() -> ExpFamilySpec:
 def _gamma_family() -> ExpFamilySpec:
     stats = (
         _log_x(-_INF),
-        SufficientStat(
-            "x",
-            lambda x: _float64(x) + 0.0,
-            sign=-1,
-            inverse=lambda u: u,
-            inverse_deriv=lambda u: _float64(u) * 0.0 + 1.0,  # 1 at every finite u
-            image=(0.0, _INF),
-        ),
+        SufficientStat("x", lambda x: _float64(x) + 0.0, sign=-1, image=(0.0, _INF)),
     )
 
     def a(eta):
@@ -797,13 +782,7 @@ def _pareto_loglog_family(scale: float) -> ExpFamilySpec:
     pareto = _pareto_family(u_m)  # the law of w = ln x on the face
     stats = (
         _log_x(u_m),
-        SufficientStat(
-            "log_log_x",
-            lambda x: np.log(np.log(x)),
-            inverse=lambda v: np.exp(np.exp(v)),
-            inverse_deriv=lambda v: np.exp(v) * np.exp(np.exp(v)),
-            image=(np.log(u_m), _INF),
-        ),
+        SufficientStat("log_log_x", lambda x: np.log(np.log(x)), image=(np.log(u_m), _INF)),
     )
 
     def on_face(eta):

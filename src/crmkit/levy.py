@@ -49,11 +49,12 @@ Each public functional checks its inputs once, at its door, and hands them to
 the private walk, which checks them no more: t; u against the statistic's
 image; s against the support; or theta.  A density in the weight coordinate
 reads a point's carrier and statistics from u alone, through the family's
-``stat_terms``, ln|ds/du| folded into the carrier or into a tilt of eta: in
-double on general stretches, in long double on constant stretches and for the
-closed forms, rounded to a double once.  The statistic's inverse is never
-evaluated there: s = T_k^{-1}(u) may round onto an end of the support or
-overflow where the density at u is a normal double.  One point travels as a
+``stat_terms``, the statistic's declared inverse, ln|ds/du| folded into the
+carrier or into a tilt of eta; no s is formed, as s = T_k^{-1}(u) may round
+onto an end of the support or overflow where the density at u is a normal
+double.  Every density, in either coordinate, takes its terms in double on
+general stretches and in long double on constant stretches and for the closed
+forms, rounded to a double once.  One point travels as a
 numpy scalar, an array as an array, through the same code.  The density
 reads the carrier and the statistics at the call's points once.  The eta of
 each batch of nodes is checked once, where it is made: finite as
@@ -226,10 +227,14 @@ def check_conditions(
 ) -> ConditionReport:
     """Validity report for the construction; failures are entries, not errors.
 
-    Checks: (1) the chosen statistic has a declared differentiable inverse
-    and round-trips numerically; (2) eta(z) lies in the natural space at
-    every grid point; (3) the natural space is closed under contracting
-    coordinate k toward zero (epsilon in {0.1, 0.5, 0.9}) along the grid.
+    Checks: (1) the family declares the statistics' inverse, its
+    ``stat_terms``, and it round-trips numerically: at each x of
+    ``family.support.grid(101)``, the statistics evaluated there once,
+    ``stat_terms(k, T_k(x))`` gives back every T_j(x) within a relative
+    1e-10 (the witnesses are the first x where it does not); (2) eta(z) lies
+    in the natural space at every grid point; (3) the natural space is
+    closed under contracting coordinate k toward zero (epsilon in {0.1,
+    0.5, 0.9}) along the grid.
     Checks (2) and (3) are sampled at the grid points alone, so a pass says
     nothing between them or beyond the last one; the grid of
     :meth:`LevyContext.build` stops at z = max(10, lo + 10) on a domain with
@@ -247,15 +252,17 @@ def check_conditions(
         raise CrmError("condition grid must be nonempty and strictly positive")
     stat = family.stats[k - 1]
 
-    # (1) invertible statistic
-    if stat.inverse is None or stat.inverse_deriv is None:
+    # (1) invertible statistic: the terms at u = T_k(x) give back each T_j(x)
+    if family.stat_terms is None:
         detail = f"statistic {stat.name!r} declares no differentiable inverse"
         invertible = ConditionCheck("invertible_statistic", False, detail)
     else:
         xs = family.support.grid(101)
-        back = np.asarray(stat.inverse(np.asarray(stat.value(xs))), dtype=float)
-        err = np.abs(back - xs) / np.maximum(1.0, np.abs(xs))
-        bad = xs[err > 1e-10]
+        values = [each.value(xs) for each in family.stats]
+        back = family.stat_terms(k, values[k - 1])[1]
+        errs = (np.abs(b - v) / np.maximum(1.0, np.abs(v)) for b, v in zip(back, values))
+        err = functools.reduce(np.maximum, errs)
+        bad = xs[~(err <= 1e-10)]  # a nan is no round trip
         detail = f"max relative round-trip error {err.max():.3e}"
         invertible = ConditionCheck("invertible_statistic", bad.size == 0, detail, tuple(bad[:3].tolist()))
 
@@ -690,7 +697,7 @@ class _Density:
     carrier and its ``tilt`` added to every eta, so h is the pushforward density
     and no s is formed.  ``terms`` is that one source at the points and
     ``precise`` the same at the points in long double, for the closed forms and
-    a constant stretch's weight density; each is computed on first use and read
+    the constant stretches; each is computed on first use and read
     from then on.  A tilt is read with the terms; the closed forms read none,
     as a family that declares a normaliser returns none.  ``points`` stands for
     all the points: ``np.intp(0)`` at one point, else the positions in the
@@ -760,12 +767,12 @@ def _z_integral(ctx: LevyContext, h: Callable, t: float, x) -> float | np.ndarra
     (shape (l, m), A of shape (m,)) to ``x.shape + (m,)``, each entry that eta's
     and point's double; a batch of shape (l, r, m) with x of shape (r,) pairs
     row i of the batch with point i, to shape (r, m).  A constant stretch gives
-    h(eta, A, x) A_0(stretch), h not run where that mass is 0, and a density in
-    the weight coordinate that product in long double (:attr:`_Density.precise`)
-    rounded to a double once, which keeps the rounding of ln|ds/du| out of its
-    exponent.  An exponential-polynomial stretch gives a density h (a :class:`_Density`, x
-    its ``points``) its closed form per nonzero base piece that ends below
-    infinity (:meth:`_ExpPoly.integral`), or :func:`_stretch_integral` where
+    h(eta, A, x) A_0(stretch), h not run where that mass is 0, and a density h
+    (a :class:`_Density`, x its ``points``) that product in long double
+    (:attr:`_Density.precise`) rounded to a double once, which keeps the
+    rounding of its terms out of its exponent.  An exponential-polynomial
+    stretch gives a density its closed form per nonzero base piece that ends
+    below infinity (:meth:`_ExpPoly.integral`), or :func:`_stretch_integral` where
     that form is not a finite double; any other h or stretch takes
     :func:`_stretch_integral` per nonzero base piece.  The point masses take h
     at one batch of their eta, added in location order, or, once a closed form
@@ -776,18 +783,18 @@ def _z_integral(ctx: LevyContext, h: Callable, t: float, x) -> float | np.ndarra
     x, under the call's one ``np.errstate``.
     """
     total, exact, plan = 0.0, None, ctx._plan
-    weight = isinstance(h, _Density) and h.k is not None  # a density in u
+    density = isinstance(h, _Density)  # in long double where it can be, rounded once
     for stretch in plan.stretches:
         if not stretch.lo < t:
             break
         if stretch.eta is not None:
             mass = sum(piece.integral(lo, min(hi, t)) for piece, lo, hi in stretch.base)
-            if mass != 0.0 and weight:  # in long double, rounded once
+            if mass != 0.0 and density:
                 total += (h(*stretch.bound, x, h.precise) * mass).astype(float)
             elif mass != 0.0:
                 total += h(*stretch.bound, x) * mass
             continue
-        closed = stretch.poly is not None and isinstance(h, _Density)
+        closed = stretch.poly is not None and density
         for index, (piece, lo, hi) in enumerate(stretch.base):
             if lo < (end := min(hi, t)):
                 value = stretch.poly.integral(index, end, h.precise) if closed and end < _INF else None
@@ -843,15 +850,14 @@ def levy_integrand(ctx: LevyContext, z: float, s):
 def _pushforward(ctx: LevyContext, u, density: Callable):
     """density(h) at one u (a float) or an array, from one ``density`` call, h the
     :class:`_Density` at the points u of the weight coordinate, whose terms are the
-    family's ``stat_terms``: the statistic's inverse is never evaluated.  A
-    statistic with no declared inverse, or a family with no ``stat_terms``, is
-    refused, and then the first u outside the image raises SupportError.  The
-    door of :func:`levy_density_u` and of a :class:`FiniteActivity`'s weight
+    family's ``stat_terms``, the statistic's declared inverse: no s is formed.  A
+    statistic of a family that declares no ``stat_terms`` has no declared inverse
+    and is refused, and then the first u outside the image raises SupportError.
+    The door of :func:`levy_density_u` and of a :class:`FiniteActivity`'s weight
     density, under one ``np.errstate``."""
     family, stat = ctx.family, ctx._plan.stat
-    if stat.inverse is None or family.stat_terms is None:
-        lack = "declared inverse" if stat.inverse is None else f"stat_terms in family {family.name!r}"
-        raise CrmError(f"statistic {stat.name!r} has no {lack}")
+    if family.stat_terms is None:
+        raise CrmError(f"statistic {stat.name!r} has no declared inverse")
     inside = stat.in_image(us := expfam._float64(u))
     if not expfam._all(inside):
         bad = us.flat[np.argmin(inside)]

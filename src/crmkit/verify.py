@@ -3,10 +3,12 @@
 Five suites: ``moments`` (closed-form and Monte Carlo moment identities,
 statistic moments of orders 1, 2, 4 and 6 against one oracle, the closed
 form where the family has one and otherwise a quadrature over the
-statistic's image, every eta and order of one statistic one batch that
-QUADPACK integrates in lockstep, beta's two statistics one batch, while the
-engine answers the orders of one (eta, k) together; and one
-goodness-of-fit check of each family's sampler against its CDF),
+statistic's image of the pushforward density that the family's
+``stat_terms`` declares, so every declared inverse is checked against the
+engine's closed forms, every eta and order of one statistic one batch that
+QUADPACK integrates in lockstep, while the engine answers the orders of one
+(eta, k) together; and one goodness-of-fit check of each family's sampler
+against its CDF),
 ``laplace`` (discretized-construction convergence to the Laplace exponent),
 ``conjugacy`` (update identities and grid-Bayes agreement), ``activity``
 (classification trichotomy and exact base masses), and ``examples``
@@ -128,13 +130,13 @@ _CLOSED_MOMENTS = {
 def _stat_expectation(spec, etas, k: int, fn, params) -> list[float]:
     """E[fn(T_k, p_i)] under eta_i for each row i of ``etas`` (one eta each) and
     ``params`` (one Python number each), by one quadrature over the
-    statistic's image, through its inverse, on an array of nodes u: zero
-    where the inverse or its derivative leaves the double range, deep in a
-    tail.  The rows are one batch of :func:`~crmkit.piecewise.checked_quad`
-    whose points are the row indices, bound together by
-    :func:`~crmkit.expfam._bind_many`; each row's density is
-    :func:`~crmkit.expfam._exponent` at its own eta, so every row keeps the
-    double it gives alone.
+    statistic's image of the pushforward density at nodes u, whose terms are
+    the family's ``stat_terms(k, u)``, its tilt added to eta: zero where the
+    terms overflow, deep in a tail.  The rows are one batch of
+    :func:`~crmkit.piecewise.checked_quad` whose points are the row indices,
+    bound together by :func:`~crmkit.expfam._bind_many`; each node's density
+    is :func:`~crmkit.expfam._exponent` at its own row's eta, so every row
+    keeps the double it gives alone.
 
     For a log statistic this trades the (ln x)^m x^(a-1) endpoint
     singularity of the x-space integrand for a smooth one.  ``fn`` takes one
@@ -143,43 +145,33 @@ def _stat_expectation(spec, etas, k: int, fn, params) -> list[float]:
     """
     eta, log_partition = expfam._bind_many(spec, np.transpose(etas))
     params = np.asarray(params)
-    stat, support = spec.stats[k - 1], spec.support
 
     def integrand(u, rows):
+        u, row = (v.ravel() for v in np.broadcast_arrays(u, rows[:, None]))  # each node with its row
         with np.errstate(over="ignore"):
-            x = stat.inverse(u)
-            jac = np.abs(stat.inverse_deriv(u))
-        inside = np.isfinite(jac) & (x > support.lo) & (x < support.hi)
-        u, row, inside, x, jac = np.broadcast_arrays(u, rows[:, None], inside, x, jac)
-        row = row[inside]  # each inside node's row, its eta paired with it
-        density = np.exp(expfam._exponent(spec, eta[:, row, None], log_partition[row, None], x[inside]))
-        weights = np.array([fn(v, p) for v, p in zip(u[inside].tolist(), params[row].tolist())])
-        out = np.zeros(u.shape)
-        out[inside] = weights * density[:, 0] * jac[inside]
-        return out
+            carrier, values, tilt = spec.stat_terms(k, u)
+            at = eta[:, row, None] if tilt is None else eta[:, row, None] + np.reshape(tilt, (-1, 1, 1))
+            density = np.exp(expfam._exponent(spec, at, log_partition[row, None], None, (carrier, values)))
+        weights = np.array([fn(v, p) for v, p in zip(u.tolist(), params[row].tolist())])
+        return (weights * density[:, 0]).reshape(len(rows), -1)
 
-    return checked_quad(integrand, *stat.image, np.arange(len(params))).tolist()
+    return checked_quad(integrand, *spec.stats[k - 1].image, np.arange(len(params))).tolist()
 
 
 def _moment_oracle(spec, rows) -> list[tuple[float, float]]:
     """E[T_k^m] and its relative accuracy for each row (eta, k, m): closed form,
-    else quadrature, the rows of one statistic one batch of
-    :func:`_stat_expectation`.
-
-    Every discrete statistic and every statistic without a declared inverse
-    has a closed form.  Beta's second statistic ln(1 - x) goes through the
-    reflection 1 - X ~ Beta(eta_2, eta_1), in the batch of its first: its
-    inverse 1 - e^u rounds to 1 in the tail.
+    else quadrature of the pushforward density that the family's
+    ``stat_terms`` declares, the rows of one statistic one batch of
+    :func:`_stat_expectation`.  Every discrete statistic and every statistic
+    of a family that declares no ``stat_terms`` has a closed form.
     """
     out, batches = [None] * len(rows), {}  # k -> [(row, eta, m)] of each quadrature statistic
     for i, (eta, k, m) in enumerate(rows):
         closed = _CLOSED_MOMENTS.get((spec.name, k))
         if closed is not None:
             out[i] = (closed(spec, eta, m), 1e-10)
-            continue
-        if spec.name == "beta" and k == 2:
-            eta, k = eta[::-1], 1
-        batches.setdefault(k, []).append((i, eta, m))
+        else:
+            batches.setdefault(k, []).append((i, eta, m))
     for k, batch in batches.items():
         index, etas, ms = zip(*batch)
         for i, value in zip(index, _stat_expectation(spec, etas, k, lambda u, m: u**m, ms)):

@@ -1024,9 +1024,9 @@ def test_every_statistic_has_a_closed_moment_or_a_declared_inverse():
 
     for name in expfam.family_names():
         spec = expfam.make_family(name)
-        for k, stat in enumerate(spec.stats, start=1):
+        for k in range(1, spec.dimension + 1):
             closed = (name, k) in verify._CLOSED_MOMENTS
-            quadrature = stat.inverse is not None and not spec.support.discrete
+            quadrature = spec.stat_terms is not None and not spec.support.discrete
             assert closed or quadrature, f"{name} k={k}"
 
 

@@ -110,13 +110,13 @@ POSTERIOR_GOLDEN = {
 }
 MIX_LIKELIHOOD = "c96bbd3d85a3b5174cfbcea174e9538b1e37d44cfb6c8a0e1bc10851a1e35604"
 VERIFY_GOLDEN = {
-    "report.csv": "ab7ba70bcaa38df20bcba7ba59e88ef39465b499ae406de34d60dc1e6a7cbef2",
+    "report.csv": "2d83cd84fb590cf26b39ae0e4c2a612a00a0fb760406adc5b63a593fdfbd8b3b",
     "laplace_convergence.csv": "6ec10d9f7ca35cbb694d034447559ef0c1c51e7dc54495fdc36e2fed5083e17b",
     "series_partial_sums.csv": "0c39bbfe422a883d51a5985f5be764d1181fa4da56d3ea5f016e908ba6cb5fe5",
 }
 # sha256 over _context_repr of every context parsed from configs/, the mix and
 # a const-alpha series
-CONTEXTS_GOLDEN = "ff3cb04d9100ccfd46a50992d5df4c653cbb96177c6b6c62264cedb685e89b05"
+CONTEXTS_GOLDEN = "e555961ea17c2741d100f7fa1d3637d8c960b3953ecdfcc9b48af83b9f91a827"
 CONST_SERIES = {
     "pareto_series": {"components": 4, "scale": 2.0, "support": [0.5, 3.0], "alpha": {"const": 1.5}}
 }

@@ -544,6 +544,26 @@ def test_contraction_check_names_each_point_that_only_it_fails():
     assert closure.witnesses == ((1.5, 0.1), (3.0, 0.1), (5.0, 0.1))
 
 
+@pytest.mark.parametrize("scale, first", [(1.0 + 1e-6, 1), (math.nan, 0)])
+def test_the_invertibility_check_holds_stat_terms_to_every_statistic(scale, first):
+    # beta's stat_terms at k = 1 with its other statistic ln(1 - x) scaled: off by a
+    # relative 1e-6 it misses 1e-10 from the grid's second point on, where
+    # |ln(1 - x)| = 0.01 (1e-6 at the first), and nan misses everywhere
+    beta = make_family("beta")
+
+    def stat_terms(k, u):
+        carrier, (log_x, log_1mx), tilt = beta.stat_terms(k, u)
+        return carrier, [log_x, log_1mx * scale], tilt
+
+    path, xs = ParameterPath.constant([2.0, 3.0]), beta.support.grid(101)
+    check = check_conditions(dataclasses.replace(beta, stat_terms=stat_terms), path, 1, [1.0]).checks[0]
+    assert (check.passed, check.witnesses) == (False, tuple(xs[first : first + 3].tolist()))
+    assert check_conditions(beta, path, 1, [1.0]).check("invertible_statistic").passed
+    undeclared = check_conditions(dataclasses.replace(beta, stat_terms=None), path, 1, [1.0]).checks[0]
+    assert not undeclared.passed
+    assert undeclared.detail == "statistic 'log_x' declares no differentiable inverse"
+
+
 def test_path_check_records_a_raising_path_piece_as_a_witness():
     path = ParameterPath(
         [
@@ -571,7 +591,8 @@ def _shape_undefined_beyond_3(z):
 # (a gap between pieces; a func piece that raises on part of the grid; an
 # atom override on the one grid point the pieces leave uncovered), and an
 # unenforced pareto_series component that fails closure at every point: the
-# repr of each as recorded before check (2) became one batch
+# repr of each as recorded before check (2) became one batch, but for check
+# (1)'s round-trip error, which stat_terms gives back exactly for pareto_series
 _FAILING_REPORTS = {
     "override in a gap": (
         "ConditionReport(checks=(ConditionCheck(name='invertible_statistic', passed=True, "
@@ -603,7 +624,7 @@ _FAILING_REPORTS = {
     ),
     "pareto_series": (
         "ConditionReport(checks=(ConditionCheck(name='invertible_statistic', passed=True, "
-        "detail='max relative round-trip error 2.842e-16', witnesses=()), "
+        "detail='max relative round-trip error 0.000e+00', witnesses=()), "
         "ConditionCheck(name='path_in_natural_space', passed=True, detail='0 of 38 grid points fail', "
         "witnesses=()), ConditionCheck(name='contraction_closure', passed=False, "
         "detail='38 grid points leave the natural space under contraction', "
@@ -707,10 +728,13 @@ def test_an_invalid_eta_where_no_base_piece_lies_is_not_evaluated():
     with pytest.raises(NaturalSpaceError):
         expfam.density(gamma, path.eval(1.5), 0.7)
     # the base covers (0, 0.5] with mass 0.5 at eta (2, 3) and (2, 3] with
-    # mass 2 at eta (3, 3): the closed form h(eta) A_0 on each stretch
-    want = 0.5 * expfam.density(gamma, [2.0, 3.0], 0.7)
-    want += 2.0 * expfam.density(gamma, [3.0, 3.0], 0.7)
-    assert levy_density_s(ctx, 3.0, 0.7) == want > 0
+    # mass 2 at eta (3, 3): the closed form h(eta) A_0 on each stretch, each
+    # in long double and rounded once, which gives the double nearest the sum
+    with mp.workdps(40):
+        s = mp.mpf(0.7)
+        density = lambda a: 3**a * s ** (a - 1) * mp.exp(-3 * s) / mp.gamma(a)  # rate 3
+        want = 0.5 * density(2) + 2 * density(3)
+    assert levy_density_s(ctx, 3.0, 0.7) == float(want) > 0
     # a base piece over (1, 2] makes the location integral evaluate the invalid eta
     covered = LevyContext.build(gamma, path, BaseMeasure.lebesgue(1.0), k=2, require_conditions=False)
     with pytest.raises(NaturalSpaceError):
@@ -1027,7 +1051,7 @@ def test_a_batch_of_u_gives_each_one_point_double(name):
         assert singles[-1] > 0
     batch = levy_density_u(ctx, t, np.array(us))
     assert batch.shape == (len(us),) and batch.tolist() == singles
-    s = np.array([float(ctx.stat().inverse(u)) for u in us[:-1]])
+    s = np.array([float(_INVERSES[family, k][0](u)) for u in us[:-1]])
     assert levy_density_s(ctx, t, s).tolist() == [levy_density_s(ctx, t, x) for x in s]
     assert [row[2] for row in density_table(ctx, t, us)] == singles
 
@@ -1377,6 +1401,17 @@ def test_a_constant_path_weight_density_is_rounded_once_from_long_double():
         assert float(abs(got - want)) <= 4 * math.ulp(float(want)), u
 
 
+def test_a_constant_path_family_density_is_rounded_once_from_long_double():
+    # beta (2, 3), k = 1, at s = e^-700 and e^-40: the exponent ln s - A + ... is
+    # about -700 and -40, where a double exponent alone costs 405 and 12 ulps
+    ctx = LevyContext.build(make_family("beta"), ParameterPath.constant([2.0, 3.0]), BaseMeasure.lebesgue(1.0), k=1)
+    for s in (math.exp(-700.0), math.exp(-40.0)):
+        got = levy_density_s(ctx, 1.0, s)
+        with mp.workdps(40):
+            want = 12 * mp.mpf(s) * (1 - mp.mpf(s)) ** 2
+        assert float(abs(got - want)) <= math.ulp(float(want)), s
+
+
 def _loglog_const(eta, k):
     return LevyContext.build(
         make_family("pareto_loglog"), ParameterPath.constant(eta), BaseMeasure.lebesgue(1.0), k=k,
@@ -1418,6 +1453,18 @@ def test_a_loglog_density_where_e_to_the_v_overflows_is_its_own_double():
     assert [row[2] for row in density_table(face, 1.0, us)] == [levy_density_u(face, 1.0, 1.0), got]
 
 
+# (family, k) -> (s = T_k^{-1}(u), ln|ds/du|) for every registered statistic with an
+# inverse: the reference that the family's stat_terms, its one declaration, is held to
+_INVERSES = {
+    ("beta", 1): (np.exp, lambda u: u),
+    ("beta", 2): (lambda u: 1.0 - np.exp(u), lambda u: u),
+    ("gamma", 1): (np.exp, lambda u: u),
+    ("gamma", 2): (lambda u: u, lambda u: 0.0 * u),
+    ("pareto", 1): (np.exp, lambda u: u),
+    ("pareto_loglog", 1): (np.exp, lambda u: u),
+    ("pareto_loglog", 2): (lambda v: np.exp(np.exp(v)), lambda v: np.exp(v) + v),
+}
+
 # (family, k) -> (eta, u inside the image) for every registered statistic with an inverse
 _WEIGHT_POINTS = {
     ("beta", 1): ((2.0, 3.0), (-3.0, -0.5, -0.01)),
@@ -1434,26 +1481,25 @@ def test_weight_points_cover_every_registered_statistic_with_an_inverse():
     invertible = {
         (name, k)
         for name in expfam.family_names()
-        for k, stat in enumerate(make_family(name).stats, start=1)
-        if stat.inverse is not None
+        if (family := make_family(name)).stat_terms is not None
+        for k in range(1, family.dimension + 1)
     }
-    assert invertible == set(_WEIGHT_POINTS)
-    assert all(make_family(name).stat_terms is not None for name, _ in invertible)
+    assert invertible == set(_WEIGHT_POINTS) == set(_INVERSES)
 
 
 @pytest.mark.parametrize("name, k", sorted(_WEIGHT_POINTS))
 def test_stat_terms_agree_with_the_terms_at_the_inverse_plus_the_log_jacobian(name, k):
-    # the two declarations of a weight statistic: stat_terms serves the functionals,
-    # inverse and inverse_deriv the invertibility check and verify's moment oracle;
-    # at interior u they agree to a relative 1e-13 (0 exactly where one is 0), the
-    # tilt's sum_j sign_j tilt_j T_j added to the carrier
-    family = make_family(name)
-    stat, us = family.stats[k - 1], np.array(_WEIGHT_POINTS[name, k][1])
+    # a family's stat_terms, the one declaration of its statistics' inverse, held
+    # to the terms at the reference inverse plus ln|ds/du|: at interior u they agree
+    # to a relative 1e-13 (0 exactly where one is 0), the tilt's
+    # sum_j sign_j tilt_j T_j added to the carrier
+    family, (inverse, log_jacobian) = make_family(name), _INVERSES[name, k]
+    us = np.array(_WEIGHT_POINTS[name, k][1])
     carrier, values, tilt = family.stat_terms(k, us)
     for j, value in enumerate(values if tilt is not None else ()):
         carrier = carrier + family.stats[j].sign * tilt[j] * value
-    s_carrier, s_values = expfam._terms(family, stat.inverse(us))
-    s_carrier = s_carrier + np.log(np.abs(stat.inverse_deriv(us)))
+    s_carrier, s_values = expfam._terms(family, inverse(us))
+    s_carrier = s_carrier + log_jacobian(us)
     for got, want in zip([carrier, *values], [s_carrier, *s_values]):
         assert np.broadcast_to(got, us.shape).tolist() == pytest.approx(
             np.broadcast_to(want, us.shape).tolist(), rel=1e-13, abs=0.0
@@ -1461,11 +1507,13 @@ def test_stat_terms_agree_with_the_terms_at_the_inverse_plus_the_log_jacobian(na
 
 
 def _refuse(*args):
-    raise AssertionError("the statistic's inverse was evaluated")
+    raise AssertionError("a term was evaluated at s")
 
 
 @pytest.mark.parametrize("name, k", sorted(_WEIGHT_POINTS))
-def test_weight_densities_never_evaluate_the_inverse(name, k):
+def test_weight_densities_never_evaluate_the_terms_at_s(name, k):
+    # no s = T_k^{-1}(u) is formed: with every statistic's value and the carrier
+    # refusing, each weight density reads stat_terms alone and keeps its doubles
     eta, us = _WEIGHT_POINTS[name, k]
     ctx = LevyContext.build(
         make_family(name), ParameterPath.constant(list(eta)), BaseMeasure.lebesgue(1.0), k=k,
@@ -1473,8 +1521,8 @@ def test_weight_densities_never_evaluate_the_inverse(name, k):
     )
     want = [levy_density_u(ctx, 1.0, u) for u in us]
     family = ctx.family
-    stats = tuple(dataclasses.replace(stat, inverse=_refuse, inverse_deriv=_refuse) for stat in family.stats)
-    spied = dataclasses.replace(ctx, family=dataclasses.replace(family, stats=stats))
+    stats = tuple(dataclasses.replace(stat, value=_refuse) for stat in family.stats)
+    spied = dataclasses.replace(ctx, family=dataclasses.replace(family, stats=stats, log_carrier=_refuse))
     assert [levy_density_u(spied, 1.0, u) for u in us] == want
     assert levy_density_u(spied, 1.0, np.array(us)).tolist() == want
     assert [row[2] for row in density_table(spied, 1.0, us)] == want
@@ -1562,7 +1610,7 @@ _LEVY_REFUSALS = {
         CrmError,
         "statistic 'half_sq_centered_log' has no declared inverse",
     ),
-    # a weight density reads its terms from stat_terms alone
+    # stat_terms is a statistic's one declared inverse: a spec built without it has none
     "no-stat-terms": (
         lambda: levy_density_u(
             dataclasses.replace(
@@ -1573,7 +1621,7 @@ _LEVY_REFUSALS = {
             0.5,
         ),
         CrmError,
-        "statistic 'x' has no stat_terms in family 'gamma'",
+        "statistic 'x' has no declared inverse",
     ),
     "discrete-activity": (
         lambda: classify_activity(_unchecked("poisson", [0.0]), 1.0),

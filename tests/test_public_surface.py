@@ -471,6 +471,11 @@ def test_family_spec_fields_are_pinned():
     ]
 
 
+def test_sufficient_stat_fields_are_pinned():
+    # a statistic's inverse is declared once, by its family's ``stat_terms``
+    assert [f.name for f in dataclasses.fields(crmkit.SufficientStat)] == ["name", "value", "sign", "image"]
+
+
 def test_every_boundary_the_benchmark_traces_exists():
     # crmbench/spans.py wraps these names from outside the package (``import
     # crmkit`` has loaded every module it reads); one that is renamed or

@@ -89,9 +89,8 @@ def test_moments_suite_checks_high_orders_and_every_sampler():
 
 
 def test_one_moments_pass_integrates_each_statistic_in_one_batch(monkeypatch):
-    # the oracle takes every eta and order of a statistic as one QUADPACK batch
-    # (beta's two statistics as one), the engine the orders of one (eta, k)
-    # from one ln Gamma
+    # the oracle takes every eta and order of a statistic as one QUADPACK batch,
+    # the engine the orders of one (eta, k) from one ln Gamma
     from crmkit import expfam, quadpack
 
     calls = {"qag": 0, "_log_upper_gamma": 0}
@@ -105,6 +104,30 @@ def test_one_moments_pass_integrates_each_statistic_in_one_batch(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     assert verify.run_suite("moments").passed
     assert calls["qag"] <= 8 and calls["_log_upper_gamma"] <= 10, calls
+
+
+def test_the_moments_suite_checks_each_declared_inverse(monkeypatch):
+    # beta's stat_terms with its carrier off by 1e-5 scales every pushforward density
+    # by e^1e-5: the oracle reads it, so a high-order row, gated at 1e-6 relative, fails
+    import dataclasses
+
+    from crmkit import expfam
+
+    factory, params = expfam._REGISTRY["beta"]
+
+    def planted():
+        spec = factory()
+
+        def stat_terms(k, u):
+            carrier, values, tilt = spec.stat_terms(k, u)
+            return carrier + 1e-5, values, tilt
+
+        return dataclasses.replace(spec, stat_terms=stat_terms)
+
+    monkeypatch.setitem(expfam._REGISTRY, "beta", (planted, params))
+    rows = [r for r in verify.run_suite("moments").rows if r.check.startswith("beta-stat-moment")]
+    failed = [r.check for r in rows if not r.passed]
+    assert failed and all(" m=4" in check or " m=6" in check for check in failed), failed
 
 
 def test_the_engine_batch_gives_each_order_its_double_alone(monkeypatch):
